@@ -177,32 +177,14 @@ fn main() {
         }),
     );
 
-    // Checkpoint-store put: the serial single-file writer (compress,
-    // then write, then fdatasync, one entry at a time) against the
-    // sharded writer whose per-shard codec/io pipelines overlap
-    // compression with `fdatasync`. Same bytes, same codec settings;
-    // the gap is the overlap. Each timed run builds a fresh store and
-    // includes the full create-to-commit wall time.
+    // Checkpoint-store put through the sharded writer, whose per-shard
+    // codec/io pipelines overlap compression with `fdatasync`. Each
+    // timed run builds a fresh store and includes the full
+    // create-to-commit wall time.
     let store_scratch =
         std::env::temp_dir().join(format!("isobar-bench-store-{}", std::process::id()));
     let chunk_bytes = CHUNK_ELEMENTS * width;
     let store_options = options(CompressionLevel::Fast, false);
-    record(
-        "store_put_serial",
-        throughput_mbps(bytes, || {
-            let path = store_scratch.with_extension("isst");
-            let _ = std::fs::remove_file(&path);
-            let mut writer =
-                isobar_store::StoreWriter::create(&path, store_options).expect("create store");
-            for (step, chunk) in ds.bytes.chunks(chunk_bytes).enumerate() {
-                writer
-                    .put(step as u32, "field", chunk, width)
-                    .expect("store put");
-            }
-            writer.close().expect("store close");
-            let _ = std::fs::remove_file(&path);
-        }),
-    );
     // One codec thread per core (capped at the default shard count):
     // extra shards on a narrow machine just evict each other's cache
     // working sets. See docs/STORE.md for the tuning rationale.

@@ -21,8 +21,6 @@ usage:
   isobar store ls   DIR                          list a store's contents
   isobar store compact DIR                       drop superseded entries and
                                                  sweep unreferenced segments
-  isobar store migrate IN DIR                    copy a v1/v2 single-file
-                                                 store into a v3 directory
   isobar serve      DIR [serve options]          run the checkpoint daemon in
                                                  front of a sharded store
                                                  (SIGINT/SIGTERM drain and
@@ -67,8 +65,8 @@ store options:
   --name V             variable name (put/get, required)
   --step N             time step (put/get, required)
   --width N            element width in bytes (put, required)
-  --shards N           segment pipelines to write with (put/compact/
-                       migrate; default 4)
+  --shards N           segment pipelines to write with (put/compact;
+                       default 4)
   --queue-depth N      in-flight variables per shard before put blocks
                        (put; default 2)
   --no-verify          skip checksum verification on reads (get/ls)
@@ -261,16 +259,6 @@ pub enum Command {
         dir: PathBuf,
         /// Shards for the rewritten generation (default: keep 4).
         shards: Option<u16>,
-    },
-    /// Copy a version-1/2 single-file store into a fresh version-3
-    /// directory store, container bytes verbatim.
-    StoreMigrate {
-        /// Source single-file store.
-        input: PathBuf,
-        /// Destination store directory.
-        dir: PathBuf,
-        /// Segment pipelines (shards) for the new store.
-        shards: u16,
     },
     /// Run the checkpoint daemon in front of a sharded store.
     Serve {
@@ -556,7 +544,7 @@ fn parse_analyze(it: &mut ArgIter<'_>) -> Result<Command, String> {
 fn parse_store(it: &mut ArgIter<'_>) -> Result<Command, String> {
     let verb = it
         .next()
-        .ok_or("store requires a verb: put|get|ls|compact|migrate")?;
+        .ok_or("store requires a verb: put|get|ls|compact")?;
 
     let mut name: Option<String> = None;
     let mut step: Option<u32> = None;
@@ -637,18 +625,8 @@ fn parse_store(it: &mut ArgIter<'_>) -> Result<Command, String> {
                 .map_err(|_| "store compact requires exactly one DIR path".to_string())?;
             Ok(Command::StoreCompact { dir, shards })
         }
-        "migrate" => {
-            let [input, dir]: [PathBuf; 2] = paths
-                .try_into()
-                .map_err(|_| "store migrate requires IN and DIR paths".to_string())?;
-            Ok(Command::StoreMigrate {
-                input,
-                dir,
-                shards: shards.unwrap_or(4),
-            })
-        }
         other => Err(format!(
-            "unknown store verb '{other}' (try put|get|ls|compact|migrate)"
+            "unknown store verb '{other}' (try put|get|ls|compact)"
         )),
     }
 }
@@ -1013,14 +991,6 @@ mod tests {
             Command::StoreCompact {
                 dir: "run.v3".into(),
                 shards: None,
-            }
-        );
-        assert_eq!(
-            parse(&strings(&["store", "migrate", "run.isst", "run.v3"])).unwrap(),
-            Command::StoreMigrate {
-                input: "run.isst".into(),
-                dir: "run.v3".into(),
-                shards: 4,
             }
         );
     }

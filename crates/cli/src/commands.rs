@@ -100,9 +100,6 @@ pub fn run(cmd: Command) -> Result<u8, String> {
         } => store_get(&dir, &output, &name, step, verify).map(|()| 0),
         Command::StoreLs { dir, verify } => store_ls(&dir, verify).map(|()| 0),
         Command::StoreCompact { dir, shards } => store_compact(&dir, shards).map(|()| 0),
-        Command::StoreMigrate { input, dir, shards } => {
-            store_migrate(&input, &dir, shards).map(|()| 0)
-        }
         Command::Serve {
             dir,
             addr,
@@ -231,24 +228,35 @@ fn apply_kernels(kernels: Option<isobar::KernelSelection>) {
     }
 }
 
-/// The three on-disk artifact kinds, told apart by their magic.
+/// The single-file artifact kinds, told apart by their magic. (A
+/// checkpoint store is a directory and has no file magic.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FileKind {
     /// Batch container (`ISBR`).
     Container,
     /// Streamed framing (`ISBS`).
     Stream,
-    /// Checkpoint store (`ISST`).
-    Store,
+    /// A retired single-file (v1/v2) checkpoint store (`ISST`), which
+    /// every command refuses by name.
+    RetiredStore,
 }
 
 fn file_kind(data: &[u8]) -> Option<FileKind> {
     match data.get(..4)? {
         b"ISBR" => Some(FileKind::Container),
         b"ISBS" => Some(FileKind::Stream),
-        b"ISST" => Some(FileKind::Store),
+        b"ISST" => Some(FileKind::RetiredStore),
         _ => None,
     }
+}
+
+/// The one refusal every command gives a retired single-file store.
+fn retired_store(input: &Path) -> String {
+    format!(
+        "{}: {}",
+        input.display(),
+        isobar_store::StoreError::SingleFileUnsupported
+    )
 }
 
 fn read(path: &Path) -> Result<Vec<u8>, String> {
@@ -559,16 +567,7 @@ fn info(input: &Path) -> Result<(), String> {
             println!("  (streams carry no total length; run `isobar fsck` to walk the frames)");
             return Ok(());
         }
-        Some(FileKind::Store) => {
-            println!(
-                "{}: ISOBAR checkpoint store v{}",
-                input.display(),
-                packed[4]
-            );
-            println!("  file size:       {} bytes", packed.len());
-            println!("  (run `isobar fsck` to walk and verify the index)");
-            return Ok(());
-        }
+        Some(FileKind::RetiredStore) => return Err(retired_store(input)),
     }
     let header = Header::read(&packed).map_err(|e| e.to_string())?;
     println!("{}: ISOBAR container v{}", input.display(), header.version);
@@ -590,8 +589,8 @@ fn info(input: &Path) -> Result<(), String> {
 /// payloads. Returns the process exit code: 0 for a clean (or legacy,
 /// unverifiable) file, [`EXIT_DAMAGE`] when damage was found.
 fn fsck(input: &Path) -> Result<u8, String> {
-    // A directory is a version-3 sharded store; there is no file
-    // magic to sniff.
+    // A directory is a checkpoint store; there is no file magic to
+    // sniff.
     if input.is_dir() {
         let report =
             isobar_store::fsck_store(input).map_err(|e| format!("{}: {e}", input.display()))?;
@@ -612,12 +611,7 @@ fn fsck(input: &Path) -> Result<u8, String> {
             print_fsck_report(input, "stream", &report);
             Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE })
         }
-        Some(FileKind::Store) => {
-            let report =
-                isobar_store::fsck_store(input).map_err(|e| format!("{}: {e}", input.display()))?;
-            print_store_fsck_report(input, &report);
-            Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE })
-        }
+        Some(FileKind::RetiredStore) => Err(retired_store(input)),
         None => Err(format!(
             "{}: not an ISOBAR container, stream, or store (unrecognized magic)",
             input.display()
@@ -669,17 +663,12 @@ fn print_fsck_report(input: &Path, kind: &str, report: &FsckReport) {
 
 fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
     println!(
-        "{}: ISOBAR checkpoint store v{}{}",
+        "{}: ISOBAR checkpoint store v{}",
         input.display(),
-        report.version,
-        if report.legacy {
-            " (legacy: entries carry no checksums)"
-        } else {
-            ""
-        }
+        isobar_store::V3_VERSION
     );
     if report.index_damaged {
-        println!("  index DAMAGED (salvage can rebuild it from a record walk)");
+        println!("  manifest DAMAGED (salvage can rebuild it from a segment walk)");
     }
     for entry in &report.entries {
         println!(
@@ -689,7 +678,6 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
             entry.offset,
             match entry.health {
                 EntryHealth::Verified => "verified",
-                EntryHealth::LegacyUnverifiable => "legacy, unverifiable",
                 EntryHealth::Damaged => "DAMAGED",
             }
         );
@@ -775,23 +763,7 @@ fn salvage(input: &Path, output: &Path) -> Result<(), String> {
             );
             Ok(())
         }
-        Some(FileKind::Store) => {
-            let report = isobar_store::salvage_store(input, output)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            eprintln!(
-                "{} -> {}: {} entries recovered, {} lost{}",
-                input.display(),
-                output.display(),
-                report.entries_recovered,
-                report.entries_lost,
-                if report.index_rebuilt {
-                    " (index rebuilt from a record walk)"
-                } else {
-                    ""
-                },
-            );
-            Ok(())
-        }
+        Some(FileKind::RetiredStore) => Err(retired_store(input)),
         None => Err(format!(
             "{}: not an ISOBAR container, stream, or store (unrecognized magic)",
             input.display()
@@ -852,7 +824,7 @@ fn store_put(
     Ok(())
 }
 
-/// Read one variable out of a store (any version) into a file.
+/// Read one variable out of a store into a file.
 fn store_get(dir: &Path, output: &Path, name: &str, step: u32, verify: bool) -> Result<(), String> {
     let reader = isobar_store::StoreReader::open_with_verify(dir, verify)
         .map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -876,7 +848,7 @@ fn store_ls(dir: &Path, verify: bool) -> Result<(), String> {
     println!(
         "{}: ISOBAR checkpoint store v{}, generation {}, {} segment{}",
         dir.display(),
-        reader.version(),
+        isobar_store::V3_VERSION,
         reader.generation(),
         reader.segment_count(),
         if reader.segment_count() == 1 { "" } else { "s" },
@@ -919,7 +891,7 @@ fn store_ls(dir: &Path, verify: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Rewrite a version-3 store without its superseded entries.
+/// Rewrite a store without its superseded entries.
 fn store_compact(dir: &Path, shards: Option<u16>) -> Result<(), String> {
     let report =
         isobar_store::compact_store(dir, shards).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -931,63 +903,6 @@ fn store_compact(dir: &Path, shards: Option<u16>) -> Result<(), String> {
         report.files_removed,
         if report.files_removed == 1 { "" } else { "s" },
         report.bytes_reclaimed,
-    );
-    Ok(())
-}
-
-/// Copy every entry of a version-1/2 single-file store into a fresh
-/// version-3 directory, container bytes verbatim (no recompression).
-fn store_migrate(input: &Path, dir: &Path, shards: u16) -> Result<(), String> {
-    use isobar_store::{ShardedOptions, ShardedStoreWriter};
-    let reader =
-        isobar_store::StoreReader::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
-    if reader.version() >= 3 {
-        return Err(format!(
-            "{}: already a version-3 store (use store compact to reshape it)",
-            input.display()
-        ));
-    }
-    let writer = ShardedStoreWriter::create(
-        dir,
-        IsobarOptions::default(),
-        ShardedOptions {
-            shards,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut migrated = 0usize;
-    for entry in reader.entries() {
-        let container = reader
-            .get_container(entry)
-            .map_err(|e| format!("{}: ({}, {}): {e}", input.display(), entry.step, entry.name))?;
-        writer
-            .put_container(
-                entry.step,
-                &entry.name,
-                entry.width,
-                container,
-                entry.raw_len,
-            )
-            .map_err(|e| format!("{}: {e}", dir.display()))?;
-        migrated += 1;
-    }
-    let report = writer
-        .close()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    eprintln!(
-        "{} -> {}: {} entr{} migrated into generation {} ({} segment{})",
-        input.display(),
-        dir.display(),
-        migrated,
-        if migrated == 1 { "y" } else { "ies" },
-        report.generation,
-        report.segments_committed,
-        if report.segments_committed == 1 {
-            ""
-        } else {
-            "s"
-        },
     );
     Ok(())
 }
@@ -1221,24 +1136,46 @@ mod tests {
 
     #[test]
     fn fsck_and_salvage_handle_stores() {
-        let store_path = tmp("fsck-store.isst");
-        let salvaged = tmp("fsck-store-salvaged.isst");
+        let dir = tmp("fsck-store");
+        let salvaged = tmp("fsck-store-salvaged");
+        let input = tmp("fsck-store-in.bin");
+        for d in [&dir, &salvaged] {
+            let _ = fs::remove_dir_all(d);
+        }
         let ds = isobar_datasets::catalog::spec("gts_phi_l")
             .unwrap()
             .generate(10_000, 1);
-        let mut writer =
-            isobar_store::StoreWriter::create(&store_path, IsobarOptions::default()).unwrap();
-        writer.put(1, "density", &ds.bytes, 8).unwrap();
-        writer.put(2, "density", &ds.bytes, 8).unwrap();
-        writer.close().unwrap();
+        fs::write(&input, &ds.bytes).unwrap();
+        store_put(&dir, &input, "density", 1, 8, 1, 2).unwrap();
+        store_put(&dir, &input, "density", 2, 8, 1, 2).unwrap();
 
-        assert_eq!(fsck(&store_path).unwrap(), 0);
-        salvage(&store_path, &salvaged).unwrap();
+        assert_eq!(fsck(&dir).unwrap(), 0);
+        salvage(&dir, &salvaged).unwrap();
         assert_eq!(fsck(&salvaged).unwrap(), 0);
 
-        for p in [&store_path, &salvaged] {
-            let _ = fs::remove_file(p);
+        for d in [&dir, &salvaged] {
+            let _ = fs::remove_dir_all(d);
         }
+        let _ = fs::remove_file(&input);
+    }
+
+    #[test]
+    fn retired_single_file_stores_are_refused_by_every_command() {
+        let old = tmp("retired.isst");
+        let out = tmp("retired-out");
+        fs::write(&old, b"ISST\x02 the rest does not matter").unwrap();
+        let refusal = "single-file (v1/v2) stores are no longer supported";
+        for err in [
+            info(&old).unwrap_err(),
+            fsck(&old).unwrap_err(),
+            salvage(&old, &out).unwrap_err(),
+            store_get(&old, &out, "density", 0, true).unwrap_err(),
+            store_ls(&old, true).unwrap_err(),
+        ] {
+            assert!(err.ends_with(refusal), "got {err:?}");
+        }
+        assert!(!out.exists(), "a refused command writes nothing");
+        let _ = fs::remove_file(&old);
     }
 
     #[test]
@@ -1273,36 +1210,6 @@ mod tests {
 
         let _ = fs::remove_dir_all(&dir);
         for p in [&input, &newer, &output] {
-            let _ = fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn store_migrate_lifts_a_single_file_store_to_v3() {
-        let old = tmp("migrate-src.isst");
-        let dir = tmp("migrate-dst-v3");
-        let output = tmp("migrate-out.bin");
-        let _ = fs::remove_dir_all(&dir);
-        let ds = isobar_datasets::catalog::spec("gts_phi_l")
-            .unwrap()
-            .generate(10_000, 3);
-        let mut writer = isobar_store::StoreWriter::create(&old, IsobarOptions::default()).unwrap();
-        writer.put(0, "density", &ds.bytes, 8).unwrap();
-        writer.put(1, "density", &ds.bytes, 8).unwrap();
-        writer.close().unwrap();
-
-        store_migrate(&old, &dir, 2).unwrap();
-        let reader = isobar_store::StoreReader::open(&dir).unwrap();
-        assert_eq!(reader.version(), 3);
-        assert_eq!(reader.entries().len(), 2);
-        drop(reader);
-        store_get(&dir, &output, "density", 1, true).unwrap();
-        assert_eq!(fs::read(&output).unwrap(), ds.bytes);
-        // Migrating an already-v3 store is refused.
-        assert!(store_migrate(&dir, &tmp("never-v3"), 2).is_err());
-
-        let _ = fs::remove_dir_all(&dir);
-        for p in [&old, &output] {
             let _ = fs::remove_file(p);
         }
     }

@@ -33,7 +33,7 @@ use isobar_codecs::{codec_for, CompressionLevel};
 use isobar_float_codecs::{Dims, Fpc, FpzipLike};
 use isobar_server::protocol::{encode_request, read_response, FrameError, Request};
 use isobar_server::{serve, Client, Opcode, ServeOptions, Status};
-use isobar_store::{StoreReader, StoreWriter};
+use isobar_store::{ShardedOptions, ShardedStoreWriter, StoreReader};
 
 /// Fixed allocation headroom a decode call may use regardless of input
 /// size: covers prediction tables (FPC decodes with up to 16 MiB of
@@ -322,6 +322,11 @@ fn stream_layer() -> Layer {
     }
 }
 
+/// The store as it ships: a directory of `MANIFEST` plus one segment,
+/// written by the single-shard [`ShardedStoreWriter`]. The pool holds
+/// one artifact per file, so each iteration corrupts either the
+/// manifest or the segment, materialises the directory with the other
+/// file pristine, and drives open + get for every entry.
 fn store_layer() -> Layer {
     let mut rng = Rng::new(0x5708E);
     let vars: Vec<(u32, &'static str, Vec<u8>)> = vec![
@@ -329,31 +334,73 @@ fn store_layer() -> Layer {
         (0, "potential", mixed_u64(512, &mut rng)),
         (1, "density", noise(2048, &mut rng)),
     ];
-    let pool_path =
-        std::env::temp_dir().join(format!("isobar-fuzz-pool-{}.isst", std::process::id()));
-    let mut writer = StoreWriter::create(&pool_path, small_options()).expect("pool store create");
+    let dir = std::env::temp_dir().join(format!("isobar-fuzz-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = ShardedStoreWriter::create(
+        &dir,
+        small_options(),
+        ShardedOptions {
+            shards: 1,
+            ..Default::default()
+        },
+    )
+    .expect("pool store create");
     for (step, name, data) in &vars {
-        writer.put(*step, name, data, 8).expect("pool store put");
+        writer
+            .put(*step, name, data.clone(), 8)
+            .expect("pool store put");
     }
     writer.close().expect("pool store close");
-    let bytes = std::fs::read(&pool_path).expect("pool store read");
-    let _ = std::fs::remove_file(&pool_path);
     let original: Vec<u8> = vars
         .iter()
         .flat_map(|(_, _, d)| d.iter().copied())
         .collect();
-    let pool = vec![Artifact { bytes, original }];
+    let files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("pool store list")
+        .map(|e| {
+            let e = e.expect("pool store dir entry");
+            (
+                e.file_name(),
+                std::fs::read(e.path()).expect("pool store read"),
+            )
+        })
+        .collect();
+    assert_eq!(files.len(), 2, "one manifest and one segment");
+    let pool = files
+        .iter()
+        .map(|(_, bytes)| Artifact {
+            bytes: bytes.clone(),
+            original: original.clone(),
+        })
+        .collect();
 
-    let decode_path =
-        std::env::temp_dir().join(format!("isobar-fuzz-decode-{}.isst", std::process::id()));
     Layer {
         name: "store",
         pool,
         alloc_scale: ALLOC_SCALE,
-        decode: Box::new(move |_, bytes, pristine| {
-            std::fs::write(&decode_path, bytes)
-                .map_err(|e| format!("harness: temp store write failed: {e}"))?;
-            match StoreReader::open(&decode_path) {
+        decode: Box::new(move |artifact, bytes, pristine| {
+            // The corrupted bytes replace the file this artifact was
+            // read from; every other file is restored to pristine.
+            for (file, content) in &files {
+                let content = if *content == artifact.bytes {
+                    bytes
+                } else {
+                    content
+                };
+                std::fs::write(dir.join(file), content)
+                    .map_err(|e| format!("harness: temp store write failed: {e}"))?;
+            }
+            if !pristine {
+                // The manifest checksum stops most damage at the door;
+                // fsck and salvage open damaged stores unverified, so
+                // the structural checks behind it must hold alone.
+                if let Ok(reader) = StoreReader::open_with_verify(&dir, false) {
+                    for entry in reader.live_entries() {
+                        let _ = reader.get(entry.step, &entry.name);
+                    }
+                }
+            }
+            match StoreReader::open(&dir) {
                 Ok(reader) => {
                     let mut all_ok = true;
                     for (step, name, data) in &vars {

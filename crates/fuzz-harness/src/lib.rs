@@ -22,12 +22,11 @@
 //!   small multiple of the input size.
 //! * [`layers`] — one [`layers::Layer`] per decode surface, each with
 //!   its own pool of valid artifacts and pass/fail rules.
-//! * [`crash`] — crash-injection for the store's commit protocols: an
+//! * [`crash`] — crash-injection for the store's commit protocol: an
 //!   in-memory filesystem that kills the writer at every operation
 //!   boundary (with torn in-flight writes) and proves a reader always
-//!   sees the old store or the new one, never a hybrid — for both the
-//!   single-file shadow commit and the version-3 two-phase manifest
-//!   commit across shards.
+//!   sees the old generation or the new one, never a hybrid — for the
+//!   two-phase manifest commit at one shard and across shards.
 //! * [`serve_crash`] — the same record-and-replay kill sweep over the
 //!   serve daemon's store engine, proving the "acked means durable"
 //!   contract: every put whose write-ahead-journal fsync returned

@@ -3,17 +3,15 @@
 //! ```text
 //! isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--kernels scalar|auto]
 //! isobar-fuzz-harness --crash-sweep [--seed HEX]
-//! isobar-fuzz-harness --crash-sweep-sharded [--seed HEX]
 //! isobar-fuzz-harness --serve-crash-sweep [--seed HEX]
 //! isobar-fuzz-harness --store-stress [--seed HEX]
 //! ```
 //!
 //! Exits 0 when every layer completes its iterations with zero panics
 //! and zero allocation-bound violations; exits 1 with a reproducible
-//! one-line report otherwise. `--crash-sweep` instead runs the store
-//! commit-protocol crash-injection sweep, `--crash-sweep-sharded` the
-//! version-3 two-phase manifest-commit sweep (see the `crash` module),
-//! `--serve-crash-sweep` the serve daemon's acked-means-durable sweep
+//! one-line report otherwise. `--crash-sweep` instead runs the store's
+//! two-phase manifest-commit crash-injection sweep at one and at two
+//! shards (see the `crash` module), `--serve-crash-sweep` the serve daemon's acked-means-durable sweep
 //! over the write-ahead journal (see the `serve_crash` module), and
 //! `--store-stress` the concurrent producer/reader storm over one
 //! sharded store under the counting allocator (see the `stress`
@@ -32,7 +30,6 @@ fn main() {
     let mut selected: Vec<String> = Vec::new();
     let mut list = false;
     let mut crash_sweep = false;
-    let mut crash_sweep_sharded = false;
     let mut serve_crash_sweep = false;
     let mut store_stress = false;
 
@@ -62,7 +59,6 @@ fn main() {
             }
             "--list" => list = true,
             "--crash-sweep" => crash_sweep = true,
-            "--crash-sweep-sharded" => crash_sweep_sharded = true,
             "--serve-crash-sweep" => serve_crash_sweep = true,
             "--store-stress" => store_stress = true,
             "--help" | "-h" => usage(""),
@@ -72,30 +68,18 @@ fn main() {
     }
 
     if crash_sweep {
-        match crash::crash_sweep(seed) {
-            Ok(o) => {
-                println!(
-                    "crash-sweep    {} kill points, {} views checked: {} old, {} new — commit protocol holds",
-                    o.kill_points, o.views_checked, o.saw_old, o.saw_new
-                );
-            }
-            Err(e) => {
-                eprintln!("FAIL crash-sweep (seed {seed:#018x}): {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if crash_sweep_sharded {
-        match crash::crash_sweep_sharded(seed) {
-            Ok(o) => {
-                println!(
-                    "crash-sweep-v3 {} kill points, {} views checked: {} old, {} new — two-phase manifest commit holds",
-                    o.kill_points, o.views_checked, o.saw_old, o.saw_new
-                );
-            }
-            Err(e) => {
-                eprintln!("FAIL crash-sweep-sharded (seed {seed:#018x}): {e}");
-                std::process::exit(1);
+        for shards in [1, 2] {
+            match crash::crash_sweep(seed, shards) {
+                Ok(o) => {
+                    println!(
+                        "crash-sweep    {shards} shard(s): {} kill points, {} views checked: {} old, {} new — two-phase manifest commit holds",
+                        o.kill_points, o.views_checked, o.saw_old, o.saw_new
+                    );
+                }
+                Err(e) => {
+                    eprintln!("FAIL crash-sweep ({shards} shard(s), seed {seed:#018x}): {e}");
+                    std::process::exit(1);
+                }
             }
         }
     }
@@ -132,7 +116,7 @@ fn main() {
             }
         }
     }
-    if crash_sweep || crash_sweep_sharded || serve_crash_sweep || store_stress {
+    if crash_sweep || serve_crash_sweep || store_stress {
         return;
     }
 
@@ -188,7 +172,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--crash-sweep] [--crash-sweep-sharded] [--serve-crash-sweep] [--store-stress] [--kernels scalar|auto]"
+        "usage: isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--crash-sweep] [--serve-crash-sweep] [--store-stress] [--kernels scalar|auto]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -2,51 +2,27 @@
 //!
 //! This is the acceptance gate for the store's crash-consistency
 //! claim: a writer killed at every single filesystem-operation
-//! boundary of a store rewrite — including mid-write, with torn
+//! boundary of a generation commit — including mid-write, with torn
 //! prefixes — must leave a disk from which the verifying reader
-//! recovers exactly the old store or exactly the new one, in every
-//! combination of lost/survived unsynced data and directory
+//! recovers exactly the old generation or exactly the new one, in
+//! every combination of lost/survived unsynced data and directory
 //! mutations.
 
 use isobar_fuzz_harness::{crash, DEFAULT_SEED};
 
-#[test]
-fn commit_protocol_survives_kill_at_every_operation() {
-    let outcome = crash::crash_sweep(DEFAULT_SEED)
-        .unwrap_or_else(|e| panic!("crash sweep violation (seed {DEFAULT_SEED:#018x}): {e}"));
+fn sweep(shards: u16) {
+    let outcome = crash::crash_sweep(DEFAULT_SEED, shards).unwrap_or_else(|e| {
+        panic!("crash sweep violation ({shards} shards, seed {DEFAULT_SEED:#018x}): {e}")
+    });
     assert!(
-        outcome.kill_points >= 200,
-        "sweep must cover at least 200 kill points, got {}",
+        outcome.kill_points >= 40,
+        "sweep must cover the full two-phase commit, got {} kill points",
         outcome.kill_points
     );
     assert!(
         outcome.views_checked >= outcome.kill_points,
         "every kill point contributes at least one disk view"
     );
-    // Kills before the commit point must exist (old store survives)
-    // and kills after it must exist (new store lands) — otherwise the
-    // sweep missed the interesting boundary.
-    assert!(outcome.saw_old > 0 && outcome.saw_new > 0);
-}
-
-#[test]
-fn sweep_is_deterministic_in_its_seed() {
-    let a = crash::crash_sweep(7).expect("seed 7 sweep");
-    let b = crash::crash_sweep(7).expect("seed 7 sweep again");
-    assert_eq!(a, b, "same seed must replay the identical sweep");
-}
-
-#[test]
-fn sharded_commit_protocol_survives_kill_at_every_operation() {
-    let outcome = crash::crash_sweep_sharded(DEFAULT_SEED).unwrap_or_else(|e| {
-        panic!("sharded crash sweep violation (seed {DEFAULT_SEED:#018x}): {e}")
-    });
-    assert!(
-        outcome.kill_points >= 40,
-        "sharded sweep must cover the full two-phase commit, got {} kill points",
-        outcome.kill_points
-    );
-    assert!(outcome.views_checked >= outcome.kill_points);
     assert!(
         outcome.real_runs >= 2,
         "both ends are anchored to real armed runs"
@@ -54,4 +30,14 @@ fn sharded_commit_protocol_survives_kill_at_every_operation() {
     // Kills before the manifest swap leave the old generation; kills
     // after it leave the new one — the sweep must witness both.
     assert!(outcome.saw_old > 0 && outcome.saw_new > 0);
+}
+
+#[test]
+fn serial_commit_protocol_survives_kill_at_every_operation() {
+    sweep(1);
+}
+
+#[test]
+fn sharded_commit_protocol_survives_kill_at_every_operation() {
+    sweep(2);
 }

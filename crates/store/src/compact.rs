@@ -70,11 +70,6 @@ pub fn compact_store_recorded(
         isobar::trace::TraceTag::StoreCompact,
         isobar::trace::NO_CHUNK,
     );
-    if !dir.is_dir() {
-        return Err(StoreError::Corrupt(
-            "compaction applies to sharded (v3) store directories",
-        ));
-    }
     let reader = StoreReader::open(dir)?;
     // Mark each index position live (last entry per (step, name) wins)
     // by identity, so identical-looking duplicates cannot confuse the
@@ -196,7 +191,7 @@ fn prune_manifest_to_generation(dir: &Path, generation: u64) -> Result<Vec<Strin
         .collect();
 
     let fs = RealFs;
-    let wip = crate::writer::wip_path(&manifest_path);
+    let wip = crate::format::wip_path(&manifest_path);
     {
         let mut file = fs.create(&wip)?;
         file.write_all(&pruned.encode())?;
@@ -355,7 +350,7 @@ mod tests {
         std::fs::write(&path, b"ISST").unwrap();
         assert!(matches!(
             compact_store(&path, None),
-            Err(StoreError::Corrupt(_))
+            Err(StoreError::SingleFileUnsupported)
         ));
         std::fs::remove_file(&path).unwrap();
     }

@@ -33,13 +33,9 @@ pub enum StoreError {
     },
     /// A variable name exceeds the 64 KiB format limit.
     NameTooLong(usize),
-    /// The same `(step, variable)` was written twice.
-    Duplicate {
-        /// Time step of the collision.
-        step: u32,
-        /// Variable name of the collision.
-        name: String,
-    },
+    /// The path is a regular file carrying the retired single-file
+    /// (v1/v2) store magic; only store directories are supported.
+    SingleFileUnsupported,
 }
 
 impl StoreError {
@@ -74,8 +70,8 @@ impl fmt::Display for StoreError {
                     "variable name of {len} bytes exceeds the 65535-byte limit"
                 )
             }
-            StoreError::Duplicate { step, name } => {
-                write!(f, "variable '{name}' already written at step {step}")
+            StoreError::SingleFileUnsupported => {
+                write!(f, "single-file (v1/v2) stores are no longer supported")
             }
         }
     }

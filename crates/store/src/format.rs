@@ -1,34 +1,22 @@
 //! On-disk layout constants and the index entry record.
 //!
-//! Version history:
-//!
-//! - v1: 16-byte trailer, index entries without checksums.
-//! - v2: every index entry carries the XXH64 of its container bytes,
-//!   and the trailer carries the XXH64 of the encoded index region.
-//!   Version-1 stores are still read; their entries surface
-//!   `checksum == 0` and are exempt from verification ("legacy,
-//!   unverifiable").
-//! - v3 (current sharded layout): a store is a **directory** — a
-//!   `MANIFEST` file (magic `ISSM`) naming N segment files (magic
-//!   `ISSG`), each appended by an independent writer. The manifest
-//!   embeds the whole index (entries carry a segment ordinal) and is
-//!   swapped in atomically, making it the single commit point. See
-//!   [`crate::manifest`] and `docs/FORMAT.md`. Single-file v1/v2
-//!   stores are still fully readable.
+//! A store is a **directory** — a `MANIFEST` file (magic `ISSM`)
+//! naming N segment files (magic `ISSG`), each appended by an
+//! independent writer. The manifest embeds the whole index (entries
+//! carry a segment ordinal) and is swapped in atomically, making it
+//! the single commit point. See [`crate::manifest`] and
+//! `docs/FORMAT.md`.
 
 use crate::error::StoreError;
 use isobar_codecs::xxhash::xxh64;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 
-/// Store file magic: "ISST".
+/// Magic of the retired single-file (v1/v2) store: "ISST". Kept only
+/// so a leftover file is refused by name instead of misread.
 pub const MAGIC: [u8; 4] = *b"ISST";
-/// Trailer magic: "ISSX".
-pub const TRAILER_MAGIC: [u8; 4] = *b"ISSX";
-/// Store format version written by the single-file [`crate::StoreWriter`].
-pub const VERSION: u8 = 2;
-/// The checksum-less store version this build still reads.
-pub const LEGACY_VERSION: u8 = 1;
-/// The sharded (directory) store version written by
-/// [`crate::ShardedStoreWriter`].
+/// The store format version, carried by every manifest and segment
+/// header.
 pub const V3_VERSION: u8 = 3;
 /// Segment file magic: "ISSG".
 pub const SEGMENT_MAGIC: [u8; 4] = *b"ISSG";
@@ -67,8 +55,6 @@ pub fn is_segment_file_name(name: &str) -> bool {
 
 /// Serialize the record header that precedes each embedded container:
 /// `name_len u16 | name | step u32 | width u8 | container_len u64`.
-/// Shared by the single-file writer and the segment writers so the
-/// record grammar cannot fork.
 pub fn encode_record_header(name: &str, step: u32, width: u8, container_len: u64) -> Vec<u8> {
     let name = name.as_bytes();
     let mut out = Vec::with_capacity(2 + name.len() + 4 + 1 + 8);
@@ -81,31 +67,22 @@ pub fn encode_record_header(name: &str, step: u32, width: u8, container_len: u64
 }
 /// Seed for every XXH64 checksum in the store format.
 pub const CHECKSUM_SEED: u64 = 0;
-/// Version-2 trailer size: index offset (8) + entry count (4) +
-/// index XXH64 (8) + magic (4).
-pub const TRAILER_LEN: usize = 24;
-/// Version-1 trailer size: index offset (8) + entry count (4) +
-/// magic (4).
-pub const TRAILER_V1_LEN: usize = 16;
-/// Smallest possible serialized version-1 [`IndexEntry`]: name length
-/// prefix (2), empty name, step (4), width (1), offset (8),
-/// container_len (8), raw_len (8). A valid lower bound for both
-/// versions (version 2 adds 8 checksum bytes), used to bound a claimed
-/// entry count against the index region's actual size before
-/// allocating for it.
-pub const MIN_ENTRY_LEN: usize = 2 + 4 + 1 + 8 + 8 + 8;
+/// Smallest possible serialized [`IndexEntry`]: name length prefix
+/// (2), empty name, step (4), width (1), offset (8), container_len
+/// (8), raw_len (8), checksum (8). Bounds a claimed entry count
+/// against the manifest's actual size before allocating for it.
+pub const MIN_ENTRY_LEN: usize = 2 + 4 + 1 + 8 + 8 + 8 + 8;
 
-/// Trailer size for a given store version.
-pub fn trailer_len(version: u8) -> usize {
-    if version >= 2 {
-        TRAILER_LEN
-    } else {
-        TRAILER_V1_LEN
-    }
+/// The shadow-file name a segment or manifest is journaled under
+/// before the rename that commits it.
+pub fn wip_path(path: &Path) -> PathBuf {
+    let mut name = OsString::from(path.as_os_str());
+    name.push(".wip");
+    PathBuf::from(name)
 }
 
 /// XXH64 over a container's bytes — the per-entry integrity checksum
-/// embedded in version-2 indexes.
+/// embedded in the manifest index.
 pub fn entry_checksum(container: &[u8]) -> u64 {
     xxh64(container, CHECKSUM_SEED)
 }
@@ -125,25 +102,13 @@ pub struct IndexEntry {
     pub container_len: u64,
     /// Uncompressed variable size in bytes.
     pub raw_len: u64,
-    /// XXH64 of the container bytes (version 2). Zero when the entry
-    /// was read from a version-1 index, which carries no checksums.
+    /// XXH64 of the container bytes.
     pub checksum: u64,
 }
 
 impl IndexEntry {
-    /// Serialize into `out` in the current ([`VERSION`]) layout.
+    /// Serialize into `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
-        self.write_common(out);
-        out.extend_from_slice(&self.checksum.to_le_bytes());
-    }
-
-    /// Serialize in the [`LEGACY_VERSION`] (checksum-less) layout.
-    /// Only meaningful for back-compat fixtures.
-    pub fn write_legacy(&self, out: &mut Vec<u8>) {
-        self.write_common(out);
-    }
-
-    fn write_common(&self, out: &mut Vec<u8>) {
         let name = self.name.as_bytes();
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name);
@@ -152,24 +117,17 @@ impl IndexEntry {
         out.extend_from_slice(&self.offset.to_le_bytes());
         out.extend_from_slice(&self.container_len.to_le_bytes());
         out.extend_from_slice(&self.raw_len.to_le_bytes());
+        out.extend_from_slice(&self.checksum.to_le_bytes());
     }
 
-    /// Parse one current-version entry from the front of `data`;
-    /// returns the entry and bytes consumed.
+    /// Parse one entry from the front of `data`; returns the entry and
+    /// bytes consumed.
     pub fn read(data: &[u8]) -> Result<(IndexEntry, usize), StoreError> {
-        Self::read_versioned(data, VERSION)
-    }
-
-    /// Parse one entry in the layout of `version`. Version-1 entries
-    /// carry no checksum; the field comes back 0.
-    pub fn read_versioned(data: &[u8], version: u8) -> Result<(IndexEntry, usize), StoreError> {
         if data.len() < 2 {
             return Err(StoreError::Corrupt("index entry truncated"));
         }
         let name_len = u16::from_le_bytes(data[..2].try_into().expect("2 bytes")) as usize;
-        let checksum_len = if version >= 2 { 8 } else { 0 };
-        let fixed_after_name = 4 + 1 + 8 + 8 + 8 + checksum_len;
-        let total = 2 + name_len + fixed_after_name;
+        let total = name_len + MIN_ENTRY_LEN;
         if data.len() < total {
             return Err(StoreError::Corrupt("index entry truncated"));
         }
@@ -177,11 +135,6 @@ impl IndexEntry {
             .map_err(|_| StoreError::Corrupt("index entry name is not UTF-8"))?
             .to_string();
         let rest = &data[2 + name_len..];
-        let checksum = if version >= 2 {
-            u64::from_le_bytes(rest[29..37].try_into().expect("8 bytes"))
-        } else {
-            0
-        };
         Ok((
             IndexEntry {
                 name,
@@ -190,7 +143,7 @@ impl IndexEntry {
                 offset: u64::from_le_bytes(rest[5..13].try_into().expect("8 bytes")),
                 container_len: u64::from_le_bytes(rest[13..21].try_into().expect("8 bytes")),
                 raw_len: u64::from_le_bytes(rest[21..29].try_into().expect("8 bytes")),
-                checksum,
+                checksum: u64::from_le_bytes(rest[29..37].try_into().expect("8 bytes")),
             },
             total,
         ))
@@ -230,22 +183,6 @@ mod tests {
         let (entry, consumed) = IndexEntry::read(&buf).unwrap();
         assert_eq!(entry, demo());
         assert_eq!(consumed, buf.len() - 3);
-    }
-
-    #[test]
-    fn legacy_entry_round_trips_without_checksum() {
-        let mut buf = Vec::new();
-        demo().write_legacy(&mut buf);
-        let (entry, consumed) = IndexEntry::read_versioned(&buf, LEGACY_VERSION).unwrap();
-        assert_eq!(consumed, buf.len());
-        assert_eq!(entry.checksum, 0, "v1 entries surface checksum 0");
-        assert_eq!(
-            entry,
-            IndexEntry {
-                checksum: 0,
-                ..demo()
-            }
-        );
     }
 
     #[test]

@@ -10,51 +10,31 @@
 //! workflow needs, in the spirit of the ADIOS ecosystem the paper's
 //! authors work in:
 //!
-//! * [`StoreWriter`] — append variables step by step; each variable is
-//!   compressed through the full ISOBAR pipeline as it is written, and
-//!   committed crash-consistently (shadow file + fsync + atomic
-//!   rename; see the [`writer`](StoreWriter) docs).
+//! * [`ShardedStoreWriter`] — append variables step by step into a
+//!   store *directory*: N independent segment pipelines (a codec and
+//!   an I/O thread each, so compression overlaps `fdatasync`), each
+//!   variable compressed through the full ISOBAR pipeline as it is
+//!   written, committed crash-consistently by a two-phase manifest
+//!   rename. `ShardedOptions { shards: 1, .. }` is the serial
+//!   configuration.
 //! * [`StoreReader`] — random access by `(step, variable)` without
-//!   touching unrelated data, via a checksummed index at the end of
-//!   the file. Integrity verification is on by default.
+//!   touching unrelated data, via the checksummed index in the
+//!   manifest and positioned reads (`pread`). Integrity verification
+//!   is on by default.
 //! * [`fsck_store`] / [`salvage_store`] — damage reporting and
 //!   best-effort recovery of intact records from a damaged store.
-//! * [`ShardedStoreWriter`] — the version-3 *directory* store: N
-//!   independent segment pipelines (codec thread + I/O thread each, so
-//!   compression overlaps `fdatasync`), committed by a two-phase
-//!   manifest rename. Read back transparently by [`StoreReader`], which
-//!   serves random access via positioned reads (`pread`).
 //! * [`compact_store`] — reclaim superseded entries and sweep
-//!   unreferenced segment files from a version-3 store.
+//!   unreferenced segment files.
 //!
-//! # File format (all little-endian)
+//! # Directory format
 //!
-//! ```text
-//! magic "ISST" | version u8            (2 current, 1 legacy)
-//! repeated records:
-//!   name_len u16 | name bytes | step u32 | width u8 |
-//!   container_len u64 | ISOBAR container
-//! index (written at close):
-//!   per entry: name_len u16 | name | step u32 | width u8 |
-//!              offset u64 | container_len u64 | raw_len u64 |
-//!              container_xxh64 u64            (v2 only)
-//! trailer: index_offset u64 | entry_count u32 |
-//!          index_xxh64 u64 |                  (v2 only)
-//!          magic "ISSX"
-//! ```
-//!
-//! Version-1 stores (no checksums, 16-byte trailer) are still read;
-//! their entries surface `checksum == 0` and are reported by fsck as
-//! "legacy, unverifiable".
-//!
-//! # Directory format (version 3)
-//!
-//! A version-3 store is a *directory*: a `MANIFEST` file (magic
-//! `"ISSM"`) holding the segment table and the full index, plus one or
-//! more segment files `g<generation>-s<shard>.seg` (magic `"ISSG"`)
-//! each carrying the same record grammar as above behind an 8-byte
-//! header and ahead of a checksummed 24-byte trailer. Writers append a
-//! *generation*: new segments plus a rewritten manifest, committed by
+//! A store is a *directory*: a `MANIFEST` file (magic `"ISSM"`)
+//! holding the segment table and the full index, plus one or more
+//! segment files `g<generation>-s<shard>.seg` (magic `"ISSG"`), each an
+//! 8-byte header, a run of records
+//! (`name_len u16 | name | step u32 | width u8 | container_len u64 |
+//! ISOBAR container`) and a checksummed 24-byte trailer. Writers append
+//! a *generation*: new segments plus a rewritten manifest, committed by
 //! the atomic rename of `MANIFEST.wip` over `MANIFEST`. Duplicate
 //! `(step, variable)` pairs are allowed across generations — the
 //! latest wins, and [`compact_store`] reclaims the shadowed versions.
@@ -63,19 +43,23 @@
 //! # Example
 //!
 //! ```no_run
-//! use isobar_store::{StoreReader, StoreWriter};
+//! use isobar_store::{ShardedOptions, ShardedStoreWriter, StoreReader};
 //! use isobar::{IsobarOptions, Preference};
 //!
 //! # fn demo(density: &[u8], potential: &[u8]) -> Result<(), isobar_store::StoreError> {
-//! let mut writer = StoreWriter::create("run.isst", IsobarOptions {
-//!     preference: Preference::Speed,
-//!     ..Default::default()
-//! })?;
-//! writer.put(0, "density", density, 8)?;
-//! writer.put(0, "potential", potential, 8)?;
+//! let writer = ShardedStoreWriter::create(
+//!     "run.store",
+//!     IsobarOptions {
+//!         preference: Preference::Speed,
+//!         ..Default::default()
+//!     },
+//!     ShardedOptions::default(),
+//! )?;
+//! writer.put(0, "density", density.to_vec(), 8)?;
+//! writer.put(0, "potential", potential.to_vec(), 8)?;
 //! writer.close()?;
 //!
-//! let reader = StoreReader::open("run.isst")?;
+//! let reader = StoreReader::open("run.store")?;
 //! let restored = reader.get(0, "density")?;
 //! assert_eq!(restored, density);
 //! # Ok(()) }
@@ -85,31 +69,26 @@ mod compact;
 mod error;
 mod format;
 mod manifest;
-mod pipelined;
 mod reader;
 mod salvage;
 mod sharded;
 mod vfs;
-mod writer;
 
 pub use compact::{compact_store, compact_store_background, compact_store_recorded, CompactReport};
 pub use error::StoreError;
 pub use format::{
-    entry_checksum, is_segment_file_name, segment_file_name, trailer_len, IndexEntry,
-    CHECKSUM_SEED, LEGACY_VERSION, MAGIC, MANIFEST_FILE, MANIFEST_HEADER_LEN, MANIFEST_MAGIC,
-    MANIFEST_TRAILER_LEN, MANIFEST_TRAILER_MAGIC, MIN_ENTRY_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
-    SEGMENT_TRAILER_LEN, SEGMENT_TRAILER_MAGIC, TRAILER_LEN, TRAILER_MAGIC, TRAILER_V1_LEN,
-    V3_VERSION, VERSION,
+    entry_checksum, is_segment_file_name, segment_file_name, wip_path, IndexEntry, CHECKSUM_SEED,
+    MAGIC, MANIFEST_FILE, MANIFEST_HEADER_LEN, MANIFEST_MAGIC, MANIFEST_TRAILER_LEN,
+    MANIFEST_TRAILER_MAGIC, MIN_ENTRY_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_TRAILER_LEN,
+    SEGMENT_TRAILER_MAGIC, V3_VERSION,
 };
 pub use manifest::{
     decode_segment_header, decode_segment_trailer, encode_segment_header, encode_segment_trailer,
     Manifest, ManifestEntry, SegmentMeta,
 };
-pub use pipelined::{PipelinedStoreWriter, PipelinedWorkerError};
 pub use reader::StoreReader;
 pub use salvage::{
     fsck_store, salvage_store, EntryHealth, EntryStatus, StoreFsckReport, StoreSalvageReport,
 };
 pub use sharded::{ShardedCommitReport, ShardedOptions, ShardedStoreWriter};
 pub use vfs::{RealFile, RealFs, StoreFile, StoreFs};
-pub use writer::{wip_path, StoreWriter};

@@ -1,6 +1,6 @@
-//! Version-3 manifest and segment framing.
+//! Manifest and segment framing.
 //!
-//! A version-3 store is a directory: N immutable segment files plus a
+//! A store is a directory: N immutable segment files plus a
 //! `MANIFEST` that names them and embeds the whole index. The manifest
 //! is the only mutable object and is replaced by atomic rename — the
 //! single commit point for a generation. Segments are never rewritten;
@@ -25,7 +25,7 @@
 //!
 //! ```text
 //! magic "ISSG" | version u8 (3) | shard u16 | reserved u8
-//! repeated records (identical grammar to the v1/v2 record region):
+//! repeated records:
 //!   name_len u16 | name | step u32 | width u8 | container_len u64 |
 //!   ISOBAR container
 //! trailer: data_len u64 | record_count u32 |
@@ -189,9 +189,8 @@ impl Manifest {
                 .unwrap(),
         ) as usize;
         pos += 4;
-        // A manifest entry is a segment ordinal plus a v2 index entry
-        // (which is at least MIN_ENTRY_LEN bytes even without its
-        // checksum field).
+        // A manifest entry is a segment ordinal plus an index entry
+        // of at least MIN_ENTRY_LEN bytes.
         if entry_count * (2 + MIN_ENTRY_LEN) > body.len().saturating_sub(pos) {
             return Err(StoreError::Corrupt("entry count exceeds manifest size"));
         }

@@ -2,20 +2,20 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    entry_checksum, trailer_len, IndexEntry, CHECKSUM_SEED, LEGACY_VERSION, MAGIC, MANIFEST_FILE,
-    MIN_ENTRY_LEN, SEGMENT_TRAILER_LEN, TRAILER_MAGIC, V3_VERSION, VERSION,
+    entry_checksum, IndexEntry, CHECKSUM_SEED, MAGIC, MANIFEST_FILE, SEGMENT_TRAILER_LEN,
 };
 use crate::manifest::{decode_segment_header, Manifest, SegmentMeta};
 use isobar::telemetry::Counter;
 use isobar::{IsobarCompressor, IsobarOptions, Recorder};
 use isobar_codecs::xxhash::xxh64;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
+#[cfg(not(unix))]
+use std::io::{Seek, SeekFrom};
 use std::path::Path;
 
-/// One open segment (or, for v1/v2, the whole store file), read by
-/// positioned I/O so concurrent [`StoreReader::get`] calls never
-/// contend on a shared cursor.
+/// One open segment, read by positioned I/O so concurrent
+/// [`StoreReader::get`] calls never contend on a shared cursor.
 #[derive(Debug)]
 struct SegmentHandle {
     #[cfg(unix)]
@@ -55,23 +55,38 @@ impl SegmentHandle {
     }
 }
 
-/// Reads a closed checkpoint store with per-variable random access.
+/// Stores are directories. For anything else, say why it cannot be
+/// read as one: a leftover single-file (v1/v2) store gets the typed
+/// refusal, any other readable file is simply not a store, and a
+/// missing path is the I/O error it always was.
+pub(crate) fn require_directory(path: &Path) -> Result<(), StoreError> {
+    if path.is_dir() {
+        return Ok(());
+    }
+    let mut head = [0u8; MAGIC.len()];
+    Err(
+        match File::open(path).and_then(|mut file| file.read_exact(&mut head)) {
+            Ok(()) if head == MAGIC => StoreError::SingleFileUnsupported,
+            Err(e) if e.kind() != std::io::ErrorKind::UnexpectedEof => StoreError::Io(e),
+            _ => StoreError::Corrupt("not a store directory"),
+        },
+    )
+}
+
+/// Reads a committed checkpoint store directory with per-variable
+/// random access.
 ///
-/// Opens both single-file stores (versions 1 and 2) and version-3
-/// sharded directories; the two look identical through this API. In a
-/// version-3 store the same `(step, variable)` may appear more than
-/// once — later entries supersede earlier ones, and lookups resolve
-/// last-wins.
+/// The same `(step, variable)` may appear more than once — later
+/// entries supersede earlier ones, and lookups resolve last-wins.
 #[derive(Debug)]
 pub struct StoreReader {
     segments: Vec<SegmentHandle>,
-    /// File name per segment ordinal (the store's own file name for
-    /// v1/v2), for reporting which file holds a given entry.
+    /// File name per segment ordinal, for reporting which file holds a
+    /// given entry.
     seg_names: Vec<String>,
     index: Vec<IndexEntry>,
-    /// Segment ordinal per index entry (always 0 for v1/v2).
+    /// Segment ordinal per index entry.
     seg_of: Vec<u16>,
-    version: u8,
     generation: u64,
     verify: bool,
 }
@@ -83,34 +98,27 @@ impl StoreReader {
         Self::open_with_verify(path, true)
     }
 
-    /// Open a store and load its index. A directory opens as a
-    /// version-3 sharded store; a file as a version-1/2 single-file
-    /// store.
+    /// Open a store directory and load its manifest. A regular file
+    /// with the retired single-file store magic is refused with
+    /// [`StoreError::SingleFileUnsupported`].
     ///
     /// Every untrusted field is validated before it drives an
-    /// allocation or a seek: the trailer must fit inside the file, the
-    /// claimed entry count must fit inside the index region (each
-    /// serialized entry is at least [`MIN_ENTRY_LEN`] bytes), and every
-    /// entry's `[offset, offset + container_len)` range must lie inside
-    /// the data region (its segment's, for version 3).
+    /// allocation or a seek: the claimed segment and entry counts must
+    /// fit inside the manifest (each serialized entry is at least
+    /// [`MIN_ENTRY_LEN`](crate::MIN_ENTRY_LEN) bytes), every entry's
+    /// `[offset, offset + container_len)` range must lie inside its
+    /// segment's data region, and every segment file must be exactly
+    /// as long as the manifest says.
     ///
     /// With `verify` on (the default via [`StoreReader::open`]), the
-    /// index (or manifest) additionally has its XXH64 checked before
-    /// any entry is parsed, every segment's sealed trailer must agree
-    /// with the manifest, and every [`StoreReader::get`] checks the
-    /// fetched container's XXH64 against its index entry. Mismatches
-    /// surface as [`StoreError::ChecksumMismatch`]. Version-1 stores
-    /// carry no checksums and are read structurally either way.
+    /// manifest additionally has its XXH64 checked before any entry is
+    /// parsed, every segment's sealed trailer must agree with the
+    /// manifest, and every [`StoreReader::get`] checks the fetched
+    /// container's XXH64 against its index entry. Mismatches surface
+    /// as [`StoreError::ChecksumMismatch`].
     pub fn open_with_verify(path: impl AsRef<Path>, verify: bool) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            Self::open_v3(path, verify)
-        } else {
-            Self::open_single_file(path, verify)
-        }
-    }
-
-    fn open_v3(dir: &Path, verify: bool) -> Result<Self, StoreError> {
+        let dir = path.as_ref();
+        require_directory(dir)?;
         let bytes = std::fs::read(dir.join(MANIFEST_FILE)).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 StoreError::Corrupt("store directory has no manifest (store not committed?)")
@@ -137,7 +145,6 @@ impl StoreReader {
             seg_names,
             index,
             seg_of,
-            version: V3_VERSION,
             generation: manifest.generation,
             verify,
         })
@@ -192,103 +199,6 @@ impl StoreReader {
         Ok(())
     }
 
-    fn open_single_file(path: &Path, verify: bool) -> Result<Self, StoreError> {
-        let mut file = File::open(path)?;
-        let file_len = file.seek(SeekFrom::End(0))?;
-        let head_len = (MAGIC.len() + 1) as u64;
-        // Every version needs at least a head and the smaller (v1)
-        // trailer; the version-specific bound is rechecked below.
-        if file_len < head_len + crate::format::TRAILER_V1_LEN as u64 {
-            return Err(StoreError::Corrupt("file too short for a store"));
-        }
-
-        let mut head = [0u8; 5];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut head)?;
-        if head[..4] != MAGIC {
-            return Err(StoreError::Corrupt("bad store magic"));
-        }
-        let version = head[4];
-        if version != VERSION && version != LEGACY_VERSION {
-            return Err(StoreError::Corrupt("unsupported store version"));
-        }
-        let trailer_size = trailer_len(version);
-        if file_len < head_len + trailer_size as u64 {
-            return Err(StoreError::Corrupt("file too short for a store"));
-        }
-
-        let mut trailer = vec![0u8; trailer_size];
-        file.seek(SeekFrom::Start(file_len - trailer_size as u64))?;
-        file.read_exact(&mut trailer)?;
-        if trailer[trailer_size - 4..] != TRAILER_MAGIC {
-            return Err(StoreError::Corrupt("missing trailer (store not closed?)"));
-        }
-        let index_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-        let entry_count = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
-        // The index sits between the header and the trailer; an offset
-        // inside either is corrupt (and `> file_len - trailer_size`
-        // would underflow the length subtraction below).
-        if index_offset < head_len || index_offset > file_len - trailer_size as u64 {
-            return Err(StoreError::Corrupt("index offset outside data region"));
-        }
-
-        let index_len = file_len - trailer_size as u64 - index_offset;
-        // Bound the claimed entry count by what the index region could
-        // possibly hold before allocating for it.
-        if entry_count as u64 * MIN_ENTRY_LEN as u64 > index_len {
-            return Err(StoreError::Corrupt("entry count exceeds index size"));
-        }
-        let mut index_bytes = vec![0u8; index_len as usize];
-        file.seek(SeekFrom::Start(index_offset))?;
-        file.read_exact(&mut index_bytes)?;
-
-        if version >= 2 && verify {
-            let stored = u64::from_le_bytes(trailer[12..20].try_into().expect("8 bytes"));
-            let actual = xxh64(&index_bytes, CHECKSUM_SEED);
-            if stored != actual {
-                return Err(StoreError::ChecksumMismatch {
-                    offset: index_offset,
-                    expected: stored,
-                    actual,
-                });
-            }
-        }
-
-        let mut index = Vec::with_capacity(entry_count as usize);
-        let mut cursor = &index_bytes[..];
-        for _ in 0..entry_count {
-            let (entry, used) = IndexEntry::read_versioned(cursor, version)?;
-            let end = entry
-                .offset
-                .checked_add(entry.container_len)
-                .ok_or(StoreError::Corrupt("entry range overflow"))?;
-            if entry.offset < head_len || end > index_offset {
-                return Err(StoreError::Corrupt("entry range outside data region"));
-            }
-            cursor = &cursor[used..];
-            index.push(entry);
-        }
-        if !cursor.is_empty() {
-            return Err(StoreError::Corrupt("trailing bytes after index"));
-        }
-
-        let seg_of = vec![0u16; index.len()];
-        let seg_names = vec![path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string()];
-        Ok(StoreReader {
-            segments: vec![SegmentHandle::new(file)],
-            seg_names,
-            index,
-            seg_of,
-            version,
-            generation: 0,
-            verify,
-        })
-    }
-
     /// [`StoreReader::open`], bumping [`Counter::StoreCorruptRejected`]
     /// in `recorder` when the store is structurally invalid, plus
     /// [`Counter::ChecksumMismatches`] when the damage was caught by an
@@ -309,24 +219,18 @@ impl StoreReader {
         result
     }
 
-    /// Store format version of the underlying store (1, 2, or 3).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// Manifest generation of a version-3 store (0 for single-file
-    /// stores, which have no generations).
+    /// Generation of the committed manifest.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Number of segment files backing this store (1 for v1/v2).
+    /// Number of segment files backing this store.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }
 
-    /// File name of the segment holding `entry` (the store file's own
-    /// name for v1/v2). The entry must come from this reader's index.
+    /// File name of the segment holding `entry`. The entry must come
+    /// from this reader's index.
     pub fn segment_file_name(&self, entry: &IndexEntry) -> Result<&str, StoreError> {
         Ok(&self.seg_names[self.segment_of(entry)? as usize])
     }
@@ -430,8 +334,8 @@ impl StoreReader {
     /// Read and decompress one variable (the winning entry, if the
     /// pair was superseded).
     ///
-    /// The entry's byte range was validated against its file (or
-    /// segment) length at open, so the container allocation here is
+    /// The entry's byte range was validated against its segment's
+    /// length at open, so the container allocation here is
     /// bounded by real on-disk bytes. With verification on (the
     /// default), the container's XXH64 is checked against the index
     /// entry before decode. Reads use positioned I/O, so concurrent
@@ -441,7 +345,7 @@ impl StoreReader {
         let position = self.position(step, name)?;
         let entry = self.index[position].clone();
         let container = self.container_at(position)?;
-        if self.version >= 2 && self.verify {
+        if self.verify {
             let actual = entry_checksum(&container);
             if actual != entry.checksum {
                 return Err(StoreError::ChecksumMismatch {

@@ -1,14 +1,14 @@
 //! Store-level fsck and salvage.
 //!
-//! A store has two independent failure surfaces: the data region
-//! (individual containers) and the index region. Fsck reports both;
+//! A store has two independent failure surfaces: the segments
+//! (individual containers) and the manifest. Fsck reports both;
 //! salvage recovers every intact record it can find, rebuilding the
-//! index from a forward record walk when the original one is unusable.
+//! index from a forward record walk when the manifest is unusable.
 //!
-//! # Resync rules for a lost index
+//! # Resync rules for a lost manifest
 //!
 //! Each record embeds an ISOBAR container, whose `"ISBR"` magic acts
-//! as an anchor. For a magic at file position `m`, the record header
+//! as an anchor. For a magic at segment position `m`, the record header
 //! ends exactly at `m`, so its start is `m - 15 - name_len`; the walk
 //! tries every `name_len` whose length prefix at that start agrees,
 //! then demands a UTF-8 name, a plausible element width, and a
@@ -19,13 +19,11 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    entry_checksum, is_segment_file_name, IndexEntry, LEGACY_VERSION, MAGIC, MANIFEST_FILE,
-    SEGMENT_HEADER_LEN, V3_VERSION,
+    entry_checksum, is_segment_file_name, IndexEntry, MANIFEST_FILE, SEGMENT_HEADER_LEN,
 };
 use crate::manifest::Manifest;
-use crate::reader::StoreReader;
+use crate::reader::{require_directory, StoreReader};
 use crate::sharded::{ShardedOptions, ShardedStoreWriter};
-use crate::writer::StoreWriter;
 use isobar::{IsobarCompressor, IsobarOptions};
 use std::collections::HashSet;
 use std::path::Path;
@@ -33,14 +31,9 @@ use std::path::Path;
 /// Verification outcome for one store entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryHealth {
-    /// The entry's bytes match an embedded checksum (the version-2
-    /// index checksum, or the container's own chunk checksums).
+    /// The entry's bytes match its manifest checksum.
     Verified,
-    /// Structurally sound, but neither the store index nor the
-    /// container carries checksums — a pre-checksum legacy record.
-    LegacyUnverifiable,
-    /// The entry's bytes contradict a checksum or fail structural
-    /// validation.
+    /// The entry's bytes contradict its checksum or cannot be read.
     Damaged,
 }
 
@@ -51,7 +44,7 @@ pub struct EntryStatus {
     pub step: u32,
     /// Variable name.
     pub name: String,
-    /// File offset of the entry's container.
+    /// Segment offset of the entry's container.
     pub offset: u64,
     /// Verification outcome.
     pub health: EntryHealth,
@@ -60,30 +53,23 @@ pub struct EntryStatus {
 /// What [`fsck_store`] found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreFsckReport {
-    /// Store format version (1, 2, or 3).
-    pub version: u8,
-    /// Whether the index region (or, for version 3, the manifest)
-    /// itself is damaged or unreadable. When true, `entries` may be
-    /// empty even though data records exist.
+    /// Whether the manifest (or a segment's agreement with it) is
+    /// damaged or unreadable. When true, `entries` may be empty even
+    /// though data records exist.
     pub index_damaged: bool,
     /// Per-entry status, in index order.
     pub entries: Vec<EntryStatus>,
-    /// Whether any part of the store predates embedded checksums.
-    pub legacy: bool,
-    /// Version 3 only: segment-shaped files in the store directory
-    /// (including `.wip` journals) that the manifest does not
-    /// reference — droppings of a crashed or in-flight writer.
-    /// Harmless; compaction sweeps them.
+    /// Segment-shaped files in the store directory (including `.wip`
+    /// journals) that the manifest does not reference — droppings of a
+    /// crashed or in-flight writer. Harmless; compaction sweeps them.
     pub orphan_files: usize,
-    /// Version 3 only: entries shadowed by a later put of the same
-    /// `(step, variable)`. Dead weight, reclaimed by compaction.
+    /// Entries shadowed by a later put of the same `(step, variable)`.
+    /// Dead weight, reclaimed by compaction.
     pub superseded_entries: usize,
 }
 
 impl StoreFsckReport {
-    /// True when the index is intact and no entry is damaged. Legacy
-    /// (unverifiable) entries do not make a store unclean — they are
-    /// structurally sound, merely unprovable.
+    /// True when the manifest is intact and no entry is damaged.
     pub fn is_clean(&self) -> bool {
         !self.index_damaged
             && self
@@ -109,7 +95,7 @@ pub struct StoreSalvageReport {
     /// Records that could not be recovered.
     pub entries_lost: usize,
     /// Whether the index was rebuilt from a forward record walk
-    /// because the original was unusable.
+    /// because the manifest was unusable.
     pub index_rebuilt: bool,
 }
 
@@ -120,76 +106,13 @@ impl StoreSalvageReport {
     }
 }
 
-/// Health of one container according to the strongest available
-/// evidence: the version-2 index checksum when the store carries one,
-/// otherwise the container's own embedded checksums via
-/// [`isobar::salvage::fsck_container`].
-fn container_health(version: u8, entry: &IndexEntry, container: &[u8]) -> EntryHealth {
-    if version >= 2 {
-        return if entry_checksum(container) == entry.checksum {
-            EntryHealth::Verified
-        } else {
-            EntryHealth::Damaged
-        };
+/// Health of one container: its bytes against its manifest checksum.
+fn container_health(entry: &IndexEntry, container: &[u8]) -> EntryHealth {
+    if entry_checksum(container) == entry.checksum {
+        EntryHealth::Verified
+    } else {
+        EntryHealth::Damaged
     }
-    match isobar::salvage::fsck_container(container) {
-        Ok(report) if report.is_clean() => {
-            if report.legacy {
-                EntryHealth::LegacyUnverifiable
-            } else {
-                EntryHealth::Verified
-            }
-        }
-        _ => EntryHealth::Damaged,
-    }
-}
-
-/// Walk a store and verify every entry without decompressing payloads.
-/// A directory is checked as a version-3 sharded store, a file as a
-/// single-file store.
-///
-/// Never fails on damage — damage is the report's content. Errors are
-/// reserved for I/O failures and files that are not stores at all.
-pub fn fsck_store(path: impl AsRef<Path>) -> Result<StoreFsckReport, StoreError> {
-    let path = path.as_ref();
-    if path.is_dir() {
-        return fsck_v3(path);
-    }
-    // A file without the store magic is a usage error, not damage.
-    let head = {
-        let mut head = [0u8; 5];
-        use std::io::Read;
-        let mut f = std::fs::File::open(path)?;
-        let n = f.read(&mut head)?;
-        if n < 5 || head[..4] != MAGIC {
-            return Err(StoreError::Corrupt("not a store file (bad magic)"));
-        }
-        head
-    };
-    let version = head[4];
-
-    let reader = match StoreReader::open(path) {
-        Ok(reader) => reader,
-        Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-        // Index checksum mismatch or structural damage: retry without
-        // verification to enumerate what we still can.
-        Err(_) => match StoreReader::open_with_verify(path, false) {
-            Ok(reader) => {
-                return fsck_entries(version, true, &reader);
-            }
-            Err(_) => {
-                return Ok(StoreFsckReport {
-                    version,
-                    index_damaged: true,
-                    entries: Vec::new(),
-                    legacy: version == LEGACY_VERSION,
-                    orphan_files: 0,
-                    superseded_entries: 0,
-                })
-            }
-        },
-    };
-    fsck_entries(version, false, &reader)
 }
 
 /// Segment-shaped files in `dir` (counting `.wip` journals) that
@@ -207,7 +130,14 @@ fn count_orphans(dir: &Path, referenced: &HashSet<String>) -> Result<usize, Stor
     Ok(orphans)
 }
 
-fn fsck_v3(dir: &Path) -> Result<StoreFsckReport, StoreError> {
+/// Walk a store directory and verify every entry without
+/// decompressing payloads.
+///
+/// Never fails on damage — damage is the report's content. Errors are
+/// reserved for I/O failures and paths that are not store directories.
+pub fn fsck_store(path: impl AsRef<Path>) -> Result<StoreFsckReport, StoreError> {
+    let dir = path.as_ref();
+    require_directory(dir)?;
     // The manifest's segment table drives the orphan scan; if it
     // cannot be decoded at all, every segment file is effectively
     // unreferenced (and recoverable only by the salvage walk).
@@ -218,189 +148,61 @@ fn fsck_v3(dir: &Path) -> Result<StoreFsckReport, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashSet::new(),
         Err(e) => return Err(e.into()),
     };
-    let orphan_files = count_orphans(dir, &referenced)?;
-
-    let finish = |index_damaged: bool, reader: Option<&StoreReader>| {
-        let mut report = match reader {
-            Some(reader) => {
-                let mut report = fsck_entries(V3_VERSION, index_damaged, reader)?;
-                report.superseded_entries = reader.superseded_count();
-                report
-            }
-            None => StoreFsckReport {
-                version: V3_VERSION,
-                index_damaged: true,
-                entries: Vec::new(),
-                legacy: false,
-                orphan_files: 0,
-                superseded_entries: 0,
-            },
-        };
-        report.orphan_files = orphan_files;
-        Ok(report)
+    let mut report = StoreFsckReport {
+        index_damaged: false,
+        entries: Vec::new(),
+        orphan_files: count_orphans(dir, &referenced)?,
+        superseded_entries: 0,
     };
-
-    match StoreReader::open(dir) {
-        Ok(reader) => finish(false, Some(&reader)),
-        Err(StoreError::Io(e)) => Err(StoreError::Io(e)),
+    let reader = match StoreReader::open(dir) {
+        Ok(reader) => reader,
+        Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
         // Manifest checksum mismatch or a segment disagreeing with it:
         // retry structurally to enumerate what we still can.
-        Err(_) => match StoreReader::open_with_verify(dir, false) {
-            Ok(reader) => finish(true, Some(&reader)),
-            Err(_) => finish(true, None),
-        },
-    }
-}
-
-fn fsck_entries(
-    version: u8,
-    index_damaged: bool,
-    reader: &StoreReader,
-) -> Result<StoreFsckReport, StoreError> {
-    let mut entries = Vec::with_capacity(reader.entries().len());
-    let mut legacy = version == LEGACY_VERSION;
+        Err(_) => {
+            report.index_damaged = true;
+            match StoreReader::open_with_verify(dir, false) {
+                Ok(reader) => reader,
+                Err(_) => return Ok(report),
+            }
+        }
+    };
+    report.superseded_entries = reader.superseded_count();
     for entry in reader.entries() {
         let health = match reader.get_container(entry) {
-            Ok(container) => container_health(version, entry, &container),
+            Ok(container) => container_health(entry, &container),
             Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
             Err(_) => EntryHealth::Damaged,
         };
-        legacy |= health == EntryHealth::LegacyUnverifiable;
-        entries.push(EntryStatus {
+        report.entries.push(EntryStatus {
             step: entry.step,
             name: entry.name.clone(),
             offset: entry.offset,
             health,
         });
     }
-    Ok(StoreFsckReport {
-        version,
-        index_damaged,
-        entries,
-        legacy,
-        orphan_files: 0,
-        superseded_entries: 0,
-    })
+    Ok(report)
 }
 
-/// Copy every recoverable record of the store at `input` into a fresh
-/// store at `output`.
+/// Copy every recoverable record of the store directory at `input`
+/// into a fresh single-shard store at `output`.
 ///
-/// With a usable index, intact containers are copied byte-for-byte (no
-/// decompress/recompress round trip). With an unusable index, records
-/// are rediscovered by the forward walk described in the module docs;
-/// each candidate must survive a strict verifying decompress before it
-/// is admitted. The output is always a complete, current-version store
-/// — opening it verifies clean.
+/// With a decodable manifest, the newest intact version of every live
+/// `(step, variable)` is copied byte-for-byte (no decompress/recompress
+/// round trip); when the newest version is damaged, older superseded
+/// versions of the same key are tried newest-first — a supersede
+/// history doubles as a recovery ladder. Without a usable manifest,
+/// every segment file (including `.wip` journals of a crashed writer)
+/// is walked with the resync rules from the module docs; each
+/// candidate must survive a strict verifying decompress before it is
+/// admitted, and the newest surviving version of each key wins. The
+/// output is always a complete store — opening it verifies clean.
 pub fn salvage_store(
     input: impl AsRef<Path>,
     output: impl AsRef<Path>,
 ) -> Result<StoreSalvageReport, StoreError> {
     let input = input.as_ref();
-    if input.is_dir() {
-        return salvage_v3(input, output.as_ref());
-    }
-    let report = fsck_store(input)?;
-    let mut writer = StoreWriter::create(output.as_ref(), IsobarOptions::default())?;
-    let mut recovered = 0usize;
-    let mut lost = 0usize;
-
-    if !report.index_damaged {
-        let reader = StoreReader::open_with_verify(input, false)?;
-        for entry in reader.entries() {
-            let container = match reader.get_container(entry) {
-                Ok(c) => c,
-                Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-                Err(_) => {
-                    lost += 1;
-                    continue;
-                }
-            };
-            if container_health(report.version, entry, &container) == EntryHealth::Damaged {
-                lost += 1;
-                continue;
-            }
-            writer.put_container(
-                entry.step,
-                &entry.name,
-                entry.width,
-                &container,
-                entry.raw_len,
-            )?;
-            recovered += 1;
-        }
-        writer.close()?;
-        return Ok(StoreSalvageReport {
-            entries_recovered: recovered,
-            entries_lost: lost,
-            index_rebuilt: false,
-        });
-    }
-
-    // Index unusable: rediscover records by forward walk.
-    let data = std::fs::read(input)?;
-    let verifier = IsobarCompressor::new(IsobarOptions {
-        verify: true,
-        ..Default::default()
-    });
-    let head_len = MAGIC.len() + 1;
-    let mut pos = head_len;
-    while pos + isobar::container::MAGIC.len() <= data.len() {
-        let Some(found) = find_magic(&data[pos..]) else {
-            break;
-        };
-        let m = pos + found;
-        match record_at(&data, head_len, m) {
-            Some(record) => {
-                let container = &data[m..m + record.container_len];
-                match verifier.decompress(container) {
-                    Ok(raw) => {
-                        match writer.put_container(
-                            record.step,
-                            record.name,
-                            record.width,
-                            container,
-                            raw.len() as u64,
-                        ) {
-                            Ok(()) => recovered += 1,
-                            // A duplicate here means a false anchor
-                            // reproduced an already-salvaged record;
-                            // drop it rather than fail the salvage.
-                            Err(StoreError::Duplicate { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                        pos = m + record.container_len;
-                    }
-                    Err(_) => {
-                        lost += 1;
-                        pos = m + isobar::container::MAGIC.len();
-                    }
-                }
-            }
-            None => {
-                pos = m + isobar::container::MAGIC.len();
-            }
-        }
-    }
-    writer.close()?;
-    Ok(StoreSalvageReport {
-        entries_recovered: recovered,
-        entries_lost: lost,
-        index_rebuilt: true,
-    })
-}
-
-/// Salvage a version-3 directory store into a fresh single-shard
-/// version-3 store at `output`.
-///
-/// With a decodable manifest, the newest intact version of every live
-/// `(step, variable)` is copied byte-for-byte; when the newest version
-/// is damaged, older superseded versions of the same key are tried
-/// newest-first — a supersede history doubles as a recovery ladder.
-/// Without a usable manifest, every segment file (including `.wip`
-/// journals of a crashed writer) is walked with the resync rules from
-/// the module docs, and the newest surviving version of each key wins.
-fn salvage_v3(input: &Path, output: &Path) -> Result<StoreSalvageReport, StoreError> {
+    require_directory(input)?;
     let writer = ShardedStoreWriter::create(
         output,
         IsobarOptions::default(),
@@ -438,7 +240,7 @@ fn salvage_v3(input: &Path, output: &Path) -> Result<StoreSalvageReport, StoreEr
                     Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
                     Err(_) => continue,
                 };
-                if container_health(V3_VERSION, entry, &container) == EntryHealth::Damaged {
+                if container_health(entry, &container) == EntryHealth::Damaged {
                     continue;
                 }
                 writer.put_container(
@@ -612,8 +414,6 @@ fn record_at(data: &[u8], head_len: usize, m: usize) -> Option<WalkRecord<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{CHECKSUM_SEED, TRAILER_LEN};
-    use isobar_codecs::xxhash::xxh64;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -629,126 +429,56 @@ mod tests {
             .collect()
     }
 
-    fn write_demo_store(path: &PathBuf) -> (Vec<u8>, Vec<u8>) {
-        let a = payload(16 * 1024, 1);
-        let b = payload(16 * 1024, 7);
-        let mut writer = StoreWriter::create(path, IsobarOptions::default()).unwrap();
-        writer.put(0, "density", &a, 8).unwrap();
-        writer.put(0, "potential", &b, 8).unwrap();
-        writer.close().unwrap();
-        (a, b)
-    }
-
-    #[test]
-    fn clean_store_fscks_clean() {
-        let path = tmp("clean.isst");
-        write_demo_store(&path);
-        let report = fsck_store(&path).unwrap();
-        assert!(report.is_clean());
-        assert!(!report.legacy);
-        assert_eq!(report.version, crate::format::VERSION);
-        assert_eq!(report.entries.len(), 2);
-        assert!(report
-            .entries
-            .iter()
-            .all(|e| e.health == EntryHealth::Verified));
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn container_damage_is_reported_and_salvaged_around() {
-        let path = tmp("damaged.isst");
-        let out = tmp("damaged-salvaged.isst");
-        let (_, b) = write_demo_store(&path);
+        let dir = tmp("damaged");
+        let out = tmp("damaged-out");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&out);
+        write_demo_v3(&dir, 1);
+        let survivor_data = payload(16 * 1024, 7);
 
         // Flip one byte in the middle of the first entry's container.
-        let reader = StoreReader::open(&path).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
         let victim = reader.entries()[0].clone();
         let survivor = reader.entries()[1].clone();
+        let seg_path = dir.join(reader.segment_file_name(&reader.entries()[0]).unwrap());
         drop(reader);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let hit = (victim.offset + victim.container_len / 2) as usize;
-        bytes[hit] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
+        let mut bytes = std::fs::read(&seg_path).unwrap();
+        bytes[(victim.offset + victim.container_len / 2) as usize] ^= 0x40;
+        std::fs::write(&seg_path, &bytes).unwrap();
 
-        let report = fsck_store(&path).unwrap();
+        let report = fsck_store(&dir).unwrap();
         assert!(!report.is_clean());
+        assert!(!report.index_damaged);
         assert_eq!(report.damaged_entries(), 1);
         assert_eq!(report.entries[0].health, EntryHealth::Damaged);
         assert_eq!(report.entries[1].health, EntryHealth::Verified);
 
         // The verifying reader refuses the damaged entry…
-        let reader = StoreReader::open(&path).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
         let err = reader.get(victim.step, &victim.name).unwrap_err();
         assert!(err.is_checksum_mismatch(), "got {err}");
         // …but still serves the intact one.
-        assert_eq!(reader.get(survivor.step, &survivor.name).unwrap(), b);
+        assert_eq!(
+            reader.get(survivor.step, &survivor.name).unwrap(),
+            survivor_data
+        );
         drop(reader);
 
-        let salvage = salvage_store(&path, &out).unwrap();
+        let salvage = salvage_store(&dir, &out).unwrap();
         assert_eq!(salvage.entries_recovered, 1);
         assert_eq!(salvage.entries_lost, 1);
         assert!(!salvage.index_rebuilt);
 
         let restored = StoreReader::open(&out).unwrap();
-        assert_eq!(restored.get(survivor.step, &survivor.name).unwrap(), b);
+        assert_eq!(
+            restored.get(survivor.step, &survivor.name).unwrap(),
+            survivor_data
+        );
         assert!(fsck_store(&out).unwrap().is_clean());
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&out).unwrap();
-    }
-
-    #[test]
-    fn index_damage_triggers_record_walk_rebuild() {
-        let path = tmp("badindex.isst");
-        let out = tmp("badindex-salvaged.isst");
-        let (a, b) = write_demo_store(&path);
-
-        // Flip a byte inside the index region (between the last
-        // container and the trailer).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let trailer_at = bytes.len() - TRAILER_LEN;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
-        bytes[index_offset + 3] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        // Default (verifying) open refuses the store outright.
-        let err = StoreReader::open(&path).unwrap_err();
-        assert!(err.is_checksum_mismatch(), "got {err}");
-
-        let report = fsck_store(&path).unwrap();
-        assert!(!report.is_clean());
-
-        let salvage = salvage_store(&path, &out).unwrap();
-        assert!(salvage.index_rebuilt);
-        assert_eq!(salvage.entries_recovered, 2);
-        assert!(salvage.is_complete());
-
-        let restored = StoreReader::open(&out).unwrap();
-        assert_eq!(restored.get(0, "density").unwrap(), a);
-        assert_eq!(restored.get(0, "potential").unwrap(), b);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&out).unwrap();
-    }
-
-    #[test]
-    fn index_checksum_damage_is_a_checksum_mismatch_at_index_offset() {
-        let path = tmp("trailersum.isst");
-        write_demo_store(&path);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let trailer_at = bytes.len() - TRAILER_LEN;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap());
-        // Corrupt the stored index checksum itself.
-        bytes[trailer_at + 12] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        match StoreReader::open(&path).unwrap_err() {
-            StoreError::ChecksumMismatch { offset, .. } => assert_eq!(offset, index_offset),
-            other => panic!("expected checksum mismatch, got {other}"),
-        }
-        // Verification off trusts structure and still opens.
-        assert!(StoreReader::open_with_verify(&path, false).is_ok());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
@@ -757,36 +487,67 @@ mod tests {
         // "ISBR" must not yield a phantom record: the reconstructed
         // header will not parse into a record whose container passes a
         // verifying decompress.
-        let path = tmp("falseanchor.isst");
-        let out = tmp("falseanchor-salvaged.isst");
+        let dir = tmp("falseanchor");
+        let out = tmp("falseanchor-out");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&out);
         let mut data = payload(16 * 1024, 3);
         data[4096..4100].copy_from_slice(b"ISBR");
         data[8192..8196].copy_from_slice(b"ISBR");
-        let mut writer = StoreWriter::create(&path, IsobarOptions::default()).unwrap();
-        writer.put(3, "tricky", &data, 1).unwrap();
+        let writer = ShardedStoreWriter::create(
+            &dir,
+            IsobarOptions::default(),
+            ShardedOptions {
+                shards: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        writer.put(3, "tricky", data.clone(), 1).unwrap();
         writer.close().unwrap();
 
-        // Break the index so salvage must walk records.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let trailer_at = bytes.len() - TRAILER_LEN;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
-        bytes[index_offset] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
+        // Break the manifest so salvage must walk records.
+        let manifest = dir.join(MANIFEST_FILE);
+        let mut bytes = std::fs::read(&manifest).unwrap();
+        bytes[0] ^= 0xFF;
+        std::fs::write(&manifest, &bytes).unwrap();
 
-        let salvage = salvage_store(&path, &out).unwrap();
+        let salvage = salvage_store(&dir, &out).unwrap();
         assert!(salvage.index_rebuilt);
         assert_eq!(salvage.entries_recovered, 1);
         let restored = StoreReader::open(&out).unwrap();
         assert_eq!(restored.get(3, "tricky").unwrap(), data);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&out).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
-    fn entry_checksum_matches_format_helper() {
-        let container = b"arbitrary container stand-in";
-        assert_eq!(entry_checksum(container), xxh64(container, CHECKSUM_SEED));
+    fn single_file_stores_are_refused_by_name() {
+        let path = tmp("retired.isst");
+        std::fs::write(&path, b"ISST\x02 anything").unwrap();
+        assert!(matches!(
+            StoreReader::open(&path),
+            Err(StoreError::SingleFileUnsupported)
+        ));
+        assert!(matches!(
+            fsck_store(&path),
+            Err(StoreError::SingleFileUnsupported)
+        ));
+        let out = tmp("retired-out");
+        assert!(matches!(
+            salvage_store(&path, &out),
+            Err(StoreError::SingleFileUnsupported)
+        ));
+        assert!(!out.exists(), "a refused salvage creates nothing");
+        // Any other regular file is simply not a store; a missing
+        // path stays an I/O error.
+        std::fs::write(&path, b"ISBR").unwrap();
+        assert!(matches!(
+            StoreReader::open(&path),
+            Err(StoreError::Corrupt("not a store directory"))
+        ));
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(StoreReader::open(&path), Err(StoreError::Io(_))));
     }
 
     fn write_demo_v3(dir: &PathBuf, generations: u32) -> Vec<u8> {
@@ -819,7 +580,10 @@ mod tests {
         write_demo_v3(&dir, 2);
         let report = fsck_store(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.version, V3_VERSION);
+        assert!(report
+            .entries
+            .iter()
+            .all(|e| e.health == EntryHealth::Verified));
         assert_eq!(report.entries.len(), 4, "both generations enumerated");
         assert_eq!(report.superseded_entries, 2);
         assert_eq!(report.orphan_files, 0);

@@ -1,9 +1,9 @@
-//! Sharded concurrent store writer with overlapped codec and I/O.
+//! The store writer: sharded, concurrent, with overlapped codec and
+//! I/O.
 //!
-//! The single-file [`crate::StoreWriter`] serializes compression and
-//! disk writes behind one cursor; in-situ checkpointing wants neither.
-//! [`ShardedStoreWriter`] owns a version-3 store *directory*: each
-//! shard is an independent segment file with its own two-stage
+//! In-situ checkpointing must not serialize compression and disk
+//! writes behind one cursor. [`ShardedStoreWriter`] owns a store
+//! *directory*: each shard is an independent segment file with its own two-stage
 //! pipeline — a codec thread running the ISOBAR pipeline and an I/O
 //! thread appending records — connected by a bounded (double-buffered)
 //! queue, so shard `k`'s compression of variable `n+1` overlaps the
@@ -12,9 +12,9 @@
 //!
 //! # Two-phase commit protocol
 //!
-//! Segments are journaled as `<segment>.wip` shadow files, exactly
-//! like the single-file writer; the manifest extends that protocol to
-//! a directory:
+//! Segments and the manifest are journaled as `<name>.wip` shadow
+//! files that no reader opens, and only take their final names once
+//! durable:
 //!
 //! 1. every shard's records append to `g<gen>-s<shard>.seg.wip`. The
 //!    I/O thread group-commits: whenever its queue drains (the codec
@@ -41,23 +41,22 @@
 //!
 //! # Append and supersede semantics
 //!
-//! Opening an existing version-3 directory appends a new generation:
+//! Opening an existing store directory appends a new generation:
 //! committed segments are never rewritten, the new manifest simply
-//! references them alongside the fresh ones. Unlike the single-file
-//! writer, re-putting an existing `(step, variable)` is not an error —
-//! the later entry supersedes the earlier one (readers resolve
-//! last-wins) and compaction reclaims the dead bytes.
+//! references them alongside the fresh ones. Re-putting an existing
+//! `(step, variable)` is not an error — the later entry supersedes the
+//! earlier one (readers resolve last-wins) and compaction reclaims the
+//! dead bytes.
 
 use crate::error::StoreError;
 use crate::format::{
-    encode_record_header, entry_checksum, segment_file_name, IndexEntry, MANIFEST_FILE,
+    encode_record_header, entry_checksum, segment_file_name, wip_path, IndexEntry, MANIFEST_FILE,
     SEGMENT_HEADER_LEN,
 };
 use crate::manifest::{
     encode_segment_header, encode_segment_trailer, Manifest, ManifestEntry, SegmentMeta,
 };
 use crate::vfs::{RealFs, StoreFile, StoreFs};
-use crate::writer::wip_path;
 use isobar::telemetry::Counter;
 use isobar::{IsobarCompressor, IsobarOptions, PipelineScratch, Recorder, TelemetrySnapshot};
 use isobar_codecs::xxhash::xxh64;
@@ -328,7 +327,7 @@ where
     }
 
     /// Append an already-compressed container as one record, bypassing
-    /// the codec stage. Compaction, migration, and salvage use this to
+    /// the codec stage. Compaction and salvage use this to
     /// move records between stores without a decompress/recompress
     /// round trip. The container bytes are trusted as-is — pair with
     /// [`StoreReader::get_container`](crate::StoreReader::get_container)
@@ -691,7 +690,6 @@ mod tests {
         assert!(report.segments_committed >= 1);
 
         let reader = StoreReader::open(&dir).unwrap();
-        assert_eq!(reader.version(), crate::format::V3_VERSION);
         for (step, name, data) in &vars {
             assert_eq!(&reader.get(*step, name).unwrap(), data);
         }

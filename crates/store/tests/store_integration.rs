@@ -4,12 +4,16 @@
 
 use isobar::{EupaSelector, IsobarOptions, Preference};
 use isobar_datasets::catalog;
-use isobar_store::{StoreError, StoreReader, StoreWriter};
-use std::path::PathBuf;
+use isobar_store::{
+    wip_path, ShardedOptions, ShardedStoreWriter, StoreError, StoreReader, MANIFEST_FILE,
+};
+use std::path::{Path, PathBuf};
 
+/// A scratch store directory for one test; `name` is unique per test,
+/// so no two tests ever create or delete the same path.
 fn tmp(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("isobar-store-test-{}-{name}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("isobar-store-test-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
@@ -26,30 +30,52 @@ fn options() -> IsobarOptions {
     }
 }
 
+/// The serial configuration: one shard, one segment per generation.
+fn serial_writer(dir: &Path) -> ShardedStoreWriter {
+    ShardedStoreWriter::create(
+        dir,
+        options(),
+        ShardedOptions {
+            shards: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
 fn checkpoint_run_round_trips_every_variable() {
-    let path = tmp("run");
+    let dir = tmp("run");
     let variables = ["zion", "zeon", "phi"];
     let steps = 4u32;
     let spec = catalog::spec("gts_chkp_zion").unwrap();
 
     let mut originals = Vec::new();
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        for step in 0..steps {
-            for (v, name) in variables.iter().enumerate() {
-                let ds = spec.generate(25_000, (step as u64) << 8 | v as u64);
-                let entry = writer.put(step, name, &ds.bytes, 8).unwrap();
-                assert_eq!(entry.raw_len as usize, ds.bytes.len());
-                assert!(entry.container_len < entry.raw_len, "compression happened");
-                originals.push((step, *name, ds.bytes));
-            }
+    let writer = serial_writer(&dir);
+    for step in 0..steps {
+        for (v, name) in variables.iter().enumerate() {
+            let ds = spec.generate(25_000, (step as u64) << 8 | v as u64);
+            writer.put(step, name, ds.bytes.clone(), 8).unwrap();
+            originals.push((step, *name, ds.bytes));
         }
-        assert_eq!(writer.entries().len(), (steps as usize) * variables.len());
-        writer.close().unwrap();
+    }
+    let report = writer.close().unwrap();
+    assert_eq!(report.new_entries.len(), originals.len());
+    for (entry, (_, _, bytes)) in report.new_entries.iter().zip(&originals) {
+        assert_eq!(entry.raw_len as usize, bytes.len());
+        assert!(entry.container_len < entry.raw_len, "compression happened");
     }
 
-    let reader = StoreReader::open(&path).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(reader.steps(), vec![0, 1, 2, 3]);
     assert_eq!(reader.variables(), variables.to_vec());
     assert!(reader.overall_ratio() > 1.0);
@@ -58,51 +84,33 @@ fn checkpoint_run_round_trips_every_variable() {
     for (step, name, bytes) in originals.iter().rev() {
         assert_eq!(&reader.get(*step, name).unwrap(), bytes, "{name}@{step}");
     }
-
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn mixed_widths_per_variable() {
-    let path = tmp("widths");
+    let dir = tmp("widths");
     let doubles = catalog::spec("flash_velx").unwrap().generate(20_000, 1);
     let floats = catalog::spec("s3d_temp").unwrap().generate(20_000, 2);
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "velx", &doubles.bytes, 8).unwrap();
-        writer.put(0, "temp", &floats.bytes, 4).unwrap();
-        writer.close().unwrap();
-    }
-    let reader = StoreReader::open(&path).unwrap();
+    let writer = serial_writer(&dir);
+    writer.put(0, "velx", doubles.bytes.clone(), 8).unwrap();
+    writer.put(0, "temp", floats.bytes.clone(), 4).unwrap();
+    writer.close().unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(reader.entry(0, "velx").unwrap().width, 8);
     assert_eq!(reader.entry(0, "temp").unwrap().width, 4);
     assert_eq!(reader.get(0, "velx").unwrap(), doubles.bytes);
     assert_eq!(reader.get(0, "temp").unwrap(), floats.bytes);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn duplicate_variables_are_rejected() {
-    let path = tmp("dup");
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "x", &[0u8; 80], 8).unwrap();
-    assert!(matches!(
-        writer.put(0, "x", &[0u8; 80], 8),
-        Err(StoreError::Duplicate { .. })
-    ));
-    // Same name at a different step is fine.
-    writer.put(1, "x", &[0u8; 80], 8).unwrap();
-    writer.close().unwrap();
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn missing_variables_are_not_found() {
-    let path = tmp("missing");
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "present", &[0u8; 80], 8).unwrap();
+    let dir = tmp("missing");
+    let writer = serial_writer(&dir);
+    writer.put(0, "present", vec![0u8; 80], 8).unwrap();
     writer.close().unwrap();
-    let reader = StoreReader::open(&path).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert!(matches!(
         reader.get(0, "absent"),
         Err(StoreError::NotFound { .. })
@@ -111,102 +119,114 @@ fn missing_variables_are_not_found() {
         reader.get(9, "present"),
         Err(StoreError::NotFound { .. })
     ));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unclosed_store_is_rejected() {
-    let path = tmp("unclosed");
+    let dir = tmp("unclosed");
     {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "x", &[1u8; 800], 8).unwrap();
-        // Dropped without close(): the commit rename never ran, so
-        // nothing exists at the final path and the reader refuses.
+        let writer = serial_writer(&dir);
+        writer.put(0, "x", vec![1u8; 800], 8).unwrap();
+        // Dropped without close(): the manifest swap never ran, so the
+        // directory holds no manifest and the reader refuses.
     }
-    assert!(matches!(StoreReader::open(&path), Err(StoreError::Io(_))));
-    let _ = std::fs::remove_file(&path);
+    assert!(matches!(
+        StoreReader::open(&dir),
+        Err(StoreError::Corrupt(
+            "store directory has no manifest (store not committed?)"
+        ))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn dropped_writer_leaves_no_partial_file() {
-    // Regression: an abandoned StoreWriter used to leave its partial
-    // file on disk, where a later reader (or a backup sweep) could
-    // mistake it for a checkpoint. Drop must remove the `.wip` journal
-    // and must never have created the final path at all.
-    let path = tmp("abandoned");
-    let wip = isobar_store::wip_path(&path);
+    // An abandoned writer must not leave its partial segment on disk,
+    // where a later reader (or a backup sweep) could mistake it for a
+    // checkpoint. Drop must remove the `.wip` journal and must never
+    // have created a final segment name or a manifest at all.
+    let dir = tmp("abandoned");
     {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "x", &[1u8; 800], 8).unwrap();
-        assert!(wip.exists(), "records journal to the .wip shadow file");
-        assert!(!path.exists(), "final path must not exist before commit");
+        let writer = serial_writer(&dir);
+        writer.put(0, "x", vec![1u8; 800], 8).unwrap();
+        assert_eq!(
+            file_names(&dir),
+            ["g0000000000000000-s000.seg.wip"],
+            "records journal to the .wip shadow file only"
+        );
     }
-    assert!(!wip.exists(), "drop must remove the uncommitted journal");
-    assert!(!path.exists(), "drop must not promote a partial store");
+    assert!(
+        file_names(&dir).is_empty(),
+        "drop must remove the journal and promote nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn close_commits_atomically_and_cleans_journal() {
-    let path = tmp("committed");
-    let wip = isobar_store::wip_path(&path);
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "x", &[7u8; 800], 8).unwrap();
+    let dir = tmp("committed");
+    let writer = serial_writer(&dir);
+    writer.put(0, "x", vec![7u8; 800], 8).unwrap();
     writer.close().unwrap();
-    assert!(path.exists(), "close must publish the final path");
-    assert!(!wip.exists(), "close must consume the .wip journal");
-    let reader = StoreReader::open(&path).unwrap();
+    assert_eq!(
+        file_names(&dir),
+        [MANIFEST_FILE, "g0000000000000000-s000.seg"],
+        "close must publish the manifest and consume every .wip journal"
+    );
+    assert!(!wip_path(&dir.join(MANIFEST_FILE)).exists());
+    let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(reader.get(0, "x").unwrap(), vec![7u8; 800]);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncated_store_is_rejected() {
-    let path = tmp("trunc");
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "x", &[1u8; 8000], 8).unwrap();
-        writer.close().unwrap();
+    let dir = tmp("trunc");
+    let writer = serial_writer(&dir);
+    writer.put(0, "x", vec![1u8; 8000], 8).unwrap();
+    writer.close().unwrap();
+    for file in file_names(&dir) {
+        let path = dir.join(&file);
+        let bytes = std::fs::read(&path).unwrap();
+        for cut in [0usize, 4, bytes.len() / 2, bytes.len() - 1] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(StoreReader::open(&dir).is_err(), "{file} cut at {cut}");
+        }
+        std::fs::write(&path, &bytes).unwrap();
     }
-    let bytes = std::fs::read(&path).unwrap();
-    for cut in [0usize, 4, bytes.len() / 2, bytes.len() - 1] {
-        let cut_path = tmp(&format!("trunc-{cut}"));
-        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
-        assert!(StoreReader::open(&cut_path).is_err(), "cut {cut}");
-        let _ = std::fs::remove_file(&cut_path);
-    }
-    let _ = std::fs::remove_file(&path);
+    assert!(StoreReader::open(&dir).is_ok(), "restored store opens");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn empty_store_round_trips() {
-    let path = tmp("empty");
-    StoreWriter::create(&path, options())
-        .unwrap()
-        .close()
-        .unwrap();
-    let reader = StoreReader::open(&path).unwrap();
+    let dir = tmp("empty");
+    let report = serial_writer(&dir).close().unwrap();
+    assert_eq!(report.segments_committed, 0, "empty shards are discarded");
+    let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.entries().is_empty());
     assert!(reader.steps().is_empty());
     assert_eq!(reader.overall_ratio(), 1.0);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn store_telemetry_accounts_for_every_byte() {
     use isobar::telemetry::{Counter, ENABLED};
 
-    let path = tmp("telemetry");
+    let dir = tmp("telemetry");
     let ds = catalog::spec("gts_chkp_zion").unwrap().generate(25_000, 7);
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "zion", &ds.bytes, 8).unwrap();
-    writer.put(1, "zion", &ds.bytes, 8).unwrap();
-    let mid = writer.telemetry();
-    let container_bytes: u64 = writer.entries().iter().map(|e| e.container_len).sum();
-    let snap = writer.close_with_telemetry().unwrap();
+    let writer = serial_writer(&dir);
+    writer.put(0, "zion", ds.bytes.clone(), 8).unwrap();
+    writer.put(1, "zion", ds.bytes.clone(), 8).unwrap();
+    let report = writer.close().unwrap();
+    let container_bytes: u64 = report.new_entries.iter().map(|e| e.container_len).sum();
+    let snap = report.telemetry;
 
     if !ENABLED {
-        assert!(mid.is_empty() && snap.is_empty());
-        let _ = std::fs::remove_file(&path);
+        assert!(snap.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
         return;
     }
 
@@ -216,27 +236,27 @@ fn store_telemetry_accounts_for_every_byte() {
         2 * ds.bytes.len() as u64
     );
     assert_eq!(snap.counter(Counter::StoreContainerBytes), container_bytes);
-    // Index bytes only land at close time.
-    assert_eq!(mid.counter(Counter::StoreIndexBytes), 0);
-    assert!(snap.counter(Counter::StoreIndexBytes) > 0);
+    assert_eq!(
+        snap.counter(Counter::StoreManifestBytes),
+        std::fs::metadata(dir.join(MANIFEST_FILE)).unwrap().len()
+    );
+    assert_eq!(snap.counter(Counter::StoreSegmentsCommitted), 1);
     // The underlying pipeline telemetry rides along.
     assert_eq!(snap.counter(Counter::EupaRuns), 2);
     assert!(snap.counter(Counter::AnalyzerBytes) >= 2 * ds.bytes.len() as u64);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn reader_is_shareable_across_threads() {
-    let path = tmp("threads");
+    let dir = tmp("threads");
     let ds = catalog::spec("gts_phi_l").unwrap().generate(20_000, 3);
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        for step in 0..4u32 {
-            writer.put(step, "phi", &ds.bytes, 8).unwrap();
-        }
-        writer.close().unwrap();
+    let writer = serial_writer(&dir);
+    for step in 0..4u32 {
+        writer.put(step, "phi", ds.bytes.clone(), 8).unwrap();
     }
-    let reader = std::sync::Arc::new(StoreReader::open(&path).unwrap());
+    writer.close().unwrap();
+    let reader = std::sync::Arc::new(StoreReader::open(&dir).unwrap());
     let handles: Vec<_> = (0..4u32)
         .map(|step| {
             let reader = reader.clone();
@@ -249,5 +269,5 @@ fn reader_is_shareable_across_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,53 +10,74 @@
 
 use isobar::{IsobarOptions, Preference};
 use isobar_datasets::catalog;
-use isobar_store::{StoreReader, StoreWriter};
+use isobar_store::{ShardedOptions, ShardedStoreWriter, StoreReader};
 
 const STEPS: u32 = 5;
 const ELEMENTS: usize = 120_000;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let path = std::env::temp_dir().join("isobar-demo-run.isst");
+    let dir = std::env::temp_dir().join("isobar-demo-run.store");
+    std::fs::remove_dir_all(&dir).ok();
 
     // --- simulation side: write checkpoints in-situ ------------------
+    // The simulation hands off each variable and immediately moves on;
+    // each shard's codec thread runs ISOBAR and its I/O thread the file
+    // writes behind it, so compression overlaps compute.
     let variables = [
         ("zion", catalog::spec("gts_chkp_zion").expect("catalog")),
         ("zeon", catalog::spec("gts_chkp_zeon").expect("catalog")),
         ("phi", catalog::spec("gts_phi_l").expect("catalog")),
     ];
-    let mut writer = StoreWriter::create(
-        &path,
+    let writer = ShardedStoreWriter::create(
+        &dir,
         IsobarOptions {
             preference: Preference::Speed,
             ..Default::default()
         },
+        ShardedOptions {
+            shards: 2,
+            queue_depth: 2, // at most two checkpoints in flight per shard
+        },
     )?;
     let start = std::time::Instant::now();
     let mut raw_total = 0usize;
+    let mut handoff_secs = 0.0;
     for step in 0..STEPS {
         for (name, spec) in &variables {
+            // "Compute" the next field, then hand it off.
             let ds = spec.generate(ELEMENTS, 9000 + step as u64);
             raw_total += ds.bytes.len();
-            let entry = writer.put(step, name, &ds.bytes, ds.width())?;
-            println!(
-                "step {step} {name:<5} {:>9} -> {:>9} bytes (CR {:.3})",
-                entry.raw_len,
-                entry.container_len,
-                entry.ratio()
-            );
+            let width = ds.width();
+            let t = std::time::Instant::now();
+            writer.put(step, name, ds.bytes, width)?;
+            handoff_secs += t.elapsed().as_secs_f64();
         }
     }
-    writer.close()?;
+    let handoff_share = handoff_secs / start.elapsed().as_secs_f64();
+    let report = writer.close()?;
     let elapsed = start.elapsed().as_secs_f64();
+    for entry in &report.new_entries {
+        println!(
+            "step {} {:<5} {:>9} -> {:>9} bytes (CR {:.3})",
+            entry.step,
+            entry.name,
+            entry.raw_len,
+            entry.container_len,
+            entry.ratio()
+        );
+    }
     println!(
-        "---\nwrote {} checkpoints, {:.1} MB raw at {:.1} MB/s effective",
-        STEPS * variables.len() as u32,
+        "---\nwrote {} checkpoints in {} segments, {:.1} MB raw at {:.1} MB/s effective; \
+         producer spent {:.1}% of the write loop in put()",
+        report.new_entries.len(),
+        report.segments_committed,
         raw_total as f64 / 1e6,
-        raw_total as f64 / 1e6 / elapsed
+        raw_total as f64 / 1e6 / elapsed,
+        handoff_share * 100.0
     );
 
     // --- restart side: selective restore ----------------------------
-    let reader = StoreReader::open(&path)?;
+    let reader = StoreReader::open(&dir)?;
     println!(
         "store: steps {:?}, variables {:?}, overall CR {:.3}",
         reader.steps(),
@@ -73,39 +94,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         restored.len()
     );
 
-    std::fs::remove_file(&path).ok();
-
-    // --- pipelined variant: compression overlapped with compute -----
-    // The simulation hands off each variable and immediately moves on;
-    // a worker thread runs ISOBAR and the file I/O behind it.
-    let path = std::env::temp_dir().join("isobar-demo-run-pipelined.isst");
-    let writer = isobar_store::PipelinedStoreWriter::create(
-        &path,
-        IsobarOptions {
-            preference: Preference::Speed,
-            ..Default::default()
-        },
-        2, // queue depth: at most two checkpoints in flight
-    )?;
-    let start = std::time::Instant::now();
-    let mut handoff_secs = 0.0;
-    for step in 0..STEPS {
-        for (name, spec) in &variables {
-            // "Compute" the next field, then hand it off.
-            let ds = spec.generate(ELEMENTS, 9000 + step as u64);
-            let t = std::time::Instant::now();
-            writer.put(step, name, ds.bytes, 8)?;
-            handoff_secs += t.elapsed().as_secs_f64();
-        }
-    }
-    let entries = writer.close()?;
-    println!(
-        "pipelined: {} checkpoints; producer spent {:.1}% of the wall time in put()",
-        entries.len(),
-        handoff_secs / start.elapsed().as_secs_f64() * 100.0
-    );
-    let reader = StoreReader::open(&path)?;
-    assert_eq!(reader.entries().len(), entries.len());
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

@@ -8,7 +8,7 @@ use isobar_suite::isobar_codecs::{bwt::Bzip2Like, deflate::Deflate, Codec};
 use isobar_suite::isobar_datasets::{catalog, stats};
 use isobar_suite::isobar_float_codecs::{Dims, Fpc, FpzipLike};
 use isobar_suite::isobar_linearize::{apply_permutation, hilbert_order};
-use isobar_suite::isobar_store::{StoreReader, StoreWriter};
+use isobar_suite::isobar_store::{ShardedOptions, ShardedStoreWriter, StoreReader};
 use std::io::Write;
 
 fn options() -> IsobarOptions {
@@ -73,13 +73,14 @@ fn every_public_surface_composes() {
     assert_eq!(sel.bits(), sel_h.bits());
 
     // Checkpoint store over the pipeline.
-    let path = std::env::temp_dir().join(format!("isobar-smoke-{}.isst", std::process::id()));
-    let mut store = StoreWriter::create(&path, options()).unwrap();
-    store.put(0, "gamc", &ds.bytes, ds.width()).unwrap();
+    let dir = std::env::temp_dir().join(format!("isobar-smoke-{}.store", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
+    store.put(0, "gamc", ds.bytes.clone(), ds.width()).unwrap();
     store.close().unwrap();
-    let reader = StoreReader::open(&path).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(reader.get(0, "gamc").unwrap(), ds.bytes);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
