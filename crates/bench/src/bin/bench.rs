@@ -1,18 +1,8 @@
-//! Benchmark result tooling: regression gating, trace validation, and
-//! the serve soak driver.
+//! Benchmark result tooling: trace validation.
 //!
 //! ```text
-//! bench diff OLD.json NEW.json [--max-regress PCT]
 //! bench trace-check TRACE.json
-//! bench serve-soak [--clients N] [--iters N] [--payload BYTES] [--dir PATH]
-//!                  [--chaos] [--chaos-seed N]
 //! ```
-//!
-//! `diff` compares the `results_mbps` sections of two
-//! `bench_pipeline` JSON files and exits nonzero when any shared
-//! result regressed by more than the threshold (default 5%). It is the
-//! CI gate that keeps the pipeline's measured throughput from drifting
-//! down unnoticed.
 //!
 //! `trace-check` validates a Chrome trace-event JSON file produced by
 //! `--trace`: a top-level array whose begin/end events are balanced and
@@ -20,37 +10,18 @@
 //! timestamps per thread. It is the CI smoke test for the span
 //! pipeline.
 //!
-//! `serve-soak` starts an in-process `isobar serve` daemon and drives
-//! it with concurrent mixed put/get clients (see
-//! [`isobar_bench::soak`]). It exits nonzero on any client-observed
-//! error or any server-side protocol error, so CI can use a short run
-//! as a daemon smoke test. Unless `--no-flight` is given, the soak
-//! also runs the daemon's flight recorder (slow threshold `--slow-ms`,
-//! default 0 so every request lands in `slow.jsonl`) and asserts that
-//! every logged request attributes at least 95% of its wall time to
-//! named phases — the end-to-end check that the phase instrumentation
-//! has no blind spots. With `--chaos` every client connection runs
-//! through a fault-injecting transport (delays, fragmentation, resets,
-//! stalls) and a retrying client; the soak then doubles as an
-//! end-to-end proof that hostile networks cannot corrupt data or hang
-//! the daemon.
+//! Throughput, latency and per-layer budgets are measured by the
+//! repository benchmark (`benchmark/README.md`), not here.
 
 use isobar::telemetry::json::{self, JsonValue};
-use isobar_bench::soak::{run_soak, SoakConfig};
-use isobar_server::ServePhase;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bench diff OLD NEW [--max-regress PCT] \
-     | bench trace-check FILE \
-     | bench serve-soak [--clients N] [--iters N] [--payload BYTES] [--dir PATH] \
-       [--slow-ms N] [--no-flight] [--chaos] [--chaos-seed N]";
+const USAGE: &str = "usage: bench trace-check FILE";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("diff") => diff(&args[1..]),
         Some("trace-check") => trace_check(&args[1..]),
-        Some("serve-soak") => serve_soak(&args[1..]),
         _ => Err(USAGE.to_string()),
     };
     match result {
@@ -62,292 +33,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parse a `--max-regress` value: `5`, `5%`, and `5.0` all mean 5%.
-fn parse_percent(text: &str) -> Result<f64, String> {
-    let trimmed = text.strip_suffix('%').unwrap_or(text);
-    let pct: f64 = trimmed.parse().map_err(|e| format!("--max-regress: {e}"))?;
-    if !(0.0..=100.0).contains(&pct) {
-        return Err(format!("--max-regress must be in 0..=100, got {pct}"));
-    }
-    Ok(pct)
-}
-
 fn load(path: &str) -> Result<JsonValue, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// The `results_mbps` object of a bench file, as `(name, mbps)` pairs.
-fn results_mbps(doc: &JsonValue, path: &str) -> Result<Vec<(String, f64)>, String> {
-    let JsonValue::Object(members) = doc
-        .get("results_mbps")
-        .ok_or(format!("{path}: no results_mbps section"))?
-    else {
-        return Err(format!("{path}: results_mbps is not an object"));
-    };
-    members
-        .iter()
-        .map(|(name, value)| {
-            value
-                .as_f64()
-                .map(|mbps| (name.clone(), mbps))
-                .ok_or(format!("{path}: results_mbps.{name} is not a number"))
-        })
-        .collect()
-}
-
-fn diff(args: &[String]) -> Result<(), String> {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut max_regress_pct = 5.0;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-regress" => {
-                max_regress_pct =
-                    parse_percent(it.next().ok_or("--max-regress requires a value")?)?;
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            _ => paths.push(arg),
-        }
-    }
-    let [old_path, new_path]: [&String; 2] = paths
-        .try_into()
-        .map_err(|_| "diff requires exactly OLD and NEW paths".to_string())?;
-
-    let old = results_mbps(&load(old_path)?, old_path)?;
-    let new = results_mbps(&load(new_path)?, new_path)?;
-
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (name, old_mbps) in &old {
-        let Some((_, new_mbps)) = new.iter().find(|(n, _)| n == name) else {
-            eprintln!("{name:<28} only in {old_path}, skipped");
-            continue;
-        };
-        compared += 1;
-        let delta_pct = (new_mbps / old_mbps - 1.0) * 100.0;
-        let verdict = if delta_pct < -max_regress_pct {
-            regressions += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{name:<28} {old_mbps:>9.1} -> {new_mbps:>9.1} MB/s  {delta_pct:>+7.1}%  {verdict}"
-        );
-    }
-    for (name, _) in &new {
-        if !old.iter().any(|(n, _)| n == name) {
-            eprintln!("{name:<28} only in {new_path}, skipped");
-        }
-    }
-    if compared == 0 {
-        return Err("no shared results to compare".to_string());
-    }
-    if regressions > 0 {
-        return Err(format!(
-            "{regressions} of {compared} results regressed beyond {max_regress_pct}%"
-        ));
-    }
-    println!("all {compared} shared results within {max_regress_pct}% of {old_path}");
-    Ok(())
-}
-
-fn parse_count(flag: &str, text: &str) -> Result<usize, String> {
-    let n: usize = text.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if n == 0 {
-        return Err(format!("{flag} must be positive"));
-    }
-    Ok(n)
-}
-
-fn serve_soak(args: &[String]) -> Result<(), String> {
-    let mut config = SoakConfig::default();
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut slow_ms = 0u64;
-    let mut flight = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or(format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--clients" => config.clients = parse_count("--clients", value("--clients")?)?,
-            "--iters" => config.iters = parse_count("--iters", value("--iters")?)?,
-            "--payload" => {
-                config.payload_bytes = parse_count("--payload", value("--payload")?)?;
-                if config.payload_bytes % 8 != 0 {
-                    return Err("--payload must be a multiple of 8 (width-8 elements)".to_string());
-                }
-            }
-            "--dir" => dir = Some(std::path::PathBuf::from(value("--dir")?)),
-            "--slow-ms" => {
-                slow_ms = value("--slow-ms")?
-                    .parse()
-                    .map_err(|e| format!("--slow-ms: {e}"))?
-            }
-            "--no-flight" => flight = false,
-            "--chaos" => {
-                config.chaos = Some(isobar_server::ChaosConfig::standard(
-                    config.chaos.map_or(1, |c| c.seed),
-                ))
-            }
-            "--chaos-seed" => {
-                let seed = value("--chaos-seed")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-seed: {e}"))?;
-                let base = config
-                    .chaos
-                    .unwrap_or_else(|| isobar_server::ChaosConfig::standard(seed));
-                config.chaos = Some(isobar_server::ChaosConfig { seed, ..base });
-            }
-            other => return Err(format!("unknown serve-soak argument '{other}'")),
-        }
-    }
-
-    // Default to a scratch store that is removed afterwards; an
-    // explicit --dir is the caller's to keep and inspect.
-    let scratch = dir.is_none();
-    let dir = dir.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("isobar-serve-soak-{}", std::process::id()))
-    });
-    if scratch {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let flight_dir = dir.join("flight");
-    if flight {
-        config.server.slow_ms = Some(slow_ms);
-        config.server.flight_recorder = Some(flight_dir.clone());
-    }
-
-    println!(
-        "serve-soak: {} clients x {} iters x {} KiB payloads{} -> {}",
-        config.clients,
-        config.iters,
-        config.payload_bytes / 1024,
-        if config.chaos.is_some() {
-            " under network chaos"
-        } else {
-            ""
-        },
-        dir.display()
-    );
-    let report = run_soak(&dir, &config)?;
-    let attribution = if flight {
-        Some(check_slow_log(&flight_dir)?)
-    } else {
-        None
-    };
-    if scratch {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    println!("{:<22} {:>10.1} MB/s", "mixed put/get", report.mbps);
-    println!(
-        "{:<22} {:>10.2} MB",
-        "payload moved",
-        report.total_bytes as f64 / 1e6
-    );
-    println!("{:<22} {:>10.3} s", "wall time", report.wall_secs);
-    println!("{:<22} {:>10}", "puts", report.puts);
-    println!("{:<22} {:>10}", "gets (verified)", report.gets);
-    println!("{:<22} {:>10}", "busy retries", report.busy_retries);
-    if config.chaos.is_some() {
-        println!("{:<22} {:>10}", "chaos reconnects", report.reconnects);
-    }
-    println!("{:<22} {:>10.3} ms", "p50 latency", report.p50_ms);
-    println!("{:<22} {:>10.3} ms", "p99 latency", report.p99_ms);
-    println!("{:<22} {:>10}", "server commits", report.server.commits);
-    println!(
-        "{:<22} {:>10}",
-        "server protocol errs", report.server.protocol_errors
-    );
-
-    // Phase attribution: where the daemon's request time actually
-    // went, with the store-lock convoy share called out (ROADMAP 1).
-    let total = report.server.total_request_nanos.max(1);
-    println!(
-        "{:<22} {:>10.3} s",
-        "server request time",
-        report.server.total_request_nanos as f64 / 1e9
-    );
-    for phase in ServePhase::ALL {
-        let nanos = report.server.phase_nanos[phase as usize];
-        if nanos > 0 {
-            println!(
-                "  {:<20} {:>10.3} s  {:>5.1}%",
-                phase.name(),
-                nanos as f64 / 1e9,
-                nanos as f64 / total as f64 * 100.0
-            );
-        }
-    }
-    println!(
-        "{:<22} {:>9.1}%",
-        "lock-wait share",
-        report.server.lock_wait_share() * 100.0
-    );
-    if let Some((records, min_share)) = attribution {
-        println!(
-            "{:<22} {:>10}  (min attribution {:.1}%)",
-            "slow log records", records, min_share * 100.0
-        );
-    }
-
-    for error in &report.errors {
-        eprintln!("soak error: {error}");
-    }
-    if !report.errors.is_empty() {
-        return Err(format!("{} client-side errors", report.errors.len()));
-    }
-    if report.server.protocol_errors > 0 {
-        return Err(format!(
-            "{} server-side protocol errors",
-            report.server.protocol_errors
-        ));
-    }
-    println!("serve-soak: clean");
-    Ok(())
-}
-
-/// Parse the soak's `slow.jsonl` and require every record to attribute
-/// at least 95% of its wall time to named phases. Returns the record
-/// count and the worst attribution share.
-fn check_slow_log(flight_dir: &std::path::Path) -> Result<(usize, f64), String> {
-    let path = flight_dir.join("slow.jsonl");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("{}: {e} (flight recorder wrote no slow log)", path.display()))?;
-    let mut records = 0usize;
-    let mut min_share = f64::INFINITY;
-    for (i, line) in text.lines().enumerate() {
-        let doc = json::parse(line).map_err(|e| format!("slow.jsonl line {}: {e}", i + 1))?;
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or(format!("slow.jsonl line {}: no \"{key}\"", i + 1))
-        };
-        let total = field("total_nanos")?;
-        let attributed = field("attributed_nanos")?;
-        // Phase spans sit inside the request's wall clock, so the
-        // share tops out at ~1 (modulo timer granularity).
-        let share = attributed as f64 / total.max(1) as f64;
-        if share < 0.95 {
-            return Err(format!(
-                "slow.jsonl line {}: only {:.1}% of {} ns attributed to phases: {line}",
-                i + 1,
-                share * 100.0,
-                total
-            ));
-        }
-        min_share = min_share.min(share);
-        records += 1;
-    }
-    if records == 0 {
-        return Err("slow.jsonl is empty: the soak produced no slow records".to_string());
-    }
-    Ok((records, min_share))
 }
 
 /// One begin/end/instant event, reduced to what validation needs.
@@ -453,36 +141,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percent_forms_parse() {
-        assert_eq!(parse_percent("5").unwrap(), 5.0);
-        assert_eq!(parse_percent("5%").unwrap(), 5.0);
-        assert_eq!(parse_percent("2.5").unwrap(), 2.5);
-        assert!(parse_percent("-1").is_err());
-        assert!(parse_percent("abc").is_err());
-    }
-
-    fn bench_doc(entries: &[(&str, f64)]) -> JsonValue {
-        JsonValue::Object(vec![(
-            "results_mbps".to_string(),
-            JsonValue::Object(
-                entries
-                    .iter()
-                    .map(|(n, v)| (n.to_string(), JsonValue::Number(*v)))
-                    .collect(),
-            ),
-        )])
-    }
-
-    #[test]
-    fn results_extraction_reads_both_number_shapes() {
-        let doc = json::parse(r#"{"results_mbps": {"a": 10, "b": 10.5}}"#).unwrap();
-        let results = results_mbps(&doc, "x").unwrap();
-        assert_eq!(results, vec![("a".into(), 10.0), ("b".into(), 10.5)]);
-        assert!(results_mbps(&bench_doc(&[]), "x").unwrap().is_empty());
-        assert!(results_mbps(&json::parse("{}").unwrap(), "x").is_err());
-    }
-
-    #[test]
     fn balanced_trace_validates() {
         let doc = json::parse(
             r#"[
@@ -542,37 +200,5 @@ mod tests {
         .unwrap();
         trace_check(&[path.display().to_string()]).unwrap();
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn diff_gates_on_threshold() {
-        let dir = std::env::temp_dir();
-        let old = dir.join(format!("isobar-bench-old-{}.json", std::process::id()));
-        let new = dir.join(format!("isobar-bench-new-{}.json", std::process::id()));
-        std::fs::write(&old, r#"{"results_mbps": {"a": 100.0, "b": 50.0}}"#).unwrap();
-
-        // b dropped 4%: inside the default 5% budget.
-        std::fs::write(&new, r#"{"results_mbps": {"a": 100.0, "b": 48.0}}"#).unwrap();
-        let paths = [old.display().to_string(), new.display().to_string()];
-        diff(&paths).unwrap();
-
-        // b dropped 10%: beyond 5%, but allowed at 15%.
-        std::fs::write(&new, r#"{"results_mbps": {"a": 100.0, "b": 45.0}}"#).unwrap();
-        assert!(diff(&paths).is_err());
-        let relaxed = [
-            paths[0].clone(),
-            paths[1].clone(),
-            "--max-regress".to_string(),
-            "15%".to_string(),
-        ];
-        diff(&relaxed).unwrap();
-
-        // Disjoint result sets cannot be gated.
-        std::fs::write(&new, r#"{"results_mbps": {"c": 45.0}}"#).unwrap();
-        assert!(diff(&paths).is_err());
-
-        for p in [&old, &new] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 }

@@ -22,8 +22,6 @@ use isobar_codecs::{Codec, CodecId};
 use isobar_datasets::catalog::{Dataset, DatasetSpec};
 use std::time::Instant;
 
-pub mod soak;
-
 /// Default corpus scale relative to the paper's dataset sizes.
 pub const DEFAULT_SCALE: f64 = 0.02;
 

@@ -50,7 +50,6 @@ compress options:
   --quiet              suppress the summary report
 
 decompress options:
-  --stream             required for containers written with --stream
   --skip-corrupt       zero-fill damaged chunks instead of failing;
                        damage shows up under --stats
   --no-verify          skip embedded checksum verification (decode
@@ -170,8 +169,6 @@ pub enum Command {
         input: PathBuf,
         /// Destination file.
         output: PathBuf,
-        /// The container uses the streaming framing.
-        stream: bool,
         /// Zero-fill damaged chunks instead of failing the run.
         skip_corrupt: bool,
         /// Verify embedded checksums while decoding (on by default;
@@ -337,7 +334,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     match sub.as_str() {
         "compress" | "c" => parse_compress(&mut it),
         "decompress" | "d" => {
-            let mut stream = false;
             let mut skip_corrupt = false;
             let mut verify = true;
             let mut stats = None;
@@ -354,7 +350,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     continue;
                 }
                 match arg.as_str() {
-                    "--stream" => stream = true,
                     "--skip-corrupt" => skip_corrupt = true,
                     "--no-verify" => verify = false,
                     "--trace" => trace = Some(PathBuf::from(value(&mut it, "--trace")?)),
@@ -375,7 +370,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Decompress {
                 input,
                 output,
-                stream,
                 skip_corrupt,
                 verify,
                 stats,
@@ -887,20 +881,6 @@ mod tests {
             Command::Decompress {
                 input: "a".into(),
                 output: "b".into(),
-                stream: false,
-                skip_corrupt: false,
-                verify: true,
-                stats: None,
-                trace: None,
-                kernels: None,
-            }
-        );
-        assert_eq!(
-            parse(&strings(&["decompress", "--stream", "a", "b"])).unwrap(),
-            Command::Decompress {
-                input: "a".into(),
-                output: "b".into(),
-                stream: true,
                 skip_corrupt: false,
                 verify: true,
                 stats: None,

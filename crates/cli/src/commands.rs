@@ -48,7 +48,6 @@ pub fn run(cmd: Command) -> Result<u8, String> {
         Command::Decompress {
             input,
             output,
-            stream: false,
             skip_corrupt,
             verify,
             stats,
@@ -56,21 +55,11 @@ pub fn run(cmd: Command) -> Result<u8, String> {
             kernels,
         } => traced(trace.as_deref(), || {
             apply_kernels(kernels);
-            decompress(&input, &output, skip_corrupt, verify, stats)
-        })
-        .map(|()| 0),
-        Command::Decompress {
-            input,
-            output,
-            stream: true,
-            skip_corrupt,
-            verify,
-            stats,
-            trace,
-            kernels,
-        } => traced(trace.as_deref(), || {
-            apply_kernels(kernels);
-            decompress_stream(&input, &output, skip_corrupt, verify, stats)
+            if is_stream_file(&input) {
+                decompress_stream(&input, &output, skip_corrupt, verify, stats)
+            } else {
+                decompress(&input, &output, skip_corrupt, verify, stats)
+            }
         })
         .map(|()| 0),
         Command::Analyze {
@@ -248,6 +237,18 @@ fn file_kind(data: &[u8]) -> Option<FileKind> {
         b"ISST" => Some(FileKind::RetiredStore),
         _ => None,
     }
+}
+
+/// Whether `input` opens with the streamed framing's magic. Anything
+/// else, unreadable files included, goes to the batch decompressor,
+/// which names what is wrong with it.
+fn is_stream_file(input: &Path) -> bool {
+    use std::io::Read;
+    let mut magic = [0u8; 4];
+    fs::File::open(input)
+        .and_then(|mut file| file.read_exact(&mut magic))
+        .is_ok()
+        && file_kind(&magic) == Some(FileKind::Stream)
 }
 
 /// The one refusal every command gives a retired single-file store.
@@ -984,11 +985,23 @@ mod tests {
             None,
         )
         .unwrap();
-        decompress_stream(&packed, &restored, false, true, None).unwrap();
+        // `decompress` takes no framing flag: the magic picks the path.
+        run(Command::Decompress {
+            input: packed.clone(),
+            output: restored.clone(),
+            skip_corrupt: false,
+            verify: true,
+            stats: None,
+            trace: None,
+            kernels: None,
+        })
+        .unwrap();
         assert_eq!(fs::read(&restored).unwrap(), ds.bytes);
 
-        // The batch decompressor must not accept the stream framing.
-        assert!(decompress(&packed, &tmp("never"), false, true, None).is_err());
+        // The library's batch `decompress` still rejects `ISBS`.
+        assert!(IsobarCompressor::default()
+            .decompress(&fs::read(&packed).unwrap())
+            .is_err());
 
         for p in [&input, &packed, &restored] {
             let _ = fs::remove_file(p);

@@ -243,19 +243,6 @@ impl IsobarCompressor {
         self.compress_with_report(data, width).map(|(out, _)| out)
     }
 
-    /// [`IsobarCompressor::compress`] reusing caller-held working
-    /// memory — the steady-state entry point for callers that compress
-    /// many datasets in sequence (e.g. the checkpoint store).
-    pub fn compress_with_scratch(
-        &self,
-        data: &[u8],
-        width: usize,
-        scratch: &mut PipelineScratch,
-    ) -> Result<Vec<u8>, IsobarError> {
-        self.compress_with_report_scratch(data, width, scratch)
-            .map(|(out, _)| out)
-    }
-
     /// Compress and return the detailed report (per-chunk decisions,
     /// stage timings, and the [`CompressionReport::telemetry`]
     /// snapshot) used by the benchmark harness and `--stats`.
@@ -285,10 +272,11 @@ impl IsobarCompressor {
         self.compress_with_report_scratch(data, width, &mut PipelineScratch::new())
     }
 
-    /// [`IsobarCompressor::compress`] recording telemetry into a
-    /// caller-held [`Recorder`] — for long-lived callers (the
-    /// checkpoint store, benchmark loops) that aggregate counters
-    /// across many compress calls.
+    /// [`IsobarCompressor::compress`] reusing caller-held working
+    /// memory and recording telemetry into a caller-held [`Recorder`]
+    /// — the steady-state entry point for long-lived callers (the
+    /// checkpoint store, benchmark loops) that compress many datasets
+    /// in sequence and aggregate counters across the calls.
     pub fn compress_recorded(
         &self,
         data: &[u8],
@@ -301,9 +289,8 @@ impl IsobarCompressor {
         Ok(out)
     }
 
-    /// [`IsobarCompressor::compress_with_report`] with caller-held
-    /// scratch.
-    pub fn compress_with_report_scratch(
+    /// The compress body behind every public entry point.
+    fn compress_with_report_scratch(
         &self,
         data: &[u8],
         width: usize,
@@ -439,21 +426,12 @@ impl IsobarCompressor {
 
     /// Decompress an ISOBAR container back to the original bytes.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, IsobarError> {
-        self.decompress_with_scratch(data, &mut PipelineScratch::new())
+        self.decompress_recorded(data, &mut PipelineScratch::new(), &mut Recorder::new())
     }
 
     /// [`IsobarCompressor::decompress`] reusing caller-held working
-    /// memory across calls.
-    pub fn decompress_with_scratch(
-        &self,
-        data: &[u8],
-        scratch: &mut PipelineScratch,
-    ) -> Result<Vec<u8>, IsobarError> {
-        self.decompress_recorded(data, scratch, &mut Recorder::new())
-    }
-
-    /// [`IsobarCompressor::decompress`] recording telemetry into a
-    /// caller-held [`Recorder`].
+    /// memory across calls and recording telemetry into a caller-held
+    /// [`Recorder`].
     ///
     /// Any failure is a rejection of untrusted input: the error carries
     /// the byte offset of the structure that failed to parse (via
@@ -1182,23 +1160,24 @@ mod tests {
         // against the fresh-scratch outputs above.
         let other = noise_data(20_000);
         let mut scratch = PipelineScratch::new();
+        let mut recorder = Recorder::new();
         let warm_other = serial
-            .compress_with_scratch(&other, 8, &mut scratch)
+            .compress_recorded(&other, 8, &mut scratch, &mut recorder)
             .unwrap();
         let warm_a = serial
-            .compress_with_scratch(&data, 8, &mut scratch)
+            .compress_recorded(&data, 8, &mut scratch, &mut recorder)
             .unwrap();
         assert_eq!(warm_other, serial.compress(&other, 8).unwrap());
         assert_eq!(warm_a, a);
         assert_eq!(
             serial
-                .decompress_with_scratch(&warm_a, &mut scratch)
+                .decompress_recorded(&warm_a, &mut scratch, &mut recorder)
                 .unwrap(),
             data
         );
         assert_eq!(
             serial
-                .decompress_with_scratch(&warm_other, &mut scratch)
+                .decompress_recorded(&warm_other, &mut scratch, &mut recorder)
                 .unwrap(),
             other
         );

@@ -65,6 +65,9 @@ mod tests {
         }
     }
 
+    /// One tenant per client thread in the multi-client tests.
+    const TENANTS: [&str; 4] = ["acme", "globex", "initech", "umbrella"];
+
     fn payload(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
@@ -431,19 +434,44 @@ mod tests {
     fn shutdown_drains_and_commits_cleanly() {
         let dir = tmp("drain");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let resp = client.put("", 0, "v", 8, payload(2048, 7)).unwrap();
-        assert_eq!(resp.status, Status::Ok);
+        let addr = server.local_addr();
+        // Four clients, all connected before any of them sends, each
+        // putting and reading back under its own tenant.
+        let connected = std::sync::Barrier::new(TENANTS.len());
+        std::thread::scope(|scope| {
+            for (i, tenant) in TENANTS.into_iter().enumerate() {
+                let connected = &connected;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    connected.wait();
+                    for step in 0..2u32 {
+                        let data = payload(2048, (4 * step) as u8 + i as u8);
+                        let resp = client.put(tenant, step, "v", 8, data.clone()).unwrap();
+                        assert_eq!(resp.status, Status::Ok, "{resp:?}");
+                        let resp = client.get(tenant, step, "v").unwrap();
+                        assert_eq!(resp.status, Status::Ok);
+                        assert_eq!(resp.payload, data, "{tenant} step {step}");
+                    }
+                });
+            }
+        });
         // Shut down via the cloneable handle (the signal-watcher path).
         let handle = server.handle();
         handle.shutdown();
         let report = server.join().unwrap();
-        assert_eq!(report.puts, 1);
+        assert_eq!(report.puts, 8);
+        assert_eq!(report.gets, 8);
+        assert_eq!(report.protocol_errors, 0);
         assert!(report.commits >= 1);
         // The on-disk store is clean: a reader opens it and the data
         // round-trips.
         let reader = isobar_store::StoreReader::open(&dir).unwrap();
-        assert_eq!(reader.get(0, "v").unwrap(), payload(2048, 7));
+        for (i, tenant) in TENANTS.into_iter().enumerate() {
+            assert_eq!(
+                reader.get(1, &daemon::store_key(tenant, "v")).unwrap(),
+                payload(2048, 4 + i as u8)
+            );
+        }
         // After shutdown a new connection is refused or immediately
         // answered with ShuttingDown — either way, no new work.
         let _ = std::fs::remove_dir_all(&dir);
@@ -585,53 +613,61 @@ mod tests {
         let dir = tmp("chaos-retry");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let addr = server.local_addr();
-        let mut resets = 0u64;
-        {
-            let mut client = retry::RetryClient::new(
-                retry::RetryPolicy::default(),
-                0xC0FFEE,
-                move || {
-                    let stream = TcpStream::connect(addr)?;
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-                    stream.set_write_timeout(Some(std::time::Duration::from_secs(5)))?;
-                    resets += 1;
-                    Ok(Client::from_stream(ChaosStream::new(
-                        stream,
-                        ChaosConfig {
-                            // Aggressive: every op rolls fragmentation,
-                            // 2% resets mid-frame.
-                            short_read_per_mille: 300,
-                            short_write_per_mille: 300,
-                            reset_per_mille: 20,
-                            ..ChaosConfig::quiet(resets)
+        // Four retrying clients at once, one tenant each, every
+        // connection behind the same fault mix.
+        std::thread::scope(|scope| {
+            for (i, tenant) in TENANTS.into_iter().enumerate() {
+                scope.spawn(move || {
+                    let mut resets = 0u64;
+                    let mut client = retry::RetryClient::new(
+                        retry::RetryPolicy::default(),
+                        0xC0FFEE + i as u64,
+                        move || {
+                            let stream = TcpStream::connect(addr)?;
+                            stream.set_nodelay(true)?;
+                            stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
+                            stream.set_write_timeout(Some(std::time::Duration::from_secs(5)))?;
+                            resets += 1;
+                            Ok(Client::from_stream(ChaosStream::new(
+                                stream,
+                                ChaosConfig {
+                                    // Aggressive: every op rolls fragmentation,
+                                    // 2% resets mid-frame.
+                                    short_read_per_mille: 300,
+                                    short_write_per_mille: 300,
+                                    reset_per_mille: 20,
+                                    ..ChaosConfig::quiet(resets)
+                                },
+                            )))
                         },
-                    )))
-                },
-            );
-            for step in 0..16u32 {
-                let data = payload(2048, step as u8);
-                let resp = client.put("acme", step, "var", 8, &data).unwrap();
-                assert_eq!(resp.status, Status::Ok);
-                let resp = client.get("acme", step, "var").unwrap();
-                assert_eq!(resp.status, Status::Ok);
-                assert_eq!(resp.payload, data, "bit-exact at step {step}");
+                    );
+                    for step in 0..16u32 {
+                        let data = payload(2048, step as u8 + 16 * i as u8);
+                        let resp = client.put(tenant, step, "var", 8, &data).unwrap();
+                        assert_eq!(resp.status, Status::Ok);
+                        let resp = client.get(tenant, step, "var").unwrap();
+                        assert_eq!(resp.status, Status::Ok);
+                        assert_eq!(resp.payload, data, "{tenant}: bit-exact at step {step}");
+                    }
+                    assert!(client.stats.attempts >= 32);
+                });
             }
-            assert!(client.stats.attempts >= 32);
-        }
+        });
         server.shutdown();
         let report = server.join().unwrap();
         // Every logical op succeeded exactly once from the client's
         // view; the daemon may have seen more puts from ambiguous
         // retries (idempotent re-puts), never fewer.
-        assert!(report.puts >= 16, "{report:?}");
-        assert!(report.gets >= 16, "{report:?}");
+        assert!(report.puts >= 64, "{report:?}");
+        assert!(report.gets >= 64, "{report:?}");
         let reader = isobar_store::StoreReader::open(&dir).unwrap();
-        for step in 0..16u32 {
-            assert_eq!(
-                reader.get(step, &daemon::store_key("acme", "var")).unwrap(),
-                payload(2048, step as u8)
-            );
+        for (i, tenant) in TENANTS.into_iter().enumerate() {
+            for step in 0..16u32 {
+                assert_eq!(
+                    reader.get(step, &daemon::store_key(tenant, "var")).unwrap(),
+                    payload(2048, step as u8 + 16 * i as u8)
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -47,10 +47,22 @@ pub fn segment_file_name(generation: u64, shard: u16) -> String {
     format!("g{generation:016x}-s{shard:03}.seg")
 }
 
-/// Whether `name` looks like a segment file — used by fsck to spot
-/// orphan segments no manifest references.
+/// Whether `name` is exactly what [`segment_file_name`] writes for some
+/// generation and shard. Manifest decode rejects every other name, so
+/// a manifest can never steer the reader to a path outside the store
+/// directory; fsck and the orphan sweep use it to spot segments no
+/// manifest references.
 pub fn is_segment_file_name(name: &str) -> bool {
-    name.starts_with('g') && name.ends_with(".seg")
+    name.strip_prefix('g')
+        .and_then(|rest| rest.strip_suffix(".seg"))
+        .and_then(|rest| rest.split_once("-s"))
+        .and_then(|(generation, shard)| {
+            Some((
+                u64::from_str_radix(generation, 16).ok()?,
+                shard.parse::<u16>().ok()?,
+            ))
+        })
+        .is_some_and(|(generation, shard)| segment_file_name(generation, shard) == name)
 }
 
 /// Serialize the record header that precedes each embedded container:
@@ -204,6 +216,26 @@ mod tests {
             IndexEntry::read(&buf),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn only_names_the_writer_produces_are_segment_names() {
+        for (generation, shard) in [(0, 0), (7, 12), (u64::MAX, u16::MAX)] {
+            assert!(is_segment_file_name(&segment_file_name(generation, shard)));
+        }
+        for name in [
+            "g/../../x.seg",
+            "../g0000000000000000-s000.seg",
+            "g0000000000000000-s000.seg.wip",
+            "g00000000000000AB-s000.seg",
+            "g+000000000000000-s000.seg",
+            "g0000000000000000-s0.seg",
+            "g0000000000000000-s+00.seg",
+            "g0000000000000000-s65536.seg",
+            "g.seg",
+        ] {
+            assert!(!is_segment_file_name(name), "{name}");
+        }
     }
 
     #[test]

@@ -38,9 +38,9 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    IndexEntry, CHECKSUM_SEED, MANIFEST_HEADER_LEN, MANIFEST_MAGIC, MANIFEST_TRAILER_LEN,
-    MANIFEST_TRAILER_MAGIC, MIN_ENTRY_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_TRAILER_LEN,
-    SEGMENT_TRAILER_MAGIC, V3_VERSION,
+    is_segment_file_name, IndexEntry, CHECKSUM_SEED, MANIFEST_HEADER_LEN, MANIFEST_MAGIC,
+    MANIFEST_TRAILER_LEN, MANIFEST_TRAILER_MAGIC, MIN_ENTRY_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+    SEGMENT_TRAILER_LEN, SEGMENT_TRAILER_MAGIC, V3_VERSION,
 };
 use isobar_codecs::xxhash::xxh64;
 
@@ -169,8 +169,13 @@ impl Manifest {
                 .get(pos..pos + name_len)
                 .ok_or(StoreError::Corrupt("manifest truncated"))?;
             let file_name = std::str::from_utf8(name)
-                .map_err(|_| StoreError::Corrupt("segment file name is not UTF-8"))?
-                .to_string();
+                .map_err(|_| StoreError::Corrupt("segment file name is not UTF-8"))?;
+            if !is_segment_file_name(file_name) {
+                return Err(StoreError::Corrupt(
+                    "manifest names a file that is not a segment",
+                ));
+            }
+            let file_name = file_name.to_string();
             pos += name_len;
             let tail = body
                 .get(pos..pos + 12)

@@ -266,6 +266,16 @@ fn entry_naming_an_unknown_segment() {
 }
 
 #[test]
+fn manifest_naming_a_path_outside_the_store() {
+    // A correctly checksummed manifest whose segment row is a relative
+    // path: decode must refuse it before the reader joins and opens it.
+    let dir = specimen("escape", |files| {
+        edit_manifest(files, |m| m.segments[0].file_name = "../escape.seg".into());
+    });
+    assert_corrupt(&dir, "manifest names a file that is not a segment");
+}
+
+#[test]
 fn entry_range_outside_its_segment() {
     let dir = specimen("entry-range", |files| {
         edit_manifest(files, |m| {

@@ -117,8 +117,6 @@ pub enum Counter {
     StoreContainerBytes,
     /// Raw (uncompressed) bytes handed to a store.
     StoreRawBytes,
-    /// Store index + trailer bytes written at close.
-    StoreIndexBytes,
     /// Batch containers rejected as corrupt during decode.
     ContainerCorruptRejected,
     /// Streams rejected as corrupt by the streaming reader.
@@ -178,7 +176,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array size).
-    pub const COUNT: usize = 46;
+    pub const COUNT: usize = 45;
 
     /// Every counter, in stable JSON order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -205,7 +203,6 @@ impl Counter {
         Counter::StorePuts,
         Counter::StoreContainerBytes,
         Counter::StoreRawBytes,
-        Counter::StoreIndexBytes,
         Counter::ContainerCorruptRejected,
         Counter::StreamCorruptRejected,
         Counter::StoreCorruptRejected,
@@ -256,7 +253,6 @@ impl Counter {
             Counter::StorePuts => "store_puts",
             Counter::StoreContainerBytes => "store_container_bytes",
             Counter::StoreRawBytes => "store_raw_bytes",
-            Counter::StoreIndexBytes => "store_index_bytes",
             Counter::ContainerCorruptRejected => "container_corrupt_rejected",
             Counter::StreamCorruptRejected => "stream_corrupt_rejected",
             Counter::StoreCorruptRejected => "store_corrupt_rejected",

@@ -101,8 +101,6 @@ pub enum TraceTag {
     StreamChunkWrite,
     /// Streaming reader: one chunk frame parsed and decoded.
     StreamChunkRead,
-    /// Checkpoint store: one variable compressed and appended.
-    StorePut,
     /// Checkpoint store: one variable read and decompressed.
     StoreGet,
     /// Sharded store: codec-thread compression of one variable (the
@@ -150,7 +148,7 @@ pub enum TraceTag {
 
 impl TraceTag {
     /// Number of tags.
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 33;
 
     /// Stable snake_case name, used as the Chrome trace event name.
     pub fn name(self) -> &'static str {
@@ -170,7 +168,6 @@ impl TraceTag {
             TraceTag::ContainerRead => "container_read",
             TraceTag::StreamChunkWrite => "stream_chunk_write",
             TraceTag::StreamChunkRead => "stream_chunk_read",
-            TraceTag::StorePut => "store_put",
             TraceTag::StoreGet => "store_get",
             TraceTag::StoreShardCompress => "store_shard_compress",
             TraceTag::StoreShardAppend => "store_shard_append",
