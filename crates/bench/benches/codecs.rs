@@ -4,11 +4,16 @@
 //! and both floating-point baselines, on a representative
 //! hard-to-compress buffer (gts-like doubles). These are the numbers
 //! behind Table V's zlib/bzlib2 columns and Table X's FPC/fpzip
-//! columns.
+//! columns. The `bwt_stages` groups split the bzlib2-class solver's
+//! time on one block into its stages, on the two shapes of input the
+//! pipeline feeds it, so a regression can be read off the table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use isobar::partitioner::partition;
+use isobar::{Analyzer, Linearization};
+use isobar_codecs::bwt::{BlockStages, Bzip2Like};
 use isobar_codecs::lz77::{Matcher, MatcherScratch};
-use isobar_codecs::{bwt::Bzip2Like, deflate::Deflate, Codec, CompressionLevel};
+use isobar_codecs::{deflate::Deflate, Codec, CompressionLevel};
 use isobar_datasets::catalog;
 use isobar_float_codecs::{Dims, Fpc, FpzipLike};
 
@@ -36,6 +41,41 @@ fn bench_general_codecs(c: &mut Criterion) {
         );
     }
     group.finish();
+}
+
+/// One `Default`-level block of each solver input the benchmark's
+/// `ratio_*` workloads produce: the compressible columns of a
+/// `gts_chkp_zion` chunk (two of eight, row-linearised — every second
+/// byte is the slowly varying exponent) and a raw `msg_sppm` chunk
+/// (not improvable, so the solver gets all of it).
+fn bench_bwt_stages(c: &mut Criterion) {
+    let chunk = |name: &str| {
+        catalog::spec(name)
+            .expect("catalog entry")
+            .generate(ELEMENTS, 7)
+            .bytes
+    };
+    let gts = chunk("gts_chkp_zion");
+    let selection = Analyzer::default().analyze(&gts, 8).expect("aligned");
+    let gts = partition(&gts, 8, &selection, Linearization::Row).compressible;
+    let block_len = Bzip2Like::default().block_size();
+    for (name, input) in [
+        ("gts_chkp_zion_partitioned", gts),
+        ("msg_sppm", chunk("msg_sppm")),
+    ] {
+        let block = &input[..block_len];
+        let mut stages = BlockStages::new(block);
+        let mut group = c.benchmark_group(format!("bwt_stages/{name}"));
+        group.throughput(Throughput::Bytes(block.len() as u64));
+        group.sample_size(10);
+        group.bench_function("suffix_array", |b| b.iter(|| stages.suffix_array()));
+        group.bench_function("mtf_zero_run", |b| b.iter(|| stages.mtf_zero_run()));
+        group.bench_function("build_tables", |b| b.iter(|| stages.build_tables()));
+        group.bench_function("huffman_emit", |b| b.iter(|| stages.huffman_emit()));
+        group.bench_function("huffman_decode", |b| b.iter(|| stages.huffman_decode()));
+        group.bench_function("inverse_bwt", |b| b.iter(|| stages.inverse_bwt()));
+        group.finish();
+    }
 }
 
 fn bench_float_codecs(c: &mut Criterion) {
@@ -114,6 +154,7 @@ fn bench_matcher(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_general_codecs,
+    bench_bwt_stages,
     bench_float_codecs,
     bench_matcher
 );

@@ -208,7 +208,10 @@ impl<'a> LsbBitReader<'a> {
 #[derive(Debug, Default)]
 pub struct MsbBitWriter {
     out: Vec<u8>,
+    /// Pending bits in the low `nbits`; anything above is already
+    /// written and ignored.
     acc: u64,
+    /// Number of pending bits (always < 32 between calls).
     nbits: u32,
 }
 
@@ -227,16 +230,21 @@ impl MsbBitWriter {
         }
     }
 
-    /// Append the low `count` bits of `bits`, most significant first.
+    /// Append the low `count` bits of `bits` (0 ≤ count ≤ 32), most
+    /// significant first. Like the LSB writer, bytes are spilled four
+    /// at a time: one call per Huffman symbol makes this the hottest
+    /// call of the bzip2-class encoder.
     #[inline]
     pub fn write_bits(&mut self, bits: u32, count: u32) {
         debug_assert!(count <= 32);
         debug_assert!(count == 32 || bits < (1u32 << count));
+        debug_assert!(self.nbits < 32);
         self.acc = (self.acc << count) | bits as u64;
         self.nbits += count;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.out.push((self.acc >> self.nbits) as u8);
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.out.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -247,12 +255,9 @@ impl MsbBitWriter {
 
     /// Flush (zero-padding the final byte) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.acc <<= pad;
-            self.out.push(self.acc as u8);
-            self.nbits = 0;
-        }
+        let bytes = (self.nbits as usize).div_ceil(8);
+        let word = (self.acc << (32 - self.nbits)) as u32;
+        self.out.extend_from_slice(&word.to_be_bytes()[..bytes]);
         self.out
     }
 }
@@ -277,21 +282,32 @@ impl<'a> MsbBitReader<'a> {
         }
     }
 
-    /// Read `count` bits (0 ≤ count ≤ 32), first stream bit becomes the
-    /// MSB of the result.
+    /// Top up the accumulator: four bytes at a time while the input
+    /// lasts, then byte by byte.
     #[inline]
-    pub fn read_bits(&mut self, count: u32) -> Result<u32, CodecError> {
-        debug_assert!(count <= 32);
-        while self.nbits < count {
-            if self.pos >= self.data.len() {
-                return Err(CodecError::UnexpectedEof);
+    fn refill(&mut self) {
+        if self.nbits <= 32 {
+            if let Some(word) = self.data.get(self.pos..self.pos + 4) {
+                let word = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+                self.acc = (self.acc << 32) | word as u64;
+                self.pos += 4;
+                self.nbits += 32;
+                return;
             }
+        }
+        while self.nbits <= 48 && self.pos < self.data.len() {
             self.acc = (self.acc << 8) | self.data[self.pos] as u64;
             self.pos += 1;
             self.nbits += 8;
         }
-        self.nbits -= count;
-        let bits = (self.acc >> self.nbits) as u32 & mask32(count);
+    }
+
+    /// Read `count` bits (0 ≤ count ≤ 32), first stream bit becomes the
+    /// MSB of the result.
+    #[inline]
+    pub fn read_bits(&mut self, count: u32) -> Result<u32, CodecError> {
+        let bits = self.peek_bits(count);
+        self.consume(count)?;
         Ok(bits)
     }
 
@@ -299,6 +315,38 @@ impl<'a> MsbBitReader<'a> {
     #[inline]
     pub fn read_bit(&mut self) -> Result<u32, CodecError> {
         self.read_bits(1)
+    }
+
+    /// Peek at the next `count` bits (≤ 32) without consuming them.
+    /// Past the end of the stream the missing bits read as zero; the
+    /// over-read surfaces when the caller `consume`s — the contract a
+    /// table-driven Huffman decoder needs, since its fixed window may
+    /// straddle the stream's last code.
+    #[inline]
+    pub fn peek_bits(&mut self, count: u32) -> u32 {
+        debug_assert!(count <= 32);
+        if self.nbits < count {
+            self.refill();
+        }
+        let bits = if self.nbits >= count {
+            self.acc >> (self.nbits - count)
+        } else {
+            self.acc << (count - self.nbits)
+        };
+        bits as u32 & mask32(count)
+    }
+
+    /// Consume `count` bits. Errors if the stream holds fewer.
+    #[inline]
+    pub fn consume(&mut self, count: u32) -> Result<(), CodecError> {
+        if self.nbits < count {
+            self.refill();
+            if self.nbits < count {
+                return Err(CodecError::UnexpectedEof);
+            }
+        }
+        self.nbits -= count;
+        Ok(())
     }
 
     /// Bits left in the stream (accumulator + unread bytes). Decoders

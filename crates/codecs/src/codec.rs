@@ -130,6 +130,7 @@ impl fmt::Display for CodecId {
 #[derive(Default)]
 pub struct CodecScratch {
     pub(crate) deflate: crate::deflate::encoder::DeflateScratch,
+    pub(crate) bwt: crate::bwt::BwtScratch,
 }
 
 impl CodecScratch {

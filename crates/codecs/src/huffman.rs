@@ -334,16 +334,18 @@ impl HuffmanEncoder {
 /// Canonical decoding tables (count/offset per length).
 ///
 /// Decoding walks the code one bit at a time, comparing against the
-/// first-code of each length; with ≤ 20-bit codes this stays cheap and
-/// avoids large lookup tables.
-#[derive(Debug, Clone)]
+/// first-code of each length. DEFLATE uses it for the small
+/// code-length alphabet and to validate lengths; [`MsbDecoder`] uses it
+/// for codes longer than its lookup window. [`HuffmanDecoder::rebuild`]
+/// reuses the symbol table, so rebuilding never allocates once warm.
+#[derive(Debug, Clone, Default)]
 pub struct HuffmanDecoder {
     /// `first_code[len]` — canonical value of the first code of `len` bits.
-    first_code: Vec<u32>,
+    first_code: [u32; MAX_SUPPORTED_LEN as usize + 1],
     /// `first_index[len]` — index into `symbols` of that first code.
-    first_index: Vec<u32>,
+    first_index: [u32; MAX_SUPPORTED_LEN as usize + 1],
     /// Number of codes of each length.
-    count: Vec<u32>,
+    count: [u32; MAX_SUPPORTED_LEN as usize + 1],
     /// Symbols sorted by (length, symbol).
     symbols: Vec<u16>,
     max_len: u8,
@@ -357,54 +359,54 @@ impl HuffmanDecoder {
     /// (DEFLATE permits them for distance codes); reads that fall in the
     /// gap surface as [`CodecError::Corrupt`].
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
+        let mut decoder = HuffmanDecoder::default();
+        decoder.rebuild(lengths)?;
+        Ok(decoder)
+    }
+
+    /// Replace this decoder's code with the one `lengths` describes
+    /// (same validity rules as [`HuffmanDecoder::from_lengths`]). On
+    /// error the decoder is left describing the empty code.
+    pub fn rebuild(&mut self, lengths: &[u8]) -> Result<(), CodecError> {
+        self.max_len = 0;
+        self.symbols.clear();
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         if max_len > MAX_SUPPORTED_LEN {
             return Err(CodecError::Corrupt("code length exceeds supported maximum"));
         }
-        let mut count = vec![0u32; max_len as usize + 1];
+        self.count.fill(0);
         for &len in lengths {
-            count[len as usize] += 1;
+            self.count[len as usize] += 1;
         }
-        count[0] = 0;
+        self.count[0] = 0;
 
         // Kraft check: sum of 2^(max-len) must not exceed 2^max.
-        let kraft: u64 = count
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(len, &c)| (c as u64) << (max_len as usize - len))
+        let kraft: u64 = (1..=max_len as usize)
+            .map(|len| (self.count[len] as u64) << (max_len as usize - len))
             .sum();
         if max_len > 0 && kraft > 1u64 << max_len {
             return Err(CodecError::Corrupt("over-subscribed Huffman code"));
         }
 
-        let mut first_code = vec![0u32; max_len as usize + 1];
-        let mut first_index = vec![0u32; max_len as usize + 1];
         let mut code = 0u32;
         let mut index = 0u32;
         for len in 1..=max_len as usize {
-            code = (code + count[len - 1]) << 1;
-            first_code[len] = code;
-            first_index[len] = index;
-            index += count[len];
+            code = (code + self.count[len - 1]) << 1;
+            self.first_code[len] = code;
+            self.first_index[len] = index;
+            index += self.count[len];
         }
 
-        let mut symbols = vec![0u16; index as usize];
-        let mut next = first_index.clone();
+        self.symbols.resize(index as usize, 0);
+        let mut next = self.first_index;
         for (sym, &len) in lengths.iter().enumerate() {
             if len > 0 {
-                symbols[next[len as usize] as usize] = sym as u16;
+                self.symbols[next[len as usize] as usize] = sym as u16;
                 next[len as usize] += 1;
             }
         }
-
-        Ok(HuffmanDecoder {
-            first_code,
-            first_index,
-            count,
-            symbols,
-            max_len,
-        })
+        self.max_len = max_len;
+        Ok(())
     }
 
     #[inline]
@@ -429,14 +431,81 @@ impl HuffmanDecoder {
         }
         Err(CodecError::Corrupt("invalid Huffman code"))
     }
+}
 
-    /// Decode one symbol from an MSB-first (bzip2) stream.
+/// Bits resolved by one probe of [`MsbDecoder`]'s lookup table.
+pub const MSB_ROOT_BITS: u32 = 10;
+
+/// Table-driven canonical Huffman decoder for MSB-first (bzip2-class)
+/// streams. The next [`MSB_ROOT_BITS`] bits index a table that resolves
+/// every code up to that length in one probe; the few longer codes (up
+/// to [`MAX_SUPPORTED_LEN`]; the solver stops at 20) fall back to the
+/// canonical first-code comparison, one length at a time.
+///
+/// Meant to be kept and rebuilt per table per block:
+/// [`MsbDecoder::rebuild`] reuses both tables.
+#[derive(Debug, Clone, Default)]
+pub struct MsbDecoder {
+    canonical: HuffmanDecoder,
+    /// `symbol << 5 | length` for each window whose leading bits are a
+    /// code of at most `MSB_ROOT_BITS`; 0 where the code is longer or
+    /// the window falls in an incomplete code's gap.
+    root: Vec<u16>,
+}
+
+impl MsbDecoder {
+    /// Build a decoder from per-symbol code lengths; validity rules as
+    /// for [`HuffmanDecoder::from_lengths`].
+    pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
+        let mut decoder = MsbDecoder::default();
+        decoder.rebuild(lengths)?;
+        Ok(decoder)
+    }
+
+    /// Replace this decoder's code with the one `lengths` describes.
+    pub fn rebuild(&mut self, lengths: &[u8]) -> Result<(), CodecError> {
+        assert!(lengths.len() <= 1 << 11, "symbols must fit 11 bits");
+        self.root.clear();
+        self.root.resize(1 << MSB_ROOT_BITS, 0);
+        self.canonical.rebuild(lengths)?;
+        let canonical = &self.canonical;
+        // Canonical codes ascend in (length, symbol) order, which is
+        // the order of `symbols`: the root table fills front to back.
+        let mut slot = 0usize;
+        for len in 1..=(canonical.max_len as usize).min(MSB_ROOT_BITS as usize) {
+            let first = canonical.first_index[len] as usize;
+            let span = 1usize << (MSB_ROOT_BITS as usize - len);
+            for &sym in &canonical.symbols[first..first + canonical.count[len] as usize] {
+                self.root[slot..slot + span].fill(sym << 5 | len as u16);
+                slot += span;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode one symbol. A window that matches no code is
+    /// [`CodecError::Corrupt`]; a code that runs past the end of the
+    /// stream is [`CodecError::UnexpectedEof`].
     #[inline]
-    pub fn decode_msb(&self, r: &mut MsbBitReader<'_>) -> Result<u16, CodecError> {
-        let mut code = 0u32;
-        for len in 1..=self.max_len as usize {
-            code = (code << 1) | r.read_bit()?;
-            if let Some(sym) = self.lookup(code, len) {
+    pub fn decode(&self, r: &mut MsbBitReader<'_>) -> Result<u16, CodecError> {
+        let entry = self.root[r.peek_bits(MSB_ROOT_BITS) as usize];
+        if entry != 0 {
+            r.consume((entry & 31) as u32)?;
+            return Ok(entry >> 5);
+        }
+        self.decode_long(r)
+    }
+
+    #[cold]
+    fn decode_long(&self, r: &mut MsbBitReader<'_>) -> Result<u16, CodecError> {
+        let max_len = self.canonical.max_len as u32;
+        let window = r.peek_bits(max_len);
+        for len in MSB_ROOT_BITS + 1..=max_len {
+            if let Some(sym) = self
+                .canonical
+                .lookup(window >> (max_len - len), len as usize)
+            {
+                r.consume(len)?;
                 return Ok(sym);
             }
         }
@@ -693,6 +762,7 @@ mod tests {
         let freqs: Vec<u64> = (0..64u64).map(|i| 1 + (i * 37) % 101).collect();
         let enc = HuffmanEncoder::from_freqs(&freqs, 15);
         let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
+        let msb = MsbDecoder::from_lengths(enc.lengths()).unwrap();
 
         let message: Vec<usize> = (0..4096).map(|i| (i * 17 + i / 7) % 64).collect();
 
@@ -709,8 +779,66 @@ mod tests {
         let mut mr = MsbBitReader::new(&mbytes);
         for &sym in &message {
             assert_eq!(dec.decode_lsb(&mut lr).unwrap() as usize, sym);
-            assert_eq!(dec.decode_msb(&mut mr).unwrap() as usize, sym);
+            assert_eq!(msb.decode(&mut mr).unwrap() as usize, sym);
         }
+    }
+
+    #[test]
+    fn msb_decoder_resolves_codes_on_both_sides_of_the_root_window() {
+        // The solver's alphabet and length limit, skewed until codes
+        // reach well past the 10-bit window.
+        let freqs: Vec<u64> = (0..258u64).map(|i| 1 + (1 << (i % 20))).collect();
+        let enc = HuffmanEncoder::from_freqs(&freqs, 20);
+        assert!(enc.lengths().iter().any(|&l| l > 15));
+        assert!(enc.lengths().iter().any(|&l| (1..=10).contains(&l)));
+        // One kept decoder, rebuilt over a different code first.
+        let mut dec = MsbDecoder::from_lengths(&[1, 1]).unwrap();
+        dec.rebuild(enc.lengths()).unwrap();
+
+        let message: Vec<usize> = (0..20_000).map(|i| (i * 131 + i / 3) % 258).collect();
+        let mut w = MsbBitWriter::new();
+        for &sym in &message {
+            enc.write_msb(&mut w, sym);
+        }
+        let bytes = w.finish();
+        let mut r = MsbBitReader::new(&bytes);
+        for &sym in &message {
+            assert_eq!(dec.decode(&mut r).unwrap() as usize, sym);
+        }
+    }
+
+    #[test]
+    fn msb_decoder_rejects_truncation_gaps_and_bad_lengths() {
+        let enc = HuffmanEncoder::from_freqs(&[5u64, 3, 2, 1, 1], 20);
+        let dec = MsbDecoder::from_lengths(enc.lengths()).unwrap();
+        assert!(dec.decode(&mut MsbBitReader::new(&[])).is_err());
+
+        // A 12-bit code cut after its first byte: the zero-filled
+        // window may match, the consume must not.
+        let mut lengths = vec![1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12];
+        let dec = MsbDecoder::from_lengths(&lengths).unwrap();
+        assert_eq!(
+            dec.decode(&mut MsbBitReader::new(&[0xFF])),
+            Err(CodecError::UnexpectedEof)
+        );
+        assert_eq!(dec.decode(&mut MsbBitReader::new(&[0xFF, 0xF0])), Ok(12));
+
+        // Incomplete code: a single 2-bit code leaves gaps.
+        let dec = MsbDecoder::from_lengths(&[2]).unwrap();
+        assert_eq!(
+            dec.decode(&mut MsbBitReader::new(&[0xC0])),
+            Err(CodecError::Corrupt("invalid Huffman code"))
+        );
+        // ...also beyond the root window.
+        let dec = MsbDecoder::from_lengths(&[12]).unwrap();
+        assert!(dec.decode(&mut MsbBitReader::new(&[0xFF, 0xFF])).is_err());
+        assert_eq!(dec.decode(&mut MsbBitReader::new(&[0x00, 0x00])), Ok(0));
+
+        lengths[0] = 1;
+        lengths[1] = 1;
+        lengths[2] = 1;
+        assert!(MsbDecoder::from_lengths(&lengths).is_err());
+        assert!(MsbDecoder::from_lengths(&[25]).is_err());
     }
 
     #[test]
@@ -806,7 +934,7 @@ mod tests {
     fn single_symbol_alphabet_round_trips() {
         let enc = HuffmanEncoder::from_freqs(&[0, 42, 0], 15);
         assert_eq!(enc.len(1), 1);
-        let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
+        let dec = MsbDecoder::from_lengths(enc.lengths()).unwrap();
         let mut w = MsbBitWriter::new();
         for _ in 0..17 {
             enc.write_msb(&mut w, 1);
@@ -814,7 +942,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = MsbBitReader::new(&bytes);
         for _ in 0..17 {
-            assert_eq!(dec.decode_msb(&mut r).unwrap(), 1);
+            assert_eq!(dec.decode(&mut r).unwrap(), 1);
         }
     }
 }

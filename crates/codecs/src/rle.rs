@@ -19,51 +19,95 @@ const RLE1_MAX: usize = RLE1_RUN + 255;
 
 /// RLE1: collapse runs of ≥ 4 identical bytes into `bbbb` + count.
 pub fn rle1_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + data.len() / 128 + 8);
-    let mut i = 0usize;
+    let mut out = Vec::new();
+    rle1_encode_into(data, &mut out);
+    out
+}
+
+/// `data` starts with [`RLE1_RUN`] identical bytes.
+#[inline]
+fn starts_with_run(data: &[u8]) -> bool {
+    matches!(data, [a, b, c, d, ..] if a == b && b == c && c == d)
+}
+
+/// [`rle1_encode`] replacing the contents of a caller-owned buffer.
+pub fn rle1_encode_into(data: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(data.len() + data.len() / 4 + 1);
+    // Everything up to and including a run's first four bytes is
+    // copied as one stretch; only the run's tail becomes a count.
+    let (mut copied, mut i) = (0usize, 0usize);
     while i < data.len() {
+        if !starts_with_run(&data[i..]) {
+            i += 1;
+            continue;
+        }
         let byte = data[i];
-        let mut run = 1usize;
-        while run < RLE1_MAX && i + run < data.len() && data[i + run] == byte {
+        let mut run = RLE1_RUN;
+        while run < RLE1_MAX && data.get(i + run) == Some(&byte) {
             run += 1;
         }
-        if run >= RLE1_RUN {
-            out.extend(std::iter::repeat_n(byte, RLE1_RUN));
-            out.push((run - RLE1_RUN) as u8);
-        } else {
-            out.extend(std::iter::repeat_n(byte, run));
-        }
+        out.extend_from_slice(&data[copied..i + RLE1_RUN]);
+        out.push((run - RLE1_RUN) as u8);
         i += run;
+        copied = i;
+    }
+    out.extend_from_slice(&data[copied..]);
+}
+
+/// Inverse of [`rle1_encode`]. Total: every byte string decodes, and a
+/// stream that ends where a count byte is due decodes as if the count
+/// were 0.
+pub fn rle1_decode(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() * 2);
+    if rle1_decode_into(data, &mut out, usize::MAX).is_err() {
+        // Without a bound the only failure is the missing count byte.
+        let padded = [data, &[0]].concat();
+        rle1_decode_into(&padded, &mut out, usize::MAX).expect("count byte supplied");
     }
     out
 }
 
-/// Inverse of [`rle1_encode`].
-pub fn rle1_decode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 2);
-    let mut i = 0usize;
-    let mut run = 0usize;
-    let mut prev: Option<u8> = None;
+/// Strict, bounded RLE1 decode appended to `out`: the form the codec
+/// uses on untrusted blocks. Fails — leaving `out` at its original
+/// length — if the stream ends where a count byte is due, or if it
+/// would expand to more than `max_len` bytes (five input bytes can
+/// demand 259 of output, so the bound must not be left to the input).
+pub fn rle1_decode_into(
+    data: &[u8],
+    out: &mut Vec<u8>,
+    max_len: usize,
+) -> Result<(), crate::codec::CodecError> {
+    use crate::codec::CodecError::Corrupt;
+    let start = out.len();
+    let fail = |out: &mut Vec<u8>, what| {
+        out.truncate(start);
+        Err(Corrupt(what))
+    };
+    let overflow = "RLE1 expansion exceeds block maximum";
+    let (mut copied, mut i) = (0usize, 0usize);
     while i < data.len() {
-        let byte = data[i];
-        i += 1;
-        if prev == Some(byte) {
-            run += 1;
-        } else {
-            run = 1;
-            prev = Some(byte);
-        }
-        out.push(byte);
-        if run == RLE1_RUN {
-            // Next byte is the extension count.
-            let extra = data.get(i).copied().unwrap_or(0) as usize;
+        if !starts_with_run(&data[i..]) {
             i += 1;
-            out.extend(std::iter::repeat_n(byte, extra));
-            run = 0;
-            prev = None;
+            continue;
         }
+        let Some(&extra) = data.get(i + RLE1_RUN) else {
+            return fail(out, "RLE1 stream ends before a run's count byte");
+        };
+        let stretch = &data[copied..i + RLE1_RUN];
+        if stretch.len() + extra as usize > max_len - (out.len() - start) {
+            return fail(out, overflow);
+        }
+        out.extend_from_slice(stretch);
+        out.extend(std::iter::repeat_n(data[i], extra as usize));
+        i += RLE1_RUN + 1;
+        copied = i;
     }
-    out
+    if data.len() - copied > max_len - (out.len() - start) {
+        return fail(out, overflow);
+    }
+    out.extend_from_slice(&data[copied..]);
+    Ok(())
 }
 
 /// RLE2 symbol: RUNA (contributes `2^k`) in bijective base-2 runs.
@@ -91,7 +135,7 @@ pub fn zrle_encode(ranks: &[u16]) -> Vec<u16> {
     out
 }
 
-fn flush_zero_run(out: &mut Vec<u16>, run: &mut u64) {
+pub(crate) fn flush_zero_run(out: &mut Vec<u16>, run: &mut u64) {
     // Bijective base 2: n = Σ dᵢ·2^i with dᵢ ∈ {1, 2};
     // digit 1 → RUNA, digit 2 → RUNB, least significant first.
     let mut n = *run;
@@ -201,6 +245,27 @@ mod tests {
             data.extend(std::iter::repeat_n(i, 1 + (i as usize * 13) % 40));
         }
         rle1_round_trip(&data);
+    }
+
+    #[test]
+    fn rle1_strict_decode_bounds_its_output_and_wants_every_count_byte() {
+        use crate::codec::CodecError::Corrupt;
+        let mut out = b"kept".to_vec();
+        // 5 bytes → 259; the bound counts only what this call appends.
+        assert!(rle1_decode_into(&[7, 7, 7, 7, 255], &mut out, 259).is_ok());
+        assert_eq!(out.len(), 4 + 259);
+        out.truncate(4);
+        assert_eq!(
+            rle1_decode_into(&[1, 2, 7, 7, 7, 7, 255], &mut out, 260),
+            Err(Corrupt("RLE1 expansion exceeds block maximum"))
+        );
+        assert_eq!(
+            rle1_decode_into(&[1, 2, 7, 7, 7, 7], &mut out, 260),
+            Err(Corrupt("RLE1 stream ends before a run's count byte"))
+        );
+        assert_eq!(out, b"kept", "a failed decode appends nothing");
+        // The total form reads the missing count as 0.
+        assert_eq!(rle1_decode(&[1, 2, 7, 7, 7, 7]), [1, 2, 7, 7, 7, 7]);
     }
 
     fn zrle_round_trip(ranks: &[u16]) {

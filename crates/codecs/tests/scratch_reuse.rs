@@ -68,6 +68,45 @@ proptest! {
     }
 }
 
+/// A decode that fails part-way leaves its compartment in whatever
+/// state it reached — half-built Huffman tables, a partly loaded BWT
+/// column, a torn window. The next decode through the same scratch
+/// must neither inherit that state nor be rejected because of it, and
+/// the corrupt stream's verdict must not depend on what ran before.
+#[test]
+fn a_failed_decode_does_not_poison_the_scratch() {
+    let valid_inputs = [
+        b"after the failure, business as usual. ".repeat(300),
+        (0..20_000u32).map(|i| ((i * i) >> 7) as u8).collect(),
+        vec![0xFF; 259 * 8],
+    ];
+    for id in [CodecId::Deflate, CodecId::Bzip2Like] {
+        let codec = codec_for(id, CompressionLevel::Default);
+        let victim = codec.compress(&b"a stream about to be damaged ".repeat(400));
+        let mut scratch = CodecScratch::new();
+        let mut out = Vec::new();
+        // Damage at several depths, so the failure lands in different
+        // stages (header, tables, symbols, checksum).
+        for at in (8..victim.len()).step_by(victim.len() / 23 + 1) {
+            let mut corrupt = victim.clone();
+            corrupt[at] ^= 0x55;
+            let fresh = codec.decompress(&corrupt);
+            let reused = codec.decompress_into(&corrupt, &mut out, &mut scratch);
+            assert_eq!(reused.is_ok(), fresh.is_ok(), "{id}: flip at {at}");
+            if let Ok(bytes) = fresh {
+                assert_eq!(out, bytes, "{id}: flip at {at}");
+            }
+            for data in &valid_inputs {
+                let packed = codec.compress(data);
+                codec
+                    .decompress_into(&packed, &mut out, &mut scratch)
+                    .unwrap_or_else(|e| panic!("{id}: valid stream after flip at {at}: {e}"));
+                assert_eq!(&out, data, "{id}: after flip at {at}");
+            }
+        }
+    }
+}
+
 /// Deterministic smoke check: one scratch across every codec and level,
 /// interleaved, with outputs compared to fresh compress calls. This
 /// covers the cross-codec sharing (one `CodecScratch` serves both

@@ -22,6 +22,7 @@
 use crate::alloc_track;
 use crate::mutate::mutate;
 use crate::rng::Rng;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use isobar::{CodecId, IsobarCompressor, IsobarOptions, IsobarReader, IsobarWriter};
@@ -29,7 +30,7 @@ use isobar_codecs::bwt::{bwt_forward, bwt_inverse};
 use isobar_codecs::deflate::{deflate_raw, inflate_raw};
 use isobar_codecs::pfor::{pfor_compress_bytes, pfor_decompress_bytes};
 use isobar_codecs::rle::{rle1_decode, rle1_encode};
-use isobar_codecs::{codec_for, CompressionLevel};
+use isobar_codecs::{codec_for, CodecScratch, CompressionLevel};
 use isobar_float_codecs::{Dims, Fpc, FpzipLike};
 use isobar_server::protocol::{encode_request, read_response, FrameError, Request};
 use isobar_server::{serve, Client, Opcode, ServeOptions, Status};
@@ -433,25 +434,42 @@ fn store_layer() -> Layer {
 fn codec_layer(name: &'static str, id: CodecId) -> Layer {
     let mut rng = Rng::new(fnv1a(name));
     let mut pool = Vec::new();
-    for (level, data) in [
-        (CompressionLevel::Fast, text(8000)),
-        (CompressionLevel::Default, noise(4096, &mut rng)),
-        (CompressionLevel::Best, smooth_f64(512)),
-        (CompressionLevel::Default, vec![0u8; 4096]),
-    ] {
-        let codec = codec_for(id, level);
+    let mut add = |level, data: Vec<u8>| {
         pool.push(Artifact {
-            bytes: codec.compress(&data),
+            bytes: codec_for(id, level).compress(&data),
             original: data,
-        });
+        })
+    };
+    add(CompressionLevel::Fast, text(8000));
+    add(CompressionLevel::Default, noise(4096, &mut rng));
+    add(CompressionLevel::Best, smooth_f64(512));
+    add(CompressionLevel::Default, vec![0u8; 4096]);
+    if id == CodecId::Bzip2Like {
+        // A full `Best` block whose RLE1 stream is nothing but 0xFF
+        // (every 5 bytes decode to 259): valid, and one mutated length
+        // field away from the expansion the decoder must bound.
+        add(CompressionLevel::Best, vec![0xFF; 259 * 3558]);
     }
     let codec = codec_for(id, CompressionLevel::Default);
+    // Every mutation is also decoded through one scratch that lives as
+    // long as the layer, so state a rejected stream left behind cannot
+    // turn a later rejection into an acceptance (or the reverse).
+    let long_lived = RefCell::new((CodecScratch::new(), Vec::new()));
     Layer {
         name,
         pool,
         alloc_scale: ALLOC_SCALE,
-        decode: Box::new(
-            move |artifact, bytes, pristine| match codec.decompress(bytes) {
+        decode: Box::new(move |artifact, bytes, pristine| {
+            let fresh = codec.decompress(bytes);
+            let (scratch, out) = &mut *long_lived.borrow_mut();
+            let reused = codec
+                .decompress_into(bytes, out, scratch)
+                .ok()
+                .map(|()| &*out);
+            if reused != fresh.as_ref().ok() {
+                return Err("long-lived scratch changed the decode result".into());
+            }
+            match fresh {
                 Ok(out) => {
                     if pristine && out != artifact.original {
                         return Err("pristine codec round-trip mismatch".into());
@@ -460,8 +478,8 @@ fn codec_layer(name: &'static str, id: CodecId) -> Layer {
                 }
                 Err(_) if pristine => Err("pristine codec stream rejected".into()),
                 Err(_) => Ok(false),
-            },
-        ),
+            }
+        }),
     }
 }
 

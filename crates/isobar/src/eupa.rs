@@ -9,7 +9,8 @@
 //! optionally with a minimum-ratio floor.
 
 use crate::analyzer::ColumnSelection;
-use crate::partitioner::partition;
+use crate::partitioner::partition_into;
+use crate::pipeline::PipelineScratch;
 use isobar_codecs::{codec_for, CodecId, CompressionLevel};
 use isobar_linearize::Linearization;
 use isobar_telemetry::{Counter, Recorder, Stage, StageTimer};
@@ -99,20 +100,19 @@ impl EupaSelector {
     /// compression of 4 combinations costs at most ~25% of one real
     /// pass even on small inputs; tiny inputs still sample at least a
     /// statistics-worthy block.
-    fn sample(&self, data: &[u8], width: usize) -> Vec<u8> {
+    fn sample_into(&self, data: &[u8], width: usize, out: &mut Vec<u8>) {
+        out.clear();
         let n = data.len() / width;
         let budget = (n / (16 * self.sample_blocks.max(1))).max(512);
         let per_block = self.sample_elements.min(budget).min(n);
         if n == 0 || per_block == 0 {
-            return Vec::new();
+            return;
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out = Vec::with_capacity(self.sample_blocks * per_block * width);
         for _ in 0..self.sample_blocks {
             let start = rng.gen_range(0..=n - per_block);
             out.extend_from_slice(&data[start * width..(start + per_block) * width]);
         }
-        out
     }
 
     /// Evaluate all combinations on the sample and decide.
@@ -149,23 +149,41 @@ impl EupaSelector {
         selection: &ColumnSelection,
         preference: Preference,
     ) -> EupaDecision {
-        self.select_recorded(data, width, selection, preference, &mut Recorder::new())
+        self.select_recorded(
+            data,
+            width,
+            selection,
+            preference,
+            &mut PipelineScratch::new(),
+            &mut Recorder::new(),
+        )
     }
 
-    /// [`EupaSelector::select`], additionally recording each trial
-    /// compression (combination, wall time) and the final decision.
+    /// [`EupaSelector::select`] on the caller's working memory — the
+    /// trials partition and compress through the same scratch the
+    /// chunks will, so they neither set up solver state of their own
+    /// nor leave the pipeline's cold — additionally recording each
+    /// trial compression (combination, wall time) and the decision.
     pub fn select_recorded(
         &self,
         data: &[u8],
         width: usize,
         selection: &ColumnSelection,
         preference: Preference,
+        scratch: &mut PipelineScratch,
         recorder: &mut Recorder,
     ) -> EupaDecision {
         let stage = StageTimer::start(Stage::EupaSelect);
         let select_span = trace::span(TraceTag::EupaSelect, trace::NO_CHUNK);
         recorder.incr(Counter::EupaRuns);
-        let sample = self.sample(data, width);
+        let PipelineScratch {
+            codec: codec_scratch,
+            compressible,
+            sample,
+            trial_verbatim,
+            trial_output,
+        } = scratch;
+        self.sample_into(data, width, sample);
         let mut samples = Vec::with_capacity(4);
         for (codec_idx, codec_id) in [CodecId::Deflate, CodecId::Bzip2Like]
             .into_iter()
@@ -174,12 +192,12 @@ impl EupaSelector {
             let codec = codec_for(codec_id, self.level);
             for lin in Linearization::ALL {
                 let start = Instant::now();
-                let parts = partition(&sample, width, selection, lin);
-                let compressed = codec.compress(&parts.compressible);
+                partition_into(sample, width, selection, lin, compressible, trial_verbatim);
+                codec.compress_into(compressible, trial_output, codec_scratch);
                 let elapsed = start.elapsed();
                 recorder.record_eupa_trial(codec_idx, lin as usize, elapsed.as_nanos() as u64);
                 let elapsed = elapsed.as_secs_f64();
-                let out_len = compressed.len() + parts.incompressible.len();
+                let out_len = trial_output.len() + trial_verbatim.len();
                 let ratio = if out_len == 0 {
                     1.0
                 } else {
@@ -335,6 +353,43 @@ mod tests {
         // Ratios are measured on identical samples, so identical too.
         for (x, y) in a.samples.iter().zip(&b.samples) {
             assert_eq!(x.ratio, y.ratio);
+        }
+    }
+
+    #[test]
+    fn a_warm_scratch_does_not_change_what_is_measured() {
+        // The pipeline hands EUPA the scratch its chunks use; whatever
+        // an earlier dataset left there, the sample bytes and trial
+        // outputs — hence ratios and the Ratio decision — must be
+        // those of a fresh selector.
+        let eupa = EupaSelector::default();
+        let mut scratch = PipelineScratch::new();
+        for (name, width) in [("gts_phi_l", 8), ("s3d_temp", 4), ("msg_sppm", 8)] {
+            let data = isobar_datasets::catalog::spec(name)
+                .expect("catalog entry")
+                .generate(60_000, 3)
+                .bytes;
+            let sel = Analyzer::default().analyze(&data, width).unwrap();
+            let fresh = eupa.select(&data, width, &sel, Preference::Ratio);
+            let warm = eupa.select_recorded(
+                &data,
+                width,
+                &sel,
+                Preference::Ratio,
+                &mut scratch,
+                &mut Recorder::new(),
+            );
+            assert_eq!(
+                (warm.codec, warm.linearization),
+                (fresh.codec, fresh.linearization)
+            );
+            for (w, f) in warm.samples.iter().zip(&fresh.samples) {
+                assert_eq!(
+                    w.ratio, f.ratio,
+                    "{name}: {:?} {:?}",
+                    w.codec, w.linearization
+                );
+            }
         }
     }
 

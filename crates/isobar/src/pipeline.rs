@@ -171,10 +171,16 @@ impl CompressionReport {
 /// keep one, the parallel paths create one per worker.
 #[derive(Default)]
 pub struct PipelineScratch {
-    codec: CodecScratch,
+    pub(crate) codec: CodecScratch,
     /// Partition output fed to the solver during compression, or the
     /// solver's decoded output awaiting reassembly during decompression.
-    compressible: Vec<u8>,
+    pub(crate) compressible: Vec<u8>,
+    /// EUPA's sample of the input.
+    pub(crate) sample: Vec<u8>,
+    /// An EUPA trial's verbatim stream and solver output; only their
+    /// lengths are used.
+    pub(crate) trial_verbatim: Vec<u8>,
+    pub(crate) trial_output: Vec<u8>,
 }
 
 impl PipelineScratch {
@@ -332,8 +338,14 @@ impl IsobarCompressor {
                     };
                     let mut eupa = opts.eupa;
                     eupa.level = opts.level;
-                    let decision =
-                        eupa.select_recorded(data, width, &eupa_sel, opts.preference, recorder);
+                    let decision = eupa.select_recorded(
+                        data,
+                        width,
+                        &eupa_sel,
+                        opts.preference,
+                        scratch,
+                        recorder,
+                    );
                     eupa_secs = t.elapsed().as_secs_f64();
                     (
                         codec_override.unwrap_or(decision.codec),

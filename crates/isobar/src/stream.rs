@@ -165,6 +165,7 @@ impl<W: Write> IsobarWriter<W> {
             self.width,
             &eupa_selection,
             self.options.preference,
+            &mut self.scratch,
             &mut self.recorder,
         );
         self.codec = Some(codec_for(decision.codec, self.options.level));
