@@ -5,8 +5,8 @@
 //! agreement with the paper's ground truth, and analyzer throughput),
 //! plus the structural counterexample where bit marginals are blind.
 
-use isobar::bit_analyzer::BitAnalyzer;
 use isobar::Analyzer;
+use isobar_bench::bit_analyzer::BitAnalyzer;
 use isobar_bench::*;
 use isobar_datasets::catalog;
 

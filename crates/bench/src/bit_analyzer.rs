@@ -5,7 +5,7 @@
 //! variance of entropy" than per-bit marginals, making identification
 //! more accurate and faster. This module implements the bit-level
 //! alternative so the claim can be tested (see the
-//! `ablation_granularity` bench):
+//! `ablation_granularity` binary, its only user):
 //!
 //! * a bit position is *predictable* when the probability of its
 //!   dominant value exceeds `0.5 + epsilon` (Fig. 1's view);
@@ -18,8 +18,7 @@
 //! one of its bits* is a marginal coin flip — bit-level analysis
 //! misclassifies it as noise, byte-level analysis does not.
 
-use crate::analyzer::ColumnSelection;
-use crate::error::IsobarError;
+use isobar::{ColumnSelection, IsobarError};
 
 /// Default dominance margin: a bit is predictable when its dominant
 /// value occurs with probability ≥ 0.5 + ε.
@@ -97,7 +96,7 @@ impl BitAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::Analyzer;
+    use isobar::Analyzer;
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;

@@ -17,6 +17,8 @@
 //!   counts *original* bytes per second; decompression throughput
 //!   (TP_D) counts *reconstructed* bytes per second.
 
+pub mod bit_analyzer;
+
 use isobar::{CompressionReport, EupaSelector, IsobarCompressor, IsobarOptions, Preference};
 use isobar_codecs::{Codec, CodecId};
 use isobar_datasets::catalog::{Dataset, DatasetSpec};

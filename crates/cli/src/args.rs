@@ -40,8 +40,9 @@ compress options:
                        pin the SIMD kernel dispatch (default: auto —
                        the best tier the CPU supports; also settable
                        via the ISOBAR_KERNELS environment variable)
-  --stream             constant-memory streaming mode (one chunk in
-                       flight; output uses the streamable framing)
+  --stream             constant-memory mode: one chunk in flight, the
+                       input is never held whole (its length then goes
+                       in the container's trailer); not with --parallel
   --stats[=table|json|prometheus]
                        print per-stage telemetry after the run
                        (default format: table)
@@ -100,9 +101,9 @@ serve options:
   --frame-deadline N   abort requests whose frame stops making
                        progress for N seconds total (default 30)
 
-fsck and salvage work on batch containers, streamed containers, and
-checkpoint stores alike (dispatched on the file's magic; a directory
-is treated as a v3 sharded store). fsck exits 0 for a clean or legacy
+info, fsck, salvage and decompress take a container in either form,
+batch or streamed; fsck and salvage also take a checkpoint store (a
+directory is treated as a v3 sharded store). fsck exits 0 for a clean
 file and 3 when it finds damage.";
 
 /// How `--stats` output should be rendered.
@@ -152,7 +153,7 @@ pub enum Command {
         width: usize,
         /// Pipeline options.
         options: CompressOptions,
-        /// Use the constant-memory streaming mode and framing.
+        /// Keep one chunk in flight instead of holding the input.
         stream: bool,
         /// Suppress the summary.
         quiet: bool,
@@ -197,16 +198,16 @@ pub enum Command {
         /// Container file.
         input: PathBuf,
     },
-    /// Walk a container, stream, or store and verify every embedded
-    /// checksum without decompressing payloads.
+    /// Walk a container or store and verify every embedded checksum
+    /// without decompressing payloads.
     Fsck {
-        /// File to check (dispatched on its magic).
+        /// Container file or store directory to check.
         input: PathBuf,
     },
     /// Recover every intact chunk or record from a damaged file into
     /// a fresh, fully valid one.
     Salvage {
-        /// Damaged source file (dispatched on its magic).
+        /// Damaged container file or store directory.
         input: PathBuf,
         /// Destination for the salvaged file.
         output: PathBuf,
@@ -480,6 +481,11 @@ fn parse_compress(it: &mut ArgIter<'_>) -> Result<Command, String> {
 
     if let Some(floor) = ratio_floor {
         options.preference = Preference::SpeedWithRatioFloor(floor);
+    }
+    if stream && options.parallel {
+        return Err(
+            "--stream keeps one chunk in flight, --parallel needs several: use one".to_string(),
+        );
     }
     let width = width.ok_or("compress requires --width")?;
     if width == 0 || width > 64 {
@@ -1146,6 +1152,19 @@ mod tests {
             Command::Compress { stream, .. } => assert!(!stream),
             other => panic!("unexpected {other:?}"),
         }
+        // One chunk in flight and many at once contradict each other:
+        // said so, not silently dropped.
+        let err = parse(&strings(&[
+            "compress",
+            "--width",
+            "8",
+            "--stream",
+            "--parallel",
+            "a",
+            "b",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--stream") && err.contains("--parallel"));
     }
 
     #[test]

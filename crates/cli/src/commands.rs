@@ -2,14 +2,14 @@
 
 use crate::args::{Command, CompressOptions, StatsFormat};
 use isobar::container::Header;
-use isobar::salvage::{ChunkHealth, FsckReport};
+use isobar::salvage::FsckReport;
 use isobar::{Analyzer, IsobarCompressor, IsobarOptions, Recorder, TelemetrySnapshot};
 use isobar_store::{EntryHealth, StoreFsckReport};
 use std::fs;
 use std::path::Path;
 
-/// Exit code `fsck` returns when it finds damage (0 = clean or
-/// legacy-unverifiable, distinct from 2 = processing error).
+/// Exit code `fsck` returns when it finds damage (0 = clean, distinct
+/// from 2 = processing error).
 pub const EXIT_DAMAGE: u8 = 3;
 
 /// Run a parsed command; returns the process exit code.
@@ -20,29 +20,14 @@ pub fn run(cmd: Command) -> Result<u8, String> {
             output,
             width,
             options,
-            stream: false,
+            stream,
             quiet,
             stats,
             trace,
             kernels,
         } => traced(trace.as_deref(), || {
             apply_kernels(kernels);
-            compress(&input, &output, width, options, quiet, stats)
-        })
-        .map(|()| 0),
-        Command::Compress {
-            input,
-            output,
-            width,
-            options,
-            stream: true,
-            quiet,
-            stats,
-            trace,
-            kernels,
-        } => traced(trace.as_deref(), || {
-            apply_kernels(kernels);
-            compress_stream(&input, &output, width, options, quiet, stats)
+            compress(&input, &output, width, options, stream, quiet, stats)
         })
         .map(|()| 0),
         Command::Decompress {
@@ -55,11 +40,7 @@ pub fn run(cmd: Command) -> Result<u8, String> {
             kernels,
         } => traced(trace.as_deref(), || {
             apply_kernels(kernels);
-            if is_stream_file(&input) {
-                decompress_stream(&input, &output, skip_corrupt, verify, stats)
-            } else {
-                decompress(&input, &output, skip_corrupt, verify, stats)
-            }
+            decompress(&input, &output, skip_corrupt, verify, stats)
         })
         .map(|()| 0),
         Command::Analyze {
@@ -217,47 +198,17 @@ fn apply_kernels(kernels: Option<isobar::KernelSelection>) {
     }
 }
 
-/// The single-file artifact kinds, told apart by their magic. (A
-/// checkpoint store is a directory and has no file magic.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
-    /// Batch container (`ISBR`).
-    Container,
-    /// Streamed framing (`ISBS`).
-    Stream,
-    /// A retired single-file (v1/v2) checkpoint store (`ISST`), which
-    /// every command refuses by name.
-    RetiredStore,
-}
-
-fn file_kind(data: &[u8]) -> Option<FileKind> {
-    match data.get(..4)? {
-        b"ISBR" => Some(FileKind::Container),
-        b"ISBS" => Some(FileKind::Stream),
-        b"ISST" => Some(FileKind::RetiredStore),
-        _ => None,
+/// The one refusal every command gives a retired single-file (v1/v2)
+/// checkpoint store (`ISST`). Any other file is a container's to name.
+fn refuse_retired_store(input: &Path, data: &[u8]) -> Result<(), String> {
+    if data.starts_with(b"ISST") {
+        return Err(format!(
+            "{}: {}",
+            input.display(),
+            isobar_store::StoreError::SingleFileUnsupported
+        ));
     }
-}
-
-/// Whether `input` opens with the streamed framing's magic. Anything
-/// else, unreadable files included, goes to the batch decompressor,
-/// which names what is wrong with it.
-fn is_stream_file(input: &Path) -> bool {
-    use std::io::Read;
-    let mut magic = [0u8; 4];
-    fs::File::open(input)
-        .and_then(|mut file| file.read_exact(&mut magic))
-        .is_ok()
-        && file_kind(&magic) == Some(FileKind::Stream)
-}
-
-/// The one refusal every command gives a retired single-file store.
-fn retired_store(input: &Path) -> String {
-    format!(
-        "{}: {}",
-        input.display(),
-        isobar_store::StoreError::SingleFileUnsupported
-    )
+    Ok(())
 }
 
 fn read(path: &Path) -> Result<Vec<u8>, String> {
@@ -314,20 +265,33 @@ fn traced(path: Option<&Path>, body: impl FnOnce() -> Result<(), String>) -> Res
     result
 }
 
+/// Compress `input` into a container. `stream` keeps one chunk in
+/// flight instead of holding the input (the length then arrives in the
+/// container's trailer); both ways run the same session and report.
 fn compress(
     input: &Path,
     output: &Path,
     width: usize,
     options: CompressOptions,
+    stream: bool,
     quiet: bool,
     stats: Option<StatsFormat>,
 ) -> Result<(), String> {
-    let data = read(input)?;
-    let isobar = IsobarCompressor::new(options_from(&options));
-    let (packed, report) = isobar
-        .compress_with_report(&data, width)
-        .map_err(|e| e.to_string())?;
-    write(output, &packed)?;
+    let options = options_from(&options);
+    let report = if stream {
+        let mut src = fs::File::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
+        let dst = fs::File::create(output).map_err(|e| format!("{}: {e}", output.display()))?;
+        let mut writer = isobar::IsobarWriter::new(std::io::BufWriter::new(dst), width, options)
+            .map_err(|e| e.to_string())?;
+        std::io::copy(&mut src, &mut writer).map_err(|e| e.to_string())?;
+        writer.finish().map_err(|e| e.to_string())?.1
+    } else {
+        let (packed, report) = IsobarCompressor::new(options)
+            .compress_with_report(&read(input)?, width)
+            .map_err(|e| e.to_string())?;
+        write(output, &packed)?;
+        report
+    };
     if let Some(format) = stats {
         print_stats(&report.telemetry, format);
     }
@@ -336,8 +300,8 @@ fn compress(
             "{} -> {}: {} -> {} bytes (CR {:.3}, {:.1} MB/s)",
             input.display(),
             output.display(),
-            data.len(),
-            packed.len(),
+            report.input_len,
+            report.output_len,
             report.ratio(),
             report.throughput_mbps(),
         );
@@ -353,6 +317,11 @@ fn compress(
     Ok(())
 }
 
+/// Restore a container of either form in constant memory.
+///
+/// `--skip-corrupt` switches to the whole-file salvage walker: resync
+/// needs to look arbitrarily far ahead for the next checksum anchor,
+/// which the constant-memory reader cannot do.
 fn decompress(
     input: &Path,
     output: &Path,
@@ -360,37 +329,54 @@ fn decompress(
     verify: bool,
     stats: Option<StatsFormat>,
 ) -> Result<(), String> {
-    let packed = read(input)?;
-    let mut recorder = Recorder::new();
-    let restored = if skip_corrupt {
+    let named = |e: &dyn std::fmt::Display| format!("{}: {e}", input.display());
+    let telemetry = if skip_corrupt {
+        let mut recorder = Recorder::new();
         let (restored, report) =
-            isobar::salvage::salvage_decompress_recorded(&packed, &mut recorder)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-        if !report.is_complete() {
+            isobar::salvage::salvage_decompress_recorded(&read(input)?, &mut recorder)
+                .map_err(|e| named(&e))?;
+        if !report.is_complete() || report.length_unverified {
             eprintln!(
-                "{}: {} chunks recovered, {} lost; {} bytes zero-filled across {} damaged regions",
+                "{}: {} chunks recovered, {} lost; {} bytes zero-filled across {} damaged regions{}",
                 input.display(),
                 report.chunks_recovered,
                 report.chunks_lost,
                 report.bytes_lost,
                 report.damage_regions,
+                unverified_note(report.length_unverified),
             );
         }
-        restored
+        write(output, &restored)?;
+        recorder.snapshot()
     } else {
-        let mut scratch = isobar::PipelineScratch::new();
-        IsobarCompressor::new(IsobarOptions {
-            verify,
-            ..Default::default()
-        })
-        .decompress_recorded(&packed, &mut scratch, &mut recorder)
-        .map_err(|e| format!("{}: {e}", input.display()))?
+        use std::io::{BufReader, BufWriter, Write};
+        let src = fs::File::open(input).map_err(|e| named(&e))?;
+        let mut reader = isobar::IsobarReader::with_verify(BufReader::new(src), verify)
+            .map_err(|e| named(&e))?;
+        let dst = fs::File::create(output).map_err(|e| format!("{}: {e}", output.display()))?;
+        let mut dst = BufWriter::with_capacity(1 << 20, dst);
+        let copied = std::io::copy(&mut reader, &mut dst).and_then(|_| dst.flush());
+        if let Err(e) = copied {
+            // A container that fails half way leaves no partial output.
+            drop(dst);
+            let _ = fs::remove_file(output);
+            return Err(named(&e));
+        }
+        reader.telemetry()
     };
-    write(output, &restored)?;
     if let Some(format) = stats {
-        print_stats(&recorder.snapshot(), format);
+        print_stats(&telemetry, format);
     }
     Ok(())
+}
+
+/// What a salvage summary appends when the declared length was gone.
+fn unverified_note(length_unverified: bool) -> &'static str {
+    if length_unverified {
+        "; declared length missing or unusable, output ends with the last recovered chunk"
+    } else {
+        ""
+    }
 }
 
 fn options_from(options: &CompressOptions) -> IsobarOptions {
@@ -404,105 +390,6 @@ fn options_from(options: &CompressOptions) -> IsobarOptions {
         parallel: options.parallel,
         ..Default::default()
     }
-}
-
-/// Constant-memory compression: one chunk in flight, streamed framing.
-fn compress_stream(
-    input: &Path,
-    output: &Path,
-    width: usize,
-    options: CompressOptions,
-    quiet: bool,
-    stats: Option<StatsFormat>,
-) -> Result<(), String> {
-    use std::io::{BufReader, BufWriter, Read, Write};
-    let src = fs::File::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
-    let dst = fs::File::create(output).map_err(|e| format!("{}: {e}", output.display()))?;
-    let mut writer = isobar::IsobarWriter::new(BufWriter::new(dst), width, options_from(&options))
-        .map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(src);
-    let mut buf = vec![0u8; 1 << 20];
-    loop {
-        let n = reader.read(&mut buf).map_err(|e| e.to_string())?;
-        if n == 0 {
-            break;
-        }
-        writer.write_all(&buf[..n]).map_err(|e| e.to_string())?;
-    }
-    let total_in = writer.bytes_written();
-    let (_, telemetry) = writer.finish_with_telemetry().map_err(|e| e.to_string())?;
-    if let Some(format) = stats {
-        print_stats(&telemetry, format);
-    }
-    if !quiet {
-        let out_len = fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-        eprintln!(
-            "{} -> {} (streamed): {} -> {} bytes (CR {:.3})",
-            input.display(),
-            output.display(),
-            total_in,
-            out_len,
-            total_in as f64 / out_len.max(1) as f64,
-        );
-    }
-    Ok(())
-}
-
-/// Constant-memory decompression of the streamed framing.
-///
-/// `--skip-corrupt` switches to the whole-file salvage walker: resync
-/// needs to look arbitrarily far ahead for the next checksum anchor,
-/// which the constant-memory reader cannot do.
-fn decompress_stream(
-    input: &Path,
-    output: &Path,
-    skip_corrupt: bool,
-    verify: bool,
-    stats: Option<StatsFormat>,
-) -> Result<(), String> {
-    use std::io::{BufReader, BufWriter, Read, Write};
-    if skip_corrupt {
-        let packed = read(input)?;
-        let mut recorder = Recorder::new();
-        let (restored, report) = isobar::salvage::salvage_stream_recorded(&packed, &mut recorder)
-            .map_err(|e| format!("{}: {e}", input.display()))?;
-        if !report.is_complete() {
-            eprintln!(
-                "{}: {} frames recovered, {} lost across {} damaged regions \
-                 (streams carry no chunk geometry, so lost frames are absent \
-                 from the output rather than zero-filled)",
-                input.display(),
-                report.chunks_recovered,
-                report.chunks_lost,
-                report.damage_regions,
-            );
-        }
-        write(output, &restored)?;
-        if let Some(format) = stats {
-            print_stats(&recorder.snapshot(), format);
-        }
-        return Ok(());
-    }
-    let src = fs::File::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
-    let dst = fs::File::create(output).map_err(|e| format!("{}: {e}", output.display()))?;
-    let mut reader = isobar::IsobarReader::with_verify(BufReader::new(src), verify)
-        .map_err(|e| format!("{}: {e}", input.display()))?;
-    let mut writer = BufWriter::new(dst);
-    let mut buf = vec![0u8; 1 << 20];
-    loop {
-        let n = reader
-            .read(&mut buf)
-            .map_err(|e| format!("{}: {e}", input.display()))?;
-        if n == 0 {
-            break;
-        }
-        writer.write_all(&buf[..n]).map_err(|e| e.to_string())?;
-    }
-    writer.flush().map_err(|e| e.to_string())?;
-    if let Some(format) = stats {
-        print_stats(&reader.telemetry(), format);
-    }
-    Ok(())
 }
 
 fn analyze(input: &Path, width: usize, tau: f64, bits: bool) -> Result<(), String> {
@@ -559,39 +446,40 @@ fn analyze(input: &Path, width: usize, tau: f64, bits: bool) -> Result<(), Strin
 
 fn info(input: &Path) -> Result<(), String> {
     let packed = read(input)?;
-    match file_kind(&packed) {
-        Some(FileKind::Container) | None => {} // fall through to Header::read
-        Some(FileKind::Stream) => {
-            println!("{}: ISOBAR stream v{}", input.display(), packed[4]);
-            println!("  element width:   {} bytes", packed[5]);
-            println!("  file size:       {} bytes", packed.len());
-            println!("  (streams carry no total length; run `isobar fsck` to walk the frames)");
-            return Ok(());
-        }
-        Some(FileKind::RetiredStore) => return Err(retired_store(input)),
-    }
-    let header = Header::read(&packed).map_err(|e| e.to_string())?;
+    refuse_retired_store(input, &packed)?;
+    let header = Header::read(&packed).map_err(|e| format!("{}: {e}", input.display()))?;
     println!("{}: ISOBAR container v{}", input.display(), header.version);
     println!("  element width:   {} bytes", header.width);
     println!("  solver:          {}", header.codec.name());
     println!("  linearization:   {}", header.linearization);
     println!("  chunk size:      {} elements", header.chunk_elements);
-    println!("  original size:   {} bytes", header.total_len);
     println!("  container size:  {} bytes", packed.len());
-    println!(
-        "  overall ratio:   {:.3}",
-        header.total_len as f64 / packed.len() as f64
-    );
-    println!("  checksum:        {:#010x} (Adler-32)", header.checksum);
+    match header.declared_end(&packed) {
+        Some(end) => {
+            let place = if header.len_in_trailer() {
+                " (streamed: from the trailer)"
+            } else {
+                ""
+            };
+            println!("  original size:   {} bytes{place}", end.total_len);
+            println!(
+                "  overall ratio:   {:.3}",
+                end.total_len as f64 / packed.len() as f64
+            );
+            println!("  checksum:        {:#010x} (Adler-32)", end.checksum);
+        }
+        None => {
+            println!("  original size:   unknown (streamed, trailer missing; run `isobar fsck`)")
+        }
+    }
     Ok(())
 }
 
-/// Walk and verify a container, stream, or store without decoding
-/// payloads. Returns the process exit code: 0 for a clean (or legacy,
-/// unverifiable) file, [`EXIT_DAMAGE`] when damage was found.
+/// Walk and verify a container or store without decoding payloads.
+/// Returns the process exit code: 0 for a clean file, [`EXIT_DAMAGE`]
+/// when damage was found.
 fn fsck(input: &Path) -> Result<u8, String> {
-    // A directory is a checkpoint store; there is no file magic to
-    // sniff.
+    // A directory is a checkpoint store; anything else is a container.
     if input.is_dir() {
         let report =
             isobar_store::fsck_store(input).map_err(|e| format!("{}: {e}", input.display()))?;
@@ -599,47 +487,19 @@ fn fsck(input: &Path) -> Result<u8, String> {
         return Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE });
     }
     let data = read(input)?;
-    match file_kind(&data) {
-        Some(FileKind::Container) => {
-            let report = isobar::salvage::fsck_container(&data)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            print_fsck_report(input, "container", &report);
-            Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE })
-        }
-        Some(FileKind::Stream) => {
-            let report = isobar::salvage::fsck_stream(&data)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            print_fsck_report(input, "stream", &report);
-            Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE })
-        }
-        Some(FileKind::RetiredStore) => Err(retired_store(input)),
-        None => Err(format!(
-            "{}: not an ISOBAR container, stream, or store (unrecognized magic)",
-            input.display()
-        )),
-    }
+    refuse_retired_store(input, &data)?;
+    let report =
+        isobar::salvage::fsck_container(&data).map_err(|e| format!("{}: {e}", input.display()))?;
+    print_fsck_report(input, &report);
+    Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE })
 }
 
-fn print_fsck_report(input: &Path, kind: &str, report: &FsckReport) {
-    println!(
-        "{}: ISOBAR {kind} v{}{}",
-        input.display(),
-        report.version,
-        if report.legacy {
-            " (legacy: records carry no checksums)"
-        } else {
-            ""
-        }
-    );
+fn print_fsck_report(input: &Path, report: &FsckReport) {
+    println!("{}: ISOBAR container v{}", input.display(), report.version);
     for chunk in &report.chunks {
         println!(
-            "  chunk @ {:>10}  {:>9} elements  {}",
-            chunk.offset,
-            chunk.elements,
-            match chunk.health {
-                ChunkHealth::Verified => "verified",
-                ChunkHealth::LegacyUnverifiable => "legacy, unverifiable",
-            }
+            "  chunk @ {:>10}  {:>9} elements  verified",
+            chunk.offset, chunk.elements
         );
     }
     for gap in &report.damage {
@@ -650,6 +510,9 @@ fn print_fsck_report(input: &Path, kind: &str, report: &FsckReport) {
     }
     if report.missing_chunks > 0 {
         println!("  {} expected chunks missing", report.missing_chunks);
+    }
+    if report.total_len.is_none() {
+        println!("  declared length missing or unusable");
     }
     println!(
         "{}: {}",
@@ -713,8 +576,8 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
     );
 }
 
-/// Recover every intact chunk, frame, or record from a damaged file
-/// into a fresh, fully valid output.
+/// Recover every intact chunk or entry from a damaged container or
+/// store into a fresh, fully valid output.
 fn salvage(input: &Path, output: &Path) -> Result<(), String> {
     if input.is_dir() {
         let report = isobar_store::salvage_store(input, output)
@@ -734,42 +597,20 @@ fn salvage(input: &Path, output: &Path) -> Result<(), String> {
         return Ok(());
     }
     let data = read(input)?;
-    match file_kind(&data) {
-        Some(FileKind::Container) => {
-            let (packed, report) = isobar::salvage::salvage_container(&data)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            write(output, &packed)?;
-            eprintln!(
-                "{} -> {}: {} chunks recovered, {} lost ({} bytes zero-filled)",
-                input.display(),
-                output.display(),
-                report.chunks_recovered,
-                report.chunks_lost,
-                report.bytes_lost,
-            );
-            Ok(())
-        }
-        Some(FileKind::Stream) => {
-            let mut recorder = Recorder::new();
-            let (restored, report) = isobar::salvage::salvage_stream_recorded(&data, &mut recorder)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            write(output, &restored)?;
-            eprintln!(
-                "{} -> {}: {} frames recovered, {} lost; output is the recovered \
-                 raw data (streams cannot be re-framed without the lost frames)",
-                input.display(),
-                output.display(),
-                report.chunks_recovered,
-                report.chunks_lost,
-            );
-            Ok(())
-        }
-        Some(FileKind::RetiredStore) => Err(retired_store(input)),
-        None => Err(format!(
-            "{}: not an ISOBAR container, stream, or store (unrecognized magic)",
-            input.display()
-        )),
-    }
+    refuse_retired_store(input, &data)?;
+    let (packed, report) = isobar::salvage::salvage_container(&data)
+        .map_err(|e| format!("{}: {e}", input.display()))?;
+    write(output, &packed)?;
+    eprintln!(
+        "{} -> {}: {} chunks recovered, {} lost ({} bytes zero-filled){}",
+        input.display(),
+        output.display(),
+        report.chunks_recovered,
+        report.chunks_lost,
+        report.bytes_lost,
+        unverified_note(report.length_unverified),
+    );
+    Ok(())
 }
 
 /// Compress one raw element array into a sharded store directory —
@@ -938,6 +779,7 @@ mod tests {
                 chunk_elements: 30_000,
                 ..Default::default()
             },
+            false,
             true,
             None,
         )
@@ -955,7 +797,16 @@ mod tests {
         let input = tmp("info-in.bin");
         let packed = tmp("info-out.isbr");
         fs::write(&input, vec![7u8; 800]).unwrap();
-        compress(&input, &packed, 8, CompressOptions::default(), true, None).unwrap();
+        compress(
+            &input,
+            &packed,
+            8,
+            CompressOptions::default(),
+            false,
+            true,
+            None,
+        )
+        .unwrap();
         info(&packed).unwrap();
         for p in [&input, &packed] {
             let _ = fs::remove_file(p);
@@ -965,7 +816,7 @@ mod tests {
     #[test]
     fn stream_mode_round_trips_files() {
         let input = tmp("stream-in.bin");
-        let packed = tmp("stream-out.isbs");
+        let packed = tmp("stream-out.isbr");
         let restored = tmp("stream-restored.bin");
 
         let ds = isobar_datasets::catalog::spec("flash_velx")
@@ -973,7 +824,7 @@ mod tests {
             .generate(30_000, 4);
         fs::write(&input, &ds.bytes).unwrap();
 
-        compress_stream(
+        compress(
             &input,
             &packed,
             8,
@@ -982,10 +833,12 @@ mod tests {
                 ..Default::default()
             },
             true,
+            true,
             None,
         )
         .unwrap();
-        // `decompress` takes no framing flag: the magic picks the path.
+        info(&packed).unwrap();
+        // `decompress` takes no framing flag: one reader, either form.
         run(Command::Decompress {
             input: packed.clone(),
             output: restored.clone(),
@@ -998,10 +851,9 @@ mod tests {
         .unwrap();
         assert_eq!(fs::read(&restored).unwrap(), ds.bytes);
 
-        // The library's batch `decompress` still rejects `ISBS`.
-        assert!(IsobarCompressor::default()
-            .decompress(&fs::read(&packed).unwrap())
-            .is_err());
+        // ...and so does the library's slice `decompress`.
+        let restored_slice = IsobarCompressor::default().decompress(&fs::read(&packed).unwrap());
+        assert_eq!(restored_slice.unwrap(), ds.bytes);
 
         for p in [&input, &packed, &restored] {
             let _ = fs::remove_file(p);
@@ -1016,7 +868,15 @@ mod tests {
         fs::write(&input, vec![7u8; 1600]).unwrap();
 
         traced(Some(trace_path.as_path()), || {
-            compress(&input, &packed, 8, CompressOptions::default(), true, None)
+            compress(
+                &input,
+                &packed,
+                8,
+                CompressOptions::default(),
+                false,
+                true,
+                None,
+            )
         })
         .unwrap();
 
@@ -1054,11 +914,15 @@ mod tests {
         let _ = fs::remove_file(&input);
     }
 
-    /// Build a 3-chunk container from deterministic bytes, returning
-    /// (original data, packed container path, original input path).
-    fn three_chunk_container(tag: &str) -> (Vec<u8>, std::path::PathBuf, std::path::PathBuf) {
-        let input = tmp(&format!("{tag}-in.bin"));
-        let packed = tmp(&format!("{tag}-out.isbr"));
+    /// Build a 3-chunk container, batch or streamed form, from
+    /// deterministic bytes, returning (original data, packed container
+    /// path, original input path).
+    fn three_chunk_container(
+        tag: &str,
+        stream: bool,
+    ) -> (Vec<u8>, std::path::PathBuf, std::path::PathBuf) {
+        let input = tmp(&format!("{tag}-{stream}-in.bin"));
+        let packed = tmp(&format!("{tag}-{stream}-out.isbr"));
         let ds = isobar_datasets::catalog::spec("gts_phi_l")
             .unwrap()
             .generate(30_000, 1);
@@ -1071,6 +935,7 @@ mod tests {
                 chunk_elements: 10_000,
                 ..Default::default()
             },
+            stream,
             true,
             None,
         )
@@ -1078,73 +943,138 @@ mod tests {
         (ds.bytes, packed, input)
     }
 
+    /// Flip a byte deep inside the last chunk's payload (a streamed
+    /// container's trailer sits behind it): structure survives, the
+    /// chunk checksum does not.
+    fn damage_last_chunk(packed: &Path, stream: bool) {
+        let mut bytes = fs::read(packed).unwrap();
+        let at = bytes.len() - 3 - if stream { 13 } else { 0 };
+        bytes[at] ^= 0xff;
+        fs::write(packed, &bytes).unwrap();
+    }
+
     #[test]
     fn fsck_exit_codes_distinguish_clean_from_damaged() {
-        let (_, packed, input) = three_chunk_container("fsck");
-        assert_eq!(fsck(&packed).unwrap(), 0, "pristine container is clean");
+        for stream in [false, true] {
+            let (_, packed, input) = three_chunk_container("fsck", stream);
+            assert_eq!(fsck(&packed).unwrap(), 0, "pristine container is clean");
+            damage_last_chunk(&packed, stream);
+            assert_eq!(fsck(&packed).unwrap(), EXIT_DAMAGE);
 
-        // Flip a byte deep inside the last chunk's payload: structure
-        // survives, the checksum does not.
-        let mut bytes = fs::read(&packed).unwrap();
-        let n = bytes.len();
-        bytes[n - 3] ^= 0xff;
-        fs::write(&packed, &bytes).unwrap();
-        assert_eq!(fsck(&packed).unwrap(), EXIT_DAMAGE);
+            // A non-ISOBAR file is a usage error, not damage.
+            fs::write(&packed, b"plain text, no magic here").unwrap();
+            assert!(fsck(&packed).is_err());
 
-        // A non-ISOBAR file is a usage error, not damage.
-        fs::write(&packed, b"plain text, no magic here").unwrap();
-        assert!(fsck(&packed).is_err());
-
-        for p in [&input, &packed] {
-            let _ = fs::remove_file(p);
+            for p in [&input, &packed] {
+                let _ = fs::remove_file(p);
+            }
         }
     }
 
     #[test]
     fn salvage_recovers_intact_chunks_bit_exact() {
-        let (original, packed, input) = three_chunk_container("salvage");
-        let mut bytes = fs::read(&packed).unwrap();
-        let n = bytes.len();
-        bytes[n - 3] ^= 0xff; // damage the final chunk only
-        fs::write(&packed, &bytes).unwrap();
+        for stream in [false, true] {
+            let (original, packed, input) = three_chunk_container("salvage", stream);
+            damage_last_chunk(&packed, stream);
 
-        let salvaged = tmp("salvage-out.isbr");
-        let restored = tmp("salvage-restored.bin");
-        salvage(&packed, &salvaged).unwrap();
-        // The salvaged container is fully valid: strict decompression
-        // must accept it.
-        decompress(&salvaged, &restored, false, true, None).unwrap();
-        let restored_bytes = fs::read(&restored).unwrap();
-        assert_eq!(restored_bytes.len(), original.len());
-        // Chunks 0 and 1 (10k elements x 8 bytes each) come back
-        // bit-exact; the damaged third chunk is zero-filled.
-        assert_eq!(restored_bytes[..160_000], original[..160_000]);
-        assert!(restored_bytes[160_000..].iter().all(|&b| b == 0));
+            let salvaged = tmp("salvage-out.isbr");
+            let restored = tmp("salvage-restored.bin");
+            salvage(&packed, &salvaged).unwrap();
+            // The salvaged container is fully valid: fsck and strict
+            // decompression must accept it.
+            assert_eq!(fsck(&salvaged).unwrap(), 0);
+            decompress(&salvaged, &restored, false, true, None).unwrap();
+            let restored_bytes = fs::read(&restored).unwrap();
+            assert_eq!(restored_bytes.len(), original.len());
+            // Chunks 0 and 1 (10k elements x 8 bytes each) come back
+            // bit-exact; the damaged third chunk is zero-filled.
+            assert_eq!(restored_bytes[..160_000], original[..160_000]);
+            assert!(restored_bytes[160_000..].iter().all(|&b| b == 0));
 
+            for p in [&input, &packed, &salvaged, &restored] {
+                let _ = fs::remove_file(p);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_corrupt_decompress_succeeds_on_damaged_container() {
+        for stream in [false, true] {
+            let (original, packed, input) = three_chunk_container("skip", stream);
+            damage_last_chunk(&packed, stream);
+
+            let restored = tmp("skip-restored.bin");
+            // Strict mode refuses and leaves no partial output;
+            // --skip-corrupt recovers what it can.
+            assert!(decompress(&packed, &restored, false, true, None).is_err());
+            assert!(!restored.exists());
+            decompress(&packed, &restored, true, true, None).unwrap();
+            let restored_bytes = fs::read(&restored).unwrap();
+            assert_eq!(restored_bytes.len(), original.len());
+            assert_eq!(restored_bytes[..160_000], original[..160_000]);
+
+            for p in [&input, &packed, &restored] {
+                let _ = fs::remove_file(p);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_input_is_a_clean_container_in_both_forms() {
+        let input = tmp("empty-in.bin");
+        let packed = tmp("empty-out.isbr");
+        let salvaged = tmp("empty-salvaged.isbr");
+        let restored = tmp("empty-restored.bin");
+        fs::write(&input, b"").unwrap();
+        for stream in [false, true] {
+            compress(
+                &input,
+                &packed,
+                8,
+                CompressOptions::default(),
+                stream,
+                true,
+                None,
+            )
+            .unwrap();
+            assert_eq!(fsck(&packed).unwrap(), 0, "stream: {stream}");
+            info(&packed).unwrap();
+            decompress(&packed, &restored, false, true, None).unwrap();
+            assert_eq!(fs::read(&restored).unwrap(), b"");
+            salvage(&packed, &salvaged).unwrap();
+            assert_eq!(fsck(&salvaged).unwrap(), 0);
+        }
         for p in [&input, &packed, &salvaged, &restored] {
             let _ = fs::remove_file(p);
         }
     }
 
     #[test]
-    fn skip_corrupt_decompress_succeeds_on_damaged_container() {
-        let (original, packed, input) = three_chunk_container("skip");
-        let mut bytes = fs::read(&packed).unwrap();
-        let n = bytes.len();
-        bytes[n - 3] ^= 0xff;
-        fs::write(&packed, &bytes).unwrap();
-
-        let restored = tmp("skip-restored.bin");
-        // Strict mode refuses; --skip-corrupt recovers what it can.
-        assert!(decompress(&packed, &restored, false, true, None).is_err());
-        decompress(&packed, &restored, true, true, None).unwrap();
-        let restored_bytes = fs::read(&restored).unwrap();
-        assert_eq!(restored_bytes.len(), original.len());
-        assert_eq!(restored_bytes[..160_000], original[..160_000]);
-
-        for p in [&input, &packed, &restored] {
-            let _ = fs::remove_file(p);
+    fn retired_container_formats_are_refused_by_every_command() {
+        // A version-1 header (what follows it is never looked at) and
+        // the 9-byte header of the `ISBS` stream framing.
+        let mut v1 = b"ISBR\x01\x02\x01\x01".to_vec();
+        v1.resize(64, 0);
+        let isbs = b"ISBS\x02\x08\x01\x01\x00".to_vec();
+        let old = tmp("retired.isbr");
+        let out = tmp("retired-container-out");
+        for (bytes, name) in [(v1, "version-1"), (isbs, "`ISBS`")] {
+            fs::write(&old, bytes).unwrap();
+            for err in [
+                info(&old).unwrap_err(),
+                fsck(&old).unwrap_err(),
+                salvage(&old, &out).unwrap_err(),
+                decompress(&old, &out, false, true, None).unwrap_err(),
+                decompress(&old, &out, true, true, None).unwrap_err(),
+            ] {
+                assert!(
+                    err.contains(name) && err.ends_with("is no longer supported"),
+                    "got {err:?}"
+                );
+            }
+            assert!(!out.exists(), "a refused command writes nothing");
         }
+        let _ = fs::remove_file(&old);
     }
 
     #[test]

@@ -181,8 +181,8 @@ fn fnv1a(s: &str) -> u64 {
     hash
 }
 
-/// All fuzz layers, covering every format layer (batch container,
-/// stream framing, checkpoint store) and every codec decode path
+/// All fuzz layers, covering every format layer (the container in its
+/// batch and streamed forms, checkpoint store) and every codec decode path
 /// (deflate/zlib, bzip2-class BWT, PFOR, raw inflate, raw BWT block,
 /// RLE1, FPC, fpzip-class — the range coder is exercised through the
 /// fpzip layer, and Huffman/LZ77/MTF/ZRLE through the deflate and BWT
@@ -246,6 +246,31 @@ fn small_options() -> IsobarOptions {
 // ---------------------------------------------------------------------
 // Format layers.
 
+/// One strict decode of a (possibly corrupted) container, by both entry
+/// points — the slice `decompress` and [`IsobarReader`] — which must
+/// agree on the verdict and on every output byte, whichever form the
+/// container is in.
+fn decode_container(artifact: &Artifact, bytes: &[u8], pristine: bool) -> Result<bool, String> {
+    let slice = IsobarCompressor::default().decompress(bytes);
+    let reader = IsobarReader::new(bytes).and_then(|r| r.read_to_vec());
+    if slice.as_ref().ok() != reader.as_ref().ok() {
+        return Err(format!(
+            "slice decoder and reader disagree: {:?} vs {:?}",
+            slice.map(|out| out.len()),
+            reader.map(|out| out.len())
+        ));
+    }
+    match slice {
+        Ok(out) if pristine && out != artifact.original => {
+            Err("pristine container round-trip mismatch".into())
+        }
+        Ok(_) => Ok(true),
+        Err(_) if pristine => Err("pristine container rejected".into()),
+        Err(_) => Ok(false),
+    }
+}
+
+/// Batch-form containers, as `IsobarCompressor::compress` writes them.
 fn container_layer() -> Layer {
     let mut rng = Rng::new(0xC0DE_C0DE);
     let mk = |data: Vec<u8>, width: usize, codec: Option<CodecId>| {
@@ -271,28 +296,19 @@ fn container_layer() -> Layer {
         name: "container",
         pool,
         alloc_scale: ALLOC_SCALE,
-        decode: Box::new(|artifact, bytes, pristine| {
-            match IsobarCompressor::default().decompress(bytes) {
-                Ok(out) => {
-                    if pristine && out != artifact.original {
-                        return Err("pristine container round-trip mismatch".into());
-                    }
-                    Ok(true)
-                }
-                Err(_) if pristine => Err("pristine container rejected".into()),
-                Err(_) => Ok(false),
-            }
-        }),
+        decode: Box::new(decode_container),
     }
 }
 
+/// Streamed-form containers, as `IsobarWriter` writes them: the length
+/// flag, the end marker and the trailer are the mutated surface.
 fn stream_layer() -> Layer {
     let mut rng = Rng::new(0x57_BEA4);
     let mk = |data: Vec<u8>, width: usize| {
         let mut writer =
             IsobarWriter::new(Vec::new(), width, small_options()).expect("pool stream");
         std::io::Write::write_all(&mut writer, &data).expect("pool stream write");
-        let bytes = writer.finish().expect("pool stream finish");
+        let (bytes, _) = writer.finish().expect("pool stream finish");
         Artifact {
             bytes,
             original: data,
@@ -307,19 +323,7 @@ fn stream_layer() -> Layer {
         name: "stream",
         pool,
         alloc_scale: ALLOC_SCALE,
-        decode: Box::new(|artifact, bytes, pristine| {
-            let result = IsobarReader::new(bytes).and_then(|r| r.read_to_vec());
-            match result {
-                Ok(out) => {
-                    if pristine && out != artifact.original {
-                        return Err("pristine stream round-trip mismatch".into());
-                    }
-                    Ok(true)
-                }
-                Err(_) if pristine => Err("pristine stream rejected".into()),
-                Err(_) => Ok(false),
-            }
-        }),
+        decode: Box::new(decode_container),
     }
 }
 

@@ -1,18 +1,19 @@
 //! The merged output container (§II.D, Fig. 7).
 //!
-//! The merger concatenates: a file header carrying the EUPA decision
-//! and chunking parameters, then per chunk its analyzer metadata, the
-//! solver-compressed bytes C′, and the verbatim incompressible bytes I.
-//! Everything is little-endian and self-describing so decompression
-//! needs no out-of-band information; a whole-stream Adler-32 of the
-//! original data guards reassembly.
+//! One framing serves the whole-file and the incremental writer: a file
+//! header carrying the EUPA decision and chunking parameters, then per
+//! chunk its analyzer metadata, the solver-compressed bytes C′, and the
+//! verbatim incompressible bytes I, back to back. A writer that knows
+//! the input up front puts its length and Adler-32 in the header (the
+//! batch form); one that is fed incrementally flags the header with
+//! [`LEN_IN_TRAILER`] and appends both after the last record, behind an
+//! [`END_MARKER`] (the streamed form). Everything is little-endian and
+//! self-describing so decompression needs no out-of-band information.
 //!
-//! Version 2 additionally embeds an XXH64 checksum in every chunk
-//! header, covering the other fixed fields and both payloads. Decoders
-//! verify it before touching the payloads (behind the pipeline's
-//! default-on `verify` knob) and salvage mode uses intact checksums as
-//! resync anchors. Version-1 containers — which carry no per-chunk
-//! checksum — are still read.
+//! Every chunk header embeds an XXH64 checksum covering its other fixed
+//! fields and both payloads. Decoders verify it before touching the
+//! payloads (behind the pipeline's default-on `verify` knob) and salvage
+//! mode uses intact checksums as resync anchors.
 
 use crate::analyzer::ColumnSelection;
 use crate::error::IsobarError;
@@ -22,34 +23,30 @@ use isobar_linearize::Linearization;
 
 /// Container magic: "ISBR".
 pub const MAGIC: [u8; 4] = *b"ISBR";
-/// Container format version written by this build.
+/// Container format version, the only one this build reads or writes.
 pub const VERSION: u8 = 2;
-/// The checksum-less format version this build still reads.
-pub const LEGACY_VERSION: u8 = 1;
-/// Fixed header size in bytes (same layout in both versions).
+/// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 28;
-/// Fixed per-chunk metadata size in bytes (version 2: the version-1
-/// fields plus a 64-bit chunk checksum).
+/// Fixed per-chunk metadata size in bytes, ending in the 64-bit chunk
+/// checksum.
 pub const CHUNK_HEADER_LEN: usize = 37;
-/// Version-1 per-chunk metadata size (no checksum field).
-pub const CHUNK_HEADER_V1_LEN: usize = 29;
+/// The chunk-header bytes the checksum covers: all but the checksum.
+const CHECKSUMMED_LEN: usize = CHUNK_HEADER_LEN - 8;
 /// Seed for every XXH64 checksum in the ISOBAR formats.
 pub const CHECKSUM_SEED: u64 = 0;
+/// `total_len` of a streamed container's header: the length and the
+/// Adler-32 follow the last record, in the trailer.
+pub const LEN_IN_TRAILER: u64 = u64::MAX;
+/// Byte ending a streamed container's records; not a valid mode byte.
+pub const END_MARKER: u8 = 0xFF;
+/// Streamed trailer size: end marker, total length (u64), Adler-32.
+pub const TRAILER_LEN: usize = 13;
 
-/// Per-chunk metadata size for a given container version.
-pub fn chunk_header_len(version: u8) -> usize {
-    if version >= 2 {
-        CHUNK_HEADER_LEN
-    } else {
-        CHUNK_HEADER_V1_LEN
-    }
-}
-
-/// The v2 chunk checksum: XXH64 over the non-checksum header fields
-/// (the first [`CHUNK_HEADER_V1_LEN`] bytes) followed by both payloads.
-pub(crate) fn chunk_checksum(head: &[u8], compressed: &[u8], incompressible: &[u8]) -> u64 {
+/// The chunk checksum: XXH64 over the non-checksum header fields
+/// followed by both payloads.
+fn chunk_checksum(head: &[u8], compressed: &[u8], incompressible: &[u8]) -> u64 {
     let mut hasher = Xxh64::new(CHECKSUM_SEED);
-    hasher.update(head);
+    hasher.update(&head[..CHECKSUMMED_LEN]);
     hasher.update(compressed);
     hasher.update(incompressible);
     hasher.digest()
@@ -58,8 +55,7 @@ pub(crate) fn chunk_checksum(head: &[u8], compressed: &[u8], incompressible: &[u
 /// File header fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Header {
-    /// Format version ([`VERSION`] for containers written by this
-    /// build; [`LEGACY_VERSION`] for checksum-less containers).
+    /// Format version ([`VERSION`]).
     pub version: u8,
     /// Element width ω in bytes.
     pub width: u8,
@@ -73,9 +69,9 @@ pub struct Header {
     pub preference: u8,
     /// Chunk size in elements.
     pub chunk_elements: u32,
-    /// Original (uncompressed) length in bytes.
+    /// Original (uncompressed) length in bytes, or [`LEN_IN_TRAILER`].
     pub total_len: u64,
-    /// Adler-32 of the original bytes.
+    /// Adler-32 of the original bytes (0 in the streamed form).
     pub checksum: u32,
 }
 
@@ -95,8 +91,13 @@ impl Header {
         out.extend_from_slice(&self.checksum.to_le_bytes());
     }
 
-    /// Parse from the front of `data`.
+    /// Parse from the front of `data`. The two retired formats — the
+    /// `ISBS` stream framing and checksum-less version-1 containers —
+    /// are refused by name with [`IsobarError::Retired`].
     pub fn read(data: &[u8]) -> Result<Header, IsobarError> {
+        if data.starts_with(b"ISBS") {
+            return Err(IsobarError::Retired("the `ISBS` stream framing"));
+        }
         if data.len() < HEADER_LEN {
             return Err(IsobarError::Truncated);
         }
@@ -104,7 +105,12 @@ impl Header {
             return Err(IsobarError::Corrupt("bad magic"));
         }
         let version = data[4];
-        if version != VERSION && version != LEGACY_VERSION {
+        if version == 1 {
+            return Err(IsobarError::Retired(
+                "a version-1 (checksum-less) container",
+            ));
+        }
+        if version != VERSION {
             return Err(IsobarError::Corrupt("unsupported version"));
         }
         let width = data[5];
@@ -134,6 +140,59 @@ impl Header {
             checksum,
         })
     }
+
+    /// Whether this is the streamed form: the length and Adler-32 sit
+    /// in the trailer, not here.
+    pub fn len_in_trailer(&self) -> bool {
+        self.total_len == LEN_IN_TRAILER
+    }
+
+    /// The batch form's length and Adler-32, as a trailer would say it.
+    pub(crate) fn own_end(&self) -> Trailer {
+        Trailer {
+            total_len: self.total_len,
+            checksum: self.checksum,
+        }
+    }
+
+    /// The length and Adler-32 the container `data` declares: this
+    /// header's own fields in the batch form, the trailer's in the
+    /// streamed form — `None` when `data` does not end in a trailer.
+    pub fn declared_end(&self, data: &[u8]) -> Option<Trailer> {
+        if !self.len_in_trailer() {
+            return Some(self.own_end());
+        }
+        let at = data.len().checked_sub(TRAILER_LEN)?;
+        (at >= HEADER_LEN && data[at] == END_MARKER)
+            .then(|| Trailer::parse(data[at + 1..].try_into().expect("12 bytes")))
+    }
+}
+
+/// What a streamed container appends after its [`END_MARKER`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trailer {
+    /// Original (uncompressed) length in bytes.
+    pub total_len: u64,
+    /// Adler-32 of the original bytes.
+    pub checksum: u32,
+}
+
+impl Trailer {
+    /// The end marker and both fields, as written.
+    pub fn to_bytes(self) -> [u8; TRAILER_LEN] {
+        let mut bytes = [END_MARKER; TRAILER_LEN];
+        bytes[1..9].copy_from_slice(&self.total_len.to_le_bytes());
+        bytes[9..].copy_from_slice(&self.checksum.to_le_bytes());
+        bytes
+    }
+
+    /// Parse the twelve bytes that follow the end marker.
+    pub fn parse(fields: &[u8; TRAILER_LEN - 1]) -> Trailer {
+        Trailer {
+            total_len: u64::from_le_bytes(fields[..8].try_into().expect("8 bytes")),
+            checksum: u32::from_le_bytes(fields[8..].try_into().expect("4 bytes")),
+        }
+    }
 }
 
 /// How one chunk was encoded.
@@ -146,12 +205,23 @@ pub enum ChunkMode {
     /// Improvable chunk: compressible columns solved, incompressible
     /// stored (Algorithm 1, lines 5–7).
     Partitioned = 1,
-    /// Raw chunk bytes stored unprocessed (version 2 only): the
-    /// pipeline's graceful-degradation fallback when the solver
-    /// panicked on this chunk. `compressed` holds the original
-    /// `elements × width` bytes; the mask is 0 and there is no
-    /// incompressible stream.
+    /// Raw chunk bytes stored unprocessed: the pipeline's
+    /// graceful-degradation fallback when the solver panicked on this
+    /// chunk. `compressed` holds the original `elements × width` bytes;
+    /// the mask is 0 and there is no incompressible stream.
     Verbatim = 2,
+}
+
+impl ChunkMode {
+    /// Parse a record's first byte.
+    pub fn from_u8(raw: u8) -> Result<ChunkMode, IsobarError> {
+        match raw {
+            0 => Ok(ChunkMode::Passthrough),
+            1 => Ok(ChunkMode::Partitioned),
+            2 => Ok(ChunkMode::Verbatim),
+            _ => Err(IsobarError::Corrupt("bad chunk mode")),
+        }
+    }
 }
 
 /// Per-chunk record: metadata + payloads.
@@ -177,42 +247,28 @@ impl ChunkRecord {
         CHUNK_HEADER_LEN + self.compressed.len() + self.incompressible.len()
     }
 
-    /// Serialize into the output buffer in the current ([`VERSION`])
-    /// format, computing and embedding the chunk checksum.
+    /// The fixed header bytes, chunk checksum computed and embedded.
+    pub fn head_bytes(&self) -> [u8; CHUNK_HEADER_LEN] {
+        let mut head = [0u8; CHUNK_HEADER_LEN];
+        head[0] = self.mode as u8;
+        head[1..5].copy_from_slice(&self.elements.to_le_bytes());
+        head[5..13].copy_from_slice(&self.mask.to_le_bytes());
+        head[13..21].copy_from_slice(&(self.compressed.len() as u64).to_le_bytes());
+        head[21..29].copy_from_slice(&(self.incompressible.len() as u64).to_le_bytes());
+        let checksum = chunk_checksum(&head, &self.compressed, &self.incompressible);
+        head[CHECKSUMMED_LEN..].copy_from_slice(&checksum.to_le_bytes());
+        head
+    }
+
+    /// Serialize into the output buffer: header, C′, then I.
     pub fn write(&self, out: &mut Vec<u8>) {
-        let head_start = out.len();
-        out.push(self.mode as u8);
-        out.extend_from_slice(&self.elements.to_le_bytes());
-        out.extend_from_slice(&self.mask.to_le_bytes());
-        out.extend_from_slice(&(self.compressed.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.incompressible.len() as u64).to_le_bytes());
-        let checksum = chunk_checksum(
-            &out[head_start..head_start + CHUNK_HEADER_V1_LEN],
-            &self.compressed,
-            &self.incompressible,
-        );
-        out.extend_from_slice(&checksum.to_le_bytes());
+        out.extend_from_slice(&self.head_bytes());
         out.extend_from_slice(&self.compressed);
         out.extend_from_slice(&self.incompressible);
     }
 
-    /// Serialize in the [`LEGACY_VERSION`] (checksum-less) layout.
-    /// Only meaningful for back-compat fixtures; [`ChunkMode::Verbatim`]
-    /// does not exist in version 1.
-    pub fn write_legacy(&self, out: &mut Vec<u8>) {
-        debug_assert!(self.mode != ChunkMode::Verbatim, "verbatim is v2-only");
-        out.push(self.mode as u8);
-        out.extend_from_slice(&self.elements.to_le_bytes());
-        out.extend_from_slice(&self.mask.to_le_bytes());
-        out.extend_from_slice(&(self.compressed.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.incompressible.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.compressed);
-        out.extend_from_slice(&self.incompressible);
-    }
-
-    /// Parse one current-version record from the front of `data`,
-    /// verifying its checksum; returns the record and the number of
-    /// bytes consumed.
+    /// Parse one record from the front of `data`, verifying its
+    /// checksum; returns the record and the number of bytes consumed.
     ///
     /// Equivalent to [`ChunkRecord::read_bounded`] with no element
     /// ceiling; callers that know the header's `chunk_elements` should
@@ -226,53 +282,40 @@ impl ChunkRecord {
     /// never exceeds the header's `chunk_elements`); returns the record
     /// and the number of bytes consumed.
     ///
-    /// `version` selects the chunk-header layout. When `verify` is set
-    /// and the layout carries a checksum, the payload is verified
-    /// before the record is returned; a mismatch reports
+    /// When `verify` is set the payload is verified before the record
+    /// is returned; a mismatch reports
     /// [`IsobarError::ChecksumMismatch`] located at `base_offset` (the
-    /// record's absolute offset in the container or stream).
+    /// record's absolute offset in the container). `_version` is the
+    /// header's version byte; there is one record layout, so it selects
+    /// nothing.
     pub fn read_bounded(
         data: &[u8],
         width: usize,
         max_elements: u32,
-        version: u8,
+        _version: u8,
         verify: bool,
         base_offset: u64,
     ) -> Result<(ChunkRecord, usize), IsobarError> {
-        let header = ChunkHeader::validate(data, width, max_elements, version)?;
-        let header_len = chunk_header_len(version);
-        let total = header_len
+        let header = ChunkHeader::validate(data, width, max_elements)?;
+        let total = CHUNK_HEADER_LEN
             .checked_add(header.comp_len)
             .and_then(|t| t.checked_add(header.incomp_len))
             .ok_or(IsobarError::Corrupt("chunk length overflow"))?;
         if data.len() < total {
             return Err(IsobarError::Truncated);
         }
-        let compressed = &data[header_len..header_len + header.comp_len];
-        let incompressible = &data[header_len + header.comp_len..total];
+        let (compressed, incompressible) = data[CHUNK_HEADER_LEN..total].split_at(header.comp_len);
         if verify {
-            if let Some(expected) = header.checksum {
-                let actual =
-                    chunk_checksum(&data[..CHUNK_HEADER_V1_LEN], compressed, incompressible);
-                if actual != expected {
-                    return Err(IsobarError::ChecksumMismatch {
-                        offset: base_offset,
-                        expected,
-                        actual,
-                    });
-                }
-            }
+            header.verify(data, compressed, incompressible, base_offset)?;
         }
-        Ok((
-            ChunkRecord {
-                mode: header.mode,
-                elements: header.elements,
-                mask: header.mask,
-                compressed: compressed.to_vec(),
-                incompressible: incompressible.to_vec(),
-            },
-            total,
-        ))
+        let record = ChunkRecord {
+            mode: header.mode,
+            elements: header.elements,
+            mask: header.mask,
+            compressed: compressed.to_vec(),
+            incompressible: incompressible.to_vec(),
+        };
+        Ok((record, total))
     }
 
     /// The analyzer selection this record encodes. Errors on widths
@@ -286,8 +329,8 @@ impl ChunkRecord {
 ///
 /// Produced by [`ChunkHeader::validate`], which performs every
 /// structural check *before the caller allocates anything* — the
-/// streaming reader uses it to vet the fixed bytes before deciding
-/// how much payload to pull off the wire.
+/// reader uses it to vet the fixed bytes before deciding how much
+/// payload to pull off the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkHeader {
     /// Encoding mode.
@@ -300,17 +343,15 @@ pub struct ChunkHeader {
     pub comp_len: usize,
     /// Verbatim payload length I.
     pub incomp_len: usize,
-    /// Embedded chunk checksum; `None` for version-1 headers, which
-    /// carry none ("legacy, unverifiable").
-    pub checksum: Option<u64>,
+    /// Embedded chunk checksum.
+    pub checksum: u64,
 }
 
 impl ChunkHeader {
-    /// Parse and validate the fixed chunk header (29 bytes in version
-    /// 1, 37 in version 2) at the front of `data`, without touching
-    /// (or requiring) any payload bytes.
+    /// Parse and validate the fixed chunk header at the front of
+    /// `data`, without touching (or requiring) any payload bytes.
     ///
-    /// Checks, in order: header completeness, mode byte, element count
+    /// Checks, in order: mode byte, header completeness, element count
     /// against `max_elements`, mask width, per-mode mask constraints,
     /// and the per-mode payload-length consistency equations.
     /// Allocation-free. The checksum is *read*, not verified — payload
@@ -320,33 +361,21 @@ impl ChunkHeader {
         data: &[u8],
         width: usize,
         max_elements: u32,
-        version: u8,
     ) -> Result<ChunkHeader, IsobarError> {
-        if data.len() < chunk_header_len(version) {
+        let mode = ChunkMode::from_u8(*data.first().ok_or(IsobarError::Truncated)?)?;
+        if data.len() < CHUNK_HEADER_LEN {
             return Err(IsobarError::Truncated);
         }
-        let mode = match data[0] {
-            0 => ChunkMode::Passthrough,
-            1 => ChunkMode::Partitioned,
-            2 if version >= 2 => ChunkMode::Verbatim,
-            _ => return Err(IsobarError::Corrupt("bad chunk mode")),
-        };
         let elements = u32::from_le_bytes(data[1..5].try_into().expect("4 bytes"));
         let mask = u64::from_le_bytes(data[5..13].try_into().expect("8 bytes"));
         let comp_len = u64::from_le_bytes(data[13..21].try_into().expect("8 bytes")) as usize;
         let incomp_len = u64::from_le_bytes(data[21..29].try_into().expect("8 bytes")) as usize;
-        let checksum = if version >= 2 {
-            Some(u64::from_le_bytes(
-                data[29..37].try_into().expect("8 bytes"),
-            ))
-        } else {
-            None
-        };
+        let checksum = u64::from_le_bytes(data[29..37].try_into().expect("8 bytes"));
 
         if elements > max_elements {
             return Err(IsobarError::Corrupt("chunk exceeds header chunk size"));
         }
-        if mask >> width != 0 {
+        if mask & !mask_low(width) != 0 {
             return Err(IsobarError::Corrupt("column mask wider than element"));
         }
         if mode != ChunkMode::Partitioned && mask != 0 {
@@ -370,6 +399,27 @@ impl ChunkHeader {
             comp_len,
             incomp_len,
             checksum,
+        })
+    }
+
+    /// Verify the embedded checksum against the header bytes `head`
+    /// this was validated from and the payloads that followed them; a
+    /// mismatch is located at `offset`, the record's in the container.
+    pub fn verify(
+        &self,
+        head: &[u8],
+        compressed: &[u8],
+        incompressible: &[u8],
+        offset: u64,
+    ) -> Result<(), IsobarError> {
+        let actual = chunk_checksum(head, compressed, incompressible);
+        if actual == self.checksum {
+            return Ok(());
+        }
+        Err(IsobarError::ChecksumMismatch {
+            offset,
+            expected: self.checksum,
+            actual,
         })
     }
 }
@@ -580,15 +630,43 @@ mod tests {
     }
 
     #[test]
-    fn legacy_header_version_still_reads() {
-        let mut buf = Vec::new();
+    fn retired_formats_are_refused_by_name() {
+        let mut v1 = Vec::new();
         Header {
-            version: LEGACY_VERSION,
+            version: 1,
             ..demo_header()
         }
-        .write(&mut buf);
-        let parsed = Header::read(&buf).unwrap();
-        assert_eq!(parsed.version, LEGACY_VERSION);
+        .write(&mut v1);
+        // The whole 9-byte header of the retired stream framing.
+        let isbs = b"ISBS\x02\x08\x01\x01\x00";
+        for old in [&v1[..], &isbs[..]] {
+            assert!(matches!(Header::read(old), Err(IsobarError::Retired(_))));
+        }
+    }
+
+    #[test]
+    fn declared_end_comes_from_the_header_or_the_trailer() {
+        let end = Trailer {
+            total_len: 12345,
+            checksum: 0xDEADBEEF,
+        };
+        let batch = demo_header();
+        assert!(!batch.len_in_trailer());
+        assert_eq!(batch.declared_end(&[]), Some(end));
+
+        let streamed = Header {
+            total_len: LEN_IN_TRAILER,
+            checksum: 0,
+            ..batch
+        };
+        let mut file = Vec::new();
+        streamed.write(&mut file);
+        assert_eq!(streamed.declared_end(&file), None, "no trailer yet");
+        file.extend_from_slice(&end.to_bytes());
+        assert_eq!(file.len(), HEADER_LEN + TRAILER_LEN);
+        assert_eq!(streamed.declared_end(&file), Some(end));
+        file.pop();
+        assert_eq!(streamed.declared_end(&file), None, "torn trailer");
     }
 
     #[test]
@@ -614,14 +692,8 @@ mod tests {
         }
         .write(&mut bad);
         assert!(matches!(
-            ChunkHeader::validate(&bad, 8, u32::MAX, VERSION),
+            ChunkHeader::validate(&bad, 8, u32::MAX),
             Err(IsobarError::Corrupt("verbatim chunk length mismatch"))
-        ));
-
-        // Version 1 has no verbatim mode.
-        assert!(matches!(
-            ChunkHeader::validate(&buf, 8, u32::MAX, LEGACY_VERSION),
-            Err(IsobarError::Corrupt("bad chunk mode"))
         ));
     }
 
@@ -658,26 +730,6 @@ mod tests {
         let (parsed, _) =
             ChunkRecord::read_bounded(&bad, 8, u32::MAX, VERSION, false, 555).unwrap();
         assert_ne!(parsed.compressed, record.compressed);
-    }
-
-    #[test]
-    fn legacy_chunk_record_reads_without_checksum() {
-        let record = ChunkRecord {
-            mode: ChunkMode::Partitioned,
-            elements: 100,
-            mask: 0b1100_0011,
-            compressed: vec![1, 2, 3],
-            incompressible: vec![9; 400],
-        };
-        let mut buf = Vec::new();
-        record.write_legacy(&mut buf);
-        assert_eq!(buf.len(), CHUNK_HEADER_V1_LEN + 3 + 400);
-        let (parsed, consumed) =
-            ChunkRecord::read_bounded(&buf, 8, u32::MAX, LEGACY_VERSION, true, 0).unwrap();
-        assert_eq!(parsed, record);
-        assert_eq!(consumed, buf.len());
-        let header = ChunkHeader::validate(&buf, 8, u32::MAX, LEGACY_VERSION).unwrap();
-        assert_eq!(header.checksum, None);
     }
 
     #[test]

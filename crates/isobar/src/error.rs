@@ -34,6 +34,9 @@ pub enum IsobarError {
         /// The checksum computed over the actual bytes.
         actual: u64,
     },
+    /// A format this build no longer reads, refused by name: the
+    /// `ISBS` stream framing or a version-1 (checksum-less) container.
+    Retired(&'static str),
     /// An underlying error, located at a byte offset in the input.
     At {
         /// Byte offset (from the start of the container or stream) of
@@ -52,8 +55,8 @@ impl IsobarError {
         match self {
             e @ IsobarError::At { .. } => e,
             // Checksum mismatches are born with their own (more
-            // precise) location.
-            e @ IsobarError::ChecksumMismatch { .. } => e,
+            // precise) location; a refusal has none.
+            e @ (IsobarError::ChecksumMismatch { .. } | IsobarError::Retired(_)) => e,
             e => IsobarError::At {
                 offset,
                 source: Box::new(e),
@@ -95,6 +98,7 @@ impl fmt::Display for IsobarError {
                 "checksum mismatch at byte offset {offset}: \
                  stored {expected:#018x}, computed {actual:#018x}"
             ),
+            IsobarError::Retired(what) => write!(f, "{what} is no longer supported"),
             IsobarError::At { offset, source } => {
                 write!(f, "at byte offset {offset}: {source}")
             }

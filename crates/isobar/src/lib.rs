@@ -32,9 +32,11 @@
 //! per-call snapshot, and the `*_recorded` variants
 //! ([`IsobarCompressor::compress_recorded`],
 //! [`Analyzer::analyze_recorded`], [`EupaSelector::select_recorded`])
-//! accumulate into a caller-held [`Recorder`]. The on-disk container
-//! layouts (batch `ISBR`, streaming `ISBS`, store `ISST`) are specified
-//! byte-by-byte in `docs/FORMAT.md`.
+//! accumulate into a caller-held [`Recorder`]. [`IsobarWriter`] in
+//! [`stream`] is the incremental session behind every `compress*`
+//! call. The on-disk layouts (the `ISBR` container in its batch and
+//! streamed forms, the checkpoint store) are specified byte-by-byte in
+//! `docs/FORMAT.md`.
 //!
 //! # Example
 //!
@@ -55,7 +57,6 @@
 //! ```
 
 pub mod analyzer;
-pub mod bit_analyzer;
 pub mod chunk;
 pub mod container;
 pub mod error;

@@ -6,20 +6,20 @@
 //! merging into the self-describing container.
 //! [`IsobarCompressor::decompress`] inverts it byte-exactly.
 
-use crate::analyzer::{Analyzer, ColumnSelection};
-use crate::chunk::{element_chunks, DEFAULT_CHUNK_ELEMENTS};
-use crate::container::{
-    chunk_header_len, ChunkMode, ChunkRecord, Header, CHUNK_HEADER_LEN, HEADER_LEN, VERSION,
-};
+use crate::analyzer::Analyzer;
+use crate::chunk::DEFAULT_CHUNK_ELEMENTS;
+use crate::container::{ChunkMode, ChunkRecord};
 use crate::error::IsobarError;
 use crate::eupa::{EupaDecision, EupaSelector, Preference};
 use crate::partitioner::{partition_into, reassemble_into};
+use crate::stream::{isobar_error, IsobarReader, IsobarWriter};
 use isobar_codecs::deflate::adler32;
-use isobar_codecs::{codec_for, Codec, CodecId, CodecScratch, CompressionLevel};
+use isobar_codecs::{Codec, CodecId, CodecScratch, CompressionLevel};
 use isobar_linearize::Linearization;
 use isobar_telemetry::{Counter, Recorder, Stage, StageTimer, TelemetrySnapshot};
 use isobar_trace as trace;
 use isobar_trace::TraceTag;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -275,7 +275,7 @@ impl IsobarCompressor {
         data: &[u8],
         width: usize,
     ) -> Result<(Vec<u8>, CompressionReport), IsobarError> {
-        self.compress_with_report_scratch(data, width, &mut PipelineScratch::new())
+        self.compress_session(data, width, &mut PipelineScratch::new())
     }
 
     /// [`IsobarCompressor::compress`] reusing caller-held working
@@ -290,153 +290,28 @@ impl IsobarCompressor {
         scratch: &mut PipelineScratch,
         recorder: &mut Recorder,
     ) -> Result<Vec<u8>, IsobarError> {
-        let (out, report) = self.compress_with_report_scratch(data, width, scratch)?;
+        let (out, report) = self.compress_session(data, width, scratch)?;
         recorder.absorb_snapshot(&report.telemetry);
         Ok(out)
     }
 
-    /// The compress body behind every public entry point.
-    fn compress_with_report_scratch(
+    /// The batch call as one [`IsobarWriter`] session: declare the
+    /// length, decide on the whole input, feed once, finish.
+    fn compress_session(
         &self,
         data: &[u8],
         width: usize,
         scratch: &mut PipelineScratch,
     ) -> Result<(Vec<u8>, CompressionReport), IsobarError> {
-        let mut recorder = Recorder::new();
-        let recorder = &mut recorder;
-        recorder.set_kernel_tier(self.tier.as_u8());
-        let t_start = Instant::now();
-        if width == 0 || width > 64 {
-            return Err(IsobarError::BadWidth(width));
-        }
-        if !data.len().is_multiple_of(width) {
-            return Err(IsobarError::MisalignedInput {
-                len: data.len(),
-                width,
-            });
-        }
-        let opts = &self.options;
-        let analyzer = Analyzer::with_tau(opts.tau);
-
-        // EUPA: decide solver + linearization, unless fully overridden.
-        let mut eupa_secs = 0.0;
-        let (codec_id, linearization, eupa_decision) =
-            match (opts.codec_override, opts.linearization_override) {
-                (Some(codec), Some(lin)) => (codec, lin, None),
-                (codec_override, lin_override) => {
-                    let t = Instant::now();
-                    // The sample inherits the head chunk's classification;
-                    // undetermined datasets sample as all-compressible.
-                    let head = element_chunks(data, width, opts.chunk_elements)
-                        .next()
-                        .unwrap_or(&[]);
-                    let head_sel = analyzer.analyze(head, width)?;
-                    let eupa_sel = if head_sel.is_improvable() {
-                        head_sel
-                    } else {
-                        ColumnSelection::new(vec![true; width])
-                    };
-                    let mut eupa = opts.eupa;
-                    eupa.level = opts.level;
-                    let decision = eupa.select_recorded(
-                        data,
-                        width,
-                        &eupa_sel,
-                        opts.preference,
-                        scratch,
-                        recorder,
-                    );
-                    eupa_secs = t.elapsed().as_secs_f64();
-                    (
-                        codec_override.unwrap_or(decision.codec),
-                        lin_override.unwrap_or(decision.linearization),
-                        Some(decision),
-                    )
-                }
-            };
-        let codec = codec_for(codec_id, opts.level);
-
-        // Per-chunk analysis + compression.
-        let chunks: Vec<&[u8]> = element_chunks(data, width, opts.chunk_elements).collect();
-        let results = if opts.parallel && chunks.len() > 1 {
-            compress_chunks_parallel(
-                &chunks,
-                width,
-                &analyzer,
-                codec.as_ref(),
-                linearization,
-                recorder,
-            )?
-        } else {
-            let mut results = Vec::with_capacity(chunks.len());
-            for (i, chunk) in chunks.iter().enumerate() {
-                results.push(compress_chunk(
-                    chunk,
-                    width,
-                    i as u32,
-                    &analyzer,
-                    codec.as_ref(),
-                    linearization,
-                    scratch,
-                    recorder,
-                )?);
-            }
-            results
-        };
-
-        let container_timer = StageTimer::start(Stage::ContainerWrite);
-        let container_span = trace::span(TraceTag::ContainerWrite, trace::NO_CHUNK);
-        let header = Header {
-            version: VERSION,
-            width: width as u8,
-            codec: codec_id,
-            level: opts.level,
-            linearization,
-            preference: opts.preference.to_u8(),
-            chunk_elements: opts.chunk_elements as u32,
-            total_len: data.len() as u64,
-            checksum: adler32(data),
-        };
-        // Records are serialized straight into the output buffer — the
-        // header is fully known up front, so no intermediate body copy.
-        let body_len: usize = results.iter().map(|r| r.record.encoded_len()).sum();
-        let mut analysis_secs = 0.0;
-        let mut solver_secs = 0.0;
-        let mut decisions = Vec::with_capacity(results.len());
-        let mut out = Vec::with_capacity(HEADER_LEN + body_len);
-        header.write(&mut out);
-        for (i, r) in results.iter().enumerate() {
-            analysis_secs += r.analysis_secs;
-            solver_secs += r.solver_secs;
-            decisions.push(r.decision);
-            let merge_span = trace::span(TraceTag::ChunkMerge, i as u32);
-            r.record.write(&mut out);
-            drop(merge_span);
-        }
-        drop(container_span);
-        container_timer.finish(recorder);
-        recorder.add(
-            Counter::ContainerMetadataBytes,
-            (HEADER_LEN + results.len() * CHUNK_HEADER_LEN) as u64,
-        );
-
-        let report = CompressionReport {
-            codec: codec_id,
-            linearization,
-            eupa: eupa_decision,
-            chunks: decisions,
-            input_len: data.len(),
-            output_len: out.len(),
-            analysis_secs,
-            solver_secs,
-            eupa_secs,
-            total_secs: t_start.elapsed().as_secs_f64(),
-            telemetry: recorder.snapshot(),
-        };
-        Ok((out, report))
+        let mut session = IsobarWriter::with_scratch(Vec::new(), width, self.options, scratch)?;
+        session.declare(data.len(), adler32(data))?;
+        session.decide(data).map_err(isobar_error)?;
+        session.write_all(data).map_err(isobar_error)?;
+        session.finish().map_err(isobar_error)
     }
 
-    /// Decompress an ISOBAR container back to the original bytes.
+    /// Decompress an ISOBAR container, batch or streamed form, back to
+    /// the original bytes.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, IsobarError> {
         self.decompress_recorded(data, &mut PipelineScratch::new(), &mut Recorder::new())
     }
@@ -455,163 +330,49 @@ impl IsobarCompressor {
         scratch: &mut PipelineScratch,
         recorder: &mut Recorder,
     ) -> Result<Vec<u8>, IsobarError> {
-        let result = self.decompress_inner(data, scratch, recorder);
-        if let Err(e) = &result {
-            recorder.incr(Counter::ContainerCorruptRejected);
-            if e.is_checksum_mismatch() {
-                recorder.incr(Counter::ChecksumMismatches);
-            }
-        }
-        result
-    }
-
-    fn decompress_inner(
-        &self,
-        data: &[u8],
-        scratch: &mut PipelineScratch,
-        recorder: &mut Recorder,
-    ) -> Result<Vec<u8>, IsobarError> {
         recorder.set_kernel_tier(self.tier.as_u8());
-        let container_timer = StageTimer::start(Stage::ContainerRead);
-        let container_span = trace::span(TraceTag::ContainerRead, trace::NO_CHUNK);
-        let header = Header::read(data).map_err(|e| e.at(0))?;
-        let width = header.width as usize;
-        let codec = codec_for(header.codec, header.level);
-
-        // Parse all chunk records up front (cheap: payloads are
-        // borrowed-range copies), so the decode stage can go parallel.
-        // Each record keeps its byte offset so decode-stage failures can
-        // point back into the container.
-        let mut records: Vec<(u64, ChunkRecord)> = Vec::new();
-        let mut cursor = &data[HEADER_LEN..];
-        let mut offset = HEADER_LEN as u64;
-        let mut claimed: u64 = 0;
-        while claimed < header.total_len {
-            let (record, consumed) = ChunkRecord::read_bounded(
-                cursor,
-                width,
-                header.chunk_elements,
-                header.version,
-                self.options.verify,
-                offset,
-            )
-            .map_err(|e| e.at(offset))?;
-            if record.elements == 0 {
-                return Err(IsobarError::Corrupt("empty chunk record").at(offset));
-            }
-            cursor = &cursor[consumed..];
-            claimed = claimed.saturating_add(record.elements as u64 * width as u64);
-            records.push((offset, record));
-            offset += consumed as u64;
-        }
-        if claimed != header.total_len {
-            return Err(IsobarError::Corrupt("reassembled length mismatch"));
-        }
-        drop(container_span);
-        container_timer.finish(recorder);
-        recorder.add(
-            Counter::ContainerMetadataBytes,
-            (HEADER_LEN + records.len() * chunk_header_len(header.version)) as u64,
-        );
-
-        // Cap the pre-allocation: a corrupted header must not be able
-        // to request an absurd reservation before validation fails.
-        let capacity = (header.total_len as usize)
-            .min(data.len().saturating_mul(512))
-            .min(1 << 31);
-        let mut out = Vec::with_capacity(capacity);
-        if self.options.parallel && records.len() > 1 {
-            let chunks = decode_records_parallel(
-                &records,
-                width,
-                codec.as_ref(),
-                header.linearization,
-                recorder,
-            )?;
-            for chunk in chunks {
-                out.extend_from_slice(&chunk);
-            }
-        } else {
-            for (i, (rec_offset, record)) in records.iter().enumerate() {
-                decode_chunk_record(
-                    record,
-                    width,
-                    i as u32,
-                    codec.as_ref(),
-                    header.linearization,
-                    &mut out,
-                    scratch,
-                    recorder,
-                )
-                .map_err(|e| e.at(*rec_offset))?;
-            }
-        }
-        if out.len() != header.total_len as usize {
-            return Err(IsobarError::Corrupt("reassembled length mismatch"));
-        }
-        if self.options.verify {
-            let actual = adler32(&out);
-            if actual != header.checksum {
-                // The Adler-32 field sits at byte 24 of the container
-                // header (see docs/FORMAT.md).
-                return Err(IsobarError::ChecksumMismatch {
-                    offset: 24,
-                    expected: u64::from(header.checksum),
-                    actual: u64::from(actual),
-                });
-            }
-        }
-        Ok(out)
+        // The slice is decoded by the one strict walker, as a reader
+        // whose source happens to be in memory.
+        let mut reader = IsobarReader::with_scratch(data, self.options.verify, scratch)
+            .inspect_err(|_| recorder.incr(Counter::ContainerCorruptRejected))?;
+        let result = reader.decode_all(self.options.parallel, data.len());
+        recorder.absorb(reader.recorder());
+        result
     }
 }
 
-/// Decode chunk records with a scoped thread pool; results keep order.
-/// Each record carries its container byte offset for error reporting.
-fn decode_records_parallel(
-    records: &[(u64, ChunkRecord)],
-    width: usize,
-    codec: &dyn Codec,
-    linearization: Linearization,
+/// Run `work(i, scratch, recorder)` for every `i < n` on a scoped
+/// thread pool — the chunks of one feed when compressing, the records
+/// of one container when decoding; results keep index order.
+pub(crate) fn pooled<T: Send>(
+    n: usize,
     recorder: &mut Recorder,
-) -> Result<Vec<Vec<u8>>, IsobarError> {
+    work: impl Fn(usize, &mut PipelineScratch, &mut Recorder) -> T + Sync,
+) -> Vec<T> {
     let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
+        .map(|w| w.get())
         .unwrap_or(4)
-        .min(records.len());
+        .min(n);
     let next = AtomicUsize::new(0);
-    type Slot = Mutex<Option<Result<Vec<u8>, IsobarError>>>;
-    let slots: Vec<Slot> = (0..records.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // Per-worker recorders merge here at the join; the merge is
-    // commutative, so worker scheduling order cannot change the totals.
+    // commutative, so work-stealing order cannot change the totals.
     let merged = Mutex::new(Recorder::new());
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // One scratch per worker: chunks decoded on this thread
-                // share solver tables and the reassembly buffer. The
-                // recorder follows the same thread-ownership rule.
+                // One scratch per worker: every chunk this thread picks
+                // up reuses the same solver tables and partition buffer.
+                // The recorder follows the same thread-ownership rule.
                 let mut scratch = PipelineScratch::new();
                 let mut local = Recorder::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= records.len() {
+                    if i >= n {
                         break;
                     }
-                    let (rec_offset, record) = &records[i];
-                    let mut chunk = Vec::new();
-                    let result = decode_chunk_record(
-                        record,
-                        width,
-                        i as u32,
-                        codec,
-                        linearization,
-                        &mut chunk,
-                        &mut scratch,
-                        &mut local,
-                    )
-                    .map(|()| chunk)
-                    .map_err(|e| e.at(*rec_offset));
+                    let result = work(i, &mut scratch, &mut local);
                     *slots[i].lock().expect("slot poisoned") = Some(result);
                 }
                 merged.lock().expect("recorder poisoned").absorb(&local);
@@ -633,52 +394,12 @@ fn decode_records_parallel(
         .collect()
 }
 
-/// Intermediate result of compressing one chunk.
-struct ChunkResult {
-    record: ChunkRecord,
-    decision: ChunkDecision,
-    analysis_secs: f64,
-    solver_secs: f64,
-}
-
-/// Encode one chunk: analyze, then partition+solve or pass through
-/// (Algorithm 1). Shared by the batch pipeline and the streaming
-/// writer.
-#[allow(clippy::too_many_arguments)] // internal helper; the chunk index rides along for tracing
-pub(crate) fn build_chunk_record(
-    chunk: &[u8],
-    width: usize,
-    chunk_index: u32,
-    analyzer: &Analyzer,
-    codec: &dyn Codec,
-    linearization: Linearization,
-    scratch: &mut PipelineScratch,
-    recorder: &mut Recorder,
-) -> Result<ChunkRecord, IsobarError> {
-    let timer = StageTimer::start(Stage::Analyze);
-    let analyze_span = trace::span(TraceTag::Analyze, chunk_index);
-    let selection = analyzer.analyze_recorded(chunk, width, recorder)?;
-    drop(analyze_span);
-    timer.finish(recorder);
-    let timer = StageTimer::start(Stage::SolverCompress);
-    let record = build_chunk_record_with(
-        chunk,
-        width,
-        chunk_index,
-        &selection,
-        codec,
-        linearization,
-        scratch,
-        recorder,
-    )?;
-    timer.finish(recorder);
-    recorder.incr(Counter::ChunksCompressed);
-    recorder.add(Counter::ChunkInputBytes, chunk.len() as u64);
-    recorder.add(
-        Counter::ChunkOutputBytes,
-        (CHUNK_HEADER_LEN + record.compressed.len() + record.incompressible.len()) as u64,
-    );
-    Ok(record)
+/// One compressed chunk: its record, and what the report says of it.
+pub(crate) struct ChunkResult {
+    pub(crate) record: ChunkRecord,
+    pub(crate) decision: ChunkDecision,
+    pub(crate) analysis_secs: f64,
+    pub(crate) solver_secs: f64,
 }
 
 /// Run the solver behind a panic boundary. Returns `false` (with the
@@ -704,110 +425,16 @@ fn compress_guarded(
     ok
 }
 
-/// The graceful-degradation record: the chunk's raw bytes, stored
-/// unprocessed under [`ChunkMode::Verbatim`].
-fn verbatim_record(chunk: &[u8], elements: u32, recorder: &mut Recorder) -> ChunkRecord {
-    recorder.incr(Counter::ChunksVerbatimFallback);
-    ChunkRecord {
-        mode: ChunkMode::Verbatim,
-        elements,
-        mask: 0,
-        compressed: chunk.to_vec(),
-        incompressible: Vec::new(),
-    }
-}
-
-/// [`build_chunk_record`] with a precomputed analyzer selection.
+/// Encode one chunk: analyze, then partition+solve or pass through
+/// (Algorithm 1). The one place a chunk becomes a record — the serial
+/// session loop and the parallel pool both call it.
 ///
 /// The record must own its payload bytes (it outlives the scratch), so
 /// the solver output and the verbatim stream are freshly allocated; the
 /// partition buffer feeding the solver and all solver-internal state
 /// come from `scratch` and are reused across chunks.
 #[allow(clippy::too_many_arguments)] // internal helper; the chunk index rides along for tracing
-pub(crate) fn build_chunk_record_with(
-    chunk: &[u8],
-    width: usize,
-    chunk_index: u32,
-    selection: &ColumnSelection,
-    codec: &dyn Codec,
-    linearization: Linearization,
-    scratch: &mut PipelineScratch,
-    recorder: &mut Recorder,
-) -> Result<ChunkRecord, IsobarError> {
-    let elements = (chunk.len() / width) as u32;
-    if selection.is_improvable() {
-        // A warm scratch whose partition buffer already holds enough
-        // capacity is a reuse hit: the chunk compresses without
-        // growing any pipeline-owned buffer.
-        let cap_before = scratch.compressible.capacity();
-        let mut incompressible = Vec::new();
-        let timer = StageTimer::start(Stage::Partition);
-        let partition_span = trace::span(TraceTag::Partition, chunk_index);
-        partition_into(
-            chunk,
-            width,
-            selection,
-            linearization,
-            &mut scratch.compressible,
-            &mut incompressible,
-        );
-        drop(partition_span);
-        timer.finish(recorder);
-        recorder.incr(
-            if cap_before > 0 && scratch.compressible.capacity() == cap_before {
-                Counter::ScratchReuseHits
-            } else {
-                Counter::ScratchReuseMisses
-            },
-        );
-        recorder.add(
-            Counter::PartitionCompressibleBytes,
-            scratch.compressible.len() as u64,
-        );
-        recorder.add(Counter::PartitionVerbatimBytes, incompressible.len() as u64);
-        let mut compressed = Vec::with_capacity(scratch.compressible.len() / 2 + 64);
-        let solver_span = trace::span(TraceTag::SolverCompress, chunk_index);
-        let ok = compress_guarded(
-            codec,
-            &scratch.compressible,
-            &mut compressed,
-            &mut scratch.codec,
-        );
-        drop(solver_span);
-        if !ok {
-            return Ok(verbatim_record(chunk, elements, recorder));
-        }
-        recorder.incr(Counter::ChunksPartitioned);
-        Ok(ChunkRecord {
-            mode: ChunkMode::Partitioned,
-            elements,
-            mask: selection.to_mask()?,
-            compressed,
-            incompressible,
-        })
-    } else {
-        // Undetermined: Algorithm 1 lines 2–3 — whole chunk through
-        // the solver.
-        let mut compressed = Vec::with_capacity(chunk.len() / 2 + 64);
-        let solver_span = trace::span(TraceTag::SolverCompress, chunk_index);
-        let ok = compress_guarded(codec, chunk, &mut compressed, &mut scratch.codec);
-        drop(solver_span);
-        if !ok {
-            return Ok(verbatim_record(chunk, elements, recorder));
-        }
-        recorder.incr(Counter::ChunksPassthrough);
-        Ok(ChunkRecord {
-            mode: ChunkMode::Passthrough,
-            elements,
-            mask: 0,
-            compressed,
-            incompressible: Vec::new(),
-        })
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // internal helper; the chunk index rides along for tracing
-fn compress_chunk(
+pub(crate) fn compress_chunk(
     chunk: &[u8],
     width: usize,
     chunk_index: u32,
@@ -824,29 +451,85 @@ fn compress_chunk(
     drop(analyze_span);
     let analysis = t_analysis.elapsed();
     recorder.record_stage(Stage::Analyze, analysis.as_nanos() as u64);
-    let analysis_secs = analysis.as_secs_f64();
 
     let t_solver = Instant::now();
-    let record = build_chunk_record_with(
-        chunk,
-        width,
-        chunk_index,
-        &selection,
+    let mut record = ChunkRecord {
+        mode: ChunkMode::Passthrough,
+        elements: (chunk.len() / width) as u32,
+        mask: 0,
+        compressed: Vec::new(),
+        incompressible: Vec::new(),
+    };
+    let solver_input: &[u8] = if selection.is_improvable() {
+        // A warm scratch whose partition buffer already holds enough
+        // capacity is a reuse hit: the chunk compresses without
+        // growing any pipeline-owned buffer.
+        let cap_before = scratch.compressible.capacity();
+        let timer = StageTimer::start(Stage::Partition);
+        let partition_span = trace::span(TraceTag::Partition, chunk_index);
+        partition_into(
+            chunk,
+            width,
+            &selection,
+            linearization,
+            &mut scratch.compressible,
+            &mut record.incompressible,
+        );
+        drop(partition_span);
+        timer.finish(recorder);
+        recorder.incr(
+            if cap_before > 0 && scratch.compressible.capacity() == cap_before {
+                Counter::ScratchReuseHits
+            } else {
+                Counter::ScratchReuseMisses
+            },
+        );
+        recorder.add(
+            Counter::PartitionCompressibleBytes,
+            scratch.compressible.len() as u64,
+        );
+        recorder.add(
+            Counter::PartitionVerbatimBytes,
+            record.incompressible.len() as u64,
+        );
+        record.mode = ChunkMode::Partitioned;
+        record.mask = selection.to_mask()?;
+        &scratch.compressible
+    } else {
+        // Undetermined: Algorithm 1 lines 2–3 — whole chunk through
+        // the solver.
+        chunk
+    };
+    record.compressed.reserve(solver_input.len() / 2 + 64);
+    let solver_span = trace::span(TraceTag::SolverCompress, chunk_index);
+    let solved = compress_guarded(
         codec,
-        linearization,
-        scratch,
-        recorder,
-    )?;
+        solver_input,
+        &mut record.compressed,
+        &mut scratch.codec,
+    );
+    drop(solver_span);
+    if !solved {
+        // Graceful degradation: the chunk's raw bytes, unprocessed.
+        record = ChunkRecord {
+            mode: ChunkMode::Verbatim,
+            mask: 0,
+            compressed: chunk.to_vec(),
+            incompressible: Vec::new(),
+            ..record
+        };
+    }
+    recorder.incr(match record.mode {
+        ChunkMode::Partitioned => Counter::ChunksPartitioned,
+        ChunkMode::Passthrough => Counter::ChunksPassthrough,
+        ChunkMode::Verbatim => Counter::ChunksVerbatimFallback,
+    });
     let solver = t_solver.elapsed();
     recorder.record_stage(Stage::SolverCompress, solver.as_nanos() as u64);
-    let solver_secs = solver.as_secs_f64();
 
     recorder.incr(Counter::ChunksCompressed);
     recorder.add(Counter::ChunkInputBytes, chunk.len() as u64);
-    recorder.add(
-        Counter::ChunkOutputBytes,
-        (CHUNK_HEADER_LEN + record.compressed.len() + record.incompressible.len()) as u64,
-    );
+    recorder.add(Counter::ChunkOutputBytes, record.encoded_len() as u64);
 
     let decision = ChunkDecision {
         mode: record.mode,
@@ -859,73 +542,9 @@ fn compress_chunk(
     Ok(ChunkResult {
         record,
         decision,
-        analysis_secs,
-        solver_secs,
+        analysis_secs: analysis.as_secs_f64(),
+        solver_secs: solver.as_secs_f64(),
     })
-}
-
-/// Compress chunks with a scoped thread pool; results keep input order.
-fn compress_chunks_parallel(
-    chunks: &[&[u8]],
-    width: usize,
-    analyzer: &Analyzer,
-    codec: &dyn Codec,
-    linearization: Linearization,
-    recorder: &mut Recorder,
-) -> Result<Vec<ChunkResult>, IsobarError> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(chunks.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ChunkResult, IsobarError>>>> =
-        (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-    // Per-worker recorders merge here at the join; the merge is
-    // commutative, so work-stealing order cannot change the totals.
-    let merged = Mutex::new(Recorder::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One scratch per worker: every chunk this thread picks
-                // up reuses the same hash tables and partition buffer.
-                // The recorder follows the same thread-ownership rule.
-                let mut scratch = PipelineScratch::new();
-                let mut local = Recorder::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let result = compress_chunk(
-                        chunks[i],
-                        width,
-                        i as u32,
-                        analyzer,
-                        codec,
-                        linearization,
-                        &mut scratch,
-                        &mut local,
-                    );
-                    *slots[i].lock().expect("slot poisoned") = Some(result);
-                }
-                merged.lock().expect("recorder poisoned").absorb(&local);
-                // The scope unblocks when this closure returns — before
-                // TLS destructors — so hand the trace ring over now.
-                trace::flush_thread();
-            });
-        }
-    });
-    recorder.absorb(&merged.into_inner().expect("recorder poisoned"));
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("slot filled")
-        })
-        .collect()
 }
 
 #[allow(clippy::too_many_arguments)] // internal helper; the chunk index rides along for tracing
@@ -1005,6 +624,7 @@ pub(crate) fn decode_chunk_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{Header, HEADER_LEN, VERSION};
 
     /// Improvable data: half predictable, half noise per element.
     fn improvable_data(n: usize) -> Vec<u8> {
@@ -1217,7 +837,7 @@ mod tests {
         let analyzer = Analyzer::with_tau(crate::analyzer::DEFAULT_TAU);
         let mut scratch = PipelineScratch::new();
         let mut recorder = Recorder::new();
-        let record = build_chunk_record(
+        let record = compress_chunk(
             &data,
             8,
             0,
@@ -1227,7 +847,8 @@ mod tests {
             &mut scratch,
             &mut recorder,
         )
-        .expect("panic must degrade, not propagate");
+        .expect("panic must degrade, not propagate")
+        .record;
         assert_eq!(record.mode, ChunkMode::Verbatim);
         assert_eq!(record.compressed, data);
         assert!(record.incompressible.is_empty());

@@ -2,18 +2,18 @@
 //!
 //! The decode pipeline is strict: the first structural defect or
 //! checksum mismatch aborts the whole operation. This module is the
-//! permissive counterpart for operators holding damaged media:
+//! permissive counterpart for operators holding damaged media — the
+//! same record walk in its anchor-resync mode, over either form of the
+//! container:
 //!
-//! - [`fsck_container`] / [`fsck_stream`] walk a container without
-//!   decoding payloads, verify every embedded chunk checksum, and
-//!   report per-chunk health. Version-1 inputs carry no chunk
-//!   checksums; their chunks are reported as legacy/unverifiable
-//!   rather than pass or fail.
+//! - [`fsck_container`] walks a container without decoding payloads,
+//!   verifies every embedded chunk checksum, and reports per-chunk
+//!   health.
 //! - [`salvage_decompress`] decodes everything it can, zero-filling
 //!   the regions covered by damaged chunks so that every intact chunk
 //!   lands at its original offset (bit-exact).
 //! - [`salvage_container`] re-encodes the salvaged bytes into a fresh,
-//!   fully valid container with the same shape.
+//!   fully valid batch-form container with the same shape.
 //!
 //! # Resync rules (see also docs/FORMAT.md)
 //!
@@ -24,9 +24,8 @@
 //! need a valid mode byte, an element count within the header's chunk
 //! size, a mask no wider than the element, consistent length fields,
 //! *and* a 64-bit checksum match over the claimed payload — vanishing
-//! odds in damaged or random bytes. Version-1 records carry no
-//! checksum, so legacy anchors are structural-only and resync is
-//! correspondingly weaker.
+//! odds in damaged or random bytes. A streamed container's trailer is
+//! believed only where it ends the file exactly.
 //!
 //! Lost output positions are reconstructed by element accounting:
 //! every non-final chunk holds exactly `chunk_elements` elements, so
@@ -34,36 +33,29 @@
 //! expected, `N − R` chunks are missing. Each damaged region absorbs
 //! at least one missing chunk; any surplus is attributed to the
 //! longest damaged regions first (earliest wins ties). With a single
-//! damaged region — the common case — the attribution is exact.
+//! damaged region — the common case — the attribution is exact. When
+//! the declared length is gone (a streamed container whose trailer is
+//! torn off), is not whole elements, or is beyond what can be
+//! allocated, the length is *unverified*: each damaged region that
+//! records follow counts for one chunk and nothing is assumed past the
+//! last record.
 
-use crate::container::{ChunkRecord, Header, HEADER_LEN, VERSION};
+use crate::container::{
+    ChunkRecord, Header, Trailer, END_MARKER, HEADER_LEN, TRAILER_LEN, VERSION,
+};
 use crate::error::IsobarError;
 use crate::pipeline::{decode_chunk_record, IsobarCompressor, IsobarOptions, PipelineScratch};
-use crate::stream::{STREAM_HEADER_LEN, STREAM_TRAILER_LEN};
-use isobar_codecs::{codec_for, CodecId};
-use isobar_linearize::Linearization;
+use isobar_codecs::codec_for;
 use isobar_telemetry::{Counter, Recorder};
 
-/// Health of one chunk record as seen by `fsck`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkHealth {
-    /// Structure and embedded checksum both check out.
-    Verified,
-    /// Structurally valid version-1 record: it carries no checksum, so
-    /// payload integrity cannot be proven without a full decode
-    /// ("legacy, unverifiable").
-    LegacyUnverifiable,
-}
-
-/// One walked chunk record.
+/// One chunk record the walker recognized: structure and embedded
+/// checksum both check out.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkStatus {
-    /// Byte offset of the record in the container or stream.
+    /// Byte offset of the record in the container.
     pub offset: u64,
     /// Elements the record claims.
     pub elements: u32,
-    /// Verification outcome.
-    pub health: ChunkHealth,
 }
 
 /// A contiguous byte range the walker could not account for.
@@ -75,8 +67,7 @@ pub struct DamageRegion {
     pub len: u64,
 }
 
-/// What `fsck` found. `damage.is_empty()` means the input is clean —
-/// or, for legacy inputs, at least structurally whole.
+/// What `fsck` found.
 #[derive(Debug, Clone)]
 pub struct FsckReport {
     /// Format version byte from the header.
@@ -86,17 +77,18 @@ pub struct FsckReport {
     /// Byte regions lost to damage.
     pub damage: Vec<DamageRegion>,
     /// Chunks the element accounting says existed but were not found
-    /// (0 when `damage` is empty).
+    /// (0 when `damage` is empty); with the length unverified, one per
+    /// damaged region that records follow.
     pub missing_chunks: u64,
-    /// Whether the input predates embedded chunk checksums.
-    pub legacy: bool,
+    /// The original length the container declares; `None` when it is
+    /// unverified (see the module docs).
+    pub total_len: Option<u64>,
 }
 
 impl FsckReport {
-    /// No damage found. Legacy inputs can still be `clean` — the walk
-    /// only proves structure for them, which is all v1 offers.
+    /// No damage found, no chunk missing, and the length accounted for.
     pub fn is_clean(&self) -> bool {
-        self.damage.is_empty() && self.missing_chunks == 0
+        self.damage.is_empty() && self.missing_chunks == 0 && self.total_len.is_some()
     }
 }
 
@@ -112,6 +104,9 @@ pub struct SalvageReport {
     pub bytes_lost: u64,
     /// Damaged byte regions the walker skipped.
     pub damage_regions: u64,
+    /// The container's declared length was missing or unusable, so the
+    /// output's length rests on the recovered records alone.
+    pub length_unverified: bool,
 }
 
 impl SalvageReport {
@@ -127,136 +122,136 @@ enum Segment {
     Gap { offset: u64, len: u64 },
 }
 
-/// Walk the chunk records of a batch container body, resynchronizing
-/// past damage via checksum anchors (see the module docs).
-fn walk_container(data: &[u8], header: &Header) -> Vec<Segment> {
-    let body = &data[HEADER_LEN..];
-    let width = header.width as usize;
-    let mut segments = Vec::new();
-    let mut pos = 0usize;
-    while pos < body.len() {
-        match try_anchor(body, pos, width, header.chunk_elements, header.version) {
-            Some((record, used)) => {
-                segments.push(Segment::Record {
-                    offset: (HEADER_LEN + pos) as u64,
-                    record,
-                });
+/// A container walked in anchor-resync mode.
+struct Walk {
+    header: Header,
+    segments: Vec<Segment>,
+    /// The declared length and Adler-32, when present and whole
+    /// elements.
+    end: Option<Trailer>,
+}
+
+impl Walk {
+    /// Walk the chunk records of `data`, resynchronizing past damage
+    /// via checksum anchors (see the module docs). Errors only when the
+    /// file header itself is unusable.
+    fn new(data: &[u8]) -> Result<Walk, IsobarError> {
+        let header = Header::read(data).map_err(|e| e.at(0))?;
+        // Try to parse and verify a record at `pos`. An empty record is
+        // structurally valid but can never appear in healthy output;
+        // treating it as an anchor would loop forever.
+        let anchor = |pos: usize| {
+            ChunkRecord::read_bounded(
+                &data[pos..],
+                header.width as usize,
+                header.chunk_elements,
+                VERSION,
+                true,
+                pos as u64,
+            )
+            .ok()
+            .filter(|(record, _)| record.elements != 0)
+        };
+        let at_trailer = |pos: usize| {
+            header.len_in_trailer() && data.len() - pos == TRAILER_LEN && data[pos] == END_MARKER
+        };
+        let mut segments = Vec::new();
+        let mut pos = HEADER_LEN;
+        while pos < data.len() && !at_trailer(pos) {
+            let offset = pos as u64;
+            if let Some((record, used)) = anchor(pos) {
+                segments.push(Segment::Record { offset, record });
                 pos += used;
-            }
-            None => {
-                let gap_start = pos;
+            } else {
                 pos += 1;
-                while pos < body.len()
-                    && try_anchor(body, pos, width, header.chunk_elements, header.version).is_none()
-                {
+                while pos < data.len() && !at_trailer(pos) && anchor(pos).is_none() {
                     pos += 1;
                 }
-                segments.push(Segment::Gap {
-                    offset: (HEADER_LEN + gap_start) as u64,
-                    len: (pos - gap_start) as u64,
-                });
+                let len = pos as u64 - offset;
+                segments.push(Segment::Gap { offset, len });
+            }
+        }
+        let end = if pos < data.len() {
+            // The walk stopped at a trailer.
+            Some(Trailer::parse(
+                data[pos + 1..].try_into().expect("12 bytes"),
+            ))
+        } else {
+            (!header.len_in_trailer()).then(|| header.own_end())
+        };
+        let end = end.filter(|end| end.total_len % u64::from(header.width) == 0);
+        Ok(Walk {
+            header,
+            segments,
+            end,
+        })
+    }
+
+    fn records(&self) -> impl Iterator<Item = (u64, &ChunkRecord)> {
+        self.segments.iter().filter_map(|s| match s {
+            Segment::Record { offset, record } => Some((*offset, record)),
+            Segment::Gap { .. } => None,
+        })
+    }
+
+    /// Whole chunks the element accounting expects for `total_len`
+    /// original bytes but the walk did not find. With the length
+    /// unverified, one per gap that records follow.
+    fn missing_chunks(&self, total_len: Option<u64>) -> u64 {
+        match total_len {
+            Some(total_len) => (total_len / u64::from(self.header.width))
+                .div_ceil(u64::from(self.header.chunk_elements))
+                .saturating_sub(self.records().count() as u64),
+            None => {
+                let last_record = self
+                    .segments
+                    .iter()
+                    .rposition(|s| matches!(s, Segment::Record { .. }))
+                    .unwrap_or(0);
+                let gaps = |s: &&Segment| matches!(s, Segment::Gap { .. });
+                self.segments[..last_record].iter().filter(gaps).count() as u64
             }
         }
     }
-    segments
 }
 
-/// Try to parse (and, where the format allows, verify) a chunk record
-/// at `pos`. Returns the record and its total size, or `None` if the
-/// bytes there are not a believable record.
-fn try_anchor(
-    body: &[u8],
-    pos: usize,
-    width: usize,
-    chunk_elements: u32,
-    version: u8,
-) -> Option<(ChunkRecord, usize)> {
-    let (record, used) = ChunkRecord::read_bounded(
-        &body[pos..],
-        width,
-        chunk_elements,
-        version,
-        true,
-        (HEADER_LEN + pos) as u64,
-    )
-    .ok()?;
-    // An empty record is structurally valid but can never appear in
-    // healthy output; treating it as an anchor would loop forever.
-    if record.elements == 0 {
-        return None;
-    }
-    Some((record, used))
-}
-
-/// Walk + verify a batch container without decoding payloads.
+/// Walk + verify a container, batch or streamed, without decoding
+/// payloads.
 ///
 /// Errors only when the file header itself is unusable; damage past
 /// the header is what the report is *for*.
 pub fn fsck_container(data: &[u8]) -> Result<FsckReport, IsobarError> {
-    let header = Header::read(data).map_err(|e| e.at(0))?;
-    let legacy = header.version < VERSION;
-    let segments = walk_container(data, &header);
-    let mut report = FsckReport {
-        version: header.version,
-        chunks: Vec::new(),
-        damage: Vec::new(),
-        missing_chunks: 0,
-        legacy,
-    };
-    for seg in &segments {
-        match seg {
-            Segment::Record { offset, record } => report.chunks.push(ChunkStatus {
-                offset: *offset,
+    let walk = Walk::new(data)?;
+    let total_len = walk.end.map(|end| end.total_len);
+    Ok(FsckReport {
+        version: walk.header.version,
+        chunks: walk
+            .records()
+            .map(|(offset, record)| ChunkStatus {
+                offset,
                 elements: record.elements,
-                health: if legacy {
-                    ChunkHealth::LegacyUnverifiable
-                } else {
-                    ChunkHealth::Verified
-                },
-            }),
-            Segment::Gap { offset, len } => report.damage.push(DamageRegion {
-                offset: *offset,
-                len: *len,
-            }),
-        }
-    }
-    report.missing_chunks = missing_chunks(&header, report.chunks.len() as u64);
-    Ok(report)
+            })
+            .collect(),
+        damage: walk
+            .segments
+            .iter()
+            .filter_map(|s| match *s {
+                Segment::Gap { offset, len } => Some(DamageRegion { offset, len }),
+                Segment::Record { .. } => None,
+            })
+            .collect(),
+        missing_chunks: walk.missing_chunks(total_len),
+        total_len,
+    })
 }
 
-/// Walk + verify a stream (`ISBS`) without decoding payloads.
-pub fn fsck_stream(data: &[u8]) -> Result<FsckReport, IsobarError> {
-    let (version, width) = read_stream_header(data)?;
-    let legacy = version < crate::stream::STREAM_VERSION;
-    let mut report = FsckReport {
-        version,
-        chunks: Vec::new(),
-        damage: Vec::new(),
-        missing_chunks: 0,
-        legacy,
-    };
-    walk_stream(data, version, width, |seg| match seg {
-        StreamSegment::Frame { offset, record } => report.chunks.push(ChunkStatus {
-            offset,
-            elements: record.elements,
-            health: if legacy {
-                ChunkHealth::LegacyUnverifiable
-            } else {
-                ChunkHealth::Verified
-            },
-        }),
-        StreamSegment::Gap { offset, len } => report.damage.push(DamageRegion { offset, len }),
-        StreamSegment::Trailer => {}
-    });
-    Ok(report)
-}
-
-/// Decode a damaged batch container, zero-filling what cannot be
-/// recovered so every intact chunk lands at its original offset.
+/// Decode a damaged container, zero-filling what cannot be recovered
+/// so every intact chunk lands at its original offset.
 ///
-/// Errors only when the file header is unusable or the geometry
-/// (width, total length) is nonsensical — otherwise the output always
-/// has exactly `total_len` bytes.
+/// Errors only when the file header is unusable — otherwise the output
+/// has exactly the declared length, or with that unverified
+/// ([`SalvageReport::length_unverified`]) ends with the last recovered
+/// chunk.
 pub fn salvage_decompress(data: &[u8]) -> Result<(Vec<u8>, SalvageReport), IsobarError> {
     salvage_decompress_recorded(data, &mut Recorder::new())
 }
@@ -267,40 +262,35 @@ pub fn salvage_decompress_recorded(
     data: &[u8],
     recorder: &mut Recorder,
 ) -> Result<(Vec<u8>, SalvageReport), IsobarError> {
-    let header = Header::read(data).map_err(|e| e.at(0))?;
+    let walk = Walk::new(data)?;
+    let header = &walk.header;
     let width = header.width as usize;
-    if header.total_len % width as u64 != 0 {
-        return Err(IsobarError::Corrupt("total length not element-aligned"));
-    }
-    let total_elements = header.total_len / width as u64;
+    // A declared length that cannot even be reserved (a torn file's
+    // last bytes misread as a trailer, a corrupted field) is not
+    // trusted to size the output.
+    let mut out = Vec::new();
+    let reservable =
+        |len: &u64| usize::try_from(*len).is_ok_and(|len| out.try_reserve_exact(len).is_ok());
+    let total_len = walk.end.map(|end| end.total_len).filter(reservable);
+    let total_elements = total_len.map_or(u64::MAX, |len| len / width as u64);
     let codec = codec_for(header.codec, header.level);
-    let segments = walk_container(data, &header);
 
     // Element accounting: how many whole chunks vanished, and how many
     // to attribute to each damaged region (longest-first).
-    let records: u64 = segments
-        .iter()
-        .filter(|s| matches!(s, Segment::Record { .. }))
-        .count() as u64;
-    let missing = missing_chunks(&header, records);
-    let gap_shares = share_missing(&segments, missing);
+    let gap_shares = share_missing(&walk.segments, walk.missing_chunks(total_len));
 
-    let mut out = Vec::with_capacity(header.total_len.min(1 << 31) as usize);
-    let mut report = SalvageReport::default();
+    let mut report = SalvageReport {
+        length_unverified: total_len.is_none(),
+        ..Default::default()
+    };
     let mut scratch = PipelineScratch::new();
     let mut gap_index = 0usize;
     let mut chunk_index = 0u32;
     // Elements still owed to records not yet emitted — used to clamp
     // zero fill so a gap can never push recovered data past its slot.
-    let mut elements_ahead: u64 = segments
-        .iter()
-        .filter_map(|s| match s {
-            Segment::Record { record, .. } => Some(record.elements as u64),
-            Segment::Gap { .. } => None,
-        })
-        .sum();
+    let mut elements_ahead: u64 = walk.records().map(|(_, r)| u64::from(r.elements)).sum();
 
-    for seg in &segments {
+    for seg in &walk.segments {
         match seg {
             Segment::Record { record, .. } => {
                 elements_ahead -= record.elements as u64;
@@ -319,9 +309,8 @@ pub fn salvage_decompress_recorded(
                 if decoded {
                     report.chunks_recovered += 1;
                 } else {
-                    // Checksum passed (or legacy) but the payload
-                    // would not decode: fall back to this chunk's
-                    // worth of zeros.
+                    // Checksum passed but the payload would not decode:
+                    // fall back to this chunk's worth of zeros.
                     out.truncate(produced);
                     let fill = record.elements as usize * width;
                     out.resize(produced + fill, 0);
@@ -353,32 +342,21 @@ pub fn salvage_decompress_recorded(
     // Accounting shortfalls (e.g. damage at the very end of the file)
     // land as trailing zero fill; overshoot cannot happen because gaps
     // are budget-clamped and records were length-validated.
-    if (out.len() as u64) < header.total_len {
-        let pad = header.total_len as usize - out.len();
-        out.resize(header.total_len as usize, 0);
-        report.bytes_lost += pad as u64;
+    if let Some(total_len) = total_len {
+        report.bytes_lost += (total_len as usize).saturating_sub(out.len()) as u64;
+        out.resize(total_len as usize, 0);
     }
-    out.truncate(header.total_len as usize);
     Ok((out, report))
 }
 
-/// Rebuild a damaged batch container into a fresh, fully valid
-/// current-version container: salvage the bytes ([`salvage_decompress`]),
-/// then re-encode them with the original geometry (width, chunk size,
+/// Rebuild a damaged container into a fresh, fully valid batch-form
+/// container: salvage the bytes ([`salvage_decompress`]), then
+/// re-encode them with the original geometry (width, chunk size,
 /// solver, linearization). Recovered chunks keep their exact contents;
 /// damaged spans become well-formed chunks of zeros.
 pub fn salvage_container(data: &[u8]) -> Result<(Vec<u8>, SalvageReport), IsobarError> {
-    salvage_container_recorded(data, &mut Recorder::new())
-}
-
-/// [`salvage_container`] recording telemetry into a caller-held
-/// recorder.
-pub fn salvage_container_recorded(
-    data: &[u8],
-    recorder: &mut Recorder,
-) -> Result<(Vec<u8>, SalvageReport), IsobarError> {
     let header = Header::read(data).map_err(|e| e.at(0))?;
-    let (bytes, report) = salvage_decompress_recorded(data, recorder)?;
+    let (bytes, report) = salvage_decompress(data)?;
     let compressor = IsobarCompressor::new(IsobarOptions {
         codec_override: Some(header.codec),
         linearization_override: Some(header.linearization),
@@ -390,192 +368,29 @@ pub fn salvage_container_recorded(
     Ok((packed, report))
 }
 
-/// Decode a damaged stream (`ISBS`), skipping frames that fail
-/// verification. Streams do not record their chunk geometry in the
-/// header, so — unlike [`salvage_decompress`] — lost frames cannot be
-/// zero-filled in place; their data is simply absent from the output.
-pub fn salvage_stream_recorded(
-    data: &[u8],
-    recorder: &mut Recorder,
-) -> Result<(Vec<u8>, SalvageReport), IsobarError> {
-    let (version, width) = read_stream_header(data)?;
-    let codec = CodecId::from_u8(data[6]).map_err(IsobarError::Codec)?;
-    let level =
-        crate::container::level_from_u8(data[7]).ok_or(IsobarError::Corrupt("bad level byte"))?;
-    let linearization =
-        Linearization::from_u8(data[8]).ok_or(IsobarError::Corrupt("bad linearization"))?;
-    let solver = codec_for(codec, level);
-
-    let mut out = Vec::new();
-    let mut report = SalvageReport::default();
-    let mut scratch = PipelineScratch::new();
-    let mut chunk_index = 0u32;
-    walk_stream(data, version, width, |seg| match seg {
-        StreamSegment::Frame { record, .. } => {
-            let produced = out.len();
-            let ok = decode_chunk_record(
-                &record,
-                width as usize,
-                chunk_index,
-                solver.as_ref(),
-                linearization,
-                &mut out,
-                &mut scratch,
-                recorder,
-            )
-            .is_ok();
-            if ok {
-                report.chunks_recovered += 1;
-            } else {
-                out.truncate(produced);
-                report.chunks_lost += 1;
-                recorder.incr(Counter::ChunksSkippedCorrupt);
-            }
-            chunk_index += 1;
-        }
-        StreamSegment::Gap { len, .. } => {
-            report.damage_regions += 1;
-            report.chunks_lost += 1;
-            report.bytes_lost += len;
-            recorder.incr(Counter::ChunksSkippedCorrupt);
-        }
-        StreamSegment::Trailer => {}
-    });
-    Ok((out, report))
-}
-
-/// Parse and sanity-check the 9-byte stream header; returns
-/// `(version, width)`.
-fn read_stream_header(data: &[u8]) -> Result<(u8, u8), IsobarError> {
-    if data.len() < STREAM_HEADER_LEN {
-        return Err(IsobarError::Truncated);
-    }
-    if data[..4] != crate::stream::STREAM_MAGIC {
-        return Err(IsobarError::Corrupt("bad stream magic"));
-    }
-    let version = data[4];
-    if version != crate::stream::STREAM_VERSION && version != crate::stream::STREAM_LEGACY_VERSION {
-        return Err(IsobarError::Corrupt("unsupported stream version"));
-    }
-    let width = data[5];
-    if width == 0 || width > 64 {
-        return Err(IsobarError::Corrupt("bad element width"));
-    }
-    Ok((version, width))
-}
-
-/// One element of a stream walk.
-enum StreamSegment {
-    Frame { offset: u64, record: ChunkRecord },
-    Gap { offset: u64, len: u64 },
-    Trailer,
-}
-
-/// Walk the frames of a stream, resynchronizing past damage by
-/// scanning for the next frame marker followed by a verifiable record
-/// (or a plausible trailer).
-fn walk_stream<F: FnMut(StreamSegment)>(data: &[u8], version: u8, width: u8, mut visit: F) {
-    let mut pos = STREAM_HEADER_LEN;
-    while pos < data.len() {
-        match try_frame(data, pos, version, width) {
-            Some(FrameAt::Chunk(record, used)) => {
-                visit(StreamSegment::Frame {
-                    offset: (pos + 1) as u64,
-                    record,
-                });
-                pos += used;
-            }
-            Some(FrameAt::Trailer) => {
-                visit(StreamSegment::Trailer);
-                pos = data.len();
-            }
-            None => {
-                let gap_start = pos;
-                pos += 1;
-                while pos < data.len() && try_frame(data, pos, version, width).is_none() {
-                    pos += 1;
-                }
-                visit(StreamSegment::Gap {
-                    offset: gap_start as u64,
-                    len: (pos - gap_start) as u64,
-                });
-            }
-        }
-    }
-}
-
-/// A frame recognized mid-stream.
-enum FrameAt {
-    /// Chunk frame: the record plus total frame size (marker included).
-    Chunk(ChunkRecord, usize),
-    /// End-of-stream trailer at exactly the right distance from EOF.
-    Trailer,
-}
-
-fn try_frame(data: &[u8], pos: usize, version: u8, width: u8) -> Option<FrameAt> {
-    match data[pos] {
-        1 => {
-            let (record, used) = ChunkRecord::read_bounded(
-                &data[pos + 1..],
-                width as usize,
-                u32::MAX,
-                version,
-                true,
-                (pos + 1) as u64,
-            )
-            .ok()?;
-            if record.elements == 0 {
-                return None;
-            }
-            Some(FrameAt::Chunk(record, 1 + used))
-        }
-        // Only believe a trailer marker when the remaining bytes are
-        // exactly one trailer — anything else is damage.
-        0 if data.len() - pos == STREAM_TRAILER_LEN => Some(FrameAt::Trailer),
-        _ => None,
-    }
-}
-
-/// Expected-minus-found whole chunks, from the header's geometry.
-fn missing_chunks(header: &Header, found: u64) -> u64 {
-    let width = header.width as u64;
-    if width == 0 || header.chunk_elements == 0 {
-        return 0;
-    }
-    let total_elements = header.total_len / width;
-    let expected = total_elements.div_ceil(header.chunk_elements as u64);
-    expected.saturating_sub(found)
-}
-
 /// Attribute `missing` whole chunks across the walk's damaged regions:
 /// one each, then surplus to the longest regions first (earliest wins
 /// ties). Returns one share per gap, in walk order.
 fn share_missing(segments: &[Segment], missing: u64) -> Vec<u64> {
-    let gaps: Vec<(usize, u64)> = segments
+    let gaps: Vec<u64> = segments
         .iter()
         .filter_map(|s| match s {
             Segment::Gap { len, .. } => Some(*len),
             _ => None,
         })
-        .enumerate()
         .collect();
     let mut shares = vec![0u64; gaps.len()];
-    if gaps.is_empty() || missing == 0 {
-        return shares;
-    }
     let mut remaining = missing;
-    for share in shares.iter_mut() {
-        if remaining == 0 {
-            break;
-        }
+    for share in shares.iter_mut().take(missing as usize) {
         *share = 1;
         remaining -= 1;
     }
-    if remaining > 0 {
+    if remaining > 0 && !gaps.is_empty() {
         // Longest gap first; ties go to the earlier region.
-        let mut order: Vec<usize> = (0..gaps.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(gaps[i].1), i));
-        shares[order[0]] += remaining;
+        let longest = (0..gaps.len())
+            .min_by_key(|&i| (std::cmp::Reverse(gaps[i]), i))
+            .expect("non-empty");
+        shares[longest] += remaining;
     }
     shares
 }
@@ -584,9 +399,7 @@ fn share_missing(segments: &[Segment], missing: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::container::CHUNK_HEADER_LEN;
-    use crate::pipeline::{IsobarCompressor, IsobarOptions};
     use crate::stream::IsobarWriter;
-    use isobar_codecs::CompressionLevel;
     use std::io::Write as _;
 
     fn mixed_data(elements: usize) -> Vec<u8> {
@@ -633,11 +446,7 @@ mod tests {
         let report = fsck_container(&packed).expect("header");
         assert!(report.is_clean());
         assert_eq!(report.chunks.len(), 4);
-        assert!(!report.legacy);
-        assert!(report
-            .chunks
-            .iter()
-            .all(|c| c.health == ChunkHealth::Verified));
+        assert_eq!(report.total_len, Some(8 * 1024));
     }
 
     #[test]
@@ -717,45 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn fsck_flags_legacy_as_unverifiable() {
-        use crate::container::{ChunkMode, LEGACY_VERSION};
-        use isobar_codecs::deflate::adler32;
-        let original: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(3)).collect();
-        let codec = codec_for(CodecId::Deflate, CompressionLevel::Default);
-        let header = Header {
-            version: LEGACY_VERSION,
-            width: 2,
-            codec: CodecId::Deflate,
-            level: CompressionLevel::Default,
-            linearization: Linearization::Row,
-            preference: 0,
-            chunk_elements: 100,
-            total_len: original.len() as u64,
-            checksum: adler32(&original),
-        };
-        let record = ChunkRecord {
-            mode: ChunkMode::Passthrough,
-            elements: 100,
-            mask: 0,
-            compressed: codec.compress(&original),
-            incompressible: Vec::new(),
-        };
-        let mut bytes = Vec::new();
-        header.write(&mut bytes);
-        record.write_legacy(&mut bytes);
-
-        let report = fsck_container(&bytes).expect("header");
-        assert!(report.legacy);
-        assert!(report.is_clean(), "structurally whole");
-        assert_eq!(report.chunks[0].health, ChunkHealth::LegacyUnverifiable);
-
-        // And legacy containers salvage too (structural anchors only).
-        let (out, rep) = salvage_decompress(&bytes).expect("salvage");
-        assert_eq!(out, original);
-        assert!(rep.is_complete());
-    }
-
-    #[test]
     fn stream_fsck_and_salvage() {
         let data = mixed_data(1024);
         let mut writer = IsobarWriter::new(
@@ -768,25 +538,62 @@ mod tests {
         )
         .expect("writer");
         writer.write_all(&data).expect("write");
-        let mut bytes = writer.finish().expect("finish");
+        let (mut bytes, _) = writer.finish().expect("finish");
 
-        let report = fsck_stream(&bytes).expect("header");
+        let report = fsck_container(&bytes).expect("header");
         assert!(report.is_clean());
         assert_eq!(report.chunks.len(), 4);
+        assert_eq!(report.total_len, Some(data.len() as u64));
 
-        // Damage the second frame's payload.
+        // Damage the second record's payload.
         let at = report.chunks[1].offset as usize + CHUNK_HEADER_LEN;
         bytes[at] ^= 0xFF;
-        let report = fsck_stream(&bytes).expect("header");
+        let report = fsck_container(&bytes).expect("header");
         assert_eq!(report.chunks.len(), 3);
         assert_eq!(report.damage.len(), 1);
+        assert_eq!(report.missing_chunks, 1);
 
-        // Salvage drops the damaged frame, keeps the other three.
-        let (out, rep) = salvage_stream_recorded(&bytes, &mut Recorder::new()).expect("salvage");
+        // Salvage zero-fills the damaged record in place, exactly as it
+        // does for the batch form.
+        let (out, rep) = salvage_decompress(&bytes).expect("salvage");
         let cs = 256 * 8;
-        assert_eq!(out.len(), 3 * cs);
+        assert_eq!(out.len(), data.len());
         assert_eq!(&out[..cs], &data[..cs]);
-        assert_eq!(&out[cs..], &data[2 * cs..]);
+        assert!(out[cs..2 * cs].iter().all(|&b| b == 0), "chunk 1 zeroed");
+        assert_eq!(&out[2 * cs..], &data[2 * cs..]);
+        assert_eq!((rep.chunks_recovered, rep.chunks_lost), (3, 1));
+        assert!(!rep.length_unverified);
+
+        // ...and re-frames it in the batch form.
+        let (rebuilt, _) = salvage_container(&bytes).expect("salvage");
+        assert!(!Header::read(&rebuilt).unwrap().len_in_trailer());
+        assert_eq!(
+            IsobarCompressor::default().decompress(&rebuilt).unwrap(),
+            out
+        );
+
+        // With the trailer torn off as well, every verifying chunk
+        // still comes back (the interior gap counts for one chunk) and
+        // the length is reported as unverified.
+        let torn = &bytes[..bytes.len() - 5];
+        let report = fsck_container(torn).expect("header");
+        assert!(!report.is_clean());
+        assert_eq!(report.total_len, None);
+        let (out_torn, rep) = salvage_decompress(torn).expect("salvage");
+        assert_eq!(out_torn, out);
         assert_eq!(rep.chunks_recovered, 3);
+        assert!(rep.length_unverified);
+    }
+
+    #[test]
+    fn unallocatable_declared_length_is_not_trusted() {
+        // A corrupted length field must not size the output: the
+        // records alone do.
+        let (mut packed, data) = small_chunk_container();
+        packed[16 + 6] = 0x7F; // total_len becomes ~2^55
+        assert!(!fsck_container(&packed).unwrap().is_clean());
+        let (out, report) = salvage_decompress(&packed).expect("salvage");
+        assert_eq!(out, data);
+        assert!(report.length_unverified && report.is_complete());
     }
 }

@@ -1,5 +1,5 @@
 //! Corrupt-input corpus: one hand-built specimen per documented defect
-//! class of the batch container and the stream framing, each asserting
+//! class of the container, batch form and streamed tail, each asserting
 //! the *specific* typed error the format documentation promises (see
 //! `docs/FORMAT.md`, "Error taxonomy & corruption handling").
 //!
@@ -466,22 +466,21 @@ fn intact_specimens_round_trip() {
 }
 
 // ---------------------------------------------------------------------
-// Stream framing defects
+// Streamed-form defects: the length flag, the end marker, the trailer
 // ---------------------------------------------------------------------
 
-const STREAM_HEADER_LEN: usize = 9;
-const STREAM_TRAILER_LEN: usize = 13;
+const TRAILER_LEN: usize = 13;
 
 fn stream_bytes() -> (Vec<u8>, Vec<u8>) {
     let data = mixed_data(1024);
     let mut writer = IsobarWriter::new(Vec::new(), 8, options()).expect("writer");
     std::io::Write::write_all(&mut writer, &data).expect("write");
-    let bytes = writer.finish().expect("finish");
+    let (bytes, _) = writer.finish().expect("finish");
     (bytes, data)
 }
 
-/// Drive a corrupt stream to its error and return it with the reader's
-/// corrupt-rejection count at the moment of failure.
+/// Drive a corrupt streamed container to its error and return it with
+/// the reader's corrupt-rejection count at the moment of failure.
 fn stream_error(bytes: &[u8]) -> (IsobarError, u64) {
     let mut reader = IsobarReader::new(bytes).expect("header must parse");
     let mut sink = Vec::new();
@@ -493,41 +492,43 @@ fn stream_error(bytes: &[u8]) -> (IsobarError, u64) {
         .and_then(|r| r.downcast_ref::<IsobarError>())
         .expect("stream errors carry a typed IsobarError")
         .clone();
-    (
-        err,
-        reader.telemetry().counter(Counter::StreamCorruptRejected),
-    )
+    let rejected = reader
+        .telemetry()
+        .counter(Counter::ContainerCorruptRejected);
+    // The slice decoder is the same walker: same verdict.
+    let (slice_err, _) = decompress_counted(bytes);
+    assert_eq!(slice_err, err);
+    (err, rejected)
 }
 
 #[test]
 fn stream_bad_magic() {
     let (mut s, _) = stream_bytes();
-    s[0] = b'X';
-    assert!(matches!(
-        IsobarReader::new(&s[..]),
-        Err(IsobarError::Corrupt("bad stream magic"))
-    ));
+    s[OFF_MAGIC] = b'X';
+    let err = IsobarReader::new(&s[..]).map(drop).unwrap_err();
+    assert_eq!(unwrap_at(err), IsobarError::Corrupt("bad magic"));
 }
 
 #[test]
 fn stream_unsupported_version() {
     let (mut s, _) = stream_bytes();
-    s[4] = 42;
-    assert!(matches!(
-        IsobarReader::new(&s[..]),
-        Err(IsobarError::Corrupt("unsupported stream version"))
-    ));
+    s[OFF_VERSION] = 42;
+    let err = IsobarReader::new(&s[..]).map(drop).unwrap_err();
+    assert_eq!(unwrap_at(err), IsobarError::Corrupt("unsupported version"));
 }
 
 #[test]
 fn stream_bad_marker_reports_offset_and_counts() {
+    // Where a record or the end marker must start, any other byte is a
+    // bad mode byte, located there.
     let (mut s, _) = stream_bytes();
-    s[STREAM_HEADER_LEN] = 0xEE; // first frame marker
+    let marker_at = s.len() - TRAILER_LEN;
+    s[marker_at] = 0xEE;
     let (err, rejected) = stream_error(&s);
     match err {
         IsobarError::At { offset, source } => {
-            assert_eq!(offset, STREAM_HEADER_LEN as u64);
-            assert!(matches!(*source, IsobarError::Corrupt("bad stream marker")));
+            assert_eq!(offset, marker_at as u64);
+            assert!(matches!(*source, IsobarError::Corrupt("bad chunk mode")));
         }
         other => panic!("expected At-wrapped error, got {other:?}"),
     }
@@ -538,25 +539,27 @@ fn stream_bad_marker_reports_offset_and_counts() {
 
 #[test]
 fn stream_torn_trailer() {
+    // Torn inside the trailer, and with the end marker missing too.
     let (s, _) = stream_bytes();
-    let torn = &s[..s.len() - STREAM_TRAILER_LEN + 3];
-    let (err, rejected) = stream_error(torn);
-    assert!(matches!(unwrap_at(err), IsobarError::Truncated));
-    if ENABLED {
-        assert_eq!(rejected, 1);
+    for keep in [3, 0] {
+        let (err, rejected) = stream_error(&s[..s.len() - TRAILER_LEN + keep]);
+        assert!(matches!(unwrap_at(err), IsobarError::Truncated));
+        if ENABLED {
+            assert_eq!(rejected, 1);
+        }
     }
 }
 
 #[test]
 fn stream_trailer_length_mismatch() {
     let (mut s, _) = stream_bytes();
-    let total_at = s.len() - STREAM_TRAILER_LEN + 1; // skip end marker
+    let total_at = s.len() - TRAILER_LEN + 1; // skip end marker
     let total = u64::from_le_bytes(s[total_at..total_at + 8].try_into().unwrap());
     s[total_at..total_at + 8].copy_from_slice(&(total + 1).to_le_bytes());
     let (err, _) = stream_error(&s);
     assert!(matches!(
         unwrap_at(err),
-        IsobarError::Corrupt("stream length mismatch")
+        IsobarError::Corrupt("reassembled length mismatch")
     ));
 }
 
@@ -566,10 +569,10 @@ fn stream_trailer_checksum_mismatch() {
     let last = s.len() - 1; // high byte of the trailer Adler-32
     s[last] ^= 0xFF;
     let (err, rejected) = stream_error(&s);
-    assert!(matches!(
-        unwrap_at(err),
-        IsobarError::ChecksumMismatch { .. }
-    ));
+    match err {
+        IsobarError::ChecksumMismatch { offset, .. } => assert_eq!(offset, s.len() as u64 - 4),
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
     if ENABLED {
         assert_eq!(rejected, 1);
     }
@@ -577,17 +580,13 @@ fn stream_trailer_checksum_mismatch() {
 
 #[test]
 fn stream_frame_payload_flip_fails_chunk_checksum() {
-    // A bit flip inside the first frame's payload trips that frame's
-    // chunk checksum; the error carries the record's stream offset
-    // (header + 1 marker byte).
+    // A bit flip inside the first record's payload trips that record's
+    // chunk checksum; the error carries the record's offset.
     let (mut s, _) = stream_bytes();
-    let at = STREAM_HEADER_LEN + 1 + CHUNK_HEADER_LEN; // first payload byte
-    s[at] ^= 0x01;
+    s[HEADER_LEN + CHUNK_HEADER_LEN] ^= 0x01; // first payload byte
     let (err, rejected) = stream_error(&s);
-    match unwrap_at(err) {
-        IsobarError::ChecksumMismatch { offset, .. } => {
-            assert_eq!(offset, (STREAM_HEADER_LEN + 1) as u64);
-        }
+    match err {
+        IsobarError::ChecksumMismatch { offset, .. } => assert_eq!(offset, HEADER_LEN as u64),
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
     if ENABLED {
@@ -603,4 +602,5 @@ fn intact_stream_round_trips() {
         .read_to_vec()
         .expect("pristine stream decodes");
     assert_eq!(out, data);
+    assert_eq!(IsobarCompressor::default().decompress(&s).unwrap(), data);
 }

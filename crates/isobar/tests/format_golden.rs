@@ -7,19 +7,22 @@
 //! An *unintentional* diff here means a compatibility break.
 //!
 //! Version history pinned here:
-//! - v1: checksum-less chunk records (29-byte chunk header).
+//! - v1: checksum-less chunk records (29-byte chunk header). Retired.
 //! - v2: 37-byte chunk header ending in an XXH64 checksum over the
-//!   record (current).
+//!   record (current), in the batch and the streamed form.
 //!
-//! The `legacy_*` tests hold the back-compat line: version-1 bytes —
-//! written before chunk checksums existed — must keep decoding.
+//! The `legacy_*` tests hold the retirement line: version-1 bytes and
+//! the `ISBS` stream framing are refused by name, never misread.
 
-use isobar::container::{
-    ChunkMode, ChunkRecord, Header, CHECKSUM_SEED, HEADER_LEN, LEGACY_VERSION,
+use isobar::container::{ChunkMode, ChunkRecord, Header, CHECKSUM_SEED, HEADER_LEN};
+use isobar::salvage::fsck_container;
+use isobar::{
+    CodecId, IsobarCompressor, IsobarError, IsobarOptions, IsobarReader, IsobarWriter,
+    Linearization,
 };
-use isobar::{CodecId, IsobarCompressor, IsobarOptions, Linearization};
 use isobar_codecs::xxhash::Xxh64;
-use isobar_codecs::{codec_for, CompressionLevel};
+use isobar_codecs::CompressionLevel;
+use std::io::Write;
 
 /// Fixed input: 65 536 elements of width 4 — two predictable columns, two
 /// noise-like columns — generated from a frozen xorshift sequence.
@@ -40,14 +43,18 @@ fn fixed_input() -> Vec<u8> {
         .collect()
 }
 
-fn fixed_compressor() -> IsobarCompressor {
-    IsobarCompressor::new(IsobarOptions {
+fn fixed_options() -> IsobarOptions {
+    IsobarOptions {
         codec_override: Some(CodecId::Deflate),
         linearization_override: Some(Linearization::Row),
         level: CompressionLevel::Default,
         chunk_elements: 65_536,
         ..Default::default()
-    })
+    }
+}
+
+fn fixed_compressor() -> IsobarCompressor {
+    IsobarCompressor::new(fixed_options())
 }
 
 /// FNV-1a over the container bytes: stable fingerprint without
@@ -195,91 +202,114 @@ fn container_matches_documented_offsets() {
     );
 }
 
+#[test]
+fn streamed_container_matches_documented_offsets() {
+    // The streamed form by the docs/FORMAT.md tables alone: the batch
+    // header with the length flag, the same records back to back, the
+    // end marker, the trailer.
+    let input = fixed_input();
+    let options = IsobarOptions {
+        chunk_elements: 32_768, // two records
+        ..fixed_options()
+    };
+    let batch = IsobarCompressor::new(options).compress(&input, 4).unwrap();
+    let mut writer = IsobarWriter::new(Vec::new(), 4, options).unwrap();
+    writer.write_all(&input).unwrap();
+    let (streamed, _) = writer.finish().unwrap();
+
+    assert_eq!(
+        &streamed[..16],
+        &batch[..16],
+        "offsets 0-15: as the batch form"
+    );
+    assert_eq!(
+        u64::from_le_bytes(streamed[16..24].try_into().unwrap()),
+        u64::MAX,
+        "offset 16: total_len flags \"length in trailer\""
+    );
+    assert_eq!(&streamed[24..28], &[0; 4], "offset 24: checksum unused");
+    let body = batch.len() - 28;
+    assert_eq!(
+        &streamed[28..28 + body],
+        &batch[28..],
+        "offset 28: the batch form's records, no marker between them"
+    );
+    let trailer = &streamed[28 + body..];
+    assert_eq!(trailer.len(), 13, "the trailer ends the file");
+    assert_eq!(trailer[0], 0xFF, "trailer offset 0: end marker");
+    assert_eq!(
+        u64::from_le_bytes(trailer[1..9].try_into().unwrap()),
+        input.len() as u64,
+        "trailer offset 1: total_len"
+    );
+    assert_eq!(
+        u32::from_le_bytes(trailer[9..13].try_into().unwrap()),
+        isobar_codecs::deflate::adler32(&input),
+        "trailer offset 9: Adler-32 of the original bytes"
+    );
+
+    // The empty case: a header and a trailer, no zero-element record.
+    let (empty, _) = IsobarWriter::new(Vec::new(), 4, options)
+        .unwrap()
+        .finish()
+        .unwrap();
+    assert_eq!(empty.len(), 28 + 13);
+    assert_eq!(&empty[29..], &[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]);
+}
+
 // ---------------------------------------------------------------------
-// Back-compat: version-1 (pre-checksum) bytes must keep decoding
+// Retired formats: refused by name, from literal bytes with no emitter
 // ---------------------------------------------------------------------
 
-/// A version-1 container built with the frozen legacy emitters: 64
-/// elements of width 2, passthrough mode, zlib-class payload — the
-/// exact byte layout the pre-checksum release wrote.
-fn legacy_container_fixture() -> (Vec<u8>, Vec<u8>) {
-    let original: Vec<u8> = (0..128u8).collect();
-    let codec = codec_for(CodecId::Deflate, CompressionLevel::Default);
-    let header = Header {
-        version: LEGACY_VERSION,
-        width: 2,
-        codec: CodecId::Deflate,
-        level: CompressionLevel::Default,
-        linearization: Linearization::Row,
-        preference: 0,
-        chunk_elements: 64,
-        total_len: original.len() as u64,
-        checksum: isobar_codecs::deflate::adler32(&original),
-    };
-    let record = ChunkRecord {
-        mode: ChunkMode::Passthrough,
-        elements: 64,
-        mask: 0,
-        compressed: codec.compress(&original),
-        incompressible: Vec::new(),
-    };
-    let mut bytes = Vec::new();
-    header.write(&mut bytes);
-    record.write_legacy(&mut bytes);
-    (bytes, original)
+/// The version-1 container the pre-checksum release wrote for the 128
+/// bytes `0..128` as 64 elements of width 2: 28-byte header, one
+/// 29-byte checksum-less passthrough record, zlib-class payload.
+const LEGACY_CONTAINER_HEX: &str = "\
+    495342520102010100000000400000008000000000000000c11f0b56004000000000000000000000\
+    0088000000000000000000000000000000789c6360646266616563e7e0e4e2e6e1e5e31710141216\
+    11151397909492969195935750545256515553d7d0d4d2d6d1d5d33730343236313533b7b0b4b2b6\
+    b1b5b37770747276717573f7f0f4f2f6f1f5f30f080c0a0e090d0b8f888c8a8e898d8b4f484c4a4e\
+    494d4bcfc8cccacec9cdcb2f282c2a2e292d2bafa8acaaaea9adab0700560b1fc1";
+
+fn legacy_container_fixture() -> Vec<u8> {
+    (0..LEGACY_CONTAINER_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&LEGACY_CONTAINER_HEX[i..i + 2], 16).unwrap())
+        .collect()
 }
 
 #[test]
 fn legacy_container_bytes_are_bit_stable() {
-    // The legacy emitters themselves are frozen: this fingerprint was
-    // taken when version 2 landed and must never drift, or the
-    // back-compat tests stop proving anything.
-    let (bytes, _) = legacy_container_fixture();
-    let fingerprint = fnv(&bytes);
-    let expected = 0x78f6_5dc3_1870_dc73u64; // regenerate only with a v1 layout change (never)
-    assert_eq!(
-        fingerprint,
-        expected,
-        "legacy fixture drifted: {fingerprint:#018x} (len {})",
-        bytes.len()
-    );
+    // This fingerprint was taken from the version-1 emitter when
+    // version 2 landed; the literal must stay those bytes, or the
+    // refusal tests stop proving anything.
+    let bytes = legacy_container_fixture();
+    assert_eq!((bytes.len(), bytes[4]), (193, 1), "fixture is version 1");
+    assert_eq!(fnv(&bytes), 0x78f6_5dc3_1870_dc73u64);
+}
+
+#[track_caller]
+fn assert_refused_by_name(bytes: &[u8], name: &str) {
+    for result in [
+        IsobarCompressor::default().decompress(bytes).map(drop),
+        IsobarReader::new(bytes).map(drop),
+        fsck_container(bytes).map(drop),
+    ] {
+        match result {
+            Err(e @ IsobarError::Retired(_)) => assert!(e.to_string().contains(name), "{e}"),
+            other => panic!("expected a refusal by name, got {other:?}"),
+        }
+    }
 }
 
 #[test]
-fn legacy_container_still_decodes() {
-    let (bytes, original) = legacy_container_fixture();
-    assert_eq!(bytes[4], 1, "fixture is version 1");
-    // Default decode (verification on): v1 carries no chunk checksums
-    // to verify, but the whole-stream Adler-32 still checks out.
-    let out = IsobarCompressor::default()
-        .decompress(&bytes)
-        .expect("pre-checksum container must keep decoding");
-    assert_eq!(out, original);
+fn legacy_container_is_refused_by_name() {
+    assert_refused_by_name(&legacy_container_fixture(), "version-1");
 }
 
 #[test]
-fn legacy_stream_still_decodes() {
-    // A version-1 stream, hand-framed: 9-byte header, one chunk frame
-    // with the 29-byte legacy record, 13-byte trailer.
-    let (container, original) = legacy_container_fixture();
-    let record = &container[HEADER_LEN..];
-
-    let mut s = Vec::new();
-    s.extend_from_slice(b"ISBS");
-    s.push(1); // version
-    s.push(2); // width
-    s.push(CodecId::Deflate as u8);
-    s.push(1); // level (default)
-    s.push(Linearization::Row as u8);
-    s.push(0x01); // chunk frame marker
-    s.extend_from_slice(record);
-    s.push(0x00); // end marker
-    s.extend_from_slice(&(original.len() as u64).to_le_bytes());
-    s.extend_from_slice(&isobar_codecs::deflate::adler32(&original).to_le_bytes());
-
-    let out = isobar::IsobarReader::new(&s[..])
-        .expect("v1 stream header must parse")
-        .read_to_vec()
-        .expect("pre-checksum stream must keep decoding");
-    assert_eq!(out, original);
+fn legacy_stream_is_refused_by_name() {
+    // The whole 9-byte `ISBS` header: magic, version 2, width 8,
+    // zlib-class, default level, row linearization.
+    assert_refused_by_name(b"ISBS\x02\x08\x01\x01\x00", "`ISBS`");
 }

@@ -5,10 +5,11 @@ use isobar::container::{ChunkMode, ChunkRecord, Header};
 use isobar::partitioner::{partition, reassemble};
 use isobar::{
     Analyzer, CodecId, ColumnSelection, EupaSelector, IsobarCompressor, IsobarOptions,
-    Linearization, Preference,
+    IsobarReader, IsobarWriter, Linearization, Preference,
 };
 use isobar_codecs::CompressionLevel;
 use proptest::prelude::*;
+use std::io::Write;
 
 /// Element data with structured columns: some constant, some drawn
 /// from a small alphabet, some uniform — plus arbitrary width.
@@ -77,6 +78,46 @@ proptest! {
         let isobar = IsobarCompressor::new(options(pref, level, chunk, parallel));
         let packed = isobar.compress(&data, width).unwrap();
         prop_assert_eq!(isobar.decompress(&packed).unwrap(), data);
+    }
+
+    #[test]
+    fn write_splits_and_framing_never_change_the_records(
+        (width, data) in element_data(),
+        level in 0usize..3,
+        chunk in 1usize..200,
+        parallel in any::<bool>(),
+        cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..6),
+    ) {
+        // Ratio picks rest on sample sizes alone, so equal input means
+        // equal bytes; the session decides on the whole input, as the
+        // batch call does.
+        let options = options(0, level, chunk, parallel);
+        let streamed = |cuts: &[usize]| {
+            let mut writer = IsobarWriter::new(Vec::new(), width, options).unwrap();
+            writer.decide(&data).unwrap();
+            let mut fed = 0;
+            for &cut in cuts.iter().chain([&data.len()]) {
+                writer.write_all(&data[fed..cut]).unwrap();
+                fed = cut;
+            }
+            writer.finish().unwrap().0
+        };
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let stream = streamed(&[]);
+        prop_assert_eq!(&streamed(&cuts), &stream, "split at {:?}", cuts);
+
+        // Both forms: one header but for the length fields, one body.
+        let isobar = IsobarCompressor::new(options);
+        let batch = isobar.compress(&data, width).unwrap();
+        prop_assert_eq!(&stream[..16], &batch[..16]);
+        prop_assert_eq!(&stream[28..stream.len() - 13], &batch[28..]);
+
+        // The slice decoder and the reader agree on both.
+        for form in [&batch, &stream] {
+            prop_assert_eq!(&isobar.decompress(form).unwrap(), &data);
+            prop_assert_eq!(&IsobarReader::new(&form[..]).unwrap().read_to_vec().unwrap(), &data);
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn recorded_compress_accumulates_across_calls() {
 
 #[test]
 fn stream_writer_and_reader_expose_telemetry() {
-    use isobar::stream::{STREAM_HEADER_LEN, STREAM_TRAILER_LEN};
+    use isobar::container::{CHUNK_HEADER_LEN, HEADER_LEN, TRAILER_LEN};
     use isobar::{IsobarReader, IsobarWriter};
     use std::io::Write;
 
@@ -193,7 +193,8 @@ fn stream_writer_and_reader_expose_telemetry() {
     )
     .unwrap();
     writer.write_all(&data).unwrap();
-    let (encoded, wsnap) = writer.finish_with_telemetry().unwrap();
+    let (encoded, report) = writer.finish().unwrap();
+    let wsnap = report.telemetry;
 
     let mut reader = IsobarReader::new(&encoded[..]).unwrap();
     let mut restored = Vec::new();
@@ -205,23 +206,21 @@ fn stream_writer_and_reader_expose_telemetry() {
         assert!(wsnap.is_empty() && rsnap.is_empty());
         return;
     }
-    let chunks = wsnap.counter(Counter::StreamChunksWritten);
-    assert!(chunks >= 2, "want multiple stream chunks, got {chunks}");
-    assert_eq!(rsnap.counter(Counter::StreamChunksRead), chunks);
+    let chunks = wsnap.counter(Counter::ChunksCompressed);
+    assert!(chunks >= 2, "want multiple chunks, got {chunks}");
+    assert_eq!(rsnap.counter(Counter::ChunksDecompressed), chunks);
     // Writer and reader see the same framing overhead: header +
-    // per-chunk marker/header + trailer.
+    // per-chunk header + trailer.
     assert_eq!(
-        wsnap.counter(Counter::StreamMetadataBytes),
-        rsnap.counter(Counter::StreamMetadataBytes),
+        wsnap.counter(Counter::ContainerMetadataBytes),
+        rsnap.counter(Counter::ContainerMetadataBytes),
     );
-    let payload: u64 = encoded.len() as u64
-        - (STREAM_HEADER_LEN + STREAM_TRAILER_LEN) as u64
-        - chunks * (1 + isobar::container::CHUNK_HEADER_LEN as u64);
+    let payload: u64 =
+        encoded.len() as u64 - (HEADER_LEN + TRAILER_LEN) as u64 - chunks * CHUNK_HEADER_LEN as u64;
     assert_eq!(
-        wsnap.counter(Counter::StreamMetadataBytes) + payload,
+        wsnap.counter(Counter::ContainerMetadataBytes) + payload,
         encoded.len() as u64,
     );
-    assert_eq!(wsnap.counter(Counter::ChunksCompressed), chunks);
-    assert_eq!(rsnap.counter(Counter::ChunksDecompressed), chunks);
     assert_eq!(rsnap.counter(Counter::ChunkDecodedBytes), data.len() as u64);
+    assert_eq!(rsnap.stage(Stage::ContainerRead).count, 1);
 }

@@ -99,32 +99,26 @@ pub enum Counter {
     ChunkOutputBytes,
     /// Bytes reconstructed by the decode loop.
     ChunkDecodedBytes,
-    /// Container metadata bytes (file headers + chunk headers).
+    /// Container metadata bytes (file headers, chunk headers, and a
+    /// streamed container's trailer).
     ContainerMetadataBytes,
     /// Chunk compressions that reused warm scratch capacity.
     ScratchReuseHits,
     /// Chunk compressions that had to grow the scratch.
     ScratchReuseMisses,
-    /// Chunk records written by the streaming writer.
-    StreamChunksWritten,
-    /// Chunk records consumed by the streaming reader.
-    StreamChunksRead,
-    /// Streaming framing bytes (header, markers, chunk headers, trailer).
-    StreamMetadataBytes,
     /// Variables written to a checkpoint store.
     StorePuts,
     /// ISOBAR container bytes appended to a store.
     StoreContainerBytes,
     /// Raw (uncompressed) bytes handed to a store.
     StoreRawBytes,
-    /// Batch containers rejected as corrupt during decode.
+    /// Containers rejected as corrupt during decode, by the slice
+    /// `decompress` or the reader.
     ContainerCorruptRejected,
-    /// Streams rejected as corrupt by the streaming reader.
-    StreamCorruptRejected,
     /// Stores rejected as corrupt while opening or reading.
     StoreCorruptRejected,
     /// Checksum verification failures across all formats (container
-    /// chunks, stream frames, store entries/index).
+    /// chunks and trailers, store entries/index).
     ChecksumMismatches,
     /// Chunks stored verbatim because the solver panicked mid-compress
     /// (the pipeline's graceful-degradation fallback).
@@ -176,7 +170,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array size).
-    pub const COUNT: usize = 45;
+    pub const COUNT: usize = 41;
 
     /// Every counter, in stable JSON order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -197,14 +191,10 @@ impl Counter {
         Counter::ContainerMetadataBytes,
         Counter::ScratchReuseHits,
         Counter::ScratchReuseMisses,
-        Counter::StreamChunksWritten,
-        Counter::StreamChunksRead,
-        Counter::StreamMetadataBytes,
         Counter::StorePuts,
         Counter::StoreContainerBytes,
         Counter::StoreRawBytes,
         Counter::ContainerCorruptRejected,
-        Counter::StreamCorruptRejected,
         Counter::StoreCorruptRejected,
         Counter::ChecksumMismatches,
         Counter::ChunksVerbatimFallback,
@@ -247,14 +237,10 @@ impl Counter {
             Counter::ContainerMetadataBytes => "container_metadata_bytes",
             Counter::ScratchReuseHits => "scratch_reuse_hits",
             Counter::ScratchReuseMisses => "scratch_reuse_misses",
-            Counter::StreamChunksWritten => "stream_chunks_written",
-            Counter::StreamChunksRead => "stream_chunks_read",
-            Counter::StreamMetadataBytes => "stream_metadata_bytes",
             Counter::StorePuts => "store_puts",
             Counter::StoreContainerBytes => "store_container_bytes",
             Counter::StoreRawBytes => "store_raw_bytes",
             Counter::ContainerCorruptRejected => "container_corrupt_rejected",
-            Counter::StreamCorruptRejected => "stream_corrupt_rejected",
             Counter::StoreCorruptRejected => "store_corrupt_rejected",
             Counter::ChecksumMismatches => "checksum_mismatches",
             Counter::ChunksVerbatimFallback => "chunks_verbatim_fallback",

@@ -93,14 +93,13 @@ pub enum TraceTag {
     Reassemble,
     /// Whole per-chunk decode pipeline.
     ChunkDecode,
-    /// Container header + body serialization.
+    /// Container serialization: the header and the records of one
+    /// feed (each record under its own `ChunkMerge`).
     ContainerWrite,
-    /// Container metadata parsing.
+    /// Container parsing: one record fetched and verified (the chunk
+    /// field carries its index), or all of them ahead of a parallel
+    /// decode.
     ContainerRead,
-    /// Streaming writer: one chunk framed and flushed.
-    StreamChunkWrite,
-    /// Streaming reader: one chunk frame parsed and decoded.
-    StreamChunkRead,
     /// Checkpoint store: one variable read and decompressed.
     StoreGet,
     /// Sharded store: codec-thread compression of one variable (the
@@ -148,7 +147,7 @@ pub enum TraceTag {
 
 impl TraceTag {
     /// Number of tags.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 31;
 
     /// Stable snake_case name, used as the Chrome trace event name.
     pub fn name(self) -> &'static str {
@@ -166,8 +165,6 @@ impl TraceTag {
             TraceTag::ChunkDecode => "chunk_decode",
             TraceTag::ContainerWrite => "container_write",
             TraceTag::ContainerRead => "container_read",
-            TraceTag::StreamChunkWrite => "stream_chunk_write",
-            TraceTag::StreamChunkRead => "stream_chunk_read",
             TraceTag::StoreGet => "store_get",
             TraceTag::StoreShardCompress => "store_shard_compress",
             TraceTag::StoreShardAppend => "store_shard_append",
@@ -904,7 +901,7 @@ mod tests {
         set_thread_capacity(4);
         set_active(true);
         for i in 0..10u32 {
-            instant(TraceTag::StreamChunkWrite, i);
+            instant(TraceTag::ChunkMerge, i);
         }
         set_active(false);
         set_thread_capacity(DEFAULT_THREAD_CAPACITY);

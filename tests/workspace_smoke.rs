@@ -42,10 +42,10 @@ fn every_public_surface_composes() {
     let packed = isobar.compress(&ds.bytes, ds.width()).unwrap();
     assert_eq!(isobar.decompress(&packed).unwrap(), ds.bytes);
 
-    // Streaming pipeline over the same bytes.
+    // The same session fed incrementally, over the same bytes.
     let mut writer = IsobarWriter::new(Vec::new(), ds.width(), options()).unwrap();
     writer.write_all(&ds.bytes).unwrap();
-    let stream = writer.finish().unwrap();
+    let (stream, _) = writer.finish().unwrap();
     let restored = IsobarReader::new(&stream[..])
         .unwrap()
         .read_to_vec()
