@@ -29,7 +29,7 @@ usage:
 compress options:
   --width N            element width in bytes (1..=64, required)
   --prefer speed|ratio end-user preference (default: ratio)
-  --ratio-floor F      fastest combination with sample CR >= F
+  --ratio-floor F      first solver, fastest first, with sample CR >= F
   --codec zlib|bzlib2  skip EUPA, force this solver
   --linearize row|column  skip EUPA, force this linearization
   --level fast|default|best  solver effort (default: default)

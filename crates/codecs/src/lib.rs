@@ -50,4 +50,6 @@ pub mod shuffle;
 pub mod suffix;
 pub mod xxhash;
 
-pub use codec::{codec_for, Codec, CodecError, CodecId, CodecScratch, CompressionLevel};
+pub use codec::{
+    codec_for, Codec, CodecError, CodecId, CodecScratch, CompressionLevel, SOLVERS_BY_SPEED,
+};

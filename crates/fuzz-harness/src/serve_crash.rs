@@ -317,7 +317,10 @@ pub fn serve_crash_sweep(seed: u64) -> Result<ServeCrashOutcome, String> {
     let baseline = crate::crash::logical_content(&scratch)
         .map_err(|e| format!("baseline generation unreadable: {e}"))?;
     if baseline.len() != 2 {
-        return Err(format!("baseline holds {} keys, expected 2", baseline.len()));
+        return Err(format!(
+            "baseline holds {} keys, expected 2",
+            baseline.len()
+        ));
     }
     let base = base.fork(); // clear the baseline's op record
 
@@ -381,8 +384,12 @@ pub fn serve_crash_sweep(seed: u64) -> Result<ServeCrashOutcome, String> {
                      crash fired"
                 ));
             }
-            let expected =
-                expected_content(&baseline, &real_acked, usize::MAX, puts.get(real_acked.len()));
+            let expected = expected_content(
+                &baseline,
+                &real_acked,
+                usize::MAX,
+                puts.get(real_acked.len()),
+            );
             for (view_index, view) in real.crash_dir_views().into_iter().enumerate() {
                 verify_view(&view, &scratch, &expected, kill_at, view_index)?;
             }

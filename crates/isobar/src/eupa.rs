@@ -1,17 +1,20 @@
 //! EUPA-selector: End User's Preference Adaptive selection of solver
 //! and linearization (§II.C).
 //!
-//! The selector draws random sample blocks from the input, runs every
-//! {solver} × {linearization} combination through the preconditioning
-//! pipeline on those samples, measures compression ratio and
-//! throughput, and picks the combination that best serves the end
-//! user's preference: best ratio (archival) or best speed (in-situ),
-//! optionally with a minimum-ratio floor.
+//! The selector draws random sample blocks from the input and runs
+//! {solver} × {linearization} combinations through the preconditioning
+//! pipeline on those samples, solvers in declared speed order
+//! ([`SOLVERS_BY_SPEED`]), until the end user's preference is decided:
+//! best ratio (archival) needs every solver; best speed (in-situ) is
+//! decided by the first, or by the first that reaches a minimum-ratio
+//! floor. Throughput is measured and reported as evidence but no
+//! comparison reads it, so the decision is a pure function of (bytes,
+//! width, options): equal input, equal container bytes.
 
 use crate::analyzer::ColumnSelection;
 use crate::partitioner::partition_into;
 use crate::pipeline::PipelineScratch;
-use isobar_codecs::{codec_for, CodecId, CompressionLevel};
+use isobar_codecs::{codec_for, CodecId, CompressionLevel, SOLVERS_BY_SPEED};
 use isobar_linearize::Linearization;
 use isobar_telemetry::{Counter, Recorder, Stage, StageTimer};
 use isobar_trace as trace;
@@ -23,12 +26,19 @@ use std::time::Instant;
 /// The end user's performance preference (paper: "throughput or ratio").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Preference {
-    /// Maximize compression ratio (the paper's ISOBAR-CR).
+    /// Maximize compression ratio (the paper's ISOBAR-CR): every solver
+    /// × linearization is tried and the best sample ratio wins.
     Ratio,
-    /// Maximize compression throughput (the paper's ISOBAR-Sp).
+    /// Maximize compression throughput (the paper's ISOBAR-Sp): the
+    /// declared-fastest solver ([`SOLVERS_BY_SPEED`]; the slower ones
+    /// are not tried), column linearization unless row's sample ratio
+    /// is more than 1% higher. Where a slower-declared solver measures
+    /// faster (EXPERIMENTS.md deviation D6 lists the cases) use a
+    /// ratio floor or [`Preference::Ratio`].
     Speed,
-    /// Fastest combination whose sample ratio is at least this floor;
-    /// falls back to the best ratio when none qualifies.
+    /// The first solver, in declared speed order, with a layout whose
+    /// sample ratio is at least this floor; falls back to the best
+    /// ratio when none qualifies.
     SpeedWithRatioFloor(f64),
 }
 
@@ -39,6 +49,16 @@ impl Preference {
             Preference::Ratio => 0,
             Preference::Speed => 1,
             Preference::SpeedWithRatioFloor(_) => 2,
+        }
+    }
+
+    /// The sample ratio at which a solver is taken without trying the
+    /// slower ones; `None` when every solver must be tried.
+    fn ratio_floor(self) -> Option<f64> {
+        match self {
+            Preference::Ratio => None,
+            Preference::Speed => Some(0.0),
+            Preference::SpeedWithRatioFloor(floor) => Some(floor),
         }
     }
 }
@@ -53,7 +73,9 @@ pub struct SampleResult {
     pub linearization: Linearization,
     /// Sample compression ratio (original / preconditioned output).
     pub ratio: f64,
-    /// Sample compression throughput in MB/s.
+    /// Sample compression throughput in MB/s: evidence for the report,
+    /// the trace and telemetry, never compared — a sub-millisecond
+    /// timing would make the container bytes depend on scheduler noise.
     pub throughput_mbps: f64,
 }
 
@@ -64,7 +86,9 @@ pub struct EupaDecision {
     pub codec: CodecId,
     /// Chosen linearization for the compressible columns.
     pub linearization: Linearization,
-    /// All sample measurements, for reporting and ablation.
+    /// The trials that ran, row then column per solver visited: all
+    /// four under [`Preference::Ratio`], the first solver's two under
+    /// [`Preference::Speed`].
     pub samples: Vec<SampleResult>,
 }
 
@@ -115,7 +139,12 @@ impl EupaSelector {
         }
     }
 
-    /// Evaluate all combinations on the sample and decide.
+    /// Trial-compress the sample, solvers in declared speed order, and
+    /// stop as soon as `preference` is decided: [`Preference::Ratio`]
+    /// runs all four combinations, [`Preference::Speed`] the first
+    /// solver's two, a ratio floor as many solvers as it takes to reach
+    /// it. No comparison reads a clock, so the decision depends on
+    /// nothing but the arguments.
     ///
     /// `selection` is the analyzer's verdict for this dataset (the
     /// sample inherits it — byte-column statistics are position
@@ -125,7 +154,7 @@ impl EupaSelector {
     /// # Example
     ///
     /// ```
-    /// use isobar::{Analyzer, EupaSelector, Preference};
+    /// use isobar::{Analyzer, CodecId, EupaSelector, Preference};
     ///
     /// // 8-byte elements: a predictable top half, a noisy bottom half.
     /// let data: Vec<u8> = (0..50_000u64)
@@ -133,12 +162,17 @@ impl EupaSelector {
     ///     .collect();
     ///
     /// let selection = Analyzer::default().analyze(&data, 8)?;
-    /// let decision = EupaSelector::default().select(&data, 8, &selection, Preference::Speed);
-    /// // All four solver × linearization combinations were measured...
-    /// assert_eq!(decision.samples.len(), 4);
-    /// // ...and the winner is one of them.
-    /// assert!(decision.samples.iter().any(|s| {
-    ///     s.codec == decision.codec && s.linearization == decision.linearization
+    /// let eupa = EupaSelector::default();
+    /// // Speed is decided by the declared-fastest solver's two layouts...
+    /// let speed = eupa.select(&data, 8, &selection, Preference::Speed);
+    /// assert_eq!(speed.samples.len(), 2);
+    /// assert_eq!(speed.codec, CodecId::Deflate);
+    /// // ...ratio needs all four solver × linearization combinations,
+    /// // and the winner is one of them.
+    /// let ratio = eupa.select(&data, 8, &selection, Preference::Ratio);
+    /// assert_eq!(ratio.samples.len(), 4);
+    /// assert!(ratio.samples.iter().any(|s| {
+    ///     s.codec == ratio.codec && s.linearization == ratio.linearization
     /// }));
     /// # Ok::<(), isobar::IsobarError>(())
     /// ```
@@ -184,48 +218,52 @@ impl EupaSelector {
             trial_output,
         } = scratch;
         self.sample_into(data, width, sample);
-        let mut samples = Vec::with_capacity(4);
-        for (codec_idx, codec_id) in [CodecId::Deflate, CodecId::Bzip2Like]
-            .into_iter()
-            .enumerate()
-        {
+        let mut samples = Vec::with_capacity(2 * SOLVERS_BY_SPEED.len());
+        let mut decided = None;
+        for codec_id in SOLVERS_BY_SPEED {
             let codec = codec_for(codec_id, self.level);
-            for lin in Linearization::ALL {
+            let codec_idx = trial_matrix_row(codec_id);
+            let [row, column] = Linearization::ALL.map(|lin| {
                 let start = Instant::now();
                 partition_into(sample, width, selection, lin, compressible, trial_verbatim);
                 codec.compress_into(compressible, trial_output, codec_scratch);
                 let elapsed = start.elapsed();
                 recorder.record_eupa_trial(codec_idx, lin as usize, elapsed.as_nanos() as u64);
-                let elapsed = elapsed.as_secs_f64();
                 let out_len = trial_output.len() + trial_verbatim.len();
                 let ratio = if out_len == 0 {
                     1.0
                 } else {
                     sample.len() as f64 / out_len as f64
                 };
-                let throughput_mbps = crate::pipeline::throughput_mbps(sample.len(), elapsed);
-                // One trace event per sampled codec × linearization,
-                // carrying the measured evidence; the `chunk` field
-                // holds the combo index (codec_idx * 2 + lin_idx).
+                let throughput_mbps =
+                    crate::pipeline::throughput_mbps(sample.len(), elapsed.as_secs_f64());
+                // One trace instant per trial, carrying the evidence; its
+                // `chunk` field is the combo index (codec_idx * 2 + lin_idx).
                 trace::instant_args(
                     TraceTag::EupaTrial,
                     (codec_idx * 2 + lin as usize) as u32,
                     ratio,
                     throughput_mbps,
                 );
-                samples.push(SampleResult {
+                SampleResult {
                     codec: codec_id,
                     linearization: lin,
                     ratio,
                     throughput_mbps,
-                });
+                }
+            });
+            samples.extend([row, column]);
+            // A speed preference takes the first solver with a layout
+            // at its floor; the slower solvers are then never run.
+            decided = preference
+                .ratio_floor()
+                .and_then(|floor| speed_layout(row, column, floor));
+            if decided.is_some() {
+                break;
             }
         }
-        let best = choose(&samples, preference);
-        let codec_idx = match best.codec {
-            CodecId::Deflate => 0,
-            CodecId::Bzip2Like => 1,
-        };
+        let best = decided.unwrap_or_else(|| best_ratio(&samples));
+        let codec_idx = trial_matrix_row(best.codec);
         recorder.record_eupa_selected(codec_idx, best.linearization as usize);
         trace::instant_args(
             TraceTag::EupaSelected,
@@ -243,34 +281,45 @@ impl EupaSelector {
     }
 }
 
-fn choose(samples: &[SampleResult], preference: Preference) -> SampleResult {
-    debug_assert!(!samples.is_empty());
-    // Exact ratio ties are common — with a single compressible column,
-    // row and column linearization emit byte-identical streams — and
-    // breaking them with throughput measured on a sub-millisecond
-    // sample made the decision (and therefore the container bytes)
-    // depend on scheduler noise: a serial and a parallel run of the
-    // same input could disagree. Ties fall through to `max_by`, which
-    // keeps the *last* tied combination in enumeration order — column
-    // linearization over row, the layout the partitioner produces
-    // natively.
-    let by_ratio = |a: &&SampleResult, b: &&SampleResult| a.ratio.partial_cmp(&b.ratio).unwrap();
-    let by_speed = |a: &&SampleResult, b: &&SampleResult| {
-        a.throughput_mbps
-            .partial_cmp(&b.throughput_mbps)
-            .unwrap()
-            .then(a.ratio.partial_cmp(&b.ratio).unwrap())
-    };
-    match preference {
-        Preference::Ratio => *samples.iter().max_by(by_ratio).unwrap(),
-        Preference::Speed => *samples.iter().max_by(by_speed).unwrap(),
-        Preference::SpeedWithRatioFloor(floor) => samples
-            .iter()
-            .filter(|s| s.ratio >= floor)
-            .max_by(by_speed)
-            .copied()
-            .unwrap_or_else(|| *samples.iter().max_by(by_ratio).unwrap()),
+/// The solver's row in the telemetry trial matrix (`EUPA_COMBOS`).
+fn trial_matrix_row(codec: CodecId) -> usize {
+    match codec {
+        CodecId::Deflate => 0,
+        CodecId::Bzip2Like => 1,
     }
+}
+
+/// How many times Column's sample ratio Row's must exceed before a
+/// speed preference takes Row. Column is the partitioner's native
+/// layout (no interleave in `partition_into`, none in
+/// `reassemble_into`), and sample ratios closer than this order
+/// differently on the full data from one seed to the next (gts-like
+/// variables read 1.1864 vs 1.1867 and lose 1.2% when Row is taken).
+const ROW_MARGIN: f64 = 1.01;
+
+/// Under a speed preference, the layout for the solver whose two trials
+/// these are: of the layouts whose sample ratio reaches `floor`, Column
+/// unless Row's is more than [`ROW_MARGIN`] times higher; `None` when
+/// neither reaches it.
+fn speed_layout(row: SampleResult, column: SampleResult, floor: f64) -> Option<SampleResult> {
+    match (row.ratio >= floor, column.ratio >= floor) {
+        (true, true) if row.ratio > column.ratio * ROW_MARGIN => Some(row),
+        (_, true) => Some(column),
+        (true, false) => Some(row),
+        (false, false) => None,
+    }
+}
+
+/// The best sample ratio. Exact ties are common — with a single
+/// compressible column, row and column linearization emit
+/// byte-identical streams — and `max_by` keeps the *last* tied
+/// combination in enumeration order: column linearization over row,
+/// the layout the partitioner produces natively.
+fn best_ratio(samples: &[SampleResult]) -> SampleResult {
+    *samples
+        .iter()
+        .max_by(|a, b| a.ratio.total_cmp(&b.ratio))
+        .expect("every solver ran its trials")
 }
 
 #[cfg(test)]
@@ -287,27 +336,137 @@ mod tests {
     }
 
     #[test]
-    fn speed_preference_picks_fastest_measured_combination() {
-        // The selector's contract: under a speed preference the chosen
-        // combination is the one with the highest measured sample
-        // throughput. (Which solver that is depends on build flags and
-        // hardware; the paper-shape claim "zlib wins on speed" is
-        // checked by the release-mode bench harness, not here.)
+    fn speed_preference_runs_only_the_declared_fastest_solver() {
+        // Speed is decided by the first solver in declared speed order:
+        // its two layouts are tried, the slower solver never runs (and
+        // never allocates its scratch). Ratio still tries all four.
         let data = gts_like(100_000);
         let sel = Analyzer::default().analyze(&data, 8).unwrap();
-        let decision = EupaSelector::default().select(&data, 8, &sel, Preference::Speed);
-        assert_eq!(decision.samples.len(), 4);
-        let best = decision
-            .samples
-            .iter()
-            .map(|s| s.throughput_mbps)
-            .fold(f64::MIN, f64::max);
-        let chosen = decision
-            .samples
-            .iter()
-            .find(|s| s.codec == decision.codec && s.linearization == decision.linearization)
-            .unwrap();
-        assert!((chosen.throughput_mbps - best).abs() < 1e-12);
+        for (pref, trials) in [
+            (Preference::Speed, [1, 1, 0, 0]),
+            (Preference::Ratio, [1, 1, 1, 1]),
+        ] {
+            let mut recorder = Recorder::new();
+            let decision = EupaSelector::default().select_recorded(
+                &data,
+                8,
+                &sel,
+                pref,
+                &mut PipelineScratch::new(),
+                &mut recorder,
+            );
+            let tried: Vec<_> = decision
+                .samples
+                .iter()
+                .map(|s| (s.codec, s.linearization))
+                .collect();
+            let all = [
+                (CodecId::Deflate, Linearization::Row),
+                (CodecId::Deflate, Linearization::Column),
+                (CodecId::Bzip2Like, Linearization::Row),
+                (CodecId::Bzip2Like, Linearization::Column),
+            ];
+            assert_eq!(
+                tried,
+                all[..trials.iter().sum::<u64>() as usize],
+                "{pref:?}"
+            );
+            assert!(tried.contains(&(decision.codec, decision.linearization)));
+            if pref == Preference::Speed {
+                assert_eq!(decision.codec, SOLVERS_BY_SPEED[0]);
+            }
+            // The measurement is still taken, for the report.
+            assert!(decision.samples.iter().all(|s| s.throughput_mbps > 0.0));
+            if isobar_telemetry::ENABLED {
+                let snap = recorder.snapshot();
+                assert_eq!(snap.eupa_trial_count, trials, "{pref:?}");
+                assert_eq!(snap.eupa_selected.iter().sum::<u64>(), 1);
+            }
+        }
+    }
+
+    fn sample(codec: CodecId, linearization: Linearization, ratio: f64, mbps: f64) -> SampleResult {
+        SampleResult {
+            codec,
+            linearization,
+            ratio,
+            throughput_mbps: mbps,
+        }
+    }
+
+    #[test]
+    fn speed_layout_is_column_unless_row_is_over_one_percent_better() {
+        let (row, column) = (Linearization::Row, Linearization::Column);
+        let z = CodecId::Deflate;
+        let pick = |row_ratio, column_ratio, floor| {
+            // Row "measures" ten times faster: no comparison may care.
+            speed_layout(
+                sample(z, row, row_ratio, 1000.0),
+                sample(z, column, column_ratio, 100.0),
+                floor,
+            )
+            .map(|s| s.linearization)
+        };
+        // A tie, Column ahead, and Row ahead inside the band: Column.
+        assert_eq!(pick(1.5, 1.5, 0.0), Some(column));
+        assert_eq!(pick(1.2, 1.5, 0.0), Some(column));
+        assert_eq!(pick(1.1867, 1.1864, 0.0), Some(column));
+        assert_eq!(pick(1.5149, 1.5, 0.0), Some(column));
+        // Beyond it: Row.
+        assert_eq!(pick(1.5151, 1.5, 0.0), Some(row));
+        // A floor only one layout reaches decides for that layout; one
+        // neither reaches sends the selector on to the next solver.
+        assert_eq!(pick(1.4, 1.5, 1.45), Some(column));
+        assert_eq!(pick(1.5, 1.4, 1.45), Some(row));
+        assert_eq!(pick(1.5, 1.4, 1.3), Some(row));
+        assert_eq!(pick(1.41, 1.4, 1.3), Some(column));
+        assert_eq!(pick(1.5, 1.5, 1.6), None);
+    }
+
+    #[test]
+    fn best_ratio_is_the_exact_maximum_and_ties_go_to_column() {
+        let (row, column) = (Linearization::Row, Linearization::Column);
+        let (z, bz) = (CodecId::Deflate, CodecId::Bzip2Like);
+        let four = |ratios: [f64; 4]| {
+            let best = best_ratio(&[
+                sample(z, row, ratios[0], 400.0),
+                sample(z, column, ratios[1], 300.0),
+                sample(bz, row, ratios[2], 20.0),
+                sample(bz, column, ratios[3], 10.0),
+            ]);
+            (best.codec, best.linearization)
+        };
+        // No band under Ratio: the smallest lead wins.
+        assert_eq!(four([1.2001, 1.2, 1.1, 1.1]), (z, row));
+        assert_eq!(four([1.2, 1.2, 1.3001, 1.3]), (bz, row));
+        // Exact ties keep the last in enumeration order.
+        assert_eq!(four([1.2, 1.2, 1.1, 1.1]), (z, column));
+        assert_eq!(four([1.2, 1.2, 1.2, 1.2]), (bz, column));
+    }
+
+    #[test]
+    fn ratio_floor_stops_at_the_first_solver_that_meets_it() {
+        let data = gts_like(100_000);
+        let sel = Analyzer::default().analyze(&data, 8).unwrap();
+        let eupa = EupaSelector::default();
+        let all = eupa.select(&data, 8, &sel, Preference::Ratio).samples;
+        let best_of = |codec| {
+            let of_codec = all.iter().filter(|s| s.codec == codec);
+            of_codec.map(|s| s.ratio).fold(f64::MIN, f64::max)
+        };
+        let (zlib, bzlib2) = (best_of(CodecId::Deflate), best_of(CodecId::Bzip2Like));
+        assert!(bzlib2 > zlib * 1.01, "zlib {zlib} bzlib2 {bzlib2}");
+
+        // A floor the first solver meets: its two trials, and it.
+        let met = eupa.select(&data, 8, &sel, Preference::SpeedWithRatioFloor(zlib));
+        assert_eq!((met.samples.len(), met.codec), (2, CodecId::Deflate));
+        // A floor only bzlib2 meets: all four, and bzlib2.
+        let floor = (zlib + bzlib2) / 2.0;
+        let slower = eupa.select(&data, 8, &sel, Preference::SpeedWithRatioFloor(floor));
+        assert_eq!(
+            (slower.samples.len(), slower.codec),
+            (4, CodecId::Bzip2Like)
+        );
     }
 
     #[test]
@@ -397,9 +556,9 @@ mod tests {
     fn tiny_inputs_are_handled() {
         let data = gts_like(10);
         let sel = Analyzer::default().analyze(&data, 8).unwrap();
-        for pref in [Preference::Ratio, Preference::Speed] {
+        for (pref, trials) in [(Preference::Ratio, 4), (Preference::Speed, 2)] {
             let d = EupaSelector::default().select(&data, 8, &sel, pref);
-            assert_eq!(d.samples.len(), 4);
+            assert_eq!(d.samples.len(), trials);
         }
     }
 

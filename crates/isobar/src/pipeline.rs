@@ -6,7 +6,7 @@
 //! merging into the self-describing container.
 //! [`IsobarCompressor::decompress`] inverts it byte-exactly.
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{Analyzer, ColumnSelection};
 use crate::chunk::DEFAULT_CHUNK_ELEMENTS;
 use crate::container::{ChunkMode, ChunkRecord};
 use crate::error::IsobarError;
@@ -296,7 +296,8 @@ impl IsobarCompressor {
     }
 
     /// The batch call as one [`IsobarWriter`] session: declare the
-    /// length, decide on the whole input, feed once, finish.
+    /// length, decide on the whole input (whose head chunk is the
+    /// container's first), feed once, finish.
     fn compress_session(
         &self,
         data: &[u8],
@@ -305,7 +306,7 @@ impl IsobarCompressor {
     ) -> Result<(Vec<u8>, CompressionReport), IsobarError> {
         let mut session = IsobarWriter::with_scratch(Vec::new(), width, self.options, scratch)?;
         session.declare(data.len(), adler32(data))?;
-        session.decide(data).map_err(isobar_error)?;
+        session.decide_on(data, true).map_err(isobar_error)?;
         session.write_all(data).map_err(isobar_error)?;
         session.finish().map_err(isobar_error)
     }
@@ -425,9 +426,40 @@ fn compress_guarded(
     ok
 }
 
-/// Encode one chunk: analyze, then partition+solve or pass through
-/// (Algorithm 1). The one place a chunk becomes a record — the serial
-/// session loop and the parallel pool both call it.
+/// A chunk's byte-column classification and the time it took.
+#[derive(Clone)]
+pub(crate) struct ChunkAnalysis {
+    pub(crate) selection: ColumnSelection,
+    pub(crate) secs: f64,
+}
+
+/// Classify the columns of chunk `chunk_index`, recording what a
+/// chunk's analysis records: the span, the column counters, the τ
+/// margins and the stage time.
+pub(crate) fn analyze_chunk(
+    chunk: &[u8],
+    width: usize,
+    chunk_index: u32,
+    analyzer: &Analyzer,
+    recorder: &mut Recorder,
+) -> Result<ChunkAnalysis, IsobarError> {
+    let t_analysis = Instant::now();
+    let analyze_span = trace::span(TraceTag::Analyze, chunk_index);
+    let selection = analyzer.analyze_recorded(chunk, width, recorder)?;
+    drop(analyze_span);
+    let analysis = t_analysis.elapsed();
+    recorder.record_stage(Stage::Analyze, analysis.as_nanos() as u64);
+    Ok(ChunkAnalysis {
+        selection,
+        secs: analysis.as_secs_f64(),
+    })
+}
+
+/// Encode one chunk: analyze — unless the session already did, as it
+/// does for the head chunk EUPA sampled under (`analyzed`) — then
+/// partition+solve or pass through (Algorithm 1). The one place a chunk
+/// becomes a record — the serial session loop and the parallel pool
+/// both call it.
 ///
 /// The record must own its payload bytes (it outlives the scratch), so
 /// the solver output and the verbatim stream are freshly allocated; the
@@ -439,18 +471,20 @@ pub(crate) fn compress_chunk(
     width: usize,
     chunk_index: u32,
     analyzer: &Analyzer,
+    analyzed: Option<ChunkAnalysis>,
     codec: &dyn Codec,
     linearization: Linearization,
     scratch: &mut PipelineScratch,
     recorder: &mut Recorder,
 ) -> Result<ChunkResult, IsobarError> {
     let _chunk_span = trace::span(TraceTag::ChunkCompress, chunk_index);
-    let t_analysis = Instant::now();
-    let analyze_span = trace::span(TraceTag::Analyze, chunk_index);
-    let selection = analyzer.analyze_recorded(chunk, width, recorder)?;
-    drop(analyze_span);
-    let analysis = t_analysis.elapsed();
-    recorder.record_stage(Stage::Analyze, analysis.as_nanos() as u64);
+    let ChunkAnalysis {
+        selection,
+        secs: analysis_secs,
+    } = match analyzed {
+        Some(analysis) => analysis,
+        None => analyze_chunk(chunk, width, chunk_index, analyzer, recorder)?,
+    };
 
     let t_solver = Instant::now();
     let mut record = ChunkRecord {
@@ -542,7 +576,7 @@ pub(crate) fn compress_chunk(
     Ok(ChunkResult {
         record,
         decision,
-        analysis_secs: analysis.as_secs_f64(),
+        analysis_secs,
         solver_secs: solver.as_secs_f64(),
     })
 }
@@ -842,6 +876,7 @@ mod tests {
             8,
             0,
             &analyzer,
+            None,
             &PanickyCodec,
             Linearization::Row,
             &mut scratch,

@@ -31,7 +31,8 @@ use crate::container::{
 use crate::error::IsobarError;
 use crate::eupa::EupaSelector;
 use crate::pipeline::{
-    compress_chunk, decode_chunk_record, pooled, CompressionReport, IsobarOptions, PipelineScratch,
+    analyze_chunk, compress_chunk, decode_chunk_record, pooled, ChunkAnalysis, CompressionReport,
+    IsobarOptions, PipelineScratch,
 };
 use isobar_codecs::deflate::Adler32;
 use isobar_codecs::{codec_for, Codec, CodecId};
@@ -100,6 +101,8 @@ pub struct IsobarWriter<W: Write, S: BorrowMut<PipelineScratch> = PipelineScratc
     declared: Option<Trailer>,
     /// Bytes accepted past the last whole chunk.
     tail: Vec<u8>,
+    /// The first chunk's analysis, when deciding already made it.
+    head: Option<ChunkAnalysis>,
     checksum: Adler32,
     scratch: S,
     recorder: Recorder,
@@ -136,6 +139,7 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
             codec: None,
             declared: None,
             tail: Vec::new(),
+            head: None,
             checksum: Adler32::new(),
             scratch,
             recorder,
@@ -183,18 +187,33 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
     /// overridden. The first decision stands — a session that has not
     /// decided when its first chunk arrives decides on that chunk.
     pub fn decide(&mut self, sample: &[u8]) -> io::Result<()> {
+        self.decide_on(sample, false)
+    }
+
+    /// [`IsobarWriter::decide`]; `first_chunk` says `sample` begins
+    /// with the container's first chunk — the batch calls' whole input,
+    /// the chunk an undecided session decides on — whose analysis is
+    /// then made once, here, as that chunk's.
+    pub(crate) fn decide_on(&mut self, sample: &[u8], first_chunk: bool) -> io::Result<()> {
         if self.codec.is_some() {
             return Ok(());
         }
         let opts = self.options;
         if opts.codec_override.is_none() || opts.linearization_override.is_none() {
-            let t = Instant::now();
             // The sample inherits the head chunk's classification;
             // undetermined datasets sample as all-compressible.
             let head = element_chunks(sample, self.width, opts.chunk_elements)
                 .next()
                 .unwrap_or(&[]);
-            let head_sel = self.analyzer.analyze(head, self.width).map_err(io_err)?;
+            let head_sel = if first_chunk && !head.is_empty() {
+                let analysis =
+                    analyze_chunk(head, self.width, 0, &self.analyzer, &mut self.recorder)
+                        .map_err(io_err)?;
+                self.head.insert(analysis).selection.clone()
+            } else {
+                self.analyzer.analyze(head, self.width).map_err(io_err)?
+            };
+            let t = Instant::now();
             let eupa_sel = if head_sel.is_improvable() {
                 head_sel
             } else {
@@ -254,7 +273,8 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
     /// (§II.D). Two or more chunks go to the thread pool when the
     /// options ask for it.
     fn compress_run(&mut self, run: &[u8]) -> io::Result<()> {
-        self.decide(&run[..run.len().min(self.chunk_bytes)])?;
+        self.decide_on(&run[..run.len().min(self.chunk_bytes)], true)?;
+        let head = self.head.take();
         let codec = self.codec.as_deref().expect("decided above");
         let (width, analyzer, linearization) =
             (self.width, &self.analyzer, self.report.linearization);
@@ -267,6 +287,7 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
                 width,
                 index,
                 analyzer,
+                head.as_ref().filter(|_| index == 0).cloned(),
                 codec,
                 linearization,
                 scratch,
@@ -826,6 +847,53 @@ mod tests {
             assert_eq!(report.htc_pct(), batch_report.htc_pct());
             assert!(stream.len() < data.len());
         }
+    }
+
+    #[test]
+    fn the_first_chunk_is_analyzed_once_whoever_decides() {
+        // A session deciding on its own first chunk keeps that chunk's
+        // analysis for the chunk; a caller's `decide(sample)` cannot
+        // (the sample need not begin the container), so chunk 0 is
+        // classified again. Same records, same analyzer accounting.
+        let data = demo_data(12_000);
+        let first_chunk = &data[..5_000 * 8];
+        let run = |callers_sample: bool| {
+            let mut writer = IsobarWriter::new(Vec::new(), 8, test_options()).unwrap();
+            if callers_sample {
+                writer.decide(first_chunk).unwrap();
+            } else {
+                writer.decide_on(first_chunk, true).unwrap();
+            }
+            assert_eq!(writer.head.is_some(), !callers_sample);
+            writer.write_all(&data).unwrap();
+            assert!(writer.head.is_none());
+            writer.finish().unwrap()
+        };
+        let (own, own_report) = run(false);
+        let (callers, callers_report) = run(true);
+        assert_eq!(own, callers);
+        let (own, callers) = (own_report.telemetry, callers_report.telemetry);
+        for counter in [
+            Counter::AnalyzerChunks,
+            Counter::AnalyzerBytes,
+            Counter::ColumnsCompressible,
+            Counter::ColumnsIncompressible,
+        ] {
+            assert_eq!(own.counter(counter), callers.counter(counter));
+        }
+        assert_eq!(own.tau_margin, callers.tau_margin);
+        assert_eq!(
+            own.stage(Stage::Analyze).count,
+            callers.stage(Stage::Analyze).count
+        );
+        if isobar_telemetry::ENABLED {
+            assert_eq!(own.counter(Counter::AnalyzerChunks), 3);
+            assert_eq!(own.stage(Stage::Analyze).count, 3);
+        }
+        // An empty input has no first chunk to analyze.
+        let mut writer = IsobarWriter::new(Vec::new(), 8, test_options()).unwrap();
+        writer.decide_on(&[], true).unwrap();
+        assert!(writer.head.is_none());
     }
 
     #[test]

@@ -83,15 +83,16 @@ proptest! {
     #[test]
     fn write_splits_and_framing_never_change_the_records(
         (width, data) in element_data(),
+        pref in 0usize..3,
         level in 0usize..3,
         chunk in 1usize..200,
         parallel in any::<bool>(),
         cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..6),
     ) {
-        // Ratio picks rest on sample sizes alone, so equal input means
-        // equal bytes; the session decides on the whole input, as the
-        // batch call does.
-        let options = options(0, level, chunk, parallel);
+        // Every preference's pick rests on sample sizes alone, so equal
+        // input means equal bytes; the session decides on the whole
+        // input, as the batch call does.
+        let options = options(pref, level, chunk, parallel);
         let streamed = |cuts: &[usize]| {
             let mut writer = IsobarWriter::new(Vec::new(), width, options).unwrap();
             writer.decide(&data).unwrap();

@@ -8,7 +8,7 @@
 //! nothing here asserts a minimum number of worker threads.
 
 use isobar::trace::{self, TraceTag};
-use isobar::{CodecId, IsobarCompressor, IsobarOptions, Linearization};
+use isobar::{CodecId, IsobarCompressor, IsobarOptions, Linearization, Preference};
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -164,6 +164,52 @@ fn parallel_decode_spans_cover_every_chunk_once() {
                 1,
                 "{tag:?} count for chunk {chunk}"
             );
+        }
+    }
+}
+
+#[test]
+fn eupa_traces_the_trials_that_ran_and_analyzes_the_head_chunk_once() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = mixed_data();
+    // (preference, combo indices of the trials: codec × 2 + layout)
+    for (preference, trials) in [
+        (Preference::Speed, vec![0, 1]),
+        (Preference::Ratio, vec![0, 1, 2, 3]),
+    ] {
+        let isobar = IsobarCompressor::new(IsobarOptions {
+            preference,
+            chunk_elements: CHUNK_ELEMENTS,
+            ..Default::default()
+        });
+        trace::reset();
+        trace::set_active(true);
+        isobar.compress(&data, 8).expect("aligned input");
+        trace::set_active(false);
+        let t = trace::drain();
+        if !trace::ENABLED {
+            assert_eq!(t.event_count(), 0);
+            return;
+        }
+        let instants = |tag| -> Vec<u32> {
+            let events = t.threads.iter().flat_map(|th| &th.events);
+            events
+                .filter(|e| e.instant && e.tag == tag)
+                .map(|e| e.chunk)
+                .collect()
+        };
+        // A solver that was not visited leaves no trial behind.
+        assert_eq!(instants(TraceTag::EupaTrial), trials, "{preference:?}");
+        let selected = instants(TraceTag::EupaSelected);
+        assert!(
+            selected.len() == 1 && trials.contains(&selected[0]),
+            "{preference:?}: {selected:?}"
+        );
+        assert_eq!(span_count(&t, TraceTag::EupaSelect, trace::NO_CHUNK), 1);
+        // EUPA samples under the head chunk's classification, which is
+        // chunk 0's own: one analysis, like every other chunk.
+        for chunk in 0..CHUNKS as u32 {
+            assert_eq!(span_count(&t, TraceTag::Analyze, chunk), 1, "chunk {chunk}");
         }
     }
 }

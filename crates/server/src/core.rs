@@ -255,7 +255,10 @@ where
     /// any earlier payload for the same `(step, key)`.
     pub fn overlay_insert(&mut self, step: u32, key: String, width: u8, data: Vec<u8>) {
         let len = data.len() as u64;
-        if let Some(old) = self.overlay.insert((step, key), OverlayEntry { width, data }) {
+        if let Some(old) = self
+            .overlay
+            .insert((step, key), OverlayEntry { width, data })
+        {
             self.pending_bytes = self.pending_bytes.saturating_sub(old.data.len() as u64);
         }
         self.pending_bytes += len;

@@ -705,10 +705,7 @@ impl Read for FrameStream<'_> {
         }
         let remaining = (self.deadline - now).max(Duration::from_millis(1));
         if !set_read_timeout_checked(self.stream, remaining) {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "cannot arm frame deadline",
-            ));
+            return Err(io::Error::other("cannot arm frame deadline"));
         }
         match self.stream.read(buf) {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::Error::new(
@@ -959,7 +956,9 @@ fn handle_put(
     };
     let mut state = lock_store(shared, obs);
     state.reserved_bytes = state.reserved_bytes.saturating_sub(len);
-    let result = put_locked(shared, &mut state, header, tenant, name, payload, recorder, obs);
+    let result = put_locked(
+        shared, &mut state, header, tenant, name, payload, recorder, obs,
+    );
     unlock_store(state, obs);
     match result {
         Ok(()) => {
@@ -993,9 +992,12 @@ fn put_locked(
 ) -> Result<(), StoreError> {
     let key = store_key(tenant, name);
     obs.time(ServePhase::StorePut, || {
-        state
-            .core
-            .store_put(header.step, &key, payload.clone(), usize::from(header.width))
+        state.core.store_put(
+            header.step,
+            &key,
+            payload.clone(),
+            usize::from(header.width),
+        )
     })?;
     let wal_bytes = obs.time(ServePhase::WalFsync, || {
         state
@@ -1014,9 +1016,7 @@ fn put_locked(
     if state.core.over_threshold() {
         // commit_locked emits its own ServeCommit span; attribute the
         // wall time without opening a duplicate.
-        obs.time_unspanned(ServePhase::Commit, || {
-            shared.commit_locked(state, recorder)
-        })?;
+        obs.time_unspanned(ServePhase::Commit, || shared.commit_locked(state, recorder))?;
     }
     Ok(())
 }

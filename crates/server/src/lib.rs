@@ -34,11 +34,11 @@ pub use client::Client;
 pub use core::{CoreOptions, StoreCore};
 pub use daemon::{serve, ServeError, ServeOptions, ServeReport, Server, ServerHandle};
 pub use obs::{RequestRecord, ServePhase};
-pub use retry::{RetryClient, RetryPolicy};
 pub use protocol::{
     FrameError, Opcode, ProtoError, Request, RequestHeader, Response, Status, MAX_NAME_LEN,
     MAX_TENANT_LEN, PROTOCOL_VERSION,
 };
+pub use retry::{RetryClient, RetryPolicy};
 
 #[cfg(test)]
 mod tests {
@@ -351,7 +351,8 @@ mod tests {
 
         let metrics_addr = server.metrics_addr().unwrap();
         let mut http = TcpStream::connect(metrics_addr).unwrap();
-        http.write_all(b"GET /debug/stats HTTP/1.0\r\n\r\n").unwrap();
+        http.write_all(b"GET /debug/stats HTTP/1.0\r\n\r\n")
+            .unwrap();
         let mut body = String::new();
         http.read_to_string(&mut body).unwrap();
         assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
@@ -369,7 +370,10 @@ mod tests {
         ] {
             assert!(body.contains(key), "missing {key}: {body}");
         }
-        assert!(body.contains("\"acme\""), "tenant histogram present: {body}");
+        assert!(
+            body.contains("\"acme\""),
+            "tenant histogram present: {body}"
+        );
 
         drop(client);
         // The SIGUSR1 path: dump through the handle, then check the

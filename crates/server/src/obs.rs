@@ -241,7 +241,9 @@ impl RequestObs {
 
     /// Nanoseconds attributed across all phases.
     pub fn attributed_nanos(&self) -> u64 {
-        self.phase_nanos.iter().fold(0u64, |a, &b| a.saturating_add(b))
+        self.phase_nanos
+            .iter()
+            .fold(0u64, |a, &b| a.saturating_add(b))
     }
 }
 
@@ -270,7 +272,10 @@ impl RequestRecord {
 
     /// Serialize as one JSON object (one slow-log line, sans newline).
     pub fn to_json(&self) -> String {
-        let attributed: u64 = self.phase_nanos.iter().fold(0u64, |a, &b| a.saturating_add(b));
+        let attributed: u64 = self
+            .phase_nanos
+            .iter()
+            .fold(0u64, |a, &b| a.saturating_add(b));
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
             "{{\"op\": \"{}\", \"tenant\": \"{}\", \"status\": \"{}\", \
@@ -442,11 +447,7 @@ impl ObsState {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!(
-                "\"{}\": {}",
-                phase.name(),
-                self.phase_nanos[i]
-            ));
+            out.push_str(&format!("\"{}\": {}", phase.name(), self.phase_nanos[i]));
         }
         out.push_str("}, \"ops\": {");
         for (i, (op, hist)) in OP_NAMES.iter().zip(&self.per_op).enumerate() {

@@ -71,7 +71,7 @@ pub const WAL_HEADER_LEN: usize = 8;
 pub const WAL_RECORD_SEED: u64 = 0x1507_BA86_0A11_ED01;
 
 /// Seed for the tenant-to-file-name hash.
-const WAL_NAME_SEED: u64 = 0x7E4A_17;
+const WAL_NAME_SEED: u64 = 0x007E_4A17;
 
 /// Journal file name prefix.
 pub const WAL_FILE_PREFIX: &str = "wal-";
@@ -213,15 +213,13 @@ pub fn parse_wal(bytes: &[u8]) -> WalSalvage {
     let mut out = WalSalvage::default();
     // Tolerate a missing or torn file header by starting the scan at 0;
     // a well-formed file simply has no anchor inside its header.
-    let mut at = if bytes.len() >= WAL_HEADER_LEN
-        && bytes[..4] == WAL_MAGIC
-        && bytes[4] == WAL_VERSION
-    {
-        WAL_HEADER_LEN
-    } else {
-        out.skipped_bytes += bytes.len().min(WAL_HEADER_LEN) as u64;
-        0
-    };
+    let mut at =
+        if bytes.len() >= WAL_HEADER_LEN && bytes[..4] == WAL_MAGIC && bytes[4] == WAL_VERSION {
+            WAL_HEADER_LEN
+        } else {
+            out.skipped_bytes += bytes.len().min(WAL_HEADER_LEN) as u64;
+            0
+        };
     while at < bytes.len() {
         match try_record_at(bytes, at) {
             Some((rec, next)) => {
@@ -422,7 +420,7 @@ mod tests {
     #[test]
     fn record_round_trips() {
         let r = rec("acme", 7, "density", b"payload bytes");
-        let bytes = journal(&[r.clone()]);
+        let bytes = journal(std::slice::from_ref(&r));
         let salvage = parse_wal(&bytes);
         assert_eq!(salvage.records, vec![r]);
         assert_eq!(salvage.skipped_bytes, 0);
