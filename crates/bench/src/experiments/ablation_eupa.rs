@@ -13,16 +13,14 @@
 //! dataset's slower zlib layout is under [`FAST_MARGIN`] times its
 //! faster bzlib2 layout.
 
+use crate::{run_isobar_with, time, Bench, Report, SEED, T};
 use isobar::chunk::element_chunks;
 use isobar::eupa::SampleResult;
 use isobar::{
     Analyzer, CodecId, ColumnSelection, CompressionLevel, EupaSelector, IsobarOptions,
     Linearization, PipelineScratch, Preference, Recorder,
 };
-use isobar_bench::*;
-use isobar_codecs::codec_for;
 use isobar_datasets::catalog;
-use std::process::ExitCode;
 
 const DATASETS: [&str; 3] = ["gts_chkp_zion", "flash_gamc", "s3d_vmag"];
 const BUDGETS: [(usize, usize); 4] = [(1024, 1), (4096, 2), (16384, 4), (65536, 8)];
@@ -50,21 +48,17 @@ fn oracle(data: &[u8], width: usize) -> (CodecId, Linearization, f64) {
     best
 }
 
-fn sampling_budget() {
-    banner("Ablation: EUPA sampling budget (ratio preference)");
+fn sampling_budget(b: &mut Bench) -> Report {
+    let mut out = super::banner(b, "Ablation: EUPA sampling budget (ratio preference)");
     for name in DATASETS {
-        let ds = generate(&catalog::spec(name).expect("catalog entry"));
+        let ds = b.dataset(name);
         let (oracle_codec, oracle_lin, oracle_ratio) = oracle(&ds.bytes, ds.width());
-        println!(
-            "{name}: oracle = {} + {} (CR {:.4})",
-            codec_for(oracle_codec, Default::default()).name(),
-            oracle_lin,
-            oracle_ratio
+        let oracle_codec = oracle_codec.name();
+        outln!(
+            out,
+            "{name}: oracle = {oracle_codec} + {oracle_lin} (CR {oracle_ratio:.4})"
         );
-        println!(
-            "  {:>8} {:>7} {:>9} {:>9} {:>11} {:>10}",
-            "elems", "blocks", "decision", "CR", "CR vs best", "overhead"
-        );
+        out.say("     elems  blocks  decision        CR  CR vs best   overhead");
         for (sample_elements, sample_blocks) in BUDGETS {
             let run = run_isobar_with(
                 &ds.bytes,
@@ -80,20 +74,22 @@ fn sampling_budget() {
                 },
             );
             let decision = format!("{}+{}", run.report.codec.name(), run.report.linearization);
-            println!(
+            outln!(
+                out,
                 "  {:>8} {:>7} {:>9} {:>9.4} {:>10.2}% {:>9.1}%",
                 sample_elements,
                 sample_blocks,
                 decision,
                 run.ratio,
                 (run.ratio / oracle_ratio - 1.0) * 100.0,
-                run.report.eupa_secs / run.report.total_secs * 100.0,
+                T(run.report.eupa_secs / run.report.total_secs * 100.0),
             );
         }
-        println!();
+        out.say("");
     }
-    println!("expected shape: small budgets already find the oracle (or land within");
-    println!("a fraction of a percent of its ratio) at single-digit % overhead.");
+    out.say("expected shape: small budgets already find the oracle (or land within");
+    out.say("a fraction of a percent of its ratio) at single-digit % overhead.");
+    out
 }
 
 /// Elements per dataset in the speed-preference section: two chunks.
@@ -120,34 +116,29 @@ fn combo(s: &SampleResult) -> String {
 /// fastest of [`SPEED_REPEATS`] selections), the declared-order pick,
 /// the timed oracle's pick, and EUPA's share of the compress call with
 /// four trials (as before the declared order) and as it runs now.
-/// Returns whether the `Fast` margin held everywhere.
-fn speed_preference() -> bool {
-    banner("Ablation: EUPA under a speed preference (declared solver order vs timed oracle)");
-    println!(
+/// Returns whether the `Fast` margin held everywhere. Lines whose
+/// presence a clock decides start with `~` (see `report.rs`).
+fn speed_preference(b: &Bench, out: &mut Report) -> bool {
+    super::write_banner(
+        out,
+        b,
+        "Ablation: EUPA under a speed preference (declared solver order vs timed oracle)",
+    );
+    outln!(
+        out,
         "{SPEED_ELEMENTS} elements per dataset (not scaled), head-chunk selection, default sample;"
     );
-    println!("MB/s = fastest of {SPEED_REPEATS} four-trial selections; EUPA% = selection's share of the Speed compress");
-    println!("call (medians of {SPEED_REPEATS}): 4t = with the four-trial selection's wall time in place of its own,");
-    println!("now = as it runs.");
+    outln!(out, "MB/s = fastest of {SPEED_REPEATS} four-trial selections; EUPA% = selection's share of the Speed compress");
+    outln!(out, "call (medians of {SPEED_REPEATS}): 4t = with the four-trial selection's wall time in place of its own,");
+    out.say("now = as it runs.");
     let mut margin_held = true;
     let mut differs = Vec::new();
     let mut scratch = PipelineScratch::new();
     let specs = catalog::all();
     for level in CompressionLevel::ALL {
-        println!();
-        println!(
-            "level {level}\n{:<14} {:>12} {:>12} {:>12} {:>12}  {:<13} {:<13} {:>6} {:>5} {:>5}",
-            "dataset",
-            "zlib+Row",
-            "zlib+Col",
-            "bzlib2+Row",
-            "bzlib2+Col",
-            "declared",
-            "timed oracle",
-            "margin",
-            "4t%",
-            "now%"
-        );
+        out.say("");
+        outln!(out, "level {level}");
+        out.say("dataset            zlib+Row     zlib+Col   bzlib2+Row   bzlib2+Col  declared      timed oracle  margin   4t%  now%");
         let (mut zlib_wins, mut zlib_best_wins) = (0, 0);
         let (mut column_ratio, mut column_faster) = (0, 0);
         for spec in &specs {
@@ -225,8 +216,9 @@ fn speed_preference() -> bool {
             column_faster += usize::from(mbps(1) >= mbps(0));
             if level == CompressionLevel::Fast && margin < FAST_MARGIN {
                 margin_held = false;
-                println!(
-                    "  MARGIN BROKEN on {}: {margin:.2}x < {FAST_MARGIN}x",
+                outln!(
+                    out,
+                    "  ~ MARGIN BROKEN on {}: {margin:.2}x < {FAST_MARGIN}x",
                     spec.name
                 );
             }
@@ -243,50 +235,60 @@ fn speed_preference() -> bool {
                     oracle.ratio,
                 ));
             }
-            let cell = |s: &SampleResult| format!("{:.0} {:.3}", s.throughput_mbps, s.ratio);
-            println!(
-                "{:<14} {:>12} {:>12} {:>12} {:>12}  {:<13} {:<13} {:>5.1}x {:>5.1} {:>5.1}",
+            // "MB/s ratio" right-aligned in 12, only the MB/s timed.
+            let cell = |s: &SampleResult| {
+                let ratio = format!("{:.3}", s.ratio);
+                let width = 11usize.saturating_sub(ratio.len());
+                format!("{:>width$.0} {ratio}", T(s.throughput_mbps))
+            };
+            outln!(
+                out,
+                "{:<14} {} {} {} {}  {:<13} {:<13} {:>5.1}x {:>5.1} {:>5.1}",
                 spec.name,
                 cell(&trials[0]),
                 cell(&trials[1]),
                 cell(&trials[2]),
                 cell(&trials[3]),
                 combo(declared),
-                combo(oracle),
-                margin,
-                four_trial / (rest + four_trial) * 100.0,
-                two_trial / (rest + two_trial) * 100.0,
+                T(combo(oracle)),
+                T(margin),
+                T(four_trial / (rest + four_trial) * 100.0),
+                T(two_trial / (rest + two_trial) * 100.0),
             );
         }
         let n = specs.len();
-        println!(
-            "  zlib's slower layout beats bzlib2's faster on {zlib_wins}/{n}, zlib's faster beats it on \
-             {zlib_best_wins}/{n}; zlib Column has the higher (or equal) sample ratio on \
-             {column_ratio}/{n} and is the faster on {column_faster}/{n}"
+        outln!(
+            out,
+            "  zlib's slower layout beats bzlib2's faster on {}/{n}, zlib's faster beats it on \
+             {}/{n}; zlib Column has the higher (or equal) sample ratio on \
+             {column_ratio}/{n} and is the faster on {}/{n}",
+            T(zlib_wins),
+            T(zlib_best_wins),
+            T(column_faster)
         );
     }
-    println!();
-    println!(
+    out.say("");
+    outln!(
+        out,
         "declared solver differs from the timed oracle's ({}):",
-        differs.len()
+        T(differs.len())
     );
     for line in &differs {
-        println!("  {line}");
+        outln!(out, "  ~ {line}");
     }
-    println!();
-    println!("cells are sample MB/s and sample ratio; margin = zlib's slower layout over bzlib2's");
-    println!("faster one, at least {FAST_MARGIN}x on every dataset at fast or this run fails. the list above");
-    println!("is what EXPERIMENTS.md deviation D6 records.");
+    out.say("");
+    out.say("cells are sample MB/s and sample ratio; margin = zlib's slower layout over bzlib2's");
+    outln!(out, "faster one, at least {FAST_MARGIN}x on every dataset at fast or this run fails. the list above");
+    out.say("is what EXPERIMENTS.md deviation D6 records.");
     margin_held
 }
 
-fn main() -> ExitCode {
-    sampling_budget();
-    println!();
-    if speed_preference() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("the fast-level margin behind the declared solver order is broken");
-        ExitCode::FAILURE
+/// Both sections; the report fails when the `Fast` margin broke.
+pub fn ablation_eupa(b: &mut Bench) -> Report {
+    let mut out = sampling_budget(b);
+    out.say("");
+    if !speed_preference(b, &mut out) {
+        out.failure = Some("the fast-level margin behind the declared solver order is broken");
     }
+    out
 }

@@ -1,11 +1,13 @@
 #![warn(missing_docs)]
 
-//! Shared support for the table/figure harness binaries.
+//! The table/figure harness behind the one `bench` binary.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! ISOBAR paper. They share dataset scaling, timing, and measurement
-//! helpers from this library so the numbers are computed the same way
-//! everywhere:
+//! Every function in [`experiments`] regenerates one table or figure of
+//! the ISOBAR paper (`bench table6`, `bench all --out results/`, `bench
+//! check`). They draw on one per-process measurement cache ([`Bench`])
+//! and write through one tagged output ([`Report`]), and share dataset
+//! scaling, timing, and measurement helpers so the numbers are computed
+//! the same way everywhere:
 //!
 //! * **Scaling** — dataset sizes are proportional to the paper's
 //!   (Table III) times `ISOBAR_SCALE` (default 0.02, i.e. a ~100 MB
@@ -17,17 +19,31 @@
 //!   counts *original* bytes per second; decompression throughput
 //!   (TP_D) counts *reconstructed* bytes per second.
 
-pub mod bit_analyzer;
+/// Append formatted text to a [`Report`], without a line end.
+macro_rules! out {
+    ($out:expr, $($arg:tt)*) => { $out.write(format_args!($($arg)*)) };
+}
+/// Append one formatted line to a [`Report`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{ out!($out, $($arg)*); $out.say("") }};
+}
 
-use isobar::{CompressionReport, EupaSelector, IsobarCompressor, IsobarOptions, Preference};
-use isobar_codecs::{Codec, CodecId};
-use isobar_datasets::catalog::{Dataset, DatasetSpec};
+pub mod bit_analyzer;
+mod cache;
+pub mod experiments;
+mod report;
+
+pub use cache::Bench;
+pub use report::{banner_scale, Report, T};
+
+use isobar::{CompressionReport, IsobarCompressor, IsobarOptions, Preference};
+use isobar_codecs::Codec;
 use std::time::Instant;
 
 /// Default corpus scale relative to the paper's dataset sizes.
 pub const DEFAULT_SCALE: f64 = 0.02;
 
-/// Deterministic seed used by every harness binary.
+/// Deterministic seed used by every experiment.
 pub const SEED: u64 = 0x15_0BA2;
 
 /// Scale factor from `ISOBAR_SCALE`, defaulting to [`DEFAULT_SCALE`].
@@ -38,11 +54,6 @@ pub fn scale() -> f64 {
         .unwrap_or(DEFAULT_SCALE)
 }
 
-/// Generate a dataset at the harness scale.
-pub fn generate(spec: &DatasetSpec) -> Dataset {
-    spec.generate(spec.scaled_elements(scale()), SEED)
-}
-
 /// Wall-clock a closure.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -50,16 +61,9 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, start.elapsed().as_secs_f64())
 }
 
-/// Throughput in MB/s (paper convention: 10^6 bytes).
-///
-/// Same clamp as `isobar::throughput_mbps`: the elapsed time has a
-/// one-microsecond floor, so a sub-resolution measurement reports a
-/// large-but-sane number instead of `f64::INFINITY` or absurd MB/s,
-/// which would poison averages, speedup ratios, and JSON output
-/// downstream.
-pub fn mbps(bytes: usize, secs: f64) -> f64 {
-    isobar::throughput_mbps(bytes, secs)
-}
+/// Throughput in MB/s (paper convention: 10^6 bytes), with the
+/// pipeline's one-microsecond floor on the elapsed time.
+pub use isobar::throughput_mbps as mbps;
 
 /// One standalone-codec measurement.
 #[derive(Debug, Clone, Copy)]
@@ -99,16 +103,10 @@ pub struct IsobarRun {
     pub report: CompressionReport,
 }
 
-/// Measure the full ISOBAR pipeline under a preference.
-pub fn run_isobar(data: &[u8], width: usize, preference: Preference) -> IsobarRun {
-    run_isobar_with(data, width, default_options(preference))
-}
-
 /// Harness-standard options for a preference.
 pub fn default_options(preference: Preference) -> IsobarOptions {
     IsobarOptions {
         preference,
-        eupa: EupaSelector::default(),
         ..Default::default()
     }
 }
@@ -141,21 +139,6 @@ pub fn speedup(isobar_mbps: f64, standard_mbps: f64) -> f64 {
     isobar_mbps / standard_mbps
 }
 
-/// Names of the codecs as the paper prints them.
-pub fn codec_name(id: CodecId) -> &'static str {
-    id.name()
-}
-
-/// Print the standard harness banner (scale, corpus size).
-pub fn banner(what: &str) {
-    println!("== {what} ==");
-    println!(
-        "scale {} (set ISOBAR_SCALE to change); seed {SEED:#x}; single-threaded",
-        scale()
-    );
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +169,7 @@ mod tests {
     fn run_isobar_round_trips_and_reports() {
         let spec = isobar_datasets::catalog::spec("gts_phi_l").unwrap();
         let ds = spec.generate(50_000, SEED);
-        let run = run_isobar(&ds.bytes, ds.width(), Preference::Speed);
+        let run = run_isobar_with(&ds.bytes, ds.width(), default_options(Preference::Speed));
         assert!(run.ratio > 1.0);
         assert!(run.report.improvable());
     }

@@ -545,6 +545,18 @@ fn parse_store(it: &mut ArgIter<'_>) -> Result<Command, String> {
     let verb = it
         .next()
         .ok_or("store requires a verb: put|get|ls|compact")?;
+    // The flags each verb takes, as the usage text lists them.
+    let applies: &[&str] = match verb.as_str() {
+        "put" => &["--name", "--step", "--width", "--shards", "--queue-depth"],
+        "get" => &["--name", "--step", "--no-verify"],
+        "ls" => &["--no-verify"],
+        "compact" => &["--shards"],
+        other => {
+            return Err(format!(
+                "unknown store verb '{other}' (try put|get|ls|compact)"
+            ))
+        }
+    };
 
     let mut name: Option<String> = None;
     let mut step: Option<u32> = None;
@@ -554,12 +566,16 @@ fn parse_store(it: &mut ArgIter<'_>) -> Result<Command, String> {
     let mut verify = true;
     let mut paths: Vec<PathBuf> = Vec::new();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = if arg == "-w" { "--width" } else { arg.as_str() };
+        match flag {
+            "--name" | "--step" | "--width" | "--shards" | "--queue-depth" | "--no-verify"
+                if !applies.contains(&flag) =>
+            {
+                return Err(format!("'{flag}' does not apply to 'store {verb}'"))
+            }
             "--name" => name = Some(value(it, "--name")?),
             "--step" => step = Some(value(it, "--step")?.parse().map_err(bad("--step"))?),
-            "--width" | "-w" => {
-                width = Some(value(it, "--width")?.parse().map_err(bad("--width"))?)
-            }
+            "--width" => width = Some(value(it, "--width")?.parse().map_err(bad("--width"))?),
             "--shards" => shards = Some(value(it, "--shards")?.parse().map_err(bad("--shards"))?),
             "--queue-depth" => {
                 queue_depth = value(it, "--queue-depth")?
@@ -625,9 +641,7 @@ fn parse_store(it: &mut ArgIter<'_>) -> Result<Command, String> {
                 .map_err(|_| "store compact requires exactly one DIR path".to_string())?;
             Ok(Command::StoreCompact { dir, shards })
         }
-        other => Err(format!(
-            "unknown store verb '{other}' (try put|get|ls|compact)"
-        )),
+        _ => unreachable!("the verb was matched above"),
     }
 }
 
@@ -1100,6 +1114,37 @@ mod tests {
         // get needs both coordinates; ls exactly one path.
         assert!(parse(&strings(&["store", "get", "d", "o", "--name", "v"])).is_err());
         assert!(parse(&strings(&["store", "ls", "a", "b"])).is_err());
+    }
+
+    #[test]
+    fn store_verbs_take_only_the_flags_the_usage_lists_for_them() {
+        // A complete command line per verb, then every flag added to it.
+        let put = ["d", "i", "--name", "v", "--step", "0", "--width", "8"];
+        let get = ["d", "o", "--name", "v", "--step", "0"];
+        let verbs: [(&str, &[&str], &str); 4] = [
+            ("put", &put, "--name --step --width --shards --queue-depth"),
+            ("get", &get, "--name --step --no-verify"),
+            ("ls", &["d"], "--no-verify"),
+            ("compact", &["d"], "--shards"),
+        ];
+        for (verb, complete, takes) in verbs {
+            for flag in "--name --step --width -w --shards --queue-depth --no-verify".split(' ') {
+                let long = if flag == "-w" { "--width" } else { flag };
+                let mut line = vec!["store", verb];
+                line.extend(complete);
+                line.push(flag);
+                if flag != "--no-verify" {
+                    line.push("3");
+                }
+                let applies = takes.split(' ').any(|t| t == long);
+                let refusal = format!("'{long}' does not apply to 'store {verb}'");
+                let error = parse(&strings(&line)).err();
+                assert_eq!(error, (!applies).then_some(refusal), "{line:?}");
+            }
+        }
+        // A flag no verb knows is still "unknown", not "does not apply".
+        let err = parse(&strings(&["store", "ls", "d", "--frob"])).unwrap_err();
+        assert_eq!(err, "unknown flag '--frob'");
     }
 
     #[test]

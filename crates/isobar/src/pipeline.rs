@@ -43,7 +43,9 @@ pub struct IsobarOptions {
     /// EUPA sampling configuration.
     pub eupa: EupaSelector,
     /// Compress chunks on multiple threads (extension; the paper's
-    /// numbers are single-core).
+    /// numbers are single-core). `decompress` honours it too: the same
+    /// compressor decodes chunks on the worker pool. Output bytes do not
+    /// depend on it.
     pub parallel: bool,
     /// Verify embedded checksums while decoding (default on). Turning
     /// this off trades end-to-end integrity detection for decompress

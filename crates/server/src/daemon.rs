@@ -1,5 +1,5 @@
 //! The `isobar serve` daemon: a blocking, thread-per-connection TCP
-//! server in front of a [`ShardedStoreWriter`]/[`StoreReader`] pair.
+//! server in front of a `ShardedStoreWriter`/`StoreReader` pair.
 //!
 //! # Architecture
 //!
@@ -8,7 +8,7 @@
 //! funnels through one mutex-guarded `StoreState`: puts go to the
 //! sharded writer *and* to an in-memory overlay so gets are
 //! read-your-writes before the next commit; gets fall back to the
-//! committed [`StoreReader`]. When the overlay crosses the commit
+//! committed `StoreReader`. When the overlay crosses the commit
 //! threshold the daemon rolls a generation: the writer's two-phase
 //! manifest commit runs, the reader reopens, the overlay drains.
 //!

@@ -135,22 +135,6 @@ pub fn compact_store_recorded(
     })
 }
 
-/// Run [`compact_store`] on a background thread, returning its handle.
-/// The store stays fully readable while the pass runs; the manifest
-/// swap is atomic, so readers opening mid-compaction see the old or
-/// the new generation, never a mix.
-pub fn compact_store_background(
-    dir: impl AsRef<Path>,
-    shards: Option<u16>,
-) -> std::thread::JoinHandle<Result<CompactReport, StoreError>> {
-    let dir = dir.as_ref().to_path_buf();
-    std::thread::spawn(move || {
-        let result = compact_store(&dir, shards);
-        isobar::trace::flush_thread();
-        result
-    })
-}
-
 /// Drop every manifest row (segment or entry) that predates
 /// `generation`, committing the pruned manifest via shadow write +
 /// rename. Returns the file names the pruned manifest references.
@@ -317,29 +301,6 @@ mod tests {
         assert!(report.files_removed >= 2, "orphans swept: {report:?}");
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.get(0, "x").unwrap(), payload(8 * 1024, 2));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn background_compaction_joins_with_a_report() {
-        let dir = tmp("background");
-        let _ = std::fs::remove_dir_all(&dir);
-        for phase in [1u64, 2] {
-            let writer =
-                ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
-            writer.put(0, "v", payload(8 * 1024, phase), 8).unwrap();
-            writer.close().unwrap();
-        }
-        let report = compact_store_background(&dir, None)
-            .join()
-            .unwrap()
-            .unwrap();
-        assert_eq!(report.entries_kept, 1);
-        assert_eq!(report.entries_dropped, 1);
-        assert_eq!(
-            StoreReader::open(&dir).unwrap().get(0, "v").unwrap(),
-            payload(8 * 1024, 2)
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

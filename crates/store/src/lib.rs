@@ -74,7 +74,7 @@ mod salvage;
 mod sharded;
 mod vfs;
 
-pub use compact::{compact_store, compact_store_background, compact_store_recorded, CompactReport};
+pub use compact::{compact_store, compact_store_recorded, CompactReport};
 pub use error::StoreError;
 pub use format::{
     entry_checksum, is_segment_file_name, segment_file_name, wip_path, IndexEntry, CHECKSUM_SEED,

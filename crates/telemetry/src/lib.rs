@@ -13,8 +13,8 @@
 //!   histograms. Recording a value is a couple of integer adds into
 //!   fixed-size arrays: no allocation, no locks, no atomics.
 //! * [`TelemetrySnapshot`] — the plain-data view of a recorder.
-//!   Snapshots are serializable to JSON ([`TelemetrySnapshot::to_json`]),
-//!   parseable back ([`TelemetrySnapshot::from_json`]), and mergeable
+//!   Snapshots are serializable to JSON ([`TelemetrySnapshot::to_json`],
+//!   readable with [`json::parse`]) and mergeable
 //!   ([`TelemetrySnapshot::merge`]) so per-worker recorders can be
 //!   aggregated at a pipeline join in any order.
 //! * [`StageTimer`] — a guard that measures one stage span and folds it
@@ -41,9 +41,10 @@
 //! rec.record_stage(Stage::SolverCompress, 1_250_000);
 //!
 //! let snap = rec.snapshot();
-//! let json = snap.to_json();
-//! let back = isobar_telemetry::TelemetrySnapshot::from_json(&json).unwrap();
-//! assert_eq!(snap, back);
+//! let doc = isobar_telemetry::json::parse(&snap.to_json()).unwrap();
+//! let bytes = doc.get("counters").and_then(|c| c.get("chunk_input_bytes"));
+//! let recorded = snap.counters[Counter::ChunkInputBytes as usize]; // 0 when compiled out
+//! assert_eq!(bytes.and_then(|v| v.as_u64()), Some(recorded));
 //! ```
 
 pub mod json;

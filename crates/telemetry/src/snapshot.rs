@@ -1,6 +1,6 @@
 //! Plain-data snapshot of a recorder, with JSON in/out and merging.
 
-use crate::json::{self, JsonValue};
+use crate::json;
 use crate::{Counter, Stage};
 
 /// Version stamped into every serialized snapshot. Bump when the JSON
@@ -105,8 +105,7 @@ impl StageStats {
 ///
 /// The struct is all inline arrays: cloning or defaulting one never
 /// allocates, which is what lets the recorder live inside hot loops.
-/// Heap memory is only touched by [`TelemetrySnapshot::to_json`] /
-/// [`TelemetrySnapshot::from_json`].
+/// Heap memory is only touched by [`TelemetrySnapshot::to_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Monotonic counters, indexed by `Counter as usize`.
@@ -266,67 +265,6 @@ impl TelemetrySnapshot {
         out.push_str("  }\n");
         out.push('}');
         out
-    }
-
-    /// Parse a snapshot previously produced by
-    /// [`TelemetrySnapshot::to_json`]. Unknown keys are ignored and
-    /// missing ones read as zero, so snapshots stay parseable across
-    /// minor additions; a different `schema_version` is an error.
-    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
-        let root = json::parse(text)?;
-        let version = root.get("schema_version").and_then(JsonValue::as_u64);
-        if version != Some(SNAPSHOT_SCHEMA_VERSION) {
-            return Err(format!(
-                "unsupported telemetry schema_version {version:?} (expected {SNAPSHOT_SCHEMA_VERSION})"
-            ));
-        }
-
-        let mut snap = TelemetrySnapshot::default();
-        if let Some(tier) = root.get("kernel_tier").and_then(JsonValue::as_u64) {
-            snap.kernel_tier = tier.min(u64::from(u8::MAX)) as u8;
-        }
-        if let Some(counters) = root.get("counters") {
-            for (i, counter) in Counter::ALL.iter().enumerate() {
-                if let Some(v) = counters.get(counter.name()).and_then(JsonValue::as_u64) {
-                    snap.counters[i] = v;
-                }
-            }
-        }
-        if let Some(stages) = root.get("stages") {
-            for (i, stage) in Stage::ALL.iter().enumerate() {
-                if let Some(obj) = stages.get(stage.name()) {
-                    let field = |name: &str| obj.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
-                    snap.stages[i] = StageStats {
-                        count: field("count"),
-                        total_nanos: field("total_nanos"),
-                        min_nanos: field("min_nanos"),
-                        max_nanos: field("max_nanos"),
-                    };
-                }
-            }
-        }
-        if let Some(buckets) = root
-            .get("histograms")
-            .and_then(|h| h.get("tau_margin"))
-            .and_then(JsonValue::as_array)
-        {
-            for (slot, value) in snap.tau_margin.iter_mut().zip(buckets) {
-                *slot = value.as_u64().unwrap_or(0);
-            }
-        }
-        if let Some(eupa) = root.get("eupa") {
-            let fill = |dst: &mut [u64], key: &str| {
-                if let Some(values) = eupa.get(key).and_then(JsonValue::as_array) {
-                    for (slot, value) in dst.iter_mut().zip(values) {
-                        *slot = value.as_u64().unwrap_or(0);
-                    }
-                }
-            };
-            fill(&mut snap.eupa_selected, "selected");
-            fill(&mut snap.eupa_trial_count, "trial_count");
-            fill(&mut snap.eupa_trial_nanos, "trial_nanos");
-        }
-        Ok(snap)
     }
 
     /// Render a human-readable table (the CLI's `--stats=table` view).
@@ -541,28 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_every_field() {
-        let mut snap = TelemetrySnapshot::default();
-        for (i, slot) in snap.counters.iter_mut().enumerate() {
-            *slot = (i as u64 + 1) * 7;
-        }
-        for (i, stage) in snap.stages.iter_mut().enumerate() {
-            stage.record((i as u64 + 1) * 1000);
-            stage.record((i as u64 + 1) * 3000);
-        }
-        for (i, slot) in snap.tau_margin.iter_mut().enumerate() {
-            *slot = i as u64;
-        }
-        snap.eupa_selected = [1, 0, 0, 2];
-        snap.eupa_trial_count = [4, 4, 4, 4];
-        snap.eupa_trial_nanos = [11, 22, 33, 44];
-
-        let json = snap.to_json();
-        let back = TelemetrySnapshot::from_json(&json).unwrap();
-        assert_eq!(snap, back);
-    }
-
-    #[test]
     fn json_output_is_byte_stable() {
         let mut snap = TelemetrySnapshot::default();
         snap.counters[0] = 5;
@@ -572,12 +488,6 @@ mod tests {
         let chunks_pos = json.find("\"analyzer_chunks\"").unwrap();
         let bytes_pos = json.find("\"analyzer_bytes\"").unwrap();
         assert!(chunks_pos < bytes_pos);
-    }
-
-    #[test]
-    fn from_json_rejects_other_schema_versions() {
-        assert!(TelemetrySnapshot::from_json("{\"schema_version\": 2}").is_err());
-        assert!(TelemetrySnapshot::from_json("{}").is_err());
     }
 
     #[test]
