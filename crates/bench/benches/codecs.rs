@@ -6,14 +6,16 @@
 //! behind Table V's zlib/bzlib2 columns and Table X's FPC/fpzip
 //! columns. The `bwt_stages` groups split the bzlib2-class solver's
 //! time on one block into its stages, on the two shapes of input the
-//! pipeline feeds it, so a regression can be read off the table.
+//! pipeline feeds it, so a regression can be read off the table; the
+//! `deflate_decode` group does the same for the zlib-class solver's
+//! read path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use isobar::partitioner::partition;
-use isobar::{Analyzer, Linearization};
+use isobar::partitioner::{partition, partition_into};
+use isobar::{Analyzer, EupaSelector, Linearization, Preference};
 use isobar_codecs::bwt::{BlockStages, Bzip2Like};
 use isobar_codecs::lz77::{Matcher, MatcherScratch};
-use isobar_codecs::{deflate::Deflate, Codec, CompressionLevel};
+use isobar_codecs::{deflate::Deflate, Codec, CodecScratch, CompressionLevel};
 use isobar_datasets::catalog;
 use isobar_float_codecs::{Dims, Fpc, FpzipLike};
 
@@ -76,6 +78,53 @@ fn bench_bwt_stages(c: &mut Criterion) {
         group.bench_function("inverse_bwt", |b| b.iter(|| stages.inverse_bwt()));
         group.finish();
     }
+}
+
+/// DEFLATE decode of the solver streams the in-situ (`Speed` + `Fast`)
+/// read path inflates: one 6 MB slab each of an f32 field, an f64
+/// field and a repetitive f64 field, analysed, laid out as EUPA picks,
+/// partitioned and compressed exactly as the pipeline does. Throughput
+/// is over the decoded (solver-input) bytes.
+fn bench_deflate_decode(c: &mut Criterion) {
+    const SLAB_BYTES: usize = 6 << 20;
+    let level = CompressionLevel::Fast;
+    let codec = Deflate::new(level);
+    let eupa = EupaSelector {
+        level,
+        ..EupaSelector::default()
+    };
+    let mut group = c.benchmark_group("deflate_decode");
+    group.sample_size(10);
+    for name in ["s3d_temp", "flash_gamc", "msg_sppm"] {
+        let spec = catalog::spec(name).expect("catalog entry");
+        let width = spec.element.width();
+        let slab = spec.generate(SLAB_BYTES / width, 7).bytes;
+        let selection = Analyzer::default().analyze(&slab, width).expect("aligned");
+        let decision = eupa.select(&slab, width, &selection, Preference::Speed);
+        let (mut raw, mut rest) = (Vec::new(), Vec::new());
+        partition_into(
+            &slab,
+            width,
+            &selection,
+            decision.linearization,
+            &mut raw,
+            &mut rest,
+        );
+        let mut scratch = CodecScratch::new();
+        let mut packed = Vec::new();
+        codec.compress_into(&raw, &mut packed, &mut scratch);
+        let mut out = Vec::new();
+        group.throughput(Throughput::Bytes(raw.len() as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                codec
+                    .decompress_into(&packed, &mut out, &mut scratch)
+                    .expect("own stream")
+            })
+        });
+        assert_eq!(out, raw, "{name}");
+    }
+    group.finish();
 }
 
 fn bench_float_codecs(c: &mut Criterion) {
@@ -155,6 +204,7 @@ criterion_group!(
     benches,
     bench_general_codecs,
     bench_bwt_stages,
+    bench_deflate_decode,
     bench_float_codecs,
     bench_matcher
 );

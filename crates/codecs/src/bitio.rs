@@ -86,6 +86,7 @@ pub struct LsbBitReader<'a> {
     data: &'a [u8],
     /// Index of the next byte to load into `acc`.
     pos: usize,
+    /// Loaded bits, next stream bit in the LSB; zero above `nbits`.
     acc: u64,
     nbits: u32,
 }
@@ -99,6 +100,21 @@ impl<'a> LsbBitReader<'a> {
             acc: 0,
             nbits: 0,
         }
+    }
+
+    /// The input, and the bit state `(acc, nbits, pos)` for a loop that
+    /// holds it in locals (the inflate fast loop).
+    pub(crate) fn state(&self) -> (&'a [u8], u64, u32, usize) {
+        (self.data, self.acc, self.nbits, self.pos)
+    }
+
+    /// Resume from a state taken by [`LsbBitReader::state`] and advanced
+    /// over the same input. Bits of `acc` above `nbits` are dropped.
+    pub(crate) fn set_state(&mut self, acc: u64, nbits: u32, pos: usize) {
+        debug_assert!(nbits <= 64 && pos <= self.data.len());
+        self.acc = acc & u64::MAX.checked_shr(64 - nbits).unwrap_or(0);
+        self.nbits = nbits;
+        self.pos = pos;
     }
 
     #[inline]
@@ -175,21 +191,23 @@ impl<'a> LsbBitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Read whole bytes; the reader must be byte-aligned.
+    /// Read whole bytes; the reader must be byte-aligned. The bytes
+    /// still in the accumulator come first, the rest is one slice copy.
     pub fn read_bytes(&mut self, buf: &mut [u8]) -> Result<(), CodecError> {
         assert_eq!(self.nbits % 8, 0, "read_bytes requires byte alignment");
-        for slot in buf.iter_mut() {
-            if self.nbits >= 8 {
-                *slot = self.acc as u8;
-                self.acc >>= 8;
-                self.nbits -= 8;
-            } else if self.pos < self.data.len() {
-                *slot = self.data[self.pos];
-                self.pos += 1;
-            } else {
-                return Err(CodecError::UnexpectedEof);
-            }
+        let buffered = buf.len().min(self.nbits as usize / 8);
+        let (head, rest) = buf.split_at_mut(buffered);
+        for slot in head {
+            *slot = self.acc as u8;
+            self.acc >>= 8;
+            self.nbits -= 8;
         }
+        let src = self
+            .data
+            .get(self.pos..self.pos + rest.len())
+            .ok_or(CodecError::UnexpectedEof)?;
+        rest.copy_from_slice(src);
+        self.pos += rest.len();
         Ok(())
     }
 

@@ -124,7 +124,7 @@ impl Codec for Deflate {
         &self,
         data: &[u8],
         out: &mut Vec<u8>,
-        _scratch: &mut CodecScratch,
+        scratch: &mut CodecScratch,
     ) -> Result<(), CodecError> {
         if data.len() < 6 {
             return Err(CodecError::UnexpectedEof);
@@ -141,7 +141,7 @@ impl Codec for Deflate {
         }
         let mut r = LsbBitReader::new(&data[2..]);
         out.clear();
-        inflate_into(&mut r, out)?;
+        decoder::inflate_with(&mut r, out, &mut scratch.inflate)?;
         let trailer = r.remaining_bytes();
         if trailer.len() < 4 {
             return Err(CodecError::UnexpectedEof);

@@ -331,6 +331,19 @@ impl HuffmanEncoder {
     }
 }
 
+/// Reject an over-subscribed code (Kraft sum > 1), which would make two
+/// codes ambiguous; `count[len]` is the number of codes of each length.
+fn check_kraft(count: &[u32], max_len: u8) -> Result<(), CodecError> {
+    // Sum of 2^(max-len) must not exceed 2^max.
+    let kraft: u64 = (1..=max_len as usize)
+        .map(|len| (count[len] as u64) << (max_len as usize - len))
+        .sum();
+    if max_len > 0 && kraft > 1u64 << max_len {
+        return Err(CodecError::Corrupt("over-subscribed Huffman code"));
+    }
+    Ok(())
+}
+
 /// Canonical decoding tables (count/offset per length).
 ///
 /// Decoding walks the code one bit at a time, comparing against the
@@ -379,14 +392,7 @@ impl HuffmanDecoder {
             self.count[len as usize] += 1;
         }
         self.count[0] = 0;
-
-        // Kraft check: sum of 2^(max-len) must not exceed 2^max.
-        let kraft: u64 = (1..=max_len as usize)
-            .map(|len| (self.count[len] as u64) << (max_len as usize - len))
-            .sum();
-        if max_len > 0 && kraft > 1u64 << max_len {
-            return Err(CodecError::Corrupt("over-subscribed Huffman code"));
-        }
+        check_kraft(&self.count, max_len)?;
 
         let mut code = 0u32;
         let mut index = 0u32;
@@ -516,16 +522,58 @@ impl MsbDecoder {
 /// Bits resolved by the primary lookup table of [`FastDecoder`].
 pub const FAST_ROOT_BITS: u32 = 10;
 
+/// Longest code [`FastDecoder`] accepts (DEFLATE's limit).
+const FAST_MAX_LEN: u8 = 15;
+
+/// One lookup-table slot of [`FastDecoder`], packed into one register:
+/// bits 0–7 the bits the symbol takes with its extra bits, 8–15 its
+/// code length (0 marks an unassigned slot of an incomplete code),
+/// 16–31 the base its extra bits add to, 32–47 the symbol. An escape
+/// slot (bit 63) holds the secondary table's index and width instead.
 #[derive(Debug, Clone, Copy, Default)]
-struct FastEntry {
-    /// Decoded symbol, or base index into the secondary table when
-    /// `escape` is set.
-    sym: u16,
-    /// Bits to consume (full code length); 0 marks an unassigned slot
-    /// of an incomplete code.
-    len: u8,
-    /// Slot requires a secondary-table lookup.
-    escape: bool,
+pub(crate) struct FastEntry(u64);
+
+impl FastEntry {
+    const ESCAPE: u64 = 1 << 63;
+
+    fn leaf(sym: usize, len: u8, (base, extra): (u16, u8)) -> Self {
+        let taken = u64::from(len + extra);
+        FastEntry((sym as u64) << 32 | u64::from(base) << 16 | u64::from(len) << 8 | taken)
+    }
+
+    fn escape(index: usize, sub_bits: u8) -> Self {
+        FastEntry(Self::ESCAPE | (index as u64) << 32 | u64::from(sub_bits) << 8)
+    }
+
+    fn is_escape(self) -> bool {
+        self.0 & Self::ESCAPE != 0
+    }
+
+    /// Code length; 0 for a window no code covers.
+    #[inline(always)]
+    pub(crate) fn len(self) -> u32 {
+        (self.0 >> 8) as u8 as u32
+    }
+
+    /// Code length plus extra bits.
+    #[inline(always)]
+    pub(crate) fn taken(self) -> u32 {
+        self.0 as u8 as u32
+    }
+
+    /// The decoded symbol.
+    #[inline(always)]
+    pub(crate) fn sym(self) -> usize {
+        (self.0 >> 32) as u16 as usize
+    }
+
+    /// Base plus the extra bits that follow the code in `bits` (the
+    /// window the entry was resolved from).
+    #[inline(always)]
+    pub(crate) fn value(self, bits: u64) -> usize {
+        let base = (self.0 >> 16) as u16 as usize;
+        base + ((bits & ((1 << self.taken()) - 1)) >> self.len()) as usize
+    }
 }
 
 /// Table-driven canonical Huffman decoder for LSB-first (DEFLATE)
@@ -533,10 +581,24 @@ struct FastEntry {
 /// single probe; longer codes (≤ 15 in DEFLATE) escape to per-prefix
 /// secondary tables. This is the classic zlib `inflate` structure and
 /// decodes several times faster than bit-at-a-time walking.
+///
+/// A decoder kept across blocks is rebuilt in place: once its secondary
+/// table has grown to the largest code it has seen, rebuilding it does
+/// not touch the allocator.
 #[derive(Debug, Clone)]
 pub struct FastDecoder {
-    primary: Vec<FastEntry>,
+    primary: [FastEntry; 1 << FAST_ROOT_BITS],
     secondary: Vec<FastEntry>,
+}
+
+impl Default for FastDecoder {
+    /// The empty code: every window is unassigned.
+    fn default() -> Self {
+        FastDecoder {
+            primary: [FastEntry::default(); 1 << FAST_ROOT_BITS],
+            secondary: Vec::new(),
+        }
+    }
 }
 
 impl FastDecoder {
@@ -546,77 +608,110 @@ impl FastDecoder {
     /// over-subscribed sets are rejected, incomplete sets decode to
     /// [`CodecError::Corrupt`] when a gap is hit.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
+        let mut decoder = FastDecoder::default();
+        decoder.rebuild(lengths, |_| (0, 0))?;
+        Ok(decoder)
+    }
+
+    /// Replace this decoder's code with the one `lengths` describes
+    /// (same validity rules as [`FastDecoder::from_lengths`]), reusing
+    /// both tables; `value(sym)` is the `(base, extra bits)` pair stored
+    /// beside each symbol. On error the tables are unspecified; rebuild
+    /// before the next decode.
+    pub(crate) fn rebuild(
+        &mut self,
+        lengths: &[u8],
+        value: impl Fn(usize) -> (u16, u8),
+    ) -> Result<(), CodecError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len > 15 {
+        if max_len > FAST_MAX_LEN {
             return Err(CodecError::Corrupt("fast decoder supports ≤ 15-bit codes"));
         }
-        // Reuse the validation logic (Kraft check) of the slow decoder.
-        HuffmanDecoder::from_lengths(lengths)?;
-        let codes = canonical_codes(lengths);
+        let mut count = [0u32; FAST_MAX_LEN as usize + 1];
+        for &len in lengths {
+            count[len as usize] += 1;
+        }
+        count[0] = 0;
+        check_kraft(&count, max_len)?;
+        let mut first_code = [0u32; FAST_MAX_LEN as usize + 1];
+        let mut code = 0u32;
+        for len in 1..=max_len as usize {
+            code = (code + count[len - 1]) << 1;
+            first_code[len] = code;
+        }
+        // Canonical codes are handed out in symbol order, so each pass
+        // below re-derives them from a copy of `first_code`.
+        let codes = || {
+            let mut next = first_code;
+            lengths.iter().map(move |&len| {
+                if len == 0 {
+                    return (0, 0);
+                }
+                let code = next[len as usize];
+                next[len as usize] += 1;
+                (len, reverse_bits(code, len) as usize)
+            })
+        };
 
-        let mut primary = vec![FastEntry::default(); 1 << FAST_ROOT_BITS];
+        // Short codes fill every primary slot whose low `len` bits match
+        // the bit-reversed code; long codes only record, per root-window
+        // prefix, how many bits past the window their group needs.
+        self.primary.fill(FastEntry::default());
+        let root_mask = (1usize << FAST_ROOT_BITS) - 1;
+        let mut sub_bits = [0u8; 1 << FAST_ROOT_BITS];
+        for (sym, (len, rev)) in codes().enumerate() {
+            if len == 0 {
+                continue;
+            } else if len as u32 <= FAST_ROOT_BITS {
+                let entry = FastEntry::leaf(sym, len, value(sym));
+                for slot in self.primary.iter_mut().skip(rev).step_by(1 << len) {
+                    *slot = entry;
+                }
+            } else {
+                let group = &mut sub_bits[rev & root_mask];
+                *group = (*group).max(len - FAST_ROOT_BITS as u8);
+            }
+        }
 
-        // Short codes: fill every primary slot whose low `len` bits
-        // match the bit-reversed code.
-        for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
-            if len == 0 || len as u32 > FAST_ROOT_BITS {
+        // One secondary table per prefix, in prefix order.
+        self.secondary.clear();
+        for (prefix, &bits) in sub_bits.iter().enumerate() {
+            if bits > 0 {
+                self.primary[prefix] = FastEntry::escape(self.secondary.len(), bits);
+                let size = self.secondary.len() + (1 << bits);
+                self.secondary.resize(size, FastEntry::default());
+            }
+        }
+        for (sym, (len, rev)) in codes().enumerate() {
+            if (len as u32) <= FAST_ROOT_BITS {
                 continue;
             }
-            let rev = reverse_bits(code, len) as usize;
-            let stride = 1usize << len;
-            let mut slot = rev;
-            while slot < primary.len() {
-                primary[slot] = FastEntry {
-                    sym: sym as u16,
-                    len,
-                    escape: false,
-                };
-                slot += stride;
+            let group = self.primary[rev & root_mask];
+            let entry = FastEntry::leaf(sym, len, value(sym));
+            let table = &mut self.secondary[group.sym()..][..1 << group.len()];
+            let high = rev >> FAST_ROOT_BITS; // bits after the root window
+            for slot in table
+                .iter_mut()
+                .skip(high)
+                .step_by(1 << (len as u32 - FAST_ROOT_BITS))
+            {
+                *slot = entry;
             }
         }
+        Ok(())
+    }
 
-        // Long codes: group by their first FAST_ROOT_BITS stream bits.
-        let mut secondary: Vec<FastEntry> = Vec::new();
-        let root_mask = (1usize << FAST_ROOT_BITS) - 1;
-        let mut groups: std::collections::BTreeMap<usize, Vec<u16>> =
-            std::collections::BTreeMap::new();
-        for (sym, &len) in lengths.iter().enumerate() {
-            if len as u32 > FAST_ROOT_BITS {
-                let rev = reverse_bits(codes[sym], len) as usize;
-                groups.entry(rev & root_mask).or_default().push(sym as u16);
-            }
+    /// The entry for the code at the front of `bits` (stream order,
+    /// first bit in the LSB; at least 15 bits must be real stream
+    /// bits). An entry of length 0 is a window no code covers.
+    #[inline(always)]
+    pub(crate) fn resolve(&self, bits: u64) -> FastEntry {
+        let entry = self.primary[bits as usize & ((1 << FAST_ROOT_BITS) - 1)];
+        if !entry.is_escape() {
+            return entry;
         }
-        for (prefix, syms) in groups {
-            let sub_bits = syms
-                .iter()
-                .map(|&s| lengths[s as usize] as u32 - FAST_ROOT_BITS)
-                .max()
-                .ok_or(CodecError::Corrupt("empty escape group"))?;
-            let base = secondary.len();
-            secondary.resize(base + (1usize << sub_bits), FastEntry::default());
-            for &sym in &syms {
-                let len = lengths[sym as usize];
-                let rev = reverse_bits(codes[sym as usize], len) as usize;
-                let high = rev >> FAST_ROOT_BITS; // bits after the root window
-                let stride = 1usize << (len as u32 - FAST_ROOT_BITS);
-                let mut slot = high;
-                while slot < 1usize << sub_bits {
-                    secondary[base + slot] = FastEntry {
-                        sym,
-                        len,
-                        escape: false,
-                    };
-                    slot += stride;
-                }
-            }
-            primary[prefix] = FastEntry {
-                sym: base as u16,
-                len: sub_bits as u8,
-                escape: true,
-            };
-        }
-
-        Ok(FastDecoder { primary, secondary })
+        let high = (bits >> FAST_ROOT_BITS) as usize & ((1 << entry.len()) - 1);
+        self.secondary[entry.sym() + high]
     }
 
     /// Decode one symbol from an LSB-first stream.
@@ -624,23 +719,23 @@ impl FastDecoder {
     pub fn decode_lsb(&self, r: &mut LsbBitReader<'_>) -> Result<u16, CodecError> {
         let window = r.peek_bits(FAST_ROOT_BITS) as usize;
         let entry = self.primary[window];
-        if !entry.escape {
-            if entry.len == 0 {
+        if !entry.is_escape() {
+            if entry.len() == 0 {
                 // Unassigned slot: either an incomplete-code gap or a
                 // truncated stream (peek zero-fills past the end).
                 return Err(CodecError::Corrupt("invalid Huffman code"));
             }
-            r.consume(entry.len as u32)?;
-            return Ok(entry.sym);
+            r.consume(entry.len())?;
+            return Ok(entry.sym() as u16);
         }
-        let sub_bits = entry.len as u32;
+        let sub_bits = entry.len();
         let long = r.peek_bits(FAST_ROOT_BITS + sub_bits) as usize;
-        let sub = self.secondary[entry.sym as usize + (long >> FAST_ROOT_BITS)];
-        if sub.len == 0 {
+        let sub = self.secondary[entry.sym() + (long >> FAST_ROOT_BITS)];
+        if sub.len() == 0 {
             return Err(CodecError::Corrupt("invalid Huffman code"));
         }
-        r.consume(sub.len as u32)?;
-        Ok(sub.sym)
+        r.consume(sub.len())?;
+        Ok(sub.sym() as u16)
     }
 }
 

@@ -30,6 +30,56 @@ fn byte_inputs() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// What the partitioner hands the solver, up to 256 KiB: the high
+/// byte-columns of a smooth float field with a little noise, laid out
+/// column after column or row by row. Long enough that inflate spends
+/// nearly all of it in the fast loop rather than its checked tail.
+fn float_column_inputs() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        1usize..4,
+        1u32..20_000,
+        any::<u64>(),
+        1usize..65_536,
+    )
+        .prop_map(|(f64_field, columns, period, seed, n)| {
+            let n = n.min((256 << 10) / columns);
+            let mut state = seed | 1;
+            let elements: Vec<Vec<u8>> = (0..n)
+                .map(|i| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let x = (i as f64 / period as f64).sin() * 1e3 + (state >> 40) as f64 * 1e-9;
+                    let bytes = if f64_field {
+                        x.to_le_bytes().to_vec()
+                    } else {
+                        (x as f32).to_le_bytes().to_vec()
+                    };
+                    bytes[bytes.len() - columns..].to_vec()
+                })
+                .collect();
+            if seed % 2 == 0 {
+                elements.concat()
+            } else {
+                (0..columns)
+                    .flat_map(|c| elements.iter().map(move |e| e[c]))
+                    .collect()
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn deflate_round_trips_float_columns(data in float_column_inputs(), level in 0usize..3) {
+        let codec = Deflate::new(CompressionLevel::ALL[level]);
+        let packed = codec.compress(&data);
+        prop_assert_eq!(codec.decompress(&packed).unwrap(), data);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

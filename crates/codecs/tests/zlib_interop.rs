@@ -4,12 +4,14 @@
 //! library, and the encoder's streams must decode under the RFC
 //! 1950/1951 rules. The fixtures below were produced by CPython's
 //! `zlib.compress(data, 6)` (which wraps madler/zlib) and are embedded
-//! verbatim; `deflate_interop_checked_externally` in this repository's
+//! verbatim, beside one stream per block kind and copy path in
+//! `tests/zlib_fixtures/` (see [`block_kind_fixtures`] for the
+//! generator); `deflate_interop_checked_externally` in this repository's
 //! EXPERIMENTS.md records the reverse check (reference zlib inflating
 //! our output).
 
 use isobar_codecs::deflate::Deflate;
-use isobar_codecs::Codec;
+use isobar_codecs::{Codec, CodecScratch};
 
 struct Fixture {
     plain: Vec<u8>,
@@ -72,6 +74,130 @@ fn decodes_reference_zlib_streams() {
             .decompress(fixture.zlib_stream)
             .unwrap_or_else(|e| panic!("fixture {i}: {e}"));
         assert_eq!(decoded, fixture.plain, "fixture {i}");
+    }
+}
+
+fn lcg(state: u64) -> u64 {
+    state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407)
+}
+
+fn text() -> Vec<u8> {
+    let mut text: Vec<u8> = (0..1000u32)
+        .flat_map(|i| format!("{i}:{};", i * i % 97).into_bytes())
+        .collect();
+    text.truncate(4096);
+    text
+}
+
+fn runs() -> Vec<u8> {
+    (0..4096u32).map(|i| (i / 37 % 7) as u8).collect()
+}
+
+fn noise() -> Vec<u8> {
+    let mut state = 1u64;
+    (0..1000)
+        .map(|_| {
+            state = lcg(state);
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
+/// The three high byte-columns of a random-walk f32 field, column after
+/// column: what the partitioner hands the solver.
+fn float_columns() -> Vec<u8> {
+    let (mut state, mut walk) = (7u64, 0i64);
+    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..21_846 {
+        state = lcg(state);
+        walk += (state >> 33) as i64 % 5 - 2;
+        let bytes = ((250.0 + walk as f64 * 0.05) as f32).to_le_bytes();
+        for (column, byte) in columns.iter_mut().zip([bytes[3], bytes[2], bytes[1]]) {
+            column.push(byte);
+        }
+    }
+    columns.concat()
+}
+
+/// Streams of every block kind and of the decoder's every copy path,
+/// from CPython's zlib 1.2.13 (`zlib.compressobj(level, DEFLATED, 15,
+/// 8, strategy)`): `Z_FIXED` (fixed-Huffman blocks), `Z_RLE` (only
+/// distance-1 matches), `Z_HUFFMAN_ONLY` (literals only), level 0
+/// (stored blocks), a `Z_SYNC_FLUSH` + `Z_FULL_FLUSH` stream (empty
+/// stored blocks mid-stream) and a 64 KiB float-column stream at the
+/// default strategy. The plaintexts are rebuilt above from the same
+/// integer formulas. Run from `tests/zlib_fixtures/`, this wrote them:
+///
+/// ```text
+/// python3 - <<'EOF'
+/// import struct, zlib
+/// def lcg(s): return (s * 6364136223846793005 + 1442695040888963407) % 2**64
+/// def text(): return b"".join(b"%d:%d;" % (i, i * i % 97) for i in range(1000))[:4096]
+/// def runs(): return bytes(i // 37 % 7 for i in range(4096))
+/// def noise():
+///     s, out = 1, bytearray()
+///     for _ in range(1000): s = lcg(s); out.append(s >> 56)
+///     return bytes(out)
+/// def float_columns():
+///     s, v, cols = 7, 0, [bytearray(), bytearray(), bytearray()]
+///     for _ in range(21846):
+///         s = lcg(s); v += (s >> 33) % 5 - 2
+///         b = struct.pack("<f", 250.0 + v * 0.05)
+///         for col, byte in zip(cols, (b[3], b[2], b[1])): col.append(byte)
+///     return bytes(b"".join(cols))
+/// def deflate(data, level=6, strategy=zlib.Z_DEFAULT_STRATEGY):
+///     c = zlib.compressobj(level, zlib.DEFLATED, 15, 8, strategy)
+///     return c.compress(data) + c.flush()
+/// def flushes():
+///     t, c = text(), zlib.compressobj(6)
+///     return (c.compress(t[:1500]) + c.flush(zlib.Z_SYNC_FLUSH) + c.compress(t[1500:3000])
+///             + c.flush(zlib.Z_FULL_FLUSH) + c.compress(t[3000:]) + c.flush())
+/// for name, stream in [("fixed", deflate(text(), strategy=zlib.Z_FIXED)),
+///                      ("rle", deflate(runs(), strategy=zlib.Z_RLE)),
+///                      ("huffman_only", deflate(text(), strategy=zlib.Z_HUFFMAN_ONLY)),
+///                      ("stored", deflate(noise(), level=0)),
+///                      ("flushes", flushes()),
+///                      ("float_columns", deflate(float_columns()))]:
+///     open(name + ".zz", "wb").write(stream)
+/// EOF
+/// ```
+fn block_kind_fixtures() -> Vec<(&'static str, Vec<u8>, &'static [u8])> {
+    vec![
+        ("fixed", text(), include_bytes!("zlib_fixtures/fixed.zz")),
+        ("rle", runs(), include_bytes!("zlib_fixtures/rle.zz")),
+        (
+            "huffman_only",
+            text(),
+            include_bytes!("zlib_fixtures/huffman_only.zz"),
+        ),
+        ("stored", noise(), include_bytes!("zlib_fixtures/stored.zz")),
+        (
+            "flushes",
+            text(),
+            include_bytes!("zlib_fixtures/flushes.zz"),
+        ),
+        (
+            "float_columns",
+            float_columns(),
+            include_bytes!("zlib_fixtures/float_columns.zz"),
+        ),
+    ]
+}
+
+#[test]
+fn decodes_reference_streams_of_every_block_kind() {
+    let codec = Deflate::default();
+    let mut scratch = CodecScratch::new();
+    let mut out = Vec::new();
+    for (name, plain, stream) in block_kind_fixtures() {
+        assert_eq!(codec.decompress(stream).as_ref(), Ok(&plain), "{name}");
+        // Again through one reused scratch and output buffer.
+        codec
+            .decompress_into(stream, &mut out, &mut scratch)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(out, plain, "{name}");
     }
 }
 

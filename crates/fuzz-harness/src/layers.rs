@@ -236,6 +236,25 @@ fn text(len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The three high byte-columns of a random-walk f32 field, column after
+/// column, 64 KiB: the in-situ read path's solver stream, long enough
+/// that inflate spends it in the fast loop rather than the checked tail.
+fn float_columns() -> Vec<u8> {
+    let (mut state, mut walk) = (7u64, 0i64);
+    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..21_846 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        walk += (state >> 33) as i64 % 5 - 2;
+        let bytes = ((250.0 + walk as f64 * 0.05) as f32).to_le_bytes();
+        for (column, byte) in columns.iter_mut().zip([bytes[3], bytes[2], bytes[1]]) {
+            column.push(byte);
+        }
+    }
+    columns.concat()
+}
+
 fn small_options() -> IsobarOptions {
     IsobarOptions {
         chunk_elements: 256,
@@ -539,6 +558,7 @@ fn inflate_layer() -> Layer {
         mk(text(8000), CompressionLevel::Default),
         mk(noise(4096, &mut rng), CompressionLevel::Fast),
         mk(vec![7u8; 5000], CompressionLevel::Best),
+        mk(float_columns(), CompressionLevel::Fast),
     ];
     Layer {
         name: "raw-inflate",
