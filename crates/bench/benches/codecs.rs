@@ -14,7 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use isobar::partitioner::{partition, partition_into};
 use isobar::{Analyzer, EupaSelector, Linearization, Preference};
 use isobar_codecs::bwt::{BlockStages, Bzip2Like};
-use isobar_codecs::lz77::{Matcher, MatcherScratch};
+use isobar_codecs::deflate::encoder::EncodeStages;
+use isobar_codecs::lz77::{tokenize, MatcherScratch};
 use isobar_codecs::{deflate::Deflate, Codec, CodecScratch, CompressionLevel};
 use isobar_datasets::catalog;
 use isobar_float_codecs::{Dims, Fpc, FpzipLike};
@@ -80,36 +81,71 @@ fn bench_bwt_stages(c: &mut Criterion) {
     }
 }
 
-/// DEFLATE decode of the solver streams the in-situ (`Speed` + `Fast`)
-/// read path inflates: one 6 MB slab each of an f32 field, an f64
-/// field and a repetitive f64 field, analysed, laid out as EUPA picks,
-/// partitioned and compressed exactly as the pipeline does. Throughput
-/// is over the decoded (solver-input) bytes.
-fn bench_deflate_decode(c: &mut Criterion) {
+/// The solver streams of the in-situ (`Speed` + `Fast`) path: one 6 MB
+/// slab each of an f32 field, an f64 field and a repetitive f64 field,
+/// analysed, laid out as EUPA picks and partitioned exactly as the
+/// pipeline does; the compressible bytes it hands the solver.
+fn fast_solver_inputs() -> Vec<(&'static str, Vec<u8>)> {
     const SLAB_BYTES: usize = 6 << 20;
-    let level = CompressionLevel::Fast;
-    let codec = Deflate::new(level);
     let eupa = EupaSelector {
-        level,
+        level: CompressionLevel::Fast,
         ..EupaSelector::default()
     };
+    ["s3d_temp", "flash_gamc", "msg_sppm"]
+        .into_iter()
+        .map(|name| {
+            let spec = catalog::spec(name).expect("catalog entry");
+            let width = spec.element.width();
+            let slab = spec.generate(SLAB_BYTES / width, 7).bytes;
+            let selection = Analyzer::default().analyze(&slab, width).expect("aligned");
+            let decision = eupa.select(&slab, width, &selection, Preference::Speed);
+            let (mut raw, mut rest) = (Vec::new(), Vec::new());
+            partition_into(
+                &slab,
+                width,
+                &selection,
+                decision.linearization,
+                &mut raw,
+                &mut rest,
+            );
+            (name, raw)
+        })
+        .collect()
+}
+
+/// DEFLATE encode of the in-situ solver inputs at `Fast`, whole and by
+/// stage: the matcher alone, then histograms + Huffman build + emit of
+/// its tokens. Throughput is over the solver-input bytes.
+fn bench_deflate_encode(c: &mut Criterion) {
+    let codec = Deflate::new(CompressionLevel::Fast);
+    let mut group = c.benchmark_group("deflate_encode");
+    group.sample_size(10);
+    for (name, raw) in fast_solver_inputs() {
+        group.throughput(Throughput::Bytes(raw.len() as u64));
+        let mut stages = EncodeStages::new(&raw);
+        group.bench_function(&format!("{name}/matcher"), |b| b.iter(|| stages.matcher()));
+        group.bench_function(&format!("{name}/blocks"), |b| b.iter(|| stages.blocks()));
+        let mut scratch = CodecScratch::new();
+        let mut packed = Vec::new();
+        group.bench_function(&format!("{name}/compress_into"), |b| {
+            b.iter(|| codec.compress_into(&raw, &mut packed, &mut scratch))
+        });
+        assert_eq!(
+            codec.decompress(&packed).expect("own stream"),
+            raw,
+            "{name}"
+        );
+    }
+    group.finish();
+}
+
+/// DEFLATE decode of the same solver inputs' `Fast` streams into a
+/// reused buffer. Throughput is over the decoded (solver-input) bytes.
+fn bench_deflate_decode(c: &mut Criterion) {
+    let codec = Deflate::new(CompressionLevel::Fast);
     let mut group = c.benchmark_group("deflate_decode");
     group.sample_size(10);
-    for name in ["s3d_temp", "flash_gamc", "msg_sppm"] {
-        let spec = catalog::spec(name).expect("catalog entry");
-        let width = spec.element.width();
-        let slab = spec.generate(SLAB_BYTES / width, 7).bytes;
-        let selection = Analyzer::default().analyze(&slab, width).expect("aligned");
-        let decision = eupa.select(&slab, width, &selection, Preference::Speed);
-        let (mut raw, mut rest) = (Vec::new(), Vec::new());
-        partition_into(
-            &slab,
-            width,
-            &selection,
-            decision.linearization,
-            &mut raw,
-            &mut rest,
-        );
+    for (name, raw) in fast_solver_inputs() {
         let mut scratch = CodecScratch::new();
         let mut packed = Vec::new();
         codec.compress_into(&raw, &mut packed, &mut scratch);
@@ -193,7 +229,7 @@ fn bench_matcher(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("tokenize/{level}"), profile),
                 &data,
-                |b, data| b.iter(|| Matcher::new(data, level, &mut scratch).tokenize().len()),
+                |b, data| b.iter(|| tokenize(data, level, &mut scratch).len()),
             );
         }
     }
@@ -204,6 +240,7 @@ criterion_group!(
     benches,
     bench_general_codecs,
     bench_bwt_stages,
+    bench_deflate_encode,
     bench_deflate_decode,
     bench_float_codecs,
     bench_matcher

@@ -1,18 +1,18 @@
 //! DEFLATE encoder: token blocks → bit stream (RFC 1951).
 //!
-//! The encode path is built around [`DeflateScratch`]: the LZ77 hash
-//! tables, the per-block token buffer, the Huffman construction lists,
-//! and the dynamic-header workspace all live there and are reused from
-//! chunk to chunk. Tokens stream straight out of the matcher into a
-//! fixed-capacity block buffer while the literal/length and distance
-//! histograms accumulate in the same pass, so no whole-input token
-//! vector ever exists and nothing on this path allocates once the
-//! scratch is warm.
+//! The encode path is built around [`DeflateScratch`]: the LZ77 tables,
+//! the per-block symbol buffer, the Huffman construction lists, and the
+//! dynamic-header workspace all live there and are reused from chunk to
+//! chunk. The level's matcher fills one block at a time; each token is
+//! counted into the literal/length and distance histograms and packed
+//! into its symbols as it arrives, so no whole-input token vector ever
+//! exists, each match's length and distance codes are looked up once,
+//! and nothing on this path allocates once the scratch is warm.
 
 use crate::bitio::LsbBitWriter;
 use crate::codec::CompressionLevel;
 use crate::huffman::{HuffmanEncoder, PackageMergeScratch};
-use crate::lz77::{Matcher, MatcherScratch, Token};
+use crate::lz77::{FastMatcher, Matcher, MatcherScratch, Token};
 
 use super::tables::*;
 
@@ -28,8 +28,9 @@ const BLOCK_TOKENS: usize = 1 << 16;
 #[derive(Default)]
 pub struct DeflateScratch {
     matcher: MatcherScratch,
-    /// Current block's tokens (≤ [`BLOCK_TOKENS`]).
-    tokens: Vec<Token>,
+    /// Current block's tokens as [`pack`]ed symbol words
+    /// (≤ [`BLOCK_TOKENS`]).
+    syms: Vec<u32>,
     block: BlockScratch,
 }
 
@@ -69,57 +70,57 @@ pub fn deflate_raw_into(
     w: &mut LsbBitWriter,
 ) {
     let DeflateScratch {
-        matcher: matcher_scratch,
-        tokens,
+        matcher,
+        syms,
         block,
     } = scratch;
-    let mut matcher = Matcher::new(data, level, matcher_scratch);
+    // Each level's matcher fills a block straight into its histograms.
+    match level {
+        CompressionLevel::Fast => {
+            let mut m = FastMatcher::new(data, matcher);
+            write_blocks(data, syms, block, w, |b| {
+                m.fill(BLOCK_TOKENS, |t| b.push(t));
+                m.is_done()
+            });
+        }
+        CompressionLevel::Default | CompressionLevel::Best => {
+            let mut m = Matcher::new(data, level, matcher);
+            write_blocks(data, syms, block, w, |b| {
+                m.fill(BLOCK_TOKENS, |t| b.push(t));
+                m.is_done()
+            });
+        }
+    }
+}
 
+/// Emit `data` as blocks of at most [`BLOCK_TOKENS`] tokens. `fill`
+/// appends the next block's tokens and says whether the input is used
+/// up, which makes that block the final one.
+fn write_blocks(
+    data: &[u8],
+    syms: &mut Vec<u32>,
+    s: &mut BlockScratch,
+    w: &mut LsbBitWriter,
+    mut fill: impl FnMut(&mut Block<'_>) -> bool,
+) {
     let mut byte_start = 0usize;
     loop {
-        // Fill one block's worth of tokens, fusing frequency counting
-        // and cost bookkeeping into the same pass.
-        tokens.clear();
-        let mut freqs = BlockFreqs::new();
-        let mut byte_len = 0usize;
-        let mut extra_bits = 0u64;
-        while tokens.len() < BLOCK_TOKENS {
-            let Some(token) = matcher.next_token() else {
-                break;
-            };
-            tokens.push(token);
-            match token {
-                Token::Literal(b) => {
-                    freqs.litlen[b as usize] += 1;
-                    byte_len += 1;
-                }
-                Token::Match { len, dist } => {
-                    freqs.litlen[257 + length_code(len).0] += 1;
-                    freqs.dist[dist_code(dist).0] += 1;
-                    extra_bits += length_code(len).1 as u64 + dist_code(dist).1 as u64;
-                    byte_len += len as usize;
-                }
-            }
-        }
-        if tokens.is_empty() {
+        let mut block = Block::new(syms);
+        let is_final = fill(&mut block);
+        if block.syms.is_empty() {
             // Zero-length input still needs one final block.
             debug_assert!(byte_start == 0 && data.is_empty());
             write_stored_blocks(w, data, true);
             return;
         }
-        freqs.litlen[EOB] += 1;
-
-        // Every next_token() call emits exactly one token, so an
-        // exhausted matcher here means this block holds the last one.
-        let is_final = matcher.is_done();
+        block.litlen[EOB] += 1;
+        let byte_len = block.byte_len;
         write_block(
             w,
-            tokens,
-            &freqs,
-            extra_bits,
+            &block,
             &data[byte_start..byte_start + byte_len],
             is_final,
-            block,
+            s,
         );
         byte_start += byte_len;
         if is_final {
@@ -128,41 +129,77 @@ pub fn deflate_raw_into(
     }
 }
 
-/// Histogram of literal/length and distance symbols for one block.
-struct BlockFreqs {
+/// One block being filled: its tokens packed as symbol words, their
+/// literal/length and distance histograms, the extra-bit payload of its
+/// matches and the input bytes it covers.
+struct Block<'v> {
+    syms: &'v mut Vec<u32>,
     litlen: [u64; NUM_LITLEN],
     dist: [u64; NUM_DIST],
+    extra_bits: u64,
+    byte_len: usize,
 }
 
-impl BlockFreqs {
-    fn new() -> Self {
-        BlockFreqs {
+impl<'v> Block<'v> {
+    fn new(syms: &'v mut Vec<u32>) -> Self {
+        syms.clear();
+        Block {
+            syms,
             litlen: [0; NUM_LITLEN],
             dist: [0; NUM_DIST],
+            extra_bits: 0,
+            byte_len: 0,
+        }
+    }
+
+    /// Count `token` and append its symbols, each code looked up once.
+    #[inline(always)]
+    fn push(&mut self, token: Token) {
+        match token {
+            Token::Literal(b) => {
+                self.litlen[b as usize] += 1;
+                self.byte_len += 1;
+                self.syms.push(u32::from(b));
+            }
+            Token::Match { len, dist } => {
+                let (lc, lextra, lval) = length_code(len);
+                let (dc, dextra, dval) = dist_code(dist);
+                self.litlen[257 + lc] += 1;
+                self.dist[dc] += 1;
+                self.extra_bits += u64::from(lextra) + u64::from(dextra);
+                self.byte_len += len as usize;
+                self.syms.push(pack(257 + lc, lval, dc, dval));
+            }
         }
     }
 }
 
+/// A match as the emit pass needs it, in one word: bits 0–8 the
+/// literal/length symbol, 9–13 the length's extra-bit value, 14–18 the
+/// distance symbol, 19–31 the distance's extra-bit value. A literal is
+/// its byte value alone. The extra-bit counts follow from the symbols.
+#[inline(always)]
+fn pack(lit_sym: usize, lval: u16, dist_sym: usize, dval: u16) -> u32 {
+    lit_sym as u32 | u32::from(lval) << 9 | (dist_sym as u32) << 14 | u32::from(dval) << 19
+}
+
 /// Pick the cheapest representation (stored / fixed / dynamic) and emit
-/// the block. `freqs` already includes the end-of-block symbol;
-/// `extra_bits` is the total extra-bit payload of the block's matches.
+/// the block. Its histogram already counts the end-of-block symbol.
 fn write_block(
     w: &mut LsbBitWriter,
-    block: &[Token],
-    freqs: &BlockFreqs,
-    extra_bits: u64,
+    block: &Block<'_>,
     raw: &[u8],
     is_final: bool,
     s: &mut BlockScratch,
 ) {
     // Dynamic codes. Guarantee at least one distance code so the header
     // never encodes an empty alphabet.
-    let mut dist_freqs = freqs.dist;
+    let mut dist_freqs = block.dist;
     if dist_freqs.iter().all(|&f| f == 0) {
         dist_freqs[0] = 1;
     }
     s.dyn_lit
-        .rebuild_from_freqs(&freqs.litlen, MAX_CODE_LEN, &mut s.pm);
+        .rebuild_from_freqs(&block.litlen, MAX_CODE_LEN, &mut s.pm);
     s.dyn_dist
         .rebuild_from_freqs(&dist_freqs, MAX_CODE_LEN, &mut s.pm);
     s.header
@@ -170,16 +207,18 @@ fn write_block(
 
     let dyn_cost = 3
         + s.header.cost_bits
-        + s.dyn_lit.cost_bits(&freqs.litlen)
-        + s.dyn_dist.cost_bits(&freqs.dist)
-        + extra_bits;
+        + s.dyn_lit.cost_bits(&block.litlen)
+        + s.dyn_dist.cost_bits(&block.dist)
+        + block.extra_bits;
 
     if s.fixed_lit.lengths().is_empty() {
         s.fixed_lit.rebuild_from_lengths(&fixed_litlen_lengths());
         s.fixed_dist.rebuild_from_lengths(&fixed_dist_lengths());
     }
-    let fixed_cost =
-        3 + s.fixed_lit.cost_bits(&freqs.litlen) + s.fixed_dist.cost_bits(&freqs.dist) + extra_bits;
+    let fixed_cost = 3
+        + s.fixed_lit.cost_bits(&block.litlen)
+        + s.fixed_dist.cost_bits(&block.dist)
+        + block.extra_bits;
 
     // Stored cost: alignment + 4-byte length header per 65535-byte piece.
     let stored_pieces = raw.len().div_ceil(65535).max(1) as u64;
@@ -190,12 +229,67 @@ fn write_block(
     } else if fixed_cost <= dyn_cost {
         w.write_bits(is_final as u32, 1);
         w.write_bits(0b01, 2);
-        write_tokens(w, block, &s.fixed_lit, &s.fixed_dist);
+        write_syms(w, block.syms, &s.fixed_lit, &s.fixed_dist);
     } else {
         w.write_bits(is_final as u32, 1);
         w.write_bits(0b10, 2);
         s.header.write(w);
-        write_tokens(w, block, &s.dyn_lit, &s.dyn_dist);
+        write_syms(w, block.syms, &s.dyn_lit, &s.dyn_dist);
+    }
+}
+
+/// The `Fast` encoder's two stages on one input, for the
+/// `deflate_encode/*` rows of `crates/bench/benches/codecs.rs`. Each
+/// method is the call the encoder itself makes, on scratch this holds
+/// warm; the return values only keep the work observable.
+#[doc(hidden)]
+pub struct EncodeStages<'a> {
+    data: &'a [u8],
+    tokens: Vec<Token>,
+    scratch: DeflateScratch,
+    out: Vec<u8>,
+}
+
+impl<'a> EncodeStages<'a> {
+    /// Tokenize `data` once and check that the stages reproduce the
+    /// stream [`deflate_raw`] writes.
+    pub fn new(data: &'a [u8]) -> Self {
+        let mut scratch = DeflateScratch::new();
+        let tokens = crate::lz77::tokenize(data, CompressionLevel::Fast, &mut scratch.matcher);
+        let mut stages = EncodeStages {
+            data,
+            tokens,
+            scratch,
+            out: Vec::new(),
+        };
+        stages.blocks();
+        assert!(
+            stages.out == deflate_raw(data, CompressionLevel::Fast),
+            "stages must reproduce the stream"
+        );
+        stages
+    }
+
+    /// The matcher alone, its tokens only counted.
+    pub fn matcher(&mut self) -> usize {
+        let mut count = 0;
+        FastMatcher::new(self.data, &mut self.scratch.matcher).fill(usize::MAX, |_| count += 1);
+        count
+    }
+
+    /// Histograms, Huffman build and emit of the kept tokens: every
+    /// block `compress_into` writes.
+    pub fn blocks(&mut self) -> usize {
+        self.out.clear();
+        let mut w = LsbBitWriter::with_prefix(std::mem::take(&mut self.out));
+        let mut tokens = self.tokens.iter().copied();
+        let s = &mut self.scratch;
+        write_blocks(self.data, &mut s.syms, &mut s.block, &mut w, |b| {
+            tokens.by_ref().take(BLOCK_TOKENS).for_each(|t| b.push(t));
+            tokens.len() == 0
+        });
+        self.out = w.finish();
+        self.out.len()
     }
 }
 
@@ -214,27 +308,23 @@ fn write_stored_blocks(w: &mut LsbBitWriter, raw: &[u8], is_final: bool) {
     }
 }
 
-fn write_tokens(
-    w: &mut LsbBitWriter,
-    block: &[Token],
-    lit: &HuffmanEncoder,
-    dist: &HuffmanEncoder,
-) {
-    for token in block {
-        match *token {
-            Token::Literal(b) => lit.write_lsb(w, b as usize),
-            Token::Match { len, dist: d } => {
-                // Fuse each Huffman code with its extra bits into one
-                // write: LSB-first concatenation makes
-                // `code | extra << code_len` bit-identical to two calls.
-                let (lc, lextra, lval) = length_code(len);
-                let (code, nbits) = lit.code_lsb(257 + lc);
-                w.write_bits(code | (lval as u32) << nbits, nbits + lextra as u32);
-                let (dc, dextra, dval) = dist_code(d);
-                let (code, nbits) = dist.code_lsb(dc);
-                w.write_bits(code | (dval as u32) << nbits, nbits + dextra as u32);
-            }
+fn write_syms(w: &mut LsbBitWriter, syms: &[u32], lit: &HuffmanEncoder, dist: &HuffmanEncoder) {
+    for &word in syms {
+        let sym = (word & 0x1ff) as usize;
+        if sym < 256 {
+            lit.write_lsb(w, sym);
+            continue;
         }
+        // Fuse each Huffman code with its extra bits into one write:
+        // LSB-first concatenation makes `code | extra << code_len`
+        // bit-identical to two calls.
+        let (code, nbits) = lit.code_lsb(sym);
+        let lextra = u32::from(LENGTH_EXTRA[sym - 257]);
+        w.write_bits(code | (word >> 9 & 0x1f) << nbits, nbits + lextra);
+        let dsym = (word >> 14 & 0x1f) as usize;
+        let (code, nbits) = dist.code_lsb(dsym);
+        let dextra = u32::from(DIST_EXTRA[dsym]);
+        w.write_bits(code | (word >> 19) << nbits, nbits + dextra);
     }
     lit.write_lsb(w, EOB);
 }
@@ -262,9 +352,14 @@ impl DynamicHeader {
         self.hlit = trimmed_len(lit_lengths, 257);
         self.hdist = trimmed_len(dist_lengths, 1);
 
+        // Both buffers take their largest size on first use (at most one
+        // RLE symbol per length), so no later block regrows them.
         self.all.clear();
+        self.all.reserve(NUM_LITLEN + NUM_DIST);
         self.all.extend_from_slice(&lit_lengths[..self.hlit]);
         self.all.extend_from_slice(&dist_lengths[..self.hdist]);
+        self.rle.clear();
+        self.rle.reserve(NUM_LITLEN + NUM_DIST);
         rle_code_lengths_into(&self.all, &mut self.rle);
 
         let mut cl_freqs = [0u64; NUM_CODELEN];
@@ -439,6 +534,21 @@ mod tests {
     fn empty_input_produces_valid_stream() {
         let out = deflate_raw(&[], CompressionLevel::Default);
         assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn one_block_takes_the_header_buffers_to_their_largest_size() {
+        // Their size depends on the block's code lengths, so a scratch
+        // warmed on a block with few symbols must not regrow them for a
+        // block with many.
+        for level in CompressionLevel::ALL {
+            let mut scratch = DeflateScratch::new();
+            let mut w = LsbBitWriter::new();
+            deflate_raw_into(b"tiny, tiny, tiny", level, &mut scratch, &mut w);
+            let header = &scratch.block.header;
+            assert!(header.all.capacity() >= NUM_LITLEN + NUM_DIST, "{level}");
+            assert!(header.rle.capacity() >= NUM_LITLEN + NUM_DIST, "{level}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The DEFLATE solver: RFC 1951 compression in an RFC 1950 (zlib)
 //! container — the reproduction's stand-in for the paper's "zlib".
 //!
-//! Pipeline: LZ77 hash-chain matching with lazy evaluation
-//! ([`crate::lz77`]) → per-block canonical Huffman coding with
+//! Pipeline: LZ77 matching ([`crate::lz77`]: greedy over two-slot hash
+//! buckets at `Fast`, hash chains with lazy evaluation at `Default` and
+//! `Best`) → per-block canonical Huffman coding with
 //! stored/fixed/dynamic block selection ([`encoder`]) → zlib framing
 //! with an Adler-32 integrity checksum.
 

@@ -43,8 +43,8 @@ pub const DIST_EXTRA: [u8; 30] = [
 ];
 
 /// Length (minus [`MIN_MATCH`](crate::lz77::MIN_MATCH)) → length code.
-/// Each symbol is resolved twice per match (frequency pass and emit
-/// pass), so a direct 256-entry lookup beats searching the base table.
+/// Every match resolves its symbol here, so a direct 256-entry lookup
+/// beats searching the base table.
 static LENGTH_TO_CODE: [u8; 256] = build_length_table();
 
 const fn build_length_table() -> [u8; 256] {

@@ -8,8 +8,9 @@
 //! whole reproduction is self-contained:
 //!
 //! * [`deflate`] — a DEFLATE (RFC 1951) encoder/decoder with a zlib
-//!   (RFC 1950) container: LZ77 hash-chain matching with lazy evaluation,
-//!   fixed and dynamic canonical Huffman blocks, stored-block fallback.
+//!   (RFC 1950) container: LZ77 matching (greedy at the fast level, hash
+//!   chains with lazy evaluation above it), fixed and dynamic canonical
+//!   Huffman blocks, stored-block fallback.
 //! * [`bwt`] — a bzip2-class block codec: run-length preconditioning,
 //!   Burrows–Wheeler transform (suffix-array based), move-to-front,
 //!   zero-run encoding, and canonical Huffman entropy coding.

@@ -1,19 +1,31 @@
-//! LZ77 match finding with hash chains and lazy evaluation.
+//! LZ77 match finding: the front half of the DEFLATE solver.
 //!
-//! This is the front half of the DEFLATE solver: it turns a byte stream
-//! into a sequence of literals and back-references within a 32 KiB
-//! window, using the same data structures as zlib (a head table indexed
-//! by a 3-byte hash plus a prev-chain threaded through the window) and
-//! the same lazy-matching heuristic (defer emitting a match by one
-//! position if the next position matches longer).
+//! Both matchers turn a byte stream into literals and back-references
+//! within a 32 KiB window. There is one per effort profile:
 //!
-//! The matcher does not own its hash tables: they live in a
-//! [`MatcherScratch`] that callers keep across invocations, so the
-//! per-chunk steady state touches no allocator. The head table is
-//! invalidated by bumping a generation counter instead of rewriting
-//! 128 KiB of sentinel values per chunk; `prev` entries are only ever
-//! read for positions inserted in the current generation, so they need
-//! no reset at all.
+//! * [`Matcher`] (`Default`, `Best`) uses zlib's data structures, a head
+//!   table indexed by a 3-byte hash plus a prev chain threaded through
+//!   the window. It also uses zlib's lazy-matching heuristic: defer a
+//!   match by one position if the next position matches longer.
+//! * [`FastMatcher`] (`Fast`) is a greedy loop after libdeflate's
+//!   level-1 recipe. It hashes 4-byte grams into a table of two-slot
+//!   buckets that hold the two most recent positions per hash, so one
+//!   probe reads at most two candidates from one 8-byte entry. It stops
+//!   probing for a few positions at a time deep inside matchless
+//!   stretches, and leaves the span of a long match unindexed.
+//!
+//! Both fill a caller's block one token at a time through
+//! [`Matcher::fill`] / [`FastMatcher::fill`] and resume where they
+//! stopped, so the encoder never holds a whole-input token vector.
+//!
+//! Neither matcher owns its tables: they live in a [`MatcherScratch`]
+//! that callers keep across invocations, so the per-chunk steady state
+//! touches no allocator and rewrites no table. The head table is
+//! invalidated by bumping a generation counter, the bucket table by
+//! raising a position base that every earlier entry lies below. The
+//! prev chain is a ring over the window (zlib's `prev[pos & WMASK]`):
+//! a chain walk stops at the window's edge, so a slot is only read while
+//! it still holds what its own position wrote.
 
 use crate::codec::CompressionLevel;
 
@@ -27,6 +39,18 @@ pub const MAX_MATCH: usize = 258;
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
+/// Gram length of the Fast profile's hash, and so its shortest match.
+/// Preconditioned byte streams have tiny alphabets, so 3-grams collide
+/// into enormous chains; 4-grams cut the collision rate by the alphabet
+/// size at the cost of never finding length-3 matches.
+const FAST_GRAM: usize = 4;
+/// The Fast profile stops at the first match this long.
+const FAST_NICE_LEN: usize = 16;
+/// The Fast profile indexes the span of a match only up to this length
+/// (zlib's `max_insert_length`). Long matches on repetitive data
+/// otherwise spend most of the matcher's time hashing positions that
+/// later searches rarely benefit from.
+const FAST_MAX_INSERT: usize = 16;
 /// Consecutive match-probe misses before the Fast matcher starts
 /// blind-skipping positions (zlib's `deflate_fast` insertion degrade).
 const SKIP_TRIGGER: u32 = 32;
@@ -47,31 +71,29 @@ pub enum Token {
     },
 }
 
-/// Tuning knobs derived from [`CompressionLevel`], mirroring zlib's
-/// per-level configuration table.
+/// Tokenize a whole buffer at `level` (a convenience for tests and
+/// benchmarks; the encoder fills one block at a time).
+pub fn tokenize(data: &[u8], level: CompressionLevel, scratch: &mut MatcherScratch) -> Vec<Token> {
+    let mut tokens = Vec::with_capacity(data.len() / 4 + 16);
+    match level {
+        CompressionLevel::Fast => {
+            FastMatcher::new(data, scratch).fill(usize::MAX, |t| tokens.push(t))
+        }
+        _ => Matcher::new(data, level, scratch).fill(usize::MAX, |t| tokens.push(t)),
+    }
+    tokens
+}
+
+/// Chain-walk knobs of the lazy matcher, mirroring zlib's per-level
+/// configuration table.
 #[derive(Debug, Clone, Copy)]
 struct MatcherParams {
     /// Upper bound on hash-chain links followed per position.
     max_chain: usize,
     /// Stop searching early once a match of this length is found.
     nice_len: usize,
-    /// Only attempt lazy matching when the current match is shorter.
+    /// Only attempt lazy matching when the current match is no longer.
     lazy_threshold: usize,
-    /// Enable lazy (one-step deferred) matching at all.
-    lazy: bool,
-    /// Degrade probe/insert frequency through long matchless stretches.
-    run_skip: bool,
-    /// Do not index the covered span of matches longer than this
-    /// (zlib's `max_insert_length` fast-level behaviour). Long matches
-    /// on repetitive data otherwise spend most of the matcher's time
-    /// hashing positions that later searches rarely benefit from.
-    max_insert: usize,
-    /// Hash 4-byte grams instead of 3-byte grams (libdeflate's
-    /// fast-level matchfinder). Preconditioned byte streams have tiny
-    /// alphabets, so 3-grams collide into enormous chains; 4-grams cut
-    /// the collision rate by the alphabet size at the cost of never
-    /// finding length-3 matches.
-    hash4: bool,
 }
 
 impl MatcherParams {
@@ -79,41 +101,18 @@ impl MatcherParams {
         // Chain depths are tuned for ISOBAR's workload: preconditioned
         // scientific byte streams have tiny effective alphabets, so
         // 3-byte grams collide heavily and deep chains burn time for
-        // almost no ratio. Fast follows libdeflate's level-1 recipe
-        // (4-byte grams, near-greedy two-candidate probing, shallow
-        // nice length, capped span indexing): on gts-like columns that
-        // costs ~3% of C-stream ratio for a ~1.7x matcher speedup.
-        //
-        // Run-skip and the insert cap are Fast-only: Default and Best
-        // promise a stable token stream (the container golden test pins
-        // Default output).
+        // almost no ratio.
         match level {
-            CompressionLevel::Fast => MatcherParams {
-                max_chain: 2,
-                nice_len: 16,
-                lazy_threshold: 0,
-                lazy: false,
-                run_skip: true,
-                max_insert: 16,
-                hash4: true,
-            },
+            CompressionLevel::Fast => panic!("the Fast level has its own matcher, FastMatcher"),
             CompressionLevel::Default => MatcherParams {
                 max_chain: 32,
                 nice_len: 64,
                 lazy_threshold: 16,
-                lazy: true,
-                run_skip: false,
-                max_insert: MAX_MATCH,
-                hash4: false,
             },
             CompressionLevel::Best => MatcherParams {
                 max_chain: 256,
                 nice_len: MAX_MATCH,
                 lazy_threshold: MAX_MATCH,
-                lazy: true,
-                run_skip: false,
-                max_insert: MAX_MATCH,
-                hash4: false,
             },
         }
     }
@@ -127,20 +126,28 @@ fn hash3(data: &[u8], pos: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-#[inline]
-fn hash4(data: &[u8], pos: usize) -> usize {
-    let v = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+/// The little-endian 4-byte gram at `pos`.
+#[inline(always)]
+fn gram4(data: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"))
 }
 
-/// Reusable hash-chain tables for [`Matcher`].
+#[inline(always)]
+fn hash4(gram: u32) -> usize {
+    (gram.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Reusable tables for both matchers.
 ///
 /// A head entry is only trusted when its generation tag matches the
 /// current generation, so starting a new buffer costs one counter bump
-/// instead of a 32 768-entry rewrite. `prev` is indexed by position and
-/// is written before it can be read within a generation (a chain only
-/// reaches positions inserted this generation), so stale contents are
-/// harmless.
+/// instead of a 32 768-entry rewrite. `prev` is a ring over the window
+/// (fewer slots for an input shorter than the window), written before
+/// it can be read within a generation: a chain only reaches positions
+/// inserted this generation, and stops at the window's edge before a
+/// later position could have reused the slot, so stale contents are
+/// harmless. The Fast matcher's bucket table is separate and is
+/// allocated only by the Fast level.
 #[derive(Default)]
 pub struct MatcherScratch {
     /// Generation tag (high 32 bits) fused with the head position (low
@@ -149,6 +156,7 @@ pub struct MatcherScratch {
     heads: Vec<u64>,
     generation: u32,
     prev: Vec<i32>,
+    buckets: BucketTable,
 }
 
 impl MatcherScratch {
@@ -162,15 +170,18 @@ impl MatcherScratch {
             self.heads = vec![0; HASH_SIZE];
             self.generation = 0;
         }
+        // One ring slot per position, up to the window: a short input
+        // never pays for the whole ring.
+        let slots = data_len.min(WINDOW_SIZE);
+        if self.prev.len() < slots {
+            self.prev.resize(slots, 0);
+        }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // The 32-bit tag wrapped: ancient entries could alias the
             // new generation, so pay for one full reset every 2^32 uses.
             self.heads.fill(0);
             self.generation = 1;
-        }
-        if self.prev.len() < data_len {
-            self.prev.resize(data_len, 0);
         }
     }
 
@@ -187,13 +198,47 @@ impl MatcherScratch {
     }
 }
 
-/// Hash-chain match finder over a complete input buffer.
+/// The two most recent positions per 4-gram hash, for [`FastMatcher`];
+/// slot 0 is the newer.
+///
+/// A slot holds `base + pos`, with the base of the call that wrote it.
+/// Each call's base lies above every value an earlier call stored, so a
+/// slot below the current base is stale and reads as empty: no per-call
+/// clear and no generation tag. When the bases reach the top of `u32`
+/// the table is cleared once and they restart at 1 (0 is the empty
+/// slot). An input longer than that range wraps its own values; a
+/// wrapped value always lies outside the window, so it is never used.
+#[derive(Default)]
+struct BucketTable {
+    slots: Vec<[u32; 2]>,
+    /// Position base of the current call.
+    base: u32,
+    /// The first value no call has stored yet: the next call's base.
+    end: u32,
+}
+
+impl BucketTable {
+    fn begin(&mut self, data_len: usize) {
+        if self.slots.is_empty() {
+            self.slots = vec![[0; 2]; HASH_SIZE];
+            self.end = 1;
+        }
+        let len = u32::try_from(data_len).unwrap_or(u32::MAX);
+        if self.end.checked_add(len).is_none() {
+            self.slots.fill([0; 2]);
+            self.end = 1;
+        }
+        self.base = self.end;
+        self.end = self.base.saturating_add(len);
+    }
+}
+
+/// Lazy hash-chain match finder for `Default` and `Best`, over a
+/// complete input buffer.
 ///
 /// ISOBAR feeds each chunk's compressible bytes to the solver as one
 /// buffer, so an in-memory (non-streaming) matcher fits the workload and
-/// keeps indexing simple. Tokens stream out of [`Matcher::next_token`]
-/// one at a time; the encoder consumes them directly into per-block
-/// frequency counters without materializing a whole-input token vector.
+/// keeps indexing simple.
 pub struct Matcher<'a, 's> {
     data: &'a [u8],
     scratch: &'s mut MatcherScratch,
@@ -202,10 +247,6 @@ pub struct Matcher<'a, 's> {
     /// here so the inner loop pays no dispatch cost.
     tier: isobar_simd::KernelTier,
     pos: usize,
-    /// Consecutive probed positions without a match (run-skip state).
-    miss_run: u32,
-    /// Positions left to emit blindly (no probe, no insert).
-    blind: u32,
     /// Match found by the last lazy probe, valid for the current `pos`.
     /// When the matcher defers (emits a literal because `pos + 1`
     /// matches longer), that probe result is kept so the next call does
@@ -217,45 +258,30 @@ pub struct Matcher<'a, 's> {
 impl<'a, 's> Matcher<'a, 's> {
     /// Create a matcher for `data` at the given effort level, borrowing
     /// its hash tables from `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics at [`CompressionLevel::Fast`], which has its own matcher,
+    /// [`FastMatcher`].
     pub fn new(data: &'a [u8], level: CompressionLevel, scratch: &'s mut MatcherScratch) -> Self {
+        let params = MatcherParams::for_level(level);
         scratch.begin(data.len());
         Matcher {
             data,
             scratch,
-            params: MatcherParams::for_level(level),
+            params,
             tier: isobar_simd::active_tier(),
             pos: 0,
-            miss_run: 0,
-            blind: 0,
             pending: None,
-        }
-    }
-
-    /// Bytes a gram hash consumes — also the shortest findable match.
-    #[inline]
-    fn hash_len(&self) -> usize {
-        if self.params.hash4 {
-            4
-        } else {
-            MIN_MATCH
-        }
-    }
-
-    #[inline]
-    fn gram_hash(&self, pos: usize) -> usize {
-        if self.params.hash4 {
-            hash4(self.data, pos)
-        } else {
-            hash3(self.data, pos)
         }
     }
 
     #[inline]
     fn insert(&mut self, pos: usize) {
-        if pos + self.hash_len() <= self.data.len() {
-            let h = self.gram_hash(pos);
+        if pos + MIN_MATCH <= self.data.len() {
+            let h = hash3(self.data, pos);
             let s = &mut *self.scratch;
-            s.prev[pos] = s.head(h);
+            s.prev[pos % WINDOW_SIZE] = s.head(h);
             s.heads[h] = (u64::from(s.generation) << 32) | pos as u64;
         }
     }
@@ -275,13 +301,10 @@ impl<'a, 's> Matcher<'a, 's> {
     /// what makes the lazy probe cheap.
     fn longest_match_over(&self, pos: usize, floor: usize) -> Option<(usize, usize)> {
         let data = self.data;
-        if pos + self.hash_len() > data.len() {
+        if pos + MIN_MATCH > data.len() {
             return None;
         }
         let max_len = (data.len() - pos).min(MAX_MATCH);
-        // A 4-gram table can only surface matches of at least 4 bytes,
-        // so raise the floor to keep the byte filter honest.
-        let floor = floor.max(self.hash_len() - 1);
         if floor >= max_len {
             // No candidate can beat the floor in the room left.
             return None;
@@ -290,8 +313,7 @@ impl<'a, 's> Matcher<'a, 's> {
         let mut best_len = floor;
         let mut best_dist = 0usize;
         let s = &*self.scratch;
-        let h = self.gram_hash(pos);
-        let mut candidate = s.head(h);
+        let mut candidate = s.head(hash3(data, pos));
         let mut chain_left = self.params.max_chain;
         // Hoisted probe bytes: the byte just past the current best match
         // is the cheapest rejection test, and it only changes when the
@@ -320,7 +342,7 @@ impl<'a, 's> Matcher<'a, 's> {
                     scan = data[pos + best_len];
                 }
             }
-            candidate = s.prev[cand];
+            candidate = s.prev[cand % WINDOW_SIZE];
             chain_left -= 1;
         }
 
@@ -337,23 +359,26 @@ impl<'a, 's> Matcher<'a, 's> {
         self.pos >= self.data.len()
     }
 
+    /// Pass up to `max_tokens` further tokens to `sink`, fewer only when
+    /// the input runs out; the next call resumes where this one stopped.
+    #[inline]
+    pub fn fill(&mut self, max_tokens: usize, mut sink: impl FnMut(Token)) {
+        for _ in 0..max_tokens {
+            let Some(token) = self.next_token() else {
+                return;
+            };
+            sink(token);
+        }
+    }
+
     /// Produce the next token, or `None` once the input is exhausted.
-    ///
     /// Every call advances by at least one byte and emits exactly one
-    /// token, so `is_done()` is equivalent to "the next call returns
-    /// `None`" — the encoder uses that to place the final-block bit.
-    pub fn next_token(&mut self) -> Option<Token> {
+    /// token.
+    fn next_token(&mut self) -> Option<Token> {
         let data = self.data;
         let pos = self.pos;
         if pos >= data.len() {
             return None;
-        }
-        // Blind stretch: deep inside a matchless run the Fast profile
-        // stops probing and indexing entirely for a few positions.
-        if self.blind > 0 {
-            self.blind -= 1;
-            self.pos += 1;
-            return Some(Token::Literal(data[pos]));
         }
         // A lazy probe from the previous call already searched this
         // position; reuse its result instead of walking the chain again.
@@ -361,79 +386,194 @@ impl<'a, 's> Matcher<'a, 's> {
             Some(m) => Some(m),
             None => self.longest_match(pos),
         };
-        match found {
-            None => {
-                self.insert(pos);
-                self.pos += 1;
-                if self.params.run_skip {
-                    self.miss_run += 1;
-                    if self.miss_run >= SKIP_TRIGGER {
-                        self.blind = ((self.miss_run - SKIP_TRIGGER) >> 5).min(MAX_SKIP);
-                    }
-                }
-                Some(Token::Literal(data[pos]))
+        let Some((len, dist)) = found else {
+            self.insert(pos);
+            self.pos += 1;
+            return Some(Token::Literal(data[pos]));
+        };
+        // Lazy matching: if the next position holds a longer match,
+        // emit this byte as a literal and defer.
+        let lazy = len <= self.params.lazy_threshold;
+        if lazy {
+            self.insert(pos);
+            // Floored probe: only a strictly longer match at pos + 1
+            // matters, and when one exists the probe returns the overall
+            // longest, which becomes the cached match for the deferred
+            // position.
+            if let Some(next) = self.longest_match_over(pos + 1, len) {
+                self.pending = Some(next);
+                self.pos += 1; // position already inserted above
+                return Some(Token::Literal(data[pos]));
             }
-            Some((len, dist)) => {
-                self.miss_run = 0;
-                // Lazy matching: if the next position holds a longer
-                // match, emit this byte as a literal and defer.
-                let defer = if self.params.lazy && len <= self.params.lazy_threshold {
-                    self.insert(pos);
-                    // Floored probe: only a strictly longer match at
-                    // pos + 1 matters, and when one exists the probe
-                    // returns the overall longest, which becomes the
-                    // cached match for the deferred position.
-                    match self.longest_match_over(pos + 1, len) {
-                        Some(next) => {
-                            self.pending = Some(next);
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    false
-                };
-                if defer {
-                    self.pos += 1; // position already inserted above
-                    return Some(Token::Literal(data[pos]));
-                }
-                // Index the covered positions so later matches can reach
-                // into this span. Skip pos itself if the lazy probe
-                // already inserted it; skip the whole span (beyond the
-                // match head) when it is longer than the level's insert
-                // budget — chains stay consistent because `prev` is only
-                // ever read for inserted positions.
-                let start = if self.params.lazy && len <= self.params.lazy_threshold {
-                    pos + 1
-                } else {
-                    pos
-                };
-                let end = if len <= self.params.max_insert {
-                    pos + len
-                } else {
-                    (start + 1).min(pos + len)
-                };
-                for p in start..end {
-                    self.insert(p);
-                }
-                self.pos += len;
-                Some(Token::Match {
-                    len: len as u16,
-                    dist: dist as u16,
-                })
-            }
+        }
+        // Index the covered positions so later matches can reach into
+        // this span; the lazy probe already inserted pos itself.
+        let start = if lazy { pos + 1 } else { pos };
+        for p in start..pos + len {
+            self.insert(p);
+        }
+        self.pos += len;
+        Some(Token::Match {
+            len: len as u16,
+            dist: dist as u16,
+        })
+    }
+}
+
+/// Greedy match finder for [`CompressionLevel::Fast`], over a complete
+/// input buffer (see the module documentation for the recipe).
+pub struct FastMatcher<'a, 's> {
+    data: &'a [u8],
+    table: &'s mut BucketTable,
+    /// Kernel tier for the wide common-prefix compare.
+    tier: isobar_simd::KernelTier,
+    pos: usize,
+    /// Consecutive probed positions without a match.
+    miss_run: u32,
+    /// Positions left to emit blindly (no probe, no insert).
+    blind: u32,
+}
+
+impl<'a, 's> FastMatcher<'a, 's> {
+    /// Create a matcher for `data`, borrowing its bucket table from
+    /// `scratch`.
+    pub fn new(data: &'a [u8], scratch: &'s mut MatcherScratch) -> Self {
+        scratch.buckets.begin(data.len());
+        FastMatcher {
+            data,
+            table: &mut scratch.buckets,
+            tier: isobar_simd::active_tier(),
+            pos: 0,
+            miss_run: 0,
+            blind: 0,
         }
     }
 
-    /// Tokenize the whole buffer into a vector (convenience for tests
-    /// and benchmarks; the encoder streams via [`Matcher::next_token`]).
-    pub fn tokenize(mut self) -> Vec<Token> {
-        let mut tokens = Vec::with_capacity(self.data.len() / 4 + 16);
-        while let Some(token) = self.next_token() {
-            tokens.push(token);
-        }
-        tokens
+    /// Whether the whole input has been tokenized.
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.pos >= self.data.len()
     }
+
+    /// Pass up to `max_tokens` further tokens to `sink`, fewer only when
+    /// the input runs out; the next call resumes where this one stopped,
+    /// blind stretch included.
+    #[inline]
+    pub fn fill(&mut self, max_tokens: usize, mut sink: impl FnMut(Token)) {
+        let data = self.data;
+        let tier = self.tier;
+        let base = self.table.base;
+        let buckets: &mut [[u32; 2]; HASH_SIZE] = self
+            .table
+            .slots
+            .as_mut_slice()
+            .try_into()
+            .expect("bucket table allocated by begin");
+        let (mut pos, mut miss_run, mut blind) = (self.pos, self.miss_run, self.blind);
+        // Positions with a whole gram ahead of them: only these are
+        // probed and indexed.
+        let gram_end = data.len().saturating_sub(FAST_GRAM - 1);
+        let mut left = max_tokens;
+        while left > 0 && pos < gram_end {
+            left -= 1;
+            // Blind stretch: deep inside a matchless run, stop probing
+            // and indexing entirely for a few positions.
+            if blind > 0 {
+                blind -= 1;
+                sink(Token::Literal(data[pos]));
+                pos += 1;
+                continue;
+            }
+            let gram = gram4(data, pos);
+            let h = hash4(gram);
+            // Index `pos` now, match or not; the probe reads the bucket
+            // as it was before.
+            let bucket = buckets[h];
+            buckets[h] = [base.wrapping_add(pos as u32), bucket[0]];
+            let max_len = (data.len() - pos).min(MAX_MATCH);
+            let Some((len, dist)) = probe(data, tier, pos, gram, max_len, bucket, base) else {
+                sink(Token::Literal(data[pos]));
+                pos += 1;
+                miss_run += 1;
+                if miss_run >= SKIP_TRIGGER {
+                    blind = ((miss_run - SKIP_TRIGGER) >> 5).min(MAX_SKIP);
+                }
+                continue;
+            };
+            miss_run = 0;
+            // Index the covered span of a short match so later matches
+            // can reach into it; a long one only at its head (above).
+            if len <= FAST_MAX_INSERT {
+                for p in pos + 1..(pos + len).min(gram_end) {
+                    let h = hash4(gram4(data, p));
+                    buckets[h] = [base.wrapping_add(p as u32), buckets[h][0]];
+                }
+            }
+            sink(Token::Match {
+                len: len as u16,
+                dist: dist as u16,
+            });
+            pos += len;
+        }
+        // The last bytes are too short for a gram: literals whatever the
+        // skip state.
+        while left > 0 && pos < data.len() {
+            left -= 1;
+            sink(Token::Literal(data[pos]));
+            pos += 1;
+        }
+        self.pos = pos;
+        self.miss_run = miss_run;
+        self.blind = blind;
+    }
+}
+
+/// Longest match at `pos` among a bucket's two candidates (newer
+/// first), as `(len, dist)`, or `None` below [`FAST_GRAM`] bytes. Stops
+/// at the first candidate that is stale or outside the window (the other
+/// is older still) and at the first match of [`FAST_NICE_LEN`] bytes or
+/// of all the room left; a later candidate must be strictly longer to
+/// win.
+#[inline(always)]
+fn probe(
+    data: &[u8],
+    tier: isobar_simd::KernelTier,
+    pos: usize,
+    gram: u32,
+    max_len: usize,
+    bucket: [u32; 2],
+    base: u32,
+) -> Option<(usize, usize)> {
+    let window_start = pos.saturating_sub(WINDOW_SIZE);
+    let mut best: Option<(usize, usize)> = None;
+    for entry in bucket {
+        if entry < base {
+            break;
+        }
+        let cand = (entry - base) as usize;
+        if cand < window_start {
+            break;
+        }
+        debug_assert!(cand < pos);
+        if gram4(data, cand) != gram {
+            continue;
+        }
+        let len = FAST_GRAM
+            + common_prefix(
+                tier,
+                data,
+                cand + FAST_GRAM,
+                pos + FAST_GRAM,
+                max_len - FAST_GRAM,
+            );
+        if best.is_none_or(|(best_len, _)| len > best_len) {
+            best = Some((len, pos - cand));
+            if len >= FAST_NICE_LEN || len >= max_len {
+                break;
+            }
+        }
+    }
+    best
 }
 
 /// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
@@ -476,13 +616,12 @@ pub fn detokenize(tokens: &[Token]) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn tokenize(data: &[u8], level: CompressionLevel) -> Vec<Token> {
-        let mut scratch = MatcherScratch::new();
-        Matcher::new(data, level, &mut scratch).tokenize()
+    fn tokens_of(data: &[u8], level: CompressionLevel) -> Vec<Token> {
+        tokenize(data, level, &mut MatcherScratch::new())
     }
 
     fn round_trip(data: &[u8], level: CompressionLevel) -> Vec<Token> {
-        let tokens = tokenize(data, level);
+        let tokens = tokens_of(data, level);
         assert_eq!(detokenize(&tokens), data, "level {level:?}");
         tokens
     }
@@ -563,7 +702,9 @@ mod tests {
         let mut data = block.clone();
         data.extend(std::iter::repeat_n(0xAA, WINDOW_SIZE + 500));
         data.extend_from_slice(&block);
-        round_trip(&data, CompressionLevel::Best);
+        for level in CompressionLevel::ALL {
+            round_trip(&data, level);
+        }
     }
 
     #[test]
@@ -571,8 +712,8 @@ mod tests {
         // Classic lazy-match case: "abc" then "bcd..." where deferring
         // one literal yields a longer match.
         let data = b"xabcy_abcde_bcdef_abcdef_bcdefg".repeat(64);
-        let fast = tokenize(&data, CompressionLevel::Fast);
-        let best = tokenize(&data, CompressionLevel::Best);
+        let fast = tokens_of(&data, CompressionLevel::Fast);
+        let best = tokens_of(&data, CompressionLevel::Best);
         assert_eq!(detokenize(&fast), data.as_slice());
         assert_eq!(detokenize(&best), data.as_slice());
         assert!(best.len() <= fast.len());
@@ -580,32 +721,45 @@ mod tests {
 
     #[test]
     fn reused_scratch_produces_identical_tokens() {
-        // A dirty scratch (previous buffer's chains, bumped generation)
-        // must not change the token stream of a later buffer.
+        // A dirty scratch (previous buffer's chains and buckets, bumped
+        // generation and base) must not change the token stream of a
+        // later buffer, whichever level dirtied it.
         let poison: Vec<u8> = (0..60_000u32)
             .flat_map(|i| (i % 251).to_le_bytes())
             .collect();
         let data = b"the quick brown fox jumps over the lazy dog. ".repeat(300);
         for level in CompressionLevel::ALL {
             let mut dirty = MatcherScratch::new();
-            let _ = Matcher::new(&poison, level, &mut dirty).tokenize();
-            let reused = Matcher::new(&data, level, &mut dirty).tokenize();
-            let fresh = tokenize(&data, level);
-            assert_eq!(reused, fresh, "level {level:?}");
+            for dirtying in CompressionLevel::ALL {
+                tokenize(&poison, dirtying, &mut dirty);
+            }
+            let reused = tokenize(&data, level, &mut dirty);
+            assert_eq!(reused, tokens_of(&data, level), "level {level:?}");
         }
     }
 
     #[test]
     fn streaming_matches_batch_tokenization() {
+        // Blocks of a few tokens resume exactly where the last stopped.
         let data = b"abcabcabc_noise_1234567_abcabcabc".repeat(100);
         for level in CompressionLevel::ALL {
             let mut scratch = MatcherScratch::new();
-            let mut m = Matcher::new(&data, level, &mut scratch);
             let mut streamed = Vec::new();
-            while let Some(t) = m.next_token() {
-                streamed.push(t);
+            match level {
+                CompressionLevel::Fast => {
+                    let mut m = FastMatcher::new(&data, &mut scratch);
+                    while !m.is_done() {
+                        m.fill(7, |t| streamed.push(t));
+                    }
+                }
+                _ => {
+                    let mut m = Matcher::new(&data, level, &mut scratch);
+                    while !m.is_done() {
+                        m.fill(7, |t| streamed.push(t));
+                    }
+                }
             }
-            assert_eq!(streamed, tokenize(&data, level), "level {level:?}");
+            assert_eq!(streamed, tokens_of(&data, level), "level {level:?}");
         }
     }
 
@@ -623,6 +777,35 @@ mod tests {
             })
             .collect();
         round_trip(&data, CompressionLevel::Fast);
+    }
+
+    #[test]
+    fn bucket_base_near_the_top_of_u32_changes_no_token() {
+        // Bases climb by each input's length; near `u32::MAX` an input
+        // either still fits above the base (values up to u32::MAX - 1)
+        // or forces the one-time clear and a restart at 1. Either way
+        // the table, dirtied by the same input (every slot a position
+        // that would be a live candidate if read as one), must yield a
+        // fresh table's tokens.
+        let data: Vec<u8> = (0..50_000u32)
+            .flat_map(|i| [(i / 7 % 13) as u8, (i % 5) as u8])
+            .chain(b"0123456789abcdef".repeat(50))
+            .collect();
+        let fresh = tokens_of(&data, CompressionLevel::Fast);
+        let len = data.len() as u32;
+        for end in [u32::MAX - len, u32::MAX - len + 1, u32::MAX - 3, u32::MAX] {
+            let mut scratch = MatcherScratch::new();
+            tokenize(&data, CompressionLevel::Fast, &mut scratch);
+            scratch.buckets.end = end;
+            let tokens = tokenize(&data, CompressionLevel::Fast, &mut scratch);
+            assert_eq!(tokens, fresh, "next base {end:#x}");
+            let b = &scratch.buckets;
+            if end == u32::MAX - len {
+                assert_eq!((b.base, b.end), (end, u32::MAX), "fits without a clear");
+            } else {
+                assert_eq!((b.base, b.end), (1, 1 + len), "cleared and restarted");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use isobar_codecs::bwt::{bwt_forward, bwt_inverse, Bzip2Like};
 use isobar_codecs::codec::{Codec, CompressionLevel};
 use isobar_codecs::deflate::{adler32, Deflate};
 use isobar_codecs::huffman::{HuffmanEncoder, MsbDecoder};
-use isobar_codecs::lz77::{detokenize, Matcher};
+use isobar_codecs::lz77::{detokenize, tokenize, MatcherScratch};
 use isobar_codecs::mtf::{mtf_decode, mtf_encode};
 use isobar_codecs::rle::{rle1_decode, rle1_encode, zrle_decode, zrle_encode};
 use proptest::prelude::*;
@@ -86,8 +86,7 @@ proptest! {
     #[test]
     fn lz77_round_trips(data in byte_inputs(), level in 0usize..3) {
         let level = CompressionLevel::ALL[level];
-        let mut scratch = isobar_codecs::lz77::MatcherScratch::default();
-        let tokens = Matcher::new(&data, level, &mut scratch).tokenize();
+        let tokens = tokenize(&data, level, &mut MatcherScratch::default());
         prop_assert_eq!(detokenize(&tokens), data);
     }
 
