@@ -6,15 +6,18 @@
 //! behind Table V's zlib/bzlib2 columns and Table X's FPC/fpzip
 //! columns. The `bwt_stages` groups split the bzlib2-class solver's
 //! time on one block into its stages, on the two shapes of input the
-//! pipeline feeds it, so a regression can be read off the table; the
+//! pipeline feeds it, at a `Default` block and at EUPA's 16 KiB trial
+//! size, so a regression can be read off the table; the
 //! `deflate_decode` group does the same for the zlib-class solver's
-//! read path.
+//! read path. `huffman/package_merge` times one length-limited code
+//! construction on the histograms both solvers build codes from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use isobar::partitioner::{partition, partition_into};
 use isobar::{Analyzer, EupaSelector, Linearization, Preference};
 use isobar_codecs::bwt::{BlockStages, Bzip2Like};
 use isobar_codecs::deflate::encoder::EncodeStages;
+use isobar_codecs::huffman::{package_merge_into, PackageMergeScratch};
 use isobar_codecs::lz77::{tokenize, MatcherScratch};
 use isobar_codecs::{deflate::Deflate, Codec, CodecScratch, CompressionLevel};
 use isobar_datasets::catalog;
@@ -46,12 +49,12 @@ fn bench_general_codecs(c: &mut Criterion) {
     group.finish();
 }
 
-/// One `Default`-level block of each solver input the benchmark's
-/// `ratio_*` workloads produce: the compressible columns of a
-/// `gts_chkp_zion` chunk (two of eight, row-linearised — every second
-/// byte is the slowly varying exponent) and a raw `msg_sppm` chunk
-/// (not improvable, so the solver gets all of it).
-fn bench_bwt_stages(c: &mut Criterion) {
+/// Each solver input the benchmark's `ratio_*` workloads produce: the
+/// compressible columns of a `gts_chkp_zion` chunk (two of eight,
+/// row-linearised — every second byte is the slowly varying exponent)
+/// and a raw `msg_sppm` chunk (not improvable, so the solver gets all
+/// of it).
+fn bwt_solver_inputs() -> [(&'static str, Vec<u8>); 2] {
     let chunk = |name: &str| {
         catalog::spec(name)
             .expect("catalog entry")
@@ -61,13 +64,32 @@ fn bench_bwt_stages(c: &mut Criterion) {
     let gts = chunk("gts_chkp_zion");
     let selection = Analyzer::default().analyze(&gts, 8).expect("aligned");
     let gts = partition(&gts, 8, &selection, Linearization::Row).compressible;
-    let block_len = Bzip2Like::default().block_size();
-    for (name, input) in [
+    [
         ("gts_chkp_zion_partitioned", gts),
         ("msg_sppm", chunk("msg_sppm")),
-    ] {
-        let block = &input[..block_len];
-        let mut stages = BlockStages::new(block);
+    ]
+}
+
+/// The blocks the `bwt_stages` rows split: one `Default`-level block of
+/// each solver input, and its first 16 KiB — the size of one EUPA trial
+/// block, where table construction is a fixed cost next to a small
+/// suffix array.
+fn bwt_stage_blocks() -> Vec<(String, Vec<u8>)> {
+    let block_len = Bzip2Like::default().block_size();
+    bwt_solver_inputs()
+        .into_iter()
+        .flat_map(|(name, input)| {
+            [
+                (name.to_string(), input[..block_len].to_vec()),
+                (format!("{name}_16k"), input[..16 << 10].to_vec()),
+            ]
+        })
+        .collect()
+}
+
+fn bench_bwt_stages(c: &mut Criterion) {
+    for (name, block) in bwt_stage_blocks() {
+        let mut stages = BlockStages::new(&block);
         let mut group = c.benchmark_group(format!("bwt_stages/{name}"));
         group.throughput(Throughput::Bytes(block.len() as u64));
         group.sample_size(10);
@@ -163,6 +185,47 @@ fn bench_deflate_decode(c: &mut Criterion) {
     group.finish();
 }
 
+/// One length-limited Huffman code construction, on every histogram
+/// each solver builds a code from for catalog data, one per iteration
+/// in turn through one kept scratch: the bzlib2-class solver's tables
+/// on the `bwt_stages` blocks, and the `Fast` DEFLATE encoder's three
+/// codes per block of the `deflate_encode` inputs.
+fn bench_package_merge(c: &mut Criterion) {
+    let mut bwt = Vec::new();
+    for (_, block) in bwt_stage_blocks() {
+        bwt.extend(BlockStages::new(&block).table_freqs());
+    }
+    let [mut litlen, mut dist, mut codelen] = [Vec::new(), Vec::new(), Vec::new()];
+    for (_, raw) in fast_solver_inputs() {
+        let [l, d, cl] = EncodeStages::new(&raw).code_freqs();
+        litlen.extend(l);
+        dist.extend(d);
+        codelen.extend(cl);
+    }
+    let mut group = c.benchmark_group("huffman/package_merge");
+    group.sample_size(10);
+    for (name, max_len, tables) in [
+        ("bwt_258_l20", 20, bwt),
+        ("litlen_286_l15", 15, litlen),
+        ("dist_30_l15", 15, dist),
+        ("codelen_19_l7", 7, codelen),
+    ] {
+        assert!(!tables.is_empty(), "{name}: no histograms harvested");
+        let mut scratch = PackageMergeScratch::new();
+        let mut lengths = vec![0u8; tables[0].len()];
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let freqs = &tables[next % tables.len()];
+                next += 1;
+                package_merge_into(freqs, max_len, &mut scratch, &mut lengths);
+                lengths[0]
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_float_codecs(c: &mut Criterion) {
     let ds = catalog::spec("gts_chkp_zion")
         .expect("catalog entry")
@@ -242,6 +305,7 @@ criterion_group!(
     bench_bwt_stages,
     bench_deflate_encode,
     bench_deflate_decode,
+    bench_package_merge,
     bench_float_codecs,
     bench_matcher
 );

@@ -337,7 +337,15 @@ struct TableScratch {
 /// lengths under the tables sit in one `u64`, a [`COST_LANE_BITS`] lane
 /// per table (table 0 lowest), so summing those words adds every lane
 /// in one add per symbol.
-fn build_tables(symbols: &[u16], n_tables: usize, t: &mut TableScratch, selectors: &mut Vec<u8>) {
+///
+/// `built` sees every histogram a table is built from, in build order.
+fn build_tables(
+    symbols: &[u16],
+    n_tables: usize,
+    t: &mut TableScratch,
+    selectors: &mut Vec<u8>,
+    mut built: impl FnMut(&[u64; ENTROPY_ALPHA]),
+) {
     let count = |freqs: &mut [u64; ENTROPY_ALPHA], group: &[u16]| {
         for &sym in group {
             freqs[sym as usize] += 1;
@@ -354,6 +362,7 @@ fn build_tables(symbols: &[u16], n_tables: usize, t: &mut TableScratch, selector
     let encoders = &mut t.encoders[..n_tables];
     for pass in 1..=TABLE_PASSES {
         for (enc, freqs) in encoders.iter_mut().zip(&freqs) {
+            built(freqs);
             enc.rebuild_from_freqs(freqs, MAX_CODE_LEN, &mut t.pm);
         }
         let packed_lens: [u64; ENTROPY_ALPHA] = std::array::from_fn(|sym| {
@@ -455,7 +464,13 @@ fn encode_rle1_block(w: &mut MsbBitWriter, s: &mut BwtScratch) {
     suffix_array_into(&s.rle1, &mut s.rows, &mut s.suffix);
     entropy_symbols(s);
     let n_tables = num_tables_for(s.symbols.len());
-    build_tables(&s.symbols, n_tables, &mut s.tables, &mut s.selectors);
+    build_tables(
+        &s.symbols,
+        n_tables,
+        &mut s.tables,
+        &mut s.selectors,
+        |_| (),
+    );
     emit_block(w, s);
 }
 
@@ -634,8 +649,30 @@ impl BlockStages {
     pub fn build_tables(&mut self) -> u8 {
         let enc = &mut self.enc;
         let n_tables = num_tables_for(enc.symbols.len());
-        build_tables(&enc.symbols, n_tables, &mut enc.tables, &mut enc.selectors);
+        build_tables(
+            &enc.symbols,
+            n_tables,
+            &mut enc.tables,
+            &mut enc.selectors,
+            |_| (),
+        );
         enc.selectors[0]
+    }
+
+    /// Every histogram table construction builds a Huffman code from,
+    /// pass after pass.
+    pub fn table_freqs(&mut self) -> Vec<Vec<u64>> {
+        let enc = &mut self.enc;
+        let n_tables = num_tables_for(enc.symbols.len());
+        let mut freqs = Vec::new();
+        build_tables(
+            &enc.symbols,
+            n_tables,
+            &mut enc.tables,
+            &mut enc.selectors,
+            |f| freqs.push(f.to_vec()),
+        );
+        freqs
     }
 
     /// Block header, tables, selectors and Huffman-coded symbols.
@@ -669,7 +706,7 @@ mod tests {
     fn tables_for(symbols: &[u16], n_tables: usize) -> (Vec<HuffmanEncoder>, Vec<u8>) {
         let mut tables = TableScratch::default();
         let mut selectors = Vec::new();
-        build_tables(symbols, n_tables, &mut tables, &mut selectors);
+        build_tables(symbols, n_tables, &mut tables, &mut selectors, |_| ());
         (tables.encoders[..n_tables].to_vec(), selectors)
     }
 

@@ -128,8 +128,8 @@ impl fmt::Display for CodecId {
 /// `ablation_eupa`, which fails if the first margin breaks): at `Fast`
 /// zlib's slower layout beats bzlib2's faster one by more than 2× on
 /// every catalog dataset, at `Default` zlib's faster layout wins on 23
-/// of 24, and only at `Best` does bzlib2 measure faster on 6 of 24
-/// (deviation D6 lists them).
+/// of 24 (its slower one on 11–18 of 24), and only at `Best` does
+/// bzlib2 measure faster on 6 of 24 (deviation D6 lists them).
 pub const SOLVERS_BY_SPEED: [CodecId; 2] = [CodecId::Deflate, CodecId::Bzip2Like];
 
 /// Reusable working memory for the allocation-free codec entry points

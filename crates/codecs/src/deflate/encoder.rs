@@ -54,6 +54,32 @@ struct BlockScratch {
     header: DynamicHeader,
 }
 
+impl BlockScratch {
+    /// Build `block`'s dynamic codes and the header that describes them.
+    fn build_dynamic(&mut self, block: &Block<'_>) {
+        self.dyn_lit
+            .rebuild_from_freqs(&block.litlen, MAX_CODE_LEN, &mut self.pm);
+        self.dyn_dist
+            .rebuild_from_freqs(&dynamic_dist_freqs(block), MAX_CODE_LEN, &mut self.pm);
+        self.header.build(
+            self.dyn_lit.lengths(),
+            self.dyn_dist.lengths(),
+            &mut self.pm,
+        );
+    }
+}
+
+/// The histogram `block`'s dynamic distance code is built from: its
+/// own, with at least one distance code, so the header never encodes an
+/// empty alphabet.
+fn dynamic_dist_freqs(block: &Block<'_>) -> [u64; NUM_DIST] {
+    let mut freqs = block.dist;
+    if freqs.iter().all(|&f| f == 0) {
+        freqs[0] = 1;
+    }
+    freqs
+}
+
 /// Compress `data` into a raw DEFLATE stream (no zlib wrapper).
 pub fn deflate_raw(data: &[u8], level: CompressionLevel) -> Vec<u8> {
     let mut w = LsbBitWriter::new();
@@ -192,19 +218,7 @@ fn write_block(
     is_final: bool,
     s: &mut BlockScratch,
 ) {
-    // Dynamic codes. Guarantee at least one distance code so the header
-    // never encodes an empty alphabet.
-    let mut dist_freqs = block.dist;
-    if dist_freqs.iter().all(|&f| f == 0) {
-        dist_freqs[0] = 1;
-    }
-    s.dyn_lit
-        .rebuild_from_freqs(&block.litlen, MAX_CODE_LEN, &mut s.pm);
-    s.dyn_dist
-        .rebuild_from_freqs(&dist_freqs, MAX_CODE_LEN, &mut s.pm);
-    s.header
-        .build(s.dyn_lit.lengths(), s.dyn_dist.lengths(), &mut s.pm);
-
+    s.build_dynamic(block);
     let dyn_cost = 3
         + s.header.cost_bits
         + s.dyn_lit.cost_bits(&block.litlen)
@@ -291,6 +305,24 @@ impl<'a> EncodeStages<'a> {
         self.out = w.finish();
         self.out.len()
     }
+
+    /// Every histogram the encoder builds a Huffman code from, by
+    /// alphabet — literal/length, distance, code length — one of each
+    /// per block.
+    pub fn code_freqs(&mut self) -> [Vec<Vec<u64>>; 3] {
+        let s = &mut self.scratch;
+        let mut freqs: [Vec<Vec<u64>>; 3] = Default::default();
+        for tokens in self.tokens.chunks(BLOCK_TOKENS) {
+            let mut block = Block::new(&mut s.syms);
+            tokens.iter().for_each(|&t| block.push(t));
+            block.litlen[EOB] += 1;
+            s.block.build_dynamic(&block);
+            freqs[0].push(block.litlen.to_vec());
+            freqs[1].push(dynamic_dist_freqs(&block).to_vec());
+            freqs[2].push(s.block.header.cl_freqs.to_vec());
+        }
+        freqs
+    }
 }
 
 /// Emit `raw` as one or more stored blocks (type 00).
@@ -344,6 +376,8 @@ struct DynamicHeader {
     all: Vec<u8>,
     /// RLE symbols: (code-length symbol 0..=18, extra value, extra bits).
     rle: Vec<(u8, u16, u8)>,
+    /// How often each code-length symbol occurs in `rle`.
+    cl_freqs: [u64; NUM_CODELEN],
     cost_bits: u64,
 }
 
@@ -362,12 +396,12 @@ impl DynamicHeader {
         self.rle.reserve(NUM_LITLEN + NUM_DIST);
         rle_code_lengths_into(&self.all, &mut self.rle);
 
-        let mut cl_freqs = [0u64; NUM_CODELEN];
+        self.cl_freqs = [0; NUM_CODELEN];
         for &(sym, _, _) in &self.rle {
-            cl_freqs[sym as usize] += 1;
+            self.cl_freqs[sym as usize] += 1;
         }
         self.cl_encoder
-            .rebuild_from_freqs(&cl_freqs, MAX_CODELEN_LEN, pm);
+            .rebuild_from_freqs(&self.cl_freqs, MAX_CODELEN_LEN, pm);
 
         self.hclen = CODELEN_ORDER
             .iter()

@@ -5,20 +5,24 @@
 //! codec to 20. Lengths are computed with the package-merge algorithm,
 //! which is optimal under a length limit — unlike the heuristic
 //! "build-then-flatten" approach, it never produces a suboptimal Kraft
-//! packing. Alphabets here are small (≤ 290 symbols), so the simple
-//! list-based package-merge is more than fast enough.
+//! packing.
+//!
+//! Construction is a fixed cost per block that matters: the bzip2-class
+//! solver builds 24 codes per block whatever the block's length (six
+//! tables, four refinement passes); with the group pricing between
+//! them they are 29–48% of a 16 KiB EUPA trial block's encode. So
+//! [`package_merge_into`] keeps no package trees: one package flag per
+//! list item, lengths counted from the sizes of the selected prefixes,
+//! and no list built past the lists' fixed point. A 258-symbol 20-bit
+//! table takes 14 µs, about a quarter of an arena package-merge (median
+//! per build on a 2-core Xeon; EXPERIMENTS.md, "Huffman code
+//! construction").
 
 use crate::bitio::{LsbBitReader, LsbBitWriter, MsbBitReader, MsbBitWriter};
 use crate::codec::CodecError;
 
 /// Maximum supported code length (fits the `u32` code registers).
 pub const MAX_SUPPORTED_LEN: u8 = 24;
-
-/// Package-merge arena node: a leaf symbol or a merged pair.
-enum Node {
-    Leaf(u16),
-    Pair(u32, u32),
-}
 
 /// Reusable working memory for [`package_merge_into`].
 ///
@@ -27,13 +31,18 @@ enum Node {
 /// again and repeated code constructions stay off the allocator.
 #[derive(Default)]
 pub struct PackageMergeScratch {
+    /// The used symbols sorted by (frequency, symbol): the leaves, in
+    /// rank order.
     leaves: Vec<(u64, u16)>,
-    arena: Vec<Node>,
-    singletons: Vec<(u64, u32)>,
-    current: Vec<(u64, u32)>,
-    next: Vec<(u64, u32)>,
-    merged: Vec<(u64, u32)>,
-    stack: Vec<u32>,
+    /// The leaves' weights.
+    leaf_weights: Vec<u64>,
+    /// Item weights of the level being packaged and of the level built
+    /// from it.
+    lower: Vec<u64>,
+    upper: Vec<u64>,
+    /// One flag per item of every built level above the leaves, level
+    /// after level: `true` for a package, `false` for a leaf.
+    packages: Vec<bool>,
 }
 
 impl PackageMergeScratch {
@@ -98,76 +107,102 @@ pub fn package_merge_into(
         ),
     }
     s.leaves.sort_unstable();
+    let n = s.leaves.len();
+    let max_len = max_len as usize;
 
-    // Package-merge with packages stored in an arena as binary trees;
-    // `level` runs from the deepest tree level up. After `max_len`
-    // rounds, the cheapest 2·(n−1) packages tell us how often each
-    // leaf is "used", which is exactly its code length. Arena nodes
-    // make the merge O(n·L) instead of cloning symbol lists.
-    s.arena.clear();
-    s.singletons.clear();
-    // Singleton packages, sorted by weight: (weight, arena index).
-    for &(w, sym) in &s.leaves {
-        s.arena.push(Node::Leaf(sym));
-        s.singletons.push((w, s.arena.len() as u32 - 1));
+    // Level 1 is the leaves. Level k + 1 is the packages of level k's
+    // consecutive pairs merged with the leaves by weight, a package
+    // ahead of a leaf of equal weight. A level depends on nothing but
+    // the weights of the one below, so once a new level comes out equal
+    // to the one below it, every level from there up is that one too:
+    // the new level is dropped, and the rest of the `max_len` levels
+    // reuse the last one kept.
+    s.leaf_weights.clear();
+    s.leaf_weights.extend(s.leaves.iter().map(|&(w, _)| w));
+    s.lower.clear();
+    s.lower.extend_from_slice(&s.leaf_weights);
+    s.packages.clear();
+    // `ends[k]`: the end of level k's flags in `packages` (level 1 has
+    // none).
+    let mut ends = [0usize; MAX_SUPPORTED_LEN as usize + 1];
+    let mut built = 1;
+    while built < max_len {
+        let start = s.packages.len();
+        merge_level(&s.lower, &s.leaf_weights, &mut s.upper, &mut s.packages);
+        if s.upper == s.lower {
+            s.packages.truncate(start);
+            break;
+        }
+        built += 1;
+        ends[built] = s.packages.len();
+        std::mem::swap(&mut s.lower, &mut s.upper);
     }
 
-    s.current.clear();
-    s.current.extend_from_slice(&s.singletons);
-    for _ in 1..max_len {
-        s.next.clear();
-        for pair in s.current.chunks_exact(2) {
-            s.arena.push(Node::Pair(pair[0].1, pair[1].1));
-            s.next
-                .push((pair[0].0 + pair[1].0, s.arena.len() as u32 - 1));
+    // The top level's cheapest 2(n − 1) items are the selected ones.
+    // Packages are made in weight order and the merge is stable, so the
+    // p packages among a level's selected prefix are its first p, made
+    // of the first 2p items of the level below: every level's selection
+    // is a prefix, and the leaves in it are the lowest-ranked ones. A
+    // leaf's code length is the number of levels whose selection holds
+    // it.
+    let mut selected = 2 * (n - 1);
+    let mut leaves_taken = [0usize; MAX_SUPPORTED_LEN as usize];
+    for (taken, level) in leaves_taken.iter_mut().zip((1..=max_len).rev()) {
+        let level = level.min(built);
+        if level == 1 {
+            *taken = selected;
+            break;
         }
-        // Both `next` (so far) and `singletons` are weight-sorted:
-        // merge instead of re-sorting.
-        let packaged = s.next.len();
-        s.next.extend_from_slice(&s.singletons);
-        merge_sorted_halves(&mut s.next, packaged, &mut s.merged);
-        std::mem::swap(&mut s.current, &mut s.next);
+        let flags = &s.packages[ends[level - 1]..ends[level]][..selected];
+        let packages = flags.iter().filter(|&&is_package| is_package).count();
+        *taken = selected - packages;
+        selected = 2 * packages;
     }
-
-    // Count leaf occurrences in the cheapest 2(n−1) packages with an
-    // explicit stack (package trees can be max_len deep).
-    s.stack.clear();
-    s.stack.extend(
-        s.current
-            .iter()
-            .take(2 * (s.leaves.len() - 1))
-            .map(|&(_, idx)| idx),
-    );
-    while let Some(idx) = s.stack.pop() {
-        match s.arena[idx as usize] {
-            Node::Leaf(sym) => lengths[sym as usize] += 1,
-            Node::Pair(a, b) => {
-                s.stack.push(a);
-                s.stack.push(b);
-            }
+    let leaves_taken = &mut leaves_taken[..max_len];
+    leaves_taken.sort_unstable();
+    let mut levels_without = 0;
+    for (rank, &(_, sym)) in s.leaves.iter().enumerate() {
+        while levels_without < max_len && leaves_taken[levels_without] <= rank {
+            levels_without += 1;
         }
+        lengths[sym as usize] = (max_len - levels_without) as u8;
     }
 }
 
-/// Merge a slice whose `[..mid]` and `[mid..]` halves are each sorted
-/// by weight into a single sorted order (stable; ties keep the
-/// packaged-before-singleton order the algorithm expects). `merged` is
-/// a reusable spill buffer; on return it holds the pre-merge contents.
-fn merge_sorted_halves(items: &mut Vec<(u64, u32)>, mid: usize, merged: &mut Vec<(u64, u32)>) {
-    merged.clear();
-    let (mut i, mut j) = (0usize, mid);
-    while i < mid && j < items.len() {
-        if items[i].0 <= items[j].0 {
-            merged.push(items[i]);
+/// Build the level above `lower`: the sums of its consecutive pairs
+/// merged with the leaf weights `leaves`, a package first on a tie. The
+/// level's weights replace `upper`; one flag per item is appended to
+/// `packages`.
+fn merge_level(lower: &[u64], leaves: &[u64], upper: &mut Vec<u64>, packages: &mut Vec<bool>) {
+    let pairs = lower.len() / 2;
+    let len = pairs + leaves.len();
+    upper.clear();
+    upper.resize(len, 0);
+    let start = packages.len();
+    packages.resize(start + len, false);
+    let flags = &mut packages[start..];
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < pairs && j < leaves.len() {
+        let package = lower[2 * i] + lower[2 * i + 1];
+        let leaf = leaves[j];
+        if package <= leaf {
+            upper[k] = package;
+            flags[k] = true;
             i += 1;
         } else {
-            merged.push(items[j]);
+            upper[k] = leaf;
             j += 1;
         }
+        k += 1;
     }
-    merged.extend_from_slice(&items[i..mid]);
-    merged.extend_from_slice(&items[j..]);
-    std::mem::swap(items, merged);
+    for (pair, (weight, is_package)) in lower[2 * i..2 * pairs]
+        .chunks_exact(2)
+        .zip(upper[k..].iter_mut().zip(&mut flags[k..]))
+    {
+        *weight = pair[0] + pair[1];
+        *is_package = true;
+    }
+    upper[k + pairs - i..].copy_from_slice(&leaves[j..]);
 }
 
 /// Assign canonical code values to `lengths` (RFC 1951 §3.2.2 rules:
@@ -802,6 +837,50 @@ mod tests {
             .sum();
         assert!(avg_len >= entropy - 1e-9);
         assert!(avg_len < entropy + 1.0);
+    }
+
+    /// Levels `s`'s last construction kept, the leaf level included,
+    /// read off their flags: level k + 1 holds the leaves plus half of
+    /// level k.
+    fn levels_built(s: &PackageMergeScratch) -> usize {
+        let n = s.leaves.len();
+        let (mut level_len, mut flags, mut levels) = (n, 0, 1);
+        while flags < s.packages.len() {
+            level_len = n + level_len / 2;
+            flags += level_len;
+            levels += 1;
+        }
+        assert_eq!(flags, s.packages.len(), "whole levels");
+        levels
+    }
+
+    #[test]
+    fn package_merge_stops_at_the_fixed_point_when_the_limit_is_slack() {
+        // Eight equal weights want 3-bit codes. Level 4 is the first to
+        // hold every package an unlimited code can use, level 5 comes
+        // out equal to it and is dropped, and the 10 levels above are
+        // never built.
+        let mut s = PackageMergeScratch::new();
+        let mut lengths = [0u8; 8];
+        package_merge_into(&[5; 8], 15, &mut s, &mut lengths);
+        assert_eq!(lengths, [3; 8]);
+        assert_eq!(levels_built(&s), 4);
+    }
+
+    #[test]
+    fn package_merge_builds_every_level_when_the_limit_binds() {
+        // Fibonacci weights want a 13-bit code; at a limit of 5 every
+        // level differs from the one below and all five are built.
+        let freqs = [1u64, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377];
+        let mut s = PackageMergeScratch::new();
+        let mut lengths = [0u8; 14];
+        package_merge_into(&freqs, 5, &mut s, &mut lengths);
+        assert_eq!(lengths.iter().max(), Some(&5));
+        assert_eq!(levels_built(&s), 5);
+        // With room for the unlimited code it stops short of the limit.
+        package_merge_into(&freqs, 24, &mut s, &mut lengths);
+        assert_eq!(lengths.iter().max(), Some(&13));
+        assert!(levels_built(&s) < 24);
     }
 
     #[test]

@@ -120,10 +120,16 @@ impl EupaSelector {
     /// Draw the sample bytes: `sample_blocks` random contiguous runs of
     /// `sample_elements` elements (deterministic in the seed).
     ///
-    /// The total sample is capped at 1/16 of the input so that trial
-    /// compression of 4 combinations costs at most ~25% of one real
-    /// pass even on small inputs; tiny inputs still sample at least a
-    /// statistics-worthy block.
+    /// The total sample is capped at 1/16 of the input, which bounds
+    /// the per-byte work of 4 trial compressions at about a quarter of
+    /// one real pass; tiny inputs still sample at least a
+    /// statistics-worthy block. The cap does not bound the trials'
+    /// fixed costs: every bzlib2 trial block builds 24 Huffman codes
+    /// however short it is. On a 256 KiB `serve_ingest` put (a 16 KiB
+    /// sample) EUPA took 41–45% of the compress call while each code
+    /// build grew an arena of package trees, and takes 34–36% since
+    /// it does not (three traced runs each, 2-core Xeon; EXPERIMENTS.md,
+    /// "Huffman code construction").
     fn sample_into(&self, data: &[u8], width: usize, out: &mut Vec<u8>) {
         out.clear();
         let n = data.len() / width;
