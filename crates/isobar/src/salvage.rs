@@ -15,30 +15,16 @@
 //! - [`salvage_container`] re-encodes the salvaged bytes into a fresh,
 //!   fully valid batch-form container with the same shape.
 //!
-//! # Resync rules (see also docs/FORMAT.md)
+//! # Resync rules
 //!
-//! When a chunk record fails to parse or verify, the walker scans
-//! forward one byte at a time looking for the next *anchor*: an offset
-//! where a structurally valid chunk header is followed by payload
-//! bytes that match its embedded XXH64 checksum. A false anchor would
-//! need a valid mode byte, an element count within the header's chunk
-//! size, a mask no wider than the element, consistent length fields,
-//! *and* a 64-bit checksum match over the claimed payload — vanishing
-//! odds in damaged or random bytes. A streamed container's trailer is
-//! believed only where it ends the file exactly.
-//!
-//! Lost output positions are reconstructed by element accounting:
-//! every non-final chunk holds exactly `chunk_elements` elements, so
-//! with `R` recovered records out of `N = ceil(total / chunk_elements)`
-//! expected, `N − R` chunks are missing. Each damaged region absorbs
-//! at least one missing chunk; any surplus is attributed to the
-//! longest damaged regions first (earliest wins ties). With a single
-//! damaged region — the common case — the attribution is exact. When
-//! the declared length is gone (a streamed container whose trailer is
-//! torn off), is not whole elements, or is beyond what can be
-//! allocated, the length is *unverified*: each damaged region that
-//! records follow counts for one chunk and nothing is assumed past the
-//! last record.
+//! Stated once, in docs/FORMAT.md "fsck and salvage". [`resync_walk`]
+//! is the one forward walk; store and journal salvage call it with
+//! their own anchors. Here the anchor is a chunk record whose header
+//! is structurally valid and whose payload matches its embedded XXH64,
+//! and a streamed container's trailer is believed only where it ends
+//! the file exactly. Lost output positions come from element
+//! accounting: every non-final chunk holds `chunk_elements` elements,
+//! and surplus missing chunks go to the longest damaged regions first.
 
 use crate::container::{
     ChunkRecord, Header, Trailer, END_MARKER, HEADER_LEN, TRAILER_LEN, VERSION,
@@ -116,16 +102,63 @@ impl SalvageReport {
     }
 }
 
-/// One element of a container walk: a parsed record or a skipped gap.
-enum Segment {
-    Record { offset: u64, record: ChunkRecord },
-    Gap { offset: u64, len: u64 },
+/// One element of a [`resync_walk`], in file order.
+#[derive(Debug)]
+pub enum Segment<R> {
+    /// A record the anchor accepted.
+    Record {
+        /// Byte offset of the record in the walked data.
+        offset: u64,
+        /// What the anchor parsed there.
+        record: R,
+    },
+    /// A run of bytes at which no anchor was accepted.
+    Gap {
+        /// Byte offset of the first skipped byte.
+        offset: u64,
+        /// Bytes skipped.
+        len: u64,
+    },
+}
+
+/// The one checksum-anchor resync walk, behind container fsck/salvage,
+/// the store's manifest-less segment walk and the serve journal replay.
+///
+/// From `start` until the end of `data` or the first offset `stop`
+/// accepts: `anchor(pos)` returns a record ending at `next > pos`, and
+/// the walk goes on from `next`, or `None`, and `pos` is a gap byte.
+/// `anchor` runs once per offset visited. Returns the records and gaps
+/// in file order, and the offset the walk ended at.
+pub fn resync_walk<R>(
+    data: &[u8],
+    start: usize,
+    mut stop: impl FnMut(usize) -> bool,
+    mut anchor: impl FnMut(usize) -> Option<(R, usize)>,
+) -> (Vec<Segment<R>>, usize) {
+    let mut segments = Vec::new();
+    let mut pos = start;
+    while pos < data.len() && !stop(pos) {
+        let offset = pos as u64;
+        if let Some((record, next)) = anchor(pos) {
+            debug_assert!(next > pos, "an anchor must consume its record");
+            segments.push(Segment::Record { offset, record });
+            pos = next;
+            continue;
+        }
+        // A gap that is the last segment ends exactly here.
+        match segments.last_mut() {
+            Some(Segment::Gap { len, .. }) => *len += 1,
+            _ => segments.push(Segment::Gap { offset, len: 1 }),
+        }
+        pos += 1;
+    }
+    (segments, pos)
 }
 
 /// A container walked in anchor-resync mode.
 struct Walk {
     header: Header,
-    segments: Vec<Segment>,
+    segments: Vec<Segment<ChunkRecord>>,
     /// The declared length and Adler-32, when present and whole
     /// elements.
     end: Option<Trailer>,
@@ -137,9 +170,9 @@ impl Walk {
     /// file header itself is unusable.
     fn new(data: &[u8]) -> Result<Walk, IsobarError> {
         let header = Header::read(data).map_err(|e| e.at(0))?;
-        // Try to parse and verify a record at `pos`. An empty record is
-        // structurally valid but can never appear in healthy output;
-        // treating it as an anchor would loop forever.
+        // Parse and verify a record at `pos`. An empty record is
+        // structurally valid but can never appear in healthy output,
+        // so it is no anchor.
         let anchor = |pos: usize| {
             ChunkRecord::read_bounded(
                 &data[pos..],
@@ -151,26 +184,12 @@ impl Walk {
             )
             .ok()
             .filter(|(record, _)| record.elements != 0)
+            .map(|(record, used)| (record, pos + used))
         };
         let at_trailer = |pos: usize| {
             header.len_in_trailer() && data.len() - pos == TRAILER_LEN && data[pos] == END_MARKER
         };
-        let mut segments = Vec::new();
-        let mut pos = HEADER_LEN;
-        while pos < data.len() && !at_trailer(pos) {
-            let offset = pos as u64;
-            if let Some((record, used)) = anchor(pos) {
-                segments.push(Segment::Record { offset, record });
-                pos += used;
-            } else {
-                pos += 1;
-                while pos < data.len() && !at_trailer(pos) && anchor(pos).is_none() {
-                    pos += 1;
-                }
-                let len = pos as u64 - offset;
-                segments.push(Segment::Gap { offset, len });
-            }
-        }
+        let (segments, pos) = resync_walk(data, HEADER_LEN, at_trailer, anchor);
         let end = if pos < data.len() {
             // The walk stopped at a trailer.
             Some(Trailer::parse(
@@ -194,6 +213,13 @@ impl Walk {
         })
     }
 
+    fn gaps(&self) -> impl Iterator<Item = DamageRegion> + '_ {
+        self.segments.iter().filter_map(|s| match *s {
+            Segment::Gap { offset, len } => Some(DamageRegion { offset, len }),
+            Segment::Record { .. } => None,
+        })
+    }
+
     /// Whole chunks the element accounting expects for `total_len`
     /// original bytes but the walk did not find. With the length
     /// unverified, one per gap that records follow.
@@ -203,13 +229,8 @@ impl Walk {
                 .div_ceil(u64::from(self.header.chunk_elements))
                 .saturating_sub(self.records().count() as u64),
             None => {
-                let last_record = self
-                    .segments
-                    .iter()
-                    .rposition(|s| matches!(s, Segment::Record { .. }))
-                    .unwrap_or(0);
-                let gaps = |s: &&Segment| matches!(s, Segment::Gap { .. });
-                self.segments[..last_record].iter().filter(gaps).count() as u64
+                let last_record = self.records().last().map_or(0, |(offset, _)| offset);
+                self.gaps().filter(|gap| gap.offset < last_record).count() as u64
             }
         }
     }
@@ -232,14 +253,7 @@ pub fn fsck_container(data: &[u8]) -> Result<FsckReport, IsobarError> {
                 elements: record.elements,
             })
             .collect(),
-        damage: walk
-            .segments
-            .iter()
-            .filter_map(|s| match *s {
-                Segment::Gap { offset, len } => Some(DamageRegion { offset, len }),
-                Segment::Record { .. } => None,
-            })
-            .collect(),
+        damage: walk.gaps().collect(),
         missing_chunks: walk.missing_chunks(total_len),
         total_len,
     })
@@ -277,7 +291,7 @@ pub fn salvage_decompress_recorded(
 
     // Element accounting: how many whole chunks vanished, and how many
     // to attribute to each damaged region (longest-first).
-    let gap_shares = share_missing(&walk.segments, walk.missing_chunks(total_len));
+    let gap_shares = share_missing(&walk, walk.missing_chunks(total_len));
 
     let mut report = SalvageReport {
         length_unverified: total_len.is_none(),
@@ -371,14 +385,8 @@ pub fn salvage_container(data: &[u8]) -> Result<(Vec<u8>, SalvageReport), Isobar
 /// Attribute `missing` whole chunks across the walk's damaged regions:
 /// one each, then surplus to the longest regions first (earliest wins
 /// ties). Returns one share per gap, in walk order.
-fn share_missing(segments: &[Segment], missing: u64) -> Vec<u64> {
-    let gaps: Vec<u64> = segments
-        .iter()
-        .filter_map(|s| match s {
-            Segment::Gap { len, .. } => Some(*len),
-            _ => None,
-        })
-        .collect();
+fn share_missing(walk: &Walk, missing: u64) -> Vec<u64> {
+    let gaps: Vec<u64> = walk.gaps().map(|gap| gap.len).collect();
     let mut shares = vec![0u64; gaps.len()];
     let mut remaining = missing;
     for share in shares.iter_mut().take(missing as usize) {
@@ -466,7 +474,6 @@ mod tests {
     fn salvage_recovers_intact_chunks_bit_exact() {
         let (mut packed, data) = small_chunk_container();
         let second = record_offset(&packed, 1);
-        let third = record_offset(&packed, 2);
         packed[second + CHUNK_HEADER_LEN] ^= 0xFF;
         let (out, report) = salvage_decompress(&packed).expect("salvage");
         assert_eq!(out.len(), data.len());
@@ -478,7 +485,6 @@ mod tests {
         assert_eq!(report.chunks_recovered, 3);
         assert_eq!(report.chunks_lost, 1);
         assert_eq!(report.bytes_lost, cs as u64);
-        let _ = third;
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! A crash can tear the last record (the kernel flushed a prefix of
 //! the dying write). Replay walks records sequentially and, at the
 //! first length or checksum mismatch, scans forward for the next
-//! `ISWR` anchor whose record verifies — the same checksum-anchor
-//! resync idiom the salvage walkers use for containers and stores.
+//! `ISWR` anchor whose record verifies — the one checksum-anchor walk
+//! ([`isobar::salvage::resync_walk`]) container and store salvage use.
 //! A torn tail therefore costs exactly the unacked record being
 //! written at crash time, never an acked one (acked records were
 //! fsynced first).
@@ -48,6 +48,7 @@
 //! harness can kill the daemon at every journal operation boundary
 //! and prove the no-acked-loss claim (`--serve-crash-sweep`).
 
+use isobar::salvage::{resync_walk, Segment};
 use isobar_codecs::xxhash::xxh64;
 use isobar_store::{StoreFile, StoreFs};
 use std::collections::BTreeMap;
@@ -181,7 +182,8 @@ fn parse_body(body: &[u8]) -> Option<WalRecord> {
 pub struct WalSalvage {
     /// Records that verified, in append order.
     pub records: Vec<WalRecord>,
-    /// Bytes skipped by the anchor resync (torn tail or corruption).
+    /// Bytes skipped by the anchor resync (torn tail, torn file header
+    /// or corruption), each counted once.
     pub skipped_bytes: u64,
 }
 
@@ -207,51 +209,24 @@ fn try_record_at(bytes: &[u8], at: usize) -> Option<(WalRecord, usize)> {
 }
 
 /// Salvage-parse one journal file's bytes: sequential decode with
-/// checksum-anchor resync past anything that does not verify. Never
-/// fails — a journal that is all garbage simply yields no records.
+/// checksum-anchor resync ([`resync_walk`]) past anything that does
+/// not verify. Never fails — a journal that is all garbage simply
+/// yields no records. Every byte is the file header, a record, or
+/// skipped.
 pub fn parse_wal(bytes: &[u8]) -> WalSalvage {
-    let mut out = WalSalvage::default();
-    // Tolerate a missing or torn file header by starting the scan at 0;
+    // Tolerate a missing or torn file header by starting the walk at 0;
     // a well-formed file simply has no anchor inside its header.
-    let mut at =
+    let start =
         if bytes.len() >= WAL_HEADER_LEN && bytes[..4] == WAL_MAGIC && bytes[4] == WAL_VERSION {
             WAL_HEADER_LEN
         } else {
-            out.skipped_bytes += bytes.len().min(WAL_HEADER_LEN) as u64;
             0
         };
-    while at < bytes.len() {
-        match try_record_at(bytes, at) {
-            Some((rec, next)) => {
-                out.records.push(rec);
-                at = next;
-            }
-            None => {
-                // Resync: scan forward for the next anchor that yields
-                // a verifying record.
-                let mut found = None;
-                let mut probe = at + 1;
-                while probe + 4 <= bytes.len() {
-                    if bytes[probe..probe + 4] == WAL_RECORD_MAGIC {
-                        if let Some(hit) = try_record_at(bytes, probe) {
-                            found = Some((probe, hit));
-                            break;
-                        }
-                    }
-                    probe += 1;
-                }
-                match found {
-                    Some((probe, (rec, next))) => {
-                        out.skipped_bytes += (probe - at) as u64;
-                        out.records.push(rec);
-                        at = next;
-                    }
-                    None => {
-                        out.skipped_bytes += (bytes.len() - at) as u64;
-                        break;
-                    }
-                }
-            }
+    let mut out = WalSalvage::default();
+    for segment in resync_walk(bytes, start, |_| false, |at| try_record_at(bytes, at)).0 {
+        match segment {
+            Segment::Record { record, .. } => out.records.push(record),
+            Segment::Gap { len, .. } => out.skipped_bytes += len,
         }
     }
     out
@@ -478,6 +453,33 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0; 64]);
         assert!(parse_wal(&bytes).records.is_empty());
+    }
+
+    #[test]
+    fn every_byte_is_header_record_or_skipped_once() {
+        let a = rec("t", 1, "a", &[1; 40]);
+        let b = rec("t", 2, "b", &[2; 40]);
+        let c = rec("t", 3, "c", &[3; 40]);
+        let full = journal(&[a.clone(), b.clone(), c.clone()]);
+        let mut torn_header = full.clone();
+        torn_header[1] ^= 0xff;
+        let torn_tail = full[..full.len() - 5].to_vec();
+        let mut flipped = full.clone();
+        flipped[WAL_HEADER_LEN + a.encoded_len() + 20] ^= 0xff;
+        for (bytes, header, kept) in [
+            (vec![0xAA; 300], 0, vec![]),
+            (torn_header, 0, vec![a.clone(), b.clone(), c.clone()]),
+            (torn_tail, WAL_HEADER_LEN, vec![a.clone(), b]),
+            (flipped, WAL_HEADER_LEN, vec![a, c]),
+        ] {
+            let salvage = parse_wal(&bytes);
+            assert_eq!(salvage.records, kept);
+            let framed: usize = kept.iter().map(WalRecord::encoded_len).sum();
+            assert_eq!(
+                header + framed + salvage.skipped_bytes as usize,
+                bytes.len()
+            );
+        }
     }
 
     #[test]
