@@ -1,10 +1,22 @@
-//! Hand-rolled argument parsing (no external dependencies).
+//! Argument parsing from one flag table (no external dependencies).
+//!
+//! Each row of [`FLAGS`] declares one flag: its spelling as the usage
+//! shows it, the subcommands that take it, its help, the library option
+//! it writes and the range that option must hold. [`parse`] walks argv
+//! against the table, starting every option at its library `Default`;
+//! [`usage`] renders the option sections from the same rows.
 
-use isobar::{CodecId, CompressionLevel, KernelSelection, Linearization, Preference};
+use isobar::{
+    CodecId, CompressionLevel, IsobarOptions, KernelSelection, Linearization, Preference,
+};
+use isobar_server::ServeOptions;
+use isobar_store::ShardedOptions;
+use std::fmt::{Debug, Display};
 use std::path::PathBuf;
+use std::time::Duration;
 
-/// Usage text printed on parse errors and `--help`.
-pub const USAGE: &str = "\
+/// The subcommand synopsis that heads the usage text.
+const SYNOPSIS: &str = "\
 usage:
   isobar compress   --width N [options] IN OUT   compress an element array
   isobar decompress IN OUT                       restore the original bytes
@@ -21,90 +33,62 @@ usage:
   isobar store ls   DIR                          list a store's contents
   isobar store compact DIR                       drop superseded entries and
                                                  sweep unreferenced segments
-  isobar serve      DIR [serve options]          run the checkpoint daemon in
+  isobar serve      DIR [options]                run the checkpoint daemon in
                                                  front of a sharded store
                                                  (SIGINT/SIGTERM drain and
                                                  commit cleanly)
+  isobar help                                    print this text";
 
-compress options:
-  --width N            element width in bytes (1..=64, required)
-  --prefer speed|ratio end-user preference (default: ratio)
-  --ratio-floor F      first solver, fastest first, with sample CR >= F
-  --codec zlib|bzlib2  skip EUPA, force this solver
-  --linearize row|column  skip EUPA, force this linearization
-  --level fast|default|best  solver effort (default: default)
-  --tau F              analyzer tolerance factor (default: 1.42)
-  --chunk N            chunk size in elements (default: 375000)
-  --parallel           compress chunks on all cores
-  --kernels=scalar|auto
-                       pin the SIMD kernel dispatch (default: auto —
-                       the best tier the CPU supports; also settable
-                       via the ISOBAR_KERNELS environment variable)
-  --stream             constant-memory mode: one chunk in flight, the
-                       input is never held whole (its length then goes
-                       in the container's trailer); not with --parallel
-  --stats[=table|json|prometheus]
-                       print per-stage telemetry after the run
-                       (default format: table)
-  --trace FILE         write a Chrome trace-event JSON timeline of the
-                       run (load in Perfetto / chrome://tracing)
-  --quiet              suppress the summary report
-
-decompress options:
-  --skip-corrupt       zero-fill damaged chunks instead of failing;
-                       damage shows up under --stats
-  --no-verify          skip embedded checksum verification (decode
-                       speed over damage detection)
-  --kernels=scalar|auto
-                       pin the SIMD kernel dispatch (default: auto)
-  --stats[=table|json|prometheus]
-                       print per-stage telemetry after the run
-  --trace FILE         write a Chrome trace-event JSON timeline
-
-store options:
-  --name V             variable name (put/get, required)
-  --step N             time step (put/get, required)
-  --width N            element width in bytes (put, required)
-  --shards N           segment pipelines to write with (put/compact;
-                       default 4)
-  --queue-depth N      in-flight variables per shard before put blocks
-                       (put; default 2)
-  --no-verify          skip checksum verification on reads (get/ls)
-
-serve options:
-  --addr HOST:PORT     request listener address (default 127.0.0.1:7227;
-                       port 0 picks an ephemeral port)
-  --metrics HOST:PORT  also serve Prometheus text exposition on
-                       http://HOST:PORT/metrics
-  --shards N           segment pipelines per generation (default 4)
-  --queue-depth N      in-flight variables per shard (default 2)
-  --max-payload N      largest accepted put payload in bytes
-                       (default 67108864 = 64 MiB)
-  --max-inflight N     uncommitted-byte budget before puts get Busy
-                       (default 268435456 = 256 MiB)
-  --commit-every N     pending bytes that trigger a generation commit
-                       (default 67108864 = 64 MiB)
-  --max-connections N  concurrent connections before Busy (default 256)
-  --slow-ms N          log requests at or past N milliseconds to
-                       slow.jsonl and count them (default: off)
-  --flight-recorder DIR
-                       keep trace rings warm and write Chrome trace
-                       dumps under DIR on SIGUSR1, panic, and slow
-                       requests; slow.jsonl lands here too
-  --debug-endpoint     also serve a /debug/stats JSON snapshot on the
-                       --metrics listener
-  --no-wal             skip the write-ahead journal: puts are acked
-                       before they are durable, and a crash between
-                       commits loses them (the pre-journal contract)
-  --idle-timeout N     drop connections idle between requests for N
-                       seconds; 0 keeps them forever (default 300)
-  --frame-deadline N   abort requests whose frame stops making
-                       progress for N seconds total (default 30)
-
+/// The note that closes the usage text.
+const NOTES: &str = "\
 info, fsck, salvage and decompress take a container in either form,
 batch or streamed; fsck and salvage also take a checkpoint store (a
 directory is treated as a v3 sharded store). fsck exits 0 for a clean
 file and 3 when it finds damage.";
+
+/// Where `serve` listens unless `--addr` says otherwise.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7227";
+
+/// A subcommand, as the flag table names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sub {
+    Compress,
+    Decompress,
+    Analyze,
+    Info,
+    Fsck,
+    Salvage,
+    StorePut,
+    StoreGet,
+    StoreLs,
+    StoreCompact,
+    Serve,
+    Help,
+}
+
+/// Every subcommand as it is typed (aliases aside), in usage order.
+const SUBS: [(Sub, &str); 12] = [
+    (Sub::Compress, "compress"),
+    (Sub::Decompress, "decompress"),
+    (Sub::Analyze, "analyze"),
+    (Sub::Info, "info"),
+    (Sub::Fsck, "fsck"),
+    (Sub::Salvage, "salvage"),
+    (Sub::StorePut, "store put"),
+    (Sub::StoreGet, "store get"),
+    (Sub::StoreLs, "store ls"),
+    (Sub::StoreCompact, "store compact"),
+    (Sub::Serve, "serve"),
+    (Sub::Help, "help"),
+];
+
+impl Sub {
+    fn name(self) -> &'static str {
+        SUBS.iter()
+            .find(|(sub, _)| *sub == self)
+            .map_or("", |(_, name)| name)
+    }
+}
 
 /// How `--stats` output should be rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,1198 +101,872 @@ pub enum StatsFormat {
     Prometheus,
 }
 
-impl StatsFormat {
-    fn parse_flag(arg: &str) -> Option<Result<StatsFormat, String>> {
-        match arg {
-            "--stats" | "--stats=table" => Some(Ok(StatsFormat::Table)),
-            "--stats=json" => Some(Ok(StatsFormat::Json)),
-            "--stats=prometheus" => Some(Ok(StatsFormat::Prometheus)),
-            _ => arg.strip_prefix("--stats=").map(|other| {
-                Err(format!(
-                    "--stats must be table|json|prometheus, got '{other}'"
-                ))
-            }),
+/// Telemetry, tracing and kernel pinning for one compress or
+/// decompress run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunFlags {
+    /// Print telemetry after the run, in this format (`--stats`).
+    pub stats: Option<StatsFormat>,
+    /// Write a Chrome trace-event timeline of the run here (`--trace`).
+    pub trace: Option<PathBuf>,
+    /// Pin the SIMD kernel dispatch (`--kernels=`), if given.
+    pub kernels: Option<KernelSelection>,
+}
+
+/// A checked command line: the subcommand, exactly the operands it
+/// takes, every flag it requires, and the values its flags set.
+#[derive(Debug)]
+pub struct Command {
+    pub sub: Sub,
+    pub paths: Vec<PathBuf>,
+    pub opts: Opts,
+}
+
+/// Every value a flag can set, each starting at its library default.
+#[derive(Debug, Default)]
+pub struct Opts {
+    /// Compress pipeline options; also analyze's `--tau` and the
+    /// `--no-verify` of decompress and store get/ls.
+    pub isobar: IsobarOptions,
+    /// Store put and compact.
+    pub sharded: ShardedOptions,
+    pub serve: ServeOptions,
+    pub addr: Option<String>,
+    pub metrics: Option<String>,
+    pub width: usize,
+    pub ratio_floor: Option<f64>,
+    pub name: String,
+    pub step: u32,
+    pub stream: bool,
+    pub quiet: bool,
+    pub bits: bool,
+    pub skip_corrupt: bool,
+    pub run: RunFlags,
+}
+
+/// One flag's value as it was typed.
+struct Arg<'a> {
+    flag: &'static str,
+    raw: &'a str,
+}
+
+impl Arg<'_> {
+    fn num<T: std::str::FromStr>(&self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.raw.parse().map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    fn refuse(&self, expect: &str) -> String {
+        format!("{} must be {expect}, got '{}'", self.flag, self.raw)
+    }
+
+    fn pick<T: Copy>(&self, expect: &str, choices: &[(&str, T)]) -> Result<T, String> {
+        let found = choices.iter().find(|(spelled, _)| *spelled == self.raw);
+        found
+            .map(|&(_, value)| value)
+            .ok_or_else(|| self.refuse(expect))
+    }
+}
+
+/// Where a flag's value comes from.
+enum Take<'a> {
+    /// A switch takes none.
+    Nothing,
+    /// The next argument.
+    Next,
+    /// Attached with `=`, or what a bare optional flag stands for.
+    Given(&'a str),
+}
+
+type Setter = fn(&mut Opts, Arg<'_>) -> Result<(), String>;
+
+/// One row of the flag table.
+struct Flag {
+    /// The flag as the usage spells it: `--name`, its metavar, then
+    /// `, -alias` and the metavar again. The metavar is the grammar:
+    /// none for a switch, ` N` for the next argument, `=A|B` attached,
+    /// `[=A|B]` attached or bare (standing for `A`).
+    spelling: &'static str,
+    takes: &'static [Sub],
+    help: &'static str,
+    set: Setter,
+    /// The default the usage states, read from the library's `Default`.
+    default: Option<fn(&Opts, Sub) -> String>,
+    /// The refusal for an out-of-range value. It runs after the walk,
+    /// so the last spelling of a repeated flag is the one judged.
+    check: Option<fn(&Opts) -> Option<String>>,
+}
+
+const fn flag(
+    spelling: &'static str,
+    takes: &'static [Sub],
+    help: &'static str,
+    set: Setter,
+) -> Flag {
+    Flag {
+        spelling,
+        takes,
+        help,
+        set,
+        default: None,
+        check: None,
+    }
+}
+
+impl Flag {
+    const fn shows(mut self, default: fn(&Opts, Sub) -> String) -> Flag {
+        self.default = Some(default);
+        self
+    }
+
+    const fn check(mut self, check: fn(&Opts) -> Option<String>) -> Flag {
+        self.check = Some(check);
+        self
+    }
+
+    fn name(&self) -> &'static str {
+        self.spelling
+            .split([' ', '=', '[', ','])
+            .next()
+            .unwrap_or_default()
+    }
+
+    fn alias(&self) -> Option<&'static str> {
+        let (_, alias) = self.spelling.split_once(", ")?;
+        alias.split(' ').next()
+    }
+
+    /// Where this flag reads its value from when spelled `--name`
+    /// (`attached` = `None`) or `--name=value`; `None` if it is never
+    /// spelled that way.
+    fn take<'a>(&self, attached: Option<&'a str>) -> Option<Take<'a>> {
+        let grammar = &self.spelling[self.name().len()..];
+        match (grammar.chars().next(), attached) {
+            (None | Some(','), None) => Some(Take::Nothing),
+            (Some(' '), None) => Some(Take::Next),
+            (Some('=' | '['), Some(value)) => Some(Take::Given(value)),
+            (Some('['), None) => grammar[2..].split(['|', ']']).next().map(Take::Given),
+            _ => None,
         }
     }
 }
 
-/// Parse a `--kernels=scalar|auto` flag, if `arg` is one.
-fn parse_kernels_flag(arg: &str) -> Option<Result<KernelSelection, String>> {
-    arg.strip_prefix("--kernels=").map(|value| {
-        KernelSelection::parse(value)
-            .ok_or_else(|| format!("--kernels must be scalar|auto, got '{value}'"))
+/// Store `value` in `slot`: the body of every setter.
+fn put<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// A library value as the usage spells it (`Ratio` → `ratio`).
+fn lower(value: impl Debug) -> String {
+    format!("{value:?}").to_lowercase()
+}
+
+/// `refusal` when `bad`.
+fn refuse_if(bad: bool, refusal: &str) -> Option<String> {
+    bad.then(|| refusal.to_string())
+}
+
+const COMPRESS: &[Sub] = &[Sub::Compress];
+const RUN: &[Sub] = &[Sub::Compress, Sub::Decompress];
+const KEY: &[Sub] = &[Sub::StorePut, Sub::StoreGet];
+const SERVE: &[Sub] = &[Sub::Serve];
+
+/// Every flag the CLI takes, one row each (laid out as a table, which
+/// rustfmt would stack one argument per line).
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--width N, -w N", &[Sub::Compress, Sub::Analyze, Sub::StorePut], "element width in bytes, 1..=64 (required)",
+        |o, a| put(&mut o.width, a.num()?))
+        .check(|o| (!(1..=64).contains(&o.width)).then(|| format!("--width must be in 1..=64, got {}", o.width))),
+    flag("--prefer speed|ratio", COMPRESS, "end-user preference", |o, a| {
+        let choices = [("speed", Preference::Speed), ("ratio", Preference::Ratio)];
+        put(&mut o.isobar.preference, a.pick("speed|ratio", &choices)?)
+    }).shows(|o, _| lower(o.isobar.preference)),
+    flag("--ratio-floor F", COMPRESS, "first solver, fastest first, with sample CR >= F",
+        |o, a| put(&mut o.ratio_floor, Some(a.num()?)))
+        .check(|o| o.ratio_floor.filter(|f| !f.is_finite()).map(|f| format!("--ratio-floor must be finite, got {f}"))),
+    flag("--codec zlib|bzlib2", COMPRESS, "skip EUPA, force this solver", |o, a| {
+        let choices = [("zlib", CodecId::Deflate), ("deflate", CodecId::Deflate),
+                       ("bzlib2", CodecId::Bzip2Like), ("bzip2", CodecId::Bzip2Like)];
+        put(&mut o.isobar.codec_override, Some(a.pick("zlib|bzlib2", &choices)?))
+    }),
+    flag("--linearize row|column", COMPRESS, "skip EUPA, force this linearization", |o, a| {
+        let choices = [("row", Linearization::Row), ("column", Linearization::Column)];
+        put(&mut o.isobar.linearization_override, Some(a.pick("row|column", &choices)?))
+    }),
+    flag("--level fast|default|best", COMPRESS, "solver effort", |o, a| {
+        let choices = [("fast", CompressionLevel::Fast), ("default", CompressionLevel::Default),
+                       ("best", CompressionLevel::Best)];
+        put(&mut o.isobar.level, a.pick("fast|default|best", &choices)?)
+    }).shows(|o, _| lower(o.isobar.level)),
+    flag("--tau F", &[Sub::Compress, Sub::Analyze], "analyzer tolerance factor, in (0, 256]",
+        |o, a| put(&mut o.isobar.tau, a.num()?))
+        .shows(|o, _| o.isobar.tau.to_string())
+        .check(|o| refuse_if(!(o.isobar.tau > 0.0 && o.isobar.tau <= 256.0), "--tau must be in (0, 256]")),
+    flag("--chunk N", COMPRESS, "chunk size in elements", |o, a| put(&mut o.isobar.chunk_elements, a.num()?))
+        .shows(|o, _| o.isobar.chunk_elements.to_string())
+        .check(|o| refuse_if(o.isobar.chunk_elements == 0, "--chunk must be positive")),
+    flag("--parallel", COMPRESS, "compress chunks on all cores", |o, _| put(&mut o.isobar.parallel, true)),
+    flag("--stream", COMPRESS, "constant memory: one chunk in flight, the input never\n\
+                                held whole (its length goes in the trailer)", |o, _| put(&mut o.stream, true)),
+    flag("--quiet, -q", COMPRESS, "suppress the summary report", |o, _| put(&mut o.quiet, true)),
+    flag("--skip-corrupt", &[Sub::Decompress], "zero-fill damaged chunks instead of failing",
+        |o, _| put(&mut o.skip_corrupt, true)),
+    flag("--no-verify", &[Sub::Decompress, Sub::StoreGet, Sub::StoreLs], "skip checksum verification",
+        |o, _| put(&mut o.isobar.verify, false)),
+    flag("--kernels=scalar|auto", RUN, "pin the SIMD kernels (or set ISOBAR_KERNELS)", |o, a| {
+        let kernels = KernelSelection::parse(a.raw).ok_or_else(|| a.refuse("scalar|auto"))?;
+        put(&mut o.run.kernels, Some(kernels))
+    }).shows(|_, _| lower(KernelSelection::default())),
+    flag("--stats[=table|json|prometheus]", RUN, "print per-stage telemetry after the run", |o, a| {
+        let choices = [("table", StatsFormat::Table), ("json", StatsFormat::Json),
+                       ("prometheus", StatsFormat::Prometheus)];
+        put(&mut o.run.stats, Some(a.pick("table|json|prometheus", &choices)?))
+    }),
+    flag("--trace FILE", RUN, "write a Chrome trace-event JSON timeline of the run",
+        |o, a| put(&mut o.run.trace, Some(a.raw.into()))),
+    flag("--bits", &[Sub::Analyze], "also print the per-bit-position profile", |o, _| put(&mut o.bits, true)),
+    flag("--name V", KEY, "variable name (required)", |o, a| put(&mut o.name, a.raw.into())),
+    flag("--step N", KEY, "time step (required)", |o, a| put(&mut o.step, a.num()?)),
+    flag("--shards N", &[Sub::StorePut, Sub::StoreCompact, Sub::Serve], "segment pipelines per generation", |o, a| {
+        o.serve.shards = a.num()?;
+        put(&mut o.sharded.shards, o.serve.shards)
     })
-}
+        .shows(|o, sub| (if sub == Sub::Serve { o.serve.shards } else { o.sharded.shards }).to_string())
+        .check(|o| refuse_if(o.sharded.shards == 0, "--shards must be positive")),
+    flag("--queue-depth N", &[Sub::StorePut, Sub::Serve], "in-flight variables per shard", |o, a| {
+        o.serve.queue_depth = a.num()?;
+        put(&mut o.sharded.queue_depth, o.serve.queue_depth)
+    })
+        .shows(|o, sub| (if sub == Sub::Serve { o.serve.queue_depth } else { o.sharded.queue_depth }).to_string())
+        .check(|o| refuse_if(o.sharded.queue_depth == 0, "--queue-depth must be positive")),
+    flag("--addr HOST:PORT", SERVE, "request listener (port 0 picks one)", |o, a| put(&mut o.addr, Some(a.raw.into())))
+        .shows(|_, _| DEFAULT_ADDR.to_string()),
+    flag("--metrics HOST:PORT", SERVE, "also serve Prometheus text on /metrics",
+        |o, a| put(&mut o.metrics, Some(a.raw.into()))),
+    flag("--max-payload N", SERVE, "largest accepted put payload in bytes",
+        |o, a| put(&mut o.serve.max_payload, a.num()?))
+        .shows(|o, _| o.serve.max_payload.to_string())
+        .check(|o| {
+            let (n, max) = (o.serve.max_payload, u32::MAX);
+            (n == 0 || n > u64::from(max)).then(|| format!("--max-payload must be in 1..={max}, got {n}"))
+        }),
+    flag("--max-inflight N", SERVE, "uncommitted-byte budget before puts get Busy",
+        |o, a| put(&mut o.serve.max_inflight_bytes, a.num()?))
+        .shows(|o, _| o.serve.max_inflight_bytes.to_string()),
+    flag("--commit-every N", SERVE, "pending bytes that trigger a generation commit",
+        |o, a| put(&mut o.serve.commit_threshold, a.num()?))
+        .shows(|o, _| o.serve.commit_threshold.to_string()),
+    flag("--max-connections N", SERVE, "concurrent connections before Busy",
+        |o, a| put(&mut o.serve.max_connections, a.num()?))
+        .shows(|o, _| o.serve.max_connections.to_string())
+        .check(|o| refuse_if(o.serve.max_connections == 0, "--max-connections must be positive")),
+    flag("--slow-ms N", SERVE, "count and log requests of N ms or more (off unless given)",
+        |o, a| put(&mut o.serve.slow_ms, Some(a.num()?))),
+    flag("--flight-recorder DIR", SERVE, "keep trace rings warm; dump them (and slow.jsonl) here",
+        |o, a| put(&mut o.serve.flight_recorder, Some(a.raw.into()))),
+    flag("--debug-endpoint", SERVE, "also serve /debug/stats on the --metrics listener",
+        |o, _| put(&mut o.serve.debug_endpoint, true)),
+    flag("--no-wal", SERVE, "skip the write-ahead journal: an acked put may be\n\
+                             lost in a crash before the next commit", |o, _| put(&mut o.serve.wal, false)),
+    flag("--idle-timeout N", SERVE, "drop connections idle N seconds; 0 keeps them", |o, a| {
+        let secs = a.num()?;
+        put(&mut o.serve.idle_timeout, (secs != 0).then(|| Duration::from_secs(secs)))
+    }).shows(|o, _| o.serve.idle_timeout.map_or(0, |t| t.as_secs()).to_string()),
+    flag("--frame-deadline N", SERVE, "abort requests whose frame takes over N seconds",
+        |o, a| put(&mut o.serve.frame_deadline, Duration::from_secs(a.num()?)))
+        .shows(|o, _| o.serve.frame_deadline.as_secs().to_string())
+        .check(|o| refuse_if(o.serve.frame_deadline.is_zero(),
+                             "--frame-deadline must be positive (it bounds slowloris clients)")),
+];
 
-/// A parsed command.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Compress `input` into `output`.
-    Compress {
-        /// Source file.
-        input: PathBuf,
-        /// Destination container.
-        output: PathBuf,
-        /// Element width.
-        width: usize,
-        /// Pipeline options.
-        options: CompressOptions,
-        /// Keep one chunk in flight instead of holding the input.
-        stream: bool,
-        /// Suppress the summary.
-        quiet: bool,
-        /// Print telemetry after the run, in this format.
-        stats: Option<StatsFormat>,
-        /// Write a Chrome trace-event timeline of the run here.
-        trace: Option<PathBuf>,
-        /// Pin the SIMD kernel dispatch (`--kernels=`), if given.
-        kernels: Option<KernelSelection>,
-    },
-    /// Decompress `input` into `output`.
-    Decompress {
-        /// Source container.
-        input: PathBuf,
-        /// Destination file.
-        output: PathBuf,
-        /// Zero-fill damaged chunks instead of failing the run.
-        skip_corrupt: bool,
-        /// Verify embedded checksums while decoding (on by default;
-        /// `--no-verify` clears it).
-        verify: bool,
-        /// Print telemetry after the run, in this format.
-        stats: Option<StatsFormat>,
-        /// Write a Chrome trace-event timeline of the run here.
-        trace: Option<PathBuf>,
-        /// Pin the SIMD kernel dispatch (`--kernels=`), if given.
-        kernels: Option<KernelSelection>,
-    },
-    /// Analyze and report, without writing anything.
-    Analyze {
-        /// Source file.
-        input: PathBuf,
-        /// Element width.
-        width: usize,
-        /// Analyzer tolerance.
-        tau: f64,
-        /// Also print the per-bit-position probability profile.
-        bits: bool,
-    },
-    /// Describe an existing container's header.
-    Info {
-        /// Container file.
-        input: PathBuf,
-    },
-    /// Walk a container or store and verify every embedded checksum
-    /// without decompressing payloads.
-    Fsck {
-        /// Container file or store directory to check.
-        input: PathBuf,
-    },
-    /// Recover every intact chunk or record from a damaged file into
-    /// a fresh, fully valid one.
-    Salvage {
-        /// Damaged container file or store directory.
-        input: PathBuf,
-        /// Destination for the salvaged file.
-        output: PathBuf,
-    },
-    /// Append one variable to (creating if needed) a version-3
-    /// sharded store directory.
-    StorePut {
-        /// Store directory.
-        dir: PathBuf,
-        /// Raw element-array file to compress and store.
-        input: PathBuf,
-        /// Variable name.
-        name: String,
-        /// Time step.
-        step: u32,
-        /// Element width in bytes.
-        width: usize,
-        /// Segment pipelines (shards) to write with.
-        shards: u16,
-        /// In-flight variables per shard before `put` blocks.
-        queue_depth: usize,
-    },
-    /// Read one variable out of a store (any version) into a file.
-    StoreGet {
-        /// Store path (directory or single file).
-        dir: PathBuf,
-        /// Destination for the decompressed bytes.
-        output: PathBuf,
-        /// Variable name.
-        name: String,
-        /// Time step.
-        step: u32,
-        /// Verify checksums while reading (`--no-verify` clears it).
-        verify: bool,
-    },
-    /// List a store's entries, segments, and space accounting.
-    StoreLs {
-        /// Store path (directory or single file).
-        dir: PathBuf,
-        /// Verify checksums while reading (`--no-verify` clears it).
-        verify: bool,
-    },
-    /// Rewrite a version-3 store without its superseded entries and
-    /// sweep unreferenced segment files.
-    StoreCompact {
-        /// Store directory.
-        dir: PathBuf,
-        /// Shards for the rewritten generation (default: keep 4).
-        shards: Option<u16>,
-    },
-    /// Run the checkpoint daemon in front of a sharded store.
-    Serve {
-        /// Store directory (created if missing).
-        dir: PathBuf,
-        /// Request listener address.
-        addr: String,
-        /// Optional Prometheus `/metrics` listener address.
-        metrics: Option<String>,
-        /// Segment pipelines per generation.
-        shards: u16,
-        /// In-flight variables per shard.
-        queue_depth: usize,
-        /// Largest accepted put payload in bytes.
-        max_payload: u64,
-        /// Uncommitted-byte budget before puts answer Busy.
-        max_inflight: u64,
-        /// Pending bytes that trigger a generation commit.
-        commit_threshold: u64,
-        /// Concurrent connections before Busy.
-        max_connections: usize,
-        /// Slow-request threshold in milliseconds, if set.
-        slow_ms: Option<u64>,
-        /// Flight-recorder output directory, if enabled.
-        flight_recorder: Option<PathBuf>,
-        /// Serve `/debug/stats` on the metrics listener.
-        debug_endpoint: bool,
-        /// Journal puts before acking them (off restores the
-        /// acked-but-lost-on-crash contract).
-        wal: bool,
-        /// Seconds a connection may idle between requests; 0 disables
-        /// the reaper.
-        idle_timeout_secs: u64,
-        /// Seconds one request frame may take end to end.
-        frame_deadline_secs: u64,
-    },
-}
-
-/// Compression knobs gathered from flags.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressOptions {
-    /// EUPA preference.
-    pub preference: Preference,
-    /// Solver effort.
-    pub level: CompressionLevel,
-    /// Analyzer tolerance.
-    pub tau: f64,
-    /// Chunk size in elements.
-    pub chunk_elements: usize,
-    /// Forced solver, if any.
-    pub codec: Option<CodecId>,
-    /// Forced linearization, if any.
-    pub linearization: Option<Linearization>,
-    /// Multi-threaded chunk compression.
-    pub parallel: bool,
-}
-
-impl Default for CompressOptions {
-    fn default() -> Self {
-        CompressOptions {
-            preference: Preference::Ratio,
-            level: CompressionLevel::Default,
-            tau: isobar::DEFAULT_TAU,
-            chunk_elements: isobar::chunk::DEFAULT_CHUNK_ELEMENTS,
-            codec: None,
-            linearization: None,
-            parallel: false,
+/// The usage text: the synopsis, then each subcommand's options as the
+/// table declares them, with the defaults read from the library.
+pub fn usage() -> String {
+    let defaults = Opts::default();
+    let mut text = SYNOPSIS.to_string();
+    for (sub, name) in SUBS {
+        let mut rows = FLAGS.iter().filter(|f| f.takes.contains(&sub)).peekable();
+        if rows.peek().is_some() {
+            text += &format!("\n\n{name} options:");
+        }
+        for f in rows {
+            let help = f.help.replace('\n', &format!("\n{:23}", ""));
+            text += &match f.spelling {
+                short if short.len() <= 20 => format!("\n  {short:21}{help}"),
+                long => format!("\n  {long}\n{:23}{help}", ""),
+            };
+            if let Some(default) = f.default {
+                text += &format!(" (default: {})", default(&defaults, sub));
+            }
         }
     }
+    text + "\n\n" + NOTES
 }
 
 /// Parse `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter().peekable();
-    let sub = it.next().ok_or("missing subcommand")?;
-    match sub.as_str() {
-        "compress" | "c" => parse_compress(&mut it),
-        "decompress" | "d" => {
-            let mut skip_corrupt = false;
-            let mut verify = true;
-            let mut stats = None;
-            let mut trace = None;
-            let mut kernels = None;
-            let mut paths: Vec<PathBuf> = Vec::new();
-            while let Some(arg) = it.next() {
-                if let Some(parsed) = StatsFormat::parse_flag(arg) {
-                    stats = Some(parsed?);
-                    continue;
-                }
-                if let Some(parsed) = parse_kernels_flag(arg) {
-                    kernels = Some(parsed?);
-                    continue;
-                }
-                match arg.as_str() {
-                    "--skip-corrupt" => skip_corrupt = true,
-                    "--no-verify" => verify = false,
-                    "--trace" => trace = Some(PathBuf::from(value(&mut it, "--trace")?)),
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag '{other}'"))
-                    }
-                    other => paths.push(PathBuf::from(other)),
-                }
+    let mut args = argv.iter().map(String::as_str);
+    let sub = match args.next().ok_or("missing subcommand")? {
+        "compress" | "c" => Sub::Compress,
+        "decompress" | "d" => Sub::Decompress,
+        "analyze" | "a" => Sub::Analyze,
+        "info" | "i" => Sub::Info,
+        "fsck" => Sub::Fsck,
+        "salvage" => Sub::Salvage,
+        "store" => match args
+            .next()
+            .ok_or("store requires a verb: put|get|ls|compact")?
+        {
+            "put" => Sub::StorePut,
+            "get" => Sub::StoreGet,
+            "ls" => Sub::StoreLs,
+            "compact" => Sub::StoreCompact,
+            other => {
+                return Err(format!(
+                    "unknown store verb '{other}' (try put|get|ls|compact)"
+                ))
             }
-            if skip_corrupt && !verify {
+        },
+        "serve" => Sub::Serve,
+        "--help" | "-h" | "help" => Sub::Help,
+        other => return Err(format!("unknown subcommand '{other}'")),
+    };
+    let mut o = Opts::default();
+    if sub == Sub::Help {
+        return Ok(Command {
+            sub,
+            paths: Vec::new(),
+            opts: o,
+        });
+    }
+    let (mut operands, mut seen) = (Vec::new(), Vec::new());
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') {
+            operands.push(arg);
+            continue;
+        }
+        let (spelled, attached) = match arg.split_once('=') {
+            Some((spelled, value)) => (spelled, Some(value)),
+            None => (arg, None),
+        };
+        let (flag, take) = FLAGS
+            .iter()
+            .filter(|f| f.name() == spelled || f.alias() == Some(spelled))
+            .find_map(|f| Some((f, f.take(attached)?)))
+            .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+        let name = flag.name();
+        if !flag.takes.contains(&sub) {
+            return Err(format!("'{name}' does not apply to '{}'", sub.name()));
+        }
+        let raw = match take {
+            Take::Nothing => "",
+            Take::Given(value) => value,
+            Take::Next => args
+                .next()
+                .ok_or_else(|| format!("{name} requires a value"))?,
+        };
+        (flag.set)(&mut o, Arg { flag: name, raw })?;
+        seen.push(name);
+    }
+    let given = FLAGS.iter().filter(|f| seen.contains(&f.name()));
+    if let Some(refusal) = given.filter_map(|f| f.check).find_map(|check| check(&o)) {
+        return Err(refusal);
+    }
+
+    // What each subcommand requires beyond its flags' own ranges, in
+    // the order it is refused.
+    let need = |flag: &str| {
+        let refusal = format!("{} requires {flag}", sub.name());
+        seen.contains(&flag).then_some(()).ok_or(refusal)
+    };
+    let count = |n: usize, refusal: &str| {
+        (operands.len() == n)
+            .then_some(())
+            .ok_or(refusal.to_string())
+    };
+    match sub {
+        Sub::Compress => {
+            if let Some(floor) = o.ratio_floor {
+                o.isobar.preference = Preference::SpeedWithRatioFloor(floor);
+            }
+            if o.stream && o.isobar.parallel {
+                return Err(
+                    "--stream keeps one chunk in flight, --parallel needs several: use one".into(),
+                );
+            }
+            need("--width")?;
+            count(2, "compress requires exactly IN and OUT paths")?;
+        }
+        Sub::Decompress => {
+            if o.skip_corrupt && !o.isobar.verify {
                 return Err("--skip-corrupt needs checksums to find intact chunks; \
                      it cannot be combined with --no-verify"
-                    .to_string());
+                    .into());
             }
-            let [input, output]: [PathBuf; 2] = paths
-                .try_into()
-                .map_err(|_| "decompress requires exactly IN and OUT paths".to_string())?;
-            Ok(Command::Decompress {
-                input,
-                output,
-                skip_corrupt,
-                verify,
-                stats,
-                trace,
-                kernels,
-            })
+            count(2, "decompress requires exactly IN and OUT paths")?;
         }
-        "analyze" | "a" => parse_analyze(&mut it),
-        "info" | "i" => {
-            let input = one_path(&mut it)?;
-            ensure_done(&mut it)?;
-            Ok(Command::Info { input })
+        Sub::Analyze => {
+            need("--width")?;
+            count(1, "analyze requires exactly one IN path")?;
         }
-        "fsck" => {
-            let input = one_path(&mut it)?;
-            ensure_done(&mut it)?;
-            Ok(Command::Fsck { input })
+        Sub::Info | Sub::Fsck | Sub::Salvage => {
+            let n = if sub == Sub::Salvage { 2 } else { 1 };
+            if let Some(extra) = operands.get(n) {
+                return Err(format!("unexpected argument '{extra}'"));
+            }
+            if operands.is_empty() {
+                return Err("missing input path".into());
+            }
+            count(n, "salvage requires IN and OUT paths")?;
         }
-        "salvage" => {
-            let input = one_path(&mut it)?;
-            let output = one_path(&mut it).map_err(|_| "salvage requires IN and OUT paths")?;
-            ensure_done(&mut it)?;
-            Ok(Command::Salvage { input, output })
+        Sub::StorePut => {
+            count(2, "store put requires DIR and IN paths")?;
+            need("--name")?;
+            need("--step")?;
+            need("--width")?;
         }
-        "store" => parse_store(&mut it),
-        "serve" => parse_serve(&mut it),
-        "--help" | "-h" | "help" => Err("".to_string()),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
-}
-
-type ArgIter<'a> = std::iter::Peekable<std::slice::Iter<'a, String>>;
-
-fn parse_compress(it: &mut ArgIter<'_>) -> Result<Command, String> {
-    let mut width: Option<usize> = None;
-    let mut options = CompressOptions::default();
-    let mut ratio_floor: Option<f64> = None;
-    let mut quiet = false;
-    let mut stream = false;
-    let mut stats = None;
-    let mut trace = None;
-    let mut kernels = None;
-    let mut paths: Vec<PathBuf> = Vec::new();
-
-    while let Some(arg) = it.next() {
-        if let Some(parsed) = StatsFormat::parse_flag(arg) {
-            stats = Some(parsed?);
-            continue;
+        Sub::StoreGet => {
+            count(2, "store get requires DIR and OUT paths")?;
+            need("--name")?;
+            need("--step")?;
         }
-        if let Some(parsed) = parse_kernels_flag(arg) {
-            kernels = Some(parsed?);
-            continue;
+        Sub::StoreLs => count(1, "store ls requires exactly one DIR path")?,
+        Sub::StoreCompact => count(1, "store compact requires exactly one DIR path")?,
+        Sub::Serve => {
+            if o.serve.debug_endpoint && o.metrics.is_none() {
+                return Err("--debug-endpoint requires --metrics (it shares that listener)".into());
+            }
+            count(1, "serve requires exactly one DIR path")?;
         }
-        match arg.as_str() {
-            "--stream" => stream = true,
-            "--trace" => trace = Some(PathBuf::from(value(it, "--trace")?)),
-            "--width" | "-w" => {
-                width = Some(value(it, "--width")?.parse().map_err(bad("--width"))?)
-            }
-            "--prefer" => {
-                options.preference = match value(it, "--prefer")?.as_str() {
-                    "speed" => Preference::Speed,
-                    "ratio" => Preference::Ratio,
-                    other => return Err(format!("--prefer must be speed|ratio, got '{other}'")),
-                }
-            }
-            "--ratio-floor" => {
-                ratio_floor = Some(
-                    value(it, "--ratio-floor")?
-                        .parse()
-                        .map_err(bad("--ratio-floor"))?,
-                )
-            }
-            "--codec" => {
-                options.codec = Some(match value(it, "--codec")?.as_str() {
-                    "zlib" | "deflate" => CodecId::Deflate,
-                    "bzlib2" | "bzip2" => CodecId::Bzip2Like,
-                    other => return Err(format!("--codec must be zlib|bzlib2, got '{other}'")),
-                })
-            }
-            "--linearize" => {
-                options.linearization = Some(match value(it, "--linearize")?.as_str() {
-                    "row" => Linearization::Row,
-                    "column" => Linearization::Column,
-                    other => return Err(format!("--linearize must be row|column, got '{other}'")),
-                })
-            }
-            "--level" => {
-                options.level = match value(it, "--level")?.as_str() {
-                    "fast" => CompressionLevel::Fast,
-                    "default" => CompressionLevel::Default,
-                    "best" => CompressionLevel::Best,
-                    other => {
-                        return Err(format!("--level must be fast|default|best, got '{other}'"))
-                    }
-                }
-            }
-            "--tau" => options.tau = value(it, "--tau")?.parse().map_err(bad("--tau"))?,
-            "--chunk" => {
-                options.chunk_elements = value(it, "--chunk")?.parse().map_err(bad("--chunk"))?
-            }
-            "--parallel" => options.parallel = true,
-            "--quiet" | "-q" => quiet = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            other => paths.push(PathBuf::from(other)),
-        }
+        Sub::Help => {}
     }
-
-    if let Some(floor) = ratio_floor {
-        options.preference = Preference::SpeedWithRatioFloor(floor);
-    }
-    if stream && options.parallel {
-        return Err(
-            "--stream keeps one chunk in flight, --parallel needs several: use one".to_string(),
-        );
-    }
-    let width = width.ok_or("compress requires --width")?;
-    if width == 0 || width > 64 {
-        return Err(format!("--width must be in 1..=64, got {width}"));
-    }
-    if options.chunk_elements == 0 {
-        return Err("--chunk must be positive".to_string());
-    }
-    if !(options.tau > 0.0 && options.tau <= 256.0) {
-        return Err("--tau must be in (0, 256]".to_string());
-    }
-    let [input, output]: [PathBuf; 2] = paths
-        .try_into()
-        .map_err(|_| "compress requires exactly IN and OUT paths".to_string())?;
-    Ok(Command::Compress {
-        input,
-        output,
-        width,
-        options,
-        stream,
-        quiet,
-        stats,
-        trace,
-        kernels,
+    let paths = operands.into_iter().map(PathBuf::from).collect();
+    Ok(Command {
+        sub,
+        paths,
+        opts: o,
     })
-}
-
-fn parse_analyze(it: &mut ArgIter<'_>) -> Result<Command, String> {
-    let mut width: Option<usize> = None;
-    let mut tau = isobar::DEFAULT_TAU;
-    let mut bits = false;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--width" | "-w" => {
-                width = Some(value(it, "--width")?.parse().map_err(bad("--width"))?)
-            }
-            "--tau" => tau = value(it, "--tau")?.parse().map_err(bad("--tau"))?,
-            "--bits" => bits = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    let width = width.ok_or("analyze requires --width")?;
-    let [input]: [PathBuf; 1] = paths
-        .try_into()
-        .map_err(|_| "analyze requires exactly one IN path".to_string())?;
-    Ok(Command::Analyze {
-        input,
-        width,
-        tau,
-        bits,
-    })
-}
-
-fn parse_store(it: &mut ArgIter<'_>) -> Result<Command, String> {
-    let verb = it
-        .next()
-        .ok_or("store requires a verb: put|get|ls|compact")?;
-    // The flags each verb takes, as the usage text lists them.
-    let applies: &[&str] = match verb.as_str() {
-        "put" => &["--name", "--step", "--width", "--shards", "--queue-depth"],
-        "get" => &["--name", "--step", "--no-verify"],
-        "ls" => &["--no-verify"],
-        "compact" => &["--shards"],
-        other => {
-            return Err(format!(
-                "unknown store verb '{other}' (try put|get|ls|compact)"
-            ))
-        }
-    };
-
-    let mut name: Option<String> = None;
-    let mut step: Option<u32> = None;
-    let mut width: Option<usize> = None;
-    let mut shards: Option<u16> = None;
-    let mut queue_depth: usize = 2;
-    let mut verify = true;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    while let Some(arg) = it.next() {
-        let flag = if arg == "-w" { "--width" } else { arg.as_str() };
-        match flag {
-            "--name" | "--step" | "--width" | "--shards" | "--queue-depth" | "--no-verify"
-                if !applies.contains(&flag) =>
-            {
-                return Err(format!("'{flag}' does not apply to 'store {verb}'"))
-            }
-            "--name" => name = Some(value(it, "--name")?),
-            "--step" => step = Some(value(it, "--step")?.parse().map_err(bad("--step"))?),
-            "--width" => width = Some(value(it, "--width")?.parse().map_err(bad("--width"))?),
-            "--shards" => shards = Some(value(it, "--shards")?.parse().map_err(bad("--shards"))?),
-            "--queue-depth" => {
-                queue_depth = value(it, "--queue-depth")?
-                    .parse()
-                    .map_err(bad("--queue-depth"))?
-            }
-            "--no-verify" => verify = false,
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    if let Some(shards) = shards {
-        if shards == 0 {
-            return Err("--shards must be positive".to_string());
-        }
-    }
-
-    match verb.as_str() {
-        "put" => {
-            let [dir, input]: [PathBuf; 2] = paths
-                .try_into()
-                .map_err(|_| "store put requires DIR and IN paths".to_string())?;
-            let name = name.ok_or("store put requires --name")?;
-            let step = step.ok_or("store put requires --step")?;
-            let width = width.ok_or("store put requires --width")?;
-            if width == 0 || width > 64 {
-                return Err(format!("--width must be in 1..=64, got {width}"));
-            }
-            if queue_depth == 0 {
-                return Err("--queue-depth must be positive".to_string());
-            }
-            Ok(Command::StorePut {
-                dir,
-                input,
-                name,
-                step,
-                width,
-                shards: shards.unwrap_or(4),
-                queue_depth,
-            })
-        }
-        "get" => {
-            let [dir, output]: [PathBuf; 2] = paths
-                .try_into()
-                .map_err(|_| "store get requires DIR and OUT paths".to_string())?;
-            Ok(Command::StoreGet {
-                dir,
-                output,
-                name: name.ok_or("store get requires --name")?,
-                step: step.ok_or("store get requires --step")?,
-                verify,
-            })
-        }
-        "ls" => {
-            let [dir]: [PathBuf; 1] = paths
-                .try_into()
-                .map_err(|_| "store ls requires exactly one DIR path".to_string())?;
-            Ok(Command::StoreLs { dir, verify })
-        }
-        "compact" => {
-            let [dir]: [PathBuf; 1] = paths
-                .try_into()
-                .map_err(|_| "store compact requires exactly one DIR path".to_string())?;
-            Ok(Command::StoreCompact { dir, shards })
-        }
-        _ => unreachable!("the verb was matched above"),
-    }
-}
-
-fn parse_serve(it: &mut ArgIter<'_>) -> Result<Command, String> {
-    let mut addr = "127.0.0.1:7227".to_string();
-    let mut metrics: Option<String> = None;
-    let mut shards: u16 = 4;
-    let mut queue_depth: usize = 2;
-    let mut max_payload: u64 = 64 << 20;
-    let mut max_inflight: u64 = 256 << 20;
-    let mut commit_threshold: u64 = 64 << 20;
-    let mut max_connections: usize = 256;
-    let mut slow_ms: Option<u64> = None;
-    let mut flight_recorder: Option<PathBuf> = None;
-    let mut debug_endpoint = false;
-    let mut wal = true;
-    let mut idle_timeout_secs: u64 = 300;
-    let mut frame_deadline_secs: u64 = 30;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = value(it, "--addr")?,
-            "--metrics" => metrics = Some(value(it, "--metrics")?),
-            "--shards" => shards = value(it, "--shards")?.parse().map_err(bad("--shards"))?,
-            "--queue-depth" => {
-                queue_depth = value(it, "--queue-depth")?
-                    .parse()
-                    .map_err(bad("--queue-depth"))?
-            }
-            "--max-payload" => {
-                max_payload = value(it, "--max-payload")?
-                    .parse()
-                    .map_err(bad("--max-payload"))?
-            }
-            "--max-inflight" => {
-                max_inflight = value(it, "--max-inflight")?
-                    .parse()
-                    .map_err(bad("--max-inflight"))?
-            }
-            "--commit-every" => {
-                commit_threshold = value(it, "--commit-every")?
-                    .parse()
-                    .map_err(bad("--commit-every"))?
-            }
-            "--max-connections" => {
-                max_connections = value(it, "--max-connections")?
-                    .parse()
-                    .map_err(bad("--max-connections"))?
-            }
-            "--slow-ms" => {
-                slow_ms = Some(value(it, "--slow-ms")?.parse().map_err(bad("--slow-ms"))?)
-            }
-            "--flight-recorder" => {
-                flight_recorder = Some(PathBuf::from(value(it, "--flight-recorder")?))
-            }
-            "--debug-endpoint" => debug_endpoint = true,
-            "--no-wal" => wal = false,
-            "--idle-timeout" => {
-                idle_timeout_secs = value(it, "--idle-timeout")?
-                    .parse()
-                    .map_err(bad("--idle-timeout"))?
-            }
-            "--frame-deadline" => {
-                frame_deadline_secs = value(it, "--frame-deadline")?
-                    .parse()
-                    .map_err(bad("--frame-deadline"))?
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    if shards == 0 {
-        return Err("--shards must be positive".to_string());
-    }
-    if queue_depth == 0 {
-        return Err("--queue-depth must be positive".to_string());
-    }
-    if max_connections == 0 {
-        return Err("--max-connections must be positive".to_string());
-    }
-    if max_payload == 0 || max_payload > u32::MAX as u64 {
-        return Err(format!(
-            "--max-payload must be in 1..={}, got {max_payload}",
-            u32::MAX
-        ));
-    }
-    if debug_endpoint && metrics.is_none() {
-        return Err("--debug-endpoint requires --metrics (it shares that listener)".to_string());
-    }
-    if frame_deadline_secs == 0 {
-        return Err("--frame-deadline must be positive (it bounds slowloris clients)".to_string());
-    }
-    let [dir]: [PathBuf; 1] = paths
-        .try_into()
-        .map_err(|_| "serve requires exactly one DIR path".to_string())?;
-    Ok(Command::Serve {
-        dir,
-        addr,
-        metrics,
-        shards,
-        queue_depth,
-        max_payload,
-        max_inflight,
-        commit_threshold,
-        max_connections,
-        slow_ms,
-        flight_recorder,
-        debug_endpoint,
-        wal,
-        idle_timeout_secs,
-        frame_deadline_secs,
-    })
-}
-
-fn value(it: &mut ArgIter<'_>, flag: &str) -> Result<String, String> {
-    it.next()
-        .map(|s| s.to_string())
-        .ok_or_else(|| format!("{flag} requires a value"))
-}
-
-fn bad<E: std::fmt::Display>(flag: &'static str) -> impl Fn(E) -> String {
-    move |e| format!("{flag}: {e}")
-}
-
-fn one_path(it: &mut ArgIter<'_>) -> Result<PathBuf, String> {
-    Ok(PathBuf::from(
-        it.next().ok_or("missing input path")?.as_str(),
-    ))
-}
-
-fn ensure_done(it: &mut ArgIter<'_>) -> Result<(), String> {
-    match it.next() {
-        None => Ok(()),
-        Some(extra) => Err(format!("unexpected argument '{extra}'")),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn parse_line(line: &str) -> Result<Command, String> {
+        parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// The options `line` parses to, checked to be `sub` with `paths`.
+    #[track_caller]
+    fn parsed(line: &str, sub: Sub, paths: &[&str]) -> Opts {
+        let cmd = parse_line(line).unwrap();
+        assert_eq!(cmd.sub, sub, "{line}");
+        let want: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
+        assert_eq!(cmd.paths, want, "{line}");
+        cmd.opts
+    }
+
+    /// The library option structs do not implement `PartialEq`; their
+    /// `Debug` forms show every field.
+    #[track_caller]
+    fn assert_same<T: Debug>(got: T, want: T) {
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]
     fn parses_minimal_compress() {
-        let cmd = parse(&strings(&[
-            "compress", "--width", "8", "in.bin", "out.isbr",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Compress {
-                width,
-                options,
-                quiet,
-                ..
-            } => {
-                assert_eq!(width, 8);
-                assert_eq!(options, CompressOptions::default());
-                assert!(!quiet);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let line = "compress --width 8 in.bin out.isbr";
+        let o = parsed(line, Sub::Compress, &["in.bin", "out.isbr"]);
+        assert_eq!(o.width, 8);
+        assert_same(o.isobar, IsobarOptions::default());
+        assert!(!o.quiet);
     }
 
     #[test]
     fn parses_full_compress_flags() {
-        let cmd = parse(&strings(&[
-            "compress",
-            "--width",
-            "4",
-            "--prefer",
-            "speed",
-            "--codec",
-            "bzlib2",
-            "--linearize",
-            "column",
-            "--level",
-            "best",
-            "--tau",
-            "1.5",
-            "--chunk",
-            "1000",
-            "--parallel",
-            "--quiet",
-            "a",
-            "b",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Compress {
-                width,
-                options,
-                quiet,
-                ..
-            } => {
-                assert_eq!(width, 4);
-                assert_eq!(options.preference, Preference::Speed);
-                assert_eq!(options.codec, Some(CodecId::Bzip2Like));
-                assert_eq!(options.linearization, Some(Linearization::Column));
-                assert_eq!(options.level, CompressionLevel::Best);
-                assert_eq!(options.tau, 1.5);
-                assert_eq!(options.chunk_elements, 1000);
-                assert!(options.parallel);
-                assert!(quiet);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let o = parsed(
+            "compress --width 4 --prefer speed --codec bzlib2 --linearize column --level best \
+             --tau 1.5 --chunk 1000 --parallel --quiet a b",
+            Sub::Compress,
+            &["a", "b"],
+        );
+        assert_eq!(o.width, 4);
+        assert_eq!(o.isobar.preference, Preference::Speed);
+        assert_eq!(o.isobar.codec_override, Some(CodecId::Bzip2Like));
+        assert_eq!(o.isobar.linearization_override, Some(Linearization::Column));
+        assert_eq!(o.isobar.level, CompressionLevel::Best);
+        assert_eq!(o.isobar.tau, 1.5);
+        assert_eq!(o.isobar.chunk_elements, 1000);
+        assert!(o.isobar.parallel);
+        assert!(o.quiet);
     }
 
     #[test]
     fn ratio_floor_overrides_preference() {
-        let cmd = parse(&strings(&[
-            "compress",
-            "--width",
-            "8",
-            "--ratio-floor",
-            "1.1",
-            "a",
-            "b",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Compress { options, .. } => {
-                assert_eq!(options.preference, Preference::SpeedWithRatioFloor(1.1));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let line = "compress --width 8 --ratio-floor 1.1 a b";
+        let o = parsed(line, Sub::Compress, &["a", "b"]);
+        assert_eq!(o.isobar.preference, Preference::SpeedWithRatioFloor(1.1));
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(parse(&strings(&[])).is_err());
-        assert!(parse(&strings(&["frobnicate"])).is_err());
-        assert!(parse(&strings(&["compress", "a", "b"])).is_err()); // no width
-        assert!(parse(&strings(&["compress", "--width", "0", "a", "b"])).is_err());
-        assert!(parse(&strings(&["compress", "--width", "65", "a", "b"])).is_err());
-        assert!(parse(&strings(&["compress", "--width", "8", "a"])).is_err()); // one path
-        assert!(parse(&strings(&[
-            "compress", "--width", "8", "--prefer", "zippy", "a", "b"
-        ]))
-        .is_err());
-        assert!(parse(&strings(&[
-            "compress", "--width", "8", "--tau", "0", "a", "b"
-        ]))
-        .is_err());
-        assert!(parse(&strings(&["decompress", "only-one"])).is_err());
-        assert!(parse(&strings(&["decompress", "a", "b", "c"])).is_err());
-        assert!(parse(&strings(&["analyze", "a"])).is_err()); // no width
+        for line in [
+            "",
+            "frobnicate",
+            "compress a b", // no width
+            "compress --width 0 a b",
+            "compress --width 65 a b",
+            "compress --width 8 a", // one path
+            "compress --width 8 --prefer zippy a b",
+            "compress --width 8 --tau 0 a b",
+            "decompress only-one",
+            "decompress a b c",
+            "analyze a", // no width
+        ] {
+            assert!(parse_line(line).is_err(), "{line}");
+        }
+        // analyze holds --width and --tau to compress's ranges (the
+        // analyzer asserts τ ∈ (0, 256]); --ratio-floor must be finite.
+        for (line, refusal) in [
+            ("analyze --width 8 --tau 0 x", "--tau must be in (0, 256]"),
+            ("analyze --width 8 --tau nan x", "--tau must be in (0, 256]"),
+            ("analyze --width 8 --tau 300 x", "--tau must be in (0, 256]"),
+            ("analyze --width 0 x", "--width must be in 1..=64, got 0"),
+            ("analyze -w 65 x", "--width must be in 1..=64, got 65"),
+            (
+                "c -w 8 --ratio-floor nan a b",
+                "--ratio-floor must be finite, got NaN",
+            ),
+            (
+                "c -w 8 --ratio-floor inf a b",
+                "--ratio-floor must be finite, got inf",
+            ),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), refusal, "{line}");
+        }
     }
 
     #[test]
     fn parses_other_subcommands() {
+        let o = parsed("decompress a b", Sub::Decompress, &["a", "b"]);
+        assert!(!o.skip_corrupt && o.isobar.verify);
+        assert_eq!(o.run, RunFlags::default());
+        let o = parsed("analyze --width 8 x", Sub::Analyze, &["x"]);
         assert_eq!(
-            parse(&strings(&["decompress", "a", "b"])).unwrap(),
-            Command::Decompress {
-                input: "a".into(),
-                output: "b".into(),
-                skip_corrupt: false,
-                verify: true,
-                stats: None,
-                trace: None,
-                kernels: None,
-            }
+            (o.width, o.isobar.tau, o.bits),
+            (8, isobar::DEFAULT_TAU, false)
         );
-        assert_eq!(
-            parse(&strings(&["analyze", "--width", "8", "x"])).unwrap(),
-            Command::Analyze {
-                input: "x".into(),
-                width: 8,
-                tau: isobar::DEFAULT_TAU,
-                bits: false,
-            }
-        );
-        assert_eq!(
-            parse(&strings(&["info", "x"])).unwrap(),
-            Command::Info { input: "x".into() }
-        );
-        assert_eq!(
-            parse(&strings(&["fsck", "x"])).unwrap(),
-            Command::Fsck { input: "x".into() }
-        );
-        assert_eq!(
-            parse(&strings(&["salvage", "x", "y"])).unwrap(),
-            Command::Salvage {
-                input: "x".into(),
-                output: "y".into(),
-            }
-        );
-        assert!(parse(&strings(&["salvage", "x"])).is_err());
-        assert!(parse(&strings(&["fsck", "x", "y"])).is_err());
+        parsed("info x", Sub::Info, &["x"]);
+        parsed("fsck x", Sub::Fsck, &["x"]);
+        parsed("salvage x y", Sub::Salvage, &["x", "y"]);
+        assert!(parse_line("salvage x").is_err());
+        assert!(parse_line("fsck x y").is_err());
     }
 
     #[test]
     fn store_subcommands_parse() {
+        let line = "store put run.v3 in.bin --name density --step 3 --width 8 --shards 2 \
+                    --queue-depth 4";
+        let o = parsed(line, Sub::StorePut, &["run.v3", "in.bin"]);
+        assert_eq!((o.name.as_str(), o.step, o.width), ("density", 3, 8));
+        let sharded = ShardedOptions {
+            shards: 2,
+            queue_depth: 4,
+        };
+        assert_eq!(o.sharded, sharded);
+        let line = "store get run.v3 out.bin --name density --step 3";
+        let o = parsed(line, Sub::StoreGet, &["run.v3", "out.bin"]);
         assert_eq!(
-            parse(&strings(&[
-                "store",
-                "put",
-                "run.v3",
-                "in.bin",
-                "--name",
-                "density",
-                "--step",
-                "3",
-                "--width",
-                "8",
-                "--shards",
-                "2",
-                "--queue-depth",
-                "4",
-            ]))
-            .unwrap(),
-            Command::StorePut {
-                dir: "run.v3".into(),
-                input: "in.bin".into(),
-                name: "density".into(),
-                step: 3,
-                width: 8,
-                shards: 2,
-                queue_depth: 4,
-            }
+            (o.name.as_str(), o.step, o.isobar.verify),
+            ("density", 3, true)
         );
+        let o = parsed("store ls --no-verify run.v3", Sub::StoreLs, &["run.v3"]);
+        assert!(!o.isobar.verify);
+        let o = parsed("store compact run.v3", Sub::StoreCompact, &["run.v3"]);
+        assert_eq!(o.sharded, ShardedOptions::default());
+        let line = "store put d i --name v --step 0 -w 8";
         assert_eq!(
-            parse(&strings(&[
-                "store", "get", "run.v3", "out.bin", "--name", "density", "--step", "3",
-            ]))
-            .unwrap(),
-            Command::StoreGet {
-                dir: "run.v3".into(),
-                output: "out.bin".into(),
-                name: "density".into(),
-                step: 3,
-                verify: true,
-            }
-        );
-        assert_eq!(
-            parse(&strings(&["store", "ls", "--no-verify", "run.v3"])).unwrap(),
-            Command::StoreLs {
-                dir: "run.v3".into(),
-                verify: false,
-            }
-        );
-        assert_eq!(
-            parse(&strings(&["store", "compact", "run.v3"])).unwrap(),
-            Command::StoreCompact {
-                dir: "run.v3".into(),
-                shards: None,
-            }
+            parsed(line, Sub::StorePut, &["d", "i"]).sharded,
+            ShardedOptions::default()
         );
     }
 
     #[test]
     fn serve_parses_defaults_and_flags() {
-        assert_eq!(
-            parse(&strings(&["serve", "run.v3"])).unwrap(),
-            Command::Serve {
-                dir: "run.v3".into(),
-                addr: "127.0.0.1:7227".into(),
-                metrics: None,
-                shards: 4,
-                queue_depth: 2,
-                max_payload: 64 << 20,
-                max_inflight: 256 << 20,
-                commit_threshold: 64 << 20,
-                max_connections: 256,
-                slow_ms: None,
-                flight_recorder: None,
-                debug_endpoint: false,
-                wal: true,
-                idle_timeout_secs: 300,
-                frame_deadline_secs: 30,
-            }
-        );
-        assert_eq!(
-            parse(&strings(&[
-                "serve",
-                "run.v3",
-                "--addr",
-                "0.0.0.0:9000",
-                "--metrics",
-                "127.0.0.1:9001",
-                "--shards",
-                "2",
-                "--queue-depth",
-                "4",
-                "--max-payload",
-                "1048576",
-                "--max-inflight",
-                "8388608",
-                "--commit-every",
-                "4194304",
-                "--max-connections",
-                "64",
-                "--slow-ms",
-                "250",
-                "--flight-recorder",
-                "flight-out",
-                "--debug-endpoint",
-                "--no-wal",
-                "--idle-timeout",
-                "0",
-                "--frame-deadline",
-                "5",
-            ]))
-            .unwrap(),
-            Command::Serve {
-                dir: "run.v3".into(),
-                addr: "0.0.0.0:9000".into(),
-                metrics: Some("127.0.0.1:9001".into()),
-                shards: 2,
-                queue_depth: 4,
-                max_payload: 1 << 20,
-                max_inflight: 8 << 20,
-                commit_threshold: 4 << 20,
-                max_connections: 64,
-                slow_ms: Some(250),
-                flight_recorder: Some("flight-out".into()),
-                debug_endpoint: true,
-                wal: false,
-                idle_timeout_secs: 0,
-                frame_deadline_secs: 5,
-            }
-        );
+        let o = parsed("serve run.v3", Sub::Serve, &["run.v3"]);
+        assert_eq!((o.addr, o.metrics), (None, None));
+        assert_same(o.serve, ServeOptions::default());
+        let line = "serve run.v3 --addr 0.0.0.0:9000 --metrics 127.0.0.1:9001 --shards 2 \
+                    --queue-depth 4 --max-payload 1048576 --max-inflight 8388608 \
+                    --commit-every 4194304 --max-connections 64 --slow-ms 250 \
+                    --flight-recorder flight-out --debug-endpoint --no-wal --idle-timeout 0 \
+                    --frame-deadline 5";
+        let o = parsed(line, Sub::Serve, &["run.v3"]);
+        assert_eq!(o.addr.as_deref(), Some("0.0.0.0:9000"));
+        assert_eq!(o.metrics.as_deref(), Some("127.0.0.1:9001"));
+        let serve = ServeOptions {
+            shards: 2,
+            queue_depth: 4,
+            max_payload: 1 << 20,
+            max_inflight_bytes: 8 << 20,
+            commit_threshold: 4 << 20,
+            max_connections: 64,
+            slow_ms: Some(250),
+            flight_recorder: Some("flight-out".into()),
+            debug_endpoint: true,
+            wal: false,
+            idle_timeout: None,
+            frame_deadline: Duration::from_secs(5),
+            isobar: IsobarOptions::default(),
+        };
+        assert_same(o.serve, serve);
     }
 
     #[test]
     fn serve_rejects_bad_inputs() {
-        assert!(parse(&strings(&["serve"])).is_err(), "DIR is required");
-        assert!(parse(&strings(&["serve", "a", "b"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--shards", "0"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--queue-depth", "0"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--max-connections", "0"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--max-payload", "0"])).is_err());
-        // Payload lengths ride in a u32 frame field.
-        assert!(parse(&strings(&["serve", "d", "--max-payload", "4294967296"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--frobnicate"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--slow-ms", "abc"])).is_err());
-        // /debug/stats rides on the metrics listener; flag alone is an error.
-        assert!(parse(&strings(&["serve", "d", "--debug-endpoint"])).is_err());
-        // A zero frame deadline would let one stalled client pin a
-        // worker forever.
-        assert!(parse(&strings(&["serve", "d", "--frame-deadline", "0"])).is_err());
-        assert!(parse(&strings(&["serve", "d", "--idle-timeout", "abc"])).is_err());
+        for line in [
+            "serve", // DIR is required
+            "serve a b",
+            "serve d --shards 0",
+            "serve d --queue-depth 0",
+            "serve d --max-connections 0",
+            "serve d --max-payload 0",
+            // Payload lengths ride in a u32 frame field.
+            "serve d --max-payload 4294967296",
+            "serve d --frobnicate",
+            "serve d --slow-ms abc",
+            // /debug/stats rides on the metrics listener; flag alone is an error.
+            "serve d --debug-endpoint",
+            // A zero frame deadline would let one stalled client pin a
+            // worker forever.
+            "serve d --frame-deadline 0",
+            "serve d --idle-timeout abc",
+        ] {
+            assert!(parse_line(line).is_err(), "{line}");
+        }
     }
 
     #[test]
     fn store_rejects_bad_inputs() {
-        assert!(parse(&strings(&["store"])).is_err());
-        assert!(parse(&strings(&["store", "frob", "x"])).is_err());
-        // put without its required flags, or with a bad shard count.
-        assert!(parse(&strings(&[
-            "store", "put", "d", "i", "--step", "0", "--width", "8"
-        ]))
-        .is_err());
-        assert!(parse(&strings(&[
-            "store", "put", "d", "i", "--name", "v", "--width", "8"
-        ]))
-        .is_err());
-        assert!(parse(&strings(&[
-            "store", "put", "d", "i", "--name", "v", "--step", "0"
-        ]))
-        .is_err());
-        assert!(parse(&strings(&[
-            "store", "put", "d", "i", "--name", "v", "--step", "0", "--width", "8", "--shards",
-            "0",
-        ]))
-        .is_err());
-        // get needs both coordinates; ls exactly one path.
-        assert!(parse(&strings(&["store", "get", "d", "o", "--name", "v"])).is_err());
-        assert!(parse(&strings(&["store", "ls", "a", "b"])).is_err());
+        for line in [
+            "store",
+            "store frob x",
+            // put without its required flags, or with a bad shard count.
+            "store put d i --step 0 --width 8",
+            "store put d i --name v --width 8",
+            "store put d i --name v --step 0",
+            "store put d i --name v --step 0 --width 8 --shards 0",
+            // get needs both coordinates; ls exactly one path.
+            "store get d o --name v",
+            "store ls a b",
+        ] {
+            assert!(parse_line(line).is_err(), "{line}");
+        }
     }
 
     #[test]
     fn store_verbs_take_only_the_flags_the_usage_lists_for_them() {
         // A complete command line per verb, then every flag added to it.
-        let put = ["d", "i", "--name", "v", "--step", "0", "--width", "8"];
-        let get = ["d", "o", "--name", "v", "--step", "0"];
-        let verbs: [(&str, &[&str], &str); 4] = [
-            ("put", &put, "--name --step --width --shards --queue-depth"),
-            ("get", &get, "--name --step --no-verify"),
-            ("ls", &["d"], "--no-verify"),
-            ("compact", &["d"], "--shards"),
+        let verbs = [
+            (
+                "put",
+                "d i --name v --step 0 --width 8",
+                "--name --step --width --shards --queue-depth",
+            ),
+            ("get", "d o --name v --step 0", "--name --step --no-verify"),
+            ("ls", "d", "--no-verify"),
+            ("compact", "d", "--shards"),
         ];
         for (verb, complete, takes) in verbs {
             for flag in "--name --step --width -w --shards --queue-depth --no-verify".split(' ') {
                 let long = if flag == "-w" { "--width" } else { flag };
-                let mut line = vec!["store", verb];
-                line.extend(complete);
-                line.push(flag);
-                if flag != "--no-verify" {
-                    line.push("3");
-                }
+                let value = if flag == "--no-verify" { "" } else { " 3" };
+                let line = format!("store {verb} {complete} {flag}{value}");
                 let applies = takes.split(' ').any(|t| t == long);
                 let refusal = format!("'{long}' does not apply to 'store {verb}'");
-                let error = parse(&strings(&line)).err();
-                assert_eq!(error, (!applies).then_some(refusal), "{line:?}");
+                assert_eq!(
+                    parse_line(&line).err(),
+                    (!applies).then_some(refusal),
+                    "{line}"
+                );
             }
         }
         // A flag no verb knows is still "unknown", not "does not apply".
-        let err = parse(&strings(&["store", "ls", "d", "--frob"])).unwrap_err();
+        let err = parse_line("store ls d --frob").unwrap_err();
         assert_eq!(err, "unknown flag '--frob'");
     }
 
     #[test]
     fn durability_flags_parse_for_decompress() {
-        match parse(&strings(&["decompress", "--skip-corrupt", "a", "b"])).unwrap() {
-            Command::Decompress {
-                skip_corrupt,
-                verify,
-                ..
-            } => {
-                assert!(skip_corrupt);
-                assert!(verify, "verification stays on by default");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&["decompress", "--no-verify", "a", "b"])).unwrap() {
-            Command::Decompress { verify, .. } => assert!(!verify),
-            other => panic!("unexpected {other:?}"),
-        }
+        let o = parsed(
+            "decompress --skip-corrupt a b",
+            Sub::Decompress,
+            &["a", "b"],
+        );
+        assert!(o.skip_corrupt);
+        assert!(o.isobar.verify, "verification stays on by default");
+        let o = parsed("decompress --no-verify a b", Sub::Decompress, &["a", "b"]);
+        assert!(!o.isobar.verify);
         // --skip-corrupt relies on checksums to find intact chunks.
-        assert!(parse(&strings(&[
-            "decompress",
-            "--skip-corrupt",
-            "--no-verify",
-            "a",
-            "b"
-        ]))
-        .is_err());
+        assert!(parse_line("decompress --skip-corrupt --no-verify a b").is_err());
     }
 
     #[test]
     fn bits_flag_is_parsed_for_analyze() {
-        match parse(&strings(&["analyze", "--width", "8", "--bits", "x"])).unwrap() {
-            Command::Analyze { bits, .. } => assert!(bits),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(parsed("analyze --width 8 --bits x", Sub::Analyze, &["x"]).bits);
     }
 
     #[test]
     fn stream_flag_is_parsed_for_compress() {
-        match parse(&strings(&[
-            "compress", "--width", "8", "--stream", "a", "b",
-        ]))
-        .unwrap()
-        {
-            Command::Compress { stream, .. } => assert!(stream),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&["compress", "--width", "8", "a", "b"])).unwrap() {
-            Command::Compress { stream, .. } => assert!(!stream),
-            other => panic!("unexpected {other:?}"),
-        }
+        let stream = |line: &str| parsed(line, Sub::Compress, &["a", "b"]).stream;
+        assert!(stream("compress --width 8 --stream a b"));
+        assert!(!stream("compress --width 8 a b"));
         // One chunk in flight and many at once contradict each other:
         // said so, not silently dropped.
-        let err = parse(&strings(&[
-            "compress",
-            "--width",
-            "8",
-            "--stream",
-            "--parallel",
-            "a",
-            "b",
-        ]))
-        .unwrap_err();
+        let err = parse_line("compress --width 8 --stream --parallel a b").unwrap_err();
         assert!(err.contains("--stream") && err.contains("--parallel"));
     }
 
     #[test]
     fn stats_flag_variants_parse() {
-        match parse(&strings(&["compress", "--width", "8", "--stats", "a", "b"])).unwrap() {
-            Command::Compress { stats, .. } => assert_eq!(stats, Some(StatsFormat::Table)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&[
-            "compress",
-            "--width",
-            "8",
-            "--stats=json",
-            "a",
-            "b",
-        ]))
-        .unwrap()
-        {
-            Command::Compress { stats, .. } => assert_eq!(stats, Some(StatsFormat::Json)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&["decompress", "--stats=table", "a", "b"])).unwrap() {
-            Command::Decompress { stats, .. } => assert_eq!(stats, Some(StatsFormat::Table)),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&strings(&[
-            "compress",
-            "--width",
-            "8",
-            "--stats=xml",
-            "a",
-            "b"
-        ]))
-        .is_err());
+        let stats = |line: &str, sub| parsed(line, sub, &["a", "b"]).run.stats;
+        let table = stats("compress --width 8 --stats a b", Sub::Compress);
+        assert_eq!(table, Some(StatsFormat::Table));
+        let json = stats("compress --width 8 --stats=json a b", Sub::Compress);
+        assert_eq!(json, Some(StatsFormat::Json));
+        let table = stats("decompress --stats=table a b", Sub::Decompress);
+        assert_eq!(table, Some(StatsFormat::Table));
+        assert!(parse_line("compress --width 8 --stats=xml a b").is_err());
     }
 
     #[test]
     fn kernels_flag_variants_parse() {
-        match parse(&strings(&[
-            "compress",
-            "--width",
-            "8",
-            "--kernels=scalar",
-            "a",
-            "b",
-        ]))
-        .unwrap()
-        {
-            Command::Compress { kernels, .. } => {
-                assert_eq!(kernels, Some(KernelSelection::Scalar))
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&["decompress", "--kernels=auto", "a", "b"])).unwrap() {
-            Command::Decompress { kernels, .. } => assert_eq!(kernels, Some(KernelSelection::Auto)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&["decompress", "a", "b"])).unwrap() {
-            Command::Decompress { kernels, .. } => assert_eq!(kernels, None),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&strings(&[
-            "compress",
-            "--width",
-            "8",
-            "--kernels=sse9",
-            "a",
-            "b"
-        ]))
-        .is_err());
+        let kernels = |line: &str, sub| parsed(line, sub, &["a", "b"]).run.kernels;
+        let scalar = kernels("compress --width 8 --kernels=scalar a b", Sub::Compress);
+        assert_eq!(scalar, Some(KernelSelection::Scalar));
+        let auto = kernels("decompress --kernels=auto a b", Sub::Decompress);
+        assert_eq!(auto, Some(KernelSelection::Auto));
+        assert_eq!(kernels("decompress a b", Sub::Decompress), None);
+        assert!(parse_line("compress --width 8 --kernels=sse9 a b").is_err());
     }
 
     #[test]
     fn trace_flag_takes_a_path() {
-        match parse(&strings(&[
-            "compress", "--width", "8", "--trace", "t.json", "a", "b",
-        ]))
-        .unwrap()
-        {
-            Command::Compress { trace, .. } => assert_eq!(trace, Some("t.json".into())),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&strings(&["decompress", "--trace", "t.json", "a", "b"])).unwrap() {
-            Command::Decompress { trace, .. } => assert_eq!(trace, Some("t.json".into())),
-            other => panic!("unexpected {other:?}"),
-        }
+        let line = "compress --width 8 --trace t.json a b";
+        let o = parsed(line, Sub::Compress, &["a", "b"]);
+        assert_eq!(o.run.trace, Some("t.json".into()));
+        let o = parsed(
+            "decompress --trace t.json a b",
+            Sub::Decompress,
+            &["a", "b"],
+        );
+        assert_eq!(o.run.trace, Some("t.json".into()));
         // A dangling --trace must not silently eat a path operand count.
-        assert!(parse(&strings(&["decompress", "a", "b", "--trace"])).is_err());
+        assert!(parse_line("decompress a b --trace").is_err());
     }
 
     #[test]
     fn short_aliases_work() {
-        assert!(matches!(
-            parse(&strings(&["c", "-w", "8", "a", "b"])).unwrap(),
-            Command::Compress { .. }
-        ));
-        assert!(matches!(
-            parse(&strings(&["d", "a", "b"])).unwrap(),
-            Command::Decompress { .. }
-        ));
+        parsed("c -w 8 a b", Sub::Compress, &["a", "b"]);
+        parsed("d a b", Sub::Decompress, &["a", "b"]);
+    }
+
+    #[test]
+    fn usage_lists_each_flag_under_exactly_the_subcommands_that_take_it() {
+        let text = usage();
+        let mut listed = Vec::new();
+        let mut section = None;
+        for line in text.lines() {
+            if line.is_empty() {
+                section = None;
+            } else if let Some(sub) = line.strip_suffix(" options:") {
+                section = Some(sub);
+            } else if let (Some(sub), Some(rest)) = (section, line.strip_prefix("  -")) {
+                let name = rest.split([' ', '=', '[', ',']).next().unwrap();
+                listed.push(format!("{sub} -{name}"));
+            }
+        }
+        let mut declared: Vec<String> = FLAGS
+            .iter()
+            .flat_map(|f| {
+                f.takes
+                    .iter()
+                    .map(|sub| format!("{} {}", sub.name(), f.name()))
+            })
+            .collect();
+        listed.sort();
+        declared.sort();
+        assert_eq!(listed, declared);
+        // 33 flags and 2 aliases; the usage states library defaults.
+        assert_eq!(FLAGS.len(), 33);
+        assert_eq!(FLAGS.iter().filter(|f| f.alias().is_some()).count(), 2);
+        for default in [
+            ServeOptions::default().max_payload.to_string(),
+            isobar::chunk::DEFAULT_CHUNK_ELEMENTS.to_string(),
+            isobar::DEFAULT_TAU.to_string(),
+        ] {
+            assert!(text.contains(&format!("(default: {default})")), "{default}");
+        }
+    }
+
+    /// Every `isobar …` line in a fenced block of the README, docs/ and
+    /// the verify skill parses (`$ `, `# …`, `&& …`, `; …` and `\`
+    /// continuations stripped).
+    #[test]
+    fn documented_command_lines_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut docs = vec![
+            root.join("README.md"),
+            root.join(".claude/skills/verify/SKILL.md"),
+        ];
+        for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "md") {
+                docs.push(path);
+            }
+        }
+        let mut checked = 0;
+        for doc in docs {
+            let text = std::fs::read_to_string(&doc).unwrap();
+            let mut lines = text.lines();
+            let mut fenced = false;
+            while let Some(line) = lines.next() {
+                let line = line.trim();
+                if line.starts_with("```") {
+                    fenced = !fenced;
+                    continue;
+                }
+                let line = line.strip_prefix("$ ").unwrap_or(line);
+                if !fenced || !line.starts_with("isobar ") {
+                    continue;
+                }
+                let mut command = line.to_string();
+                while command.ends_with('\\') {
+                    command.pop();
+                    command += lines.next().unwrap_or_default();
+                }
+                for end in [" #", "&&", ";"] {
+                    if let Some(at) = command.find(end) {
+                        command.truncate(at);
+                    }
+                }
+                let result = parse_line(command.trim_start_matches("isobar"));
+                assert!(result.is_ok(), "{}: `{command}`: {result:?}", doc.display());
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 20,
+            "only {checked} documented command lines found"
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! Command implementations for the `isobar` CLI.
 
-use crate::args::{Command, CompressOptions, StatsFormat};
+use crate::args::{Command, RunFlags, StatsFormat, Sub, DEFAULT_ADDR};
 use isobar::container::Header;
 use isobar::salvage::FsckReport;
 use isobar::{Analyzer, IsobarCompressor, IsobarOptions, Recorder, TelemetrySnapshot};
-use isobar_store::{EntryHealth, StoreFsckReport};
+use isobar_store::{EntryHealth, ShardedOptions, StoreFsckReport};
+use std::fmt::Display;
 use std::fs;
 use std::path::Path;
 
@@ -14,100 +15,65 @@ pub const EXIT_DAMAGE: u8 = 3;
 
 /// Run a parsed command; returns the process exit code.
 pub fn run(cmd: Command) -> Result<u8, String> {
-    match cmd {
-        Command::Compress {
-            input,
-            output,
-            width,
-            options,
-            stream,
-            quiet,
-            stats,
-            trace,
-            kernels,
-        } => traced(trace.as_deref(), || {
-            apply_kernels(kernels);
-            compress(&input, &output, width, options, stream, quiet, stats)
-        })
-        .map(|()| 0),
-        Command::Decompress {
-            input,
-            output,
-            skip_corrupt,
-            verify,
-            stats,
-            trace,
-            kernels,
-        } => traced(trace.as_deref(), || {
-            apply_kernels(kernels);
-            decompress(&input, &output, skip_corrupt, verify, stats)
-        })
-        .map(|()| 0),
-        Command::Analyze {
-            input,
-            width,
-            tau,
-            bits,
-        } => analyze(&input, width, tau, bits).map(|()| 0),
-        Command::Info { input } => info(&input).map(|()| 0),
-        Command::Fsck { input } => fsck(&input),
-        Command::Salvage { input, output } => salvage(&input, &output).map(|()| 0),
-        Command::StorePut {
-            dir,
-            input,
-            name,
-            step,
-            width,
-            shards,
-            queue_depth,
-        } => store_put(&dir, &input, &name, step, width, shards, queue_depth).map(|()| 0),
-        Command::StoreGet {
-            dir,
-            output,
-            name,
-            step,
-            verify,
-        } => store_get(&dir, &output, &name, step, verify).map(|()| 0),
-        Command::StoreLs { dir, verify } => store_ls(&dir, verify).map(|()| 0),
-        Command::StoreCompact { dir, shards } => store_compact(&dir, shards).map(|()| 0),
-        Command::Serve {
-            dir,
-            addr,
-            metrics,
-            shards,
-            queue_depth,
-            max_payload,
-            max_inflight,
-            commit_threshold,
-            max_connections,
-            slow_ms,
-            flight_recorder,
-            debug_endpoint,
-            wal,
-            idle_timeout_secs,
-            frame_deadline_secs,
-        } => serve(
-            &dir,
-            &addr,
-            metrics.as_deref(),
-            isobar_server::ServeOptions {
-                shards,
-                queue_depth,
-                max_payload,
-                max_inflight_bytes: max_inflight,
-                commit_threshold,
-                max_connections,
-                slow_ms,
-                flight_recorder,
-                debug_endpoint,
-                wal,
-                idle_timeout: (idle_timeout_secs != 0)
-                    .then(|| std::time::Duration::from_secs(idle_timeout_secs)),
-                frame_deadline: std::time::Duration::from_secs(frame_deadline_secs),
-                isobar: IsobarOptions::default(),
-            },
-        )
-        .map(|()| 0),
+    let Command {
+        sub,
+        paths,
+        opts: o,
+    } = cmd;
+    // `parse` leaves exactly the operands each subcommand takes.
+    let path = |i: usize| paths[i].as_path();
+    match sub {
+        Sub::Compress => traced(&o.run, || {
+            compress(
+                path(0),
+                path(1),
+                o.width,
+                o.isobar,
+                o.stream,
+                o.quiet,
+                o.run.stats,
+            )
+        }),
+        Sub::Decompress => traced(&o.run, || {
+            decompress(
+                path(0),
+                path(1),
+                o.skip_corrupt,
+                o.isobar.verify,
+                o.run.stats,
+            )
+        }),
+        Sub::Analyze => analyze(path(0), o.width, o.isobar.tau, o.bits),
+        Sub::Info => info(path(0)),
+        Sub::Fsck => return fsck(path(0)),
+        Sub::Salvage => salvage(path(0), path(1)),
+        Sub::StorePut => store_put(path(0), path(1), &o.name, o.step, o.width, o.sharded),
+        Sub::StoreGet => store_get(path(0), path(1), &o.name, o.step, o.isobar.verify),
+        Sub::StoreLs => store_ls(path(0), o.isobar.verify),
+        Sub::StoreCompact => store_compact(path(0), Some(o.sharded.shards)),
+        Sub::Serve => {
+            let addr = o.addr.as_deref().unwrap_or(DEFAULT_ADDR);
+            serve(path(0), addr, o.metrics.as_deref(), o.serve)
+        }
+        Sub::Help => {
+            println!("{}", crate::args::usage());
+            Ok(())
+        }
+    }
+    .map(|()| 0)
+}
+
+/// Prefix an error with the path it concerns.
+fn at<E: Display>(path: &Path) -> impl Fn(E) -> String + '_ {
+    move |e| format!("{}: {e}", path.display())
+}
+
+/// `one` for a count of 1, else `many`: `"entr"` takes `"y"` / `"ies"`.
+fn plural<N: PartialEq + From<u8>>(n: N, one: &'static str, many: &'static str) -> &'static str {
+    if n == N::from(1) {
+        one
+    } else {
+        many
     }
 }
 
@@ -124,8 +90,7 @@ fn serve(
     if flight_on {
         isobar_server::signals::install_usr1_signal();
     }
-    let server = isobar_server::serve(dir, addr, metrics, options)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    let server = isobar_server::serve(dir, addr, metrics, options).map_err(at(dir))?;
     eprintln!(
         "serving {} on {}{}",
         dir.display(),
@@ -150,9 +115,7 @@ fn serve(
     }
     eprintln!("shutdown requested; draining connections");
     server.shutdown();
-    let report = server
-        .join()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    let report = server.join().map_err(at(dir))?;
     eprintln!(
         "served {} requests ({} puts, {} gets, {} busy, {} bad frames); \
          {} commit{}{}",
@@ -162,7 +125,7 @@ fn serve(
         report.busy_rejected,
         report.protocol_errors,
         report.commits,
-        if report.commits == 1 { "" } else { "s" },
+        plural(report.commits, "", "s"),
         match report.generation {
             Some(generation) => format!("; store at generation {generation}"),
             None => String::new(),
@@ -172,7 +135,7 @@ fn serve(
         eprintln!(
             "recovered {} journaled put{} from an earlier crash",
             report.wal_replayed,
-            if report.wal_replayed == 1 { "" } else { "s" },
+            plural(report.wal_replayed, "", "s"),
         );
     }
     if report.total_request_nanos > 0 {
@@ -189,34 +152,21 @@ fn serve(
     Ok(())
 }
 
-/// Pin the process-wide SIMD kernel dispatch before any pipeline is
-/// constructed. `None` keeps the default resolution (the
-/// `ISOBAR_KERNELS` environment variable, then CPU detection).
-fn apply_kernels(kernels: Option<isobar::KernelSelection>) {
-    if let Some(selection) = kernels {
-        isobar::set_kernels(selection);
-    }
-}
-
 /// The one refusal every command gives a retired single-file (v1/v2)
 /// checkpoint store (`ISST`). Any other file is a container's to name.
 fn refuse_retired_store(input: &Path, data: &[u8]) -> Result<(), String> {
     if data.starts_with(b"ISST") {
-        return Err(format!(
-            "{}: {}",
-            input.display(),
-            isobar_store::StoreError::SingleFileUnsupported
-        ));
+        return Err(at(input)(isobar_store::StoreError::SingleFileUnsupported));
     }
     Ok(())
 }
 
 fn read(path: &Path) -> Result<Vec<u8>, String> {
-    fs::read(path).map_err(|e| format!("{}: {e}", path.display()))
+    fs::read(path).map_err(at(path))
 }
 
 fn write(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
+    fs::write(path, bytes).map_err(at(path))
 }
 
 /// Print a telemetry snapshot in the requested format. JSON and
@@ -233,13 +183,17 @@ fn print_stats(snapshot: &TelemetrySnapshot, format: StatsFormat) {
     }
 }
 
-/// Run `body` with tracing active, then drain every thread's span
-/// buffer and write the run's Chrome trace-event timeline to `path`.
-/// With no `--trace` flag this is a plain passthrough. The trace file
-/// is still written when `body` fails: a timeline of a failed run is
+/// Pin the SIMD kernel dispatch if `--kernels=` asked (else the
+/// `ISOBAR_KERNELS` environment variable, then CPU detection, decide),
+/// then run `body`; with `--trace`, with tracing active, and write the
+/// run's Chrome trace-event timeline afterwards. The trace file is
+/// still written when `body` fails: a timeline of a failed run is
 /// exactly what a debugging session wants.
-fn traced(path: Option<&Path>, body: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
-    let Some(path) = path else {
+fn traced(run: &RunFlags, body: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    if let Some(selection) = run.kernels {
+        isobar::set_kernels(selection);
+    }
+    let Some(path) = run.trace.as_deref() else {
         return body();
     };
     if !isobar::trace::ENABLED {
@@ -272,15 +226,14 @@ fn compress(
     input: &Path,
     output: &Path,
     width: usize,
-    options: CompressOptions,
+    options: IsobarOptions,
     stream: bool,
     quiet: bool,
     stats: Option<StatsFormat>,
 ) -> Result<(), String> {
-    let options = options_from(&options);
     let report = if stream {
-        let mut src = fs::File::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
-        let dst = fs::File::create(output).map_err(|e| format!("{}: {e}", output.display()))?;
+        let mut src = fs::File::open(input).map_err(at(input))?;
+        let dst = fs::File::create(output).map_err(at(output))?;
         let mut writer = isobar::IsobarWriter::new(std::io::BufWriter::new(dst), width, options)
             .map_err(|e| e.to_string())?;
         std::io::copy(&mut src, &mut writer).map_err(|e| e.to_string())?;
@@ -329,12 +282,11 @@ fn decompress(
     verify: bool,
     stats: Option<StatsFormat>,
 ) -> Result<(), String> {
-    let named = |e: &dyn std::fmt::Display| format!("{}: {e}", input.display());
     let telemetry = if skip_corrupt {
         let mut recorder = Recorder::new();
         let (restored, report) =
             isobar::salvage::salvage_decompress_recorded(&read(input)?, &mut recorder)
-                .map_err(|e| named(&e))?;
+                .map_err(at(input))?;
         if !report.is_complete() || report.length_unverified {
             eprintln!(
                 "{}: {} chunks recovered, {} lost; {} bytes zero-filled across {} damaged regions{}",
@@ -350,17 +302,17 @@ fn decompress(
         recorder.snapshot()
     } else {
         use std::io::{BufReader, BufWriter, Write};
-        let src = fs::File::open(input).map_err(|e| named(&e))?;
-        let mut reader = isobar::IsobarReader::with_verify(BufReader::new(src), verify)
-            .map_err(|e| named(&e))?;
-        let dst = fs::File::create(output).map_err(|e| format!("{}: {e}", output.display()))?;
+        let src = fs::File::open(input).map_err(at(input))?;
+        let mut reader =
+            isobar::IsobarReader::with_verify(BufReader::new(src), verify).map_err(at(input))?;
+        let dst = fs::File::create(output).map_err(at(output))?;
         let mut dst = BufWriter::with_capacity(1 << 20, dst);
         let copied = std::io::copy(&mut reader, &mut dst).and_then(|_| dst.flush());
         if let Err(e) = copied {
             // A container that fails half way leaves no partial output.
             drop(dst);
             let _ = fs::remove_file(output);
-            return Err(named(&e));
+            return Err(at(input)(e));
         }
         reader.telemetry()
     };
@@ -376,19 +328,6 @@ fn unverified_note(length_unverified: bool) -> &'static str {
         "; declared length missing or unusable, output ends with the last recovered chunk"
     } else {
         ""
-    }
-}
-
-fn options_from(options: &CompressOptions) -> IsobarOptions {
-    IsobarOptions {
-        preference: options.preference,
-        level: options.level,
-        tau: options.tau,
-        chunk_elements: options.chunk_elements,
-        codec_override: options.codec,
-        linearization_override: options.linearization,
-        parallel: options.parallel,
-        ..Default::default()
     }
 }
 
@@ -447,7 +386,7 @@ fn analyze(input: &Path, width: usize, tau: f64, bits: bool) -> Result<(), Strin
 fn info(input: &Path) -> Result<(), String> {
     let packed = read(input)?;
     refuse_retired_store(input, &packed)?;
-    let header = Header::read(&packed).map_err(|e| format!("{}: {e}", input.display()))?;
+    let header = Header::read(&packed).map_err(at(input))?;
     println!("{}: ISOBAR container v{}", input.display(), header.version);
     println!("  element width:   {} bytes", header.width);
     println!("  solver:          {}", header.codec.name());
@@ -481,15 +420,13 @@ fn info(input: &Path) -> Result<(), String> {
 fn fsck(input: &Path) -> Result<u8, String> {
     // A directory is a checkpoint store; anything else is a container.
     if input.is_dir() {
-        let report =
-            isobar_store::fsck_store(input).map_err(|e| format!("{}: {e}", input.display()))?;
+        let report = isobar_store::fsck_store(input).map_err(at(input))?;
         print_store_fsck_report(input, &report);
         return Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE });
     }
     let data = read(input)?;
     refuse_retired_store(input, &data)?;
-    let report =
-        isobar::salvage::fsck_container(&data).map_err(|e| format!("{}: {e}", input.display()))?;
+    let report = isobar::salvage::fsck_container(&data).map_err(at(input))?;
     print_fsck_report(input, &report);
     Ok(if report.is_clean() { 0 } else { EXIT_DAMAGE })
 }
@@ -550,11 +487,7 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
         println!(
             "  {} superseded entr{} (reclaim with store compact)",
             report.superseded_entries,
-            if report.superseded_entries == 1 {
-                "y"
-            } else {
-                "ies"
-            },
+            plural(report.superseded_entries, "y", "ies"),
         );
     }
     if report.orphan_files > 0 {
@@ -562,7 +495,7 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
             "  {} unreferenced segment file{} (crashed-writer droppings; \
              store compact sweeps them)",
             report.orphan_files,
-            if report.orphan_files == 1 { "" } else { "s" },
+            plural(report.orphan_files, "", "s"),
         );
     }
     println!(
@@ -580,8 +513,7 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
 /// store into a fresh, fully valid output.
 fn salvage(input: &Path, output: &Path) -> Result<(), String> {
     if input.is_dir() {
-        let report = isobar_store::salvage_store(input, output)
-            .map_err(|e| format!("{}: {e}", input.display()))?;
+        let report = isobar_store::salvage_store(input, output).map_err(at(input))?;
         eprintln!(
             "{} -> {}: {} entries recovered, {} lost{}",
             input.display(),
@@ -598,8 +530,7 @@ fn salvage(input: &Path, output: &Path) -> Result<(), String> {
     }
     let data = read(input)?;
     refuse_retired_store(input, &data)?;
-    let (packed, report) = isobar::salvage::salvage_container(&data)
-        .map_err(|e| format!("{}: {e}", input.display()))?;
+    let (packed, report) = isobar::salvage::salvage_container(&data).map_err(at(input))?;
     write(output, &packed)?;
     eprintln!(
         "{} -> {}: {} chunks recovered, {} lost ({} bytes zero-filled){}",
@@ -621,42 +552,21 @@ fn store_put(
     name: &str,
     step: u32,
     width: usize,
-    shards: u16,
-    queue_depth: usize,
+    options: ShardedOptions,
 ) -> Result<(), String> {
-    use isobar_store::{ShardedOptions, ShardedStoreWriter};
     let data = read(input)?;
-    let writer = ShardedStoreWriter::create(
-        dir,
-        IsobarOptions::default(),
-        ShardedOptions {
-            shards,
-            queue_depth,
-        },
-    )
-    .map_err(|e| format!("{}: {e}", dir.display()))?;
-    writer
-        .put(step, name, data, width)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    let report = writer
-        .close()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    let writer = isobar_store::ShardedStoreWriter::create(dir, IsobarOptions::default(), options)
+        .map_err(at(dir))?;
+    writer.put(step, name, data, width).map_err(at(dir))?;
+    let report = writer.close().map_err(at(dir))?;
     eprintln!(
         "{}: generation {} committed ({} segment{}, {} entr{} total{})",
         dir.display(),
         report.generation,
         report.segments_committed,
-        if report.segments_committed == 1 {
-            ""
-        } else {
-            "s"
-        },
+        plural(report.segments_committed, "", "s"),
         report.total_entries,
-        if report.total_entries == 1 {
-            "y"
-        } else {
-            "ies"
-        },
+        plural(report.total_entries, "y", "ies"),
         if report.superseded_entries > 0 {
             format!(", {} superseded", report.superseded_entries)
         } else {
@@ -668,11 +578,8 @@ fn store_put(
 
 /// Read one variable out of a store into a file.
 fn store_get(dir: &Path, output: &Path, name: &str, step: u32, verify: bool) -> Result<(), String> {
-    let reader = isobar_store::StoreReader::open_with_verify(dir, verify)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    let data = reader
-        .get(step, name)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    let reader = isobar_store::StoreReader::open_with_verify(dir, verify).map_err(at(dir))?;
+    let data = reader.get(step, name).map_err(at(dir))?;
     write(output, &data)?;
     eprintln!(
         "{} -> {}: step {step} '{name}', {} bytes",
@@ -685,15 +592,14 @@ fn store_get(dir: &Path, output: &Path, name: &str, step: u32, verify: bool) -> 
 
 /// List a store's generations, segments, and entries.
 fn store_ls(dir: &Path, verify: bool) -> Result<(), String> {
-    let reader = isobar_store::StoreReader::open_with_verify(dir, verify)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    let reader = isobar_store::StoreReader::open_with_verify(dir, verify).map_err(at(dir))?;
     println!(
         "{}: ISOBAR checkpoint store v{}, generation {}, {} segment{}",
         dir.display(),
         isobar_store::V3_VERSION,
         reader.generation(),
         reader.segment_count(),
-        if reader.segment_count() == 1 { "" } else { "s" },
+        plural(reader.segment_count(), "", "s"),
     );
     let live: std::collections::HashSet<*const isobar_store::IndexEntry> = reader
         .live_entries()
@@ -722,11 +628,7 @@ fn store_ls(dir: &Path, verify: bool) -> Result<(), String> {
         "{}: {} entr{} ({} superseded), overall ratio {:.3}",
         dir.display(),
         reader.entries().len(),
-        if reader.entries().len() == 1 {
-            "y"
-        } else {
-            "ies"
-        },
+        plural(reader.entries().len(), "y", "ies"),
         superseded,
         reader.overall_ratio(),
     );
@@ -735,15 +637,14 @@ fn store_ls(dir: &Path, verify: bool) -> Result<(), String> {
 
 /// Rewrite a store without its superseded entries.
 fn store_compact(dir: &Path, shards: Option<u16>) -> Result<(), String> {
-    let report =
-        isobar_store::compact_store(dir, shards).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let report = isobar_store::compact_store(dir, shards).map_err(at(dir))?;
     eprintln!(
         "{}: {} entries kept, {} dropped; {} file{} removed, {} bytes reclaimed",
         dir.display(),
         report.entries_kept,
         report.entries_dropped,
         report.files_removed,
-        if report.files_removed == 1 { "" } else { "s" },
+        plural(report.files_removed, "", "s"),
         report.bytes_reclaimed,
     );
     Ok(())
@@ -752,12 +653,19 @@ fn store_compact(dir: &Path, shards: Option<u16>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::CompressOptions;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut dir = std::env::temp_dir();
         dir.push(format!("isobar-cli-test-{}-{name}", std::process::id()));
         dir
+    }
+
+    /// `shards` segment pipelines at the library's queue depth.
+    fn sharded(shards: u16) -> ShardedOptions {
+        ShardedOptions {
+            shards,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -775,7 +683,7 @@ mod tests {
             &input,
             &packed,
             8,
-            CompressOptions {
+            IsobarOptions {
                 chunk_elements: 30_000,
                 ..Default::default()
             },
@@ -801,7 +709,7 @@ mod tests {
             &input,
             &packed,
             8,
-            CompressOptions::default(),
+            IsobarOptions::default(),
             false,
             true,
             None,
@@ -828,7 +736,7 @@ mod tests {
             &input,
             &packed,
             8,
-            CompressOptions {
+            IsobarOptions {
                 chunk_elements: 10_000,
                 ..Default::default()
             },
@@ -839,16 +747,12 @@ mod tests {
         .unwrap();
         info(&packed).unwrap();
         // `decompress` takes no framing flag: one reader, either form.
-        run(Command::Decompress {
-            input: packed.clone(),
-            output: restored.clone(),
-            skip_corrupt: false,
-            verify: true,
-            stats: None,
-            trace: None,
-            kernels: None,
-        })
-        .unwrap();
+        let argv = [
+            "decompress",
+            packed.to_str().unwrap(),
+            restored.to_str().unwrap(),
+        ];
+        run(crate::args::parse(&argv.map(String::from)).unwrap()).unwrap();
         assert_eq!(fs::read(&restored).unwrap(), ds.bytes);
 
         // ...and so does the library's slice `decompress`.
@@ -867,12 +771,16 @@ mod tests {
         let trace_path = tmp("trace.json");
         fs::write(&input, vec![7u8; 1600]).unwrap();
 
-        traced(Some(trace_path.as_path()), || {
+        let run = RunFlags {
+            trace: Some(trace_path.clone()),
+            ..Default::default()
+        };
+        traced(&run, || {
             compress(
                 &input,
                 &packed,
                 8,
-                CompressOptions::default(),
+                IsobarOptions::default(),
                 false,
                 true,
                 None,
@@ -931,7 +839,7 @@ mod tests {
             &input,
             &packed,
             8,
-            CompressOptions {
+            IsobarOptions {
                 chunk_elements: 10_000,
                 ..Default::default()
             },
@@ -1031,7 +939,7 @@ mod tests {
                 &input,
                 &packed,
                 8,
-                CompressOptions::default(),
+                IsobarOptions::default(),
                 stream,
                 true,
                 None,
@@ -1089,8 +997,8 @@ mod tests {
             .unwrap()
             .generate(10_000, 1);
         fs::write(&input, &ds.bytes).unwrap();
-        store_put(&dir, &input, "density", 1, 8, 1, 2).unwrap();
-        store_put(&dir, &input, "density", 2, 8, 1, 2).unwrap();
+        store_put(&dir, &input, "density", 1, 8, sharded(1)).unwrap();
+        store_put(&dir, &input, "density", 2, 8, sharded(1)).unwrap();
 
         assert_eq!(fsck(&dir).unwrap(), 0);
         salvage(&dir, &salvaged).unwrap();
@@ -1133,7 +1041,7 @@ mod tests {
             .generate(10_000, 1);
         fs::write(&input, &ds.bytes).unwrap();
 
-        store_put(&dir, &input, "density", 0, 8, 2, 2).unwrap();
+        store_put(&dir, &input, "density", 0, 8, sharded(2)).unwrap();
         store_get(&dir, &output, "density", 0, true).unwrap();
         assert_eq!(fs::read(&output).unwrap(), ds.bytes);
         assert_eq!(fsck(&dir).unwrap(), 0);
@@ -1145,7 +1053,7 @@ mod tests {
             .unwrap()
             .generate(10_000, 2);
         fs::write(&newer, &ds2.bytes).unwrap();
-        store_put(&dir, &newer, "density", 0, 8, 2, 2).unwrap();
+        store_put(&dir, &newer, "density", 0, 8, sharded(2)).unwrap();
         store_compact(&dir, None).unwrap();
         store_get(&dir, &output, "density", 0, true).unwrap();
         assert_eq!(fs::read(&output).unwrap(), ds2.bytes);

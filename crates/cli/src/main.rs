@@ -1,18 +1,11 @@
 //! `isobar` — command-line front end for ISOBAR-compress.
 //!
-//! ```text
-//! isobar compress   --width 8 [--prefer speed|ratio] [--codec zlib|bzlib2]
-//!                   [--linearize row|column] [--tau 1.42] [--chunk 375000]
-//!                   [--level fast|default|best] [--parallel] IN OUT
-//! isobar decompress [--skip-corrupt] [--no-verify] IN OUT
-//! isobar analyze    --width 8 IN
-//! isobar info       IN
-//! isobar fsck       IN
-//! isobar salvage    IN OUT
-//! ```
+//! Every flag is one row of the table in `args.rs`, which parses argv
+//! and renders the option sections of `isobar help`.
 //!
-//! Exit codes: 0 success, 1 usage error, 2 processing error,
-//! 3 `fsck` found damage.
+//! Exit codes: 0 success (`isobar help | --help | -h` print the usage
+//! to stdout), 1 usage error (the message and the usage go to stderr),
+//! 2 processing error, 3 `fsck` found damage.
 
 use std::process::ExitCode;
 
@@ -32,7 +25,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("isobar: {msg}");
             eprintln!();
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             ExitCode::from(1)
         }
     }
