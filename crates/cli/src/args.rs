@@ -1,10 +1,10 @@
 //! Argument parsing from one flag table (no external dependencies).
 //!
-//! Each row of [`FLAGS`] declares one flag: its spelling as the usage
-//! shows it, the subcommands that take it, its help, the library option
-//! it writes and the range that option must hold. [`parse`] walks argv
-//! against the table, starting every option at its library `Default`;
-//! [`usage`] renders the option sections from the same rows.
+//! Each row of [`FLAGS`] declares one flag: its name, alias and value,
+//! the subcommands that take it, its help, the library option it writes
+//! and the range that option must hold. [`parse`] walks argv against
+//! the table, starting every option at its library `Default`; [`usage`]
+//! renders the option sections from the same rows.
 
 use isobar::{
     CodecId, CompressionLevel, IsobarOptions, KernelSelection, Linearization, Preference,
@@ -47,7 +47,7 @@ directory is treated as a v3 sharded store). fsck exits 0 for a clean
 file and 3 when it finds damage.";
 
 /// Where `serve` listens unless `--addr` says otherwise.
-pub const DEFAULT_ADDR: &str = "127.0.0.1:7227";
+const DEFAULT_ADDR: &str = "127.0.0.1:7227";
 
 /// A subcommand, as the flag table names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +131,7 @@ pub struct Opts {
     /// Store put and compact.
     pub sharded: ShardedOptions,
     pub serve: ServeOptions,
+    /// `--addr`, if given; [`Opts::listen_addr`] is where serve listens.
     pub addr: Option<String>,
     pub metrics: Option<String>,
     pub width: usize,
@@ -144,9 +145,18 @@ pub struct Opts {
     pub run: RunFlags,
 }
 
+impl Opts {
+    /// The address `serve` listens on.
+    pub fn listen_addr(&self) -> &str {
+        self.addr.as_deref().unwrap_or(DEFAULT_ADDR)
+    }
+}
+
 /// One flag's value as it was typed.
 struct Arg<'a> {
     flag: &'static str,
+    /// What the value must be, as the usage spells it.
+    expect: &'static str,
     raw: &'a str,
 }
 
@@ -158,17 +168,35 @@ impl Arg<'_> {
         self.raw.parse().map_err(|e| format!("{}: {e}", self.flag))
     }
 
-    fn refuse(&self, expect: &str) -> String {
-        format!("{} must be {expect}, got '{}'", self.flag, self.raw)
+    fn refuse(&self) -> String {
+        let (flag, expect, raw) = (self.flag, self.expect, self.raw);
+        format!("{flag} must be {expect}, got '{raw}'")
     }
 
-    fn pick<T: Copy>(&self, expect: &str, choices: &[(&str, T)]) -> Result<T, String> {
+    fn pick<T: Copy>(&self, choices: &[(&str, T)]) -> Result<T, String> {
         let found = choices.iter().find(|(spelled, _)| *spelled == self.raw);
-        found
-            .map(|&(_, value)| value)
-            .ok_or_else(|| self.refuse(expect))
+        found.map(|&(_, value)| value).ok_or_else(|| self.refuse())
     }
 }
+
+/// What a flag takes; each variant's text is the usage's metavar.
+#[derive(Clone, Copy)]
+enum Value {
+    /// Nothing: `--name`.
+    Switch,
+    /// The next argument: `--name N`.
+    Next(&'static str),
+    /// A value attached with `=`: `--name=A|B`.
+    Attached(&'static str),
+    /// A value attached with `=`, or none, standing for `bare`:
+    /// `--name[=A|B]`.
+    Optional {
+        choices: &'static str,
+        bare: &'static str,
+    },
+}
+
+use Value::{Attached, Next, Optional, Switch};
 
 /// Where a flag's value comes from.
 enum Take<'a> {
@@ -182,37 +210,95 @@ enum Take<'a> {
 
 type Setter = fn(&mut Opts, Arg<'_>) -> Result<(), String>;
 
-/// One row of the flag table.
-struct Flag {
-    /// The flag as the usage spells it: `--name`, its metavar, then
-    /// `, -alias` and the metavar again. The metavar is the grammar:
-    /// none for a switch, ` N` for the next argument, `=A|B` attached,
-    /// `[=A|B]` attached or bare (standing for `A`).
-    spelling: &'static str,
+/// A flag table row before its setter: `flag(..)`, then `.alias(..)`
+/// and `.help(..)`; `.set(..)` makes it a [`Flag`].
+struct Row {
+    name: &'static str,
+    alias: Option<&'static str>,
+    value: Value,
     takes: &'static [Sub],
     help: &'static str,
+}
+
+const fn flag(name: &'static str, value: Value, takes: &'static [Sub]) -> Row {
+    Row {
+        name,
+        alias: None,
+        value,
+        takes,
+        help: "",
+    }
+}
+
+impl Row {
+    const fn alias(mut self, alias: &'static str) -> Row {
+        self.alias = Some(alias);
+        self
+    }
+
+    const fn help(mut self, help: &'static str) -> Row {
+        self.help = help;
+        self
+    }
+
+    const fn set(self, set: Setter) -> Flag {
+        Flag {
+            row: self,
+            set,
+            default: None,
+            check: None,
+        }
+    }
+
+    /// The value's metavar or choices; empty for a switch.
+    fn metavar(&self) -> &'static str {
+        match self.value {
+            Switch => "",
+            Next(metavar)
+            | Attached(metavar)
+            | Optional {
+                choices: metavar, ..
+            } => metavar,
+        }
+    }
+
+    /// The flag as the usage spells it: `--width N, -w N`, `--stats[=A|B]`.
+    fn spelling(&self) -> String {
+        let value = match self.value {
+            Switch => String::new(),
+            Next(metavar) => format!(" {metavar}"),
+            Attached(choices) => format!("={choices}"),
+            Optional { choices, .. } => format!("[={choices}]"),
+        };
+        match self.alias {
+            Some(alias) => format!("{}{value}, {alias}{value}", self.name),
+            None => format!("{}{value}", self.name),
+        }
+    }
+
+    /// Where this flag reads its value from when spelled `--name`
+    /// (`attached` = `None`) or `--name=value`; `None` if it is never
+    /// spelled that way.
+    fn take<'a>(&self, attached: Option<&'a str>) -> Option<Take<'a>> {
+        match (self.value, attached) {
+            (Switch, None) => Some(Take::Nothing),
+            (Next(_), None) => Some(Take::Next),
+            (Attached(_) | Optional { .. }, Some(value)) => Some(Take::Given(value)),
+            (Optional { bare, .. }, None) => Some(Take::Given(bare)),
+            _ => None,
+        }
+    }
+}
+
+/// One row of the flag table.
+struct Flag {
+    row: Row,
     set: Setter,
     /// The default the usage states, read from the library's `Default`.
     default: Option<fn(&Opts, Sub) -> String>,
     /// The refusal for an out-of-range value. It runs after the walk,
     /// so the last spelling of a repeated flag is the one judged.
     check: Option<fn(&Opts) -> Option<String>>,
-}
-
-const fn flag(
-    spelling: &'static str,
-    takes: &'static [Sub],
-    help: &'static str,
-    set: Setter,
-) -> Flag {
-    Flag {
-        spelling,
-        takes,
-        help,
-        set,
-        default: None,
-        check: None,
-    }
 }
 
 impl Flag {
@@ -224,32 +310,6 @@ impl Flag {
     const fn check(mut self, check: fn(&Opts) -> Option<String>) -> Flag {
         self.check = Some(check);
         self
-    }
-
-    fn name(&self) -> &'static str {
-        self.spelling
-            .split([' ', '=', '[', ','])
-            .next()
-            .unwrap_or_default()
-    }
-
-    fn alias(&self) -> Option<&'static str> {
-        let (_, alias) = self.spelling.split_once(", ")?;
-        alias.split(' ').next()
-    }
-
-    /// Where this flag reads its value from when spelled `--name`
-    /// (`attached` = `None`) or `--name=value`; `None` if it is never
-    /// spelled that way.
-    fn take<'a>(&self, attached: Option<&'a str>) -> Option<Take<'a>> {
-        let grammar = &self.spelling[self.name().len()..];
-        match (grammar.chars().next(), attached) {
-            (None | Some(','), None) => Some(Take::Nothing),
-            (Some(' '), None) => Some(Take::Next),
-            (Some('=' | '['), Some(value)) => Some(Take::Given(value)),
-            (Some('['), None) => grammar[2..].split(['|', ']']).next().map(Take::Given),
-            _ => None,
-        }
     }
 }
 
@@ -274,113 +334,234 @@ const RUN: &[Sub] = &[Sub::Compress, Sub::Decompress];
 const KEY: &[Sub] = &[Sub::StorePut, Sub::StoreGet];
 const SERVE: &[Sub] = &[Sub::Serve];
 
-/// Every flag the CLI takes, one row each (laid out as a table, which
-/// rustfmt would stack one argument per line).
-#[rustfmt::skip]
+/// Every flag the CLI takes, one row each.
 const FLAGS: &[Flag] = &[
-    flag("--width N, -w N", &[Sub::Compress, Sub::Analyze, Sub::StorePut], "element width in bytes, 1..=64 (required)",
-        |o, a| put(&mut o.width, a.num()?))
-        .check(|o| (!(1..=64).contains(&o.width)).then(|| format!("--width must be in 1..=64, got {}", o.width))),
-    flag("--prefer speed|ratio", COMPRESS, "end-user preference", |o, a| {
-        let choices = [("speed", Preference::Speed), ("ratio", Preference::Ratio)];
-        put(&mut o.isobar.preference, a.pick("speed|ratio", &choices)?)
-    }).shows(|o, _| lower(o.isobar.preference)),
-    flag("--ratio-floor F", COMPRESS, "first solver, fastest first, with sample CR >= F",
-        |o, a| put(&mut o.ratio_floor, Some(a.num()?)))
-        .check(|o| o.ratio_floor.filter(|f| !f.is_finite()).map(|f| format!("--ratio-floor must be finite, got {f}"))),
-    flag("--codec zlib|bzlib2", COMPRESS, "skip EUPA, force this solver", |o, a| {
-        let choices = [("zlib", CodecId::Deflate), ("deflate", CodecId::Deflate),
-                       ("bzlib2", CodecId::Bzip2Like), ("bzip2", CodecId::Bzip2Like)];
-        put(&mut o.isobar.codec_override, Some(a.pick("zlib|bzlib2", &choices)?))
+    flag(
+        "--width",
+        Next("N"),
+        &[Sub::Compress, Sub::Analyze, Sub::StorePut],
+    )
+    .alias("-w")
+    .help("element width in bytes, 1..=64 (required)")
+    .set(|o, a| put(&mut o.width, a.num()?))
+    .check(|o| {
+        let bad = !(1..=64).contains(&o.width);
+        bad.then(|| format!("--width must be in 1..=64, got {}", o.width))
     }),
-    flag("--linearize row|column", COMPRESS, "skip EUPA, force this linearization", |o, a| {
-        let choices = [("row", Linearization::Row), ("column", Linearization::Column)];
-        put(&mut o.isobar.linearization_override, Some(a.pick("row|column", &choices)?))
-    }),
-    flag("--level fast|default|best", COMPRESS, "solver effort", |o, a| {
-        let choices = [("fast", CompressionLevel::Fast), ("default", CompressionLevel::Default),
-                       ("best", CompressionLevel::Best)];
-        put(&mut o.isobar.level, a.pick("fast|default|best", &choices)?)
-    }).shows(|o, _| lower(o.isobar.level)),
-    flag("--tau F", &[Sub::Compress, Sub::Analyze], "analyzer tolerance factor, in (0, 256]",
-        |o, a| put(&mut o.isobar.tau, a.num()?))
+    flag("--prefer", Next("speed|ratio"), COMPRESS)
+        .help("end-user preference")
+        .set(|o, a| {
+            let choices = [("speed", Preference::Speed), ("ratio", Preference::Ratio)];
+            put(&mut o.isobar.preference, a.pick(&choices)?)
+        })
+        .shows(|o, _| lower(o.isobar.preference)),
+    flag("--ratio-floor", Next("F"), COMPRESS)
+        .help("first solver, fastest first, with sample CR >= F")
+        .set(|o, a| put(&mut o.ratio_floor, Some(a.num()?)))
+        .check(|o| {
+            let floor = o.ratio_floor.filter(|f| !f.is_finite());
+            floor.map(|f| format!("--ratio-floor must be finite, got {f}"))
+        }),
+    flag("--codec", Next("zlib|bzlib2"), COMPRESS)
+        .help("skip EUPA, force this solver")
+        .set(|o, a| {
+            let choices = [
+                ("zlib", CodecId::Deflate),
+                ("deflate", CodecId::Deflate),
+                ("bzlib2", CodecId::Bzip2Like),
+                ("bzip2", CodecId::Bzip2Like),
+            ];
+            put(&mut o.isobar.codec_override, Some(a.pick(&choices)?))
+        }),
+    flag("--linearize", Next("row|column"), COMPRESS)
+        .help("skip EUPA, force this linearization")
+        .set(|o, a| {
+            let choices = [
+                ("row", Linearization::Row),
+                ("column", Linearization::Column),
+            ];
+            put(
+                &mut o.isobar.linearization_override,
+                Some(a.pick(&choices)?),
+            )
+        }),
+    flag("--level", Next("fast|default|best"), COMPRESS)
+        .help("solver effort")
+        .set(|o, a| {
+            let choices = [
+                ("fast", CompressionLevel::Fast),
+                ("default", CompressionLevel::Default),
+                ("best", CompressionLevel::Best),
+            ];
+            put(&mut o.isobar.level, a.pick(&choices)?)
+        })
+        .shows(|o, _| lower(o.isobar.level)),
+    flag("--tau", Next("F"), &[Sub::Compress, Sub::Analyze])
+        .help("analyzer tolerance factor, in (0, 256]")
+        .set(|o, a| put(&mut o.isobar.tau, a.num()?))
         .shows(|o, _| o.isobar.tau.to_string())
-        .check(|o| refuse_if(!(o.isobar.tau > 0.0 && o.isobar.tau <= 256.0), "--tau must be in (0, 256]")),
-    flag("--chunk N", COMPRESS, "chunk size in elements", |o, a| put(&mut o.isobar.chunk_elements, a.num()?))
+        .check(|o| {
+            let tau = o.isobar.tau;
+            refuse_if(!(tau > 0.0 && tau <= 256.0), "--tau must be in (0, 256]")
+        }),
+    flag("--chunk", Next("N"), COMPRESS)
+        .help("chunk size in elements")
+        .set(|o, a| put(&mut o.isobar.chunk_elements, a.num()?))
         .shows(|o, _| o.isobar.chunk_elements.to_string())
         .check(|o| refuse_if(o.isobar.chunk_elements == 0, "--chunk must be positive")),
-    flag("--parallel", COMPRESS, "compress chunks on all cores", |o, _| put(&mut o.isobar.parallel, true)),
-    flag("--stream", COMPRESS, "constant memory: one chunk in flight, the input never\n\
-                                held whole (its length goes in the trailer)", |o, _| put(&mut o.stream, true)),
-    flag("--quiet, -q", COMPRESS, "suppress the summary report", |o, _| put(&mut o.quiet, true)),
-    flag("--skip-corrupt", &[Sub::Decompress], "zero-fill damaged chunks instead of failing",
-        |o, _| put(&mut o.skip_corrupt, true)),
-    flag("--no-verify", &[Sub::Decompress, Sub::StoreGet, Sub::StoreLs], "skip checksum verification",
-        |o, _| put(&mut o.isobar.verify, false)),
-    flag("--kernels=scalar|auto", RUN, "pin the SIMD kernels (or set ISOBAR_KERNELS)", |o, a| {
-        let kernels = KernelSelection::parse(a.raw).ok_or_else(|| a.refuse("scalar|auto"))?;
-        put(&mut o.run.kernels, Some(kernels))
-    }).shows(|_, _| lower(KernelSelection::default())),
-    flag("--stats[=table|json|prometheus]", RUN, "print per-stage telemetry after the run", |o, a| {
-        let choices = [("table", StatsFormat::Table), ("json", StatsFormat::Json),
-                       ("prometheus", StatsFormat::Prometheus)];
-        put(&mut o.run.stats, Some(a.pick("table|json|prometheus", &choices)?))
+    flag("--parallel", Switch, COMPRESS)
+        .help("compress chunks on all cores")
+        .set(|o, _| put(&mut o.isobar.parallel, true)),
+    flag("--stream", Switch, COMPRESS)
+        .help(
+            "constant memory: one chunk in flight, the input never\n\
+             held whole (its length goes in the trailer)",
+        )
+        .set(|o, _| put(&mut o.stream, true)),
+    flag("--quiet", Switch, COMPRESS)
+        .alias("-q")
+        .help("suppress the summary report")
+        .set(|o, _| put(&mut o.quiet, true)),
+    flag("--skip-corrupt", Switch, &[Sub::Decompress])
+        .help("zero-fill damaged chunks instead of failing")
+        .set(|o, _| put(&mut o.skip_corrupt, true)),
+    flag(
+        "--no-verify",
+        Switch,
+        &[Sub::Decompress, Sub::StoreGet, Sub::StoreLs],
+    )
+    .help("skip checksum verification")
+    .set(|o, _| put(&mut o.isobar.verify, false)),
+    flag("--kernels", Attached("scalar|auto"), RUN)
+        .help("pin the SIMD kernels (or set ISOBAR_KERNELS)")
+        .set(|o, a| {
+            let kernels = KernelSelection::parse(a.raw).ok_or_else(|| a.refuse())?;
+            put(&mut o.run.kernels, Some(kernels))
+        })
+        .shows(|_, _| lower(KernelSelection::default())),
+    flag(
+        "--stats",
+        Optional {
+            choices: "table|json|prometheus",
+            bare: "table",
+        },
+        RUN,
+    )
+    .help("print per-stage telemetry after the run")
+    .set(|o, a| {
+        let choices = [
+            ("table", StatsFormat::Table),
+            ("json", StatsFormat::Json),
+            ("prometheus", StatsFormat::Prometheus),
+        ];
+        put(&mut o.run.stats, Some(a.pick(&choices)?))
     }),
-    flag("--trace FILE", RUN, "write a Chrome trace-event JSON timeline of the run",
-        |o, a| put(&mut o.run.trace, Some(a.raw.into()))),
-    flag("--bits", &[Sub::Analyze], "also print the per-bit-position profile", |o, _| put(&mut o.bits, true)),
-    flag("--name V", KEY, "variable name (required)", |o, a| put(&mut o.name, a.raw.into())),
-    flag("--step N", KEY, "time step (required)", |o, a| put(&mut o.step, a.num()?)),
-    flag("--shards N", &[Sub::StorePut, Sub::StoreCompact, Sub::Serve], "segment pipelines per generation", |o, a| {
+    flag("--trace", Next("FILE"), RUN)
+        .help("write a Chrome trace-event JSON timeline of the run")
+        .set(|o, a| put(&mut o.run.trace, Some(a.raw.into()))),
+    flag("--bits", Switch, &[Sub::Analyze])
+        .help("also print the per-bit-position profile")
+        .set(|o, _| put(&mut o.bits, true)),
+    flag("--name", Next("V"), KEY)
+        .help("variable name (required)")
+        .set(|o, a| put(&mut o.name, a.raw.into())),
+    flag("--step", Next("N"), KEY)
+        .help("time step (required)")
+        .set(|o, a| put(&mut o.step, a.num()?)),
+    flag(
+        "--shards",
+        Next("N"),
+        &[Sub::StorePut, Sub::StoreCompact, Sub::Serve],
+    )
+    .help("segment pipelines per generation")
+    .set(|o, a| {
         o.serve.shards = a.num()?;
         put(&mut o.sharded.shards, o.serve.shards)
     })
-        .shows(|o, sub| (if sub == Sub::Serve { o.serve.shards } else { o.sharded.shards }).to_string())
-        .check(|o| refuse_if(o.sharded.shards == 0, "--shards must be positive")),
-    flag("--queue-depth N", &[Sub::StorePut, Sub::Serve], "in-flight variables per shard", |o, a| {
-        o.serve.queue_depth = a.num()?;
-        put(&mut o.sharded.queue_depth, o.serve.queue_depth)
+    .shows(|o, sub| match sub {
+        Sub::Serve => o.serve.shards.to_string(),
+        _ => o.sharded.shards.to_string(),
     })
-        .shows(|o, sub| (if sub == Sub::Serve { o.serve.queue_depth } else { o.sharded.queue_depth }).to_string())
+    .check(|o| refuse_if(o.sharded.shards == 0, "--shards must be positive")),
+    flag("--queue-depth", Next("N"), &[Sub::StorePut, Sub::Serve])
+        .help("in-flight variables per shard")
+        .set(|o, a| {
+            o.serve.queue_depth = a.num()?;
+            put(&mut o.sharded.queue_depth, o.serve.queue_depth)
+        })
+        .shows(|o, sub| match sub {
+            Sub::Serve => o.serve.queue_depth.to_string(),
+            _ => o.sharded.queue_depth.to_string(),
+        })
         .check(|o| refuse_if(o.sharded.queue_depth == 0, "--queue-depth must be positive")),
-    flag("--addr HOST:PORT", SERVE, "request listener (port 0 picks one)", |o, a| put(&mut o.addr, Some(a.raw.into())))
-        .shows(|_, _| DEFAULT_ADDR.to_string()),
-    flag("--metrics HOST:PORT", SERVE, "also serve Prometheus text on /metrics",
-        |o, a| put(&mut o.metrics, Some(a.raw.into()))),
-    flag("--max-payload N", SERVE, "largest accepted put payload in bytes",
-        |o, a| put(&mut o.serve.max_payload, a.num()?))
+    flag("--addr", Next("HOST:PORT"), SERVE)
+        .help("request listener (port 0 picks one)")
+        .set(|o, a| put(&mut o.addr, Some(a.raw.into())))
+        .shows(|o, _| o.listen_addr().to_string()),
+    flag("--metrics", Next("HOST:PORT"), SERVE)
+        .help("also serve Prometheus text on /metrics")
+        .set(|o, a| put(&mut o.metrics, Some(a.raw.into()))),
+    flag("--max-payload", Next("N"), SERVE)
+        .help("largest accepted put payload in bytes")
+        .set(|o, a| put(&mut o.serve.max_payload, a.num()?))
         .shows(|o, _| o.serve.max_payload.to_string())
         .check(|o| {
             let (n, max) = (o.serve.max_payload, u32::MAX);
-            (n == 0 || n > u64::from(max)).then(|| format!("--max-payload must be in 1..={max}, got {n}"))
+            let bad = n == 0 || n > u64::from(max);
+            bad.then(|| format!("--max-payload must be in 1..={max}, got {n}"))
         }),
-    flag("--max-inflight N", SERVE, "uncommitted-byte budget before puts get Busy",
-        |o, a| put(&mut o.serve.max_inflight_bytes, a.num()?))
+    flag("--max-inflight", Next("N"), SERVE)
+        .help("uncommitted-byte budget before puts get Busy")
+        .set(|o, a| put(&mut o.serve.max_inflight_bytes, a.num()?))
         .shows(|o, _| o.serve.max_inflight_bytes.to_string()),
-    flag("--commit-every N", SERVE, "pending bytes that trigger a generation commit",
-        |o, a| put(&mut o.serve.commit_threshold, a.num()?))
+    flag("--commit-every", Next("N"), SERVE)
+        .help("pending bytes that trigger a generation commit")
+        .set(|o, a| put(&mut o.serve.commit_threshold, a.num()?))
         .shows(|o, _| o.serve.commit_threshold.to_string()),
-    flag("--max-connections N", SERVE, "concurrent connections before Busy",
-        |o, a| put(&mut o.serve.max_connections, a.num()?))
+    flag("--max-connections", Next("N"), SERVE)
+        .help("concurrent connections before Busy")
+        .set(|o, a| put(&mut o.serve.max_connections, a.num()?))
         .shows(|o, _| o.serve.max_connections.to_string())
-        .check(|o| refuse_if(o.serve.max_connections == 0, "--max-connections must be positive")),
-    flag("--slow-ms N", SERVE, "count and log requests of N ms or more (off unless given)",
-        |o, a| put(&mut o.serve.slow_ms, Some(a.num()?))),
-    flag("--flight-recorder DIR", SERVE, "keep trace rings warm; dump them (and slow.jsonl) here",
-        |o, a| put(&mut o.serve.flight_recorder, Some(a.raw.into()))),
-    flag("--debug-endpoint", SERVE, "also serve /debug/stats on the --metrics listener",
-        |o, _| put(&mut o.serve.debug_endpoint, true)),
-    flag("--no-wal", SERVE, "skip the write-ahead journal: an acked put may be\n\
-                             lost in a crash before the next commit", |o, _| put(&mut o.serve.wal, false)),
-    flag("--idle-timeout N", SERVE, "drop connections idle N seconds; 0 keeps them", |o, a| {
-        let secs = a.num()?;
-        put(&mut o.serve.idle_timeout, (secs != 0).then(|| Duration::from_secs(secs)))
-    }).shows(|o, _| o.serve.idle_timeout.map_or(0, |t| t.as_secs()).to_string()),
-    flag("--frame-deadline N", SERVE, "abort requests whose frame takes over N seconds",
-        |o, a| put(&mut o.serve.frame_deadline, Duration::from_secs(a.num()?)))
+        .check(|o| {
+            let bad = o.serve.max_connections == 0;
+            refuse_if(bad, "--max-connections must be positive")
+        }),
+    flag("--slow-ms", Next("N"), SERVE)
+        .help("count and log requests of N ms or more (off unless given)")
+        .set(|o, a| put(&mut o.serve.slow_ms, Some(a.num()?))),
+    flag("--flight-recorder", Next("DIR"), SERVE)
+        .help("keep trace rings warm; dump them (and slow.jsonl) here")
+        .set(|o, a| put(&mut o.serve.flight_recorder, Some(a.raw.into()))),
+    flag("--debug-endpoint", Switch, SERVE)
+        .help("also serve /debug/stats on the --metrics listener")
+        .set(|o, _| put(&mut o.serve.debug_endpoint, true)),
+    flag("--no-wal", Switch, SERVE)
+        .help(
+            "skip the write-ahead journal: an acked put may be\n\
+             lost in a crash before the next commit",
+        )
+        .set(|o, _| put(&mut o.serve.wal, false)),
+    flag("--idle-timeout", Next("N"), SERVE)
+        .help("drop connections idle N seconds; 0 keeps them")
+        .set(|o, a| {
+            let secs = a.num()?;
+            put(
+                &mut o.serve.idle_timeout,
+                (secs != 0).then(|| Duration::from_secs(secs)),
+            )
+        })
+        .shows(|o, _| o.serve.idle_timeout.map_or(0, |t| t.as_secs()).to_string()),
+    flag("--frame-deadline", Next("N"), SERVE)
+        .help("abort requests whose frame takes over N seconds")
+        .set(|o, a| put(&mut o.serve.frame_deadline, Duration::from_secs(a.num()?)))
         .shows(|o, _| o.serve.frame_deadline.as_secs().to_string())
-        .check(|o| refuse_if(o.serve.frame_deadline.is_zero(),
-                             "--frame-deadline must be positive (it bounds slowloris clients)")),
+        .check(|o| {
+            let bad = o.serve.frame_deadline.is_zero();
+            refuse_if(
+                bad,
+                "--frame-deadline must be positive (it bounds slowloris clients)",
+            )
+        }),
 ];
 
 /// The usage text: the synopsis, then each subcommand's options as the
@@ -389,13 +570,16 @@ pub fn usage() -> String {
     let defaults = Opts::default();
     let mut text = SYNOPSIS.to_string();
     for (sub, name) in SUBS {
-        let mut rows = FLAGS.iter().filter(|f| f.takes.contains(&sub)).peekable();
+        let mut rows = FLAGS
+            .iter()
+            .filter(|f| f.row.takes.contains(&sub))
+            .peekable();
         if rows.peek().is_some() {
             text += &format!("\n\n{name} options:");
         }
         for f in rows {
-            let help = f.help.replace('\n', &format!("\n{:23}", ""));
-            text += &match f.spelling {
+            let help = f.row.help.replace('\n', &format!("\n{:23}", ""));
+            text += &match f.row.spelling() {
                 short if short.len() <= 20 => format!("\n  {short:21}{help}"),
                 long => format!("\n  {long}\n{:23}{help}", ""),
             };
@@ -455,11 +639,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         };
         let (flag, take) = FLAGS
             .iter()
-            .filter(|f| f.name() == spelled || f.alias() == Some(spelled))
-            .find_map(|f| Some((f, f.take(attached)?)))
+            .filter(|f| f.row.name == spelled || f.row.alias == Some(spelled))
+            .find_map(|f| Some((f, f.row.take(attached)?)))
             .ok_or_else(|| format!("unknown flag '{arg}'"))?;
-        let name = flag.name();
-        if !flag.takes.contains(&sub) {
+        let name = flag.row.name;
+        if !flag.row.takes.contains(&sub) {
             return Err(format!("'{name}' does not apply to '{}'", sub.name()));
         }
         let raw = match take {
@@ -469,10 +653,18 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .next()
                 .ok_or_else(|| format!("{name} requires a value"))?,
         };
-        (flag.set)(&mut o, Arg { flag: name, raw })?;
+        let expect = flag.row.metavar();
+        (flag.set)(
+            &mut o,
+            Arg {
+                flag: name,
+                expect,
+                raw,
+            },
+        )?;
         seen.push(name);
     }
-    let given = FLAGS.iter().filter(|f| seen.contains(&f.name()));
+    let given = FLAGS.iter().filter(|f| seen.contains(&f.row.name));
     if let Some(refusal) = given.filter_map(|f| f.check).find_map(|check| check(&o)) {
         return Err(refusal);
     }
@@ -703,7 +895,9 @@ mod tests {
     #[test]
     fn serve_parses_defaults_and_flags() {
         let o = parsed("serve run.v3", Sub::Serve, &["run.v3"]);
-        assert_eq!((o.addr, o.metrics), (None, None));
+        // Loopback only unless --addr says otherwise.
+        assert_eq!(o.listen_addr(), "127.0.0.1:7227");
+        assert_eq!(o.metrics, None);
         assert_same(o.serve, ServeOptions::default());
         let line = "serve run.v3 --addr 0.0.0.0:9000 --metrics 127.0.0.1:9001 --shards 2 \
                     --queue-depth 4 --max-payload 1048576 --max-inflight 8388608 \
@@ -711,7 +905,7 @@ mod tests {
                     --flight-recorder flight-out --debug-endpoint --no-wal --idle-timeout 0 \
                     --frame-deadline 5";
         let o = parsed(line, Sub::Serve, &["run.v3"]);
-        assert_eq!(o.addr.as_deref(), Some("0.0.0.0:9000"));
+        assert_eq!(o.listen_addr(), "0.0.0.0:9000");
         assert_eq!(o.metrics.as_deref(), Some("127.0.0.1:9001"));
         let serve = ServeOptions {
             shards: 2,
@@ -898,21 +1092,25 @@ mod tests {
         let mut declared: Vec<String> = FLAGS
             .iter()
             .flat_map(|f| {
-                f.takes
+                f.row
+                    .takes
                     .iter()
-                    .map(|sub| format!("{} {}", sub.name(), f.name()))
+                    .map(|sub| format!("{} {}", sub.name(), f.row.name))
             })
             .collect();
         listed.sort();
         declared.sort();
         assert_eq!(listed, declared);
-        // 33 flags and 2 aliases; the usage states library defaults.
+        // 33 flags and 2 aliases, each with help; the usage states
+        // library defaults.
         assert_eq!(FLAGS.len(), 33);
-        assert_eq!(FLAGS.iter().filter(|f| f.alias().is_some()).count(), 2);
+        assert_eq!(FLAGS.iter().filter(|f| f.row.alias.is_some()).count(), 2);
+        assert!(FLAGS.iter().all(|f| !f.row.help.is_empty()));
         for default in [
             ServeOptions::default().max_payload.to_string(),
             isobar::chunk::DEFAULT_CHUNK_ELEMENTS.to_string(),
             isobar::DEFAULT_TAU.to_string(),
+            "127.0.0.1:7227".to_string(),
         ] {
             assert!(text.contains(&format!("(default: {default})")), "{default}");
         }

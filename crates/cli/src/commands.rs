@@ -1,6 +1,6 @@
 //! Command implementations for the `isobar` CLI.
 
-use crate::args::{Command, RunFlags, StatsFormat, Sub, DEFAULT_ADDR};
+use crate::args::{Command, Opts, RunFlags, StatsFormat, Sub};
 use isobar::container::Header;
 use isobar::salvage::FsckReport;
 use isobar::{Analyzer, IsobarCompressor, IsobarOptions, Recorder, TelemetrySnapshot};
@@ -23,26 +23,8 @@ pub fn run(cmd: Command) -> Result<u8, String> {
     // `parse` leaves exactly the operands each subcommand takes.
     let path = |i: usize| paths[i].as_path();
     match sub {
-        Sub::Compress => traced(&o.run, || {
-            compress(
-                path(0),
-                path(1),
-                o.width,
-                o.isobar,
-                o.stream,
-                o.quiet,
-                o.run.stats,
-            )
-        }),
-        Sub::Decompress => traced(&o.run, || {
-            decompress(
-                path(0),
-                path(1),
-                o.skip_corrupt,
-                o.isobar.verify,
-                o.run.stats,
-            )
-        }),
+        Sub::Compress => traced(&o.run, || compress(path(0), path(1), &o)),
+        Sub::Decompress => traced(&o.run, || decompress(path(0), path(1), &o)),
         Sub::Analyze => analyze(path(0), o.width, o.isobar.tau, o.bits),
         Sub::Info => info(path(0)),
         Sub::Fsck => return fsck(path(0)),
@@ -50,10 +32,10 @@ pub fn run(cmd: Command) -> Result<u8, String> {
         Sub::StorePut => store_put(path(0), path(1), &o.name, o.step, o.width, o.sharded),
         Sub::StoreGet => store_get(path(0), path(1), &o.name, o.step, o.isobar.verify),
         Sub::StoreLs => store_ls(path(0), o.isobar.verify),
-        Sub::StoreCompact => store_compact(path(0), Some(o.sharded.shards)),
+        Sub::StoreCompact => store_compact(path(0), o.sharded.shards),
         Sub::Serve => {
-            let addr = o.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-            serve(path(0), addr, o.metrics.as_deref(), o.serve)
+            let addr = o.listen_addr().to_string();
+            serve(path(0), &addr, o.metrics.as_deref(), o.serve)
         }
         Sub::Help => {
             println!("{}", crate::args::usage());
@@ -219,19 +201,12 @@ fn traced(run: &RunFlags, body: impl FnOnce() -> Result<(), String>) -> Result<(
     result
 }
 
-/// Compress `input` into a container. `stream` keeps one chunk in
+/// Compress `input` into a container. `--stream` keeps one chunk in
 /// flight instead of holding the input (the length then arrives in the
 /// container's trailer); both ways run the same session and report.
-fn compress(
-    input: &Path,
-    output: &Path,
-    width: usize,
-    options: IsobarOptions,
-    stream: bool,
-    quiet: bool,
-    stats: Option<StatsFormat>,
-) -> Result<(), String> {
-    let report = if stream {
+fn compress(input: &Path, output: &Path, o: &Opts) -> Result<(), String> {
+    let (width, options) = (o.width, o.isobar);
+    let report = if o.stream {
         let mut src = fs::File::open(input).map_err(at(input))?;
         let dst = fs::File::create(output).map_err(at(output))?;
         let mut writer = isobar::IsobarWriter::new(std::io::BufWriter::new(dst), width, options)
@@ -245,10 +220,10 @@ fn compress(
         write(output, &packed)?;
         report
     };
-    if let Some(format) = stats {
+    if let Some(format) = o.run.stats {
         print_stats(&report.telemetry, format);
     }
-    if !quiet {
+    if !o.quiet {
         eprintln!(
             "{} -> {}: {} -> {} bytes (CR {:.3}, {:.1} MB/s)",
             input.display(),
@@ -275,14 +250,8 @@ fn compress(
 /// `--skip-corrupt` switches to the whole-file salvage walker: resync
 /// needs to look arbitrarily far ahead for the next checksum anchor,
 /// which the constant-memory reader cannot do.
-fn decompress(
-    input: &Path,
-    output: &Path,
-    skip_corrupt: bool,
-    verify: bool,
-    stats: Option<StatsFormat>,
-) -> Result<(), String> {
-    let telemetry = if skip_corrupt {
+fn decompress(input: &Path, output: &Path, o: &Opts) -> Result<(), String> {
+    let telemetry = if o.skip_corrupt {
         let mut recorder = Recorder::new();
         let (restored, report) =
             isobar::salvage::salvage_decompress_recorded(&read(input)?, &mut recorder)
@@ -303,8 +272,8 @@ fn decompress(
     } else {
         use std::io::{BufReader, BufWriter, Write};
         let src = fs::File::open(input).map_err(at(input))?;
-        let mut reader =
-            isobar::IsobarReader::with_verify(BufReader::new(src), verify).map_err(at(input))?;
+        let mut reader = isobar::IsobarReader::with_verify(BufReader::new(src), o.isobar.verify)
+            .map_err(at(input))?;
         let dst = fs::File::create(output).map_err(at(output))?;
         let mut dst = BufWriter::with_capacity(1 << 20, dst);
         let copied = std::io::copy(&mut reader, &mut dst).and_then(|_| dst.flush());
@@ -316,7 +285,7 @@ fn decompress(
         }
         reader.telemetry()
     };
-    if let Some(format) = stats {
+    if let Some(format) = o.run.stats {
         print_stats(&telemetry, format);
     }
     Ok(())
@@ -451,15 +420,13 @@ fn print_fsck_report(input: &Path, report: &FsckReport) {
     if report.total_len.is_none() {
         println!("  declared length missing or unusable");
     }
-    println!(
-        "{}: {}",
-        input.display(),
-        if report.is_clean() {
-            "clean"
-        } else {
-            "DAMAGED"
-        }
-    );
+    print_verdict(input, report.is_clean());
+}
+
+/// The closing line of an fsck report.
+fn print_verdict(input: &Path, clean: bool) {
+    let verdict = if clean { "clean" } else { "DAMAGED" };
+    println!("{}: {verdict}", input.display());
 }
 
 fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
@@ -498,15 +465,7 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
             plural(report.orphan_files, "", "s"),
         );
     }
-    println!(
-        "{}: {}",
-        input.display(),
-        if report.is_clean() {
-            "clean"
-        } else {
-            "DAMAGED"
-        }
-    );
+    print_verdict(input, report.is_clean());
 }
 
 /// Recover every intact chunk or entry from a damaged container or
@@ -636,8 +595,8 @@ fn store_ls(dir: &Path, verify: bool) -> Result<(), String> {
 }
 
 /// Rewrite a store without its superseded entries.
-fn store_compact(dir: &Path, shards: Option<u16>) -> Result<(), String> {
-    let report = isobar_store::compact_store(dir, shards).map_err(at(dir))?;
+fn store_compact(dir: &Path, shards: u16) -> Result<(), String> {
+    let report = isobar_store::compact_store(dir, Some(shards)).map_err(at(dir))?;
     eprintln!(
         "{}: {} entries kept, {} dropped; {} file{} removed, {} bytes reclaimed",
         dir.display(),
@@ -658,6 +617,25 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("isobar-cli-test-{}-{name}", std::process::id()));
         dir
+    }
+
+    /// A quiet `compress --width 8` with these pipeline options.
+    fn compress_opts(isobar: IsobarOptions, stream: bool) -> Opts {
+        Opts {
+            width: 8,
+            isobar,
+            stream,
+            quiet: true,
+            ..Default::default()
+        }
+    }
+
+    /// `decompress` options, with `--skip-corrupt` if `skip_corrupt`.
+    fn restore(skip_corrupt: bool) -> Opts {
+        Opts {
+            skip_corrupt,
+            ..Default::default()
+        }
     }
 
     /// `shards` segment pipelines at the library's queue depth.
@@ -682,17 +660,16 @@ mod tests {
         compress(
             &input,
             &packed,
-            8,
-            IsobarOptions {
-                chunk_elements: 30_000,
-                ..Default::default()
-            },
-            false,
-            true,
-            None,
+            &compress_opts(
+                IsobarOptions {
+                    chunk_elements: 30_000,
+                    ..Default::default()
+                },
+                false,
+            ),
         )
         .unwrap();
-        decompress(&packed, &restored, false, true, None).unwrap();
+        decompress(&packed, &restored, &restore(false)).unwrap();
         assert_eq!(fs::read(&restored).unwrap(), ds.bytes);
 
         for p in [&input, &packed, &restored] {
@@ -708,11 +685,7 @@ mod tests {
         compress(
             &input,
             &packed,
-            8,
-            IsobarOptions::default(),
-            false,
-            true,
-            None,
+            &compress_opts(IsobarOptions::default(), false),
         )
         .unwrap();
         info(&packed).unwrap();
@@ -735,14 +708,13 @@ mod tests {
         compress(
             &input,
             &packed,
-            8,
-            IsobarOptions {
-                chunk_elements: 10_000,
-                ..Default::default()
-            },
-            true,
-            true,
-            None,
+            &compress_opts(
+                IsobarOptions {
+                    chunk_elements: 10_000,
+                    ..Default::default()
+                },
+                true,
+            ),
         )
         .unwrap();
         info(&packed).unwrap();
@@ -779,11 +751,7 @@ mod tests {
             compress(
                 &input,
                 &packed,
-                8,
-                IsobarOptions::default(),
-                false,
-                true,
-                None,
+                &compress_opts(IsobarOptions::default(), false),
             )
         })
         .unwrap();
@@ -807,9 +775,7 @@ mod tests {
         assert!(decompress(
             Path::new("/no/such/file"),
             Path::new("/tmp/x"),
-            false,
-            true,
-            None
+            &restore(false)
         )
         .is_err());
     }
@@ -818,7 +784,7 @@ mod tests {
     fn decompress_rejects_non_containers() {
         let input = tmp("garbage.bin");
         fs::write(&input, b"this is not a container").unwrap();
-        assert!(decompress(&input, &tmp("never-written"), false, true, None).is_err());
+        assert!(decompress(&input, &tmp("never-written"), &restore(false)).is_err());
         let _ = fs::remove_file(&input);
     }
 
@@ -838,14 +804,13 @@ mod tests {
         compress(
             &input,
             &packed,
-            8,
-            IsobarOptions {
-                chunk_elements: 10_000,
-                ..Default::default()
-            },
-            stream,
-            true,
-            None,
+            &compress_opts(
+                IsobarOptions {
+                    chunk_elements: 10_000,
+                    ..Default::default()
+                },
+                stream,
+            ),
         )
         .unwrap();
         (ds.bytes, packed, input)
@@ -891,7 +856,7 @@ mod tests {
             // The salvaged container is fully valid: fsck and strict
             // decompression must accept it.
             assert_eq!(fsck(&salvaged).unwrap(), 0);
-            decompress(&salvaged, &restored, false, true, None).unwrap();
+            decompress(&salvaged, &restored, &restore(false)).unwrap();
             let restored_bytes = fs::read(&restored).unwrap();
             assert_eq!(restored_bytes.len(), original.len());
             // Chunks 0 and 1 (10k elements x 8 bytes each) come back
@@ -914,9 +879,9 @@ mod tests {
             let restored = tmp("skip-restored.bin");
             // Strict mode refuses and leaves no partial output;
             // --skip-corrupt recovers what it can.
-            assert!(decompress(&packed, &restored, false, true, None).is_err());
+            assert!(decompress(&packed, &restored, &restore(false)).is_err());
             assert!(!restored.exists());
-            decompress(&packed, &restored, true, true, None).unwrap();
+            decompress(&packed, &restored, &restore(true)).unwrap();
             let restored_bytes = fs::read(&restored).unwrap();
             assert_eq!(restored_bytes.len(), original.len());
             assert_eq!(restored_bytes[..160_000], original[..160_000]);
@@ -938,16 +903,12 @@ mod tests {
             compress(
                 &input,
                 &packed,
-                8,
-                IsobarOptions::default(),
-                stream,
-                true,
-                None,
+                &compress_opts(IsobarOptions::default(), stream),
             )
             .unwrap();
             assert_eq!(fsck(&packed).unwrap(), 0, "stream: {stream}");
             info(&packed).unwrap();
-            decompress(&packed, &restored, false, true, None).unwrap();
+            decompress(&packed, &restored, &restore(false)).unwrap();
             assert_eq!(fs::read(&restored).unwrap(), b"");
             salvage(&packed, &salvaged).unwrap();
             assert_eq!(fsck(&salvaged).unwrap(), 0);
@@ -972,8 +933,8 @@ mod tests {
                 info(&old).unwrap_err(),
                 fsck(&old).unwrap_err(),
                 salvage(&old, &out).unwrap_err(),
-                decompress(&old, &out, false, true, None).unwrap_err(),
-                decompress(&old, &out, true, true, None).unwrap_err(),
+                decompress(&old, &out, &restore(false)).unwrap_err(),
+                decompress(&old, &out, &restore(true)).unwrap_err(),
             ] {
                 assert!(
                     err.contains(name) && err.ends_with("is no longer supported"),
@@ -1054,7 +1015,7 @@ mod tests {
             .generate(10_000, 2);
         fs::write(&newer, &ds2.bytes).unwrap();
         store_put(&dir, &newer, "density", 0, 8, sharded(2)).unwrap();
-        store_compact(&dir, None).unwrap();
+        store_compact(&dir, ShardedOptions::default().shards).unwrap();
         store_get(&dir, &output, "density", 0, true).unwrap();
         assert_eq!(fs::read(&output).unwrap(), ds2.bytes);
         assert_eq!(fsck(&dir).unwrap(), 0);

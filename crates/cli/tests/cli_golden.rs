@@ -84,7 +84,8 @@ const CHANGED: &[(&str, i32, &str, &str)] = &[
 /// `unknown flag` (or, after the operands of info/fsck/salvage, as an
 /// unexpected argument); every subcommand now refuses it as the store
 /// verbs already did: `'--x' does not apply to 'sub'`. The rule holds
-/// only where the parent refused the line too.
+/// only where the parent refused the line with one of those two
+/// messages.
 fn does_not_apply(argv: &[&str], parent: &(i32, String), got: &(i32, String)) -> bool {
     let sub = match argv {
         ["store", verb, ..] => format!("store {verb}"),
@@ -99,7 +100,9 @@ fn does_not_apply(argv: &[&str], parent: &(i32, String), got: &(i32, String)) ->
         [] => return false,
     };
     let named = |flag: &str| got.1 == format!("isobar: '{flag}' does not apply to '{sub}'");
+    let refused = ["isobar: unknown flag '", "isobar: unexpected argument '"];
     parent.0 == 1
+        && refused.iter().any(|r| parent.1.starts_with(r))
         && got.0 == 1
         && argv.iter().any(|arg| match *arg {
             "-w" => named("--width"),
