@@ -5,7 +5,9 @@
 //! the lazily created [`ShardedStoreWriter`], the committed
 //! [`StoreReader`], the read-your-writes overlay, and the write-ahead
 //! journal ([`WalSet`]) behind the durability contract. The daemon
-//! wraps these methods in its mutex, phase clocks, and counters; the
+//! wraps these methods in its mutex, phase clocks, and counters; a
+//! read holds the mutex only for [`StoreCore::lookup`], which hands
+//! back an owned [`Snapshot`] to read, verify and decode after. The
 //! crash-injection harness drives the *same* methods directly over a
 //! fault-injecting filesystem, so the sweep exercises byte-for-byte
 //! the fs-op sequence a real daemon performs — without a TCP stack in
@@ -25,7 +27,7 @@
 //! the ack only ever happens after `wal_append` returns, which is the
 //! "acked means durable" barrier.
 
-use crate::wal::{WalRecord, WalSet};
+use crate::wal::WalSet;
 use isobar::trace::{TraceTag, NO_CHUNK};
 use isobar::{IsobarOptions, TelemetrySnapshot};
 use isobar_store::{
@@ -34,6 +36,7 @@ use isobar_store::{
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Store-side tuning for [`StoreCore`], the subset of `ServeOptions`
 /// the engine needs.
@@ -71,12 +74,36 @@ impl Default for CoreOptions {
     }
 }
 
-/// One uncommitted put held for read-your-writes.
+/// One uncommitted put held for read-your-writes. A clone shares the
+/// payload.
+#[derive(Clone)]
 pub struct OverlayEntry {
     /// Element width in bytes.
     pub width: u8,
-    /// Raw payload.
-    pub data: Vec<u8>,
+    /// Raw payload, shared so a read takes it without a copy.
+    pub data: Arc<Vec<u8>>,
+}
+
+/// What one read of a `(step, key)` resolved to: owned, so the caller
+/// can drop its lock before reading.
+pub enum Snapshot {
+    /// An uncommitted put.
+    Overlay(OverlayEntry),
+    /// The committed view at lookup time. A later commit swaps in a
+    /// new reader; this one stays valid, because a committed segment
+    /// is never rewritten or deleted.
+    Committed(Arc<StoreReader>),
+}
+
+impl Snapshot {
+    /// The variable's bytes: the overlay payload as is, or the
+    /// committed one read, verified and decoded now.
+    pub fn read(self, step: u32, key: &str) -> Result<Arc<Vec<u8>>, StoreError> {
+        match self {
+            Snapshot::Overlay(entry) => Ok(entry.data),
+            Snapshot::Committed(reader) => Ok(Arc::new(reader.get(step, key)?)),
+        }
+    }
 }
 
 /// What journal replay found on open.
@@ -119,8 +146,8 @@ where
     opts: CoreOptions,
     writer: Option<ShardedStoreWriter<F>>,
     /// Committed view; `None` before the first commit of a fresh store
-    /// or when `open_reader` is off.
-    pub reader: Option<StoreReader>,
+    /// or when `open_reader` is off. A commit swaps in a new `Arc`.
+    pub reader: Option<Arc<StoreReader>>,
     /// Read-your-writes cache of uncommitted puts, keyed by
     /// `(step, store key)`.
     pub overlay: BTreeMap<(u32, String), OverlayEntry>,
@@ -148,7 +175,7 @@ where
         let dir = dir.as_ref().to_path_buf();
         fs.create_dir_all(&dir)?;
         let reader = if opts.open_reader && dir.join(MANIFEST_FILE).exists() {
-            Some(StoreReader::open(&dir)?)
+            Some(Arc::new(StoreReader::open(&dir)?))
         } else {
             None
         };
@@ -203,14 +230,7 @@ where
         let Some(wal) = &mut self.wal else {
             return Ok(0);
         };
-        let rec = WalRecord {
-            tenant: tenant.to_string(),
-            step,
-            name: name.to_string(),
-            width,
-            payload: payload.to_vec(),
-        };
-        Ok(wal.append(&rec)? as u64)
+        Ok(wal.append_put(tenant, step, name, width, payload)? as u64)
     }
 
     /// Hand one put to the sharded writer, creating the writer (and
@@ -244,7 +264,7 @@ where
         // writer carries them into a generation.
         for (step, key) in std::mem::take(&mut self.unfed) {
             if let Some(entry) = self.overlay.get(&(step, key.clone())) {
-                writer.put(step, &key, entry.data.clone(), usize::from(entry.width))?;
+                writer.put(step, &key, entry.data.to_vec(), usize::from(entry.width))?;
             }
         }
         self.writer = Some(writer);
@@ -254,7 +274,7 @@ where
     /// Insert one put into the read-your-writes overlay, superseding
     /// any earlier payload for the same `(step, key)`.
     pub fn overlay_insert(&mut self, step: u32, key: String, width: u8, data: Vec<u8>) {
-        let len = data.len() as u64;
+        let (len, data) = (data.len() as u64, Arc::new(data));
         if let Some(old) = self
             .overlay
             .insert((step, key), OverlayEntry { width, data })
@@ -295,7 +315,7 @@ where
             None => 0,
         };
         if self.opts.open_reader {
-            self.reader = Some(StoreReader::open(&self.dir)?);
+            self.reader = Some(Arc::new(StoreReader::open(&self.dir)?));
         }
         self.pending_bytes = 0;
         self.overlay.clear();
@@ -307,19 +327,26 @@ where
         }))
     }
 
-    /// Read one variable: overlay first, committed reader second.
-    /// Used by tests and the crash sweep; the daemon keeps its own
-    /// phase-attributed copy of this lookup.
-    pub fn get(&self, step: u32, key: &str) -> Result<(Vec<u8>, GetSource), StoreError> {
+    /// Resolve a read of `(step, key)`: the overlay first, the
+    /// committed reader second, `NotFound` when there is neither. A map
+    /// probe and a pointer clone, so it is all a read does under the
+    /// daemon's lock.
+    pub fn lookup(&self, step: u32, key: &str) -> Result<Snapshot, StoreError> {
         if let Some(entry) = self.overlay.get(&(step, key.to_string())) {
-            return Ok((entry.data.clone(), GetSource::Overlay));
+            return Ok(Snapshot::Overlay(entry.clone()));
         }
-        match &self.reader {
-            Some(reader) => Ok((reader.get(step, key)?, GetSource::Committed)),
-            None => Err(StoreError::NotFound {
-                step,
-                name: key.to_string(),
-            }),
+        let reader = self.reader.clone().ok_or_else(|| StoreError::NotFound {
+            step,
+            name: key.to_string(),
+        })?;
+        Ok(Snapshot::Committed(reader))
+    }
+
+    /// Read one variable through [`StoreCore::lookup`].
+    pub fn get(&self, step: u32, key: &str) -> Result<(Vec<u8>, GetSource), StoreError> {
+        match self.lookup(step, key)? {
+            Snapshot::Overlay(entry) => Ok((entry.data.to_vec(), GetSource::Overlay)),
+            Snapshot::Committed(reader) => Ok((reader.get(step, key)?, GetSource::Committed)),
         }
     }
 
@@ -433,6 +460,41 @@ mod tests {
         let core = StoreCore::open_real(&dir, opts()).unwrap();
         assert_eq!(core.replay.records, 0);
         assert!(core.get(0, "v").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_committed_snapshot_still_decodes_after_two_more_commits() {
+        let dir = tmp("snapshot");
+        let mut core = StoreCore::open_real(&dir, opts()).unwrap();
+        let field = |amplitude: f64| -> Vec<u8> {
+            (0..4096)
+                .flat_map(|i| ((f64::from(i) * 0.01).sin() * amplitude).to_le_bytes())
+                .collect()
+        };
+        durable_put(&mut core, 0, "v", &field(1.0));
+        let first = core.commit().unwrap().expect("pending put").generation;
+        let Ok(Snapshot::Committed(snapshot)) = core.lookup(0, "v") else {
+            panic!("a committed key must resolve to the committed reader");
+        };
+        for step in 1..3 {
+            durable_put(&mut core, 0, "v", &field(f64::from(step) + 1.0));
+            durable_put(&mut core, step, "w", &field(-1.0));
+            core.commit().unwrap().expect("pending puts");
+        }
+        // The snapshot still reads its own generation, bit-exact, while
+        // the engine has moved two generations on.
+        assert_eq!(snapshot.generation(), first);
+        assert_eq!(snapshot.get(0, "v").unwrap(), field(1.0));
+        assert!(matches!(
+            snapshot.get(1, "w"),
+            Err(StoreError::NotFound { .. })
+        ));
+        assert_eq!(
+            core.get(0, "v").unwrap(),
+            (field(3.0), GetSource::Committed)
+        );
+        assert_eq!(core.last_generation, Some(first + 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

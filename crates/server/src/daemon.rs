@@ -8,9 +8,12 @@
 //! funnels through one mutex-guarded `StoreState`: puts go to the
 //! sharded writer *and* to an in-memory overlay so gets are
 //! read-your-writes before the next commit; gets fall back to the
-//! committed `StoreReader`. When the overlay crosses the commit
-//! threshold the daemon rolls a generation: the writer's two-phase
-//! manifest commit runs, the reader reopens, the overlay drains.
+//! committed `StoreReader`. A read holds the mutex only to resolve its
+//! key to an owned snapshot (a shared overlay payload or an
+//! `Arc<StoreReader>`), then reads, verifies and decodes after
+//! releasing it. When the overlay crosses the commit threshold the
+//! daemon rolls a generation: the writer's two-phase manifest commit
+//! runs, a new reader replaces the old, the overlay drains.
 //!
 //! # Backpressure
 //!
@@ -32,7 +35,7 @@
 //! store on disk is the last committed generation plus one clean
 //! final one.
 
-use crate::core::{CoreOptions, StoreCore};
+use crate::core::{CoreOptions, Snapshot, StoreCore};
 use crate::obs::{self, ObsState, RequestObs, RequestRecord, ServePhase, SlowLog};
 use crate::protocol::{
     discard_exact, parse_request_header, read_bounded, write_response, Opcode, RequestHeader,
@@ -1032,46 +1035,15 @@ fn handle_get(
 ) -> bool {
     let key = store_key(tenant, name);
     let state = lock_store(shared, obs);
-    let overlay_hit = obs.time(ServePhase::Overlay, || {
-        state
-            .core
-            .overlay
-            .get(&(step, key.clone()))
-            .map(|entry| entry.data.clone())
-    });
-    if let Some(data) = overlay_hit {
-        unlock_store(state, obs);
-        shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-        recorder.add(Counter::ServeGetBytes, data.len() as u64);
-        respond(stream, obs, Status::Ok, &data);
-        return true;
-    }
-    let result = obs.time(ServePhase::StoreGet, || match &state.core.reader {
-        Some(reader) => reader.get(step, &key),
-        None => Err(StoreError::NotFound {
-            step,
-            name: key.clone(),
-        }),
-    });
+    let snapshot = obs.time(ServePhase::Overlay, || state.core.lookup(step, &key));
     unlock_store(state, obs);
-    match result {
+    match snapshot.and_then(|s| obs.time(ServePhase::StoreGet, || s.read(step, &key))) {
         Ok(data) => {
             shared.stats.gets.fetch_add(1, Ordering::Relaxed);
             recorder.add(Counter::ServeGetBytes, data.len() as u64);
             respond(stream, obs, Status::Ok, &data);
         }
-        Err(StoreError::NotFound { .. }) => {
-            shared.stats.not_found.fetch_add(1, Ordering::Relaxed);
-            respond(
-                stream,
-                obs,
-                Status::NotFound,
-                format!("no variable '{name}' at step {step}").as_bytes(),
-            );
-        }
-        Err(e) => {
-            respond(stream, obs, Status::ServerError, e.to_string().as_bytes());
-        }
+        Err(e) => respond_miss(shared, stream, obs, step, name, e),
     }
     true
 }
@@ -1086,51 +1058,49 @@ fn handle_stat(
 ) -> bool {
     let key = store_key(tenant, name);
     let state = lock_store(shared, obs);
-    let overlay_line = obs.time(ServePhase::Overlay, || {
-        state.core.overlay.get(&(step, key.clone())).map(|entry| {
-            format!(
-                "name={name} step={step} raw_len={} width={} committed=false\n",
-                entry.data.len(),
-                entry.width
-            )
-        })
-    });
-    if let Some(line) = overlay_line {
-        unlock_store(state, obs);
-        respond(stream, obs, Status::Ok, line.as_bytes());
-        return true;
-    }
-    let line = obs.time(ServePhase::StoreGet, || match &state.core.reader {
-        Some(reader) => reader.entry(step, &key).map(|entry| {
+    let snapshot = obs.time(ServePhase::Overlay, || state.core.lookup(step, &key));
+    unlock_store(state, obs);
+    let line = obs.time(ServePhase::StoreGet, || match snapshot? {
+        Snapshot::Overlay(entry) => Ok(format!(
+            "name={name} step={step} raw_len={} width={} committed=false\n",
+            entry.data.len(),
+            entry.width
+        )),
+        Snapshot::Committed(reader) => reader.entry(step, &key).map(|entry| {
             format!(
                 "name={name} step={step} raw_len={} container_len={} width={} committed=true\n",
                 entry.raw_len, entry.container_len, entry.width
             )
         }),
-        None => Err(StoreError::NotFound {
-            step,
-            name: key.clone(),
-        }),
     });
-    unlock_store(state, obs);
     match line {
-        Ok(line) => {
-            respond(stream, obs, Status::Ok, line.as_bytes());
-        }
-        Err(StoreError::NotFound { .. }) => {
-            shared.stats.not_found.fetch_add(1, Ordering::Relaxed);
-            respond(
-                stream,
-                obs,
-                Status::NotFound,
-                format!("no variable '{name}' at step {step}").as_bytes(),
-            );
-        }
-        Err(e) => {
-            respond(stream, obs, Status::ServerError, e.to_string().as_bytes());
-        }
+        Ok(line) => respond(stream, obs, Status::Ok, line.as_bytes()),
+        Err(e) => respond_miss(shared, stream, obs, step, name, e),
     }
     true
+}
+
+/// Answer a get or stat that failed: `NotFound` for a missing
+/// variable, `ServerError` for anything else.
+fn respond_miss(
+    shared: &Shared,
+    stream: &mut FrameStream<'_>,
+    obs: &mut RequestObs,
+    step: u32,
+    name: &str,
+    error: StoreError,
+) {
+    let (status, message) = match error {
+        StoreError::NotFound { .. } => {
+            shared.stats.not_found.fetch_add(1, Ordering::Relaxed);
+            (
+                Status::NotFound,
+                format!("no variable '{name}' at step {step}"),
+            )
+        }
+        e => (Status::ServerError, e.to_string()),
+    };
+    respond(stream, obs, status, message.as_bytes());
 }
 
 fn handle_ls(
@@ -1139,27 +1109,28 @@ fn handle_ls(
     tenant: &str,
     obs: &mut RequestObs,
 ) -> bool {
+    // ((step, name), raw_len) for a store key of this tenant.
+    let row = |step: u32, key: &str, raw_len: u64| {
+        let (entry_tenant, name) = split_key(key);
+        (entry_tenant == tenant).then(|| ((step, name.to_string()), raw_len))
+    };
+    // Only the tenant's overlay rows are copied under the lock; the
+    // committed view is walked after it.
     let state = lock_store(shared, obs);
-    // (step, name) -> raw_len; overlay entries shadow committed ones.
-    let rows = obs.time(ServePhase::StoreGet, || {
-        let mut rows: BTreeMap<(u32, String), u64> = BTreeMap::new();
-        if let Some(reader) = &state.core.reader {
-            for entry in reader.live_entries() {
-                let (entry_tenant, name) = split_key(&entry.name);
-                if entry_tenant == tenant {
-                    rows.insert((entry.step, name.to_string()), entry.raw_len);
-                }
-            }
-        }
-        for ((step, key), entry) in &state.core.overlay {
-            let (entry_tenant, name) = split_key(key);
-            if entry_tenant == tenant {
-                rows.insert((*step, name.to_string()), entry.data.len() as u64);
-            }
-        }
-        rows
+    let (reader, pending) = obs.time(ServePhase::Overlay, || {
+        let overlay = state.core.overlay.iter();
+        let pending: Vec<_> = overlay
+            .filter_map(|((step, key), entry)| row(*step, key, entry.data.len() as u64))
+            .collect();
+        (state.core.reader.clone(), pending)
     });
     unlock_store(state, obs);
+    // A later row wins the collect, so overlay rows shadow committed ones.
+    let rows: BTreeMap<(u32, String), u64> = obs.time(ServePhase::StoreGet, || {
+        let live = reader.iter().flat_map(|reader| reader.live_entries());
+        let committed = live.filter_map(|entry| row(entry.step, &entry.name, entry.raw_len));
+        committed.chain(pending).collect()
+    });
     let mut body = String::new();
     for ((step, name), raw_len) in rows {
         body.push_str(&format!("{step}\t{name}\t{raw_len}\n"));

@@ -713,6 +713,80 @@ mod tests {
     }
 
     #[test]
+    fn reads_stay_bit_exact_while_commits_swap_the_reader() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = tmp("snapshot-reads");
+        let opts = ServeOptions {
+            commit_threshold: 12 * 1024, // a commit every second put
+            ..small_options()
+        };
+        let server = serve(&dir, "127.0.0.1:0", None, opts).unwrap();
+        let addr = server.local_addr();
+        const KEYS: usize = 16;
+        let data = |k: usize| payload(8 * 1024, k as u8);
+        let name = |k: usize| format!("v{k}");
+        let step = |k: usize| (k % 3) as u32;
+        let put = |client: &mut Client, k: usize| {
+            let resp = client.put("acme", step(k), &name(k), 8, data(k)).unwrap();
+            assert_eq!(resp.status, Status::Ok, "put of key {k}: {resp:?}");
+        };
+        // Keys below `acked` have been acknowledged; the first two are
+        // committed before the readers start.
+        let acked = AtomicUsize::new(2);
+        let mut client = Client::connect(addr).unwrap();
+        put(&mut client, 0);
+        put(&mut client, 1);
+        std::thread::scope(|scope| {
+            for reader in 0..2 {
+                let acked = &acked;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    loop {
+                        let seen = acked.load(Ordering::Acquire);
+                        for k in (0..seen).rev() {
+                            let resp = client.get("acme", step(k), &name(k)).unwrap();
+                            assert_eq!(resp.status, Status::Ok, "reader {reader}, key {k}");
+                            assert_eq!(resp.payload, data(k), "reader {reader}, key {k}");
+                            let resp = client.stat("acme", step(k), &name(k)).unwrap();
+                            assert_eq!(resp.status, Status::Ok, "reader {reader}, key {k}");
+                            let text = String::from_utf8(resp.payload).unwrap();
+                            assert!(text.contains(" raw_len=8192 "), "{text}");
+                        }
+                        if seen == KEYS {
+                            break;
+                        }
+                    }
+                });
+            }
+            let acked = &acked;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for k in 2..KEYS {
+                    put(&mut client, k);
+                    acked.store(k + 1, Ordering::Release);
+                }
+            });
+        });
+        // The listing names exactly the acked keys, at their sizes.
+        let resp = client.ls("acme").unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        let mut want: Vec<(u32, String)> = (0..KEYS).map(|k| (step(k), name(k))).collect();
+        want.sort();
+        let want: String = want
+            .into_iter()
+            .map(|(step, name)| format!("{step}\t{name}\t8192\n"))
+            .collect();
+        assert_eq!(String::from_utf8(resp.payload).unwrap(), want);
+        drop(client);
+        server.shutdown();
+        let report = server.join().unwrap();
+        assert!(report.commits >= 5, "{report:?}");
+        assert_eq!(report.not_found, 0);
+        assert_eq!(report.puts, KEYS as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn signal_flag_round_trip() {
         signals::reset_for_tests();
         assert!(!signals::shutdown_requested());

@@ -117,32 +117,38 @@ pub struct WalRecord {
 impl WalRecord {
     /// Encoded frame size of this record.
     pub fn encoded_len(&self) -> usize {
-        4 + 4 + self.body_len() + 8
+        4 + 4 + body_len(&self.tenant, &self.name, &self.payload) + 8
     }
+}
 
-    fn body_len(&self) -> usize {
-        4 + 1 + 2 + self.tenant.len() + 2 + self.name.len() + 4 + self.payload.len()
-    }
+fn body_len(tenant: &str, name: &str, payload: &[u8]) -> usize {
+    4 + 1 + 2 + tenant.len() + 2 + name.len() + 4 + payload.len()
 }
 
 /// Encode one record as a framed journal entry.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    debug_assert!(rec.tenant.len() <= u16::MAX as usize);
-    debug_assert!(rec.name.len() <= u16::MAX as usize);
-    debug_assert!(rec.payload.len() <= u32::MAX as usize);
-    let body_len = rec.body_len();
+    encode_frame(&rec.tenant, rec.step, &rec.name, rec.width, &rec.payload)
+}
+
+/// Encode one put as a framed journal entry straight from its borrowed
+/// fields, so journaling copies the payload once: into the frame.
+fn encode_frame(tenant: &str, step: u32, name: &str, width: u8, payload: &[u8]) -> Vec<u8> {
+    debug_assert!(tenant.len() <= u16::MAX as usize);
+    debug_assert!(name.len() <= u16::MAX as usize);
+    debug_assert!(payload.len() <= u32::MAX as usize);
+    let body_len = body_len(tenant, name, payload);
     let mut out = Vec::with_capacity(4 + 4 + body_len + 8);
     out.extend_from_slice(&WAL_RECORD_MAGIC);
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
     let body_start = out.len();
-    out.extend_from_slice(&rec.step.to_le_bytes());
-    out.push(rec.width);
-    out.extend_from_slice(&(rec.tenant.len() as u16).to_le_bytes());
-    out.extend_from_slice(rec.tenant.as_bytes());
-    out.extend_from_slice(&(rec.name.len() as u16).to_le_bytes());
-    out.extend_from_slice(rec.name.as_bytes());
-    out.extend_from_slice(&(rec.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&rec.payload);
+    out.extend_from_slice(&step.to_le_bytes());
+    out.push(width);
+    out.extend_from_slice(&(tenant.len() as u16).to_le_bytes());
+    out.extend_from_slice(tenant.as_bytes());
+    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
     let checksum = xxh64(&out[body_start..], WAL_RECORD_SEED);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -312,8 +318,21 @@ impl<F: StoreFs> WalSet<F> {
     /// return the record is durable: the daemon may ack. Returns the
     /// encoded frame length.
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
-        let name = wal_file_name(&rec.tenant);
-        let frame = encode_record(rec);
+        self.append_put(&rec.tenant, rec.step, &rec.name, rec.width, &rec.payload)
+    }
+
+    /// [`WalSet::append`] from a put's borrowed fields, framed with no
+    /// intermediate [`WalRecord`].
+    pub fn append_put(
+        &mut self,
+        tenant: &str,
+        step: u32,
+        name: &str,
+        width: u8,
+        payload: &[u8],
+    ) -> io::Result<usize> {
+        let frame = encode_frame(tenant, step, name, width, payload);
+        let name = wal_file_name(tenant);
         match self.open.get_mut(&name) {
             Some(file) => {
                 file.write_all(&frame)?;

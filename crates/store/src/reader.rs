@@ -87,6 +87,11 @@ pub struct StoreReader {
     index: Vec<IndexEntry>,
     /// Segment ordinal per index entry.
     seg_of: Vec<u16>,
+    /// The last-wins `(step, name) → position` map: the winning index
+    /// position of every pair, sorted by `(step, name)`.
+    by_key: Vec<usize>,
+    /// The same winning positions in write order.
+    live: Vec<usize>,
     generation: u64,
     verify: bool,
 }
@@ -140,14 +145,43 @@ impl StoreReader {
             index.push(me.entry);
         }
         let seg_names = manifest.segments.into_iter().map(|m| m.file_name).collect();
-        Ok(StoreReader {
+        Ok(Self::from_parts(
             segments,
             seg_names,
             index,
             seg_of,
-            generation: manifest.generation,
+            manifest.generation,
             verify,
-        })
+        ))
+    }
+
+    /// Assemble a reader and build its last-wins lookup map once.
+    fn from_parts(
+        segments: Vec<SegmentHandle>,
+        seg_names: Vec<String>,
+        index: Vec<IndexEntry>,
+        seg_of: Vec<u16>,
+        generation: u64,
+        verify: bool,
+    ) -> StoreReader {
+        let key = |&i: &usize| (index[i].step, index[i].name.as_str());
+        let mut by_key: Vec<usize> = (0..index.len()).collect();
+        // Within one key the latest position sorts first, and dedup
+        // keeps the first of each run: the winner.
+        by_key.sort_unstable_by(|a, b| key(a).cmp(&key(b)).then(b.cmp(a)));
+        by_key.dedup_by(|later, first| key(later) == key(first));
+        let mut live = by_key.clone();
+        live.sort_unstable();
+        StoreReader {
+            segments,
+            seg_names,
+            index,
+            seg_of,
+            by_key,
+            live,
+            generation,
+            verify,
+        }
     }
 
     /// Validate one segment file against its manifest row: header
@@ -244,20 +278,12 @@ impl StoreReader {
     /// The winning entry per `(step, variable)`: every index entry
     /// that no later entry supersedes, in write order.
     pub fn live_entries(&self) -> Vec<&IndexEntry> {
-        let mut seen = std::collections::HashSet::new();
-        let mut live: Vec<&IndexEntry> = self
-            .index
-            .iter()
-            .rev()
-            .filter(|e| seen.insert((e.step, e.name.as_str())))
-            .collect();
-        live.reverse();
-        live
+        self.live.iter().map(|&i| &self.index[i]).collect()
     }
 
     /// Entries shadowed by a later put of the same `(step, variable)`.
     pub fn superseded_count(&self) -> usize {
-        self.index.len() - self.live_entries().len()
+        self.index.len() - self.live.len()
     }
 
     /// Distinct time steps present, ascending.
@@ -281,10 +307,12 @@ impl StoreReader {
     /// Index position of the winning entry for `(step, name)`: the
     /// last match, so later generations supersede earlier ones.
     fn position(&self, step: u32, name: &str) -> Result<usize, StoreError> {
-        self.index
-            .iter()
-            .rposition(|e| e.step == step && e.name == name)
-            .ok_or_else(|| StoreError::NotFound {
+        self.by_key
+            .binary_search_by(|&i| {
+                (self.index[i].step, self.index[i].name.as_str()).cmp(&(step, name))
+            })
+            .map(|at| self.by_key[at])
+            .map_err(|_| StoreError::NotFound {
                 step,
                 name: name.to_string(),
             })
@@ -403,6 +431,88 @@ impl StoreReader {
             1.0
         } else {
             raw as f64 / stored as f64
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reverse linear scan the lookup map replaced.
+    fn scan_position(index: &[IndexEntry], step: u32, name: &str) -> Result<usize, StoreError> {
+        index
+            .iter()
+            .rposition(|e| e.step == step && e.name == name)
+            .ok_or_else(|| StoreError::NotFound {
+                step,
+                name: name.to_string(),
+            })
+    }
+
+    /// The per-call `HashSet` walk the precomputed live list replaced.
+    fn scan_live(index: &[IndexEntry]) -> Vec<&IndexEntry> {
+        let mut seen = std::collections::HashSet::new();
+        let mut live: Vec<&IndexEntry> = index
+            .iter()
+            .rev()
+            .filter(|e| seen.insert((e.step, e.name.as_str())))
+            .collect();
+        live.reverse();
+        live
+    }
+
+    fn entry(step: u32, name: &str, offset: u64) -> IndexEntry {
+        IndexEntry {
+            name: name.to_string(),
+            step,
+            width: 8,
+            offset,
+            container_len: 1,
+            raw_len: offset,
+            checksum: 0,
+        }
+    }
+
+    #[test]
+    fn lookup_map_agrees_with_the_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(0x0015_0BA4);
+        for round in 0..40 {
+            // Generations of puts over a small key space, so later
+            // generations supersede earlier ones (and a generation
+            // sometimes rewrites its own key).
+            let mut index = Vec::new();
+            for _generation in 0..rng.gen_range(1..8usize) {
+                for _ in 0..rng.gen_range(0..40usize) {
+                    let step = rng.gen_range(0..6u32);
+                    let name = format!("v{}", rng.gen_range(0..12u32));
+                    index.push(entry(step, &name, index.len() as u64));
+                }
+            }
+            let seg_of = vec![0; index.len()];
+            let reader = StoreReader::from_parts(Vec::new(), Vec::new(), index, seg_of, 1, true);
+            let index = reader.entries();
+            for step in 0..8u32 {
+                for v in 0..14u32 {
+                    let name = format!("v{v}");
+                    match (
+                        reader.position(step, &name),
+                        scan_position(index, step, &name),
+                    ) {
+                        (Ok(got), Ok(want)) => assert_eq!(got, want, "round {round}"),
+                        (
+                            Err(StoreError::NotFound { step: s1, name: n1 }),
+                            Err(StoreError::NotFound { step: s2, name: n2 }),
+                        ) => assert_eq!((s1, n1), (s2, n2)),
+                        other => panic!("round {round}, ({step}, {name}): {other:?}"),
+                    }
+                }
+            }
+            let want = scan_live(index);
+            assert_eq!(reader.live_entries(), want, "round {round}");
+            assert_eq!(reader.superseded_count(), index.len() - want.len());
         }
     }
 }
