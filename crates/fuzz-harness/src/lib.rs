@@ -22,15 +22,13 @@
 //!   small multiple of the input size.
 //! * [`layers`] — one [`layers::Layer`] per decode surface, each with
 //!   its own pool of valid artifacts and pass/fail rules.
-//! * [`crash`] — crash-injection for the store's commit protocol: an
-//!   in-memory filesystem that kills the writer at every operation
-//!   boundary (with torn in-flight writes) and proves a reader always
-//!   sees the old generation or the new one, never a hybrid — for the
-//!   two-phase manifest commit at one shard and across shards.
-//! * [`serve_crash`] — the same record-and-replay kill sweep over the
-//!   serve daemon's store engine, proving the "acked means durable"
-//!   contract: every put whose write-ahead-journal fsync returned
-//!   before the kill reads back bit-exact after startup replay.
+//! * [`crash`] — crash injection: an in-memory filesystem that kills a
+//!   real run at every operation boundary (with torn in-flight writes),
+//!   one deterministic sweep loop, and two subjects — the store
+//!   writer's generation commit (a reader sees the old generation or
+//!   the new one, never a hybrid) and the serve daemon's put path
+//!   (every put whose journal fsync returned reads back bit-exact
+//!   after startup replay).
 //! * [`stress`] — a concurrent storm over one sharded store: N
 //!   producer threads writing while N reader threads replay verified
 //!   random reads, with every byte re-checked after the final commit.
@@ -44,7 +42,6 @@ pub mod crash;
 pub mod layers;
 pub mod mutate;
 pub mod rng;
-pub mod serve_crash;
 pub mod stress;
 
 pub use layers::{

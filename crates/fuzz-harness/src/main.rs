@@ -2,23 +2,21 @@
 //!
 //! ```text
 //! isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--kernels scalar|auto]
-//! isobar-fuzz-harness --crash-sweep [--seed HEX]
-//! isobar-fuzz-harness --serve-crash-sweep [--seed HEX]
+//! isobar-fuzz-harness --crash-sweep [--seed HEX] [--kernels scalar|auto]
 //! isobar-fuzz-harness --store-stress [--seed HEX]
 //! ```
 //!
 //! Exits 0 when every layer completes its iterations with zero panics
 //! and zero allocation-bound violations; exits 1 with a reproducible
-//! one-line report otherwise. `--crash-sweep` instead runs the store's
-//! two-phase manifest-commit crash-injection sweep at one and at two
-//! shards (see the `crash` module), `--serve-crash-sweep` the serve daemon's acked-means-durable sweep
-//! over the write-ahead journal (see the `serve_crash` module), and
-//! `--store-stress` the concurrent producer/reader storm over one
-//! sharded store under the counting allocator (see the `stress`
-//! module).
+//! one-line report otherwise. `--crash-sweep` instead runs the
+//! crash-injection sweep (see the `crash` module) over the store's
+//! generation commit at one and at two shards and over the serve
+//! daemon's put path, and `--store-stress` the concurrent
+//! producer/reader storm over one sharded store under the counting
+//! allocator (see the `stress` module).
 
 use isobar_fuzz_harness::{
-    all_layers, alloc_track, alloc_track::PeakAlloc, crash, serve_crash, stress, DEFAULT_SEED,
+    all_layers, alloc_track, alloc_track::PeakAlloc, crash, stress, DEFAULT_SEED,
 };
 
 #[global_allocator]
@@ -30,7 +28,6 @@ fn main() {
     let mut selected: Vec<String> = Vec::new();
     let mut list = false;
     let mut crash_sweep = false;
-    let mut serve_crash_sweep = false;
     let mut store_stress = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,7 +56,6 @@ fn main() {
             }
             "--list" => list = true,
             "--crash-sweep" => crash_sweep = true,
-            "--serve-crash-sweep" => serve_crash_sweep = true,
             "--store-stress" => store_stress = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
@@ -69,33 +65,23 @@ fn main() {
 
     if crash_sweep {
         for shards in [1, 2] {
-            match crash::crash_sweep(seed, shards) {
-                Ok(o) => {
-                    println!(
-                        "crash-sweep    {shards} shard(s): {} kill points, {} views checked: {} old, {} new — two-phase manifest commit holds",
-                        o.kill_points, o.views_checked, o.saw_old, o.saw_new
-                    );
-                }
-                Err(e) => {
-                    eprintln!("FAIL crash-sweep ({shards} shard(s), seed {seed:#018x}): {e}");
-                    std::process::exit(1);
-                }
-            }
+            let o = crash::crash_sweep(&crash::StoreCommit { seed, shards })
+                .unwrap_or_else(|e| crash_fail(&format!("store, {shards} shard(s)"), seed, &e));
+            println!(
+                "crash-sweep    store, {shards} shard(s): {} kill points + end point, {} views checked: {} old, {} new — two-phase manifest commit holds",
+                o.kill_points, o.views_checked, o.saw_old, o.saw_new
+            );
         }
-    }
-    if serve_crash_sweep {
-        match serve_crash::serve_crash_sweep(seed) {
-            Ok(o) => {
-                println!(
-                    "serve-crash    {} kill points, {} views checked, {} acked puts verified ({} journal-served, {} committed) — acked means durable",
-                    o.kill_points, o.views_checked, o.acked_verified, o.overlay_served, o.committed_served
-                );
-            }
-            Err(e) => {
-                eprintln!("FAIL serve-crash-sweep (seed {seed:#018x}): {e}");
-                std::process::exit(1);
-            }
-        }
+        let o = crash::crash_sweep(&crash::ServePuts::new(seed))
+            .unwrap_or_else(|e| crash_fail("serve", seed, &e));
+        println!(
+            "crash-sweep    serve: {} kill points + end point, {} views checked, {} acked puts verified ({} journal-served, {} committed) — acked means durable",
+            o.kill_points,
+            o.views_checked,
+            o.acked_verified,
+            o.journal_served,
+            o.acked_verified - o.journal_served
+        );
     }
     if store_stress {
         alloc_track::reset_peak();
@@ -116,7 +102,7 @@ fn main() {
             }
         }
     }
-    if crash_sweep || serve_crash_sweep || store_stress {
+    if crash_sweep || store_stress {
         return;
     }
 
@@ -167,12 +153,17 @@ fn expect_value(args: &[String], i: &mut usize, flag: &str) -> String {
         .unwrap_or_else(|| usage(&format!("{flag} requires a value")))
 }
 
+fn crash_fail(subject: &str, seed: u64, e: &str) -> ! {
+    eprintln!("FAIL crash-sweep ({subject}, seed {seed:#018x}): {e}");
+    std::process::exit(1);
+}
+
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--crash-sweep] [--serve-crash-sweep] [--store-stress] [--kernels scalar|auto]"
+        "usage: isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--crash-sweep] [--store-stress] [--kernels scalar|auto]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

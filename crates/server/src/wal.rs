@@ -46,7 +46,8 @@
 //!
 //! All I/O goes through the [`StoreFs`] VFS so the crash-injection
 //! harness can kill the daemon at every journal operation boundary
-//! and prove the no-acked-loss claim (`--serve-crash-sweep`).
+//! and prove the no-acked-loss claim (the serve subject of
+//! `isobar-fuzz-harness --crash-sweep`).
 
 use isobar::salvage::{resync_walk, Segment};
 use isobar_codecs::xxhash::xxh64;

@@ -23,7 +23,11 @@
 //! 2. at close, each I/O thread seals its segment — trailer append,
 //!    then a final `fdatasync` covering the residue — so every record
 //!    a manifest could reference is durable before any manifest
-//!    exists;
+//!    exists. Shards are disconnected and joined one at a time, in
+//!    shard order, so the seals reach the filesystem in a fixed order
+//!    (the crash sweep holds every killed rerun to one recorded
+//!    operation stream); a shard's queued records still drain while
+//!    an earlier shard seals;
 //! 3. **phase 1**: each sealed `.wip` is renamed to its final segment
 //!    name and the directory is fsynced. Segment names embed the
 //!    generation, so these renames can never clobber a committed file;
@@ -368,15 +372,14 @@ where
     /// injects a panicking filesystem to hold both join paths (and the
     /// equivalent swallow-and-sweep behavior of `Drop`) to this.
     pub fn close(mut self) -> Result<ShardedCommitReport, StoreError> {
-        // Disconnect the producers; each codec thread drains and hands
-        // off to its I/O thread, which seals (trailer + fdatasync).
-        for pipe in &mut self.pipes {
-            drop(pipe.tx.take());
-        }
+        // Disconnect one shard at a time, in shard order: its codec
+        // thread drains and hands off to its I/O thread, which seals
+        // (trailer + fdatasync) before the next shard is disconnected.
         let mut telemetry = TelemetrySnapshot::default();
         let mut first_err: Option<StoreError> = None;
         let mut sealed: Vec<Option<SealedSegment>> = Vec::with_capacity(self.pipes.len());
         for pipe in &mut self.pipes {
+            drop(pipe.tx.take());
             match pipe.codec.take().expect("close called once").join() {
                 Ok(Ok(snapshot)) => telemetry.merge(&snapshot),
                 Ok(Err(e)) => first_err = first_err.or(Some(e)),
@@ -617,14 +620,12 @@ where
         if self.committed {
             return;
         }
-        // Disconnect and let the shard threads finish so no file is
-        // mid-write, then sweep every journal file. Errors are
-        // swallowed — drop runs on error paths where some files may
-        // never have existed.
+        // Disconnect and join each shard in shard order, as `close`
+        // does, so no file is mid-write, then sweep every journal
+        // file. Errors are swallowed — drop runs on error paths where
+        // some files may never have existed.
         for pipe in &mut self.pipes {
             drop(pipe.tx.take());
-        }
-        for pipe in &mut self.pipes {
             if let Some(codec) = pipe.codec.take() {
                 let _ = codec.join();
             }
