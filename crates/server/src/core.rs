@@ -118,6 +118,7 @@ pub struct ReplaySummary {
 }
 
 /// What a generation commit produced.
+#[derive(Debug, Clone)]
 pub struct CommitOutcome {
     /// Generation number the manifest now carries.
     pub generation: u64,

@@ -35,22 +35,22 @@
 //! store on disk is the last committed generation plus one clean
 //! final one.
 
-use crate::core::{CoreOptions, Snapshot, StoreCore};
-use crate::obs::{self, ObsState, RequestObs, RequestRecord, ServePhase, SlowLog};
+use crate::core::{CommitOutcome, CoreOptions, Snapshot, StoreCore};
+use crate::obs::{self, RequestObs, ServePhase, ServeReport, SlowLog};
 use crate::protocol::{
     discard_exact, parse_request_header, read_bounded, write_response, Opcode, RequestHeader,
     Status, MAX_NAME_LEN, MAX_TENANT_LEN, REQUEST_HEADER_LEN, TENANT_SEPARATOR,
 };
-use isobar::telemetry::Counter;
+use isobar::telemetry::json;
 use isobar::trace::{TraceTag, NO_CHUNK};
-use isobar::{IsobarOptions, Recorder, TelemetrySnapshot};
+use isobar::IsobarOptions;
 use isobar_store::{RealFs, StoreError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -162,60 +162,6 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// What a completed serve run did, returned by [`Server::join`].
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Requests with a well-formed header that were dispatched.
-    pub requests: u64,
-    /// Successful puts.
-    pub puts: u64,
-    /// Successful gets.
-    pub gets: u64,
-    /// Requests rejected by admission control (connection or byte
-    /// budget).
-    pub busy_rejected: u64,
-    /// Malformed frames rejected with [`Status::BadRequest`].
-    pub protocol_errors: u64,
-    /// Lookups that answered [`Status::NotFound`].
-    pub not_found: u64,
-    /// Store generations committed (threshold rolls plus the final
-    /// shutdown commit).
-    pub commits: u64,
-    /// Generation number of the last commit, if any put was committed.
-    pub generation: Option<u64>,
-    /// Write-ahead journal records replayed into the overlay when the
-    /// daemon started (acked puts recovered from a previous crash).
-    pub wal_replayed: u64,
-    /// Requests past the `slow_ms` threshold.
-    pub slow_requests: u64,
-    /// Flight-recorder trace dumps written.
-    pub flight_dumps: u64,
-    /// Cumulative request wall time, nanoseconds.
-    pub total_request_nanos: u64,
-    /// Cumulative nanoseconds attributed to each phase, indexed by
-    /// [`ServePhase`]` as usize`.
-    pub phase_nanos: [u64; ServePhase::COUNT],
-    /// Merged telemetry from every request and commit.
-    pub telemetry: TelemetrySnapshot,
-}
-
-impl ServeReport {
-    /// Cumulative nanoseconds spent blocked on the store mutex — the
-    /// numerator of the lock-convoy share ROADMAP item 1 tracks.
-    pub fn lock_wait_nanos(&self) -> u64 {
-        self.phase_nanos[ServePhase::LockWait as usize]
-    }
-
-    /// Fraction of all request wall time spent blocked on the store
-    /// mutex (0 when nothing was served).
-    pub fn lock_wait_share(&self) -> f64 {
-        if self.total_request_nanos == 0 {
-            return 0.0;
-        }
-        self.lock_wait_nanos() as f64 / self.total_request_nanos as f64
-    }
-}
-
 /// Build the store key for a `(tenant, name)` pair. Tenants are
 /// namespaces by key prefixing; the separator byte is rejected inside
 /// either field by the protocol decoder, so tenants cannot collide.
@@ -253,120 +199,61 @@ struct StoreState {
     failed: Option<String>,
 }
 
-#[derive(Default)]
-struct Stats {
-    requests: AtomicU64,
-    puts: AtomicU64,
-    gets: AtomicU64,
-    busy: AtomicU64,
-    protocol_errors: AtomicU64,
-    not_found: AtomicU64,
-    commits: AtomicU64,
-    connections: AtomicU64,
+impl StoreState {
+    /// Commit the current generation: two-phase writer close, journal
+    /// truncation, reader reopen, overlay drain. A failure poisons the
+    /// store.
+    fn commit(&mut self) -> Result<Option<CommitOutcome>, StoreError> {
+        if !self.core.has_pending() {
+            return Ok(None);
+        }
+        let _span = isobar::trace::span(TraceTag::ServeCommit, NO_CHUNK);
+        self.core
+            .commit()
+            .inspect_err(|e| self.failed = Some(e.to_string()))
+    }
 }
 
 struct Shared {
     opts: ServeOptions,
-    /// Journal records replayed at startup, for [`ServeReport`].
-    wal_replayed: u64,
     shutdown: AtomicBool,
     store: Mutex<StoreState>,
-    metrics: Mutex<TelemetrySnapshot>,
-    obs: Mutex<ObsState>,
+    /// The request ledger, folded into once per request.
+    ledger: Mutex<ServeReport>,
     slow_log: SlowLog,
-    stats: Stats,
 }
 
 impl Shared {
-    fn merge_recorder(&self, recorder: &mut Recorder) {
-        let snap = recorder.snapshot();
-        self.metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&snap);
-        recorder.reset();
+    fn lock_ledger(&self) -> MutexGuard<'_, ServeReport> {
+        self.ledger.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_obs(&self) -> MutexGuard<'_, ObsState> {
-        self.obs.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Fold one completed request into the observability state: per-op
-    /// and per-tenant histograms, phase totals, the recent-request
-    /// ring, slow accounting, and (rate limited) a slow-triggered
-    /// flight dump.
-    fn finish_request(&self, obs: RequestObs, total_nanos: u64, recorder: &mut Recorder) {
-        let record = RequestRecord {
-            op: obs.op,
-            tenant: obs.tenant,
-            status: obs.status,
-            total_nanos,
-            phase_nanos: obs.phase_nanos,
-        };
-        let slow_nanos = self.opts.slow_ms.map(|ms| ms.saturating_mul(1_000_000));
-        let dumps_enabled = self.opts.flight_recorder.is_some();
-        let (slow, dump_due) =
-            self.lock_obs()
-                .record_request(record.clone(), slow_nanos, dumps_enabled);
-        if slow {
-            recorder.incr(Counter::ServeSlowRequests);
-            if let Some(dir) = &self.opts.flight_recorder {
-                self.slow_log.append(dir, &record);
+    /// Finish one dispatched request: stamp its wall time, log it when
+    /// it is slow (with a rate-limited flight dump, written on this
+    /// handler thread so the request's own spans are in the file), and
+    /// fold it into the ledger — the request's one accounting lock.
+    fn finish_request(&self, mut request: RequestObs, request_start: Instant) {
+        // The accept hand-off happened before the first byte arrived,
+        // so wall time includes it on top of the frame clock.
+        request.total_nanos = (request_start.elapsed().as_nanos() as u64)
+            .saturating_add(request.phase_nanos[ServePhase::Accept as usize]);
+        let slow = obs::is_slow(request.total_nanos, self.opts.slow_ms);
+        let dumped = match &self.opts.flight_recorder {
+            Some(dir) if slow => {
+                self.slow_log.append(dir, &request) && obs::dump_flight_trace(dir, "slow").is_ok()
             }
-        }
-        if dump_due {
-            // The dump runs on this handler thread so the offending
-            // request's own spans are in the file.
-            self.dump_flight("slow");
-        }
+            _ => false,
+        };
+        self.lock_ledger().fold(request, slow, dumped);
     }
 
     /// Write a flight-recorder Chrome trace dump, if a dump directory
     /// is configured. Returns the file written.
     fn dump_flight(&self, reason: &str) -> Option<PathBuf> {
         let dir = self.opts.flight_recorder.as_ref()?;
-        match obs::dump_flight_trace(dir, reason) {
-            Ok(path) => {
-                self.lock_obs().flight_dumps += 1;
-                let mut recorder = Recorder::new();
-                recorder.incr(Counter::ServeFlightDumps);
-                self.merge_recorder(&mut recorder);
-                Some(path)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Commit the current generation: two-phase writer close, journal
-    /// truncation, reader reopen, overlay drain. Caller holds the
-    /// store lock.
-    fn commit_locked(
-        &self,
-        state: &mut StoreState,
-        recorder: &mut Recorder,
-    ) -> Result<(), StoreError> {
-        if !state.core.has_pending() {
-            return Ok(());
-        }
-        let _span = isobar::trace::span(TraceTag::ServeCommit, NO_CHUNK);
-        let outcome = match state.core.commit() {
-            Ok(Some(outcome)) => outcome,
-            Ok(None) => return Ok(()),
-            Err(e) => {
-                state.failed = Some(e.to_string());
-                return Err(e);
-            }
-        };
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        recorder.incr(Counter::ServeCommits);
-        if outcome.wal_truncated > 0 {
-            recorder.add(Counter::ServeWalTruncations, outcome.wal_truncated);
-        }
-        self.metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&outcome.telemetry);
-        Ok(())
+        let path = obs::dump_flight_trace(dir, reason).ok()?;
+        self.lock_ledger().flight_dumps += 1;
+        Some(path)
     }
 }
 
@@ -435,13 +322,9 @@ pub fn serve(
             open_reader: true,
         },
     )?;
-    let wal_replayed = core.replay.records;
-    let initial_metrics = {
-        let mut recorder = Recorder::new();
-        if wal_replayed > 0 {
-            recorder.add(Counter::ServeWalReplayed, wal_replayed);
-        }
-        recorder.snapshot()
+    let ledger = ServeReport {
+        wal_replayed: core.replay.records,
+        ..ServeReport::default()
     };
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
@@ -462,17 +345,14 @@ pub fn serve(
     }
     let shared = Arc::new(Shared {
         opts,
-        wal_replayed,
         shutdown: AtomicBool::new(false),
         store: Mutex::new(StoreState {
             core,
             reserved_bytes: 0,
             failed: None,
         }),
-        metrics: Mutex::new(initial_metrics),
-        obs: Mutex::new(ObsState::default()),
+        ledger: Mutex::new(ledger),
         slow_log: SlowLog::default(),
-        stats: Stats::default(),
     });
 
     let accept = {
@@ -532,47 +412,19 @@ impl Server {
             let _ = metrics.join();
         }
         let shared = &self.shared;
-        let mut recorder = Recorder::new();
-        let commit_result = {
-            let mut state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-            shared.commit_locked(&mut state, &mut recorder)
+        let committed = shared
+            .store
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .commit();
+        let report = {
+            let mut ledger = shared.lock_ledger();
+            if let Ok(Some(outcome)) = &committed {
+                ledger.fold_commit(outcome);
+            }
+            ledger.clone()
         };
-        shared.merge_recorder(&mut recorder);
-        let (slow_requests, flight_dumps, total_request_nanos, phase_nanos) = {
-            let obs = shared.lock_obs();
-            (
-                obs.slow_requests,
-                obs.flight_dumps,
-                obs.total_request_nanos,
-                obs.phase_nanos,
-            )
-        };
-        let report = ServeReport {
-            requests: shared.stats.requests.load(Ordering::Relaxed),
-            puts: shared.stats.puts.load(Ordering::Relaxed),
-            gets: shared.stats.gets.load(Ordering::Relaxed),
-            busy_rejected: shared.stats.busy.load(Ordering::Relaxed),
-            protocol_errors: shared.stats.protocol_errors.load(Ordering::Relaxed),
-            not_found: shared.stats.not_found.load(Ordering::Relaxed),
-            commits: shared.stats.commits.load(Ordering::Relaxed),
-            generation: shared
-                .store
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .core
-                .last_generation,
-            wal_replayed: shared.wal_replayed,
-            slow_requests,
-            flight_dumps,
-            total_request_nanos,
-            phase_nanos,
-            telemetry: shared
-                .metrics
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
-        };
-        commit_result?;
+        committed?;
         Ok(report)
     }
 }
@@ -601,12 +453,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         let Ok(stream) = stream else { continue };
         handlers.retain(|h| !h.is_finished());
         if handlers.len() >= shared.opts.max_connections {
-            shared.stats.busy.fetch_add(1, Ordering::Relaxed);
+            shared.lock_ledger().busy_rejected += 1;
             let mut stream = stream;
             let _ = write_response(&mut stream, Status::Busy, b"connection limit reached");
             continue;
         }
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        shared.lock_ledger().connections += 1;
         let shared = Arc::clone(shared);
         // Stamp the hand-off so the gap between accept and the handler
         // thread starting is attributed to the first request's accept
@@ -732,7 +584,6 @@ impl Write for FrameStream<'_> {
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) {
     let _ = stream.set_nodelay(true);
-    let mut recorder = Recorder::new();
     let mut accept_pending = accept_nanos;
     loop {
         let first = match poll_first_byte(&mut stream, shared) {
@@ -759,51 +610,44 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         let mut header_buf = [0u8; REQUEST_HEADER_LEN];
         header_buf[0] = first;
         if frame.read_exact(&mut header_buf[1..]).is_err() {
-            count_protocol_error(shared, &mut recorder);
+            count_protocol_error(shared);
             break;
         }
         let header = match parse_request_header(&header_buf, shared.opts.max_payload) {
             Ok(header) => header,
             Err(e) => {
                 drop(header_span);
-                count_protocol_error(shared, &mut recorder);
+                count_protocol_error(shared);
                 let _ = write_response(&mut frame, Status::BadRequest, e.to_string().as_bytes());
                 // The stream may be mid-frame; alignment is gone.
                 break;
             }
         };
         drop(header_span);
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        recorder.incr(Counter::ServeRequests);
-        obs.op = obs::op_index(header.opcode);
+        obs.op = Some(header.opcode);
         // Everything since the first byte — the timeout setup syscall,
         // the header read and decode, and dispatch bookkeeping — is
         // header-parse time (one boundary-clock stretch).
         obs.charge(ServePhase::HeaderParse);
         let keep = {
             let _span = isobar::trace::span(TraceTag::ServeRequest, NO_CHUNK);
-            handle_request(shared, &mut frame, &header, &mut recorder, &mut obs)
+            handle_request(shared, &mut frame, &header, &mut obs)
         };
-        // The accept hand-off happened before the first byte arrived,
-        // so wall time includes it on top of the frame clock.
-        let total_nanos = (request_start.elapsed().as_nanos() as u64)
-            .saturating_add(obs.phase_nanos[ServePhase::Accept as usize]);
-        shared.finish_request(obs, total_nanos, &mut recorder);
-        shared.merge_recorder(&mut recorder);
+        shared.finish_request(obs, request_start);
         if !keep {
             break;
         }
     }
-    shared.merge_recorder(&mut recorder);
 }
 
-fn count_protocol_error(shared: &Shared, recorder: &mut Recorder) {
-    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    recorder.incr(Counter::ServeProtocolErrors);
+/// Count a frame whose header never decoded: a protocol error, but no
+/// dispatched request.
+fn count_protocol_error(shared: &Shared) {
+    shared.lock_ledger().protocol_errors += 1;
 }
 
 /// Acquire the store mutex with the wait attributed to the request's
-/// lock-wait phase (the convoy scoreboard for ROADMAP item 1).
+/// lock-wait phase (the store-lock convoy scoreboard).
 fn lock_store<'a>(shared: &'a Shared, obs: &mut RequestObs) -> MutexGuard<'a, StoreState> {
     obs.time(ServePhase::LockWait, || {
         shared.store.lock().unwrap_or_else(|e| e.into_inner())
@@ -820,7 +664,7 @@ fn unlock_store(state: MutexGuard<'_, StoreState>, obs: &mut RequestObs) {
 /// Write the response frame with the time attributed to the
 /// write-response phase, stamping the request's final status.
 fn respond(stream: &mut FrameStream<'_>, obs: &mut RequestObs, status: Status, body: &[u8]) {
-    obs.status = obs::status_name(status);
+    obs.status = Some(status);
     obs.time(ServePhase::WriteResponse, || {
         let _ = write_response(stream, status, body);
     });
@@ -832,7 +676,6 @@ fn handle_request(
     shared: &Shared,
     stream: &mut FrameStream<'_>,
     header: &RequestHeader,
-    recorder: &mut Recorder,
     obs: &mut RequestObs,
 ) -> bool {
     // Tenant and name are small (caps enforced by the header parse).
@@ -842,7 +685,6 @@ fn handle_request(
     let (tenant, name) = match fields {
         Ok(fields) => fields,
         Err(crate::protocol::FrameError::Proto(e)) => {
-            count_protocol_error(shared, recorder);
             // The identifier bytes were consumed, so the stream is
             // still frame-aligned for everything but the payload.
             // Drain a small payload to keep the connection; a large
@@ -856,7 +698,7 @@ fn handle_request(
                     discard_exact(stream, u64::from(header.payload_len))
                 });
                 if drained.is_err() {
-                    obs.status = obs::status_name(Status::BadRequest);
+                    obs.status = Some(Status::BadRequest);
                     return false;
                 }
             }
@@ -867,8 +709,8 @@ fn handle_request(
     };
     obs.tenant = tenant.clone();
     match header.opcode {
-        Opcode::Put => handle_put(shared, stream, header, &tenant, &name, recorder, obs),
-        Opcode::Get => handle_get(shared, stream, header.step, &tenant, &name, recorder, obs),
+        Opcode::Put => handle_put(shared, stream, header, &tenant, &name, obs),
+        Opcode::Get => handle_get(shared, stream, header.step, &tenant, &name, obs),
         Opcode::Stat => handle_stat(shared, stream, header.step, &tenant, &name, obs),
         Opcode::Ls => handle_ls(shared, stream, &tenant, obs),
     }
@@ -890,7 +732,7 @@ fn reject_put(
         discard_exact(stream, u64::from(payload_len))
     });
     if drained.is_err() {
-        obs.status = obs::status_name(status);
+        obs.status = Some(status);
         return false;
     }
     respond(stream, obs, status, message.as_bytes());
@@ -903,7 +745,6 @@ fn handle_put(
     header: &RequestHeader,
     tenant: &str,
     name: &str,
-    recorder: &mut Recorder,
     obs: &mut RequestObs,
 ) -> bool {
     let len = u64::from(header.payload_len);
@@ -936,10 +777,6 @@ fn handle_put(
         });
         unlock_store(state, obs);
         if let Some((status, message)) = verdict {
-            if status == Status::Busy {
-                shared.stats.busy.fetch_add(1, Ordering::Relaxed);
-                recorder.incr(Counter::ServeBusyRejected);
-            }
             return reject_put(stream, obs, header.payload_len, status, &message);
         }
     }
@@ -959,14 +796,11 @@ fn handle_put(
     };
     let mut state = lock_store(shared, obs);
     state.reserved_bytes = state.reserved_bytes.saturating_sub(len);
-    let result = put_locked(
-        shared, &mut state, header, tenant, name, payload, recorder, obs,
-    );
+    let result = put_locked(&mut state, header, tenant, name, payload, obs);
     unlock_store(state, obs);
     match result {
         Ok(()) => {
-            shared.stats.puts.fetch_add(1, Ordering::Relaxed);
-            recorder.add(Counter::ServePutBytes, len);
+            obs.bytes = len;
             respond(stream, obs, Status::Ok, b"");
             true
         }
@@ -982,15 +816,12 @@ fn handle_put(
 /// and a threshold commit. Caller holds the store lock. The journal
 /// append runs *after* the writer put so a put the daemon is about to
 /// reject with `ServerError` is never resurrected by replay.
-#[allow(clippy::too_many_arguments)]
 fn put_locked(
-    shared: &Shared,
     state: &mut StoreState,
     header: &RequestHeader,
     tenant: &str,
     name: &str,
     payload: Vec<u8>,
-    recorder: &mut Recorder,
     obs: &mut RequestObs,
 ) -> Result<(), StoreError> {
     let key = store_key(tenant, name);
@@ -1002,24 +833,21 @@ fn put_locked(
             usize::from(header.width),
         )
     })?;
-    let wal_bytes = obs.time(ServePhase::WalFsync, || {
+    obs.wal_bytes = obs.time(ServePhase::WalFsync, || {
         state
             .core
             .wal_append(tenant, header.step, name, header.width, &payload)
     })?;
-    if wal_bytes > 0 {
-        recorder.incr(Counter::ServeWalAppends);
-        recorder.add(Counter::ServeWalBytes, wal_bytes);
-    }
     obs.time(ServePhase::Overlay, || {
         state
             .core
             .overlay_insert(header.step, key, header.width, payload);
     });
     if state.core.over_threshold() {
-        // commit_locked emits its own ServeCommit span; attribute the
-        // wall time without opening a duplicate.
-        obs.time_unspanned(ServePhase::Commit, || shared.commit_locked(state, recorder))?;
+        // The commit emits its own ServeCommit span; attribute the wall
+        // time without opening a duplicate.
+        let outcome = obs.time_unspanned(ServePhase::Commit, || state.commit())?;
+        obs.commit = outcome.map(Box::new);
     }
     Ok(())
 }
@@ -1030,7 +858,6 @@ fn handle_get(
     step: u32,
     tenant: &str,
     name: &str,
-    recorder: &mut Recorder,
     obs: &mut RequestObs,
 ) -> bool {
     let key = store_key(tenant, name);
@@ -1039,11 +866,10 @@ fn handle_get(
     unlock_store(state, obs);
     match snapshot.and_then(|s| obs.time(ServePhase::StoreGet, || s.read(step, &key))) {
         Ok(data) => {
-            shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-            recorder.add(Counter::ServeGetBytes, data.len() as u64);
+            obs.bytes = data.len() as u64;
             respond(stream, obs, Status::Ok, &data);
         }
-        Err(e) => respond_miss(shared, stream, obs, step, name, e),
+        Err(e) => respond_miss(stream, obs, step, name, e),
     }
     true
 }
@@ -1075,7 +901,7 @@ fn handle_stat(
     });
     match line {
         Ok(line) => respond(stream, obs, Status::Ok, line.as_bytes()),
-        Err(e) => respond_miss(shared, stream, obs, step, name, e),
+        Err(e) => respond_miss(stream, obs, step, name, e),
     }
     true
 }
@@ -1083,7 +909,6 @@ fn handle_stat(
 /// Answer a get or stat that failed: `NotFound` for a missing
 /// variable, `ServerError` for anything else.
 fn respond_miss(
-    shared: &Shared,
     stream: &mut FrameStream<'_>,
     obs: &mut RequestObs,
     step: u32,
@@ -1091,13 +916,10 @@ fn respond_miss(
     error: StoreError,
 ) {
     let (status, message) = match error {
-        StoreError::NotFound { .. } => {
-            shared.stats.not_found.fetch_add(1, Ordering::Relaxed);
-            (
-                Status::NotFound,
-                format!("no variable '{name}' at step {step}"),
-            )
-        }
+        StoreError::NotFound { .. } => (
+            Status::NotFound,
+            format!("no variable '{name}' at step {step}"),
+        ),
         e => (Status::ServerError, e.to_string()),
     };
     respond(stream, obs, status, message.as_bytes());
@@ -1178,12 +1000,7 @@ fn metrics_loop(shared: &Arc<Shared>, listener: TcpListener) {
             .unwrap_or("");
         let path = line.split_whitespace().nth(1).unwrap_or("");
         if line.starts_with("GET ") && path == "/metrics" {
-            let mut body = shared
-                .metrics
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .to_prometheus();
-            shared.lock_obs().render_prometheus(&mut body);
+            let body = shared.lock_ledger().to_prometheus();
             let _ = write!(
                 stream,
                 "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{}",
@@ -1208,58 +1025,33 @@ fn metrics_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
-/// Render the `/debug/stats` JSON snapshot: daemon-level gauges (the
-/// store lock is sampled, not held, across the obs render) spliced
-/// together with the observability state's totals, histograms, and
+/// Render the `/debug/stats` JSON snapshot: the store gauges (the
+/// store lock is sampled, not held, across the ledger render) spliced
+/// together with the ledger's counters, totals, histograms, and
 /// recent-request ring.
 fn debug_stats_json(shared: &Shared) -> String {
-    let (overlay_entries, overlay_bytes, reserved_bytes, last_generation, failed) = {
+    let (overlay_entries, overlay_bytes, reserved_bytes, failed) = {
         let state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
         (
             state.core.overlay.len() as u64,
             state.core.pending_bytes,
             state.reserved_bytes,
-            state.core.last_generation,
             state.failed.clone(),
         )
     };
-    let mut out = String::with_capacity(4096);
-    out.push('{');
-    out.push_str(&format!(
-        "\"connections\": {}, \"requests\": {}, \"puts\": {}, \"gets\": {}, \
-         \"busy_rejected\": {}, \"protocol_errors\": {}, \"not_found\": {}, \"commits\": {}",
-        shared.stats.connections.load(Ordering::Relaxed),
-        shared.stats.requests.load(Ordering::Relaxed),
-        shared.stats.puts.load(Ordering::Relaxed),
-        shared.stats.gets.load(Ordering::Relaxed),
-        shared.stats.busy.load(Ordering::Relaxed),
-        shared.stats.protocol_errors.load(Ordering::Relaxed),
-        shared.stats.not_found.load(Ordering::Relaxed),
-        shared.stats.commits.load(Ordering::Relaxed),
-    ));
-    out.push_str(&format!(
-        ", \"overlay_entries\": {overlay_entries}, \"overlay_bytes\": {overlay_bytes}, \
+    let mut out = format!(
+        "{{\"overlay_entries\": {overlay_entries}, \"overlay_bytes\": {overlay_bytes}, \
          \"reserved_bytes\": {reserved_bytes}, \"in_flight_bytes\": {}, \
-         \"commit_backlog_bytes\": {overlay_bytes}, \"commit_threshold\": {}, \
-         \"wal_replayed\": {}",
+         \"commit_backlog_bytes\": {overlay_bytes}, \"commit_threshold\": {}, \"failed\": ",
         overlay_bytes.saturating_add(reserved_bytes),
         shared.opts.commit_threshold,
-        shared.wal_replayed,
-    ));
-    match last_generation {
-        Some(generation) => out.push_str(&format!(", \"generation\": {generation}")),
-        None => out.push_str(", \"generation\": null"),
-    }
+    );
     match failed {
-        Some(msg) => {
-            out.push_str(", \"failed\": \"");
-            out.push_str(&obs::escape_json(&msg));
-            out.push('"');
-        }
-        None => out.push_str(", \"failed\": null"),
+        Some(msg) => json::string(&mut out, &msg),
+        None => out.push_str("null"),
     }
     out.push_str(", ");
-    shared.lock_obs().write_debug_json(&mut out);
+    shared.lock_ledger().write_debug_json(&mut out);
     out.push('}');
     out
 }

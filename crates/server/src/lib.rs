@@ -32,8 +32,8 @@ pub mod wal;
 pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::Client;
 pub use core::{CoreOptions, StoreCore};
-pub use daemon::{serve, ServeError, ServeOptions, ServeReport, Server, ServerHandle};
-pub use obs::{RequestRecord, ServePhase};
+pub use daemon::{serve, ServeError, ServeOptions, Server, ServerHandle};
+pub use obs::{RequestObs, ServePhase, ServeReport};
 pub use protocol::{
     FrameError, Opcode, ProtoError, Request, RequestHeader, Response, Status, MAX_NAME_LEN,
     MAX_TENANT_LEN, PROTOCOL_VERSION,
@@ -283,9 +283,9 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         let resp = client.get("", 1, "v").unwrap();
         assert_eq!(resp.status, Status::Ok);
-        // Recorder merges land after each response is written; a
-        // third request on the same connection is a barrier that
-        // guarantees the put's and get's counters are merged.
+        // A request is folded into the ledger after its response is
+        // written; a third request on the same connection is a barrier
+        // that guarantees the put and the get are counted.
         let resp = client.ls("").unwrap();
         assert_eq!(resp.status, Status::Ok);
 
@@ -310,10 +310,8 @@ mod tests {
             body.contains("isobar_serve_phase_seconds_total{phase=\"lock_wait\"}"),
             "{body}"
         );
-        if isobar::telemetry::ENABLED {
-            assert!(body.contains("isobar_serve_put_bytes_total 256"), "{body}");
-            assert!(body.contains("isobar_serve_get_bytes_total 256"), "{body}");
-        }
+        assert!(body.contains("isobar_serve_put_bytes_total 256"), "{body}");
+        assert!(body.contains("isobar_serve_get_bytes_total 256"), "{body}");
 
         // Unknown paths get a 404, not a panic or a hang.
         let mut http = TcpStream::connect(metrics_addr).unwrap();
@@ -325,6 +323,89 @@ mod tests {
         drop(client);
         server.shutdown();
         server.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+        let mut http = TcpStream::connect(addr).unwrap();
+        write!(http, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        http.read_to_string(&mut response).unwrap();
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
+        body.to_string()
+    }
+
+    #[test]
+    fn serve_counters_agree_across_report_debug_stats_and_metrics() {
+        let dir = tmp("ledger");
+        let opts = ServeOptions {
+            max_inflight_bytes: 1024, // a 2 KiB put is always Busy
+            commit_threshold: 1,      // every put commits: join adds none
+            debug_endpoint: true,
+            ..small_options()
+        };
+        let server = serve(&dir, "127.0.0.1:0", Some("127.0.0.1:0"), opts).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (step, len) in [(0u32, 512usize), (1, 256)] {
+            let resp = client
+                .put("acme", step, "v", 8, payload(len, step as u8))
+                .unwrap();
+            assert_eq!(resp.status, Status::Ok, "{resp:?}");
+            let resp = client.get("acme", step, "v").unwrap();
+            assert_eq!(resp.status, Status::Ok);
+        }
+        let resp = client.get("acme", 9, "missing").unwrap();
+        assert_eq!(resp.status, Status::NotFound);
+        let resp = client.put("", 2, "big", 8, payload(2048, 7)).unwrap();
+        assert_eq!(resp.status, Status::Busy);
+        let mut bad = TcpStream::connect(server.local_addr()).unwrap();
+        bad.write_all(b"GARBAGE-GARBAGE-GARBAGE").unwrap();
+        let resp = protocol::read_response(&mut bad, 1 << 20).unwrap();
+        assert_eq!(resp.status, Status::BadRequest);
+        drop((client, bad));
+
+        // A request is folded after its response is written: wait until
+        // the ledger holds all six dispatched requests and the bad frame.
+        let metrics_addr = server.metrics_addr().unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let stats = loop {
+            let body = http_get(metrics_addr, "/debug/stats");
+            let stats = isobar::telemetry::json::parse(&body).unwrap();
+            let count = |key| stats.get(key).and_then(|v| v.as_u64());
+            if (count("requests"), count("protocol_errors")) == (Some(6), Some(1)) {
+                break stats;
+            }
+            assert!(std::time::Instant::now() < deadline, "ledger never settled");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let metrics = http_get(metrics_addr, "/metrics");
+        server.shutdown();
+        let report = server.join().unwrap();
+
+        let expected = [
+            ("connections", 2),
+            ("requests", 6),
+            ("puts", 2),
+            ("gets", 2),
+            ("busy_rejected", 1),
+            ("protocol_errors", 1),
+            ("not_found", 1),
+            ("put_bytes", 768),
+            ("get_bytes", 768),
+            ("commits", 2),
+            ("wal_appends", 2),
+            ("slow_requests", 0),
+        ];
+        for (name, value) in report.counters() {
+            if let Some((_, want)) = expected.iter().find(|(n, _)| *n == name) {
+                assert_eq!(value, *want, "report {name}");
+            }
+            let debug = stats.get(name).and_then(|v| v.as_u64());
+            assert_eq!(debug, Some(value), "/debug/stats {name}");
+            let sample = format!("\nisobar_serve_{name}_total {value}\n");
+            assert!(metrics.contains(&sample), "/metrics lacks {sample:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

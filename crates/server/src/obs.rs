@@ -1,17 +1,24 @@
-//! Serve-side observability: phase-attributed request timing, always-on
-//! latency histograms, the flight recorder, and the `/debug/stats`
-//! snapshot.
+//! Serve-side observability: the daemon's request ledger,
+//! phase-attributed request timing, the flight recorder, and the
+//! slow-request log.
 //!
-//! Every request the daemon dispatches is timed twice over:
+//! Every request the daemon dispatches carries one [`RequestObs`]: the
+//! time it spent in each phase, its op, tenant, status and byte counts,
+//! and the generation commit it triggered, if any. When the request
+//! finishes, that record is folded once, under one lock, into the
+//! daemon's [`ServeReport`]: the ledger that `/metrics`, `/debug/stats`,
+//! the recent-request ring and [`Server::join`](crate::Server::join) all
+//! read. Counts derive from the record (a put is counted because its
+//! status is `Ok`), so no two surfaces can disagree, and the ledger does
+//! not depend on the telemetry feature.
 //!
 //! * **Phases** — named sections of the request path (accept,
 //!   header-parse, admission, payload-read, lock-wait, overlay,
 //!   store-put/get, commit, write-response) accumulate nanoseconds into
-//!   a per-request [`RequestObs`], and each phase also emits an
+//!   the request's [`RequestObs`], and each phase also emits an
 //!   `isobar_trace` span so a flight-recorder dump shows the same
-//!   decomposition on a timeline. The cumulative per-phase totals are
-//!   the scoreboard for de-convoying the store lock (ROADMAP item 1):
-//!   `lock_wait` divided by total request time is the convoy share.
+//!   decomposition on a timeline. `lock_wait` divided by total request
+//!   time is the store-lock convoy share.
 //! * **Histograms** — per-op and per-tenant HDR-style
 //!   [`LatencyHistogram`]s record every request's wall time, always on,
 //!   exported through `/metrics` and `/debug/stats`.
@@ -23,8 +30,12 @@
 //! requests additionally append one JSON line each to `slow.jsonl`
 //! with their full phase breakdown.
 
+use crate::core::CommitOutcome;
+use crate::protocol::{Opcode, Status};
+use isobar::telemetry::json;
 use isobar::telemetry::latency::LatencyHistogram;
 use isobar::trace::TraceTag;
+use isobar::TelemetrySnapshot;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -48,26 +59,32 @@ pub const RECENT_REQUESTS: usize = 256;
 /// are rate limited.
 pub const SLOW_DUMP_INTERVAL_SECS: u64 = 5;
 
+/// Whether a request of `total_nanos` wall time is slow under the
+/// `--slow-ms` threshold: at or above it; never without one.
+pub fn is_slow(total_nanos: u64, slow_ms: Option<u64>) -> bool {
+    slow_ms.is_some_and(|ms| total_nanos >= ms.saturating_mul(1_000_000))
+}
+
 /// Histogram index for a request op.
-pub fn op_index(opcode: crate::protocol::Opcode) -> usize {
+pub fn op_index(opcode: Opcode) -> usize {
     match opcode {
-        crate::protocol::Opcode::Put => 0,
-        crate::protocol::Opcode::Get => 1,
-        crate::protocol::Opcode::Stat => 2,
-        crate::protocol::Opcode::Ls => 3,
+        Opcode::Put => 0,
+        Opcode::Get => 1,
+        Opcode::Stat => 2,
+        Opcode::Ls => 3,
     }
 }
 
 /// Stable lowercase name for a response status (slow-log and
 /// `/debug/stats` vocabulary).
-pub fn status_name(status: crate::protocol::Status) -> &'static str {
+pub fn status_name(status: Status) -> &'static str {
     match status {
-        crate::protocol::Status::Ok => "ok",
-        crate::protocol::Status::Busy => "busy",
-        crate::protocol::Status::NotFound => "not_found",
-        crate::protocol::Status::BadRequest => "bad_request",
-        crate::protocol::Status::ServerError => "server_error",
-        crate::protocol::Status::ShuttingDown => "shutting_down",
+        Status::Ok => "ok",
+        Status::Busy => "busy",
+        Status::NotFound => "not_found",
+        Status::BadRequest => "bad_request",
+        Status::ServerError => "server_error",
+        Status::ShuttingDown => "shutting_down",
     }
 }
 
@@ -156,8 +173,21 @@ impl ServePhase {
     }
 }
 
-/// Per-request phase accumulator, threaded through the handlers like
-/// the telemetry `Recorder`.
+/// Append a `{"accept": N, ...}` object of per-phase nanoseconds.
+fn phases_json(out: &mut String, phase_nanos: &[u64; ServePhase::COUNT]) {
+    out.push('{');
+    for (i, phase) in ServePhase::ALL.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!("\"{}\": {}", phase.name(), phase_nanos[i]));
+    }
+    out.push('}');
+}
+
+/// One request's record, threaded through the handlers and folded into
+/// the [`ServeReport`] when the request finishes; the recent-request
+/// ring keeps the last [`RECENT_REQUESTS`] of them.
 ///
 /// Attribution is a *boundary clock*: `mark` is the end of the last
 /// attributed stretch, and each phase charges everything from there to
@@ -166,17 +196,32 @@ impl ServePhase {
 /// charged to the phase it precedes instead of leaking into an
 /// unattributed gap, which is what lets the slow log promise ≥95%
 /// attribution even for microsecond-scale requests.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RequestObs {
     /// Nanoseconds attributed to each phase, indexed by
     /// `ServePhase as usize`.
     pub phase_nanos: [u64; ServePhase::COUNT],
-    /// Histogram slot ([`op_index`]), or `usize::MAX` before dispatch.
-    pub op: usize,
+    /// The request's op, once its header decoded.
+    pub op: Option<Opcode>,
     /// Tenant the request named (empty for the default tenant).
     pub tenant: String,
-    /// Final response status name (see [`status_name`]).
-    pub status: &'static str,
+    /// The status the daemon answered (or, where the connection failed
+    /// while draining a rejected payload, meant to answer); `None` when
+    /// the connection failed before the daemon chose one.
+    pub status: Option<Status>,
+    /// Payload bytes a successful put stored or a successful get
+    /// returned.
+    pub bytes: u64,
+    /// Frame bytes the put appended (and fsynced) to the write-ahead
+    /// journal.
+    pub wal_bytes: u64,
+    /// The generation commit this request triggered; the ledger takes
+    /// it when the request is folded in. Boxed so the recent-request
+    /// ring stays small.
+    pub commit: Option<Box<CommitOutcome>>,
+    /// Wall time of the whole request, nanoseconds, set when it
+    /// finishes.
+    pub total_nanos: u64,
     /// End of the last attributed stretch.
     mark: Instant,
 }
@@ -185,9 +230,13 @@ impl Default for RequestObs {
     fn default() -> Self {
         RequestObs {
             phase_nanos: [0; ServePhase::COUNT],
-            op: usize::MAX,
+            op: None,
             tenant: String::new(),
-            status: "ok",
+            status: None,
+            bytes: 0,
+            wal_bytes: 0,
+            commit: None,
+            total_nanos: 0,
             mark: Instant::now(),
         }
     }
@@ -245,161 +294,215 @@ impl RequestObs {
             .iter()
             .fold(0u64, |a, &b| a.saturating_add(b))
     }
-}
-
-/// One completed request, as kept in the recent-request ring and
-/// written to the slow log.
-#[derive(Debug, Clone)]
-pub struct RequestRecord {
-    /// Histogram slot of the request op (see [`op_index`]); out of
-    /// range renders as `invalid`.
-    pub op: usize,
-    /// Tenant the request named.
-    pub tenant: String,
-    /// Response status name.
-    pub status: &'static str,
-    /// Wall time of the whole request, nanoseconds.
-    pub total_nanos: u64,
-    /// Per-phase attribution, indexed by `ServePhase as usize`.
-    pub phase_nanos: [u64; ServePhase::COUNT],
-}
-
-impl RequestRecord {
-    /// Op name (`put`/`get`/`stat`/`ls`, or `invalid`).
-    pub fn op_name(&self) -> &'static str {
-        OP_NAMES.get(self.op).copied().unwrap_or("invalid")
-    }
 
     /// Serialize as one JSON object (one slow-log line, sans newline).
+    /// A request that ended without a status reads `"aborted"`.
     pub fn to_json(&self) -> String {
-        let attributed: u64 = self
-            .phase_nanos
-            .iter()
-            .fold(0u64, |a, &b| a.saturating_add(b));
-        let mut out = String::with_capacity(256);
+        let op = self.op.map_or("invalid", |op| OP_NAMES[op_index(op)]);
+        let mut out = format!("{{\"op\": \"{op}\", \"tenant\": ");
+        json::string(&mut out, &self.tenant);
         out.push_str(&format!(
-            "{{\"op\": \"{}\", \"tenant\": \"{}\", \"status\": \"{}\", \
-             \"total_nanos\": {}, \"attributed_nanos\": {}, \"phases\": {{",
-            self.op_name(),
-            escape_json(&self.tenant),
-            self.status,
+            ", \"status\": \"{}\", \"total_nanos\": {}, \"attributed_nanos\": {}, \"phases\": ",
+            self.status.map_or("aborted", status_name),
             self.total_nanos,
-            attributed,
+            self.attributed_nanos(),
         ));
-        for (i, phase) in ServePhase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", phase.name(), self.phase_nanos[i]));
-        }
-        out.push_str("}}");
+        phases_json(&mut out, &self.phase_nanos);
+        out.push('}');
         out
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Mutable observability state, one per daemon, behind a mutex taken
-/// once per request (the same discipline as the telemetry snapshot
-/// merge).
-#[derive(Debug, Default)]
-pub struct ObsState {
+/// The daemon's request ledger: every count and time it keeps, in one
+/// record behind one lock. Each finished request is folded in once;
+/// `/metrics`, `/debug/stats` and the report [`Server::join`]
+/// returns all read it.
+///
+/// [`Server::join`]: crate::Server::join
+#[derive(Debug, Clone, Default)]
+pub struct ServeReport {
+    /// Connections accepted.
+    pub connections: u64,
+    /// Requests with a well-formed header that were dispatched.
+    pub requests: u64,
+    /// Successful puts.
+    pub puts: u64,
+    /// Successful gets.
+    pub gets: u64,
+    /// Requests rejected by admission control (connection or byte
+    /// budget).
+    pub busy_rejected: u64,
+    /// Malformed frames rejected with [`Status::BadRequest`].
+    pub protocol_errors: u64,
+    /// Lookups that answered [`Status::NotFound`].
+    pub not_found: u64,
+    /// Payload bytes accepted by successful puts.
+    pub put_bytes: u64,
+    /// Payload bytes returned by successful gets.
+    pub get_bytes: u64,
+    /// Store generations committed (threshold rolls plus the final
+    /// shutdown commit).
+    pub commits: u64,
+    /// Generation number of the last commit, if any put was committed.
+    pub generation: Option<u64>,
+    /// Records appended (and fsynced) to the write-ahead journal, one
+    /// per journaled put.
+    pub wal_appends: u64,
+    /// Journal frame bytes appended (and fsynced) before their puts'
+    /// acks.
+    pub wal_bytes: u64,
+    /// Write-ahead journal records replayed into the overlay when the
+    /// daemon started (acked puts recovered from a previous crash).
+    pub wal_replayed: u64,
+    /// Journal files retired by generation commits.
+    pub wal_truncations: u64,
+    /// Requests past the `slow_ms` threshold.
+    pub slow_requests: u64,
+    /// Flight-recorder trace dumps written.
+    pub flight_dumps: u64,
+    /// Cumulative request wall time, nanoseconds.
+    pub total_request_nanos: u64,
+    /// Cumulative nanoseconds attributed to each phase, indexed by
+    /// [`ServePhase`]` as usize`.
+    pub phase_nanos: [u64; ServePhase::COUNT],
+    /// Pipeline telemetry merged from every generation commit.
+    pub telemetry: TelemetrySnapshot,
     /// Per-op request-latency histograms, indexed by [`op_index`].
     pub per_op: [LatencyHistogram; 4],
     /// Per-tenant histograms, first-come order, capped at
     /// [`MAX_TENANT_HISTOGRAMS`]; the overflow bucket is named
     /// `_other`.
     pub tenants: Vec<(String, LatencyHistogram)>,
-    /// Cumulative per-phase nanoseconds across every request.
-    pub phase_nanos: [u64; ServePhase::COUNT],
-    /// Cumulative request wall time, nanoseconds.
-    pub total_request_nanos: u64,
-    /// Requests past the slow threshold.
-    pub slow_requests: u64,
-    /// Flight-recorder dumps written.
-    pub flight_dumps: u64,
     /// Most recent completed requests, oldest first.
-    pub recent: VecDeque<RequestRecord>,
-    /// Last slow-triggered dump, for rate limiting.
-    pub last_slow_dump: Option<Instant>,
+    pub recent: VecDeque<RequestObs>,
 }
 
-impl ObsState {
-    /// Fold one completed request into the histograms, phase totals,
-    /// and recent ring. Returns whether the request was slow (past
-    /// `slow_nanos`) and whether a slow-triggered flight dump is due.
-    pub fn record_request(
-        &mut self,
-        record: RequestRecord,
-        slow_nanos: Option<u64>,
-        dumps_enabled: bool,
-    ) -> (bool, bool) {
-        if record.op < OP_NAMES.len() {
-            self.per_op[record.op].record(record.total_nanos);
+impl ServeReport {
+    /// Every counter under its stable name: `/metrics` renders each as
+    /// `isobar_serve_<name>_total`, `/debug/stats` as a top-level key.
+    pub fn counters(&self) -> [(&'static str, u64); 16] {
+        [
+            ("connections", self.connections),
+            ("requests", self.requests),
+            ("puts", self.puts),
+            ("gets", self.gets),
+            ("busy_rejected", self.busy_rejected),
+            ("protocol_errors", self.protocol_errors),
+            ("not_found", self.not_found),
+            ("put_bytes", self.put_bytes),
+            ("get_bytes", self.get_bytes),
+            ("commits", self.commits),
+            ("wal_appends", self.wal_appends),
+            ("wal_bytes", self.wal_bytes),
+            ("wal_replayed", self.wal_replayed),
+            ("wal_truncations", self.wal_truncations),
+            ("slow_requests", self.slow_requests),
+            ("flight_dumps", self.flight_dumps),
+        ]
+    }
+
+    /// Cumulative nanoseconds spent blocked on the store mutex — the
+    /// numerator of the lock-convoy share.
+    pub fn lock_wait_nanos(&self) -> u64 {
+        self.phase_nanos[ServePhase::LockWait as usize]
+    }
+
+    /// Fraction of all request wall time spent blocked on the store
+    /// mutex (0 when nothing was served).
+    pub fn lock_wait_share(&self) -> f64 {
+        if self.total_request_nanos == 0 {
+            return 0.0;
         }
-        match self.tenants.iter().position(|(t, _)| *t == record.tenant) {
-            Some(i) => self.tenants[i].1.record(record.total_nanos),
-            None if self.tenants.len() < MAX_TENANT_HISTOGRAMS => {
-                let mut hist = LatencyHistogram::new();
-                hist.record(record.total_nanos);
-                self.tenants.push((record.tenant.clone(), hist));
+        self.lock_wait_nanos() as f64 / self.total_request_nanos as f64
+    }
+
+    /// Fold one finished, dispatched request in: its counts (from its
+    /// op, status and bytes), the commit it triggered, its phase times,
+    /// its histograms and its ring entry. `slow` says it crossed the
+    /// slow threshold, `dumped` that its slow flight dump was written.
+    pub(crate) fn fold(&mut self, mut request: RequestObs, slow: bool, dumped: bool) {
+        self.requests += 1;
+        match (request.op, request.status) {
+            (Some(Opcode::Put), Some(Status::Ok)) => {
+                self.puts += 1;
+                self.put_bytes += request.bytes;
             }
-            None => match self.tenants.iter().position(|(t, _)| t == "_other") {
-                Some(i) => self.tenants[i].1.record(record.total_nanos),
-                None => {
-                    let mut hist = LatencyHistogram::new();
-                    hist.record(record.total_nanos);
-                    self.tenants.push(("_other".to_string(), hist));
-                }
-            },
+            (Some(Opcode::Get), Some(Status::Ok)) => {
+                self.gets += 1;
+                self.get_bytes += request.bytes;
+            }
+            (_, Some(Status::Busy)) => self.busy_rejected += 1,
+            (_, Some(Status::BadRequest)) => self.protocol_errors += 1,
+            (_, Some(Status::NotFound)) => self.not_found += 1,
+            _ => {}
         }
-        for (total, &part) in self.phase_nanos.iter_mut().zip(&record.phase_nanos) {
-            *total = total.saturating_add(part);
+        if request.wal_bytes > 0 {
+            self.wal_appends += 1;
+            self.wal_bytes += request.wal_bytes;
         }
-        self.total_request_nanos = self.total_request_nanos.saturating_add(record.total_nanos);
-        let slow = slow_nanos.is_some_and(|t| record.total_nanos >= t);
+        if let Some(outcome) = request.commit.take() {
+            self.fold_commit(&outcome);
+        }
+        self.slow_requests += u64::from(slow);
+        self.flight_dumps += u64::from(dumped);
+        let total = request.total_nanos;
+        if let Some(op) = request.op {
+            self.per_op[op_index(op)].record(total);
+        }
+        let known = self.tenants.iter().any(|(t, _)| *t == request.tenant);
+        let tenant = if known || self.tenants.len() < MAX_TENANT_HISTOGRAMS {
+            request.tenant.as_str()
+        } else {
+            "_other"
+        };
+        let slot = match self.tenants.iter().position(|(t, _)| t == tenant) {
+            Some(slot) => slot,
+            None => {
+                self.tenants
+                    .push((tenant.to_string(), LatencyHistogram::new()));
+                self.tenants.len() - 1
+            }
+        };
+        self.tenants[slot].1.record(total);
+        for (sum, &part) in self.phase_nanos.iter_mut().zip(&request.phase_nanos) {
+            *sum = sum.saturating_add(part);
+        }
+        self.total_request_nanos = self.total_request_nanos.saturating_add(total);
         if self.recent.len() == RECENT_REQUESTS {
             self.recent.pop_front();
         }
-        self.recent.push_back(record);
-        let mut dump_due = false;
-        if slow {
-            self.slow_requests += 1;
-            if dumps_enabled {
-                let due = self
-                    .last_slow_dump
-                    .is_none_or(|t| t.elapsed().as_secs() >= SLOW_DUMP_INTERVAL_SECS);
-                if due {
-                    self.last_slow_dump = Some(Instant::now());
-                    dump_due = true;
-                }
-            }
-        }
-        (slow, dump_due)
+        self.recent.push_back(request);
     }
 
-    /// Append the observability metric families to a Prometheus
-    /// exposition body: per-op and per-tenant request-duration
-    /// histograms plus the cumulative per-phase seconds counters.
-    pub fn render_prometheus(&self, out: &mut String) {
+    /// Count one generation commit and merge its pipeline telemetry.
+    /// Requests fold in completion order, not commit order, so the
+    /// generation keeps the highest one seen.
+    pub(crate) fn fold_commit(&mut self, outcome: &CommitOutcome) {
+        self.commits += 1;
+        self.generation = self.generation.max(Some(outcome.generation));
+        self.wal_truncations += outcome.wal_truncated;
+        self.telemetry.merge(&outcome.telemetry);
+    }
+
+    /// Render `/metrics`: the merged pipeline snapshot, every counter as
+    /// `isobar_serve_<name>_total`, the per-op and per-tenant
+    /// request-duration histograms and the cumulative per-phase seconds.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = self.telemetry.to_prometheus();
+        for (name, value) in self.counters() {
+            out.push_str(&format!(
+                "# HELP isobar_serve_{name}_total Serve daemon counter {name}.\n\
+                 # TYPE isobar_serve_{name}_total counter\n\
+                 isobar_serve_{name}_total {value}\n"
+            ));
+        }
         out.push_str(
             "# HELP isobar_serve_request_duration_seconds Request wall time by op.\n\
              # TYPE isobar_serve_request_duration_seconds histogram\n",
         );
         for (op, hist) in OP_NAMES.iter().zip(&self.per_op) {
             hist.render_prometheus(
-                out,
+                &mut out,
                 "isobar_serve_request_duration_seconds",
                 &format!("op=\"{op}\""),
             );
@@ -410,10 +513,16 @@ impl ObsState {
                  # TYPE isobar_serve_tenant_request_duration_seconds histogram\n",
             );
             for (tenant, hist) in &self.tenants {
+                // The text format's three label escapes: `\`, `"` and
+                // newline.
+                let tenant = tenant
+                    .replace('\\', r"\\")
+                    .replace('"', r#"\""#)
+                    .replace('\n', r"\n");
                 hist.render_prometheus(
-                    out,
+                    &mut out,
                     "isobar_serve_tenant_request_duration_seconds",
-                    &format!("tenant=\"{}\"", escape_json(tenant)),
+                    &format!("tenant=\"{tenant}\""),
                 );
             }
         }
@@ -428,28 +537,29 @@ impl ObsState {
                 self.phase_nanos[phase as usize] as f64 / 1e9,
             ));
         }
+        out
     }
 
-    /// Append the observability half of the `/debug/stats` JSON object:
-    /// totals, phase breakdown, per-op and per-tenant histogram
-    /// summaries, and the recent-request ring. Emits `"key": value`
-    /// pairs without surrounding braces so the daemon can splice in its
-    /// own fields (connections, overlay, backlog).
+    /// Append the ledger half of the `/debug/stats` JSON object: every
+    /// counter, the generation, totals, phase breakdown, per-op and
+    /// per-tenant histogram summaries, and the recent-request ring.
+    /// Emits `"key": value` pairs without surrounding braces so the
+    /// daemon can splice in its store gauges.
     pub fn write_debug_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "\"total_request_nanos\": {}, \"slow_requests\": {}, \"flight_dumps\": {}",
-            self.total_request_nanos, self.slow_requests, self.flight_dumps
-        ));
-        out.push_str(", \"lock_wait_nanos\": ");
-        out.push_str(&self.phase_nanos[ServePhase::LockWait as usize].to_string());
-        out.push_str(", \"phases\": {");
-        for (i, phase) in ServePhase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", phase.name(), self.phase_nanos[i]));
+        for (name, value) in self.counters() {
+            out.push_str(&format!("\"{name}\": {value}, "));
         }
-        out.push_str("}, \"ops\": {");
+        let generation = self
+            .generation
+            .map_or("null".to_string(), |g| g.to_string());
+        out.push_str(&format!(
+            "\"generation\": {generation}, \"total_request_nanos\": {}, \
+             \"lock_wait_nanos\": {}, \"phases\": ",
+            self.total_request_nanos,
+            self.lock_wait_nanos(),
+        ));
+        phases_json(out, &self.phase_nanos);
+        out.push_str(", \"ops\": {");
         for (i, (op, hist)) in OP_NAMES.iter().zip(&self.per_op).enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -462,15 +572,16 @@ impl ObsState {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": ", escape_json(tenant)));
+            json::string(out, tenant);
+            out.push_str(": ");
             hist.write_json(out);
         }
         out.push_str("}, \"recent_requests\": [");
-        for (i, rec) in self.recent.iter().enumerate() {
+        for (i, request) in self.recent.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&rec.to_json());
+            out.push_str(&request.to_json());
         }
         out.push(']');
     }
@@ -515,37 +626,57 @@ pub fn dump_flight_trace(dir: &Path, reason: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Append one record to the slow-request log (`slow.jsonl` under the
-/// flight-recorder directory). Creates the file on first use. The
-/// mutex serializes appends across handler threads.
+/// The slow-request log (`slow.jsonl` under the flight-recorder
+/// directory, created on first use) and the rate limit on
+/// slow-triggered flight dumps. The mutex serializes appends across
+/// handler threads.
 #[derive(Debug, Default)]
 pub struct SlowLog {
-    file: Mutex<Option<std::fs::File>>,
+    /// The open log file, and when the last slow dump was due.
+    state: Mutex<(Option<std::fs::File>, Option<Instant>)>,
 }
 
 impl SlowLog {
-    /// Append `record` as one JSON line under `dir`.
-    pub fn append(&self, dir: &Path, record: &RequestRecord) {
-        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.is_none() {
+    /// Append `request` as one JSON line under `dir`. Returns whether a
+    /// slow-triggered flight dump is due (at most one per
+    /// [`SLOW_DUMP_INTERVAL_SECS`]).
+    pub fn append(&self, dir: &Path, request: &RequestObs) -> bool {
+        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let (file, last_dump) = &mut *guard;
+        if file.is_none() {
             let _ = std::fs::create_dir_all(dir);
-            *guard = std::fs::OpenOptions::new()
+            *file = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(dir.join("slow.jsonl"))
                 .ok();
         }
-        if let Some(file) = guard.as_mut() {
-            let mut line = record.to_json();
+        if let Some(file) = file.as_mut() {
+            let mut line = request.to_json();
             line.push('\n');
             let _ = file.write_all(line.as_bytes());
         }
+        let due = last_dump.is_none_or(|t| t.elapsed().as_secs() >= SLOW_DUMP_INTERVAL_SECS);
+        if due {
+            *last_dump = Some(Instant::now());
+        }
+        due
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn request(op: Opcode, tenant: &str, total_nanos: u64) -> RequestObs {
+        RequestObs {
+            op: Some(op),
+            tenant: tenant.to_string(),
+            status: Some(Status::Ok),
+            total_nanos,
+            ..RequestObs::new()
+        }
+    }
 
     #[test]
     fn phase_tables_are_consistent() {
@@ -560,81 +691,113 @@ mod tests {
 
     #[test]
     fn request_record_json_carries_every_phase() {
-        let mut rec = RequestRecord {
-            op: 0,
-            tenant: "acme \"lab\"".into(),
-            status: "ok",
-            total_nanos: 1000,
-            phase_nanos: [0; ServePhase::COUNT],
-        };
+        let mut rec = request(Opcode::Put, "acme \"lab\"\n", 1000);
         rec.phase_nanos[ServePhase::LockWait as usize] = 400;
         let json = rec.to_json();
         assert!(json.contains("\"lock_wait\": 400"), "{json}");
         assert!(json.contains("\"attributed_nanos\": 400"), "{json}");
-        assert!(json.contains("\\\"lab\\\""), "quotes escaped: {json}");
+        let doc = json::parse(&json).unwrap();
+        assert_eq!(
+            doc.get("tenant").and_then(|t| t.as_str()),
+            Some("acme \"lab\"\n")
+        );
         for phase in ServePhase::ALL {
             assert!(json.contains(phase.name()), "{}", phase.name());
         }
+        rec.status = None;
+        assert!(rec.to_json().contains("\"status\": \"aborted\""));
     }
 
     #[test]
     fn tenant_histograms_cap_with_other_bucket() {
-        let mut state = ObsState::default();
+        let mut ledger = ServeReport::default();
         for i in 0..MAX_TENANT_HISTOGRAMS + 10 {
-            let record = RequestRecord {
-                op: 1,
-                tenant: format!("tenant-{i}"),
-                status: "ok",
-                total_nanos: 1_000,
-                phase_nanos: [0; ServePhase::COUNT],
-            };
-            state.record_request(record, None, false);
+            ledger.fold(
+                request(Opcode::Get, &format!("tenant-{i}"), 1_000),
+                false,
+                false,
+            );
         }
-        assert_eq!(state.tenants.len(), MAX_TENANT_HISTOGRAMS + 1);
-        let other = state.tenants.iter().find(|(t, _)| t == "_other").unwrap();
+        // A tenant seen before the cap keeps its own histogram.
+        ledger.fold(request(Opcode::Get, "tenant-0", 1_000), false, false);
+        assert_eq!(ledger.tenants.len(), MAX_TENANT_HISTOGRAMS + 1);
+        let other = ledger.tenants.iter().find(|(t, _)| t == "_other").unwrap();
         assert_eq!(other.1.count(), 10);
+        assert_eq!(ledger.tenants[0].1.count(), 2);
+    }
+
+    #[test]
+    fn tenant_labels_use_prometheus_escapes() {
+        let mut ledger = ServeReport::default();
+        ledger.fold(request(Opcode::Put, "a\"b\\c\nd", 1_000), false, false);
+        let text = ledger.to_prometheus();
+        let family = "isobar_serve_tenant_request_duration_seconds";
+        let samples: Vec<&str> = text.lines().filter(|l| l.starts_with(family)).collect();
+        // Ten `le` buckets, `+Inf`, `_sum` and `_count`: one line each.
+        assert_eq!(samples.len(), 13, "{text}");
+        for line in samples {
+            assert!(line.contains(r#"{tenant="a\"b\\c\nd""#), "{line}");
+            let (_, value) = line.rsplit_once(' ').unwrap();
+            assert!(value.parse::<f64>().is_ok(), "{line}");
+        }
     }
 
     #[test]
     fn slow_threshold_counts_and_rate_limits_dumps() {
-        let mut state = ObsState::default();
-        let record = |nanos| RequestRecord {
-            op: 0,
-            tenant: String::new(),
-            status: "ok",
-            total_nanos: nanos,
-            phase_nanos: [0; ServePhase::COUNT],
-        };
-        // Below the threshold: not slow.
-        let (slow, dump) = state.record_request(record(10), Some(100), true);
-        assert!(!slow && !dump);
-        // At the threshold: slow, and the first dump fires.
-        let (slow, dump) = state.record_request(record(100), Some(100), true);
-        assert!(slow && dump);
-        // Immediately after: slow again, but the dump is rate limited.
-        let (slow, dump) = state.record_request(record(200), Some(100), true);
-        assert!(slow && !dump);
-        assert_eq!(state.slow_requests, 2);
+        // Below the threshold: not slow; at it and above it: slow.
+        assert!(!is_slow(10_000_000, Some(100)));
+        assert!(!is_slow(99_999_999, Some(100)));
+        assert!(is_slow(100_000_000, Some(100)));
+        assert!(is_slow(200_000_000, Some(100)));
+        assert!(is_slow(0, Some(0)));
         // No threshold, nothing is slow.
-        let (slow, _) = state.record_request(record(u64::MAX), None, true);
-        assert!(!slow);
+        assert!(!is_slow(u64::MAX, None));
+        let dir = std::env::temp_dir().join(format!("isobar-slowlog-{}", std::process::id()));
+        let log = SlowLog::default();
+        let slow = request(Opcode::Put, "", 200);
+        // The first slow request's dump is due; the next one, straight
+        // after, is rate limited, but both are logged.
+        assert!(log.append(&dir, &slow));
+        assert!(!log.append(&dir, &slow));
+        let text = std::fs::read_to_string(dir.join("slow.jsonl")).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        let mut ledger = ServeReport::default();
+        ledger.fold(slow.clone(), true, true);
+        ledger.fold(slow.clone(), true, false);
+        ledger.fold(slow, false, false);
+        assert_eq!((ledger.slow_requests, ledger.flight_dumps), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generation_keeps_the_latest_commit_when_folds_arrive_out_of_order() {
+        let commit = |generation| CommitOutcome {
+            generation,
+            telemetry: TelemetrySnapshot::default(),
+            wal_truncated: 0,
+        };
+        let mut ledger = ServeReport::default();
+        assert_eq!(ledger.generation, None);
+        // Request B committed generation 8 but folds before request A,
+        // which committed generation 7.
+        for generation in [8, 7] {
+            let mut req = request(Opcode::Put, "", 1_000);
+            req.commit = Some(Box::new(commit(generation)));
+            ledger.fold(req, false, false);
+        }
+        assert_eq!((ledger.commits, ledger.generation), (2, Some(8)));
+        ledger.fold_commit(&commit(9));
+        assert_eq!((ledger.commits, ledger.generation), (3, Some(9)));
     }
 
     #[test]
     fn recent_ring_is_bounded() {
-        let mut state = ObsState::default();
+        let mut ledger = ServeReport::default();
         for i in 0..RECENT_REQUESTS + 50 {
-            let rec = RequestRecord {
-                op: 0,
-                tenant: String::new(),
-                status: "ok",
-                total_nanos: i as u64,
-                phase_nanos: [0; ServePhase::COUNT],
-            };
-            state.record_request(rec, None, false);
+            ledger.fold(request(Opcode::Put, "", i as u64), false, false);
         }
-        assert_eq!(state.recent.len(), RECENT_REQUESTS);
+        assert_eq!(ledger.recent.len(), RECENT_REQUESTS);
         // Oldest entries were evicted.
-        assert_eq!(state.recent.front().unwrap().total_nanos, 50);
+        assert_eq!(ledger.recent.front().unwrap().total_nanos, 50);
     }
 }

@@ -1,4 +1,6 @@
-//! Minimal JSON reader/writer for telemetry snapshots.
+//! Minimal JSON reader/writer for telemetry snapshots and the serve
+//! daemon's reports; [`string`] is the workspace's one JSON string
+//! escaper.
 //!
 //! The workspace deliberately vendors no serialization framework, so
 //! snapshots are written with a few formatting helpers and read back
@@ -287,6 +289,21 @@ pub fn field_u64(out: &mut String, indent: usize, name: &str, value: u64, comma:
     out.push('\n');
 }
 
+/// Append `value` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped and control characters become `\u00XX`.
+pub fn string(out: &mut String, value: &str) {
+    out.push('"');
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// Append a compact `[1, 2, 3]` array.
 pub fn array_u64(out: &mut String, values: &[u64]) {
     out.push('[');
@@ -337,6 +354,15 @@ mod tests {
         assert_eq!(v.get("f"), Some(&JsonValue::Number(-150.0)));
         assert_eq!(v.get("t"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("f").and_then(JsonValue::as_u64), None);
+    }
+
+    #[test]
+    fn strings_escape_and_parse_back() {
+        let tricky = "a\"b\\c\nd\u{1}e";
+        let mut out = String::new();
+        string(&mut out, tricky);
+        assert_eq!(out, r#""a\"b\\c\u000ad\u0001e""#);
+        assert_eq!(parse(&out).unwrap().as_str(), Some(tricky));
     }
 
     #[test]

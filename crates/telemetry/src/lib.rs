@@ -135,43 +135,11 @@ pub enum Counter {
     StoreSupersededEntries,
     /// Sharded-store compaction passes completed.
     StoreCompactionsRun,
-    /// Requests decoded and dispatched by the serve daemon.
-    ServeRequests,
-    /// Payload bytes accepted by serve `put` requests.
-    ServePutBytes,
-    /// Payload bytes returned by serve `get` requests.
-    ServeGetBytes,
-    /// Requests rejected with `Busy` by serve admission control.
-    ServeBusyRejected,
-    /// Malformed request frames rejected by the serve decoder.
-    ServeProtocolErrors,
-    /// Store generations committed by the serve daemon (threshold
-    /// rolls plus the final shutdown commit).
-    ServeCommits,
-    /// Requests whose wall time exceeded the serve daemon's
-    /// `--slow-ms` threshold (each also lands in the slow-request
-    /// JSONL log when the flight recorder is on).
-    ServeSlowRequests,
-    /// Flight-recorder Chrome-trace dumps written by the serve daemon
-    /// (SIGUSR1, panic, or slow-request triggers).
-    ServeFlightDumps,
-    /// Records appended (and fsynced) to the serve daemon's
-    /// write-ahead journal — one per acked put while the WAL is on.
-    ServeWalAppends,
-    /// Payload bytes made durable through the serve write-ahead
-    /// journal before their acks.
-    ServeWalBytes,
-    /// Journal records replayed into the overlay on daemon startup
-    /// (acked writes recovered after a crash).
-    ServeWalReplayed,
-    /// Write-ahead journal truncations (one per generation commit
-    /// that had journaled puts to retire).
-    ServeWalTruncations,
 }
 
 impl Counter {
     /// Number of counters (array size).
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 29;
 
     /// Every counter, in stable JSON order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -204,18 +172,6 @@ impl Counter {
         Counter::StoreManifestBytes,
         Counter::StoreSupersededEntries,
         Counter::StoreCompactionsRun,
-        Counter::ServeRequests,
-        Counter::ServePutBytes,
-        Counter::ServeGetBytes,
-        Counter::ServeBusyRejected,
-        Counter::ServeProtocolErrors,
-        Counter::ServeCommits,
-        Counter::ServeSlowRequests,
-        Counter::ServeFlightDumps,
-        Counter::ServeWalAppends,
-        Counter::ServeWalBytes,
-        Counter::ServeWalReplayed,
-        Counter::ServeWalTruncations,
     ];
 
     /// Stable snake_case name used as the JSON key.
@@ -250,18 +206,6 @@ impl Counter {
             Counter::StoreManifestBytes => "store_manifest_bytes",
             Counter::StoreSupersededEntries => "store_superseded_entries",
             Counter::StoreCompactionsRun => "store_compactions_run",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServePutBytes => "serve_put_bytes",
-            Counter::ServeGetBytes => "serve_get_bytes",
-            Counter::ServeBusyRejected => "serve_busy_rejected",
-            Counter::ServeProtocolErrors => "serve_protocol_errors",
-            Counter::ServeCommits => "serve_commits",
-            Counter::ServeSlowRequests => "serve_slow_requests",
-            Counter::ServeFlightDumps => "serve_flight_dumps",
-            Counter::ServeWalAppends => "serve_wal_appends",
-            Counter::ServeWalBytes => "serve_wal_bytes",
-            Counter::ServeWalReplayed => "serve_wal_replayed",
-            Counter::ServeWalTruncations => "serve_wal_truncations",
         }
     }
 }

@@ -4,8 +4,9 @@ use crate::json;
 use crate::{Counter, Stage};
 
 /// Version stamped into every serialized snapshot. Bump when the JSON
-/// shape changes incompatibly.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+/// shape changes incompatibly (2: the `serve_*` counters moved to the
+/// serve daemon's own ledger).
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
 /// Buckets in the τ-margin histogram. Linear, 0.25 wide, covering
 /// margins in `[0, 4)`; the last bucket also absorbs everything ≥ 3.75.
