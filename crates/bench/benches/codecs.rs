@@ -280,21 +280,56 @@ fn matcher_profiles() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// The solver streams of Table X's ISOBAR-Sp rows at the `Default`
+/// level: one paper chunk of each dataset, analysed, laid out as a
+/// `Ratio` EUPA picks at `Default` and partitioned; the compressible
+/// bytes it hands the solver.
+fn default_solver_inputs() -> Vec<(&'static str, Vec<u8>)> {
+    ["gts_chkp_zion", "xgc_iphase", "flash_velx", "flash_gamc"]
+        .into_iter()
+        .map(|name| {
+            let spec = catalog::spec(name).expect("catalog entry");
+            let width = spec.element.width();
+            let chunk = spec.generate(ELEMENTS, 7).bytes;
+            let selection = Analyzer::default().analyze(&chunk, width).expect("aligned");
+            let decision =
+                EupaSelector::default().select(&chunk, width, &selection, Preference::Ratio);
+            let (mut raw, mut rest) = (Vec::new(), Vec::new());
+            partition_into(
+                &chunk,
+                width,
+                &selection,
+                decision.linearization,
+                &mut raw,
+                &mut rest,
+            );
+            (name, raw)
+        })
+        .collect()
+}
+
 fn bench_matcher(c: &mut Criterion) {
     let mut group = c.benchmark_group("lz77_matcher");
     group.sample_size(10);
-    for (profile, data) in matcher_profiles() {
+    // The scratch persists across iterations, matching how the pipeline
+    // drives the matcher chunk after chunk.
+    let mut tokenize_row = |level: CompressionLevel, input: &str, data: &[u8]| {
         group.throughput(Throughput::Bytes(data.len() as u64));
+        let mut scratch = MatcherScratch::default();
+        group.bench_with_input(
+            BenchmarkId::new(format!("tokenize/{level}"), input),
+            data,
+            |b, data| b.iter(|| tokenize(data, level, &mut scratch).len()),
+        );
+    };
+    for (profile, data) in matcher_profiles() {
         for level in CompressionLevel::ALL {
-            // The scratch persists across iterations, matching how the
-            // pipeline drives the matcher chunk after chunk.
-            let mut scratch = MatcherScratch::default();
-            group.bench_with_input(
-                BenchmarkId::new(format!("tokenize/{level}"), profile),
-                &data,
-                |b, data| b.iter(|| tokenize(data, level, &mut scratch).len()),
-            );
+            tokenize_row(level, profile, &data);
         }
+    }
+    // The `Default` chain walk on the streams where it costs the most.
+    for (name, raw) in default_solver_inputs() {
+        tokenize_row(CompressionLevel::Default, name, &raw);
     }
     group.finish();
 }

@@ -36,8 +36,9 @@ impl LsbBitWriter {
     ///
     /// Bytes are spilled four at a time: the accumulator holds up to 31
     /// pending bits between calls, so a 32-bit write always fits and the
-    /// flush is a single 4-byte copy instead of a per-byte loop. This is
-    /// the hottest call in the encoder (one or two per token).
+    /// flush is a single 4-byte copy instead of a per-byte loop. Block
+    /// headers and the bzip2-class framing write through here; a DEFLATE
+    /// block's symbols go through the crate's batched writer.
     #[inline]
     pub fn write_bits(&mut self, bits: u32, count: u32) {
         debug_assert!(count <= 32);
@@ -77,6 +78,80 @@ impl LsbBitWriter {
     pub fn finish(mut self) -> Vec<u8> {
         self.align_to_byte();
         self.out
+    }
+
+    /// Start a run of at most `max_bits` further bits, with its room
+    /// reserved once here. The writer takes the bits back, and drops the
+    /// unused room, when the batch is dropped.
+    pub(crate) fn batch(&mut self, max_bits: u64) -> LsbBatch<'_> {
+        let mut out = std::mem::take(&mut self.out);
+        let pos = out.len();
+        // Every flush stores 8 bytes at the first unfinished byte, which
+        // lies at most (pending + max_bits) / 8 bytes past `pos`.
+        let room = (u64::from(self.nbits) + max_bits) / 8 + 8;
+        out.resize(
+            pos + usize::try_from(room).expect("batch fits in memory"),
+            0,
+        );
+        let mut batch = LsbBatch {
+            acc: self.acc,
+            nbits: self.nbits,
+            writer: self,
+            out,
+            pos,
+        };
+        // Leave fewer than 8 pending bits, so a whole token fits.
+        batch.flush();
+        batch
+    }
+}
+
+/// A run of writes into an [`LsbBitWriter`] whose room is reserved up
+/// front ([`LsbBitWriter::batch`]). The pending bits live in a local
+/// 64-bit accumulator; [`LsbBatch::flush`] stores all 8 of its bytes
+/// with one bounds check and advances past the whole ones.
+pub(crate) struct LsbBatch<'w> {
+    writer: &'w mut LsbBitWriter,
+    /// The writer's buffer, `room` bytes longer than what is written.
+    out: Vec<u8>,
+    /// Index of the first byte not yet finished.
+    pos: usize,
+    /// Pending bits, oldest in the LSB; zero above `nbits`.
+    acc: u64,
+    nbits: u32,
+}
+
+impl LsbBatch<'_> {
+    /// Append the low `count` bits of `bits`. Between two flushes at
+    /// most 56 bits may be put, so the accumulator never overflows.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, bits: u64, count: u32) {
+        debug_assert!(self.nbits + count <= 64);
+        debug_assert!(count == 64 || bits < (1u64 << count));
+        self.acc |= bits << self.nbits;
+        self.nbits += count;
+    }
+
+    /// Store the accumulator and move past its whole bytes, leaving
+    /// fewer than 8 bits pending.
+    #[inline(always)]
+    pub(crate) fn flush(&mut self) {
+        debug_assert!(self.nbits < 64);
+        self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
+        let bytes = self.nbits / 8;
+        self.pos += bytes as usize;
+        self.acc >>= bytes * 8;
+        self.nbits -= bytes * 8;
+    }
+}
+
+impl Drop for LsbBatch<'_> {
+    fn drop(&mut self) {
+        self.flush();
+        self.out.truncate(self.pos);
+        self.writer.out = std::mem::take(&mut self.out);
+        self.writer.acc = self.acc;
+        self.writer.nbits = self.nbits;
     }
 }
 
@@ -502,6 +577,61 @@ mod tests {
         assert_eq!(r.read_bits(4).unwrap(), 0b1010);
         assert_eq!(r.read_bits(4).unwrap(), 0);
         assert_eq!(r.read_bit(), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
+    fn batch_writes_what_write_bits_writes_from_every_pending_offset() {
+        // Seeded (value, count) sequences, flushed after one to three
+        // fields (never more than 56 bits), against the same fields
+        // through `write_bits`, from each pending-bit offset the writer
+        // can hold between calls.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for seed in 0..8 {
+            for offset in 0..32u32 {
+                let prefix = next() as u32 & mask32(offset);
+                let fields: Vec<(u32, u32)> = (0..200 + seed * 37)
+                    .map(|_| {
+                        let count = (next() % 19) as u32;
+                        (next() as u32 & mask32(count), count)
+                    })
+                    .collect();
+                let total: u64 = fields.iter().map(|&(_, n)| u64::from(n)).sum();
+
+                let mut plain = LsbBitWriter::with_prefix(vec![0xA5; seed]);
+                plain.write_bits(prefix, offset);
+                for &(v, n) in &fields {
+                    plain.write_bits(v, n);
+                }
+
+                let mut batched = LsbBitWriter::with_prefix(vec![0xA5; seed]);
+                batched.write_bits(prefix, offset);
+                {
+                    let mut b = batched.batch(total);
+                    for group in fields.chunks(1 + (seed % 3)) {
+                        for &(v, n) in group {
+                            b.put(u64::from(v), n);
+                        }
+                        b.flush();
+                    }
+                }
+                assert_eq!(
+                    batched.bit_len(),
+                    plain.bit_len(),
+                    "seed {seed}, offset {offset}"
+                );
+                assert_eq!(
+                    batched.finish(),
+                    plain.finish(),
+                    "seed {seed}, offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

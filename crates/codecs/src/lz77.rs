@@ -71,6 +71,31 @@ pub enum Token {
     },
 }
 
+/// Where a matcher puts its tokens. The encoder's block takes them
+/// straight as symbol words and histogram counts; any `FnMut(Token)`
+/// takes them as [`Token`]s.
+pub(crate) trait Sink {
+    /// The byte at the matcher's position, as a literal.
+    fn literal(&mut self, byte: u8);
+    /// A back-reference: `len` bytes copied from `dist` bytes back.
+    fn copy(&mut self, len: usize, dist: usize);
+}
+
+impl<F: FnMut(Token)> Sink for F {
+    #[inline(always)]
+    fn literal(&mut self, byte: u8) {
+        self(Token::Literal(byte))
+    }
+
+    #[inline(always)]
+    fn copy(&mut self, len: usize, dist: usize) {
+        self(Token::Match {
+            len: len as u16,
+            dist: dist as u16,
+        })
+    }
+}
+
 /// Tokenize a whole buffer at `level` (a convenience for tests and
 /// benchmarks; the encoder fills one block at a time).
 pub fn tokenize(data: &[u8], level: CompressionLevel, scratch: &mut MatcherScratch) -> Vec<Token> {
@@ -130,6 +155,12 @@ fn hash3(data: &[u8], pos: usize) -> usize {
 #[inline(always)]
 fn gram4(data: &[u8], pos: usize) -> u32 {
     u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"))
+}
+
+/// The little-endian 8-byte word at `pos`.
+#[inline(always)]
+fn word8(data: &[u8], pos: usize) -> u64 {
+    u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes"))
 }
 
 #[inline(always)]
@@ -315,11 +346,11 @@ impl<'a, 's> Matcher<'a, 's> {
         let s = &*self.scratch;
         let mut candidate = s.head(hash3(data, pos));
         let mut chain_left = self.params.max_chain;
-        // Hoisted probe bytes: the byte just past the current best match
-        // is the cheapest rejection test, and it only changes when the
-        // best improves.
+        // Hoisted probe bytes: the bytes ending just past the current
+        // best match are the cheapest rejection test, and they only
+        // change when the best improves.
         let first = data[pos];
-        let mut scan = data[pos + best_len];
+        let mut scan = tail(data, pos, best_len);
 
         while candidate >= 0 && chain_left > 0 {
             let cand = candidate as usize;
@@ -327,9 +358,10 @@ impl<'a, 's> Matcher<'a, 's> {
                 break;
             }
             debug_assert!(cand < pos);
-            // Check the byte just past the current best first: cheapest
-            // way to reject chains that cannot improve on it.
-            if data[cand + best_len] == scan && data[cand] == first {
+            // A strictly longer match equals every byte up to the one
+            // past the current best, so a candidate that differs in the
+            // tail or the first byte cannot improve on it.
+            if tail(data, cand, best_len) == scan && data[cand] == first {
                 let len = common_prefix(self.tier, data, cand, pos, max_len);
                 if len > best_len {
                     best_len = len;
@@ -339,7 +371,7 @@ impl<'a, 's> Matcher<'a, 's> {
                         // ends it because no longer match can exist.
                         break;
                     }
-                    scan = data[pos + best_len];
+                    scan = tail(data, pos, best_len);
                 }
             }
             candidate = s.prev[cand % WINDOW_SIZE];
@@ -420,6 +452,18 @@ impl<'a, 's> Matcher<'a, 's> {
     }
 }
 
+/// The bytes of a candidate at `at` that [`Matcher::longest_match_over`]
+/// tests first: the 4 ending at `at + best_len` once the best match is
+/// that long, or else the one byte there.
+#[inline(always)]
+fn tail(data: &[u8], at: usize, best_len: usize) -> u32 {
+    if best_len >= 3 {
+        gram4(data, at + best_len - 3)
+    } else {
+        u32::from(data[at + best_len])
+    }
+}
+
 /// Greedy match finder for [`CompressionLevel::Fast`], over a complete
 /// input buffer (see the module documentation for the recipe).
 pub struct FastMatcher<'a, 's> {
@@ -460,6 +504,12 @@ impl<'a, 's> FastMatcher<'a, 's> {
     /// blind stretch included.
     #[inline]
     pub fn fill(&mut self, max_tokens: usize, mut sink: impl FnMut(Token)) {
+        self.fill_into(max_tokens, &mut sink);
+    }
+
+    /// [`FastMatcher::fill`] into any [`Sink`].
+    #[inline]
+    pub(crate) fn fill_into(&mut self, max_tokens: usize, sink: &mut impl Sink) {
         let data = self.data;
         let tier = self.tier;
         let base = self.table.base;
@@ -480,7 +530,7 @@ impl<'a, 's> FastMatcher<'a, 's> {
             // and indexing entirely for a few positions.
             if blind > 0 {
                 blind -= 1;
-                sink(Token::Literal(data[pos]));
+                sink.literal(data[pos]);
                 pos += 1;
                 continue;
             }
@@ -492,7 +542,7 @@ impl<'a, 's> FastMatcher<'a, 's> {
             buckets[h] = [base.wrapping_add(pos as u32), bucket[0]];
             let max_len = (data.len() - pos).min(MAX_MATCH);
             let Some((len, dist)) = probe(data, tier, pos, gram, max_len, bucket, base) else {
-                sink(Token::Literal(data[pos]));
+                sink.literal(data[pos]);
                 pos += 1;
                 miss_run += 1;
                 if miss_run >= SKIP_TRIGGER {
@@ -509,17 +559,14 @@ impl<'a, 's> FastMatcher<'a, 's> {
                     buckets[h] = [base.wrapping_add(p as u32), buckets[h][0]];
                 }
             }
-            sink(Token::Match {
-                len: len as u16,
-                dist: dist as u16,
-            });
+            sink.copy(len, dist);
             pos += len;
         }
         // The last bytes are too short for a gram: literals whatever the
         // skip state.
         while left > 0 && pos < data.len() {
             left -= 1;
-            sink(Token::Literal(data[pos]));
+            sink.literal(data[pos]);
             pos += 1;
         }
         self.pos = pos;
@@ -545,6 +592,53 @@ fn probe(
     base: u32,
 ) -> Option<(usize, usize)> {
     let window_start = pos.saturating_sub(WINDOW_SIZE);
+    const HEAD: usize = FAST_GRAM + 8;
+    if max_len >= HEAD {
+        // Both slots at once, the rule unrolled. A dead slot reads as
+        // `pos` and never hits.
+        let live =
+            |entry: u32| (entry >= base) & (entry.wrapping_sub(base) as usize >= window_start);
+        let live0 = live(bucket[0]);
+        let live1 = live0 & live(bucket[1]);
+        let at = |live: bool, entry: u32| {
+            if live {
+                entry.wrapping_sub(base) as usize
+            } else {
+                pos
+            }
+        };
+        let (c0, c1) = (at(live0, bucket[0]), at(live1, bucket[1]));
+        let hit0 = live0 & (gram4(data, c0) == gram);
+        let hit1 = live1 & (gram4(data, c1) == gram);
+        if !(hit0 | hit1) {
+            return None;
+        }
+        // Most matches end within the 8 bytes past the gram, which are
+        // compared inline; only a candidate that matches all 8 goes on
+        // through the dispatched kernel, which compares up to 32 bytes a
+        // step.
+        let ahead = word8(data, pos + FAST_GRAM);
+        let len = |hit: bool, cand: usize| {
+            let diff = word8(data, cand + FAST_GRAM) ^ ahead;
+            let head = (FAST_GRAM + (diff.trailing_zeros() / 8) as usize) * usize::from(hit);
+            if head < HEAD {
+                head
+            } else {
+                HEAD + common_prefix(tier, data, cand + HEAD, pos + HEAD, max_len - HEAD)
+            }
+        };
+        let len0 = len(hit0, c0);
+        if len0 >= FAST_NICE_LEN || len0 >= max_len {
+            return Some((len0, pos - c0));
+        }
+        let len1 = len(hit1, c1);
+        return Some(if len1 > len0 {
+            (len1, pos - c1)
+        } else {
+            (len0, pos - c0)
+        });
+    }
+    // Too close to the end for the 8-byte compare: one slot at a time.
     let mut best: Option<(usize, usize)> = None;
     for entry in bucket {
         if entry < base {
