@@ -179,7 +179,7 @@ fn traced(run: &RunFlags, body: impl FnOnce() -> Result<(), String>) -> Result<(
         return body();
     };
     if !isobar::trace::ENABLED {
-        eprintln!("note: this binary was built without tracing; the trace will be empty");
+        eprintln!("note: this binary was built without telemetry; the trace will be empty");
     }
     isobar::trace::reset();
     isobar::trace::set_active(true);

@@ -16,9 +16,8 @@ use crate::partitioner::partition_into;
 use crate::pipeline::PipelineScratch;
 use isobar_codecs::{codec_for, CodecId, CompressionLevel, SOLVERS_BY_SPEED};
 use isobar_linearize::Linearization;
-use isobar_telemetry::{Counter, Recorder, Stage, StageTimer};
+use isobar_telemetry::{Counter, Phase, Recorder};
 use isobar_trace as trace;
-use isobar_trace::TraceTag;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -204,6 +203,8 @@ impl EupaSelector {
     /// chunks will, so they neither set up solver state of their own
     /// nor leave the pipeline's cold — additionally recording each
     /// trial compression (combination, wall time) and the decision.
+    /// The compress session times the whole call as the `eupa_select`
+    /// stage.
     pub fn select_recorded(
         &self,
         data: &[u8],
@@ -213,8 +214,6 @@ impl EupaSelector {
         scratch: &mut PipelineScratch,
         recorder: &mut Recorder,
     ) -> EupaDecision {
-        let stage = StageTimer::start(Stage::EupaSelect);
-        let select_span = trace::span(TraceTag::EupaSelect, trace::NO_CHUNK);
         recorder.incr(Counter::EupaRuns);
         let PipelineScratch {
             codec: codec_scratch,
@@ -246,7 +245,7 @@ impl EupaSelector {
                 // One trace instant per trial, carrying the evidence; its
                 // `chunk` field is the combo index (codec_idx * 2 + lin_idx).
                 trace::instant_args(
-                    TraceTag::EupaTrial,
+                    Phase::EupaTrial,
                     (codec_idx * 2 + lin as usize) as u32,
                     ratio,
                     throughput_mbps,
@@ -272,13 +271,11 @@ impl EupaSelector {
         let codec_idx = trial_matrix_row(best.codec);
         recorder.record_eupa_selected(codec_idx, best.linearization as usize);
         trace::instant_args(
-            TraceTag::EupaSelected,
+            Phase::EupaSelected,
             (codec_idx * 2 + best.linearization as usize) as u32,
             best.ratio,
             best.throughput_mbps,
         );
-        drop(select_span);
-        stage.finish(recorder);
         EupaDecision {
             codec: best.codec,
             linearization: best.linearization,

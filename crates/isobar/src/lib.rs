@@ -64,6 +64,7 @@ pub mod eupa;
 pub mod partitioner;
 pub mod pipeline;
 pub mod salvage;
+pub mod span;
 pub mod stream;
 
 pub use analyzer::{Analyzer, ColumnSelection, DEFAULT_TAU};
@@ -83,7 +84,7 @@ pub use isobar_simd::{
 };
 
 /// Re-export of the telemetry substrate so downstream crates can name
-/// counters, stages, and snapshots without a direct dependency. See
+/// counters, phases, and snapshots without a direct dependency. See
 /// [`isobar_telemetry`] for the recording model and the telemetry-off
 /// build configuration.
 pub use isobar_telemetry as telemetry;
@@ -91,6 +92,6 @@ pub use isobar_telemetry::{Recorder, TelemetrySnapshot};
 
 /// Re-export of the tracing crate, so downstream crates can record
 /// spans, activate tracing, and drain Chrome-trace output without a
-/// direct dependency. See [`isobar_trace`] for the recording model and
-/// the trace-off build configuration.
+/// direct dependency. See [`isobar_trace`] for the recording model;
+/// the `telemetry` feature switches it on with the recorder.
 pub use isobar_trace as trace;

@@ -12,17 +12,16 @@ use crate::container::{ChunkMode, ChunkRecord};
 use crate::error::IsobarError;
 use crate::eupa::{EupaDecision, EupaSelector, Preference};
 use crate::partitioner::{partition_into, reassemble_into};
+use crate::span::stage;
 use crate::stream::{isobar_error, IsobarReader, IsobarWriter};
 use isobar_codecs::deflate::adler32;
 use isobar_codecs::{Codec, CodecId, CodecScratch, CompressionLevel};
 use isobar_linearize::Linearization;
-use isobar_telemetry::{Counter, Recorder, Stage, StageTimer, TelemetrySnapshot};
+use isobar_telemetry::{Counter, Phase, Recorder, TelemetrySnapshot};
 use isobar_trace as trace;
-use isobar_trace::TraceTag;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Configuration for [`IsobarCompressor`].
 #[derive(Debug, Clone, Copy)]
@@ -114,10 +113,6 @@ pub struct CompressionReport {
     pub input_len: usize,
     /// Container length in bytes.
     pub output_len: usize,
-    /// Time spent in byte-column analysis (all chunks).
-    pub analysis_secs: f64,
-    /// Time spent inside the solver (all chunks).
-    pub solver_secs: f64,
     /// Time spent in EUPA sampling.
     pub eupa_secs: f64,
     /// Wall time of the whole compress call.
@@ -401,8 +396,6 @@ pub(crate) fn pooled<T: Send>(
 pub(crate) struct ChunkResult {
     pub(crate) record: ChunkRecord,
     pub(crate) decision: ChunkDecision,
-    pub(crate) analysis_secs: f64,
-    pub(crate) solver_secs: f64,
 }
 
 /// Run the solver behind a panic boundary. Returns `false` (with the
@@ -428,32 +421,18 @@ fn compress_guarded(
     ok
 }
 
-/// A chunk's byte-column classification and the time it took.
-#[derive(Clone)]
-pub(crate) struct ChunkAnalysis {
-    pub(crate) selection: ColumnSelection,
-    pub(crate) secs: f64,
-}
-
 /// Classify the columns of chunk `chunk_index`, recording what a
-/// chunk's analysis records: the span, the column counters, the τ
-/// margins and the stage time.
+/// chunk's analysis records: the column counters, the τ margins and the
+/// stage time.
 pub(crate) fn analyze_chunk(
     chunk: &[u8],
     width: usize,
     chunk_index: u32,
     analyzer: &Analyzer,
     recorder: &mut Recorder,
-) -> Result<ChunkAnalysis, IsobarError> {
-    let t_analysis = Instant::now();
-    let analyze_span = trace::span(TraceTag::Analyze, chunk_index);
-    let selection = analyzer.analyze_recorded(chunk, width, recorder)?;
-    drop(analyze_span);
-    let analysis = t_analysis.elapsed();
-    recorder.record_stage(Stage::Analyze, analysis.as_nanos() as u64);
-    Ok(ChunkAnalysis {
-        selection,
-        secs: analysis.as_secs_f64(),
+) -> Result<ColumnSelection, IsobarError> {
+    stage(recorder, Phase::Analyze, chunk_index, |recorder| {
+        analyzer.analyze_recorded(chunk, width, recorder)
     })
 }
 
@@ -473,22 +452,18 @@ pub(crate) fn compress_chunk(
     width: usize,
     chunk_index: u32,
     analyzer: &Analyzer,
-    analyzed: Option<ChunkAnalysis>,
+    analyzed: Option<ColumnSelection>,
     codec: &dyn Codec,
     linearization: Linearization,
     scratch: &mut PipelineScratch,
     recorder: &mut Recorder,
 ) -> Result<ChunkResult, IsobarError> {
-    let _chunk_span = trace::span(TraceTag::ChunkCompress, chunk_index);
-    let ChunkAnalysis {
-        selection,
-        secs: analysis_secs,
-    } = match analyzed {
-        Some(analysis) => analysis,
+    let _chunk_span = trace::span(Phase::ChunkCompress, chunk_index);
+    let selection = match analyzed {
+        Some(selection) => selection,
         None => analyze_chunk(chunk, width, chunk_index, analyzer, recorder)?,
     };
 
-    let t_solver = Instant::now();
     let mut record = ChunkRecord {
         mode: ChunkMode::Passthrough,
         elements: (chunk.len() / width) as u32,
@@ -501,18 +476,16 @@ pub(crate) fn compress_chunk(
         // capacity is a reuse hit: the chunk compresses without
         // growing any pipeline-owned buffer.
         let cap_before = scratch.compressible.capacity();
-        let timer = StageTimer::start(Stage::Partition);
-        let partition_span = trace::span(TraceTag::Partition, chunk_index);
-        partition_into(
-            chunk,
-            width,
-            &selection,
-            linearization,
-            &mut scratch.compressible,
-            &mut record.incompressible,
-        );
-        drop(partition_span);
-        timer.finish(recorder);
+        stage(recorder, Phase::Partition, chunk_index, |_| {
+            partition_into(
+                chunk,
+                width,
+                &selection,
+                linearization,
+                &mut scratch.compressible,
+                &mut record.incompressible,
+            )
+        });
         recorder.incr(
             if cap_before > 0 && scratch.compressible.capacity() == cap_before {
                 Counter::ScratchReuseHits
@@ -537,14 +510,14 @@ pub(crate) fn compress_chunk(
         chunk
     };
     record.compressed.reserve(solver_input.len() / 2 + 64);
-    let solver_span = trace::span(TraceTag::SolverCompress, chunk_index);
-    let solved = compress_guarded(
-        codec,
-        solver_input,
-        &mut record.compressed,
-        &mut scratch.codec,
-    );
-    drop(solver_span);
+    let solved = stage(recorder, Phase::SolverCompress, chunk_index, |_| {
+        compress_guarded(
+            codec,
+            solver_input,
+            &mut record.compressed,
+            &mut scratch.codec,
+        )
+    });
     if !solved {
         // Graceful degradation: the chunk's raw bytes, unprocessed.
         record = ChunkRecord {
@@ -560,8 +533,6 @@ pub(crate) fn compress_chunk(
         ChunkMode::Passthrough => Counter::ChunksPassthrough,
         ChunkMode::Verbatim => Counter::ChunksVerbatimFallback,
     });
-    let solver = t_solver.elapsed();
-    recorder.record_stage(Stage::SolverCompress, solver.as_nanos() as u64);
 
     recorder.incr(Counter::ChunksCompressed);
     recorder.add(Counter::ChunkInputBytes, chunk.len() as u64);
@@ -575,12 +546,7 @@ pub(crate) fn compress_chunk(
         compressed_len: record.compressed.len(),
         incompressible_len: record.incompressible.len(),
     };
-    Ok(ChunkResult {
-        record,
-        decision,
-        analysis_secs,
-        solver_secs: solver.as_secs_f64(),
-    })
+    Ok(ChunkResult { record, decision })
 }
 
 #[allow(clippy::too_many_arguments)] // internal helper; the chunk index rides along for tracing
@@ -594,19 +560,17 @@ pub(crate) fn decode_chunk_record(
     scratch: &mut PipelineScratch,
     recorder: &mut Recorder,
 ) -> Result<(), IsobarError> {
-    let _chunk_span = trace::span(TraceTag::ChunkDecode, chunk_index);
+    let _chunk_span = trace::span(Phase::ChunkDecode, chunk_index);
     let expected = record.elements as usize * width;
     match record.mode {
         ChunkMode::Passthrough => {
-            let timer = StageTimer::start(Stage::SolverDecompress);
-            let solver_span = trace::span(TraceTag::SolverDecompress, chunk_index);
-            codec.decompress_into(
-                &record.compressed,
-                &mut scratch.compressible,
-                &mut scratch.codec,
-            )?;
-            drop(solver_span);
-            timer.finish(recorder);
+            stage(recorder, Phase::SolverDecompress, chunk_index, |_| {
+                codec.decompress_into(
+                    &record.compressed,
+                    &mut scratch.compressible,
+                    &mut scratch.codec,
+                )
+            })?;
             if scratch.compressible.len() != expected {
                 return Err(IsobarError::Corrupt("passthrough chunk length mismatch"));
             }
@@ -622,15 +586,13 @@ pub(crate) fn decode_chunk_record(
         }
         ChunkMode::Partitioned => {
             let selection = record.selection(width)?;
-            let timer = StageTimer::start(Stage::SolverDecompress);
-            let solver_span = trace::span(TraceTag::SolverDecompress, chunk_index);
-            codec.decompress_into(
-                &record.compressed,
-                &mut scratch.compressible,
-                &mut scratch.codec,
-            )?;
-            drop(solver_span);
-            timer.finish(recorder);
+            stage(recorder, Phase::SolverDecompress, chunk_index, |_| {
+                codec.decompress_into(
+                    &record.compressed,
+                    &mut scratch.compressible,
+                    &mut scratch.codec,
+                )
+            })?;
             if scratch.compressible.len() + record.incompressible.len() != expected {
                 return Err(IsobarError::Corrupt("partitioned chunk length mismatch"));
             }
@@ -638,18 +600,16 @@ pub(crate) fn decode_chunk_record(
             // intermediate per-chunk allocation or copy.
             let start = out.len();
             out.resize(start + expected, 0);
-            let timer = StageTimer::start(Stage::Reassemble);
-            let reassemble_span = trace::span(TraceTag::Reassemble, chunk_index);
-            reassemble_into(
-                &scratch.compressible,
-                &record.incompressible,
-                width,
-                &selection,
-                linearization,
-                &mut out[start..],
-            );
-            drop(reassemble_span);
-            timer.finish(recorder);
+            stage(recorder, Phase::Reassemble, chunk_index, |_| {
+                reassemble_into(
+                    &scratch.compressible,
+                    &record.incompressible,
+                    width,
+                    &selection,
+                    linearization,
+                    &mut out[start..],
+                )
+            });
         }
     }
     recorder.incr(Counter::ChunksDecompressed);
@@ -947,8 +907,6 @@ mod tests {
             chunks: Vec::new(),
             input_len: 1_000_000,
             output_len: 10,
-            analysis_secs: 0.0,
-            solver_secs: 0.0,
             eupa_secs: 0.0,
             total_secs: 0.0,
             telemetry: TelemetrySnapshot::default(),
@@ -1020,9 +978,12 @@ mod tests {
         let isobar = compressor(Preference::Speed);
         let (_, report) = isobar.compress_with_report(&data, 8).unwrap();
         assert!(report.total_secs > 0.0);
-        assert!(report.analysis_secs > 0.0);
-        assert!(report.solver_secs > 0.0);
         assert!(report.eupa_secs > 0.0);
+        if isobar_telemetry::ENABLED {
+            for stage in [Phase::Analyze, Phase::SolverCompress] {
+                assert!(report.telemetry.stage(stage).total_nanos > 0);
+            }
+        }
         assert!(report.throughput_mbps() > 0.0);
     }
 }

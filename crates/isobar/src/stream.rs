@@ -31,21 +31,57 @@ use crate::container::{
 use crate::error::IsobarError;
 use crate::eupa::EupaSelector;
 use crate::pipeline::{
-    analyze_chunk, compress_chunk, decode_chunk_record, pooled, ChunkAnalysis, CompressionReport,
+    analyze_chunk, compress_chunk, decode_chunk_record, pooled, ChunkResult, CompressionReport,
     IsobarOptions, PipelineScratch,
 };
+use crate::span::{stage, Span};
 use isobar_codecs::deflate::Adler32;
 use isobar_codecs::{codec_for, Codec, CodecId};
 use isobar_linearize::Linearization;
-use isobar_telemetry::{Counter, Recorder, Stage, StageTimer, TelemetrySnapshot};
+use isobar_telemetry::{Counter, Phase, Recorder, TelemetrySnapshot};
 use isobar_trace as trace;
-use isobar_trace::TraceTag;
 use std::borrow::BorrowMut;
 use std::io::{self, IoSlice, Read, Write};
 use std::time::Instant;
 
 fn io_err(e: IsobarError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Merge the records of one run into `sink` (§II.D), the first being
+/// chunk `first_index`: one gathered write, so a `Vec` sink reserves
+/// the exact total once and a file sink gets one `writev`. Returns the
+/// bytes written.
+fn write_records(
+    sink: &mut impl Write,
+    results: &[ChunkResult],
+    first_index: usize,
+) -> io::Result<usize> {
+    let heads: Vec<_> = (first_index..)
+        .zip(results)
+        .map(|(index, result)| {
+            let _merge_span = trace::span(Phase::ChunkMerge, index as u32);
+            result.record.head_bytes()
+        })
+        .collect();
+    let mut parts = Vec::with_capacity(3 * results.len());
+    for (head, result) in heads.iter().zip(results) {
+        parts.push(IoSlice::new(head));
+        parts.push(IoSlice::new(&result.record.compressed));
+        parts.push(IoSlice::new(&result.record.incompressible));
+    }
+    let total = parts.iter().map(|part| part.len()).sum();
+    let mut parts = &mut parts[..];
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match sink.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(total)
 }
 
 /// The typed error inside an `io::Error` this module produced; a
@@ -102,7 +138,7 @@ pub struct IsobarWriter<W: Write, S: BorrowMut<PipelineScratch> = PipelineScratc
     /// Bytes accepted past the last whole chunk.
     tail: Vec<u8>,
     /// The first chunk's analysis, when deciding already made it.
-    head: Option<ChunkAnalysis>,
+    head: Option<ColumnSelection>,
     checksum: Adler32,
     scratch: S,
     recorder: Recorder,
@@ -151,8 +187,6 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
                 chunks: Vec::new(),
                 input_len: 0,
                 output_len: 0,
-                analysis_secs: 0.0,
-                solver_secs: 0.0,
                 eupa_secs: 0.0,
                 total_secs: 0.0,
                 telemetry: TelemetrySnapshot::default(),
@@ -206,14 +240,14 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
                 .next()
                 .unwrap_or(&[]);
             let head_sel = if first_chunk && !head.is_empty() {
-                let analysis =
+                let selection =
                     analyze_chunk(head, self.width, 0, &self.analyzer, &mut self.recorder)
                         .map_err(io_err)?;
-                self.head.insert(analysis).selection.clone()
+                self.head.insert(selection).clone()
             } else {
                 self.analyzer.analyze(head, self.width).map_err(io_err)?
             };
-            let t = Instant::now();
+            let span = Span::open(Phase::EupaSelect, trace::NO_CHUNK);
             let eupa_sel = if head_sel.is_improvable() {
                 head_sel
             } else {
@@ -231,7 +265,7 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
                 self.scratch.borrow_mut(),
                 &mut self.recorder,
             );
-            self.report.eupa_secs = t.elapsed().as_secs_f64();
+            self.report.eupa_secs = span.record(&mut self.recorder).as_secs_f64();
             self.report.codec = opts.codec_override.unwrap_or(decision.codec);
             self.report.linearization = opts
                 .linearization_override
@@ -305,42 +339,18 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
         };
         let results = results.map_err(io_err)?;
 
-        // One gathered write for the whole run: a `Vec` sink reserves
-        // the exact total once, a file sink gets one `writev`.
-        let timer = StageTimer::start(Stage::ContainerWrite);
-        let _span = trace::span(TraceTag::ContainerWrite, trace::NO_CHUNK);
-        let heads: Vec<_> = (first_index..)
-            .zip(&results)
-            .map(|(index, result)| {
-                let _merge_span = trace::span(TraceTag::ChunkMerge, index as u32);
-                result.record.head_bytes()
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(3 * results.len());
-        for (head, result) in heads.iter().zip(&results) {
-            parts.push(IoSlice::new(head));
-            parts.push(IoSlice::new(&result.record.compressed));
-            parts.push(IoSlice::new(&result.record.incompressible));
-            self.report.output_len += result.record.encoded_len();
-        }
-        let mut parts = &mut parts[..];
-        IoSlice::advance_slices(&mut parts, 0);
-        while !parts.is_empty() {
-            match self.sink.write_vectored(parts) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut parts, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        timer.finish(&mut self.recorder);
+        let sink = &mut self.sink;
+        self.report.output_len += stage(
+            &mut self.recorder,
+            Phase::ContainerWrite,
+            trace::NO_CHUNK,
+            |_| write_records(sink, &results, first_index),
+        )?;
         let metadata = (CHUNK_HEADER_LEN * results.len()) as u64;
         self.recorder.add(Counter::ContainerMetadataBytes, metadata);
-        for result in results {
-            self.report.analysis_secs += result.analysis_secs;
-            self.report.solver_secs += result.solver_secs;
-            self.report.chunks.push(result.decision);
-        }
+        self.report
+            .chunks
+            .extend(results.into_iter().map(|result| result.decision));
         Ok(())
     }
 
@@ -576,12 +586,12 @@ impl<R: Read, S: BorrowMut<PipelineScratch>> IsobarReader<R, S> {
             return Ok(());
         }
         let (width, linearization) = (self.header.width as usize, self.header.linearization);
-        let fetch_span = trace::span(TraceTag::ContainerRead, trace::NO_CHUNK);
+        let span = Span::open(Phase::ContainerRead, trace::NO_CHUNK);
         let mut records = Vec::new();
         while let Some(offset) = self.fetch()? {
             records.push((offset, std::mem::replace(&mut self.record, blank_record())));
         }
-        drop(fetch_span);
+        self.fetched(span);
         let codec = self.codec.as_ref();
         let chunks = pooled(records.len(), &mut self.recorder, |i, scratch, recorder| {
             let (offset, record) = &records[i];
@@ -623,10 +633,15 @@ impl<R: Read, S: BorrowMut<PipelineScratch>> IsobarReader<R, S> {
     /// they arose at.
     fn fetch(&mut self) -> Result<Option<u64>, IsobarError> {
         let offset = self.consumed;
-        let started = Instant::now();
-        let more = self.fetch_at(offset).map_err(|e| e.at(offset));
-        self.fetch_nanos += started.elapsed().as_nanos() as u64;
-        Ok(more?.then_some(offset))
+        let more = self.fetch_at(offset).map_err(|e| e.at(offset))?;
+        Ok(more.then_some(offset))
+    }
+
+    /// Close the container-read span of one or more fetches into the
+    /// stage total `verify_end` records.
+    fn fetched(&mut self, span: Span) {
+        let (start, end) = span.close();
+        self.fetch_nanos += (end - start).as_nanos() as u64;
     }
 
     fn fetch_at(&mut self, offset: u64) -> Result<bool, IsobarError> {
@@ -682,9 +697,9 @@ impl<R: Read, S: BorrowMut<PipelineScratch>> IsobarReader<R, S> {
     /// over and what it declared about itself checked out.
     fn next_chunk(&mut self, out: &mut Vec<u8>) -> Result<bool, IsobarError> {
         let chunk_index = self.chunks_read;
-        let fetch_span = trace::span(TraceTag::ContainerRead, chunk_index);
+        let span = Span::open(Phase::ContainerRead, chunk_index);
         let fetched = self.fetch()?;
-        drop(fetch_span);
+        self.fetched(span);
         let Some(offset) = fetched else {
             self.verify_end(&[])?;
             return Ok(false);
@@ -715,7 +730,7 @@ impl<R: Read, S: BorrowMut<PipelineScratch>> IsobarReader<R, S> {
     fn verify_end(&mut self, unsummed: &[u8]) -> Result<(), IsobarError> {
         let (end, checksum_at) = self.end.expect("walk reached the end");
         self.recorder
-            .record_stage(Stage::ContainerRead, self.fetch_nanos);
+            .record_stage(Phase::ContainerRead, self.fetch_nanos);
         if end.total_len != self.produced {
             return Err(IsobarError::Corrupt("reassembled length mismatch"));
         }
@@ -883,12 +898,12 @@ mod tests {
         }
         assert_eq!(own.tau_margin, callers.tau_margin);
         assert_eq!(
-            own.stage(Stage::Analyze).count,
-            callers.stage(Stage::Analyze).count
+            own.stage(Phase::Analyze).count,
+            callers.stage(Phase::Analyze).count
         );
         if isobar_telemetry::ENABLED {
             assert_eq!(own.counter(Counter::AnalyzerChunks), 3);
-            assert_eq!(own.stage(Stage::Analyze).count, 3);
+            assert_eq!(own.stage(Phase::Analyze).count, 3);
         }
         // An empty input has no first chunk to analyze.
         let mut writer = IsobarWriter::new(Vec::new(), 8, test_options()).unwrap();

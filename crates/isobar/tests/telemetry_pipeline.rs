@@ -2,7 +2,8 @@
 //! pipeline covers every stage and stays consistent across execution
 //! strategies (serial vs parallel workers).
 
-use isobar::telemetry::{Counter, Stage, ENABLED};
+use isobar::telemetry::{Counter, Phase, ENABLED};
+use isobar::trace;
 use isobar::{IsobarCompressor, IsobarOptions, Preference, Recorder};
 
 /// Mixed data: high byte-columns predictable, low columns noisy —
@@ -67,10 +68,10 @@ fn report_snapshot_covers_every_stage() {
         snap.counter(Counter::ChunkOutputBytes) as usize + isobar::container::HEADER_LEN,
         packed.len(),
     );
-    assert_eq!(snap.stage(Stage::Analyze).count, chunks);
-    assert_eq!(snap.stage(Stage::SolverCompress).count, chunks);
-    assert_eq!(snap.stage(Stage::EupaSelect).count, 1);
-    assert_eq!(snap.stage(Stage::ContainerWrite).count, 1);
+    assert_eq!(snap.stage(Phase::Analyze).count, chunks);
+    assert_eq!(snap.stage(Phase::SolverCompress).count, chunks);
+    assert_eq!(snap.stage(Phase::EupaSelect).count, 1);
+    assert_eq!(snap.stage(Phase::ContainerWrite).count, 1);
 
     // Container accounting matches the real header overhead.
     let payload: u64 = report
@@ -93,8 +94,8 @@ fn report_snapshot_covers_every_stage() {
     let dsnap = rec.snapshot();
     assert_eq!(dsnap.counter(Counter::ChunksDecompressed), chunks);
     assert_eq!(dsnap.counter(Counter::ChunkDecodedBytes), data.len() as u64);
-    assert_eq!(dsnap.stage(Stage::ContainerRead).count, 1);
-    assert!(dsnap.stage(Stage::SolverDecompress).count >= 1);
+    assert_eq!(dsnap.stage(Phase::ContainerRead).count, 1);
+    assert!(dsnap.stage(Phase::SolverDecompress).count >= 1);
 }
 
 #[test]
@@ -225,5 +226,61 @@ fn stream_writer_and_reader_expose_telemetry() {
         encoded.len() as u64,
     );
     assert_eq!(rsnap.counter(Counter::ChunkDecodedBytes), data.len() as u64);
-    assert_eq!(rsnap.stage(Stage::ContainerRead).count, 1);
+    assert_eq!(rsnap.stage(Phase::ContainerRead).count, 1);
+}
+
+#[test]
+fn stage_totals_are_the_sum_of_their_spans() {
+    // One clock per section: with the rings on, a serial, partitioned
+    // compress and decompress records each chunk stage's total from the
+    // same two readings its spans carry.
+    let data = mixed_data(20_000);
+    let isobar = compressor(false);
+    let mut rec = Recorder::new();
+    let mut scratch = isobar::PipelineScratch::new();
+    trace::reset();
+    trace::set_active(true);
+    // Marks this thread's ring: tests run concurrently, and a test
+    // thread that exits hands its ring to the same registry.
+    trace::instant_args("this_test", 0, 0.0, 0.0);
+    let packed = isobar
+        .compress_recorded(&data, 8, &mut scratch, &mut rec)
+        .unwrap();
+    let restored = isobar
+        .decompress_recorded(&packed, &mut scratch, &mut rec)
+        .unwrap();
+    trace::set_active(false);
+    let t = trace::drain();
+    assert_eq!(restored, data);
+    let snap = rec.snapshot();
+    if !ENABLED {
+        assert!(snap.is_empty() && t.event_count() == 0);
+        return;
+    }
+    assert!(snap.counter(Counter::ChunksPartitioned) >= 2);
+    let ours = t
+        .threads
+        .iter()
+        .find(|th| th.events.iter().any(|e| e.name == "this_test"))
+        .expect("this thread's ring");
+    assert_eq!(ours.dropped, 0);
+    let spans = |phase: Phase| {
+        ours.events
+            .iter()
+            .filter(move |e| !e.instant && e.name == phase.name())
+    };
+    for phase in Phase::STAGES {
+        let traced: u64 = spans(phase).map(|e| e.end_nanos - e.begin_nanos).sum();
+        assert!(traced > 0, "{}", phase.name());
+        assert_eq!(snap.stage(phase).total_nanos, traced, "{}", phase.name());
+    }
+    // The partition runs before the solver, not inside its time.
+    for solver in spans(Phase::SolverCompress) {
+        for part in spans(Phase::Partition) {
+            assert!(
+                part.end_nanos <= solver.begin_nanos || part.begin_nanos >= solver.end_nanos,
+                "partition {part:?} inside solver_compress {solver:?}"
+            );
+        }
+    }
 }

@@ -4,10 +4,11 @@
 //! registry), so every test here serializes on [`TRACE_LOCK`] and
 //! drains completely before releasing it. Assertions are gated on
 //! [`isobar::trace::ENABLED`] so the suite stays green in the
-//! trace-off build; the machine running CI may have a single core, so
+//! telemetry-off build; the machine running CI may have a single core, so
 //! nothing here asserts a minimum number of worker threads.
 
-use isobar::trace::{self, TraceTag};
+use isobar::telemetry::Phase;
+use isobar::trace;
 use isobar::{CodecId, IsobarCompressor, IsobarOptions, Linearization, Preference};
 use std::sync::Mutex;
 
@@ -35,12 +36,12 @@ fn compressor() -> IsobarCompressor {
     })
 }
 
-/// Count of non-instant spans with this tag and chunk, across threads.
-fn span_count(t: &trace::Trace, tag: TraceTag, chunk: u32) -> usize {
+/// Count of non-instant spans of this phase and chunk, across threads.
+fn span_count(t: &trace::Trace, phase: Phase, chunk: u32) -> usize {
     t.threads
         .iter()
         .flat_map(|th| &th.events)
-        .filter(|e| !e.instant && e.tag == tag && e.chunk == chunk)
+        .filter(|e| !e.instant && e.name == phase.name() && e.chunk == chunk)
         .count()
 }
 
@@ -71,8 +72,8 @@ fn parallel_compress_spans_are_complete_and_ordered() {
         for e in &thread.events {
             assert!(
                 e.begin_nanos <= e.end_nanos,
-                "span {:?} ends before it begins",
-                e.tag
+                "span {} ends before it begins",
+                e.name
             );
             assert!(
                 e.end_nanos >= last_end,
@@ -104,11 +105,11 @@ fn parallel_compress_spans_are_complete_and_ordered() {
     // exactly once, no matter which worker picked it up.
     for chunk in 0..CHUNKS as u32 {
         for tag in [
-            TraceTag::ChunkCompress,
-            TraceTag::Analyze,
-            TraceTag::Partition,
-            TraceTag::SolverCompress,
-            TraceTag::ChunkMerge,
+            Phase::ChunkCompress,
+            Phase::Analyze,
+            Phase::Partition,
+            Phase::SolverCompress,
+            Phase::ChunkMerge,
         ] {
             assert_eq!(
                 span_count(&t, tag, chunk),
@@ -117,7 +118,7 @@ fn parallel_compress_spans_are_complete_and_ordered() {
             );
         }
     }
-    assert_eq!(span_count(&t, TraceTag::ContainerWrite, trace::NO_CHUNK), 1);
+    assert_eq!(span_count(&t, Phase::ContainerWrite, trace::NO_CHUNK), 1);
 
     // The Chrome export must carry every span as a begin/end pair.
     let json = t.to_chrome_json();
@@ -152,12 +153,12 @@ fn parallel_decode_spans_cover_every_chunk_once() {
         assert_eq!(t.event_count(), 0);
         return;
     }
-    assert_eq!(span_count(&t, TraceTag::ContainerRead, trace::NO_CHUNK), 1);
+    assert_eq!(span_count(&t, Phase::ContainerRead, trace::NO_CHUNK), 1);
     for chunk in 0..CHUNKS as u32 {
         for tag in [
-            TraceTag::ChunkDecode,
-            TraceTag::SolverDecompress,
-            TraceTag::Reassemble,
+            Phase::ChunkDecode,
+            Phase::SolverDecompress,
+            Phase::Reassemble,
         ] {
             assert_eq!(
                 span_count(&t, tag, chunk),
@@ -191,25 +192,25 @@ fn eupa_traces_the_trials_that_ran_and_analyzes_the_head_chunk_once() {
             assert_eq!(t.event_count(), 0);
             return;
         }
-        let instants = |tag| -> Vec<u32> {
+        let instants = |phase: Phase| -> Vec<u32> {
             let events = t.threads.iter().flat_map(|th| &th.events);
             events
-                .filter(|e| e.instant && e.tag == tag)
+                .filter(|e| e.instant && e.name == phase.name())
                 .map(|e| e.chunk)
                 .collect()
         };
         // A solver that was not visited leaves no trial behind.
-        assert_eq!(instants(TraceTag::EupaTrial), trials, "{preference:?}");
-        let selected = instants(TraceTag::EupaSelected);
+        assert_eq!(instants(Phase::EupaTrial), trials, "{preference:?}");
+        let selected = instants(Phase::EupaSelected);
         assert!(
             selected.len() == 1 && trials.contains(&selected[0]),
             "{preference:?}: {selected:?}"
         );
-        assert_eq!(span_count(&t, TraceTag::EupaSelect, trace::NO_CHUNK), 1);
+        assert_eq!(span_count(&t, Phase::EupaSelect, trace::NO_CHUNK), 1);
         // EUPA samples under the head chunk's classification, which is
         // chunk 0's own: one analysis, like every other chunk.
         for chunk in 0..CHUNKS as u32 {
-            assert_eq!(span_count(&t, TraceTag::Analyze, chunk), 1, "chunk {chunk}");
+            assert_eq!(span_count(&t, Phase::Analyze, chunk), 1, "chunk {chunk}");
         }
     }
 }

@@ -28,7 +28,8 @@
 //! "acked means durable" barrier.
 
 use crate::wal::WalSet;
-use isobar::trace::{TraceTag, NO_CHUNK};
+use isobar::telemetry::Phase;
+use isobar::trace::NO_CHUNK;
 use isobar::{IsobarOptions, TelemetrySnapshot};
 use isobar_store::{
     RealFs, ShardedOptions, ShardedStoreWriter, StoreError, StoreFs, StoreReader, MANIFEST_FILE,
@@ -194,7 +195,7 @@ where
             replay: ReplaySummary::default(),
         };
         if core.opts.wal {
-            let _span = isobar::trace::span(TraceTag::ServeWalReplay, NO_CHUNK);
+            let _span = isobar::trace::span(Phase::WalReplay, NO_CHUNK);
             let (wal, replay) = WalSet::open(fs, &dir)?;
             core.replay = ReplaySummary {
                 records: replay.records.len() as u64,

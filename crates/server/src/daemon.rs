@@ -36,13 +36,14 @@
 //! final one.
 
 use crate::core::{CommitOutcome, CoreOptions, Snapshot, StoreCore};
-use crate::obs::{self, RequestObs, ServePhase, ServeReport, SlowLog};
+use crate::obs::{self, RequestObs, ServeReport, SlowLog};
 use crate::protocol::{
     discard_exact, parse_request_header, read_bounded, write_response, Opcode, RequestHeader,
     Status, MAX_NAME_LEN, MAX_TENANT_LEN, REQUEST_HEADER_LEN, TENANT_SEPARATOR,
 };
 use isobar::telemetry::json;
-use isobar::trace::{TraceTag, NO_CHUNK};
+use isobar::telemetry::Phase;
+use isobar::trace::NO_CHUNK;
 use isobar::IsobarOptions;
 use isobar_store::{RealFs, StoreError};
 use std::collections::BTreeMap;
@@ -207,7 +208,6 @@ impl StoreState {
         if !self.core.has_pending() {
             return Ok(None);
         }
-        let _span = isobar::trace::span(TraceTag::ServeCommit, NO_CHUNK);
         self.core
             .commit()
             .inspect_err(|e| self.failed = Some(e.to_string()))
@@ -236,7 +236,7 @@ impl Shared {
         // The accept hand-off happened before the first byte arrived,
         // so wall time includes it on top of the frame clock.
         request.total_nanos = (request_start.elapsed().as_nanos() as u64)
-            .saturating_add(request.phase_nanos[ServePhase::Accept as usize]);
+            .saturating_add(request.phase_nanos[Phase::Accept as usize]);
         let slow = obs::is_slow(request.total_nanos, self.opts.slow_ms);
         let dumped = match &self.opts.flight_recorder {
             Some(dir) if slow => {
@@ -412,11 +412,11 @@ impl Server {
             let _ = metrics.join();
         }
         let shared = &self.shared;
-        let committed = shared
-            .store
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .commit();
+        let committed = {
+            let _span = isobar::trace::span(Phase::Commit, NO_CHUNK);
+            let mut state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
+            state.commit()
+        };
         let report = {
             let mut ledger = shared.lock_ledger();
             if let Ok(Some(outcome)) = &committed {
@@ -598,8 +598,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         // time between frames is not request latency.
         let request_start = Instant::now();
         let mut obs = RequestObs::new();
-        obs.add(ServePhase::Accept, std::mem::take(&mut accept_pending));
-        let header_span = isobar::trace::span(TraceTag::ServeHeaderParse, NO_CHUNK);
+        obs.add(Phase::Accept, std::mem::take(&mut accept_pending));
         // The frame has started: every read from here on runs under
         // the per-frame deadline, so a stalled or trickling client
         // cannot pin the thread past `frame_deadline` in total.
@@ -607,30 +606,30 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
             stream: &mut stream,
             deadline: request_start + shared.opts.frame_deadline,
         };
-        let mut header_buf = [0u8; REQUEST_HEADER_LEN];
-        header_buf[0] = first;
-        if frame.read_exact(&mut header_buf[1..]).is_err() {
-            count_protocol_error(shared);
-            break;
-        }
-        let header = match parse_request_header(&header_buf, shared.opts.max_payload) {
+        // Everything since the first byte — the timeout setup syscall,
+        // the header read and decode — is header-parse time (one
+        // boundary-clock stretch). `None`: the header never arrived.
+        let header = obs.time(Phase::HeaderParse, || {
+            let mut header_buf = [0u8; REQUEST_HEADER_LEN];
+            header_buf[0] = first;
+            frame.read_exact(&mut header_buf[1..]).map_err(|_| None)?;
+            parse_request_header(&header_buf, shared.opts.max_payload).map_err(Some)
+        });
+        let header = match header {
             Ok(header) => header,
             Err(e) => {
-                drop(header_span);
                 count_protocol_error(shared);
-                let _ = write_response(&mut frame, Status::BadRequest, e.to_string().as_bytes());
+                if let Some(e) = e {
+                    let _ =
+                        write_response(&mut frame, Status::BadRequest, e.to_string().as_bytes());
+                }
                 // The stream may be mid-frame; alignment is gone.
                 break;
             }
         };
-        drop(header_span);
         obs.op = Some(header.opcode);
-        // Everything since the first byte — the timeout setup syscall,
-        // the header read and decode, and dispatch bookkeeping — is
-        // header-parse time (one boundary-clock stretch).
-        obs.charge(ServePhase::HeaderParse);
         let keep = {
-            let _span = isobar::trace::span(TraceTag::ServeRequest, NO_CHUNK);
+            let _span = isobar::trace::span(Phase::ServeRequest, NO_CHUNK);
             handle_request(shared, &mut frame, &header, &mut obs)
         };
         shared.finish_request(obs, request_start);
@@ -649,7 +648,7 @@ fn count_protocol_error(shared: &Shared) {
 /// Acquire the store mutex with the wait attributed to the request's
 /// lock-wait phase (the store-lock convoy scoreboard).
 fn lock_store<'a>(shared: &'a Shared, obs: &mut RequestObs) -> MutexGuard<'a, StoreState> {
-    obs.time(ServePhase::LockWait, || {
+    obs.time(Phase::LockWait, || {
         shared.store.lock().unwrap_or_else(|e| e.into_inner())
     })
 }
@@ -658,14 +657,14 @@ fn lock_store<'a>(shared: &'a Shared, obs: &mut RequestObs) -> MutexGuard<'a, St
 /// under contention an unlock wakes a waiter (a futex syscall), and
 /// that cost belongs on the same convoy scoreboard as the waits.
 fn unlock_store(state: MutexGuard<'_, StoreState>, obs: &mut RequestObs) {
-    obs.time(ServePhase::LockWait, || drop(state));
+    obs.time(Phase::LockWait, || drop(state));
 }
 
 /// Write the response frame with the time attributed to the
 /// write-response phase, stamping the request's final status.
 fn respond(stream: &mut FrameStream<'_>, obs: &mut RequestObs, status: Status, body: &[u8]) {
     obs.status = Some(status);
-    obs.time(ServePhase::WriteResponse, || {
+    obs.time(Phase::WriteResponse, || {
         let _ = write_response(stream, status, body);
     });
 }
@@ -679,7 +678,7 @@ fn handle_request(
     obs: &mut RequestObs,
 ) -> bool {
     // Tenant and name are small (caps enforced by the header parse).
-    let fields = obs.time(ServePhase::HeaderParse, || {
+    let fields = obs.time(Phase::HeaderParse, || {
         crate::protocol::read_request_fields(&mut *stream, header)
     });
     let (tenant, name) = match fields {
@@ -694,7 +693,7 @@ fn handle_request(
                 return false;
             }
             if header.payload_len > 0 {
-                let drained = obs.time(ServePhase::PayloadRead, || {
+                let drained = obs.time(Phase::PayloadRead, || {
                     discard_exact(stream, u64::from(header.payload_len))
                 });
                 if drained.is_err() {
@@ -728,7 +727,7 @@ fn reject_put(
     status: Status,
     message: &str,
 ) -> bool {
-    let drained = obs.time(ServePhase::PayloadRead, || {
+    let drained = obs.time(Phase::PayloadRead, || {
         discard_exact(stream, u64::from(payload_len))
     });
     if drained.is_err() {
@@ -760,7 +759,7 @@ fn handle_put(
     // Admission: reserve the bytes before reading them, or refuse.
     {
         let mut state = lock_store(shared, obs);
-        let verdict = obs.time(ServePhase::Admission, || {
+        let verdict = obs.time(Phase::Admission, || {
             if let Some(msg) = &state.failed {
                 return Some((Status::ServerError, msg.clone()));
             }
@@ -784,7 +783,7 @@ fn handle_put(
         let mut state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
         state.reserved_bytes = state.reserved_bytes.saturating_sub(len);
     };
-    let payload = obs.time(ServePhase::PayloadRead, || {
+    let payload = obs.time(Phase::PayloadRead, || {
         read_bounded(&mut *stream, header.payload_len as usize)
     });
     let payload = match payload {
@@ -825,7 +824,7 @@ fn put_locked(
     obs: &mut RequestObs,
 ) -> Result<(), StoreError> {
     let key = store_key(tenant, name);
-    obs.time(ServePhase::StorePut, || {
+    obs.time(Phase::StorePut, || {
         state.core.store_put(
             header.step,
             &key,
@@ -833,20 +832,18 @@ fn put_locked(
             usize::from(header.width),
         )
     })?;
-    obs.wal_bytes = obs.time(ServePhase::WalFsync, || {
+    obs.wal_bytes = obs.time(Phase::WalFsync, || {
         state
             .core
             .wal_append(tenant, header.step, name, header.width, &payload)
     })?;
-    obs.time(ServePhase::Overlay, || {
+    obs.time(Phase::Overlay, || {
         state
             .core
             .overlay_insert(header.step, key, header.width, payload);
     });
     if state.core.over_threshold() {
-        // The commit emits its own ServeCommit span; attribute the wall
-        // time without opening a duplicate.
-        let outcome = obs.time_unspanned(ServePhase::Commit, || state.commit())?;
+        let outcome = obs.time(Phase::Commit, || state.commit())?;
         obs.commit = outcome.map(Box::new);
     }
     Ok(())
@@ -862,9 +859,9 @@ fn handle_get(
 ) -> bool {
     let key = store_key(tenant, name);
     let state = lock_store(shared, obs);
-    let snapshot = obs.time(ServePhase::Overlay, || state.core.lookup(step, &key));
+    let snapshot = obs.time(Phase::Overlay, || state.core.lookup(step, &key));
     unlock_store(state, obs);
-    match snapshot.and_then(|s| obs.time(ServePhase::StoreGet, || s.read(step, &key))) {
+    match snapshot.and_then(|s| obs.time(Phase::StoreGet, || s.read(step, &key))) {
         Ok(data) => {
             obs.bytes = data.len() as u64;
             respond(stream, obs, Status::Ok, &data);
@@ -884,9 +881,9 @@ fn handle_stat(
 ) -> bool {
     let key = store_key(tenant, name);
     let state = lock_store(shared, obs);
-    let snapshot = obs.time(ServePhase::Overlay, || state.core.lookup(step, &key));
+    let snapshot = obs.time(Phase::Overlay, || state.core.lookup(step, &key));
     unlock_store(state, obs);
-    let line = obs.time(ServePhase::StoreGet, || match snapshot? {
+    let line = obs.time(Phase::StoreGet, || match snapshot? {
         Snapshot::Overlay(entry) => Ok(format!(
             "name={name} step={step} raw_len={} width={} committed=false\n",
             entry.data.len(),
@@ -939,7 +936,7 @@ fn handle_ls(
     // Only the tenant's overlay rows are copied under the lock; the
     // committed view is walked after it.
     let state = lock_store(shared, obs);
-    let (reader, pending) = obs.time(ServePhase::Overlay, || {
+    let (reader, pending) = obs.time(Phase::Overlay, || {
         let overlay = state.core.overlay.iter();
         let pending: Vec<_> = overlay
             .filter_map(|((step, key), entry)| row(*step, key, entry.data.len() as u64))
@@ -948,7 +945,7 @@ fn handle_ls(
     });
     unlock_store(state, obs);
     // A later row wins the collect, so overlay rows shadow committed ones.
-    let rows: BTreeMap<(u32, String), u64> = obs.time(ServePhase::StoreGet, || {
+    let rows: BTreeMap<(u32, String), u64> = obs.time(Phase::StoreGet, || {
         let live = reader.iter().flat_map(|reader| reader.live_entries());
         let committed = live.filter_map(|entry| row(entry.step, &entry.name, entry.raw_len));
         committed.chain(pending).collect()

@@ -33,7 +33,12 @@ pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::Client;
 pub use core::{CoreOptions, StoreCore};
 pub use daemon::{serve, ServeError, ServeOptions, Server, ServerHandle};
-pub use obs::{RequestObs, ServePhase, ServeReport};
+/// The serve phases under their old name: the repository benchmark,
+/// frozen at its lock file, names `ServePhase` and reads
+/// `report.phase_nanos[ServePhase::X as usize]`. The phases are
+/// [`Phase::SERVE`](isobar::telemetry::Phase::SERVE).
+pub use isobar::telemetry::Phase as ServePhase;
+pub use obs::{RequestObs, ServeReport};
 pub use protocol::{
     FrameError, Opcode, ProtoError, Request, RequestHeader, Response, Status, MAX_NAME_LEN,
     MAX_TENANT_LEN, PROTOCOL_VERSION,
@@ -461,7 +466,7 @@ mod tests {
         // file is a valid Chrome trace.
         let dump = server.handle().dump_flight("test").expect("dump written");
         let json = std::fs::read_to_string(&dump).unwrap();
-        isobar::trace::validate_chrome_phases(&json).unwrap();
+        isobar::span::check_chrome_trace(&json).unwrap();
 
         server.shutdown();
         let report = server.join().unwrap();
@@ -509,7 +514,7 @@ mod tests {
         // cannot strand a begin).
         let dump = server.handle().dump_flight("wrap").expect("dump written");
         let json = std::fs::read_to_string(&dump).unwrap();
-        isobar::trace::validate_chrome_phases(&json).unwrap();
+        isobar::span::check_chrome_trace(&json).unwrap();
         server.shutdown();
         server.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -12,13 +12,15 @@
 //! status is `Ok`), so no two surfaces can disagree, and the ledger does
 //! not depend on the telemetry feature.
 //!
-//! * **Phases** — named sections of the request path (accept,
-//!   header-parse, admission, payload-read, lock-wait, overlay,
-//!   store-put/get, commit, write-response) accumulate nanoseconds into
-//!   the request's [`RequestObs`], and each phase also emits an
-//!   `isobar_trace` span so a flight-recorder dump shows the same
-//!   decomposition on a timeline. `lock_wait` divided by total request
-//!   time is the store-lock convoy share.
+//! * **Phases** — the [`Phase::SERVE`] sections of the request path
+//!   (accept, header-parse, admission, payload-read, lock-wait,
+//!   overlay, store-put/get, commit, write-response) accumulate
+//!   nanoseconds into the request's [`RequestObs`]. One [`Span`]
+//!   times each: its closing reading moves the ledger's boundary
+//!   clock, and both readings go to the trace ring, so a
+//!   flight-recorder dump shows the same decomposition, under the same
+//!   names, on a timeline. `lock_wait` divided by total request time is
+//!   the store-lock convoy share.
 //! * **Histograms** — per-op and per-tenant HDR-style
 //!   [`LatencyHistogram`]s record every request's wall time, always on,
 //!   exported through `/metrics` and `/debug/stats`.
@@ -32,9 +34,10 @@
 
 use crate::core::CommitOutcome;
 use crate::protocol::{Opcode, Status};
+use isobar::span::Span;
 use isobar::telemetry::json;
 use isobar::telemetry::latency::LatencyHistogram;
-use isobar::trace::TraceTag;
+use isobar::telemetry::Phase;
 use isobar::TelemetrySnapshot;
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -88,95 +91,10 @@ pub fn status_name(status: Status) -> &'static str {
     }
 }
 
-/// One named section of the request path. The discriminant indexes
-/// [`RequestObs::phase_nanos`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum ServePhase {
-    /// `accept(2)` returning to the handler thread starting (attributed
-    /// to the connection's first request).
-    Accept,
-    /// Reading and decoding the request header and identifier fields.
-    HeaderParse,
-    /// The byte-budget admission decision for a put.
-    Admission,
-    /// Reading a put payload off the socket.
-    PayloadRead,
-    /// Blocking on the store mutex.
-    LockWait,
-    /// Read-your-writes overlay lookup or insert.
-    Overlay,
-    /// Sharded-store put (writer creation + pipeline submit).
-    StorePut,
-    /// Write-ahead journal append + fsync — the durability barrier a
-    /// put's `Ok` waits on.
-    WalFsync,
-    /// Committed-store get / stat / ls scan.
-    StoreGet,
-    /// A store generation commit triggered by this request.
-    Commit,
-    /// Encoding and writing the response frame.
-    WriteResponse,
-}
-
-impl ServePhase {
-    /// Number of phases (array size).
-    pub const COUNT: usize = 11;
-
-    /// Every phase, in stable order.
-    pub const ALL: [ServePhase; ServePhase::COUNT] = [
-        ServePhase::Accept,
-        ServePhase::HeaderParse,
-        ServePhase::Admission,
-        ServePhase::PayloadRead,
-        ServePhase::LockWait,
-        ServePhase::Overlay,
-        ServePhase::StorePut,
-        ServePhase::WalFsync,
-        ServePhase::StoreGet,
-        ServePhase::Commit,
-        ServePhase::WriteResponse,
-    ];
-
-    /// Stable snake_case name (JSONL keys, Prometheus `phase` label).
-    pub fn name(self) -> &'static str {
-        match self {
-            ServePhase::Accept => "accept",
-            ServePhase::HeaderParse => "header_parse",
-            ServePhase::Admission => "admission",
-            ServePhase::PayloadRead => "payload_read",
-            ServePhase::LockWait => "lock_wait",
-            ServePhase::Overlay => "overlay",
-            ServePhase::StorePut => "store_put",
-            ServePhase::WalFsync => "wal_fsync",
-            ServePhase::StoreGet => "store_get",
-            ServePhase::Commit => "commit",
-            ServePhase::WriteResponse => "write_response",
-        }
-    }
-
-    /// The trace span tag emitted while this phase runs.
-    pub fn trace_tag(self) -> TraceTag {
-        match self {
-            ServePhase::Accept => TraceTag::ServeAccept,
-            ServePhase::HeaderParse => TraceTag::ServeHeaderParse,
-            ServePhase::Admission => TraceTag::ServeAdmission,
-            ServePhase::PayloadRead => TraceTag::ServePayloadRead,
-            ServePhase::LockWait => TraceTag::ServeLockWait,
-            ServePhase::Overlay => TraceTag::ServeOverlay,
-            ServePhase::StorePut => TraceTag::ServeStorePut,
-            ServePhase::WalFsync => TraceTag::ServeWalFsync,
-            ServePhase::StoreGet => TraceTag::ServeStoreGet,
-            ServePhase::Commit => TraceTag::ServeCommit,
-            ServePhase::WriteResponse => TraceTag::ServeWriteResponse,
-        }
-    }
-}
-
 /// Append a `{"accept": N, ...}` object of per-phase nanoseconds.
-fn phases_json(out: &mut String, phase_nanos: &[u64; ServePhase::COUNT]) {
+fn phases_json(out: &mut String, phase_nanos: &[u64; Phase::SERVE.len()]) {
     out.push('{');
-    for (i, phase) in ServePhase::ALL.iter().enumerate() {
+    for (i, phase) in Phase::SERVE.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -198,9 +116,9 @@ fn phases_json(out: &mut String, phase_nanos: &[u64; ServePhase::COUNT]) {
 /// attribution even for microsecond-scale requests.
 #[derive(Debug, Clone)]
 pub struct RequestObs {
-    /// Nanoseconds attributed to each phase, indexed by
-    /// `ServePhase as usize`.
-    pub phase_nanos: [u64; ServePhase::COUNT],
+    /// Nanoseconds attributed to each serve phase, indexed by
+    /// `Phase as usize`.
+    pub phase_nanos: [u64; Phase::SERVE.len()],
     /// The request's op, once its header decoded.
     pub op: Option<Opcode>,
     /// Tenant the request named (empty for the default tenant).
@@ -229,7 +147,7 @@ pub struct RequestObs {
 impl Default for RequestObs {
     fn default() -> Self {
         RequestObs {
-            phase_nanos: [0; ServePhase::COUNT],
+            phase_nanos: [0; Phase::SERVE.len()],
             op: None,
             tenant: String::new(),
             status: None,
@@ -252,39 +170,21 @@ impl RequestObs {
     /// Add pre-measured time to a phase without touching the boundary
     /// clock (the accept hand-off, measured on the accept thread).
     #[inline]
-    pub fn add(&mut self, phase: ServePhase, nanos: u64) {
+    pub fn add(&mut self, phase: Phase, nanos: u64) {
         self.phase_nanos[phase as usize] = self.phase_nanos[phase as usize].saturating_add(nanos);
     }
 
-    /// Charge everything since the last boundary to `phase` and move
-    /// the boundary here.
+    /// Run `f` as `phase`, timed by one [`Span`]: the ring gets the
+    /// span's two readings, which bracket `f` tightly for the timeline;
+    /// the phase is charged everything from the last boundary to the
+    /// closing reading, which becomes the next boundary.
     #[inline]
-    pub fn charge(&mut self, phase: ServePhase) {
-        let now = Instant::now();
-        self.add(phase, now.duration_since(self.mark).as_nanos() as u64);
-        self.mark = now;
-    }
-
-    /// Run `f` attributed to `phase`: one trace span, then a boundary
-    /// charge. The span brackets `f` tightly for the timeline; the
-    /// phase accounting additionally absorbs whatever ran since the
-    /// previous boundary.
-    #[inline]
-    pub fn time<T>(&mut self, phase: ServePhase, f: impl FnOnce() -> T) -> T {
-        let out = {
-            let _span = isobar::trace::span(phase.trace_tag(), isobar::trace::NO_CHUNK);
-            f()
-        };
-        self.charge(phase);
-        out
-    }
-
-    /// [`RequestObs::time`] without the trace span, for sections that
-    /// already emit their own (the commit path).
-    #[inline]
-    pub fn time_unspanned<T>(&mut self, phase: ServePhase, f: impl FnOnce() -> T) -> T {
+    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let span = Span::open(phase, isobar::trace::NO_CHUNK);
         let out = f();
-        self.charge(phase);
+        let (_, end) = span.close();
+        self.add(phase, end.duration_since(self.mark).as_nanos() as u64);
+        self.mark = end;
         out
     }
 
@@ -362,9 +262,9 @@ pub struct ServeReport {
     pub flight_dumps: u64,
     /// Cumulative request wall time, nanoseconds.
     pub total_request_nanos: u64,
-    /// Cumulative nanoseconds attributed to each phase, indexed by
-    /// [`ServePhase`]` as usize`.
-    pub phase_nanos: [u64; ServePhase::COUNT],
+    /// Cumulative nanoseconds attributed to each serve phase, indexed
+    /// by `Phase as usize`.
+    pub phase_nanos: [u64; Phase::SERVE.len()],
     /// Pipeline telemetry merged from every generation commit.
     pub telemetry: TelemetrySnapshot,
     /// Per-op request-latency histograms, indexed by [`op_index`].
@@ -404,7 +304,7 @@ impl ServeReport {
     /// Cumulative nanoseconds spent blocked on the store mutex — the
     /// numerator of the lock-convoy share.
     pub fn lock_wait_nanos(&self) -> u64 {
-        self.phase_nanos[ServePhase::LockWait as usize]
+        self.phase_nanos[Phase::LockWait as usize]
     }
 
     /// Fraction of all request wall time spent blocked on the store
@@ -530,7 +430,7 @@ impl ServeReport {
             "# HELP isobar_serve_phase_seconds_total Cumulative request time by phase.\n\
              # TYPE isobar_serve_phase_seconds_total counter\n",
         );
-        for phase in ServePhase::ALL {
+        for phase in Phase::SERVE {
             out.push_str(&format!(
                 "isobar_serve_phase_seconds_total{{phase=\"{}\"}} {:.9}\n",
                 phase.name(),
@@ -680,19 +580,25 @@ mod tests {
 
     #[test]
     fn phase_tables_are_consistent() {
-        for (i, p) in ServePhase::ALL.iter().enumerate() {
+        // `phase_nanos[Phase::X as usize]` is the phase's time, and the
+        // array's sum the attributed total.
+        let mut rec = RequestObs::new();
+        for (i, p) in Phase::SERVE.iter().enumerate() {
             assert_eq!(*p as usize, i, "{}", p.name());
+            rec.add(*p, 1 << i);
         }
-        let mut names: Vec<&str> = ServePhase::ALL.iter().map(|p| p.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ServePhase::COUNT);
+        assert_eq!(rec.attributed_nanos(), (1 << Phase::SERVE.len()) - 1);
+        let json = rec.to_json();
+        for p in Phase::SERVE {
+            let field = format!("\"{}\": {}", p.name(), 1u64 << p as usize);
+            assert!(json.contains(&field), "{field}: {json}");
+        }
     }
 
     #[test]
     fn request_record_json_carries_every_phase() {
         let mut rec = request(Opcode::Put, "acme \"lab\"\n", 1000);
-        rec.phase_nanos[ServePhase::LockWait as usize] = 400;
+        rec.phase_nanos[Phase::LockWait as usize] = 400;
         let json = rec.to_json();
         assert!(json.contains("\"lock_wait\": 400"), "{json}");
         assert!(json.contains("\"attributed_nanos\": 400"), "{json}");
@@ -701,7 +607,7 @@ mod tests {
             doc.get("tenant").and_then(|t| t.as_str()),
             Some("acme \"lab\"\n")
         );
-        for phase in ServePhase::ALL {
+        for phase in Phase::SERVE {
             assert!(json.contains(phase.name()), "{}", phase.name());
         }
         rec.status = None;

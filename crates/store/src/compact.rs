@@ -67,7 +67,7 @@ pub fn compact_store_recorded(
 ) -> Result<CompactReport, StoreError> {
     let dir = dir.as_ref();
     let _span = isobar::trace::span(
-        isobar::trace::TraceTag::StoreCompact,
+        isobar::telemetry::Phase::StoreCompact,
         isobar::trace::NO_CHUNK,
     );
     let reader = StoreReader::open(dir)?;

@@ -369,7 +369,8 @@ impl StoreReader {
     /// entry before decode. Reads use positioned I/O, so concurrent
     /// `get` calls from many threads do not serialize on a cursor.
     pub fn get(&self, step: u32, name: &str) -> Result<Vec<u8>, StoreError> {
-        let _span = isobar::trace::span(isobar::trace::TraceTag::StoreGet, isobar::trace::NO_CHUNK);
+        let _span =
+            isobar::trace::span(isobar::telemetry::Phase::StoreGet, isobar::trace::NO_CHUNK);
         let position = self.position(step, name)?;
         let entry = self.index[position].clone();
         let container = self.container_at(position)?;

@@ -406,7 +406,7 @@ where
         }
 
         let _span = isobar::trace::span(
-            isobar::trace::TraceTag::StoreManifestCommit,
+            isobar::telemetry::Phase::StoreManifestCommit,
             isobar::trace::NO_CHUNK,
         );
 
@@ -512,7 +512,7 @@ fn codec_loop(
                 width,
             } => {
                 let _span =
-                    isobar::trace::span(isobar::trace::TraceTag::StoreShardCompress, shard as u32);
+                    isobar::trace::span(isobar::telemetry::Phase::StoreShardCompress, shard as u32);
                 let container =
                     compressor.compress_recorded(&data, width, &mut scratch, &mut recorder)?;
                 recorder.incr(Counter::StorePuts);
@@ -579,7 +579,7 @@ fn io_loop<File: StoreFile>(
             Err(TryRecvError::Disconnected) => None,
         };
         let Some(p) = next else { break };
-        let _span = isobar::trace::span(isobar::trace::TraceTag::StoreShardAppend, shard as u32);
+        let _span = isobar::trace::span(isobar::telemetry::Phase::StoreShardAppend, shard as u32);
         let header = encode_record_header(&p.name, p.step, p.width, p.container.len() as u64);
         file.write_all(&header)?;
         file.write_all(&p.container)?;

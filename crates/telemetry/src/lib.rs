@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Pipeline telemetry: counters, histograms, and stage timers for the
+//! Pipeline telemetry: counters, histograms, and stage totals for the
 //! ISOBAR workflow, designed to cost nothing when disabled.
 //!
 //! The ISOBAR paper's argument rests on *measurable* per-stage behavior
@@ -9,7 +9,10 @@
 //! sustains (Tables V/IX). This crate provides the recording substrate
 //! every other crate in the workspace threads through its hot paths:
 //!
-//! * [`Recorder`] — a per-thread bundle of counters, stage timers, and
+//! * [`Phase`] — the one name of every timed section or instant: the
+//!   recorder's chunk stages, the serve daemon's request phases and
+//!   the trace timeline's events.
+//! * [`Recorder`] — a per-thread bundle of counters, stage totals, and
 //!   histograms. Recording a value is a couple of integer adds into
 //!   fixed-size arrays: no allocation, no locks, no atomics.
 //! * [`TelemetrySnapshot`] — the plain-data view of a recorder.
@@ -17,28 +20,30 @@
 //!   readable with [`json::parse`]) and mergeable
 //!   ([`TelemetrySnapshot::merge`]) so per-worker recorders can be
 //!   aggregated at a pipeline join in any order.
-//! * [`StageTimer`] — a guard that measures one stage span and folds it
-//!   into a recorder.
+//!
+//! The guard that times a section — one clock reading at each edge,
+//! handed to the recorder and to the trace ring — is `isobar::span`,
+//! the one crate that sees both.
 //!
 //! # The off switch
 //!
 //! Building this crate without its `enabled` feature (the workspace's
 //! *telemetry-off* configuration, `cargo build --no-default-features`)
 //! turns [`Recorder`] into a zero-sized type whose methods are empty
-//! `#[inline]` bodies and [`StageTimer`] into a guard that never reads
-//! the clock. Every call site compiles away; the allocation-free hot
-//! paths of the compression pipeline are byte-for-byte unaffected. Code
-//! that wants to skip work feeding a recorder (e.g. the analyzer's
-//! τ-margin scan) can branch on the compile-time constant [`ENABLED`].
+//! `#[inline]` bodies. Every call site compiles away; the
+//! allocation-free hot paths of the compression pipeline are
+//! byte-for-byte unaffected. Code that wants to skip work feeding a
+//! recorder (e.g. the analyzer's τ-margin scan, or reading the clock
+//! for a stage) can branch on the compile-time constant [`ENABLED`].
 //!
 //! # Example
 //!
 //! ```
-//! use isobar_telemetry::{Counter, Recorder, Stage};
+//! use isobar_telemetry::{Counter, Phase, Recorder};
 //!
 //! let mut rec = Recorder::new();
 //! rec.add(Counter::ChunkInputBytes, 3_000_000);
-//! rec.record_stage(Stage::SolverCompress, 1_250_000);
+//! rec.record_stage(Phase::SolverCompress, 1_250_000);
 //!
 //! let snap = rec.snapshot();
 //! let doc = isobar_telemetry::json::parse(&snap.to_json()).unwrap();
@@ -210,59 +215,163 @@ impl Counter {
     }
 }
 
-/// One timed pipeline stage.
+/// One named section or instant of the pipeline, the store or the
+/// daemon: the one vocabulary of the recorder's stages, the serve
+/// ledger's phases and the trace ring's events.
 ///
-/// The discriminant doubles as the index into
-/// [`TelemetrySnapshot::stages`].
+/// [`Phase::name`] is the section's JSON key, Prometheus label and
+/// Chrome trace event name. The [`Phase::SERVE`] phases come first, so
+/// their discriminant indexes the serve ledger's per-phase arrays; the
+/// [`Phase::STAGES`] follow and fill [`TelemetrySnapshot::stages`] in
+/// order; the rest appear only on the trace timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
-pub enum Stage {
+pub enum Phase {
+    /// Serve: `accept(2)` returning to the handler thread starting
+    /// (attributed to the connection's first request).
+    Accept,
+    /// Serve: reading and decoding the request header and identifier
+    /// fields.
+    HeaderParse,
+    /// Serve: the byte-budget admission decision for a put.
+    Admission,
+    /// Serve: reading a put payload off the socket.
+    PayloadRead,
+    /// Serve: blocking on (or handing off) the store mutex.
+    LockWait,
+    /// Serve: read-your-writes overlay lookup or insert.
+    Overlay,
+    /// Serve: sharded-store put (writer creation + pipeline submit).
+    StorePut,
+    /// Serve: write-ahead journal append + fsync, the durability
+    /// barrier a put's `Ok` waits on.
+    WalFsync,
+    /// A read of the committed store: one variable read and decoded by
+    /// the store reader, or a serve get / stat / ls scan.
+    StoreGet,
+    /// Serve: a store generation commit (threshold roll or shutdown
+    /// drain).
+    Commit,
+    /// Serve: encoding and writing the response frame.
+    WriteResponse,
     /// EUPA trial compression of the sample set (§II.C).
     EupaSelect,
-    /// Byte-column frequency analysis (§II.A; the paper's TP_A).
+    /// Byte-column frequency analysis of one chunk (§II.A; the paper's
+    /// TP_A).
     Analyze,
-    /// Splitting a chunk into C and I streams (§II.B).
+    /// Splitting one chunk into C and I streams (§II.B).
     Partition,
-    /// Solver compression of the compressible stream.
+    /// Solver compression of one chunk's solver stream.
     SolverCompress,
-    /// Solver decompression.
+    /// Solver decompression of one chunk.
     SolverDecompress,
-    /// Scattering C + I back into the original element order.
+    /// Scattering C + I back into element order for one chunk.
     Reassemble,
     /// Serializing container metadata + payloads.
     ContainerWrite,
-    /// Parsing container metadata.
+    /// Fetching and verifying container records.
     ContainerRead,
+    /// One EUPA trial compression (instant; args carry CR and MB/s).
+    EupaTrial,
+    /// The combination EUPA finally selected (instant).
+    EupaSelected,
+    /// Whole per-chunk compress pipeline (analyze→partition→solve).
+    ChunkCompress,
+    /// Serializing one chunk's record head into the container body.
+    ChunkMerge,
+    /// Whole per-chunk decode pipeline.
+    ChunkDecode,
+    /// Sharded store: codec-thread compression of one variable.
+    StoreShardCompress,
+    /// Sharded store: I/O-thread append of one record to its segment.
+    StoreShardAppend,
+    /// Sharded store: the two-phase manifest commit at close.
+    StoreManifestCommit,
+    /// Sharded store: one compaction pass rewriting live entries.
+    StoreCompact,
+    /// Serve: one request dispatched and answered.
+    ServeRequest,
+    /// Serve: replaying leftover write-ahead journal records into the
+    /// overlay on startup.
+    WalReplay,
 }
 
-impl Stage {
-    /// Number of stages (array size).
-    pub const COUNT: usize = 8;
-
-    /// Every stage, in stable JSON order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::EupaSelect,
-        Stage::Analyze,
-        Stage::Partition,
-        Stage::SolverCompress,
-        Stage::SolverDecompress,
-        Stage::Reassemble,
-        Stage::ContainerWrite,
-        Stage::ContainerRead,
+impl Phase {
+    /// The serve request phases, in discriminant order: the daemon's
+    /// ledger attributes every request's wall time to these.
+    pub const SERVE: [Phase; 11] = [
+        Phase::Accept,
+        Phase::HeaderParse,
+        Phase::Admission,
+        Phase::PayloadRead,
+        Phase::LockWait,
+        Phase::Overlay,
+        Phase::StorePut,
+        Phase::WalFsync,
+        Phase::StoreGet,
+        Phase::Commit,
+        Phase::WriteResponse,
     ];
 
-    /// Stable snake_case name used as the JSON key.
+    /// The chunk stages the [`Recorder`] times, in stable JSON order.
+    pub const STAGES: [Phase; 8] = [
+        Phase::EupaSelect,
+        Phase::Analyze,
+        Phase::Partition,
+        Phase::SolverCompress,
+        Phase::SolverDecompress,
+        Phase::Reassemble,
+        Phase::ContainerWrite,
+        Phase::ContainerRead,
+    ];
+
+    /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::EupaSelect => "eupa_select",
-            Stage::Analyze => "analyze",
-            Stage::Partition => "partition",
-            Stage::SolverCompress => "solver_compress",
-            Stage::SolverDecompress => "solver_decompress",
-            Stage::Reassemble => "reassemble",
-            Stage::ContainerWrite => "container_write",
-            Stage::ContainerRead => "container_read",
+            Phase::Accept => "accept",
+            Phase::HeaderParse => "header_parse",
+            Phase::Admission => "admission",
+            Phase::PayloadRead => "payload_read",
+            Phase::LockWait => "lock_wait",
+            Phase::Overlay => "overlay",
+            Phase::StorePut => "store_put",
+            Phase::WalFsync => "wal_fsync",
+            Phase::StoreGet => "store_get",
+            Phase::Commit => "commit",
+            Phase::WriteResponse => "write_response",
+            Phase::EupaSelect => "eupa_select",
+            Phase::Analyze => "analyze",
+            Phase::Partition => "partition",
+            Phase::SolverCompress => "solver_compress",
+            Phase::SolverDecompress => "solver_decompress",
+            Phase::Reassemble => "reassemble",
+            Phase::ContainerWrite => "container_write",
+            Phase::ContainerRead => "container_read",
+            Phase::EupaTrial => "eupa_trial",
+            Phase::EupaSelected => "eupa_selected",
+            Phase::ChunkCompress => "chunk_compress",
+            Phase::ChunkMerge => "chunk_merge",
+            Phase::ChunkDecode => "chunk_decode",
+            Phase::StoreShardCompress => "store_shard_compress",
+            Phase::StoreShardAppend => "store_shard_append",
+            Phase::StoreManifestCommit => "store_manifest_commit",
+            Phase::StoreCompact => "store_compact",
+            Phase::ServeRequest => "serve_request",
+            Phase::WalReplay => "serve_wal_replay",
         }
+    }
+
+    /// Index of a chunk stage in [`TelemetrySnapshot::stages`]; panics
+    /// for a phase that is not one of the [`Phase::STAGES`].
+    pub(crate) fn stage_slot(self) -> usize {
+        self as usize - Phase::EupaSelect as usize
+    }
+}
+
+/// The trace ring records a phase by its name.
+impl From<Phase> for &'static str {
+    fn from(phase: Phase) -> &'static str {
+        phase.name()
     }
 }
 
@@ -305,12 +414,13 @@ impl Recorder {
         self.add(counter, 1);
     }
 
-    /// Fold one timed span of `stage` (in nanoseconds) into the stats.
+    /// Fold one timed span of chunk stage `stage` (in nanoseconds)
+    /// into the stats.
     #[inline]
-    pub fn record_stage(&mut self, stage: Stage, nanos: u64) {
+    pub fn record_stage(&mut self, stage: Phase, nanos: u64) {
         #[cfg(feature = "enabled")]
         {
-            self.snap.stages[stage as usize].record(nanos);
+            self.snap.stages[stage.stage_slot()].record(nanos);
         }
         #[cfg(not(feature = "enabled"))]
         {
@@ -431,57 +541,6 @@ impl Recorder {
     }
 }
 
-/// Measures one stage span. In the telemetry-off build this is a
-/// zero-sized guard that never reads the clock.
-///
-/// ```
-/// use isobar_telemetry::{Recorder, Stage, StageTimer};
-///
-/// let mut rec = Recorder::new();
-/// let timer = StageTimer::start(Stage::Partition);
-/// // ... do the stage's work ...
-/// timer.finish(&mut rec);
-/// ```
-#[must_use = "a timer that is never finished records nothing"]
-pub struct StageTimer {
-    #[cfg(feature = "enabled")]
-    stage: Stage,
-    #[cfg(feature = "enabled")]
-    start: std::time::Instant,
-}
-
-impl StageTimer {
-    /// Start timing `stage`.
-    #[inline]
-    pub fn start(stage: Stage) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            StageTimer {
-                stage,
-                start: std::time::Instant::now(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = stage;
-            StageTimer {}
-        }
-    }
-
-    /// Stop the clock and fold the span into `recorder`.
-    #[inline]
-    pub fn finish(self, recorder: &mut Recorder) {
-        #[cfg(feature = "enabled")]
-        {
-            recorder.record_stage(self.stage, self.start.elapsed().as_nanos() as u64);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = recorder;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,13 +551,13 @@ mod tests {
         assert_eq!(rec.snapshot(), TelemetrySnapshot::default());
         rec.add(Counter::ChunkInputBytes, 100);
         rec.incr(Counter::ChunksCompressed);
-        rec.record_stage(Stage::Analyze, 500);
+        rec.record_stage(Phase::Analyze, 500);
         let snap = rec.snapshot();
         if ENABLED {
             assert_eq!(snap.counter(Counter::ChunkInputBytes), 100);
             assert_eq!(snap.counter(Counter::ChunksCompressed), 1);
-            assert_eq!(snap.stage(Stage::Analyze).count, 1);
-            assert_eq!(snap.stage(Stage::Analyze).total_nanos, 500);
+            assert_eq!(snap.stage(Phase::Analyze).count, 1);
+            assert_eq!(snap.stage(Phase::Analyze).total_nanos, 500);
         } else {
             assert_eq!(snap, TelemetrySnapshot::default());
         }
@@ -508,11 +567,11 @@ mod tests {
     fn absorb_is_order_independent() {
         let mut a = Recorder::new();
         a.add(Counter::AnalyzerBytes, 10);
-        a.record_stage(Stage::SolverCompress, 5);
+        a.record_stage(Phase::SolverCompress, 5);
         a.record_tau_margin(0.4);
         let mut b = Recorder::new();
         b.add(Counter::AnalyzerBytes, 32);
-        b.record_stage(Stage::SolverCompress, 9);
+        b.record_stage(Phase::SolverCompress, 9);
         b.record_eupa_trial(0, 1, 77);
 
         let mut ab = a.clone();
@@ -523,27 +582,25 @@ mod tests {
     }
 
     #[test]
-    fn stage_timer_records_one_span() {
-        let mut rec = Recorder::new();
-        let timer = StageTimer::start(Stage::ContainerWrite);
-        timer.finish(&mut rec);
-        if ENABLED {
-            assert_eq!(rec.snapshot().stage(Stage::ContainerWrite).count, 1);
-        }
-    }
-
-    #[test]
     fn enum_tables_are_consistent() {
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i, "{}", c.name());
         }
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(*s as usize, i, "{}", s.name());
+        for (i, p) in Phase::SERVE.iter().enumerate() {
+            assert_eq!(*p as usize, i, "{}", p.name());
         }
-        // Names are unique (they are JSON keys).
+        for (i, p) in Phase::STAGES.iter().enumerate() {
+            assert_eq!(p.stage_slot(), i, "{}", p.name());
+        }
+        // Names are unique (they are JSON keys and trace event names).
         let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Counter::COUNT);
+        let keyed = Phase::SERVE.iter().chain(&Phase::STAGES);
+        let mut names: Vec<&str> = keyed.map(|p| p.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Phase::SERVE.len() + Phase::STAGES.len());
     }
 }

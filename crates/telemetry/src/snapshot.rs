@@ -1,7 +1,7 @@
 //! Plain-data snapshot of a recorder, with JSON in/out and merging.
 
 use crate::json;
-use crate::{Counter, Stage};
+use crate::{Counter, Phase};
 
 /// Version stamped into every serialized snapshot. Bump when the JSON
 /// shape changes incompatibly (2: the `serve_*` counters moved to the
@@ -111,8 +111,8 @@ impl StageStats {
 pub struct TelemetrySnapshot {
     /// Monotonic counters, indexed by `Counter as usize`.
     pub counters: [u64; Counter::COUNT],
-    /// Per-stage wall-time stats, indexed by `Stage as usize`.
-    pub stages: [StageStats; Stage::COUNT],
+    /// Per-stage wall-time stats, in [`Phase::STAGES`] order.
+    pub stages: [StageStats; Phase::STAGES.len()],
     /// Histogram of analyzer τ-margins (see
     /// [`Recorder::record_tau_margin`](crate::Recorder::record_tau_margin)).
     pub tau_margin: [u64; HISTOGRAM_BUCKETS],
@@ -132,7 +132,7 @@ impl Default for TelemetrySnapshot {
     fn default() -> Self {
         TelemetrySnapshot {
             counters: [0; Counter::COUNT],
-            stages: [StageStats::default(); Stage::COUNT],
+            stages: [StageStats::default(); Phase::STAGES.len()],
             tau_margin: [0; HISTOGRAM_BUCKETS],
             eupa_selected: [0; EUPA_COMBOS.len()],
             eupa_trial_count: [0; EUPA_COMBOS.len()],
@@ -149,8 +149,8 @@ impl TelemetrySnapshot {
     }
 
     /// Read one stage's stats by name rather than index.
-    pub fn stage(&self, stage: Stage) -> StageStats {
-        self.stages[stage as usize]
+    pub fn stage(&self, stage: Phase) -> StageStats {
+        self.stages[stage.stage_slot()]
     }
 
     /// True when nothing was ever recorded (e.g. the telemetry-off build).
@@ -222,7 +222,7 @@ impl TelemetrySnapshot {
         out.push_str("  },\n");
 
         out.push_str("  \"stages\": {\n");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
+        for (i, stage) in Phase::STAGES.iter().enumerate() {
             let s = &self.stages[i];
             out.push_str("    \"");
             out.push_str(stage.name());
@@ -232,7 +232,7 @@ impl TelemetrySnapshot {
                 s.count, s.total_nanos, s.min_nanos, s.max_nanos
             ));
             out.push('}');
-            if i + 1 < Stage::COUNT {
+            if i + 1 < Phase::STAGES.len() {
                 out.push(',');
             }
             out.push('\n');
@@ -294,7 +294,7 @@ impl TelemetrySnapshot {
         }
         out.push_str("  stages (count / total ms / mean us)\n");
         any = false;
-        for (i, stage) in Stage::ALL.iter().enumerate() {
+        for (i, stage) in Phase::STAGES.iter().enumerate() {
             let s = &self.stages[i];
             if s.count != 0 {
                 any = true;
@@ -371,7 +371,7 @@ impl TelemetrySnapshot {
             ));
         }
 
-        for (i, stage) in Stage::ALL.iter().enumerate() {
+        for (i, stage) in Phase::STAGES.iter().enumerate() {
             let s = &self.stages[i];
             let name = stage.name();
             let family = format!("isobar_stage_{name}_duration_seconds");
@@ -572,7 +572,7 @@ mod tests {
             assert!(text.contains(&format!("# TYPE {family} counter\n")));
             assert!(text.contains(&format!("\n{family} ")));
         }
-        for stage in Stage::ALL {
+        for stage in Phase::STAGES {
             let family = format!("isobar_stage_{}_duration_seconds", stage.name());
             assert!(text.contains(&format!("# TYPE {family} summary\n")));
             assert!(text.contains(&format!("{family}_count ")));

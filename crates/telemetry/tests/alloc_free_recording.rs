@@ -10,7 +10,7 @@
 //! each integration-test file as its own binary, and a second
 //! concurrently-running test would pollute the allocation counter.
 
-use isobar_telemetry::{Counter, Recorder, Stage, StageTimer};
+use isobar_telemetry::{Counter, Phase, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,11 +50,10 @@ fn recording_performs_zero_allocations() {
     for i in 0..10_000u64 {
         rec.add(Counter::ChunkInputBytes, i);
         rec.incr(Counter::ChunksCompressed);
-        rec.record_stage(Stage::SolverCompress, i * 3);
+        rec.record_stage(Phase::SolverCompress, i * 3);
         rec.record_tau_margin(i as f64 / 500.0);
         rec.record_eupa_trial((i % 2) as usize, ((i / 2) % 2) as usize, i);
-        let timer = StageTimer::start(Stage::Analyze);
-        timer.finish(&mut worker);
+        worker.record_stage(Phase::Analyze, i);
     }
     rec.record_eupa_selected(0, 1);
     rec.absorb(&worker);
@@ -70,7 +69,7 @@ fn recording_performs_zero_allocations() {
 
     if isobar_telemetry::ENABLED {
         assert_eq!(snap.counter(Counter::ChunksCompressed), 10_000);
-        assert_eq!(snap.stage(Stage::Analyze).count, 10_000);
+        assert_eq!(snap.stage(Phase::Analyze).count, 10_000);
     } else {
         assert!(snap.is_empty());
     }
