@@ -1,44 +1,28 @@
-//! A small blocking client for the serve protocol, used by the CLI,
-//! the soak harness, and the integration tests.
+//! A small blocking client for the serve protocol, used by the
+//! repository benchmark, the fuzz harness's `serve-frame` layer and the
+//! tests.
 
 use crate::protocol::{encode_request, read_response, FrameError, Opcode, Request, Response};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// One connection to a running daemon. Generic over the transport so
-/// the chaos harness can splice a fault-injecting stream
-/// ([`crate::ChaosStream`]) under an otherwise unchanged client.
-pub struct Client<S: Read + Write = TcpStream> {
-    stream: S,
-    /// Bound on response payloads this client will buffer.
-    max_payload: u64,
+/// Bound on response payloads a client will buffer.
+const MAX_RESPONSE_PAYLOAD: u64 = 1 << 30;
+
+/// One connection to a running daemon.
+pub struct Client {
+    stream: TcpStream,
 }
 
-impl Client<TcpStream> {
+impl Client {
     /// Connect with a 10-second I/O timeout and a 1 GiB response cap.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        Ok(Client::from_stream(stream))
-    }
-}
-
-impl<S: Read + Write> Client<S> {
-    /// Wrap an already-connected transport (socket timeouts and
-    /// options are the caller's business) with a 1 GiB response cap.
-    pub fn from_stream(stream: S) -> Client<S> {
-        Client {
-            stream,
-            max_payload: 1 << 30,
-        }
-    }
-
-    /// The underlying transport, e.g. to inspect chaos statistics.
-    pub fn stream(&self) -> &S {
-        &self.stream
+        Ok(Client { stream })
     }
 
     /// Send one request frame and read its response.
@@ -46,7 +30,7 @@ impl<S: Read + Write> Client<S> {
         let frame = encode_request(req);
         self.stream.write_all(&frame).map_err(FrameError::Io)?;
         self.stream.flush().map_err(FrameError::Io)?;
-        read_response(&mut self.stream, self.max_payload)
+        read_response(&mut self.stream, MAX_RESPONSE_PAYLOAD)
     }
 
     /// Store one variable.

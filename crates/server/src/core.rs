@@ -352,11 +352,6 @@ where
         }
     }
 
-    /// Whether a writer currently exists (a commit would be non-empty).
-    pub fn has_writer(&self) -> bool {
-        self.writer.is_some()
-    }
-
     /// Whether a commit would do anything: a live writer, or replayed
     /// journal entries still waiting for a generation of their own.
     pub fn has_pending(&self) -> bool {

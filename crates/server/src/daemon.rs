@@ -41,7 +41,7 @@ use crate::protocol::{
     discard_exact, parse_request_header, read_bounded, write_response, Opcode, RequestHeader,
     Status, MAX_NAME_LEN, MAX_TENANT_LEN, REQUEST_HEADER_LEN, TENANT_SEPARATOR,
 };
-use isobar::telemetry::json;
+use isobar::telemetry::json::{self, JsonValue};
 use isobar::telemetry::Phase;
 use isobar::trace::NO_CHUNK;
 use isobar::IsobarOptions;
@@ -232,11 +232,8 @@ impl Shared {
     /// it is slow (with a rate-limited flight dump, written on this
     /// handler thread so the request's own spans are in the file), and
     /// fold it into the ledger — the request's one accounting lock.
-    fn finish_request(&self, mut request: RequestObs, request_start: Instant) {
-        // The accept hand-off happened before the first byte arrived,
-        // so wall time includes it on top of the frame clock.
-        request.total_nanos = (request_start.elapsed().as_nanos() as u64)
-            .saturating_add(request.phase_nanos[Phase::Accept as usize]);
+    fn finish_request(&self, mut request: RequestObs) {
+        request.finish();
         let slow = obs::is_slow(request.total_nanos, self.opts.slow_ms);
         let dumped = match &self.opts.flight_recorder {
             Some(dir) if slow => {
@@ -596,7 +593,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         };
         // The request clock starts at its first byte; client think
         // time between frames is not request latency.
-        let request_start = Instant::now();
         let mut obs = RequestObs::new();
         obs.add(Phase::Accept, std::mem::take(&mut accept_pending));
         // The frame has started: every read from here on runs under
@@ -604,7 +600,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         // cannot pin the thread past `frame_deadline` in total.
         let mut frame = FrameStream {
             stream: &mut stream,
-            deadline: request_start + shared.opts.frame_deadline,
+            deadline: obs.start + shared.opts.frame_deadline,
         };
         // Everything since the first byte — the timeout setup syscall,
         // the header read and decode — is header-parse time (one
@@ -618,7 +614,9 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         let header = match header {
             Ok(header) => header,
             Err(e) => {
-                count_protocol_error(shared);
+                // A frame whose header never decoded: a protocol error,
+                // but no dispatched request.
+                shared.lock_ledger().protocol_errors += 1;
                 if let Some(e) = e {
                     let _ =
                         write_response(&mut frame, Status::BadRequest, e.to_string().as_bytes());
@@ -632,17 +630,11 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
             let _span = isobar::trace::span(Phase::ServeRequest, NO_CHUNK);
             handle_request(shared, &mut frame, &header, &mut obs)
         };
-        shared.finish_request(obs, request_start);
+        shared.finish_request(obs);
         if !keep {
             break;
         }
     }
-}
-
-/// Count a frame whose header never decoded: a protocol error, but no
-/// dispatched request.
-fn count_protocol_error(shared: &Shared) {
-    shared.lock_ledger().protocol_errors += 1;
 }
 
 /// Acquire the store mutex with the wait attributed to the request's
@@ -1036,21 +1028,20 @@ fn debug_stats_json(shared: &Shared) -> String {
             state.failed.clone(),
         )
     };
-    let mut out = format!(
-        "{{\"overlay_entries\": {overlay_entries}, \"overlay_bytes\": {overlay_bytes}, \
-         \"reserved_bytes\": {reserved_bytes}, \"in_flight_bytes\": {}, \
-         \"commit_backlog_bytes\": {overlay_bytes}, \"commit_threshold\": {}, \"failed\": ",
-        overlay_bytes.saturating_add(reserved_bytes),
-        shared.opts.commit_threshold,
-    );
-    match failed {
-        Some(msg) => json::string(&mut out, &msg),
-        None => out.push_str("null"),
-    }
-    out.push_str(", ");
-    shared.lock_ledger().write_debug_json(&mut out);
-    out.push('}');
-    out
+    let gauges = [
+        ("overlay_entries", overlay_entries.into()),
+        ("overlay_bytes", overlay_bytes.into()),
+        ("reserved_bytes", reserved_bytes.into()),
+        (
+            "in_flight_bytes",
+            overlay_bytes.saturating_add(reserved_bytes).into(),
+        ),
+        ("commit_backlog_bytes", overlay_bytes.into()),
+        ("commit_threshold", shared.opts.commit_threshold.into()),
+        ("failed", failed.map_or(JsonValue::Null, JsonValue::String)),
+    ];
+    let ledger = shared.lock_ledger().debug_json_members();
+    json::object(gauges.into_iter().chain(ledger)).to_string()
 }
 
 const _: () = {

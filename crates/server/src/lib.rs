@@ -19,17 +19,14 @@
 //! `docs/SERVE.md`; observability (Prometheus `/metrics`, trace
 //! spans) in `docs/OBSERVABILITY.md`.
 
-pub mod chaos;
 pub mod client;
 pub mod core;
 pub mod daemon;
 pub mod obs;
 pub mod protocol;
-pub mod retry;
 pub mod signals;
 pub mod wal;
 
-pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::Client;
 pub use core::{CoreOptions, StoreCore};
 pub use daemon::{serve, ServeError, ServeOptions, Server, ServerHandle};
@@ -43,7 +40,6 @@ pub use protocol::{
     FrameError, Opcode, ProtoError, Request, RequestHeader, Response, Status, MAX_NAME_LEN,
     MAX_TENANT_LEN, PROTOCOL_VERSION,
 };
-pub use retry::{RetryClient, RetryPolicy};
 
 #[cfg(test)]
 mod tests {
@@ -698,64 +694,144 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Write `frame[..len]` in pieces of 1–7 bytes, each flushed on its
+    /// own, the size cycling with the count of pieces written so far.
+    /// `sizes[n - 1]` counts the pieces of `n` bytes.
+    fn write_fragmented(stream: &mut TcpStream, frame: &[u8], len: usize, sizes: &mut [u64; 7]) {
+        let mut at = 0;
+        while at < len {
+            let pieces: u64 = sizes.iter().sum();
+            let n = (1 + pieces as usize % 7).min(len - at);
+            stream.write_all(&frame[at..at + n]).unwrap();
+            stream.flush().unwrap();
+            sizes[n - 1] += 1;
+            at += n;
+        }
+    }
+
     #[test]
-    fn retry_client_rides_through_chaos_with_bit_exact_data() {
-        let dir = tmp("chaos-retry");
+    fn fragmented_and_cut_frames_stay_bit_exact() {
+        // Four clients at once, every frame written in fragments. Each
+        // client cuts two of its puts mid-frame, then reconnects and
+        // re-sends the whole put: (step, bytes sent before the cut),
+        // one cut inside the 19-byte header, one inside the payload.
+        const STEPS: u32 = 16;
+        const PAYLOAD: usize = 2048;
+        let fields = |i: usize| REQUEST_HEADER_LEN + TENANTS[i].len() + "var".len();
+        let cuts = |i: usize| {
+            [
+                (1 + 4 * i as u32, 1 + 5 * i),
+                (3 + 4 * i as u32, fields(i) + 1 + 600 * i),
+            ]
+        };
+        let in_header = |sent: usize| (1..REQUEST_HEADER_LEN).contains(&sent);
+        let in_payload =
+            |i: usize, sent: usize| (fields(i) + 1..fields(i) + PAYLOAD).contains(&sent);
+        for i in 0..TENANTS.len() {
+            let [header, body] = cuts(i);
+            assert!(
+                in_header(header.1) && in_payload(i, body.1),
+                "{:?}",
+                cuts(i)
+            );
+        }
+        let dir = tmp("fragmented");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let addr = server.local_addr();
-        // Four retrying clients at once, one tenant each, every
-        // connection behind the same fault mix.
-        std::thread::scope(|scope| {
-            for (i, tenant) in TENANTS.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let mut resets = 0u64;
-                    let mut client = retry::RetryClient::new(
-                        retry::RetryPolicy::default(),
-                        0xC0FFEE + i as u64,
-                        move || {
-                            let stream = TcpStream::connect(addr)?;
-                            stream.set_nodelay(true)?;
-                            stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-                            stream.set_write_timeout(Some(std::time::Duration::from_secs(5)))?;
-                            resets += 1;
-                            Ok(Client::from_stream(ChaosStream::new(
-                                stream,
-                                ChaosConfig {
-                                    // Aggressive: every op rolls fragmentation,
-                                    // 2% resets mid-frame.
-                                    short_read_per_mille: 300,
-                                    short_write_per_mille: 300,
-                                    reset_per_mille: 20,
-                                    ..ChaosConfig::quiet(resets)
-                                },
-                            )))
-                        },
-                    );
-                    for step in 0..16u32 {
-                        let data = payload(2048, step as u8 + 16 * i as u8);
-                        let resp = client.put(tenant, step, "var", 8, &data).unwrap();
-                        assert_eq!(resp.status, Status::Ok);
-                        let resp = client.get(tenant, step, "var").unwrap();
-                        assert_eq!(resp.status, Status::Ok);
-                        assert_eq!(resp.payload, data, "{tenant}: bit-exact at step {step}");
-                    }
-                    assert!(client.stats.attempts >= 32);
-                });
-            }
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+        };
+        let sizes = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..TENANTS.len())
+                .map(|i| {
+                    scope.spawn(move || {
+                        let tenant = TENANTS[i];
+                        let mut sizes = [0u64; 7];
+                        let mut cut = 0;
+                        let mut stream = connect();
+                        for step in 0..STEPS {
+                            let data = payload(PAYLOAD, step as u8 + 16 * i as u8);
+                            let put = encode_request(&Request {
+                                opcode: Opcode::Put,
+                                tenant: tenant.into(),
+                                name: "var".into(),
+                                step,
+                                width: 8,
+                                payload: data.clone(),
+                            });
+                            if let Some(&(_, sent)) = cuts(i).iter().find(|c| c.0 == step) {
+                                write_fragmented(&mut stream, &put, sent, &mut sizes);
+                                stream = connect();
+                                cut += 1;
+                            }
+                            write_fragmented(&mut stream, &put, put.len(), &mut sizes);
+                            let resp = protocol::read_response(&mut stream, 1 << 20).unwrap();
+                            assert_eq!(resp.status, Status::Ok, "{tenant} put {step}");
+                            let get = encode_request(&Request {
+                                opcode: Opcode::Get,
+                                tenant: tenant.into(),
+                                name: "var".into(),
+                                step,
+                                width: 0,
+                                payload: Vec::new(),
+                            });
+                            write_fragmented(&mut stream, &get, get.len(), &mut sizes);
+                            let resp = protocol::read_response(&mut stream, 1 << 20).unwrap();
+                            assert_eq!(resp.status, Status::Ok, "{tenant} get {step}");
+                            assert_eq!(resp.payload, data, "{tenant}: bit-exact at step {step}");
+                        }
+                        assert_eq!(cut, 2, "{tenant}: every scheduled cut happened");
+                        sizes
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
         });
+        // Every piece size, 1 through 7, was written by every client.
+        for (tenant, sizes) in TENANTS.iter().zip(&sizes) {
+            assert!(sizes.iter().all(|&n| n > 0), "{tenant}: {sizes:?}");
+        }
         server.shutdown();
         let report = server.join().unwrap();
-        // Every logical op succeeded exactly once from the client's
-        // view; the daemon may have seen more puts from ambiguous
-        // retries (idempotent re-puts), never fewer.
-        assert!(report.puts >= 64, "{report:?}");
-        assert!(report.gets >= 64, "{report:?}");
+        // The ledger accounts for every cut: each client cut once in a
+        // header and once in a payload. A header cut never dispatched:
+        // a protocol error, no request. A payload cut dispatched a put
+        // that ended without a status: a recent request, `aborted`.
+        let clients = TENANTS.len() as u64;
+        let steps = clients * u64::from(STEPS);
+        let counts = [
+            ("protocol_errors", report.protocol_errors, clients),
+            ("requests", report.requests, 2 * steps + clients),
+            ("connections", report.connections, 3 * clients),
+            ("puts", report.puts, steps),
+            ("gets", report.gets, steps),
+            ("busy_rejected", report.busy_rejected, 0),
+        ];
+        for (name, got, want) in counts {
+            assert_eq!(got, want, "ledger {name}");
+        }
+        for tenant in TENANTS {
+            let aborted: Vec<_> = report
+                .recent
+                .iter()
+                .filter(|r| r.tenant == tenant && r.status.is_none())
+                .collect();
+            assert_eq!(aborted.len(), 1, "{tenant}");
+            assert_eq!(aborted[0].op, Some(Opcode::Put));
+            let json = aborted[0].to_json().to_string();
+            assert!(json.contains("\"status\": \"aborted\""), "{json}");
+        }
         let reader = isobar_store::StoreReader::open(&dir).unwrap();
         for (i, tenant) in TENANTS.into_iter().enumerate() {
-            for step in 0..16u32 {
+            for step in 0..STEPS {
                 assert_eq!(
                     reader.get(step, &daemon::store_key(tenant, "var")).unwrap(),
-                    payload(2048, step as u8 + 16 * i as u8)
+                    payload(PAYLOAD, step as u8 + 16 * i as u8)
                 );
             }
         }

@@ -35,7 +35,7 @@
 use crate::core::CommitOutcome;
 use crate::protocol::{Opcode, Status};
 use isobar::span::Span;
-use isobar::telemetry::json;
+use isobar::telemetry::json::{self, JsonValue};
 use isobar::telemetry::latency::LatencyHistogram;
 use isobar::telemetry::Phase;
 use isobar::TelemetrySnapshot;
@@ -91,16 +91,14 @@ pub fn status_name(status: Status) -> &'static str {
     }
 }
 
-/// Append a `{"accept": N, ...}` object of per-phase nanoseconds.
-fn phases_json(out: &mut String, phase_nanos: &[u64; Phase::SERVE.len()]) {
-    out.push('{');
-    for (i, phase) in Phase::SERVE.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {}", phase.name(), phase_nanos[i]));
-    }
-    out.push('}');
+/// A `{"accept": N, ...}` object of per-phase nanoseconds.
+fn phases_json(phase_nanos: &[u64; Phase::SERVE.len()]) -> JsonValue {
+    json::object(
+        Phase::SERVE
+            .iter()
+            .zip(phase_nanos)
+            .map(|(phase, &nanos)| (phase.name(), nanos.into())),
+    )
 }
 
 /// One request's record, threaded through the handlers and folded into
@@ -140,12 +138,16 @@ pub struct RequestObs {
     /// Wall time of the whole request, nanoseconds, set when it
     /// finishes.
     pub total_nanos: u64,
+    /// The request's first byte: the one reading its wall time, its
+    /// frame deadline and its first phase all measure from.
+    pub start: Instant,
     /// End of the last attributed stretch.
     mark: Instant,
 }
 
 impl Default for RequestObs {
     fn default() -> Self {
+        let start = Instant::now();
         RequestObs {
             phase_nanos: [0; Phase::SERVE.len()],
             op: None,
@@ -155,16 +157,24 @@ impl Default for RequestObs {
             wal_bytes: 0,
             commit: None,
             total_nanos: 0,
-            mark: Instant::now(),
+            start,
+            mark: start,
         }
     }
 }
 
 impl RequestObs {
-    /// Fresh accumulator; the boundary clock starts now, so construct
-    /// it at the request's first byte.
+    /// Fresh accumulator: `start` and the boundary clock are one
+    /// reading, taken now, so construct it at the request's first byte.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Stamp the wall time: from [`RequestObs::start`] to now, plus the
+    /// accept hand-off, which happened before the first byte arrived.
+    pub fn finish(&mut self) {
+        self.total_nanos = (self.start.elapsed().as_nanos() as u64)
+            .saturating_add(self.phase_nanos[Phase::Accept as usize]);
     }
 
     /// Add pre-measured time to a phase without touching the boundary
@@ -195,21 +205,19 @@ impl RequestObs {
             .fold(0u64, |a, &b| a.saturating_add(b))
     }
 
-    /// Serialize as one JSON object (one slow-log line, sans newline).
-    /// A request that ended without a status reads `"aborted"`.
-    pub fn to_json(&self) -> String {
+    /// The record as one JSON object (a slow-log line, a
+    /// `recent_requests` entry). A request that ended without a status
+    /// reads `"aborted"`.
+    pub fn to_json(&self) -> JsonValue {
         let op = self.op.map_or("invalid", |op| OP_NAMES[op_index(op)]);
-        let mut out = format!("{{\"op\": \"{op}\", \"tenant\": ");
-        json::string(&mut out, &self.tenant);
-        out.push_str(&format!(
-            ", \"status\": \"{}\", \"total_nanos\": {}, \"attributed_nanos\": {}, \"phases\": ",
-            self.status.map_or("aborted", status_name),
-            self.total_nanos,
-            self.attributed_nanos(),
-        ));
-        phases_json(&mut out, &self.phase_nanos);
-        out.push('}');
-        out
+        json::object([
+            ("op", op.into()),
+            ("tenant", self.tenant.as_str().into()),
+            ("status", self.status.map_or("aborted", status_name).into()),
+            ("total_nanos", self.total_nanos.into()),
+            ("attributed_nanos", self.attributed_nanos().into()),
+            ("phases", phases_json(&self.phase_nanos)),
+        ])
     }
 }
 
@@ -440,50 +448,31 @@ impl ServeReport {
         out
     }
 
-    /// Append the ledger half of the `/debug/stats` JSON object: every
-    /// counter, the generation, totals, phase breakdown, per-op and
-    /// per-tenant histogram summaries, and the recent-request ring.
-    /// Emits `"key": value` pairs without surrounding braces so the
-    /// daemon can splice in its store gauges.
-    pub fn write_debug_json(&self, out: &mut String) {
-        for (name, value) in self.counters() {
-            out.push_str(&format!("\"{name}\": {value}, "));
-        }
-        let generation = self
-            .generation
-            .map_or("null".to_string(), |g| g.to_string());
-        out.push_str(&format!(
-            "\"generation\": {generation}, \"total_request_nanos\": {}, \
-             \"lock_wait_nanos\": {}, \"phases\": ",
-            self.total_request_nanos,
-            self.lock_wait_nanos(),
-        ));
-        phases_json(out, &self.phase_nanos);
-        out.push_str(", \"ops\": {");
-        for (i, (op, hist)) in OP_NAMES.iter().zip(&self.per_op).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{op}\": "));
-            hist.write_json(out);
-        }
-        out.push_str("}, \"tenants\": {");
-        for (i, (tenant, hist)) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::string(out, tenant);
-            out.push_str(": ");
-            hist.write_json(out);
-        }
-        out.push_str("}, \"recent_requests\": [");
-        for (i, request) in self.recent.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&request.to_json());
-        }
-        out.push(']');
+    /// The ledger half of the `/debug/stats` JSON object, as ordered
+    /// members: every counter, the generation, totals, phase
+    /// breakdown, per-op and per-tenant histogram summaries, and the
+    /// recent-request ring. The daemon puts its store gauges first.
+    pub fn debug_json_members(&self) -> Vec<(&'static str, JsonValue)> {
+        let ops = OP_NAMES.iter().zip(&self.per_op);
+        let tenants = self.tenants.iter().map(|(t, h)| (t.as_str(), h.to_json()));
+        let counters = self.counters().into_iter().map(|(k, v)| (k, v.into()));
+        counters
+            .chain([
+                (
+                    "generation",
+                    self.generation.map_or(JsonValue::Null, JsonValue::from),
+                ),
+                ("total_request_nanos", self.total_request_nanos.into()),
+                ("lock_wait_nanos", self.lock_wait_nanos().into()),
+                ("phases", phases_json(&self.phase_nanos)),
+                ("ops", json::object(ops.map(|(op, h)| (*op, h.to_json())))),
+                ("tenants", json::object(tenants)),
+                (
+                    "recent_requests",
+                    json::array(self.recent.iter().map(RequestObs::to_json)),
+                ),
+            ])
+            .collect()
     }
 }
 
@@ -552,8 +541,7 @@ impl SlowLog {
                 .ok();
         }
         if let Some(file) = file.as_mut() {
-            let mut line = request.to_json();
-            line.push('\n');
+            let line = format!("{}\n", request.to_json());
             let _ = file.write_all(line.as_bytes());
         }
         let due = last_dump.is_none_or(|t| t.elapsed().as_secs() >= SLOW_DUMP_INTERVAL_SECS);
@@ -588,7 +576,7 @@ mod tests {
             rec.add(*p, 1 << i);
         }
         assert_eq!(rec.attributed_nanos(), (1 << Phase::SERVE.len()) - 1);
-        let json = rec.to_json();
+        let json = rec.to_json().to_string();
         for p in Phase::SERVE {
             let field = format!("\"{}\": {}", p.name(), 1u64 << p as usize);
             assert!(json.contains(&field), "{field}: {json}");
@@ -596,10 +584,27 @@ mod tests {
     }
 
     #[test]
+    fn phase_tiling_and_wall_time_share_one_origin() {
+        let mut rec = RequestObs::new();
+        rec.add(Phase::Accept, 700);
+        rec.time(Phase::HeaderParse, || std::hint::black_box(1));
+        rec.time(Phase::StorePut, || {
+            (0..1000u64).map(std::hint::black_box).sum::<u64>()
+        });
+        // The tiled phases sum to the stretch from the first byte to
+        // the last boundary, to the nanosecond.
+        let tiled = rec.attributed_nanos() - 700;
+        assert_eq!(tiled, (rec.mark - rec.start).as_nanos() as u64);
+        rec.finish();
+        assert!(rec.total_nanos >= rec.attributed_nanos(), "{rec:?}");
+        assert!(rec.total_nanos >= 700 + tiled);
+    }
+
+    #[test]
     fn request_record_json_carries_every_phase() {
         let mut rec = request(Opcode::Put, "acme \"lab\"\n", 1000);
         rec.phase_nanos[Phase::LockWait as usize] = 400;
-        let json = rec.to_json();
+        let json = rec.to_json().to_string();
         assert!(json.contains("\"lock_wait\": 400"), "{json}");
         assert!(json.contains("\"attributed_nanos\": 400"), "{json}");
         let doc = json::parse(&json).unwrap();
@@ -611,7 +616,10 @@ mod tests {
             assert!(json.contains(phase.name()), "{}", phase.name());
         }
         rec.status = None;
-        assert!(rec.to_json().contains("\"status\": \"aborted\""));
+        assert!(rec
+            .to_json()
+            .to_string()
+            .contains("\"status\": \"aborted\""));
     }
 
     #[test]

@@ -493,6 +493,15 @@ pub(crate) fn superseded_count(entries: &[ManifestEntry]) -> usize {
         .count()
 }
 
+/// A shard worker about to block on an empty queue hands its trace ring
+/// to the collector while tracing is on: it lives until the next commit,
+/// and a flight dump taken before then must hold its spans.
+fn flush_trace_before_blocking() {
+    if isobar::trace::is_active() {
+        isobar::trace::flush_thread();
+    }
+}
+
 fn codec_loop(
     rx: Receiver<ShardJob>,
     io_tx: SyncSender<Prepared>,
@@ -502,7 +511,10 @@ fn codec_loop(
     let compressor = IsobarCompressor::new(options);
     let mut scratch = PipelineScratch::new();
     let mut recorder = Recorder::new();
-    for job in rx {
+    while let Ok(job) = rx.try_recv().or_else(|_| {
+        flush_trace_before_blocking();
+        rx.recv()
+    }) {
         let prepared = match job {
             ShardJob::Compress {
                 seq,
@@ -574,6 +586,7 @@ fn io_loop<File: StoreFile>(
                 if unsynced {
                     file.sync_data()?;
                 }
+                flush_trace_before_blocking();
                 rx.recv().ok()
             }
             Err(TryRecvError::Disconnected) => None,

@@ -1,13 +1,17 @@
 //! Minimal JSON reader/writer for telemetry snapshots and the serve
-//! daemon's reports; [`string`] is the workspace's one JSON string
-//! escaper.
+//! daemon's reports: one value type, [`JsonValue`], read by [`parse`]
+//! and written by [`JsonValue::write`]; [`string`] is the workspace's
+//! one JSON string escaper.
 //!
-//! The workspace deliberately vendors no serialization framework, so
-//! snapshots are written with a few formatting helpers and read back
-//! with a small recursive-descent parser. The dialect is the subset
-//! snapshots need — objects, arrays, strings, and unsigned integers —
-//! plus `true`/`false`/`null` and signed/float numbers, which parse
-//! but only integers convert via [`JsonValue::as_u64`].
+//! The workspace deliberately vendors no serialization framework, so a
+//! report builds a [`JsonValue`] with [`object()`] and [`array()`] and
+//! writes it compactly on one line; a small recursive-descent parser
+//! reads it back. The dialect is the subset reports need — objects,
+//! arrays, strings, and unsigned integers — plus `true`/`false`/`null`
+//! and signed/float numbers, which parse but only integers convert via
+//! [`JsonValue::as_u64`].
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +82,68 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// Append the value to `out` as compact JSON on one line: `": "`
+    /// after each key, `", "` between members and items.
+    pub fn write(&self, out: &mut String) {
+        match self {
+            JsonValue::Object(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    string(out, key);
+                    out.push_str(": ");
+                    value.write(out);
+                }
+                out.push('}');
+            }
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            JsonValue::String(s) => string(out, s),
+            JsonValue::Number(v) if v.is_finite() => out.push_str(&v.to_string()),
+            // JSON has no literal for a non-finite number.
+            JsonValue::Number(_) | JsonValue::Null => out.push_str("null"),
+            JsonValue::Unsigned(v) => out.push_str(&v.to_string()),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        }
+    }
+}
+
+/// The compact form [`JsonValue::write`] appends.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(v: u64) -> Self {
+        JsonValue::Unsigned(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+/// An object of `members`, keys in the order given.
+pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+    JsonValue::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// An array of `items`, in order.
+pub fn array<T: Into<JsonValue>>(items: impl IntoIterator<Item = T>) -> JsonValue {
+    JsonValue::Array(items.into_iter().map(Into::into).collect())
 }
 
 /// Parse a complete JSON document (trailing garbage is an error).
@@ -273,22 +339,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|_| format!("invalid number '{text}'"))
 }
 
-/// Append `  "name": value` at `indent` levels (two spaces each), with
-/// a trailing comma when `comma` is set.
-pub fn field_u64(out: &mut String, indent: usize, name: &str, value: u64, comma: bool) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\": ");
-    out.push_str(&value.to_string());
-    if comma {
-        out.push(',');
-    }
-    out.push('\n');
-}
-
 /// Append `value` as a quoted JSON string: `"` and `\` are
 /// backslash-escaped and control characters become `\u00XX`.
 pub fn string(out: &mut String, value: &str) {
@@ -302,18 +352,6 @@ pub fn string(out: &mut String, value: &str) {
         }
     }
     out.push('"');
-}
-
-/// Append a compact `[1, 2, 3]` array.
-pub fn array_u64(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
 }
 
 #[cfg(test)]
@@ -363,6 +401,27 @@ mod tests {
         string(&mut out, tricky);
         assert_eq!(out, r#""a\"b\\c\u000ad\u0001e""#);
         assert_eq!(parse(&out).unwrap().as_str(), Some(tricky));
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        let value = object([
+            ("n", JsonValue::from(u64::MAX)),
+            ("s", JsonValue::from("a\"b\n")),
+            ("a", array([1u64, 2])),
+            ("e", array(Vec::<u64>::new())),
+            ("o", object(Vec::<(String, JsonValue)>::new())),
+            ("f", JsonValue::Number(-2.5)),
+            ("t", JsonValue::Bool(true)),
+            ("z", JsonValue::Null),
+        ]);
+        let text = value.to_string();
+        assert_eq!(
+            text,
+            r#"{"n": 18446744073709551615, "s": "a\"b\u000a", "a": [1, 2], "e": [], "o": {}, "f": -2.5, "t": true, "z": null}"#
+        );
+        assert_eq!(parse(&text).unwrap(), value);
+        assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! while covering nanoseconds to ~34 seconds in [`LATENCY_BUCKETS`]
 //! slots.
 
+use crate::json::{self, JsonValue};
+
 /// Sub-bucket resolution: each power-of-two octave is split into
 /// `2^SUB_BITS` linear sub-buckets.
 pub const SUB_BITS: u32 = 4;
@@ -179,22 +181,19 @@ impl LatencyHistogram {
         ));
     }
 
-    /// Append this histogram to `out` as a JSON object:
+    /// This histogram as the `/debug/stats` JSON object:
     /// `{"count": N, "sum_nanos": N, "max_nanos": N, "mean_nanos": N,
-    /// "p50_nanos": N, "p90_nanos": N, "p99_nanos": N}` — the
-    /// `/debug/stats` shape.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"count\": {}, \"sum_nanos\": {}, \"max_nanos\": {}, \"mean_nanos\": {}, \
-             \"p50_nanos\": {}, \"p90_nanos\": {}, \"p99_nanos\": {}}}",
-            self.count,
-            self.sum_nanos,
-            self.max_nanos,
-            self.mean_nanos(),
-            self.percentile_nanos(0.50),
-            self.percentile_nanos(0.90),
-            self.percentile_nanos(0.99),
-        ));
+    /// "p50_nanos": N, "p90_nanos": N, "p99_nanos": N}`.
+    pub fn to_json(&self) -> JsonValue {
+        json::object([
+            ("count", self.count.into()),
+            ("sum_nanos", self.sum_nanos.into()),
+            ("max_nanos", self.max_nanos.into()),
+            ("mean_nanos", self.mean_nanos().into()),
+            ("p50_nanos", self.percentile_nanos(0.50).into()),
+            ("p90_nanos", self.percentile_nanos(0.90).into()),
+            ("p99_nanos", self.percentile_nanos(0.99).into()),
+        ])
     }
 }
 
@@ -305,8 +304,7 @@ mod tests {
     fn json_shape_has_percentile_fields() {
         let mut h = LatencyHistogram::new();
         h.record(1_000);
-        let mut out = String::new();
-        h.write_json(&mut out);
+        let out = h.to_json().to_string();
         for key in [
             "\"count\"",
             "\"sum_nanos\"",

@@ -196,76 +196,44 @@ impl TelemetrySnapshot {
         self.kernel_tier = self.kernel_tier.max(other.kernel_tier);
     }
 
-    /// Serialize as pretty-printed JSON with a stable key order.
+    /// Serialize as one line of JSON with a stable key order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        json::field_u64(&mut out, 1, "schema_version", SNAPSHOT_SCHEMA_VERSION, true);
-        json::field_u64(
-            &mut out,
-            1,
-            "kernel_tier",
-            u64::from(self.kernel_tier),
-            true,
-        );
-
-        out.push_str("  \"counters\": {\n");
-        for (i, counter) in Counter::ALL.iter().enumerate() {
-            json::field_u64(
-                &mut out,
-                2,
-                counter.name(),
-                self.counters[i],
-                i + 1 < Counter::COUNT,
-            );
-        }
-        out.push_str("  },\n");
-
-        out.push_str("  \"stages\": {\n");
-        for (i, stage) in Phase::STAGES.iter().enumerate() {
-            let s = &self.stages[i];
-            out.push_str("    \"");
-            out.push_str(stage.name());
-            out.push_str("\": {");
-            out.push_str(&format!(
-                "\"count\": {}, \"total_nanos\": {}, \"min_nanos\": {}, \"max_nanos\": {}",
-                s.count, s.total_nanos, s.min_nanos, s.max_nanos
-            ));
-            out.push('}');
-            if i + 1 < Phase::STAGES.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  },\n");
-
-        out.push_str("  \"histograms\": {\n");
-        out.push_str("    \"tau_margin\": ");
-        json::array_u64(&mut out, &self.tau_margin);
-        out.push('\n');
-        out.push_str("  },\n");
-
-        out.push_str("  \"eupa\": {\n");
-        out.push_str("    \"combos\": [");
-        for (i, name) in EUPA_COMBOS.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(name);
-            out.push('"');
-        }
-        out.push_str("],\n");
-        out.push_str("    \"selected\": ");
-        json::array_u64(&mut out, &self.eupa_selected);
-        out.push_str(",\n    \"trial_count\": ");
-        json::array_u64(&mut out, &self.eupa_trial_count);
-        out.push_str(",\n    \"trial_nanos\": ");
-        json::array_u64(&mut out, &self.eupa_trial_nanos);
-        out.push('\n');
-        out.push_str("  }\n");
-        out.push('}');
-        out
+        let stages = Phase::STAGES.iter().zip(&self.stages).map(|(stage, s)| {
+            let fields = [
+                ("count", s.count),
+                ("total_nanos", s.total_nanos),
+                ("min_nanos", s.min_nanos),
+                ("max_nanos", s.max_nanos),
+            ];
+            (
+                stage.name(),
+                json::object(fields.map(|(k, v)| (k, v.into()))),
+            )
+        });
+        let counters = Counter::ALL.iter().zip(self.counters);
+        json::object([
+            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
+            ("kernel_tier", u64::from(self.kernel_tier).into()),
+            (
+                "counters",
+                json::object(counters.map(|(c, v)| (c.name(), v.into()))),
+            ),
+            ("stages", json::object(stages)),
+            (
+                "histograms",
+                json::object([("tau_margin", json::array(self.tau_margin))]),
+            ),
+            (
+                "eupa",
+                json::object([
+                    ("combos", json::array(EUPA_COMBOS)),
+                    ("selected", json::array(self.eupa_selected)),
+                    ("trial_count", json::array(self.eupa_trial_count)),
+                    ("trial_nanos", json::array(self.eupa_trial_nanos)),
+                ]),
+            ),
+        ])
+        .to_string()
     }
 
     /// Render a human-readable table (the CLI's `--stats=table` view).

@@ -24,9 +24,10 @@
 //!   already took (the guard that also feeds a stage total or the
 //!   serve ledger); [`span`] returns a guard for sections that only
 //!   appear on the timeline; [`instant_args`] records a point event.
-//! * When a thread exits, its ring drains into a global registry; the
-//!   collector ([`drain`]) gathers the registry plus the calling
-//!   thread's ring into a [`Trace`].
+//! * When a thread exits or calls [`flush_thread`], its ring drains
+//!   into a global registry, capped at [`REGISTRY_CAPACITY`] events
+//!   (oldest dropped first); the collector ([`drain`]) gathers the
+//!   registry plus the calling thread's ring into a [`Trace`].
 //! * Tracing is *inactive* until [`set_active`]`(true)` — an idle call
 //!   site costs one relaxed atomic load and a branch.
 //!
@@ -70,6 +71,11 @@ pub const NO_CHUNK: u32 = u32::MAX;
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_THREAD_CAPACITY: usize = 16 * 1024;
 
+/// Events the registry of flushed rings holds for the collector (16 MiB
+/// of events); past it the oldest are dropped. A daemon that records
+/// and never collects stays bounded.
+pub const REGISTRY_CAPACITY: usize = 16 * DEFAULT_THREAD_CAPACITY;
+
 /// One recorded event: a begin/end span or an instant, stamped with a
 /// monotonic nanosecond clock shared by every thread in the process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,12 +112,16 @@ pub struct ThreadTrace {
 pub struct Trace {
     /// One entry per thread that recorded anything.
     pub threads: Vec<ThreadTrace>,
+    /// Events the registry dropped, oldest first, to stay under
+    /// [`REGISTRY_CAPACITY`].
+    pub dropped: u64,
 }
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{ThreadTrace, TraceEvent};
+    use super::{ThreadTrace, TraceEvent, REGISTRY_CAPACITY};
     use std::cell::RefCell;
+    use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
     use std::sync::{Mutex, OnceLock};
     use std::time::Instant;
@@ -119,8 +129,40 @@ mod imp {
     pub(crate) static ACTIVE: AtomicBool = AtomicBool::new(false);
     static NEXT_TID: AtomicU32 = AtomicU32::new(1);
     static CAPACITY: AtomicUsize = AtomicUsize::new(super::DEFAULT_THREAD_CAPACITY);
-    static DRAINED: Mutex<Vec<ThreadTrace>> = Mutex::new(Vec::new());
+    static DRAINED: Mutex<Registry> = Mutex::new(Registry {
+        threads: VecDeque::new(),
+        events: 0,
+        dropped: 0,
+    });
     static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+    /// Flushed rings waiting for the collector, oldest first.
+    struct Registry {
+        threads: VecDeque<ThreadTrace>,
+        /// Events held across `threads`, at most [`REGISTRY_CAPACITY`].
+        events: usize,
+        /// Events dropped to stay under the cap, with the ring
+        /// overwrites of every trace dropped whole.
+        dropped: u64,
+    }
+
+    impl Registry {
+        fn push(&mut self, trace: ThreadTrace) {
+            self.events += trace.events.len();
+            self.threads.push_back(trace);
+            while self.events > REGISTRY_CAPACITY {
+                let oldest = &mut self.threads[0];
+                let evict = (self.events - REGISTRY_CAPACITY).min(oldest.events.len());
+                oldest.events.drain(..evict);
+                self.events -= evict;
+                self.dropped += evict as u64;
+                if oldest.events.is_empty() {
+                    self.dropped += oldest.dropped;
+                    self.threads.pop_front();
+                }
+            }
+        }
+    }
 
     /// Nanoseconds from the process trace epoch (fixed by the first
     /// activation) to `t`.
@@ -169,22 +211,19 @@ mod imp {
             }
         }
 
-        fn into_thread_trace(self) -> ThreadTrace {
-            let mut ring = std::mem::ManuallyDrop::new(self);
-            let slots = std::mem::take(&mut ring.slots);
-            let events = if ring.dropped == 0 {
-                slots
-            } else {
-                // Rotate so events come out oldest-first.
-                let mut events = Vec::with_capacity(slots.len());
-                events.extend_from_slice(&slots[ring.next..]);
-                events.extend_from_slice(&slots[..ring.next]);
-                events
-            };
+        /// Hand the recorded events over, oldest first, in a vector
+        /// sized to them, and empty the ring in place: it keeps its
+        /// thread id and its one allocation.
+        fn take_trace(&mut self) -> ThreadTrace {
+            let mut events = Vec::with_capacity(self.slots.len());
+            events.extend_from_slice(&self.slots[self.next..]);
+            events.extend_from_slice(&self.slots[..self.next]);
+            self.slots.clear();
+            self.next = 0;
             ThreadTrace {
-                tid: ring.tid,
+                tid: self.tid,
                 events,
-                dropped: ring.dropped,
+                dropped: std::mem::take(&mut self.dropped),
             }
         }
     }
@@ -192,25 +231,16 @@ mod imp {
     impl Drop for Ring {
         fn drop(&mut self) {
             // Thread exit: hand the recorded events to the collector.
-            // `into_thread_trace` wraps in ManuallyDrop, so this only
-            // runs for rings dropped in place (TLS teardown).
-            let ring = Ring {
-                tid: self.tid,
-                slots: std::mem::take(&mut self.slots),
-                cap: self.cap,
-                next: self.next,
-                dropped: self.dropped,
-            };
-            flush_ring(ring);
+            flush_ring(self.take_trace());
         }
     }
 
-    fn flush_ring(ring: Ring) {
-        let trace = ring.into_thread_trace();
+    fn flush_ring(trace: ThreadTrace) {
         if !trace.events.is_empty() {
-            if let Ok(mut drained) = DRAINED.lock() {
-                drained.push(trace);
-            }
+            DRAINED
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(trace);
         }
     }
 
@@ -230,18 +260,20 @@ mod imp {
     pub(crate) fn flush_thread() {
         let _ = RING.try_with(|cell| {
             if let Ok(mut ring) = cell.try_borrow_mut() {
-                if let Some(ring) = ring.take() {
-                    flush_ring(ring);
+                if let Some(ring) = ring.as_mut() {
+                    flush_ring(ring.take_trace());
                 }
             }
         });
     }
 
-    pub(crate) fn take_drained() -> Vec<ThreadTrace> {
-        DRAINED
-            .lock()
-            .map(|mut d| std::mem::take(&mut *d))
-            .unwrap_or_default()
+    /// Empty the registry: its traces, oldest first, and its count of
+    /// dropped events.
+    pub(crate) fn take_drained() -> (Vec<ThreadTrace>, u64) {
+        let mut registry = DRAINED.lock().unwrap_or_else(|e| e.into_inner());
+        registry.events = 0;
+        let threads = std::mem::take(&mut registry.threads).into();
+        (threads, std::mem::take(&mut registry.dropped))
     }
 
     pub(crate) fn set_capacity(cap: usize) {
@@ -364,7 +396,8 @@ pub fn instant_args(name: impl Into<&'static str>, chunk: u32, a: f64, b: f64) {
     }
 }
 
-/// Move the calling thread's ring into the global registry.
+/// Move the events in the calling thread's ring into the global
+/// registry; the ring stays, empty, under the same thread id.
 ///
 /// Worker threads must call this as the last thing they do: the TLS
 /// destructor also flushes, but `std::thread::scope` can return as
@@ -380,20 +413,32 @@ pub fn flush_thread() {
 }
 
 /// Collect everything recorded so far: the calling thread's ring plus
-/// every ring flushed by exited (or explicitly flushed) threads.
+/// every ring flushed by exited (or explicitly flushed) threads, one
+/// [`ThreadTrace`] per thread id.
 ///
 /// Rings of *other still-live* threads are not reachable; in the
 /// ISOBAR pipelines every worker calls [`flush_thread`] before its
-/// scoped closure returns, so by the time the spawning thread collects,
-/// all worker events are in the registry. Draining resets the recorded
+/// scoped closure returns, and the store's long-lived workers flush
+/// whenever they are about to block, so by the time a thread collects,
+/// their events are in the registry. Draining resets the recorded
 /// state.
 pub fn drain() -> Trace {
     #[cfg(feature = "enabled")]
     {
         imp::flush_thread();
-        let mut threads = imp::take_drained();
+        let (mut threads, dropped) = imp::take_drained();
+        // Stable: one thread's flushes stay in the order they came, and
+        // fold into its first.
         threads.sort_by_key(|t| t.tid);
-        Trace { threads }
+        threads.dedup_by(|later, first| {
+            let same = later.tid == first.tid;
+            if same {
+                first.events.append(&mut later.events);
+                first.dropped += later.dropped;
+            }
+            same
+        });
+        Trace { threads, dropped }
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -440,9 +485,9 @@ impl Trace {
         self.threads.iter().map(|t| t.events.len()).sum()
     }
 
-    /// Total events lost to ring overwrites.
+    /// Total events lost to ring overwrites and the registry's cap.
     pub fn dropped_count(&self) -> u64 {
-        self.threads.iter().map(|t| t.dropped).sum()
+        self.dropped + self.threads.iter().map(|t| t.dropped).sum::<u64>()
     }
 
     /// Serialize to the Chrome trace-event JSON array format, loadable
@@ -606,6 +651,47 @@ mod tests {
     }
 
     #[test]
+    fn flushed_rings_are_trimmed_merged_per_thread_and_capped() {
+        let _guard = locked();
+        reset();
+        set_active(true);
+        // One thread flushing a full default ring, again and again:
+        // one past the registry's cap.
+        let flushes = REGISTRY_CAPACITY / DEFAULT_THREAD_CAPACITY + 1;
+        for flush in 0..flushes {
+            for i in 0..DEFAULT_THREAD_CAPACITY {
+                let chunk = flush * DEFAULT_THREAD_CAPACITY + i;
+                instant_args("chunk_merge", chunk as u32, 0.0, 0.0);
+            }
+            flush_thread();
+        }
+        instant_args("chunk_merge", u32::MAX - 1, 0.0, 0.0);
+        set_active(false);
+        let trace = drain();
+        if !ENABLED {
+            return;
+        }
+        // The registry kept the newest REGISTRY_CAPACITY events, the
+        // one the collector flushed last included, as one thread.
+        assert_eq!(trace.threads.len(), 1);
+        let events = &trace.threads[0].events;
+        assert_eq!(events.len(), REGISTRY_CAPACITY);
+        let dropped = DEFAULT_THREAD_CAPACITY + 1;
+        assert_eq!(trace.dropped_count(), dropped as u64);
+        assert_eq!(events[0].chunk, dropped as u32);
+        assert_eq!(events[REGISTRY_CAPACITY - 1].chunk, u32::MAX - 1);
+
+        // A flushed ring hands over only what it recorded.
+        set_active(true);
+        instant_args("chunk_merge", 0, 0.0, 0.0);
+        flush_thread();
+        set_active(false);
+        let trace = drain();
+        assert_eq!(trace.threads[0].events.len(), 1);
+        assert_eq!(trace.threads[0].events.capacity(), 1);
+    }
+
+    #[test]
     fn worker_thread_rings_drain_at_exit() {
         let _guard = locked();
         reset();
@@ -689,6 +775,7 @@ mod tests {
                 ],
                 dropped: 0,
             }],
+            dropped: 0,
         };
         let json = trace.to_chrome_json();
         let names: Vec<&str> = json
