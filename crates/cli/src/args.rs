@@ -473,7 +473,7 @@ const FLAGS: &[Flag] = &[
         Next("N"),
         &[Sub::StorePut, Sub::StoreCompact, Sub::Serve],
     )
-    .help("segment pipelines per generation")
+    .help("segment files and codec workers per generation")
     .set(|o, a| {
         o.serve.shards = a.num()?;
         put(&mut o.sharded.shards, o.serve.shards)
@@ -484,7 +484,7 @@ const FLAGS: &[Flag] = &[
     })
     .check(|o| refuse_if(o.sharded.shards == 0, "--shards must be positive")),
     flag("--queue-depth", Next("N"), &[Sub::StorePut, Sub::Serve])
-        .help("in-flight variables per shard")
+        .help("queued puts per shard")
         .set(|o, a| {
             o.serve.queue_depth = a.num()?;
             put(&mut o.sharded.queue_depth, o.serve.queue_depth)

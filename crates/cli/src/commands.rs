@@ -638,7 +638,7 @@ mod tests {
         }
     }
 
-    /// `shards` segment pipelines at the library's queue depth.
+    /// `shards` segments and codec workers at the library's queue depth.
     fn sharded(shards: u16) -> ShardedOptions {
         ShardedOptions {
             shards,

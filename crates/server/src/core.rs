@@ -47,7 +47,8 @@ pub struct CoreOptions {
     pub isobar: IsobarOptions,
     /// Shards per store generation.
     pub shards: u16,
-    /// Bounded queue depth between producer and each shard.
+    /// The sharded writer's queue depth per shard (see
+    /// `ShardedOptions::queue_depth`).
     pub queue_depth: usize,
     /// Overlay size that triggers a generation commit.
     pub commit_threshold: u64,
@@ -241,7 +242,7 @@ where
         &mut self,
         step: u32,
         key: &str,
-        payload: Vec<u8>,
+        payload: impl Into<Arc<Vec<u8>>>,
         width: usize,
     ) -> Result<(), StoreError> {
         self.ensure_writer()?;
@@ -266,7 +267,12 @@ where
         // writer carries them into a generation.
         for (step, key) in std::mem::take(&mut self.unfed) {
             if let Some(entry) = self.overlay.get(&(step, key.clone())) {
-                writer.put(step, &key, entry.data.to_vec(), usize::from(entry.width))?;
+                writer.put(
+                    step,
+                    &key,
+                    Arc::clone(&entry.data),
+                    usize::from(entry.width),
+                )?;
             }
         }
         self.writer = Some(writer);
@@ -274,9 +280,17 @@ where
     }
 
     /// Insert one put into the read-your-writes overlay, superseding
-    /// any earlier payload for the same `(step, key)`.
-    pub fn overlay_insert(&mut self, step: u32, key: String, width: u8, data: Vec<u8>) {
-        let (len, data) = (data.len() as u64, Arc::new(data));
+    /// any earlier payload for the same `(step, key)`. Passing the
+    /// `Arc` given to [`StoreCore::store_put`] shares one copy.
+    pub fn overlay_insert(
+        &mut self,
+        step: u32,
+        key: String,
+        width: u8,
+        data: impl Into<Arc<Vec<u8>>>,
+    ) {
+        let data = data.into();
+        let len = data.len() as u64;
         if let Some(old) = self
             .overlay
             .insert((step, key), OverlayEntry { width, data })

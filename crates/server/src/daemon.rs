@@ -60,9 +60,11 @@ use std::time::{Duration, Instant};
 /// `docs/SERVE.md` for guidance.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Shards (codec/I/O thread pairs) per store generation.
+    /// Shards per store generation: segment files, and codec workers
+    /// in the writer's pool.
     pub shards: u16,
-    /// Bounded queue depth between the daemon and each shard.
+    /// The sharded writer's queue depth per shard (see
+    /// `ShardedOptions::queue_depth`).
     pub queue_depth: usize,
     /// Largest accepted `put` payload, in bytes.
     pub max_payload: u64,
@@ -816,11 +818,13 @@ fn put_locked(
     obs: &mut RequestObs,
 ) -> Result<(), StoreError> {
     let key = store_key(tenant, name);
+    // The writer and the overlay share one copy of the payload.
+    let payload = Arc::new(payload);
     obs.time(Phase::StorePut, || {
         state.core.store_put(
             header.step,
             &key,
-            payload.clone(),
+            Arc::clone(&payload),
             usize::from(header.width),
         )
     })?;

@@ -397,32 +397,6 @@ pub fn discard_exact(r: &mut impl Read, len: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// Read one request header off the wire. `Ok(None)` means the peer
-/// closed the connection cleanly before starting a frame.
-pub fn read_request_header(
-    r: &mut impl Read,
-    max_payload: u64,
-) -> Result<Option<RequestHeader>, FrameError> {
-    let mut buf = [0u8; REQUEST_HEADER_LEN];
-    // Distinguish clean EOF (no frame at all) from truncation.
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "request header truncated",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(Some(parse_request_header(&buf, max_payload)?))
-}
-
 /// Read the tenant and name fields that follow a request header. Both
 /// fields are consumed off the wire before either is validated, so a
 /// validation failure leaves the stream frame-aligned (only the
@@ -515,7 +489,9 @@ mod tests {
 
     fn decode(frame: &[u8], max_payload: u64) -> Result<Request, FrameError> {
         let mut cursor = io::Cursor::new(frame);
-        let header = read_request_header(&mut cursor, max_payload)?.expect("frame present");
+        let mut header = [0u8; REQUEST_HEADER_LEN];
+        cursor.read_exact(&mut header)?;
+        let header = parse_request_header(&header, max_payload)?;
         let (tenant, name) = read_request_fields(&mut cursor, &header)?;
         let payload = read_bounded(&mut cursor, header.payload_len as usize)?;
         Ok(Request {
@@ -684,18 +660,6 @@ mod tests {
         let mut f = good.clone();
         f.truncate(f.len() - 10);
         assert!(matches!(decode(&f, max), Err(FrameError::Io(_))));
-
-        // Specimen 14: empty input is a clean EOF, not an error.
-        let mut cursor = io::Cursor::new(&[][..]);
-        assert!(read_request_header(&mut cursor, max).unwrap().is_none());
-
-        // Specimen 15: truncated header (EOF after 5 bytes) is a
-        // transport error, not a clean EOF and not a panic.
-        let mut cursor = io::Cursor::new(&good[..5]);
-        assert!(matches!(
-            read_request_header(&mut cursor, max),
-            Err(FrameError::Io(_))
-        ));
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! authors work in:
 //!
 //! * [`ShardedStoreWriter`] — append variables step by step into a
-//!   store *directory*: N independent segment pipelines (a codec and
-//!   an I/O thread each, so compression overlaps `fdatasync`), each
-//!   variable compressed through the full ISOBAR pipeline as it is
-//!   written, committed crash-consistently by a two-phase manifest
-//!   rename. `ShardedOptions { shards: 1, .. }` is the serial
+//!   store *directory* of N segment files: a pool of N codec workers
+//!   compresses each variable through the full ISOBAR pipeline as it
+//!   is written, an I/O thread per segment appends the records in put
+//!   order (so compression overlaps `fdatasync`), and a two-phase
+//!   manifest rename commits them crash-consistently. `ShardedOptions { shards: 1, .. }` is the serial
 //!   configuration.
 //! * [`StoreReader`] — random access by `(step, variable)` without
 //!   touching unrelated data, via the checksummed index in the

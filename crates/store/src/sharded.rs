@@ -3,12 +3,34 @@
 //!
 //! In-situ checkpointing must not serialize compression and disk
 //! writes behind one cursor. [`ShardedStoreWriter`] owns a store
-//! *directory*: each shard is an independent segment file with its own two-stage
-//! pipeline — a codec thread running the ISOBAR pipeline and an I/O
-//! thread appending records — connected by a bounded (double-buffered)
-//! queue, so shard `k`'s compression of variable `n+1` overlaps the
-//! `write`/`fdatasync` of variable `n`, and different shards never
-//! contend at all.
+//! *directory* of `shards` segment files. Every put enters one bounded
+//! FIFO queue served by a pool of `shards` codec workers: whichever
+//! worker is free compresses the oldest queued put, whatever segment it
+//! belongs to, so one expensive variable never leaves a codec thread
+//! idle while puts wait behind it. Each segment has its own I/O thread
+//! that appends the finished records, so compression of one put
+//! overlaps the `write`/`fdatasync` of earlier ones.
+//!
+//! # Placement and order
+//!
+//! A record goes to segment `xxh64(name, step) % shards`, and each
+//! segment's I/O thread appends its records in put order: `put` numbers
+//! every job within its shard in the same critical section that queues
+//! it, and an I/O thread holds a record that finishes early until every
+//! earlier record of its shard is written. So the segment files and the
+//! `MANIFEST` a sequence of puts produces never depend on which worker
+//! compressed what, or when.
+//!
+//! # Memory bound
+//!
+//! The queue holds at most `shards × queue_depth` puts. At most
+//! `shards × (queue_depth + 1)` more are taken by workers but not yet
+//! appended (compressing, or finished and held for their turn); a
+//! worker waits rather than take a job past that window. So at most
+//! `shards × (2 × queue_depth + 1)` payloads sit between `put` and
+//! append, however uneven the compression costs. A full window always
+//! drains: queue order is put order, so the oldest unwritten record of
+//! every shard is already taken.
 //!
 //! # Two-phase commit protocol
 //!
@@ -17,17 +39,17 @@
 //! durable:
 //!
 //! 1. every shard's records append to `g<gen>-s<shard>.seg.wip`. The
-//!    I/O thread group-commits: whenever its queue drains (the codec
-//!    stage is the bottleneck) it `fdatasync`s the backlog, hiding the
-//!    flush behind compression of the next record;
-//! 2. at close, each I/O thread seals its segment — trailer append,
-//!    then a final `fdatasync` covering the residue — so every record
-//!    a manifest could reference is durable before any manifest
-//!    exists. Shards are disconnected and joined one at a time, in
-//!    shard order, so the seals reach the filesystem in a fixed order
-//!    (the crash sweep holds every killed rerun to one recorded
-//!    operation stream); a shard's queued records still drain while
-//!    an earlier shard seals;
+//!    I/O thread group-commits: whenever it has nothing to write (the
+//!    codec stage is the bottleneck) it `fdatasync`s the backlog,
+//!    hiding the flush behind compression of the next record;
+//! 2. at close, the workers are joined first, which drains the queue.
+//!    Then each I/O thread seals its segment — trailer append, then a
+//!    final `fdatasync` covering the residue — so every record a
+//!    manifest could reference is durable before any manifest exists.
+//!    I/O threads are disconnected and joined one at a time, in shard
+//!    order, so the seals reach the filesystem in a fixed order (the
+//!    crash sweep holds every killed rerun to one recorded operation
+//!    stream);
 //! 3. **phase 1**: each sealed `.wip` is renamed to its final segment
 //!    name and the directory is fsynced. Segment names embed the
 //!    generation, so these renames can never clobber a committed file;
@@ -64,20 +86,24 @@ use crate::vfs::{RealFs, StoreFile, StoreFs};
 use isobar::telemetry::Counter;
 use isobar::{IsobarCompressor, IsobarOptions, PipelineScratch, Recorder, TelemetrySnapshot};
 use isobar_codecs::xxhash::xxh64;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Concurrency knobs for a [`ShardedStoreWriter`]. See `docs/STORE.md`
 /// for tuning guidance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedOptions {
-    /// Number of independent segment writers. Each shard costs two
-    /// threads (codec + I/O) and one open file.
+    /// Number of segment files, and of codec workers in the writer's
+    /// pool. Each shard costs two threads (a codec worker and its
+    /// segment's I/O thread) and one open file.
     pub shards: u16,
-    /// Bounded depth of each shard's producer→codec and codec→I/O
-    /// queues. 1 is a classic double buffer (compress `n+1` while
+    /// How far puts run ahead of the disk, per shard: the pool's queue
+    /// holds `shards × queue_depth` puts, and `shards × (queue_depth +
+    /// 1)` more may be compressing or waiting for their turn to be
+    /// appended. 1 is a classic double buffer (compress `n+1` while
     /// writing `n`); deeper queues absorb burstier producers.
     pub queue_depth: usize,
 }
@@ -109,29 +135,38 @@ pub struct ShardedCommitReport {
     /// Entries in the committed manifest shadowed by a later put of
     /// the same `(step, variable)`.
     pub superseded_entries: usize,
-    /// Merged telemetry from every shard plus the commit itself.
+    /// Merged telemetry from every codec worker plus the commit itself.
     pub telemetry: TelemetrySnapshot,
 }
 
-enum ShardJob {
-    Compress {
-        seq: u64,
-        step: u32,
-        name: String,
-        data: Vec<u8>,
-        width: usize,
-    },
-    Raw {
-        seq: u64,
-        step: u32,
-        name: String,
+/// One put, queued for whichever codec worker is free.
+struct Job {
+    shard: u16,
+    /// Position in the shard's put order: the order of its records in
+    /// the segment.
+    shard_seq: u64,
+    /// Position in the writer's put order: the order of the manifest's
+    /// new entries.
+    seq: u64,
+    step: u32,
+    name: String,
+    payload: Payload,
+}
+
+enum Payload {
+    /// Elements for the worker to compress.
+    Elements { data: Arc<Vec<u8>>, width: usize },
+    /// A finished container, appended as is.
+    Container {
         width: u8,
         container: Vec<u8>,
         raw_len: u64,
     },
 }
 
+/// A record ready to append, on its way to its shard's I/O thread.
 struct Prepared {
+    shard_seq: u64,
     seq: u64,
     step: u32,
     name: String,
@@ -147,9 +182,234 @@ struct SealedSegment {
     entries: Vec<(u64, IndexEntry)>,
 }
 
+/// The queue between `put` and the codec workers, and the window of
+/// jobs the workers have taken whose records are not appended yet.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Workers wait here for a job they may take, or for the end. An
+    /// event that makes one more job takeable (a push, an append that
+    /// frees a window slot for a queued job) wakes one worker; an event
+    /// that lets every worker exit wakes them all. Missing either one
+    /// leaves a worker asleep with work to do, or `close` joining a
+    /// worker that never wakes.
+    work: Condvar,
+    /// Producers wait here for room in the queue.
+    room: Condvar,
+    /// Bound on queued jobs: `shards × queue_depth`.
+    queue_cap: usize,
+    /// Bound on taken, unappended jobs: `shards × (queue_depth + 1)`.
+    window_cap: usize,
+    /// Signalled when a record reaches its I/O thread early.
+    #[cfg(test)]
+    early: Condvar,
+}
+
+struct PoolState {
+    queue: VecDeque<Job>,
+    /// The next sequence number of each shard.
+    shard_seq: Vec<u64>,
+    /// The next sequence number of the writer.
+    seq: u64,
+    /// Jobs taken by a worker whose record is not appended yet.
+    taken: usize,
+    /// No more puts come: workers exit once the queue is empty.
+    closing: bool,
+    /// A thread failed or the writer is dropped: puts fail, queued
+    /// jobs are dropped, and workers exit after their current job.
+    stopped: bool,
+    /// The most jobs ever between `put` and append.
+    #[cfg(test)]
+    peak: usize,
+    /// Records that reached their I/O thread before an earlier record
+    /// of their shard.
+    #[cfg(test)]
+    held_early: u64,
+    /// Hold the job of this name until this many records were held
+    /// early.
+    #[cfg(test)]
+    gate: Option<(String, u64)>,
+}
+
+impl Pool {
+    fn new(shards: usize, queue_depth: usize) -> Pool {
+        Pool {
+            state: Mutex::new(PoolState {
+                queue: VecDeque::new(),
+                shard_seq: vec![0; shards],
+                seq: 0,
+                taken: 0,
+                closing: false,
+                stopped: false,
+                #[cfg(test)]
+                peak: 0,
+                #[cfg(test)]
+                held_early: 0,
+                #[cfg(test)]
+                gate: None,
+            }),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            queue_cap: shards * queue_depth,
+            window_cap: shards * (queue_depth + 1),
+            #[cfg(test)]
+            early: Condvar::new(),
+        }
+    }
+
+    /// The state lock. A thread that panicked did so outside it, so a
+    /// poisoned lock still guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, PoolState>) -> MutexGuard<'a, PoolState> {
+        cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queue one job, blocking while the queue is full. Numbering the
+    /// job in the critical section that queues it keeps queue order
+    /// equal to sequence order, which is what lets a full window drain.
+    fn push(
+        &self,
+        shard: u16,
+        step: u32,
+        name: String,
+        payload: Payload,
+    ) -> Result<(), StoreError> {
+        let mut st = self.lock();
+        while st.queue.len() >= self.queue_cap && !st.stopped {
+            st = self.wait(&self.room, st);
+        }
+        if st.stopped {
+            return Err(StoreError::Corrupt("store shard worker terminated early"));
+        }
+        let shard_seq = st.shard_seq[shard as usize];
+        st.shard_seq[shard as usize] += 1;
+        let seq = st.seq;
+        st.seq += 1;
+        st.queue.push_back(Job {
+            shard,
+            shard_seq,
+            seq,
+            step,
+            name,
+            payload,
+        });
+        #[cfg(test)]
+        {
+            st.peak = st.peak.max(st.queue.len() + st.taken);
+        }
+        // With the window full, the next append wakes a worker instead.
+        let takeable = st.taken < self.window_cap;
+        drop(st);
+        if takeable {
+            self.work.notify_one();
+        }
+        Ok(())
+    }
+
+    /// The oldest queued job once the window has room for it; `None`
+    /// once the pool is closed and drained, or stopped. A worker about
+    /// to wait hands its trace ring to the collector first while
+    /// tracing is on: it may wait until the next commit, and a flight
+    /// dump taken before then must hold its spans.
+    fn take(&self) -> Option<Job> {
+        let mut st = self.lock();
+        let mut flushed = false;
+        loop {
+            if st.stopped || (st.closing && st.queue.is_empty()) {
+                return None;
+            }
+            if st.taken < self.window_cap {
+                if let Some(job) = st.queue.pop_front() {
+                    st.taken += 1;
+                    let drained = st.closing && st.queue.is_empty();
+                    drop(st);
+                    self.room.notify_one();
+                    if drained {
+                        // Workers waiting on a full window may exit now.
+                        self.work.notify_all();
+                    }
+                    return Some(job);
+                }
+            }
+            if !flushed && isobar::trace::is_active() {
+                drop(st);
+                isobar::trace::flush_thread();
+                flushed = true;
+                st = self.lock();
+                continue;
+            }
+            st = self.wait(&self.work, st);
+        }
+    }
+
+    /// An I/O thread appended a record: its window slot is free. A
+    /// worker is woken only if a job waits for that slot, so an idle
+    /// worker is not woken for nothing after every append.
+    fn appended(&self) {
+        let mut st = self.lock();
+        st.taken -= 1;
+        let waiting = !st.queue.is_empty();
+        drop(st);
+        if waiting {
+            self.work.notify_one();
+        }
+    }
+
+    /// No more puts come: the workers drain the queue and exit.
+    fn close(&self) {
+        self.lock().closing = true;
+        self.work.notify_all();
+    }
+
+    /// Fail every later put, drop the queued jobs, and let every
+    /// worker exit after its current job.
+    fn stop(&self) {
+        let abandoned = {
+            let mut st = self.lock();
+            st.stopped = true;
+            std::mem::take(&mut st.queue)
+        };
+        drop(abandoned);
+        self.work.notify_all();
+        self.room.notify_all();
+        #[cfg(test)]
+        self.early.notify_all();
+    }
+
+    #[cfg(test)]
+    fn arrived_early(&self) {
+        self.lock().held_early += 1;
+        self.early.notify_all();
+    }
+
+    #[cfg(test)]
+    fn hold_if_gated(&self, name: &str) {
+        let mut st = self.lock();
+        while let Some((gated, until)) = &st.gate {
+            if gated != name || st.held_early >= *until || st.stopped {
+                break;
+            }
+            st = self.wait(&self.early, st);
+        }
+    }
+}
+
+/// Stops the pool if its thread unwinds, so no put, worker or I/O
+/// thread waits on a thread that is gone.
+struct StopOnUnwind<'a>(&'a Pool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
 struct ShardPipe {
-    tx: Option<SyncSender<ShardJob>>,
-    codec: Option<JoinHandle<Result<TelemetrySnapshot, StoreError>>>,
+    tx: Option<Sender<Prepared>>,
     io: Option<JoinHandle<Result<SealedSegment, StoreError>>>,
     wip: PathBuf,
     final_name: String,
@@ -159,8 +419,9 @@ struct ShardPipe {
 /// directory. See the module docs for the commit protocol.
 ///
 /// `put` takes `&self`, so one writer can be shared across producer
-/// threads; every put routes to a shard by `(step, variable)` hash and
-/// flows through that shard's codec→I/O pipeline.
+/// threads; every put routes to a segment by `(step, variable)` hash,
+/// is compressed by whichever codec worker is free, and is appended by
+/// that segment's I/O thread in put order.
 ///
 /// # Example
 ///
@@ -190,8 +451,9 @@ where
     dir: PathBuf,
     generation: u64,
     prior: Manifest,
+    pool: Arc<Pool>,
+    workers: Vec<JoinHandle<Result<TelemetrySnapshot, StoreError>>>,
     pipes: Vec<ShardPipe>,
-    seq: AtomicU64,
     committed: bool,
 }
 
@@ -235,42 +497,58 @@ where
         };
 
         let shards = sharded.shards.max(1);
-        let queue_depth = sharded.queue_depth.max(1);
-        let mut pipes = Vec::with_capacity(shards as usize);
+        let pool = Arc::new(Pool::new(usize::from(shards), sharded.queue_depth.max(1)));
+        let mut pipes = Vec::with_capacity(usize::from(shards));
         for shard in 0..shards {
             let final_name = segment_file_name(generation, shard);
             let wip = wip_path(&dir.join(&final_name));
             let mut file = fs.create(&wip)?;
             file.write_all(&encode_segment_header(shard))?;
 
-            let (tx, codec_rx) = sync_channel::<ShardJob>(queue_depth);
-            let (io_tx, io_rx) = sync_channel::<Prepared>(queue_depth);
-            let codec_options = options;
-            let codec = std::thread::spawn(move || {
-                let result = codec_loop(codec_rx, io_tx, codec_options, shard);
-                isobar::trace::flush_thread();
-                result
-            });
+            let (tx, rx) = channel::<Prepared>();
+            let pool = Arc::clone(&pool);
             let io = std::thread::spawn(move || {
-                let result = io_loop(io_rx, file, shard);
+                let _stop = StopOnUnwind(&pool);
+                let result = io_loop(rx, file, shard, &pool);
+                if result.is_err() {
+                    pool.stop();
+                }
                 isobar::trace::flush_thread();
                 result
             });
             pipes.push(ShardPipe {
                 tx: Some(tx),
-                codec: Some(codec),
                 io: Some(io),
                 wip,
                 final_name,
             });
         }
+        let workers = (0..shards)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                let io: Vec<Sender<Prepared>> = pipes
+                    .iter()
+                    .map(|pipe| pipe.tx.clone().expect("writer open"))
+                    .collect();
+                std::thread::spawn(move || {
+                    let _stop = StopOnUnwind(&pool);
+                    let result = codec_worker(&pool, &io, options);
+                    if result.is_err() {
+                        pool.stop();
+                    }
+                    isobar::trace::flush_thread();
+                    result
+                })
+            })
+            .collect();
         Ok(ShardedStoreWriter {
             fs,
             dir,
             generation,
             prior,
+            pool,
+            workers,
             pipes,
-            seq: AtomicU64::new(0),
             committed: false,
         })
     }
@@ -280,54 +558,39 @@ where
         self.generation
     }
 
-    /// Number of shards (segment pipelines) this writer runs.
+    /// Number of shards (segment files and codec workers) this writer
+    /// runs.
     pub fn shards(&self) -> usize {
         self.pipes.len()
     }
 
-    fn route(&self, step: u32, name: &str) -> usize {
-        (xxh64(name.as_bytes(), step as u64) % self.pipes.len() as u64) as usize
-    }
-
-    fn send(&self, shard: usize, job: ShardJob) -> Result<(), StoreError> {
-        self.pipes[shard]
-            .tx
-            .as_ref()
-            .expect("writer open until close")
-            .send(job)
-            .map_err(|_| StoreError::Corrupt("store shard worker terminated early"))
+    fn push(&self, step: u32, name: &str, payload: Payload) -> Result<(), StoreError> {
+        if name.len() > u16::MAX as usize {
+            return Err(StoreError::NameTooLong(name.len()));
+        }
+        let shard = route(step, name, self.pipes.len());
+        self.pool.push(shard, step, name.to_string(), payload)
     }
 
     /// Queue one variable for compression and storage on its shard.
-    /// Takes ownership of `data` so the producer can immediately reuse
-    /// its own buffers; blocks only when the shard's bounded queues are
-    /// full (back-pressure).
+    /// Takes the payload by value (a `Vec<u8>`, or an `Arc` the caller
+    /// also keeps, without a copy) so the producer can immediately
+    /// reuse its own buffers; blocks only when the writer's bounded
+    /// queue is full (back-pressure).
     ///
     /// Re-putting an existing `(step, name)` supersedes the earlier
-    /// entry rather than failing. Errors from the shard pipeline
-    /// surface at [`ShardedStoreWriter::close`]; a put after a shard
-    /// died reports `Corrupt` rather than hanging.
+    /// entry rather than failing. Errors from the codec workers or I/O
+    /// threads surface at [`ShardedStoreWriter::close`]; a put after
+    /// one failed reports `Corrupt` rather than hanging.
     pub fn put(
         &self,
         step: u32,
         name: &str,
-        data: Vec<u8>,
+        data: impl Into<Arc<Vec<u8>>>,
         width: usize,
     ) -> Result<(), StoreError> {
-        if name.len() > u16::MAX as usize {
-            return Err(StoreError::NameTooLong(name.len()));
-        }
-        let shard = self.route(step, name);
-        self.send(
-            shard,
-            ShardJob::Compress {
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                step,
-                name: name.to_string(),
-                data,
-                width,
-            },
-        )
+        let data = data.into();
+        self.push(step, name, Payload::Elements { data, width })
     }
 
     /// Append an already-compressed container as one record, bypassing
@@ -344,16 +607,10 @@ where
         container: Vec<u8>,
         raw_len: u64,
     ) -> Result<(), StoreError> {
-        if name.len() > u16::MAX as usize {
-            return Err(StoreError::NameTooLong(name.len()));
-        }
-        let shard = self.route(step, name);
-        self.send(
-            shard,
-            ShardJob::Raw {
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                step,
-                name: name.to_string(),
+        self.push(
+            step,
+            name,
+            Payload::Container {
                 width,
                 container,
                 raw_len,
@@ -361,7 +618,7 @@ where
         )
     }
 
-    /// Drain every shard, seal the segments, and run the two-phase
+    /// Drain the pool, seal the segments, and run the two-phase
     /// manifest commit (see the module docs). Returns what was
     /// committed.
     ///
@@ -372,15 +629,15 @@ where
     /// injects a panicking filesystem to hold both join paths (and the
     /// equivalent swallow-and-sweep behavior of `Drop`) to this.
     pub fn close(mut self) -> Result<ShardedCommitReport, StoreError> {
-        // Disconnect one shard at a time, in shard order: its codec
-        // thread drains and hands off to its I/O thread, which seals
-        // (trailer + fdatasync) before the next shard is disconnected.
+        // The workers first: they drain the queue and hand every record
+        // to its I/O thread. Then disconnect one I/O thread at a time,
+        // in shard order, each sealing (trailer + fdatasync) before the
+        // next is disconnected.
+        self.pool.close();
         let mut telemetry = TelemetrySnapshot::default();
         let mut first_err: Option<StoreError> = None;
-        let mut sealed: Vec<Option<SealedSegment>> = Vec::with_capacity(self.pipes.len());
-        for pipe in &mut self.pipes {
-            drop(pipe.tx.take());
-            match pipe.codec.take().expect("close called once").join() {
+        for worker in self.workers.drain(..) {
+            match worker.join() {
                 Ok(Ok(snapshot)) => telemetry.merge(&snapshot),
                 Ok(Err(e)) => first_err = first_err.or(Some(e)),
                 Err(_) => {
@@ -388,6 +645,10 @@ where
                         first_err.or(Some(StoreError::Corrupt("store shard codec panicked")))
                 }
             }
+        }
+        let mut sealed: Vec<Option<SealedSegment>> = Vec::with_capacity(self.pipes.len());
+        for pipe in &mut self.pipes {
+            drop(pipe.tx.take());
             match pipe.io.take().expect("close called once").join() {
                 Ok(Ok(segment)) => sealed.push(Some(segment)),
                 Ok(Err(e)) => {
@@ -493,105 +754,113 @@ pub(crate) fn superseded_count(entries: &[ManifestEntry]) -> usize {
         .count()
 }
 
-/// A shard worker about to block on an empty queue hands its trace ring
-/// to the collector while tracing is on: it lives until the next commit,
-/// and a flight dump taken before then must hold its spans.
-fn flush_trace_before_blocking() {
-    if isobar::trace::is_active() {
-        isobar::trace::flush_thread();
-    }
+/// The segment a `(step, name)` record goes to.
+fn route(step: u32, name: &str, shards: usize) -> u16 {
+    (xxh64(name.as_bytes(), step as u64) % shards as u64) as u16
 }
 
-fn codec_loop(
-    rx: Receiver<ShardJob>,
-    io_tx: SyncSender<Prepared>,
+/// One codec worker: take the oldest job the window allows, compress
+/// it, and hand the record to its shard's I/O thread.
+fn codec_worker(
+    pool: &Pool,
+    io: &[Sender<Prepared>],
     options: IsobarOptions,
-    shard: u16,
 ) -> Result<TelemetrySnapshot, StoreError> {
     let compressor = IsobarCompressor::new(options);
     let mut scratch = PipelineScratch::new();
     let mut recorder = Recorder::new();
-    while let Ok(job) = rx.try_recv().or_else(|_| {
-        flush_trace_before_blocking();
-        rx.recv()
-    }) {
-        let prepared = match job {
-            ShardJob::Compress {
-                seq,
-                step,
-                name,
-                data,
-                width,
-            } => {
-                let _span =
-                    isobar::trace::span(isobar::telemetry::Phase::StoreShardCompress, shard as u32);
+    while let Some(job) = pool.take() {
+        let (width, container, raw_len) = match job.payload {
+            Payload::Elements { data, width } => {
+                #[cfg(test)]
+                pool.hold_if_gated(&job.name);
+                let _span = isobar::trace::span(
+                    isobar::telemetry::Phase::StoreShardCompress,
+                    u32::from(job.shard),
+                );
                 let container =
                     compressor.compress_recorded(&data, width, &mut scratch, &mut recorder)?;
                 recorder.incr(Counter::StorePuts);
                 recorder.add(Counter::StoreRawBytes, data.len() as u64);
                 recorder.add(Counter::StoreContainerBytes, container.len() as u64);
-                Prepared {
-                    seq,
-                    step,
-                    name,
-                    width: width as u8,
-                    container,
-                    raw_len: data.len() as u64,
-                }
+                (width as u8, container, data.len() as u64)
             }
-            ShardJob::Raw {
-                seq,
-                step,
-                name,
+            Payload::Container {
                 width,
                 container,
                 raw_len,
-            } => Prepared {
-                seq,
-                step,
-                name,
-                width,
-                container,
-                raw_len,
-            },
+            } => (width, container, raw_len),
         };
-        if io_tx.send(prepared).is_err() {
-            return Err(StoreError::Corrupt("store shard I/O thread terminated"));
+        let prepared = Prepared {
+            shard_seq: job.shard_seq,
+            seq: job.seq,
+            step: job.step,
+            name: job.name,
+            width,
+            container,
+            raw_len,
+        };
+        if io[usize::from(job.shard)].send(prepared).is_err() {
+            // The shard's I/O thread is gone; its join says why.
+            pool.stop();
+            break;
         }
     }
     Ok(recorder.snapshot())
 }
 
+/// One shard's I/O thread: append records in shard order, holding any
+/// that arrive early, and seal the segment once disconnected.
 fn io_loop<File: StoreFile>(
     rx: Receiver<Prepared>,
     mut file: File,
     shard: u16,
+    pool: &Pool,
 ) -> Result<SealedSegment, StoreError> {
     let mut offset = SEGMENT_HEADER_LEN as u64;
-    let mut record_count = 0u32;
     let mut entries = Vec::new();
+    let mut early: BTreeMap<u64, Prepared> = BTreeMap::new();
     let mut unsynced = false;
     loop {
-        let next = match rx.try_recv() {
-            Ok(p) => Some(p),
-            Err(TryRecvError::Empty) => {
-                // The codec stage is still compressing the next record
-                // — exactly the window in which an fdatasync costs no
-                // wall time. Group-commit the backlog now instead of
-                // in one serialized flush at seal time. When records
-                // arrive faster than the disk (try_recv keeps
-                // succeeding), writes batch and the sync waits.
-                // (No need to clear `unsynced`: every path that loops
-                // again writes a record and re-arms it.)
-                if unsynced {
-                    file.sync_data()?;
+        let next = entries.len() as u64;
+        let p = match early.remove(&next) {
+            Some(p) => p,
+            None => {
+                let p = match rx.try_recv() {
+                    Ok(p) => p,
+                    Err(TryRecvError::Empty) => {
+                        // The codec stage is still compressing the next
+                        // record — exactly the window in which an
+                        // fdatasync costs no wall time. Group-commit
+                        // the backlog now instead of in one serialized
+                        // flush at seal time. When records arrive
+                        // faster than the disk (try_recv keeps
+                        // succeeding), writes batch and the sync waits.
+                        if unsynced {
+                            file.sync_data()?;
+                            unsynced = false;
+                        }
+                        // Blocking: hand the trace ring over first, as
+                        // `Pool::take` does.
+                        if isobar::trace::is_active() {
+                            isobar::trace::flush_thread();
+                        }
+                        match rx.recv() {
+                            Ok(p) => p,
+                            Err(_) => break,
+                        }
+                    }
+                    Err(TryRecvError::Disconnected) => break,
+                };
+                if p.shard_seq != next {
+                    #[cfg(test)]
+                    pool.arrived_early();
+                    early.insert(p.shard_seq, p);
+                    continue;
                 }
-                flush_trace_before_blocking();
-                rx.recv().ok()
+                p
             }
-            Err(TryRecvError::Disconnected) => None,
         };
-        let Some(p) = next else { break };
         let _span = isobar::trace::span(isobar::telemetry::Phase::StoreShardAppend, shard as u32);
         let header = encode_record_header(&p.name, p.step, p.width, p.container.len() as u64);
         file.write_all(&header)?;
@@ -599,7 +868,6 @@ fn io_loop<File: StoreFile>(
         unsynced = true;
         let container_offset = offset + header.len() as u64;
         offset = container_offset + p.container.len() as u64;
-        record_count += 1;
         entries.push((
             p.seq,
             IndexEntry {
@@ -612,10 +880,16 @@ fn io_loop<File: StoreFile>(
                 checksum: entry_checksum(&p.container),
             },
         ));
+        pool.appended();
+    }
+    if !early.is_empty() {
+        // A failed worker never delivered an earlier record.
+        return Err(StoreError::Corrupt("store shard lost a record"));
     }
     // Seal: the trailer makes the segment self-describing, and the
     // fdatasync makes every record durable before close() lets any
     // manifest reference this segment.
+    let record_count = entries.len() as u32;
     file.write_all(&encode_segment_trailer(offset, record_count))?;
     file.sync_data()?;
     Ok(SealedSegment {
@@ -633,15 +907,16 @@ where
         if self.committed {
             return;
         }
-        // Disconnect and join each shard in shard order, as `close`
-        // does, so no file is mid-write, then sweep every journal
-        // file. Errors are swallowed — drop runs on error paths where
-        // some files may never have existed.
+        // Drop what is queued, join every thread — the I/O threads in
+        // shard order, as `close` does — so no file is mid-write, then
+        // sweep every journal file. Errors are swallowed — drop runs
+        // on error paths where some files may never have existed.
+        self.pool.stop();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
         for pipe in &mut self.pipes {
             drop(pipe.tx.take());
-            if let Some(codec) = pipe.codec.take() {
-                let _ = codec.join();
-            }
             if let Some(io) = pipe.io.take() {
                 let _ = io.join();
             }
@@ -828,6 +1103,214 @@ mod tests {
             Err(StoreError::NameTooLong(_))
         ));
         drop(writer);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `count` names that `route` sends to the shard of `(step, first)`.
+    fn names_on_shard_of(first: &str, step: u32, shards: u16, count: usize) -> Vec<String> {
+        let shard = route(step, first, usize::from(shards));
+        (0..)
+            .map(|i| format!("fast{i}"))
+            .filter(|name| route(step, name, usize::from(shards)) == shard)
+            .take(count)
+            .collect()
+    }
+
+    /// Every file of a store directory, by name.
+    fn store_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect()
+    }
+
+    /// Run `f` on its own thread and fail if it has not finished within
+    /// a minute.
+    fn within_deadline(f: impl FnOnce() + Send + 'static) {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            done.recv_timeout(std::time::Duration::from_secs(60))
+        {
+            panic!("the writer hung past the deadline");
+        }
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    type Puts = Vec<(u32, String, Vec<u8>)>;
+
+    /// A slow put, fast puts behind it on its shard, then puts that
+    /// spread over every shard.
+    fn skewed_puts(shards: u16) -> Puts {
+        let mut puts = vec![(0, "slow".to_string(), payload(256 * 1024, 1))];
+        for (i, name) in names_on_shard_of("slow", 0, shards, 4)
+            .into_iter()
+            .enumerate()
+        {
+            puts.push((0, name, payload(4 * 1024, i as u64 + 2)));
+        }
+        for i in 0..6u32 {
+            puts.push((1, format!("other{i}"), payload(8 * 1024, u64::from(i) + 7)));
+        }
+        puts
+    }
+
+    /// Store `puts` in a fresh `dir`. With `hold`, the pool keeps the
+    /// `slow` put from compressing until that many records reached
+    /// their I/O thread before an earlier record of their shard.
+    /// Returns how many did.
+    fn store(dir: &Path, shards: u16, queue_depth: usize, puts: &Puts, hold: Option<u64>) -> u64 {
+        let _ = std::fs::remove_dir_all(dir);
+        let writer = ShardedStoreWriter::create(
+            dir,
+            options(),
+            ShardedOptions {
+                shards,
+                queue_depth,
+            },
+        )
+        .unwrap();
+        writer.pool.lock().gate = hold.map(|until| ("slow".to_string(), until));
+        for (step, name, data) in puts {
+            writer.put(*step, name, data.clone(), 8).unwrap();
+        }
+        let pool = Arc::clone(&writer.pool);
+        writer.close().unwrap();
+        let held_early = pool.lock().held_early;
+        held_early
+    }
+
+    #[test]
+    fn segments_are_byte_identical_whatever_order_records_finish() {
+        for shards in [2u16, 3] {
+            within_deadline(move || same_bytes_at(shards));
+        }
+    }
+
+    fn same_bytes_at(shards: u16) {
+        let puts = skewed_puts(shards);
+        let (held, free) = (
+            tmp(&format!("held-{shards}")),
+            tmp(&format!("free-{shards}")),
+        );
+        // The four fast puts finish before the slow one ahead of
+        // them: completion order really differs from put order.
+        assert!(store(&held, shards, 2, &puts, Some(4)) >= 4);
+        store(&free, shards, 2, &puts, None);
+        let files = store_files(&held);
+        assert_eq!(files, store_files(&free), "{shards} shards");
+        assert!(files.contains_key(MANIFEST_FILE));
+
+        // The manifest lists the puts in put order, and within each
+        // segment their record offsets increase in that order.
+        let manifest = Manifest::decode(&files[MANIFEST_FILE], true).unwrap();
+        let listed: Vec<(u32, &str)> = manifest
+            .entries
+            .iter()
+            .map(|me| (me.entry.step, me.entry.name.as_str()))
+            .collect();
+        let put: Vec<(u32, &str)> = puts.iter().map(|(s, n, _)| (*s, n.as_str())).collect();
+        assert_eq!(listed, put);
+        let mut last_offset = BTreeMap::new();
+        for me in &manifest.entries {
+            if let Some(prev) = last_offset.insert(me.segment, me.entry.offset) {
+                assert!(me.entry.offset > prev, "{} out of put order", me.entry.name);
+            }
+        }
+        let reader = StoreReader::open(&held).unwrap();
+        for (step, name, data) in &puts {
+            assert_eq!(&reader.get(*step, name).unwrap(), data);
+        }
+        std::fs::remove_dir_all(&held).unwrap();
+        std::fs::remove_dir_all(&free).unwrap();
+    }
+
+    #[test]
+    fn a_failed_put_fails_close_and_nothing_hangs() {
+        for shards in [1u16, 2] {
+            within_deadline(move || {
+                let dir = tmp(&format!("failed-{shards}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                let writer = ShardedStoreWriter::create(
+                    &dir,
+                    options(),
+                    ShardedOptions {
+                        shards,
+                        queue_depth: 1,
+                    },
+                )
+                .unwrap();
+                // 803 bytes is no whole number of 8-byte elements.
+                writer.put(0, "bad", vec![0u8; 803], 8).unwrap();
+                for (i, name) in names_on_shard_of("bad", 0, shards, 8).iter().enumerate() {
+                    match writer.put(0, name, payload(4 * 1024, i as u64), 8) {
+                        Ok(()) | Err(StoreError::Corrupt(_)) => {}
+                        Err(e) => panic!("unexpected put error: {e:?}"),
+                    }
+                }
+                let err = writer.close().expect_err("a failed put must fail close");
+                assert!(
+                    matches!(
+                        err,
+                        StoreError::Isobar(isobar::IsobarError::MisalignedInput { .. })
+                    ),
+                    "{err:?}"
+                );
+                assert!(!dir.join(MANIFEST_FILE).exists(), "nothing was committed");
+                let leftovers: Vec<_> = store_files(&dir).into_keys().collect();
+                assert!(leftovers.is_empty(), "found {leftovers:?}");
+                std::fs::remove_dir_all(&dir).unwrap();
+            });
+        }
+    }
+
+    #[test]
+    fn puts_in_flight_stay_within_the_bound() {
+        let dir = tmp("bound");
+        let (shards, queue_depth) = (2u16, 1usize);
+        let window = usize::from(shards) * (queue_depth + 1);
+        let bound = usize::from(shards) * (2 * queue_depth + 1);
+        let mut puts = vec![(0, "slow".to_string(), payload(64 * 1024, 1))];
+        for (i, name) in names_on_shard_of("slow", 0, shards, 12)
+            .into_iter()
+            .enumerate()
+        {
+            puts.push((0, name, payload(1024, i as u64)));
+        }
+        // Hold the slow put until the rest of the window is full of
+        // records that finished behind it.
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer = ShardedStoreWriter::create(
+            &dir,
+            options(),
+            ShardedOptions {
+                shards,
+                queue_depth,
+            },
+        )
+        .unwrap();
+        writer.pool.lock().gate = Some(("slow".to_string(), window as u64 - 1));
+        for (step, name, data) in &puts {
+            writer.put(*step, name, data.clone(), 8).unwrap();
+        }
+        let pool = Arc::clone(&writer.pool);
+        writer.close().unwrap();
+        let st = pool.lock();
+        assert!(st.held_early >= window as u64 - 1);
+        assert!(
+            (window..=bound).contains(&st.peak),
+            "peak {} outside {window}..={bound}",
+            st.peak
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,16 +1,15 @@
 //! Worker-panic injection against the sharded writer.
 //!
-//! The sharded writer runs a codec thread and an I/O thread per shard.
-//! A panic inside either worker must surface as a typed
+//! The sharded writer runs a pool of codec workers and an I/O thread
+//! per shard. A panic inside any of them must surface as a typed
 //! [`StoreError`] from `close()` — never a propagated panic, a hang,
 //! or a torn commit — and dropping a writer whose workers died must be
 //! silent. This file injects the panic through the [`StoreFs`] seam: a
 //! filesystem whose file handles pass the segment header through
 //! (written on the caller's thread during `create_in`) and then panic
 //! on the first record append, which lands inside the shard's I/O
-//! thread. The codec thread then either finishes cleanly (its send
-//! beat the panic) or reports the closed channel; `close()` must
-//! answer `Corrupt` either way.
+//! thread. The dying thread stops the pool, so no put or worker waits
+//! on it, and `close()` answers `Corrupt`.
 
 use isobar::IsobarOptions;
 use isobar_store::{
