@@ -1,38 +1,30 @@
 //! The one harness binary: every table, figure and ablation of the
-//! reproduction, the check that keeps `results/` true, and trace
-//! validation.
+//! reproduction, and the check that keeps `results/` true.
 //!
 //! ```text
 //! bench NAME               print one experiment (table2 … ablation_granularity)
 //! bench all --out DIR      write all 19 as DIR/NAME.txt
 //! bench check [DIR]        re-derive DIR (default results/) and compare exact cells
-//! bench trace-check FILE   validate a Chrome trace written by --trace
 //! ```
 //!
 //! `all` and `check` share one measurement cache per process, so each
 //! dataset is generated and each (dataset, codec) pair timed once.
 //! `check` runs at the scale the committed banners declare and compares
 //! every cell that does not come from a clock (`isobar_bench::T`).
-//!
-//! `trace-check` is the CI smoke test for the span pipeline
-//! (`isobar::span::check_chrome_trace`): a top-level array whose
-//! begin/end events are balanced and nested by name per thread, with
-//! non-decreasing timestamps per thread. Throughput,
-//! latency and per-layer budgets are measured by the repository
-//! benchmark (`benchmark/README.md`), not here.
+//! Throughput, latency and per-layer budgets are measured by the
+//! repository benchmark (`benchmark/README.md`), not here.
 
 use isobar_bench::experiments::{self, EXPERIMENTS};
 use isobar_bench::{banner_scale, Bench};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const USAGE: &str = "usage: bench NAME | all --out DIR | check [DIR] | trace-check FILE";
+const USAGE: &str = "usage: bench NAME | all --out DIR | check [DIR]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let result = match args[..] {
-        ["trace-check", ref rest @ ..] => trace_check(rest),
         ["all", "--out", dir] => all(dir.trim_end_matches('/')),
         ["check"] => check("results"),
         ["check", dir] => check(dir.trim_end_matches('/')),
@@ -110,86 +102,5 @@ fn check(dir: &str) -> Result<(), String> {
             "{n} of {} files are stale; regenerate with `bench all --out {dir}`",
             EXPERIMENTS.len()
         )),
-    }
-}
-
-fn trace_check(args: &[&str]) -> Result<(), String> {
-    let &[path] = args else {
-        return Err("trace-check requires exactly one FILE".to_string());
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let (spans, instants, threads) =
-        isobar::span::check_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("{path}: valid Chrome trace ({spans} spans, {instants} instants, {threads} threads)");
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn balanced_trace_validates() {
-        let path =
-            std::env::temp_dir().join(format!("isobar-bench-ok-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            r#"[
-                {"name": "outer", "cat": "isobar", "ph": "B", "ts": 1, "pid": 1, "tid": 1},
-                {"name": "inner", "cat": "isobar", "ph": "B", "ts": 2, "pid": 1, "tid": 1},
-                {"name": "mark", "cat": "isobar", "ph": "i", "ts": 3, "pid": 1, "tid": 1, "s": "t"},
-                {"name": "inner", "cat": "isobar", "ph": "E", "ts": 4, "pid": 1, "tid": 1},
-                {"name": "outer", "cat": "isobar", "ph": "E", "ts": 5, "pid": 1, "tid": 1}
-            ]"#,
-        )
-        .unwrap();
-        trace_check(&[&path.display().to_string()]).unwrap();
-        assert!(trace_check(&[]).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unbalanced_or_disordered_traces_are_rejected() {
-        // Exercise the check through files, as the CLI reads them.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("isobar-bench-trace-{}.json", std::process::id()));
-        let cases = [
-            // E without B.
-            r#"[{"name": "a", "ph": "E", "ts": 1, "pid": 1, "tid": 1}]"#,
-            // B never closed.
-            r#"[{"name": "a", "ph": "B", "ts": 1, "pid": 1, "tid": 1}]"#,
-            // Mismatched nesting.
-            r#"[
-                {"name": "a", "ph": "B", "ts": 1, "pid": 1, "tid": 1},
-                {"name": "b", "ph": "B", "ts": 2, "pid": 1, "tid": 1},
-                {"name": "a", "ph": "E", "ts": 3, "pid": 1, "tid": 1},
-                {"name": "b", "ph": "E", "ts": 4, "pid": 1, "tid": 1}
-            ]"#,
-            // Time goes backwards within a thread.
-            r#"[
-                {"name": "a", "ph": "B", "ts": 5, "pid": 1, "tid": 1},
-                {"name": "a", "ph": "E", "ts": 1, "pid": 1, "tid": 1}
-            ]"#,
-        ];
-        for case in cases {
-            std::fs::write(&path, case).unwrap();
-            assert!(
-                trace_check(&[&path.display().to_string()]).is_err(),
-                "accepted: {case}"
-            );
-        }
-        // Interleaved threads are fine: stacks are per-tid.
-        std::fs::write(
-            &path,
-            r#"[
-                {"name": "a", "ph": "B", "ts": 1, "pid": 1, "tid": 1},
-                {"name": "b", "ph": "B", "ts": 1, "pid": 1, "tid": 2},
-                {"name": "a", "ph": "E", "ts": 2, "pid": 1, "tid": 1},
-                {"name": "b", "ph": "E", "ts": 2, "pid": 1, "tid": 2}
-            ]"#,
-        )
-        .unwrap();
-        trace_check(&[&path.display().to_string()]).unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 }

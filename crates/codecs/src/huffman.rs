@@ -219,7 +219,7 @@ pub fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
 /// [`canonical_codes`] writing into a caller-owned buffer. The per-length
 /// bookkeeping lives in stack arrays, so a warm `codes` buffer makes the
 /// whole assignment allocation-free.
-pub fn canonical_codes_into(lengths: &[u8], codes: &mut Vec<u32>) {
+fn canonical_codes_into(lengths: &[u8], codes: &mut Vec<u32>) {
     let max_len = lengths.iter().copied().max().unwrap_or(0);
     debug_assert!(max_len <= MAX_SUPPORTED_LEN);
     let mut len_count = [0u32; MAX_SUPPORTED_LEN as usize + 1];

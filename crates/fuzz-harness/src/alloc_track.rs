@@ -4,24 +4,33 @@
 //! its own size: a decoder that trusts a length field enough to
 //! pre-allocate gigabytes is a denial-of-service bug even if it later
 //! returns `Err`. The harness enforces this with a counting global
-//! allocator: the fuzz binary and the smoke test install [`PeakAlloc`]
-//! via `#[global_allocator]`, and the layer runner resets the peak
-//! before every decode call and checks the high-water mark after.
+//! allocator: the `fuzz_smoke` and `store_stress` test binaries install
+//! [`PeakAlloc`] via `#[global_allocator]`, and the layer runner resets
+//! the peak before every decode call and checks the high-water mark
+//! after. Beside the live size and its peak, the allocator counts
+//! allocation calls and the bytes they asked for, which do not depend
+//! on when another thread frees.
 //!
 //! The counters are module-level statics so measurement works from any
 //! binary that installed the allocator; when it is not installed (for
 //! example in the library's own unit tests) [`installed`] reports
-//! `false` and callers skip the bound check.
+//! `false` and callers skip the bound check. They are process-global,
+//! so a test that reads them must not overlap another test of the same
+//! binary: each test of those two binaries holds its file's one lock.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// A [`System`]-backed allocator that maintains the number of live
-/// heap bytes and their high-water mark since the last [`reset_peak`].
+/// heap bytes and their high-water mark since the last [`reset_peak`],
+/// and counts every `alloc` and `realloc` call with the bytes it asked
+/// for (a `realloc`'s new size).
 pub struct PeakAlloc;
 
 unsafe impl GlobalAlloc for PeakAlloc {
@@ -50,6 +59,8 @@ unsafe impl GlobalAlloc for PeakAlloc {
 }
 
 fn bump(size: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    ALLOCATED.fetch_add(size, Relaxed);
     let now = CURRENT.fetch_add(size, Relaxed) + size;
     PEAK.fetch_max(now, Relaxed);
 }
@@ -62,6 +73,16 @@ pub fn current() -> usize {
 /// High-water mark of live heap bytes since the last [`reset_peak`].
 pub fn peak() -> usize {
     PEAK.load(Relaxed)
+}
+
+/// Allocation calls (`alloc` and `realloc`) since the process started.
+pub fn calls() -> usize {
+    CALLS.load(Relaxed)
+}
+
+/// Bytes asked for by those calls since the process started.
+pub fn allocated() -> usize {
+    ALLOCATED.load(Relaxed)
 }
 
 /// Restart peak tracking from the current live size.

@@ -9,15 +9,15 @@
 //! 1. **No panics.** Every outcome must be `Ok` or a typed `Err`.
 //! 2. **Bounded allocation.** Live-heap growth during the decode call
 //!    must stay under [`FIXED_ALLOC_BUDGET`] plus [`ALLOC_SCALE`] times
-//!    the input-plus-original size (enforced when the fuzz binary's
+//!    the input-plus-original size (enforced when the test binary's
 //!    counting allocator is installed — see [`crate::alloc_track`]).
 //! 3. **Honest generators.** One iteration in ~64 skips mutation and
 //!    asserts an exact round-trip, so a layer cannot pass by rejecting
 //!    everything.
 //!
 //! Running any layer twice with the same seed replays the identical
-//! mutation sequence, which is what makes a CI failure reproducible
-//! locally from the one-line report.
+//! mutation sequence, which is what makes a failure reproducible
+//! anywhere from the one-line report.
 
 use crate::alloc_track;
 use crate::mutate::mutate;
@@ -57,7 +57,7 @@ pub const ALLOC_SCALE: usize = 64;
 /// lying header at that same rate, and this budget verifies the cap.
 pub const FPZIP_ALLOC_SCALE: usize = 50_000;
 
-/// Seed used by the fuzz binary and the smoke test when none is given.
+/// The fixed seed every fuzz, crash-sweep and stress test runs under.
 pub const DEFAULT_SEED: u64 = 0x0150_BA2D_F00D_5EED;
 
 /// A valid encoded artifact plus the payload it decodes back to.
@@ -97,7 +97,7 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// The layer's name (stable; usable with the binary's `--layer`).
+    /// The layer's name (stable; it leads every failure report).
     pub fn name(&self) -> &'static str {
         self.name
     }

@@ -12,8 +12,8 @@
 //! thousands of times, deterministically.
 //!
 //! * [`rng`] — a self-contained xorshift64* generator, so a seed in a
-//!   CI failure message replays the exact byte-for-byte mutation
-//!   sequence anywhere. The harness has no other entropy source.
+//!   failure message replays the exact byte-for-byte mutation sequence
+//!   anywhere. The harness has no other entropy source.
 //! * [`mutate`] — the fault model: bit flips, byte stomps,
 //!   truncations, random extensions, length-field inflation,
 //!   duplicated slices, zeroed ranges, and torn tails.
@@ -33,9 +33,13 @@
 //!   producer threads writing while N reader threads replay verified
 //!   random reads, with every byte re-checked after the final commit.
 //!
-//! The `isobar-fuzz-harness` binary runs every layer (default 10 000
-//! iterations each) and exits non-zero on the first violation; the
-//! `fuzz_smoke` integration test runs a reduced count in `cargo test`.
+//! Every proof here is a `cargo test` of this crate: `fuzz_smoke`
+//! (every layer, 400 iterations each), `crash_sweep` (both subjects,
+//! every kill point) and `store_stress` (a small storm) run in every
+//! `cargo test`; `cargo test --release -- --ignored` adds the full
+//! sizes, 10,000 iterations per layer and the 8-producer storm. Every
+//! run uses [`DEFAULT_SEED`], so a failing test replays by running it
+//! again.
 
 pub mod alloc_track;
 pub mod crash;

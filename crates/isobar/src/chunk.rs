@@ -21,11 +21,6 @@ pub fn element_chunks(
     data.chunks(chunk_elements * width)
 }
 
-/// Number of chunks the input will produce.
-pub fn chunk_count(len: usize, width: usize, chunk_elements: usize) -> usize {
-    len.div_ceil(chunk_elements * width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,7 +48,6 @@ mod tests {
     #[test]
     fn empty_input_has_no_chunks() {
         assert_eq!(element_chunks(&[], 8, 100).count(), 0);
-        assert_eq!(chunk_count(0, 8, 100), 0);
     }
 
     #[test]
@@ -61,8 +55,8 @@ mod tests {
         for len_elems in [1usize, 9, 10, 11, 100, 375_000 / 8] {
             let data = vec![0u8; len_elems * 8];
             assert_eq!(
-                chunk_count(data.len(), 8, 10),
                 element_chunks(&data, 8, 10).count(),
+                len_elems.div_ceil(10),
                 "{len_elems} elements"
             );
         }

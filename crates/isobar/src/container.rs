@@ -434,7 +434,7 @@ fn mask_low(width: usize) -> u64 {
 }
 
 /// Map a compression level to its metadata byte.
-pub fn level_to_u8(level: CompressionLevel) -> u8 {
+fn level_to_u8(level: CompressionLevel) -> u8 {
     match level {
         CompressionLevel::Fast => 0,
         CompressionLevel::Default => 1,
@@ -443,7 +443,7 @@ pub fn level_to_u8(level: CompressionLevel) -> u8 {
 }
 
 /// Inverse of [`level_to_u8`].
-pub fn level_from_u8(raw: u8) -> Option<CompressionLevel> {
+fn level_from_u8(raw: u8) -> Option<CompressionLevel> {
     match raw {
         0 => Some(CompressionLevel::Fast),
         1 => Some(CompressionLevel::Default),

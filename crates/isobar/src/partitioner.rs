@@ -99,11 +99,10 @@ pub fn partition_into(
     );
 }
 
-/// [`partition_into`] on an explicit kernel tier — the pipeline resolves
-/// its tier once at construction and calls this directly. One fused pass
-/// over the source feeds both output streams (SIMD unpack-tree for
+/// [`partition_into`] on an explicit kernel tier. One fused pass over
+/// the source feeds both output streams (SIMD unpack-tree for
 /// ω ≤ 8, cache-blocked scalar otherwise).
-pub fn partition_into_with(
+fn partition_into_with(
     tier: KernelTier,
     data: &[u8],
     width: usize,
@@ -185,7 +184,7 @@ pub fn reassemble_into(
 /// whole rows (its "unlisted columns are unspecified" contract is
 /// vacuous here).
 #[allow(clippy::too_many_arguments)]
-pub fn reassemble_into_with(
+fn reassemble_into_with(
     tier: KernelTier,
     compressible: &[u8],
     incompressible: &[u8],

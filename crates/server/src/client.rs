@@ -1,6 +1,6 @@
 //! A small blocking client for the serve protocol, used by the
-//! repository benchmark, the fuzz harness's `serve-frame` layer and the
-//! tests.
+//! repository benchmark, the `serve-frame` fuzz layer (run by
+//! `isobar-fuzz-harness`'s `fuzz_smoke` test) and the tests.
 
 use crate::protocol::{encode_request, read_response, FrameError, Opcode, Request, Response};
 use std::io::Write;

@@ -47,7 +47,7 @@
 //! All I/O goes through the [`StoreFs`] VFS so the crash-injection
 //! harness can kill the daemon at every journal operation boundary
 //! and prove the no-acked-loss claim (the serve subject of
-//! `isobar-fuzz-harness --crash-sweep`).
+//! `isobar-fuzz-harness`'s `crash_sweep` test).
 
 use isobar::salvage::{resync_walk, Segment};
 use isobar_codecs::xxhash::xxh64;

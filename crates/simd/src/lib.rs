@@ -14,8 +14,7 @@
 //!
 //! # Dispatch model
 //!
-//! A [`KernelTier`] names one implementation level. [`detect_tier`]
-//! probes the CPU; [`active_tier`] resolves the process-wide tier once
+//! A [`KernelTier`] names one implementation level. [`active_tier`] resolves the process-wide tier once
 //! (from the `ISOBAR_KERNELS` environment variable, then CPU
 //! detection) and caches it, and [`set_kernels`] overrides it — the CLI
 //! maps `--kernels=scalar|auto` onto that. Pipelines resolve the tier
@@ -28,7 +27,7 @@
 //! end-to-end by the format golden tests upstream). There are no
 //! floating-point kernels and no fast-math shortcuts.
 //!
-//! On non-x86 targets [`detect_tier`] reports [`KernelTier::Neon`] on
+//! On non-x86 targets CPU detection picks [`KernelTier::Neon`] on
 //! aarch64 (the kernels there use the portable wide-word paths — cheap
 //! and safe without hand-written NEON) and [`KernelTier::Scalar`]
 //! elsewhere.
@@ -65,17 +64,6 @@ impl KernelTier {
             KernelTier::Sse2 => "sse2",
             KernelTier::Avx2 => "avx2",
             KernelTier::Neon => "neon",
-        }
-    }
-
-    /// Inverse of [`KernelTier::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "scalar" => Some(KernelTier::Scalar),
-            "sse2" => Some(KernelTier::Sse2),
-            "avx2" => Some(KernelTier::Avx2),
-            "neon" => Some(KernelTier::Neon),
-            _ => None,
         }
     }
 
@@ -136,7 +124,7 @@ impl KernelSelection {
 
 /// Probe the CPU for the best supported tier. Unlike [`active_tier`]
 /// this ignores the environment and any [`set_kernels`] override.
-pub fn detect_tier() -> KernelTier {
+fn detect_tier() -> KernelTier {
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx2") {
@@ -216,17 +204,16 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for tier in [
-            KernelTier::Scalar,
-            KernelTier::Sse2,
-            KernelTier::Avx2,
-            KernelTier::Neon,
+        for (tier, name) in [
+            (KernelTier::Scalar, "scalar"),
+            (KernelTier::Sse2, "sse2"),
+            (KernelTier::Avx2, "avx2"),
+            (KernelTier::Neon, "neon"),
         ] {
-            assert_eq!(KernelTier::from_name(tier.name()), Some(tier));
+            assert_eq!(tier.name(), name);
             assert_eq!(KernelTier::from_u8(tier.as_u8()), Some(tier));
             assert_eq!(tier.to_string(), tier.name());
         }
-        assert_eq!(KernelTier::from_name("avx512"), None);
         assert_eq!(KernelTier::from_u8(9), None);
     }
 

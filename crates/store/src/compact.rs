@@ -37,13 +37,6 @@ pub struct CompactReport {
     pub bytes_reclaimed: u64,
 }
 
-impl CompactReport {
-    /// Whether the pass found anything to reclaim.
-    pub fn reclaimed_anything(&self) -> bool {
-        self.files_removed > 0 || self.bytes_reclaimed > 0
-    }
-}
-
 /// Rewrite the version-3 store at `dir` down to its live entries.
 ///
 /// `shards` controls the new generation's segment count (`None` keeps
@@ -268,7 +261,6 @@ mod tests {
         let report = compact_store(&dir, Some(2)).unwrap();
         assert_eq!(report.entries_kept, 4);
         assert_eq!(report.entries_dropped, 2);
-        assert!(report.reclaimed_anything());
         assert!(report.bytes_reclaimed > 0);
         assert!(report.files_removed > 0);
 

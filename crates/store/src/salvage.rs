@@ -81,14 +81,6 @@ impl StoreFsckReport {
                 .iter()
                 .all(|e| e.health != EntryHealth::Damaged)
     }
-
-    /// Number of entries that failed verification.
-    pub fn damaged_entries(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.health == EntryHealth::Damaged)
-            .count()
-    }
 }
 
 /// What [`salvage_store`] accomplished.
@@ -383,7 +375,14 @@ mod tests {
         let report = fsck_store(&dir).unwrap();
         assert!(!report.is_clean());
         assert!(!report.index_damaged);
-        assert_eq!(report.damaged_entries(), 1);
+        assert_eq!(
+            report
+                .entries
+                .iter()
+                .filter(|e| e.health == EntryHealth::Damaged)
+                .count(),
+            1
+        );
         assert_eq!(report.entries[0].health, EntryHealth::Damaged);
         assert_eq!(report.entries[1].health, EntryHealth::Verified);
 
