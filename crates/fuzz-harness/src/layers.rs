@@ -358,8 +358,7 @@ fn store_layer() -> Layer {
         (0, "potential", mixed_u64(512, &mut rng)),
         (1, "density", noise(2048, &mut rng)),
     ];
-    let dir = std::env::temp_dir().join(format!("isobar-fuzz-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = LayerDir::new("store");
     let writer = ShardedStoreWriter::create(
         &dir,
         small_options(),
@@ -707,16 +706,7 @@ fn fpc_layer() -> Layer {
 ///   would trip the allocation bound even though the allocation
 ///   happens server-side.
 fn serve_frame_layer() -> Layer {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    // all_layers() may be called more than once per process (the fuzz
-    // binary and tests); each daemon needs its own store directory.
-    static INSTANCE: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "isobar-fuzz-serve-{}-{}",
-        std::process::id(),
-        INSTANCE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut dir = LayerDir::new("serve");
     let server = serve(
         &dir,
         "127.0.0.1:0",
@@ -732,6 +722,9 @@ fn serve_frame_layer() -> Layer {
     )
     .expect("pool serve daemon");
     let addr = server.local_addr();
+    // The daemon writes its store into the directory until it stops,
+    // so the directory holds it and stops it first.
+    dir.hold(server);
 
     // Seed the store so get/stat/ls artifacts address live entries.
     let seed = smooth_f64(256);
@@ -786,8 +779,8 @@ fn serve_frame_layer() -> Layer {
         alloc_scale: ALLOC_SCALE,
         decode: Box::new(move |_, bytes, pristine| {
             // The closure owns the daemon; dropping the layer shuts it
-            // down and joins its threads.
-            let _daemon = &server;
+            // down, joins its threads and removes its store.
+            let _daemon = &dir;
             let mut stream = std::net::TcpStream::connect(addr)
                 .map_err(|e| format!("harness: serve connect failed: {e}"))?;
             stream
@@ -834,6 +827,55 @@ fn serve_frame_layer() -> Layer {
                 Err(_) => Ok(false),
             }
         }),
+    }
+}
+
+/// A layer's scratch directory under the temp dir, removed when the
+/// layer is dropped, after whatever it holds is dropped.
+struct LayerDir {
+    path: std::path::PathBuf,
+    held: Option<Box<dyn std::any::Any>>,
+}
+
+impl LayerDir {
+    /// A fresh `isobar-fuzz-<kind>-<pid>-<n>`: `all_layers` may run more
+    /// than once in a process, at the same time on two test threads, so
+    /// every layer gets a directory of its own.
+    fn new(kind: &str) -> LayerDir {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static INSTANCE: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "isobar-fuzz-{kind}-{}-{}",
+            std::process::id(),
+            INSTANCE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        LayerDir { path, held: None }
+    }
+
+    /// Drop `value` before the directory is removed.
+    fn hold(&mut self, value: impl std::any::Any) {
+        self.held = Some(Box::new(value));
+    }
+}
+
+impl std::ops::Deref for LayerDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+impl AsRef<std::path::Path> for LayerDir {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+impl Drop for LayerDir {
+    fn drop(&mut self) {
+        drop(self.held.take());
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 

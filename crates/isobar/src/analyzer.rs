@@ -170,7 +170,10 @@ impl Analyzer {
     /// frequency test (compressible), margins below fail. The recorded
     /// histogram shows how far a dataset sits from the τ decision
     /// boundary — the empirical basis for the paper's claim that
-    /// results are stable for τ ∈ [1.4, 1.5].
+    /// results are stable for τ ∈ [1.4, 1.5]. A column whose verdict
+    /// was certain before its last element stops being counted, so its
+    /// margin is a lower bound: still above 1 when compressible, still
+    /// below 1 when not.
     ///
     /// Classification is bit-identical to [`Analyzer::analyze`]; in the
     /// telemetry-off build the margin scan is skipped entirely and this
@@ -210,8 +213,11 @@ impl Analyzer {
     /// plus the tolerance `τ·N/256` they are judged against. Counting
     /// runs on the dispatched `isobar-simd` kernel (block-transposed
     /// multi-bank accumulation on SIMD tiers, dual-bank scalar
-    /// otherwise); counts are exact either way, so classification is
-    /// bit-identical across tiers.
+    /// otherwise), which stops counting a column once "any bin >
+    /// tolerance" is certain either way; a stopped column's counts are
+    /// partial but its verdict is the full count's, and counts are
+    /// exact on every tier, so classification is bit-identical across
+    /// tiers.
     fn fill_histograms(
         &self,
         data: &[u8],
@@ -229,7 +235,9 @@ impl Analyzer {
         let n = data.len() / width;
         let tolerance = self.tau * n as f64 / 256.0;
         let mut hists = Vec::new();
-        isobar_simd::hist::byte_column_histograms(self.tier, data, width, &mut hists);
+        isobar_simd::hist::byte_column_histograms_until_decided(
+            self.tier, data, width, tolerance, &mut hists,
+        );
         Ok((hists, tolerance))
     }
 

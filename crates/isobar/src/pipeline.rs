@@ -13,7 +13,7 @@ use crate::error::IsobarError;
 use crate::eupa::{EupaDecision, EupaSelector, Preference};
 use crate::partitioner::{partition_into, reassemble_into};
 use crate::span::stage;
-use crate::stream::{isobar_error, IsobarReader, IsobarWriter};
+use crate::stream::{isobar_error, IsobarReader, IsobarWriter, Pick};
 use isobar_codecs::deflate::adler32;
 use isobar_codecs::{Codec, CodecId, CodecScratch, CompressionLevel};
 use isobar_linearize::Linearization;
@@ -272,7 +272,7 @@ impl IsobarCompressor {
         data: &[u8],
         width: usize,
     ) -> Result<(Vec<u8>, CompressionReport), IsobarError> {
-        self.compress_session(data, width, &mut PipelineScratch::new())
+        self.compress_session(data, width, &mut PipelineScratch::new(), None)
     }
 
     /// [`IsobarCompressor::compress`] reusing caller-held working
@@ -287,23 +287,50 @@ impl IsobarCompressor {
         scratch: &mut PipelineScratch,
         recorder: &mut Recorder,
     ) -> Result<Vec<u8>, IsobarError> {
-        let (out, report) = self.compress_session(data, width, scratch)?;
+        self.compress_with_pick(data, width, scratch, recorder, |_, eupa| eupa())
+    }
+
+    /// [`IsobarCompressor::compress_recorded`] with the caller in the
+    /// solver and layout decision, so a caller that compresses one
+    /// variable many times can decide once (the paper's §III.F).
+    ///
+    /// `pick` is called once, after the head chunk is analysed — that
+    /// analysis is the chunk's own, made once either way — with the
+    /// head chunk's column mask and a closure that runs EUPA on `data`.
+    /// It returns the (solver, layout) to compress with: EUPA's, or a
+    /// pick the caller kept from an earlier call whose head chunk had
+    /// the same mask, which then costs no EUPA trial. Overrides in the
+    /// options win over the pick; with both set, `pick` is not called.
+    pub fn compress_with_pick(
+        &self,
+        data: &[u8],
+        width: usize,
+        scratch: &mut PipelineScratch,
+        recorder: &mut Recorder,
+        mut pick: impl FnMut(
+            u64,
+            &mut dyn FnMut() -> (CodecId, Linearization),
+        ) -> (CodecId, Linearization),
+    ) -> Result<Vec<u8>, IsobarError> {
+        let (out, report) = self.compress_session(data, width, scratch, Some(&mut pick))?;
         recorder.absorb_snapshot(&report.telemetry);
         Ok(out)
     }
 
     /// The batch call as one [`IsobarWriter`] session: declare the
     /// length, decide on the whole input (whose head chunk is the
-    /// container's first), feed once, finish.
+    /// container's first) — through `pick` when given — feed once,
+    /// finish.
     fn compress_session(
         &self,
         data: &[u8],
         width: usize,
         scratch: &mut PipelineScratch,
+        pick: Option<&mut Pick<'_>>,
     ) -> Result<(Vec<u8>, CompressionReport), IsobarError> {
         let mut session = IsobarWriter::with_scratch(Vec::new(), width, self.options, scratch)?;
         session.declare(data.len(), adler32(data))?;
-        session.decide_on(data, true).map_err(isobar_error)?;
+        session.decide_on(data, true, pick).map_err(isobar_error)?;
         session.write_all(data).map_err(isobar_error)?;
         session.finish().map_err(isobar_error)
     }

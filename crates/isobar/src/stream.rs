@@ -93,6 +93,12 @@ pub(crate) fn isobar_error(e: io::Error) -> IsobarError {
     }
 }
 
+/// How a batch call's caller takes part in its solver and layout
+/// decision: given the head chunk's column mask and a closure that runs
+/// EUPA, return the (solver, layout) pick to compress with.
+pub(crate) type Pick<'a> =
+    dyn FnMut(u64, &mut dyn FnMut() -> (CodecId, Linearization)) -> (CodecId, Linearization) + 'a;
+
 /// The ISOBAR compress session: write element bytes in, the container
 /// comes out of the wrapped sink.
 ///
@@ -221,14 +227,22 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
     /// overridden. The first decision stands — a session that has not
     /// decided when its first chunk arrives decides on that chunk.
     pub fn decide(&mut self, sample: &[u8]) -> io::Result<()> {
-        self.decide_on(sample, false)
+        self.decide_on(sample, false, None)
     }
 
     /// [`IsobarWriter::decide`]; `first_chunk` says `sample` begins
     /// with the container's first chunk — the batch calls' whole input,
     /// the chunk an undecided session decides on — whose analysis is
-    /// then made once, here, as that chunk's.
-    pub(crate) fn decide_on(&mut self, sample: &[u8], first_chunk: bool) -> io::Result<()> {
+    /// then made once, here, as that chunk's. `pick`, when given, is
+    /// handed the head chunk's column mask and a closure that runs EUPA,
+    /// and returns the solver and layout to use (see
+    /// [`IsobarCompressor::compress_with_pick`](crate::IsobarCompressor::compress_with_pick)).
+    pub(crate) fn decide_on(
+        &mut self,
+        sample: &[u8],
+        first_chunk: bool,
+        pick: Option<&mut Pick<'_>>,
+    ) -> io::Result<()> {
         if self.codec.is_some() {
             return Ok(());
         }
@@ -247,30 +261,43 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
             } else {
                 self.analyzer.analyze(head, self.width).map_err(io_err)?
             };
-            let span = Span::open(Phase::EupaSelect, trace::NO_CHUNK);
+            let mask = head_sel.to_mask().map_err(io_err)?;
             let eupa_sel = if head_sel.is_improvable() {
                 head_sel
             } else {
                 ColumnSelection::new(vec![true; self.width])
             };
-            let eupa = EupaSelector {
-                level: opts.level,
-                ..opts.eupa
-            };
-            let decision = eupa.select_recorded(
-                sample,
+            let (width, scratch, recorder, report) = (
                 self.width,
-                &eupa_sel,
-                opts.preference,
                 self.scratch.borrow_mut(),
                 &mut self.recorder,
+                &mut self.report,
             );
-            self.report.eupa_secs = span.record(&mut self.recorder).as_secs_f64();
-            self.report.codec = opts.codec_override.unwrap_or(decision.codec);
-            self.report.linearization = opts
-                .linearization_override
-                .unwrap_or(decision.linearization);
-            self.report.eupa = Some(decision);
+            let mut eupa = || {
+                let span = Span::open(Phase::EupaSelect, trace::NO_CHUNK);
+                let eupa = EupaSelector {
+                    level: opts.level,
+                    ..opts.eupa
+                };
+                let decision = eupa.select_recorded(
+                    sample,
+                    width,
+                    &eupa_sel,
+                    opts.preference,
+                    scratch,
+                    recorder,
+                );
+                report.eupa_secs = span.record(recorder).as_secs_f64();
+                let picked = (decision.codec, decision.linearization);
+                report.eupa = Some(decision);
+                picked
+            };
+            let (codec, linearization) = match pick {
+                Some(pick) => pick(mask, &mut eupa),
+                None => eupa(),
+            };
+            self.report.codec = opts.codec_override.unwrap_or(codec);
+            self.report.linearization = opts.linearization_override.unwrap_or(linearization);
         }
         self.codec = Some(codec_for(self.report.codec, opts.level));
         let end = self.declared.unwrap_or(Trailer {
@@ -307,7 +334,7 @@ impl<W: Write, S: BorrowMut<PipelineScratch>> IsobarWriter<W, S> {
     /// (§II.D). Two or more chunks go to the thread pool when the
     /// options ask for it.
     fn compress_run(&mut self, run: &[u8]) -> io::Result<()> {
-        self.decide_on(&run[..run.len().min(self.chunk_bytes)], true)?;
+        self.decide_on(&run[..run.len().min(self.chunk_bytes)], true, None)?;
         let head = self.head.take();
         let codec = self.codec.as_deref().expect("decided above");
         let (width, analyzer, linearization) =
@@ -877,7 +904,7 @@ mod tests {
             if callers_sample {
                 writer.decide(first_chunk).unwrap();
             } else {
-                writer.decide_on(first_chunk, true).unwrap();
+                writer.decide_on(first_chunk, true, None).unwrap();
             }
             assert_eq!(writer.head.is_some(), !callers_sample);
             writer.write_all(&data).unwrap();
@@ -907,7 +934,7 @@ mod tests {
         }
         // An empty input has no first chunk to analyze.
         let mut writer = IsobarWriter::new(Vec::new(), 8, test_options()).unwrap();
-        writer.decide_on(&[], true).unwrap();
+        writer.decide_on(&[], true, None).unwrap();
         assert!(writer.head.is_none());
     }
 

@@ -21,6 +21,23 @@
 //! `MANIFEST` a sequence of puts produces never depend on which worker
 //! compressed what, or when.
 //!
+//! # One decision per variable
+//!
+//! EUPA picks a solver and layout from trial compressions of a sample,
+//! and the paper decides once per variable for a whole run (§III.F).
+//! So the writer keeps one pick per `(name, width)` for its lifetime.
+//! The first put of a key in put order is its *decider*: `put` names it
+//! in the critical section that numbers the job. The decider analyses
+//! its head chunk, runs EUPA and publishes the pick (head-chunk column
+//! mask, solver, layout) before its solver runs. A later put of the key
+//! analyses its own head chunk, waits for the decider's pick — never
+//! for the decider's solver, and `put` itself never waits — and takes
+//! it, with no EUPA trial, when the masks match; otherwise it runs EUPA
+//! for itself. A decider that fails, panics or is dropped unrun
+//! publishes nothing, and its later puts decide for themselves. The
+//! queue is FIFO, so a decider is taken before any later put of its key
+//! and no worker waits on a put no worker holds.
+//!
 //! # Memory bound
 //!
 //! The queue holds at most `shards × queue_depth` puts. At most
@@ -84,9 +101,13 @@ use crate::manifest::{
 };
 use crate::vfs::{RealFs, StoreFile, StoreFs};
 use isobar::telemetry::Counter;
-use isobar::{IsobarCompressor, IsobarOptions, PipelineScratch, Recorder, TelemetrySnapshot};
+use isobar::{
+    CodecId, IsobarCompressor, IsobarOptions, Linearization, PipelineScratch, Recorder,
+    TelemetrySnapshot,
+};
 use isobar_codecs::xxhash::xxh64;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -154,14 +175,136 @@ struct Job {
 }
 
 enum Payload {
-    /// Elements for the worker to compress.
-    Elements { data: Arc<Vec<u8>>, width: usize },
+    /// Elements for the worker to compress, and its part in the
+    /// variable's decision.
+    Elements {
+        data: Arc<Vec<u8>>,
+        width: usize,
+        role: Role,
+    },
     /// A finished container, appended as is.
     Container {
         width: u8,
         container: Vec<u8>,
         raw_len: u64,
     },
+}
+
+/// A put as `put` or `put_container` hands it to the pool.
+enum Put {
+    Elements { data: Arc<Vec<u8>>, width: usize },
+    Container(Payload),
+}
+
+/// A solver and layout EUPA picked for a head chunk with column mask
+/// `mask`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pick {
+    mask: u64,
+    codec: CodecId,
+    linearization: Linearization,
+}
+
+/// Where a variable's decision stands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    Pending,
+    Made(Pick),
+    /// The decider failed, panicked or was dropped before it picked.
+    Abandoned,
+}
+
+/// One `(name, width)`'s decision, shared by every put of it.
+struct Decision {
+    verdict: Mutex<Verdict>,
+    settled: Condvar,
+}
+
+impl Decision {
+    fn new() -> Decision {
+        Decision {
+            verdict: Mutex::new(Verdict::Pending),
+            settled: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Verdict> {
+        self.verdict.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Settle a pending decision and wake the puts waiting on it.
+    fn settle(&self, verdict: Verdict) {
+        let mut current = self.lock();
+        if *current == Verdict::Pending {
+            *current = verdict;
+            drop(current);
+            self.settled.notify_all();
+        }
+    }
+
+    /// The decider's verdict, once it is not pending.
+    fn wait(&self) -> Verdict {
+        let mut verdict = self.lock();
+        while *verdict == Verdict::Pending {
+            verdict = self
+                .settled
+                .wait(verdict)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *verdict
+    }
+}
+
+/// A put's part in its variable's decision.
+enum Role {
+    /// The first put of the variable: it runs EUPA and publishes the
+    /// pick. Dropped without publishing — the put failed or panicked,
+    /// or its job was dropped — it abandons the decision, so no later
+    /// put waits for it.
+    Decides(Arc<Decision>),
+    /// A later put: it takes the decider's pick if the masks match.
+    Follows(Arc<Decision>),
+}
+
+impl Role {
+    /// The (solver, layout) for a put whose head chunk has column mask
+    /// `mask`; `eupa` runs EUPA on the put's own data.
+    fn pick(
+        &self,
+        mask: u64,
+        eupa: &mut dyn FnMut() -> (CodecId, Linearization),
+        #[cfg(test)] pool: &Pool,
+    ) -> (CodecId, Linearization) {
+        match self {
+            Role::Decides(decision) => {
+                let (codec, linearization) = eupa();
+                decision.settle(Verdict::Made(Pick {
+                    mask,
+                    codec,
+                    linearization,
+                }));
+                (codec, linearization)
+            }
+            Role::Follows(decision) => {
+                #[cfg(test)]
+                if *decision.lock() == Verdict::Pending {
+                    pool.waited_for_pick();
+                }
+                match decision.wait() {
+                    Verdict::Made(pick) if pick.mask == mask => (pick.codec, pick.linearization),
+                    _ => eupa(),
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Role {
+    fn drop(&mut self) {
+        if let Role::Decides(decision) = self {
+            decision.settle(Verdict::Abandoned);
+        }
+    }
 }
 
 /// A record ready to append, on its way to its shard's I/O thread.
@@ -206,6 +349,8 @@ struct Pool {
 
 struct PoolState {
     queue: VecDeque<Job>,
+    /// One decision per `(name, width)` put since the writer opened.
+    decisions: HashMap<(String, usize), Arc<Decision>>,
     /// The next sequence number of each shard.
     shard_seq: Vec<u64>,
     /// The next sequence number of the writer.
@@ -228,6 +373,13 @@ struct PoolState {
     /// early.
     #[cfg(test)]
     gate: Option<(String, u64)>,
+    /// Later puts that found their decider's pick not yet made.
+    #[cfg(test)]
+    waited_for_pick: u64,
+    /// Hold the job of this name and step until this many later puts
+    /// waited for a pick.
+    #[cfg(test)]
+    pick_gate: Option<(String, u32, u64)>,
 }
 
 impl Pool {
@@ -235,6 +387,7 @@ impl Pool {
         Pool {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
+                decisions: HashMap::new(),
                 shard_seq: vec![0; shards],
                 seq: 0,
                 taken: 0,
@@ -246,6 +399,10 @@ impl Pool {
                 held_early: 0,
                 #[cfg(test)]
                 gate: None,
+                #[cfg(test)]
+                waited_for_pick: 0,
+                #[cfg(test)]
+                pick_gate: None,
             }),
             work: Condvar::new(),
             room: Condvar::new(),
@@ -268,14 +425,10 @@ impl Pool {
 
     /// Queue one job, blocking while the queue is full. Numbering the
     /// job in the critical section that queues it keeps queue order
-    /// equal to sequence order, which is what lets a full window drain.
-    fn push(
-        &self,
-        shard: u16,
-        step: u32,
-        name: String,
-        payload: Payload,
-    ) -> Result<(), StoreError> {
+    /// equal to sequence order, which is what lets a full window drain;
+    /// the same section makes the first put of a `(name, width)` its
+    /// decider.
+    fn push(&self, shard: u16, step: u32, name: String, put: Put) -> Result<(), StoreError> {
         let mut st = self.lock();
         while st.queue.len() >= self.queue_cap && !st.stopped {
             st = self.wait(&self.room, st);
@@ -283,6 +436,18 @@ impl Pool {
         if st.stopped {
             return Err(StoreError::Corrupt("store shard worker terminated early"));
         }
+        let payload = match put {
+            Put::Elements { data, width } => {
+                let role = match st.decisions.entry((name.clone(), width)) {
+                    Entry::Occupied(known) => Role::Follows(Arc::clone(known.get())),
+                    Entry::Vacant(first) => {
+                        Role::Decides(Arc::clone(first.insert(Arc::new(Decision::new()))))
+                    }
+                };
+                Payload::Elements { data, width, role }
+            }
+            Put::Container(payload) => payload,
+        };
         let shard_seq = st.shard_seq[shard as usize];
         st.shard_seq[shard as usize] += 1;
         let seq = st.seq;
@@ -385,7 +550,7 @@ impl Pool {
     }
 
     #[cfg(test)]
-    fn hold_if_gated(&self, name: &str) {
+    fn hold_if_gated(&self, name: &str, step: u32) {
         let mut st = self.lock();
         while let Some((gated, until)) = &st.gate {
             if gated != name || st.held_early >= *until || st.stopped {
@@ -393,6 +558,18 @@ impl Pool {
             }
             st = self.wait(&self.early, st);
         }
+        while let Some((gated, gated_step, until)) = &st.pick_gate {
+            if gated != name || *gated_step != step || st.waited_for_pick >= *until || st.stopped {
+                break;
+            }
+            st = self.wait(&self.early, st);
+        }
+    }
+
+    #[cfg(test)]
+    fn waited_for_pick(&self) {
+        self.lock().waited_for_pick += 1;
+        self.early.notify_all();
     }
 }
 
@@ -564,12 +741,12 @@ where
         self.pipes.len()
     }
 
-    fn push(&self, step: u32, name: &str, payload: Payload) -> Result<(), StoreError> {
+    fn push(&self, step: u32, name: &str, put: Put) -> Result<(), StoreError> {
         if name.len() > u16::MAX as usize {
             return Err(StoreError::NameTooLong(name.len()));
         }
         let shard = route(step, name, self.pipes.len());
-        self.pool.push(shard, step, name.to_string(), payload)
+        self.pool.push(shard, step, name.to_string(), put)
     }
 
     /// Queue one variable for compression and storage on its shard.
@@ -590,7 +767,7 @@ where
         width: usize,
     ) -> Result<(), StoreError> {
         let data = data.into();
-        self.push(step, name, Payload::Elements { data, width })
+        self.push(step, name, Put::Elements { data, width })
     }
 
     /// Append an already-compressed container as one record, bypassing
@@ -610,11 +787,11 @@ where
         self.push(
             step,
             name,
-            Payload::Container {
+            Put::Container(Payload::Container {
                 width,
                 container,
                 raw_len,
-            },
+            }),
         )
     }
 
@@ -771,15 +948,27 @@ fn codec_worker(
     let mut recorder = Recorder::new();
     while let Some(job) = pool.take() {
         let (width, container, raw_len) = match job.payload {
-            Payload::Elements { data, width } => {
+            Payload::Elements { data, width, role } => {
                 #[cfg(test)]
-                pool.hold_if_gated(&job.name);
+                pool.hold_if_gated(&job.name, job.step);
                 let _span = isobar::trace::span(
                     isobar::telemetry::Phase::StoreShardCompress,
                     u32::from(job.shard),
                 );
-                let container =
-                    compressor.compress_recorded(&data, width, &mut scratch, &mut recorder)?;
+                let container = compressor.compress_with_pick(
+                    &data,
+                    width,
+                    &mut scratch,
+                    &mut recorder,
+                    |mask, eupa| {
+                        role.pick(
+                            mask,
+                            eupa,
+                            #[cfg(test)]
+                            pool,
+                        )
+                    },
+                )?;
                 recorder.incr(Counter::StorePuts);
                 recorder.add(Counter::StoreRawBytes, data.len() as u64);
                 recorder.add(Counter::StoreContainerBytes, container.len() as u64);
@@ -934,8 +1123,31 @@ mod tests {
     use crate::reader::StoreReader;
     use isobar::Preference;
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("isobar-sharded-{}-{name}", std::process::id()))
+    /// A scratch directory under the temp dir, removed when dropped —
+    /// also when its test fails.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp(name: &str) -> TempDir {
+        TempDir(std::env::temp_dir().join(format!("isobar-sharded-{}-{name}", std::process::id())))
     }
 
     fn options() -> IsobarOptions {
@@ -1312,5 +1524,211 @@ mod tests {
             st.peak
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `n` elements of 8 bytes: the columns set in `constant` hold one
+    /// value each, and every other column steps through all 256 values
+    /// evenly (no bin near the tolerance), so every chunk's column mask
+    /// is `constant`.
+    fn masked(n: usize, constant: u8, seed: u64) -> Vec<u8> {
+        (0..n as u64)
+            .flat_map(|i| {
+                (0..8u64).map(move |c| {
+                    if constant & (1 << c) != 0 {
+                        17 * c as u8
+                    } else {
+                        (i.wrapping_mul(2 * c + 97) + seed) as u8
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Store `puts` in a fresh `dir` with `pick_gate` set; returns how
+    /// many later puts found their decider's pick not yet made, and the
+    /// commit report.
+    fn store_picking(
+        dir: &Path,
+        shards: u16,
+        puts: &Puts,
+        pick_gate: Option<(String, u32, u64)>,
+    ) -> (u64, ShardedCommitReport) {
+        let _ = std::fs::remove_dir_all(dir);
+        let writer = ShardedStoreWriter::create(
+            dir,
+            options(),
+            ShardedOptions {
+                shards,
+                queue_depth: 2,
+            },
+        )
+        .unwrap();
+        writer.pool.lock().pick_gate = pick_gate;
+        for (step, name, data) in puts {
+            writer.put(*step, name, data.clone(), 8).unwrap();
+        }
+        let pool = Arc::clone(&writer.pool);
+        let report = writer.close().unwrap();
+        let waited = pool.lock().waited_for_pick;
+        (waited, report)
+    }
+
+    #[test]
+    fn a_later_put_taken_before_its_decider_picked_writes_the_same_bytes() {
+        for shards in [2u16, 3] {
+            within_deadline(move || {
+                let puts: Puts = vec![
+                    (0, "slow".to_string(), masked(60_000, 0b0011_1100, 1)),
+                    (1, "slow".to_string(), masked(60_000, 0b0011_1100, 2)),
+                    (0, "other".to_string(), payload(8 * 1024, 3)),
+                    (2, "slow".to_string(), masked(60_000, 0b0011_1100, 4)),
+                ];
+                let (held, free) = (
+                    tmp(&format!("pick-held-{shards}")),
+                    tmp(&format!("pick-free-{shards}")),
+                );
+                // Hold the decider until a later put of "slow" has
+                // analysed its head chunk and found the pick not made.
+                let gate = ("slow".to_string(), 0, 1);
+                let (waited, _) = store_picking(&held, shards, &puts, Some(gate));
+                assert!(waited >= 1, "no later put waited for the pick");
+                store_picking(&free, shards, &puts, None);
+                assert_eq!(store_files(&held), store_files(&free), "{shards} shards");
+                let reader = StoreReader::open(&*held).unwrap();
+                for (step, name, data) in &puts {
+                    assert_eq!(&reader.get(*step, name).unwrap(), data);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_later_put_with_another_mask_decides_for_itself() {
+        let dir = tmp("remask");
+        let other = masked(40_000, 0b1100_0000, 2);
+        let puts: Puts = vec![
+            (0, "v".to_string(), masked(40_000, 0b0000_1111, 1)),
+            (1, "v".to_string(), other.clone()),
+            (2, "v".to_string(), masked(40_000, 0b0000_1111, 3)),
+        ];
+        let (_, report) = store_picking(&dir, 2, &puts, None);
+        let reader = StoreReader::open(&*dir).unwrap();
+        let entry = reader
+            .entries()
+            .iter()
+            .find(|e| e.step == 1)
+            .expect("step 1 stored")
+            .clone();
+        let fresh = IsobarCompressor::new(options())
+            .compress(&other, 8)
+            .unwrap();
+        assert_eq!(reader.get_container(&entry).unwrap(), fresh);
+        if isobar::telemetry::ENABLED {
+            // Step 0 decides, step 1's mask differs, step 2 takes
+            // step 0's pick.
+            assert_eq!(report.telemetry.counter(Counter::EupaRuns), 2);
+        }
+    }
+
+    #[test]
+    fn a_failed_decider_leaves_no_later_put_waiting() {
+        for shards in [1u16, 2] {
+            within_deadline(move || {
+                let dir = tmp(&format!("failed-decider-{shards}"));
+                let writer = ShardedStoreWriter::create(
+                    &dir,
+                    options(),
+                    ShardedOptions {
+                        shards,
+                        queue_depth: 2,
+                    },
+                )
+                .unwrap();
+                if shards > 1 {
+                    // A second worker holds a later put waiting on the
+                    // decider before the decider fails.
+                    writer.pool.lock().pick_gate = Some(("bad".to_string(), 0, 1));
+                }
+                // 803 bytes is no whole number of 8-byte elements.
+                writer.put(0, "bad", vec![0u8; 803], 8).unwrap();
+                for step in 1..4u32 {
+                    match writer.put(step, "bad", payload(4 * 1024, u64::from(step)), 8) {
+                        Ok(()) | Err(StoreError::Corrupt(_)) => {}
+                        Err(e) => panic!("unexpected put error: {e:?}"),
+                    }
+                }
+                let pool = Arc::clone(&writer.pool);
+                let err = writer.close().expect_err("a failed put must fail close");
+                assert!(
+                    matches!(
+                        err,
+                        StoreError::Isobar(isobar::IsobarError::MisalignedInput { .. })
+                    ),
+                    "{err:?}"
+                );
+                if shards > 1 {
+                    assert!(pool.lock().waited_for_pick >= 1);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_decider_that_panics_abandons_its_decision() {
+        within_deadline(|| {
+            let decision = Arc::new(Decision::new());
+            let decider = Role::Decides(Arc::clone(&decision));
+            let follower = Role::Follows(decision);
+            let pool = Arc::new(Pool::new(1, 1));
+            let waiting = {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    follower.pick(0b1, &mut || (CodecId::Bzip2Like, Linearization::Row), &pool)
+                })
+            };
+            // Let the follower find the pick pending, then panic while
+            // holding the decider's role.
+            while pool.lock().waited_for_pick == 0 {
+                std::thread::yield_now();
+            }
+            let panicked = std::thread::spawn(move || {
+                let _decider = decider;
+                panic!("a decider panics before it picks");
+            })
+            .join();
+            assert!(panicked.is_err());
+            // The follower ran its own EUPA.
+            assert_eq!(
+                waiting.join().unwrap(),
+                (CodecId::Bzip2Like, Linearization::Row)
+            );
+        });
+    }
+
+    #[test]
+    fn three_steps_of_two_variables_run_eupa_twice() {
+        let dir = tmp("decide-once");
+        let puts: Puts = (0..3u32)
+            .flat_map(|step| {
+                let seed = u64::from(step);
+                [
+                    (step, "a".to_string(), masked(20_000, 0b0000_1111, seed)),
+                    (
+                        step,
+                        "b".to_string(),
+                        masked(20_000, 0b1111_0000, seed + 10),
+                    ),
+                ]
+            })
+            .collect();
+        let (_, report) = store_picking(&dir, 2, &puts, None);
+        if isobar::telemetry::ENABLED {
+            assert_eq!(report.telemetry.counter(Counter::StorePuts), 6);
+            assert_eq!(report.telemetry.counter(Counter::EupaRuns), 2);
+        }
+        let reader = StoreReader::open(&*dir).unwrap();
+        for (step, name, data) in &puts {
+            assert_eq!(&reader.get(*step, name).unwrap(), data);
+        }
     }
 }
