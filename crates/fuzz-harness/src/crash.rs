@@ -390,6 +390,22 @@ impl StoreFs for FaultFs {
             .cloned()
             .collect())
     }
+
+    /// Reads what running code would see (synced or not) and records
+    /// no operation, so read-backs never move a kill point.
+    fn read_at(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let st = self.disk.lock();
+        if st.fatal.is_some() {
+            return Err(io::Error::other("disk is dead after injected crash"));
+        }
+        let content = &st.arena[st.require_live(path)?].content;
+        let src = usize::try_from(offset)
+            .ok()
+            .and_then(|at| content.get(at..at.checked_add(buf.len())?))
+            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
 }
 
 /// Outcome of one full crash sweep. Each subject fills the counters

@@ -26,8 +26,27 @@
 //! daemon rejects with `ServerError` is never resurrected by replay;
 //! the ack only ever happens after `wal_append` returns, which is the
 //! "acked means durable" barrier.
+//!
+//! # Read-your-writes from the journal
+//!
+//! An uncommitted put's bytes are already on disk, fsynced in its
+//! tenant's journal before the ack, so the overlay does not keep them
+//! in memory: `wal_append` records where the frame landed
+//! ([`FrameLocation`]) and `overlay_insert` keeps that location, with
+//! the width and length `stat` and `ls` need, and drops the payload. A
+//! read of the key reads the frame back after the daemon's lock
+//! ([`Snapshot::read`]) and verifies it against the checksum it was
+//! written with. The sharded writer holds its own reference to a
+//! payload only until the put is compressed, so uncommitted puts cost
+//! journal space and page cache, not daemon memory.
+//!
+//! Two kinds of entry still hold their payload ([`PendingBytes::Held`]):
+//! puts made with the journal off, which have nothing to read back
+//! from, and records replayed from the journal at open, which stay in
+//! memory until the next commit.
 
-use crate::wal::WalSet;
+use crate::daemon::store_key;
+use crate::wal::{self, FrameLocation, WalSet};
 use isobar::telemetry::Phase;
 use isobar::trace::NO_CHUNK;
 use isobar::{IsobarOptions, TelemetrySnapshot};
@@ -76,36 +95,108 @@ impl Default for CoreOptions {
     }
 }
 
-/// One uncommitted put held for read-your-writes. A clone shares the
-/// payload.
-#[derive(Clone)]
+/// Where an uncommitted put's bytes are.
+#[derive(Debug, Clone)]
+pub enum PendingBytes {
+    /// In its tenant's journal, read back on demand.
+    Journal(FrameLocation),
+    /// In memory, shared so a read takes it without a copy: a put made
+    /// with the journal off, or a record replayed at open.
+    Held(Arc<Vec<u8>>),
+}
+
+/// One uncommitted put, kept for read-your-writes. A clone copies a
+/// location or shares a held payload.
+#[derive(Debug, Clone)]
 pub struct OverlayEntry {
     /// Element width in bytes.
     pub width: u8,
-    /// Raw payload, shared so a read takes it without a copy.
-    pub data: Arc<Vec<u8>>,
+    /// Payload length in bytes.
+    pub raw_len: u64,
+    /// Where the payload is.
+    pub bytes: PendingBytes,
+}
+
+impl OverlayEntry {
+    /// The payload of `(step, key)`: the held copy, or the journal
+    /// frame read back and checked to be this put's.
+    fn payload<F: StoreFs>(
+        &self,
+        fs: &F,
+        step: u32,
+        key: &str,
+    ) -> Result<Arc<Vec<u8>>, StoreError> {
+        match &self.bytes {
+            PendingBytes::Held(data) => Ok(Arc::clone(data)),
+            PendingBytes::Journal(at) => {
+                let rec = wal::read_put(fs, at)?;
+                let same = rec.step == step
+                    && rec.width == self.width
+                    && rec.payload.len() as u64 == self.raw_len
+                    && store_key(&rec.tenant, &rec.name) == key;
+                if !same {
+                    return Err(StoreError::Corrupt("journal frame holds another put"));
+                }
+                Ok(Arc::new(rec.payload))
+            }
+        }
+    }
 }
 
 /// What one read of a `(step, key)` resolved to: owned, so the caller
 /// can drop its lock before reading.
-pub enum Snapshot {
-    /// An uncommitted put.
-    Overlay(OverlayEntry),
+pub enum Snapshot<F> {
+    /// An uncommitted put, with the filesystem its journal is read
+    /// through.
+    Overlay(OverlayEntry, F),
     /// The committed view at lookup time. A later commit swaps in a
     /// new reader; this one stays valid, because a committed segment
     /// is never rewritten or deleted.
     Committed(Arc<StoreReader>),
 }
 
-impl Snapshot {
-    /// The variable's bytes: the overlay payload as is, or the
-    /// committed one read, verified and decoded now.
-    pub fn read(self, step: u32, key: &str) -> Result<Arc<Vec<u8>>, StoreError> {
+impl<F: StoreFs> Snapshot<F> {
+    /// The variable's bytes: the overlay payload, or the committed one
+    /// read, verified and decoded now.
+    ///
+    /// A journal frame that does not read back is asked about through
+    /// `retired`, which the caller answers under its lock with
+    /// [`StoreCore::committed_since`]. A commit since the lookup may
+    /// have retired the frame's journal (and the next put re-created
+    /// the file, with another record at the same offset); the put is
+    /// then in the committed view that commit opened, and is read from
+    /// there. Otherwise the frame is damaged and its error stands.
+    pub fn read(
+        self,
+        step: u32,
+        key: &str,
+        retired: impl FnOnce(&FrameLocation) -> Option<Arc<StoreReader>>,
+    ) -> Result<Arc<Vec<u8>>, StoreError> {
         match self {
-            Snapshot::Overlay(entry) => Ok(entry.data),
+            Snapshot::Overlay(entry, fs) => match entry.payload(&fs, step, key) {
+                Err(e) => {
+                    let PendingBytes::Journal(at) = &entry.bytes else {
+                        return Err(e);
+                    };
+                    match retired(at) {
+                        Some(reader) => Ok(Arc::new(reader.get(step, key)?)),
+                        None => Err(e),
+                    }
+                }
+                read => read,
+            },
             Snapshot::Committed(reader) => Ok(Arc::new(reader.get(step, key)?)),
         }
     }
+}
+
+/// The frame of the last journaled put, as `wal_append` recorded it.
+struct Journaled {
+    step: u32,
+    key: String,
+    width: u8,
+    raw_len: u64,
+    at: FrameLocation,
 }
 
 /// What journal replay found on open.
@@ -151,14 +242,16 @@ where
     /// Committed view; `None` before the first commit of a fresh store
     /// or when `open_reader` is off. A commit swaps in a new `Arc`.
     pub reader: Option<Arc<StoreReader>>,
-    /// Read-your-writes cache of uncommitted puts, keyed by
+    /// Read-your-writes index of uncommitted puts, keyed by
     /// `(step, store key)`.
     pub overlay: BTreeMap<(u32, String), OverlayEntry>,
-    /// Bytes held in the overlay.
+    /// Raw bytes of the puts in the overlay, held or journaled.
     pub pending_bytes: u64,
     /// Generation of the last commit this engine performed.
     pub last_generation: Option<u64>,
     wal: Option<WalSet<F>>,
+    /// The last `wal_append`'s frame, until `overlay_insert` takes it.
+    journaled: Option<Journaled>,
     /// Keys replayed from the journal that no writer has seen yet;
     /// fed from the overlay when the next writer is created so they
     /// land in the next generation commit.
@@ -192,6 +285,7 @@ where
             pending_bytes: 0,
             last_generation: None,
             wal: None,
+            journaled: None,
             unfed: Vec::new(),
             replay: ReplaySummary::default(),
         };
@@ -220,8 +314,9 @@ where
     }
 
     /// Journal one put and fsync it. Once this returns the record is
-    /// durable and the caller may ack. Returns the journaled frame
-    /// bytes (0 when the journal is disabled).
+    /// durable and the caller may ack. Records where the frame landed,
+    /// for the `overlay_insert` of the same put. Returns the journaled
+    /// frame bytes (0 when the journal is disabled).
     pub fn wal_append(
         &mut self,
         tenant: &str,
@@ -230,10 +325,19 @@ where
         width: u8,
         payload: &[u8],
     ) -> io::Result<u64> {
+        self.journaled = None;
         let Some(wal) = &mut self.wal else {
             return Ok(0);
         };
-        Ok(wal.append_put(tenant, step, name, width, payload)? as u64)
+        let appended = wal.append_put(tenant, step, name, width, payload)?;
+        self.journaled = appended.at.map(|at| Journaled {
+            step,
+            key: store_key(tenant, name),
+            width,
+            raw_len: payload.len() as u64,
+            at,
+        });
+        Ok(appended.frame_len as u64)
     }
 
     /// Hand one put to the sharded writer, creating the writer (and
@@ -267,12 +371,8 @@ where
         // writer carries them into a generation.
         for (step, key) in std::mem::take(&mut self.unfed) {
             if let Some(entry) = self.overlay.get(&(step, key.clone())) {
-                writer.put(
-                    step,
-                    &key,
-                    Arc::clone(&entry.data),
-                    usize::from(entry.width),
-                )?;
+                let data = entry.payload(&self.fs, step, &key)?;
+                writer.put(step, &key, data, usize::from(entry.width))?;
             }
         }
         self.writer = Some(writer);
@@ -280,8 +380,11 @@ where
     }
 
     /// Insert one put into the read-your-writes overlay, superseding
-    /// any earlier payload for the same `(step, key)`. Passing the
-    /// `Arc` given to [`StoreCore::store_put`] shares one copy.
+    /// any earlier payload for the same `(step, key)`. After a
+    /// [`StoreCore::wal_append`] of the same put the entry keeps the
+    /// frame's location and `data` is dropped; otherwise it holds
+    /// `data` (passing the `Arc` given to [`StoreCore::store_put`]
+    /// shares one copy).
     pub fn overlay_insert(
         &mut self,
         step: u32,
@@ -290,14 +393,22 @@ where
         data: impl Into<Arc<Vec<u8>>>,
     ) {
         let data = data.into();
-        let len = data.len() as u64;
-        if let Some(old) = self
-            .overlay
-            .insert((step, key), OverlayEntry { width, data })
-        {
-            self.pending_bytes = self.pending_bytes.saturating_sub(old.data.len() as u64);
+        let raw_len = data.len() as u64;
+        let bytes = match self.journaled.take() {
+            Some(j) if (j.step, &j.key, j.width, j.raw_len) == (step, &key, width, raw_len) => {
+                PendingBytes::Journal(j.at)
+            }
+            _ => PendingBytes::Held(data),
+        };
+        let entry = OverlayEntry {
+            width,
+            raw_len,
+            bytes,
+        };
+        if let Some(old) = self.overlay.insert((step, key), entry) {
+            self.pending_bytes = self.pending_bytes.saturating_sub(old.raw_len);
         }
-        self.pending_bytes += len;
+        self.pending_bytes += raw_len;
     }
 
     /// Whether the overlay has crossed the commit threshold.
@@ -347,9 +458,9 @@ where
     /// committed reader second, `NotFound` when there is neither. A map
     /// probe and a pointer clone, so it is all a read does under the
     /// daemon's lock.
-    pub fn lookup(&self, step: u32, key: &str) -> Result<Snapshot, StoreError> {
+    pub fn lookup(&self, step: u32, key: &str) -> Result<Snapshot<F>, StoreError> {
         if let Some(entry) = self.overlay.get(&(step, key.to_string())) {
-            return Ok(Snapshot::Overlay(entry.clone()));
+            return Ok(Snapshot::Overlay(entry.clone(), self.fs.clone()));
         }
         let reader = self.reader.clone().ok_or_else(|| StoreError::NotFound {
             step,
@@ -360,9 +471,25 @@ where
 
     /// Read one variable through [`StoreCore::lookup`].
     pub fn get(&self, step: u32, key: &str) -> Result<(Vec<u8>, GetSource), StoreError> {
-        match self.lookup(step, key)? {
-            Snapshot::Overlay(entry) => Ok((entry.data.to_vec(), GetSource::Overlay)),
-            Snapshot::Committed(reader) => Ok((reader.get(step, key)?, GetSource::Committed)),
+        let snapshot = self.lookup(step, key)?;
+        let source = match snapshot {
+            Snapshot::Overlay(..) => GetSource::Overlay,
+            Snapshot::Committed(_) => GetSource::Committed,
+        };
+        let data = snapshot.read(step, key, |at| self.committed_since(at))?;
+        Ok((Arc::unwrap_or_clone(data), source))
+    }
+
+    /// For a journal frame that did not read back: the committed view,
+    /// when a commit has retired the frame's journal since the lookup
+    /// (that commit made the put committed first). `None` while the
+    /// journal is live: the frame itself is at fault.
+    pub fn committed_since(&self, at: &FrameLocation) -> Option<Arc<StoreReader>> {
+        let live = self.wal.as_ref().is_some_and(|wal| wal.holds(at));
+        if live {
+            None
+        } else {
+            self.reader.clone()
         }
     }
 
@@ -506,6 +633,132 @@ mod tests {
             (field(3.0), GetSource::Committed)
         );
         assert_eq!(core.last_generation, Some(first + 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The one journal file in `dir`.
+    fn journal_file(dir: &Path) -> PathBuf {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| {
+                let name = path.file_name().and_then(|n| n.to_str());
+                name.is_some_and(crate::wal::is_wal_file_name)
+            })
+            .collect();
+        assert_eq!(files.len(), 1, "one tenant, one journal");
+        files.pop().unwrap()
+    }
+
+    #[test]
+    fn an_acked_put_reads_back_from_the_journal_bit_exact() {
+        let dir = tmp("journal-read");
+        let mut core = StoreCore::open_real(&dir, opts()).unwrap();
+        let payload: Vec<u8> = (0..40_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        durable_put(&mut core, 3, "v", &payload);
+        let entry = &core.overlay[&(3, "v".to_string())];
+        assert!(matches!(entry.bytes, PendingBytes::Journal(_)));
+        assert_eq!((entry.width, entry.raw_len), (8, payload.len() as u64));
+        assert_eq!(core.pending_bytes, payload.len() as u64);
+        assert_eq!(
+            core.get(3, "v").unwrap(),
+            (payload.clone(), GetSource::Overlay)
+        );
+        // A snapshot reads the same bytes once the lookup is over.
+        let snapshot = core.lookup(3, "v").unwrap();
+        let data = snapshot.read(3, "v", |_| unreachable!()).unwrap();
+        assert_eq!(*data, payload);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_old_snapshot_never_returns_the_record_that_reuses_its_frame() {
+        let dir = tmp("journal-reuse");
+        let mut core = StoreCore::open_real(&dir, opts()).unwrap();
+        let (first, second) = (vec![1u8; 4096], vec![2u8; 4096]);
+        durable_put(&mut core, 0, "v", &first);
+        let before_commit = core.lookup(0, "v").unwrap();
+        let before_reput = core.lookup(0, "v").unwrap();
+        let Snapshot::Overlay(entry, _) = &before_commit else {
+            panic!("an uncommitted put resolves to the overlay");
+        };
+        let PendingBytes::Journal(at) = entry.bytes.clone() else {
+            panic!("a journaled put keeps its location");
+        };
+        core.commit().unwrap().expect("pending put");
+        // The journal is gone: the read falls back to the committed copy.
+        let data = before_commit
+            .read(0, "v", |at| core.committed_since(at))
+            .unwrap();
+        assert_eq!(*data, first);
+        // The same key again, the same length: the re-created journal
+        // holds the new record at the old frame's offset.
+        durable_put(&mut core, 0, "v", &second);
+        let Snapshot::Overlay(entry, _) = core.lookup(0, "v").unwrap() else {
+            panic!("an uncommitted put resolves to the overlay");
+        };
+        let PendingBytes::Journal(now) = entry.bytes else {
+            panic!("a journaled put keeps its location");
+        };
+        assert_eq!(
+            (now.path.clone(), now.offset, now.len),
+            (at.path.clone(), at.offset, at.len)
+        );
+        assert_ne!(now.file, at.file);
+        assert!(matches!(
+            crate::wal::read_put(&RealFs, &at),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+        let data = before_reput
+            .read(0, "v", |at| core.committed_since(at))
+            .unwrap();
+        assert_eq!(*data, first, "the committed copy, not the new record");
+        assert_eq!(core.get(0, "v").unwrap(), (second, GetSource::Overlay));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bit_flipped_frame_under_a_live_entry_is_a_typed_error() {
+        let dir = tmp("journal-flip");
+        let mut core = StoreCore::open_real(&dir, opts()).unwrap();
+        // An older copy is committed: a damaged frame of the live put
+        // must not fall back to it.
+        durable_put(&mut core, 0, "v", &[4; 1000]);
+        core.commit().unwrap().expect("pending put");
+        durable_put(&mut core, 0, "v", &[5; 1000]);
+        let path = journal_file(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 100;
+        bytes[at] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            core.get(0, "v"),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+        // A cut frame is an error too, not a short payload.
+        std::fs::write(&path, &bytes[..at]).unwrap();
+        assert!(matches!(core.get(0, "v"), Err(StoreError::Io(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn without_the_journal_the_overlay_holds_the_payload() {
+        let dir = tmp("held");
+        let mut core = StoreCore::open_real(
+            &dir,
+            CoreOptions {
+                wal: false,
+                ..opts()
+            },
+        )
+        .unwrap();
+        durable_put(&mut core, 0, "v", &[7; 300]);
+        let entry = &core.overlay[&(0, "v".to_string())];
+        assert!(matches!(&entry.bytes, PendingBytes::Held(data) if **data == [7; 300]));
+        assert_eq!(
+            core.get(0, "v").unwrap(),
+            (vec![7; 300], GetSource::Overlay)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

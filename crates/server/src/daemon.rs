@@ -6,10 +6,11 @@
 //! One accept thread hands each connection to its own handler thread
 //! (the workspace is std-only: no async runtime). All store access
 //! funnels through one mutex-guarded `StoreState`: puts go to the
-//! sharded writer *and* to an in-memory overlay so gets are
+//! sharded writer *and* to the write-ahead journal, and the overlay
+//! records where each journal frame landed, so gets are
 //! read-your-writes before the next commit; gets fall back to the
 //! committed `StoreReader`. A read holds the mutex only to resolve its
-//! key to an owned snapshot (a shared overlay payload or an
+//! key to an owned snapshot (a journal frame's location or an
 //! `Arc<StoreReader>`), then reads, verifies and decodes after
 //! releasing it. When the overlay crosses the commit threshold the
 //! daemon rolls a generation: the writer's two-phase manifest commit
@@ -818,7 +819,8 @@ fn put_locked(
     obs: &mut RequestObs,
 ) -> Result<(), StoreError> {
     let key = store_key(tenant, name);
-    // The writer and the overlay share one copy of the payload.
+    // One copy of the payload: the writer holds it until the put is
+    // compressed; the overlay keeps it only with the journal off.
     let payload = Arc::new(payload);
     obs.time(Phase::StorePut, || {
         state.core.store_put(
@@ -857,7 +859,13 @@ fn handle_get(
     let state = lock_store(shared, obs);
     let snapshot = obs.time(Phase::Overlay, || state.core.lookup(step, &key));
     unlock_store(state, obs);
-    match snapshot.and_then(|s| obs.time(Phase::StoreGet, || s.read(step, &key))) {
+    // A journal frame that fails to read back asks the lock again
+    // whether a commit has retired it since.
+    let retired = |at: &_| {
+        let state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
+        state.core.committed_since(at)
+    };
+    match snapshot.and_then(|s| obs.time(Phase::StoreGet, || s.read(step, &key, retired))) {
         Ok(data) => {
             obs.bytes = data.len() as u64;
             respond(stream, obs, Status::Ok, &data);
@@ -880,10 +888,9 @@ fn handle_stat(
     let snapshot = obs.time(Phase::Overlay, || state.core.lookup(step, &key));
     unlock_store(state, obs);
     let line = obs.time(Phase::StoreGet, || match snapshot? {
-        Snapshot::Overlay(entry) => Ok(format!(
+        Snapshot::Overlay(entry, _) => Ok(format!(
             "name={name} step={step} raw_len={} width={} committed=false\n",
-            entry.data.len(),
-            entry.width
+            entry.raw_len, entry.width
         )),
         Snapshot::Committed(reader) => reader.entry(step, &key).map(|entry| {
             format!(
@@ -935,7 +942,7 @@ fn handle_ls(
     let (reader, pending) = obs.time(Phase::Overlay, || {
         let overlay = state.core.overlay.iter();
         let pending: Vec<_> = overlay
-            .filter_map(|((step, key), entry)| row(*step, key, entry.data.len() as u64))
+            .filter_map(|((step, key), entry)| row(*step, key, entry.raw_len))
             .collect();
         (state.core.reader.clone(), pending)
     });

@@ -46,8 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Instant;
 
-/// Request ops with their own latency histogram, indexed by
-/// [`op_index`].
+/// Request ops with their own latency histogram, in `op_index` order.
 pub const OP_NAMES: [&str; 4] = ["put", "get", "stat", "ls"];
 
 /// Distinct tenants tracked with their own histogram before new ones
@@ -69,7 +68,7 @@ pub fn is_slow(total_nanos: u64, slow_ms: Option<u64>) -> bool {
 }
 
 /// Histogram index for a request op.
-pub fn op_index(opcode: Opcode) -> usize {
+fn op_index(opcode: Opcode) -> usize {
     match opcode {
         Opcode::Put => 0,
         Opcode::Get => 1,
@@ -80,7 +79,7 @@ pub fn op_index(opcode: Opcode) -> usize {
 
 /// Stable lowercase name for a response status (slow-log and
 /// `/debug/stats` vocabulary).
-pub fn status_name(status: Status) -> &'static str {
+fn status_name(status: Status) -> &'static str {
     match status {
         Status::Ok => "ok",
         Status::Busy => "busy",
@@ -275,7 +274,7 @@ pub struct ServeReport {
     pub phase_nanos: [u64; Phase::SERVE.len()],
     /// Pipeline telemetry merged from every generation commit.
     pub telemetry: TelemetrySnapshot,
-    /// Per-op request-latency histograms, indexed by [`op_index`].
+    /// Per-op request-latency histograms, indexed by `op_index`.
     pub per_op: [LatencyHistogram; 4],
     /// Per-tenant histograms, first-come order, capped at
     /// [`MAX_TENANT_HISTOGRAMS`]; the overflow bucket is named

@@ -79,7 +79,7 @@ pub enum Opcode {
 impl Opcode {
     /// Decode a wire byte; `None` for anything this version does not
     /// speak.
-    pub fn from_wire(byte: u8) -> Option<Opcode> {
+    fn from_wire(byte: u8) -> Option<Opcode> {
         match byte {
             1 => Some(Opcode::Put),
             2 => Some(Opcode::Get),
@@ -113,7 +113,7 @@ pub enum Status {
 
 impl Status {
     /// Decode a wire byte; `None` for unknown status values.
-    pub fn from_wire(byte: u8) -> Option<Status> {
+    fn from_wire(byte: u8) -> Option<Status> {
         match byte {
             0 => Some(Status::Ok),
             1 => Some(Status::Busy),
@@ -359,7 +359,7 @@ pub fn parse_request_header(
 
 /// Validate one identifier field (tenant or name) that was read off
 /// the wire: UTF-8, no reserved separator.
-pub fn validate_field(field: &'static str, bytes: Vec<u8>) -> Result<String, ProtoError> {
+fn validate_field(field: &'static str, bytes: Vec<u8>) -> Result<String, ProtoError> {
     if bytes.contains(&TENANT_SEPARATOR) {
         return Err(ProtoError::ReservedSeparator(field));
     }

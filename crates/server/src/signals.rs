@@ -33,14 +33,14 @@ mod unix {
     #[cfg(not(target_os = "macos"))]
     const SIGUSR1: i32 = 10;
 
-    pub fn install() {
+    pub(super) fn install() {
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);
         }
     }
 
-    pub fn install_usr1() {
+    pub(super) fn install_usr1() {
         unsafe {
             signal(SIGUSR1, on_usr1);
         }

@@ -44,17 +44,35 @@
 //! written at crash time, never an acked one (acked records were
 //! fsynced first).
 //!
+//! # Read-your-writes
+//!
+//! The journal is also where the daemon reads an uncommitted put back
+//! from. [`WalSet::append_put`] tracks each open file's length, so it
+//! knows where every frame lands and returns a [`FrameLocation`]: the
+//! file, the frame's offset and length, and the checksum it was
+//! written with. [`read_put`] reads that frame back with one
+//! positioned read and verifies it against the checksum held in
+//! memory. A commit retires the journal files, and the next put of the
+//! tenant re-creates the file under the same name with another record
+//! at the same offsets; that record does not verify against the
+//! location's checksum, so a stale location is an error, never another
+//! put's bytes. [`WalSet::holds`] tells the two failures apart: a
+//! frame whose file is still live is damaged; one whose file was
+//! retired has been committed.
+//!
 //! All I/O goes through the [`StoreFs`] VFS so the crash-injection
 //! harness can kill the daemon at every journal operation boundary
 //! and prove the no-acked-loss claim (the serve subject of
-//! `isobar-fuzz-harness`'s `crash_sweep` test).
+//! `isobar-fuzz-harness`'s `crash_sweep` test). A read-back is not an
+//! operation of that stream: [`StoreFs::read_at`] records nothing.
 
 use isobar::salvage::{resync_walk, Segment};
 use isobar_codecs::xxhash::xxh64;
-use isobar_store::{StoreFile, StoreFs};
+use isobar_store::{StoreError, StoreFile, StoreFs};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Journal file magic.
 pub const WAL_MAGIC: [u8; 4] = *b"ISWJ";
@@ -88,7 +106,7 @@ pub const WAL_FILE_SUFFIX: &str = ".waj";
 pub const MAX_WAL_BODY: u32 = 1 << 28;
 
 /// Journal file name for a tenant.
-pub fn wal_file_name(tenant: &str) -> String {
+fn wal_file_name(tenant: &str) -> String {
     format!(
         "{WAL_FILE_PREFIX}{:016x}{WAL_FILE_SUFFIX}",
         xxh64(tenant.as_bytes(), WAL_NAME_SEED)
@@ -184,6 +202,52 @@ fn parse_body(body: &[u8]) -> Option<WalRecord> {
     })
 }
 
+/// Where one journaled put's frame sits on disk, as
+/// [`WalSet::append_put`] wrote it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameLocation {
+    /// The journal file.
+    pub path: Arc<Path>,
+    /// Which file of that name: a [`WalSet`] numbers each journal file
+    /// it creates, so a name re-created after a commit is another file.
+    pub file: u64,
+    /// Byte offset of the frame's `ISWR` anchor.
+    pub offset: u64,
+    /// Frame length, anchor to checksum.
+    pub len: u64,
+    /// The frame's body checksum as written.
+    pub checksum: u64,
+}
+
+/// Read back the put journaled at `at`: one positioned read of the
+/// frame, verified against the checksum it was written with. A frame
+/// that does not verify (damaged, or another put's after its journal
+/// was retired and re-created) is a typed error, never bytes.
+pub fn read_put<F: StoreFs>(fs: &F, at: &FrameLocation) -> Result<WalRecord, StoreError> {
+    let len = usize::try_from(at.len)
+        .ok()
+        .filter(|&len| len >= 4 + 4 + 8)
+        .ok_or(StoreError::Corrupt("journal frame location is too short"))?;
+    let mut frame = vec![0u8; len];
+    fs.read_at(&at.path, at.offset, &mut frame)?;
+    let body = &frame[8..len - 8];
+    let body_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+    if frame[..4] != WAL_RECORD_MAGIC || body_len as usize != body.len() {
+        return Err(StoreError::Corrupt(
+            "journal frame header does not match its location",
+        ));
+    }
+    let actual = xxh64(body, WAL_RECORD_SEED);
+    if actual != at.checksum {
+        return Err(StoreError::ChecksumMismatch {
+            offset: at.offset,
+            expected: at.checksum,
+            actual,
+        });
+    }
+    parse_body(body).ok_or(StoreError::Corrupt("journal frame body is malformed"))
+}
+
 /// What salvaging one journal file produced.
 #[derive(Debug, Default)]
 pub struct WalSalvage {
@@ -252,13 +316,38 @@ pub struct WalReplay {
     pub skipped_bytes: u64,
 }
 
+/// One open journal file.
+struct Journal<File> {
+    file: File,
+    path: Arc<Path>,
+    /// Its number in the set's creation order.
+    serial: u64,
+    /// Bytes written so far; `None` once an append failed partway,
+    /// after which its frames are journaled but not located.
+    len: Option<u64>,
+}
+
+/// What [`WalSet::append_put`] wrote.
+#[derive(Debug, Clone)]
+pub struct Appended {
+    /// Encoded frame length.
+    pub frame_len: usize,
+    /// Where the frame sits; `None` when an earlier append to the same
+    /// file failed partway and left its length unknown.
+    pub at: Option<FrameLocation>,
+}
+
 /// The open journal set for one daemon: per-tenant files with live
 /// append handles, over any [`StoreFs`].
 pub struct WalSet<F: StoreFs> {
     fs: F,
     dir: PathBuf,
     /// Open append handles, keyed by journal file name.
-    open: BTreeMap<String, F::File>,
+    open: BTreeMap<String, Journal<F::File>>,
+    /// Serial of the next journal file created.
+    next_serial: u64,
+    /// Files numbered below this were retired by [`WalSet::truncate`].
+    live_from: u64,
 }
 
 impl<F: StoreFs> WalSet<F> {
@@ -272,6 +361,8 @@ impl<F: StoreFs> WalSet<F> {
             fs,
             dir: dir.to_path_buf(),
             open: BTreeMap::new(),
+            next_serial: 0,
+            live_from: 0,
         };
         let mut names: Vec<(String, PathBuf)> = match set.fs.list_dir(dir) {
             Ok(paths) => paths
@@ -300,13 +391,17 @@ impl<F: StoreFs> WalSet<F> {
             let wip = path.with_extension("waj.wip");
             let mut file = set.fs.create(&wip)?;
             file.write_all(&file_header())?;
+            let mut len = WAL_HEADER_LEN as u64;
             for rec in &salvage.records {
-                file.write_all(&encode_record(rec))?;
+                let frame = encode_record(rec);
+                file.write_all(&frame)?;
+                len += frame.len() as u64;
             }
             file.sync_data()?;
             set.fs.rename(&wip, &path)?;
             dirty = true;
-            set.open.insert(name, file);
+            let journal = set.journal(file, path, len);
+            set.open.insert(name, journal);
             replay.records.extend(salvage.records);
         }
         if dirty {
@@ -319,11 +414,14 @@ impl<F: StoreFs> WalSet<F> {
     /// return the record is durable: the daemon may ack. Returns the
     /// encoded frame length.
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
-        self.append_put(&rec.tenant, rec.step, &rec.name, rec.width, &rec.payload)
+        let appended =
+            self.append_put(&rec.tenant, rec.step, &rec.name, rec.width, &rec.payload)?;
+        Ok(appended.frame_len)
     }
 
     /// [`WalSet::append`] from a put's borrowed fields, framed with no
-    /// intermediate [`WalRecord`].
+    /// intermediate [`WalRecord`]. Also returns where the frame landed,
+    /// for [`read_put`].
     pub fn append_put(
         &mut self,
         tenant: &str,
@@ -331,13 +429,16 @@ impl<F: StoreFs> WalSet<F> {
         name: &str,
         width: u8,
         payload: &[u8],
-    ) -> io::Result<usize> {
+    ) -> io::Result<Appended> {
         let frame = encode_frame(tenant, step, name, width, payload);
         let name = wal_file_name(tenant);
         match self.open.get_mut(&name) {
-            Some(file) => {
-                file.write_all(&frame)?;
-                file.sync_data()?;
+            Some(journal) => {
+                // Until both succeed, the file's length is unknown.
+                let len = journal.len.take();
+                journal.file.write_all(&frame)?;
+                journal.file.sync_data()?;
+                journal.len = len;
             }
             None => {
                 let path = self.dir.join(&name);
@@ -349,10 +450,43 @@ impl<F: StoreFs> WalSet<F> {
                 // a crash could drop the whole journal file, acked
                 // records and all.
                 self.fs.sync_dir(&self.dir)?;
-                self.open.insert(name, file);
+                let journal = self.journal(file, path, WAL_HEADER_LEN as u64);
+                self.open.insert(name.clone(), journal);
             }
         }
-        Ok(frame.len())
+        let journal = self.open.get_mut(&name).expect("journal just appended to");
+        let at = journal.len.map(|offset| FrameLocation {
+            path: Arc::clone(&journal.path),
+            file: journal.serial,
+            offset,
+            len: frame.len() as u64,
+            checksum: u64::from_le_bytes(frame[frame.len() - 8..].try_into().expect("8 bytes")),
+        });
+        if let Some(len) = &mut journal.len {
+            *len += frame.len() as u64;
+        }
+        Ok(Appended {
+            frame_len: frame.len(),
+            at,
+        })
+    }
+
+    /// A newly created journal file of `len` bytes, numbered next.
+    fn journal(&mut self, file: F::File, path: PathBuf, len: u64) -> Journal<F::File> {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        Journal {
+            file,
+            path: path.into(),
+            serial,
+            len: Some(len),
+        }
+    }
+
+    /// Whether the file `at` points into is still live: not yet retired
+    /// by [`WalSet::truncate`], whose commit made its puts committed.
+    pub fn holds(&self, at: &FrameLocation) -> bool {
+        at.file >= self.live_from
     }
 
     /// Retire every journal file. Called after a generation commit is
@@ -365,6 +499,7 @@ impl<F: StoreFs> WalSet<F> {
         }
         // Drop handles first so nothing buffers into an unlinked file.
         self.open.clear();
+        self.live_from = self.next_serial;
         let mut removed = 0u64;
         for name in names {
             match self.fs.remove_file(&self.dir.join(&name)) {
@@ -375,11 +510,6 @@ impl<F: StoreFs> WalSet<F> {
         }
         self.fs.sync_dir(&self.dir)?;
         Ok(removed)
-    }
-
-    /// Journal files currently open for append.
-    pub fn open_files(&self) -> usize {
-        self.open.len()
     }
 }
 
@@ -523,7 +653,7 @@ mod tests {
         set.append(&rec("", 0, "a", b"one")).unwrap();
         set.append(&rec("acme", 1, "b", b"two")).unwrap();
         set.append(&rec("acme", 2, "b", b"three")).unwrap();
-        assert_eq!(set.open_files(), 2);
+        assert_eq!(set.open.len(), 2);
         drop(set);
 
         // "Restart": everything acked comes back, in deterministic

@@ -59,6 +59,28 @@ pub trait StoreFs: Send {
     /// unspecified order). The serve daemon's write-ahead journal uses
     /// this on startup to discover leftover per-tenant journal files.
     fn list_dir(&self, dir: &Path) -> io::Result<Vec<std::path::PathBuf>>;
+
+    /// Fill `buf` from the file at `path`, starting at `offset`. A
+    /// read changes nothing a crash could lose, so it is not an
+    /// operation of the commit protocol. The default reads the real
+    /// file (`pread` on unix); a filesystem that keeps files elsewhere
+    /// overrides it. The serve daemon reads uncommitted puts back from
+    /// its journal with this.
+    fn read_at(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let file = File::open(path)?;
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            file.read_exact_at(buf, offset)
+        }
+        #[cfg(not(unix))]
+        {
+            use std::io::{Read, Seek, SeekFrom};
+            let mut file = file;
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(buf)
+        }
+    }
 }
 
 /// The real filesystem.
@@ -157,6 +179,10 @@ mod tests {
         fs.sync_dir(&dir).unwrap();
         assert_eq!(std::fs::read(&fin).unwrap(), b"hello");
         assert!(!wip.exists());
+        let mut middle = [0u8; 3];
+        fs.read_at(&fin, 1, &mut middle).unwrap();
+        assert_eq!(&middle, b"ell");
+        assert!(fs.read_at(&fin, 3, &mut middle).is_err(), "past the end");
         fs.remove_file(&fin).unwrap();
     }
 }

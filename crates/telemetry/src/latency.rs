@@ -129,7 +129,7 @@ impl LatencyHistogram {
     /// true value is at most 6.25% below the answer), clamped to the
     /// observed maximum. Returns 0 for an empty histogram; `p` is
     /// clamped to `(0, 1]`.
-    pub fn percentile_nanos(&self, p: f64) -> u64 {
+    fn percentile_nanos(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
